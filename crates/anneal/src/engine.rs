@@ -57,10 +57,9 @@ pub trait Problem {
 /// must be **bit-identical** to what `rebase` would return for the
 /// perturbed state on a freshly rebased problem — incremental bookkeeping
 /// may not drift, not even in the last ulp (use integer/fixed-point
-/// accumulation for order-dependent sums). The delta cost may be a
-/// *different* (deterministic) quantity than [`Problem::cost`] — e.g.
-/// quantized congestion instead of float congestion; the engine never
-/// mixes the two inside one run's move loop.
+/// accumulation for order-dependent sums). When the delta cost also
+/// equals [`Problem::cost`] bit for bit — as the floorplanner's does —
+/// the delta and full-cost loops make identical decisions.
 ///
 /// Every method takes `&self`: like [`Problem::cost`], implementations
 /// keep mutable evaluation state behind interior mutability.

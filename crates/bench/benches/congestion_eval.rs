@@ -1,10 +1,11 @@
-//! Retained-evaluator microbenchmarks: what the `congestion-perf`
+//! Irregular-Grid engine microbenchmarks: what the `congestion-perf`
 //! subcommand reports as one number, broken down per configuration and
 //! workload size. Fixtures are synthetic segment sets (deterministic
-//! LCG) so the benches measure the evaluator, not the annealer.
+//! LCG) so the benches measure the evaluator, not the annealer. The
+//! exact Formula 3 evaluator is timed on ami33 in `congestion_models`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use irgrid::congestion::{CongestionModel, Evaluator, IrregularGridModel, RetainedCongestion};
+use irgrid::congestion::{CongestionModel, IrregularGridModel};
 use irgrid::geom::{Point, Rect, Um};
 
 /// `(label, segment count, chip extent in µm)` — small fits one IR-grid
@@ -39,9 +40,8 @@ fn chip(extent: i64) -> Rect {
     Rect::from_origin_size(Point::ORIGIN, Um(extent), Um(extent))
 }
 
-/// Fresh evaluator per call (the one-shot trait path) vs a warm retained
-/// session, across workload sizes.
-fn bench_fresh_vs_retained(c: &mut Criterion) {
+/// One-shot `evaluate` (a fresh session per call) across workload sizes.
+fn bench_evaluate(c: &mut Criterion) {
     let mut group = c.benchmark_group("congestion_eval");
     for (label, n, extent) in SIZES {
         let chip = chip(extent);
@@ -52,63 +52,13 @@ fn bench_fresh_vs_retained(c: &mut Criterion) {
             &segments,
             |b, segments| b.iter(|| model.evaluate(black_box(&chip), black_box(segments))),
         );
-        let mut session = model.session();
-        session.evaluate(&chip, &segments); // warm the scratch
-        group.bench_with_input(
-            BenchmarkId::new("retained", label),
-            &segments,
-            |b, segments| b.iter(|| session.evaluate(black_box(&chip), black_box(segments))),
-        );
     }
     group.finish();
 }
 
-/// Row-band threading on the largest fixture. On a single-CPU host the
-/// threaded rows measure pure spawn/join overhead — still worth
-/// tracking, because that overhead is the price of the bit-identical
-/// parallel path.
-fn bench_thread_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("congestion_eval_threads");
-    group.sample_size(20);
-    let (_, n, extent) = SIZES[2];
-    let chip = chip(extent);
-    let segments = synthetic_segments(n, extent - 10);
-    for threads in [1usize, 2, 4] {
-        let mut session = IrregularGridModel::new(Um(30))
-            .with_threads(threads)
-            .session();
-        session.evaluate(&chip, &segments);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &segments,
-            |b, segments| b.iter(|| session.evaluate(black_box(&chip), black_box(segments))),
-        );
-    }
-    group.finish();
-}
-
-/// The exact Formula-3 evaluator through the retained session — the
-/// configuration Experiment 3's run-time columns compare against.
-fn bench_exact_retained(c: &mut Criterion) {
-    let mut group = c.benchmark_group("congestion_eval_exact");
-    group.sample_size(20);
-    let (label, n, extent) = SIZES[0];
-    let chip = chip(extent);
-    let segments = synthetic_segments(n, extent - 10);
-    let mut session = IrregularGridModel::new(Um(30))
-        .with_evaluator(Evaluator::Exact)
-        .session();
-    session.evaluate(&chip, &segments);
-    group.bench_with_input(
-        BenchmarkId::new("retained", label),
-        &segments,
-        |b, segments| b.iter(|| session.evaluate(black_box(&chip), black_box(segments))),
-    );
-    group.finish();
-}
-
-/// Full map extraction (cuts + totals clone) vs cost-only evaluation.
-fn bench_map_vs_cost(c: &mut Criterion) {
+/// Full map extraction (cuts + dequantized totals); compare with
+/// `congestion_eval/fresh/medium`, the cost-only evaluation.
+fn bench_map(c: &mut Criterion) {
     let mut group = c.benchmark_group("congestion_map");
     let (label, n, extent) = SIZES[1];
     let chip = chip(extent);
@@ -117,21 +67,8 @@ fn bench_map_vs_cost(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("map", label), &segments, |b, segments| {
         b.iter(|| model.congestion_map(black_box(&chip), black_box(segments)))
     });
-    let mut session = model.session();
-    session.evaluate(&chip, &segments);
-    group.bench_with_input(
-        BenchmarkId::new("cost_only", label),
-        &segments,
-        |b, segments| b.iter(|| session.evaluate(black_box(&chip), black_box(segments))),
-    );
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_fresh_vs_retained,
-    bench_thread_scaling,
-    bench_exact_retained,
-    bench_map_vs_cost
-);
+criterion_group!(benches, bench_evaluate, bench_map);
 criterion_main!(benches);

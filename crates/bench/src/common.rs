@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use irgrid::anneal::{Annealer, Checkpoint, RunControl, Schedule, StopReason};
-use irgrid::congestion::{CongestionModel, FixedGridModel, RetainedCongestion};
+use irgrid::congestion::{CongestionModel, FixedGridModel};
 use irgrid::fleet::pool;
 use irgrid::floorplanner::{FloorplanEval, FloorplanProblem, FloorplanSpec, Weights};
 use irgrid::geom::Um;
@@ -217,7 +217,7 @@ impl SeedRunner {
     /// path to drop seeds the deadline prevented from ever starting).
     ///
     /// [`AnnealError`]: irgrid::anneal::AnnealError
-    fn run_seed<M: RetainedCongestion>(
+    fn run_seed<M: CongestionModel>(
         &self,
         problem: &FloorplanProblem<'_, M>,
         seed: u64,
@@ -313,7 +313,7 @@ pub fn run_batch<M>(
     mode: &Mode,
 ) -> Vec<RunOutcome>
 where
-    M: RetainedCongestion + Clone + Sync,
+    M: CongestionModel + Clone + Sync,
 {
     let runner = SeedRunner {
         annealer: Annealer::new(mode.schedule),

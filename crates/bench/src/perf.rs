@@ -1,75 +1,44 @@
-//! `congestion-perf` — throughput benchmark of the retained congestion
-//! evaluation engine (`CongestionEvaluator`), written as JSON to
-//! `BENCH_congestion.json` (override with `--out`).
+//! `congestion-perf` — throughput benchmark of the Irregular-Grid
+//! evaluation engine, written as JSON to `BENCH_congestion.json`
+//! (override with `--out`).
 //!
-//! Three configurations are timed on an annealed floorplan of the chosen
-//! circuit (ami49 by default, the largest of the suite):
-//!
-//! * **baseline** — the pre-engine behavior: every evaluation builds a
-//!   fresh evaluator, re-deriving the `LnFactorials` table and
-//!   reallocating every scratch vector.
-//! * **retained serial** — one warm [`CongestionEvaluator`] reused across
-//!   evaluations (steady state allocates nothing), `threads = 1`.
-//! * **retained parallel** — the same engine with the per-range
-//!   accumulation fanned out over row bands (`threads = 2, 4`, or the
-//!   `--threads` override). Results are bit-identical to serial by
-//!   construction; this command re-checks that at runtime and refuses to
-//!   report timings from a mismatching build.
-//!
-//! The report also times the congestion-weighted annealer end to end
-//! (`sa_moves_per_s`) because the retained session's win is only real if
-//! it survives the full move loop, and records `cpu_count` so a reader
-//! can tell whether parallel speedups were physically possible on the
-//! machine that produced the numbers. On a single-CPU host the parallel
-//! rows are skipped entirely (unless `--threads` forces them) and
-//! `parallel_skipped_reason` records why — timing thread fan-out with one
-//! core measures scheduler overhead, not the engine.
+//! On an annealed floorplan of the chosen circuit (ami49 by default, the
+//! largest of the suite) it times one-shot `evaluate` calls (each a fresh
+//! `IrDeltaEvaluator` rebase) and the congestion-weighted annealer end to
+//! end (`sa_moves_per_s`), and records `cpu_count` with the numbers.
 //!
 //! With `--delta` the report additionally times the incremental
 //! ([`DeltaProblem`](irgrid::anneal::DeltaProblem)) annealing loop and
 //! re-verifies on the spot that every incremental cost is bit-identical
-//! to from-scratch evaluation (`delta_equivalent`); the command aborts
+//! to from-scratch evaluation and that the delta loop reaches the full
+//! loop's best cost bit for bit (`delta_equivalent`); the command aborts
 //! rather than report a mismatching build.
 
 use std::time::Instant;
 
 use irgrid::anneal::{Annealer, DeltaProblem, Problem, Schedule};
-use irgrid::congestion::{CongestionModel, IrregularGridModel, RetainedCongestion};
+use irgrid::congestion::{CongestionModel, IrregularGridModel};
 use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::{Point, Rect, Um};
 use irgrid::netlist::mcnc::McncCircuit;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use crate::common::{die, flag_value, Mode};
+use crate::common::{flag_value, Mode};
 
 /// The JSON document `congestion-perf` emits.
 #[derive(Debug, Serialize)]
 struct Report {
     circuit: &'static str,
-    /// Logical CPUs visible to the process — parallel speedup beyond
-    /// serial is only achievable when this exceeds 1.
+    /// Logical CPUs visible to the process.
     cpu_count: usize,
-    /// Evaluations per timed configuration.
+    /// Evaluations per timed pass.
     evaluations: usize,
     segments: usize,
     ir_cells: usize,
-    /// Fresh-evaluator-per-call throughput (the pre-engine cost path).
-    baseline_maps_per_s: f64,
-    /// Warm retained session, `threads = 1`.
-    retained_serial_maps_per_s: f64,
-    /// `retained_serial / baseline` — the allocation + table-rebuild win.
-    serial_speedup_vs_baseline: f64,
-    /// One row per parallel thread count; empty when the host cannot
-    /// exercise parallelism (see `parallel_skipped_reason`).
-    parallel: Vec<ParallelRow>,
-    /// Why the parallel rows are empty, when they are. `None` whenever
-    /// rows were measured.
-    parallel_skipped_reason: Option<String>,
-    /// Runtime re-check that every parallel map matched serial bit for
-    /// bit (the build aborts instead of reporting `false`).
-    bit_identical: bool,
-    /// Annealer throughput with the retained IR model in the cost loop.
+    /// One-shot `evaluate` throughput (a fresh session per call).
+    maps_per_s: f64,
+    /// Annealer throughput with the IR model in the cost loop.
     sa_moves: usize,
     sa_seconds: f64,
     sa_moves_per_s: f64,
@@ -85,20 +54,13 @@ struct Report {
     delta_speedup_vs_full: Option<f64>,
 }
 
-#[derive(Debug, Serialize)]
-struct ParallelRow {
-    threads: usize,
-    maps_per_s: f64,
-    speedup_vs_serial: f64,
-}
-
 /// Times `repeats` passes of `evaluations` calls each and returns the
 /// maps-per-second of the *fastest* pass — min-of-k filters out
 /// scheduler and page-fault noise, which on a shared single-CPU host
 /// easily exceeds the effect being measured.
 fn throughput(evaluations: usize, repeats: usize, mut eval: impl FnMut() -> f64) -> f64 {
-    // One untimed call warms caches (and, for retained sessions, sizes
-    // the scratch) so every configuration is measured in steady state.
+    // One untimed call warms caches so every pass is measured in steady
+    // state.
     let warm = eval();
     assert!(warm.is_finite(), "benchmark evaluation produced {warm}");
     let mut best = f64::INFINITY;
@@ -116,27 +78,6 @@ fn throughput(evaluations: usize, repeats: usize, mut eval: impl FnMut() -> f64)
 pub fn run(mode: &Mode, circuit: McncCircuit, args: &[String]) {
     let out_path = flag_value(args, "--out").unwrap_or("BENCH_congestion.json");
     let cpu_count = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut parallel_skipped_reason = None;
-    let thread_counts: Vec<usize> = match flag_value(args, "--threads") {
-        Some(text) => {
-            let threads: usize = text
-                .parse()
-                .unwrap_or_else(|_| die(&format!("--threads `{text}` is not a count")));
-            if threads < 2 {
-                die("--threads must be at least 2 (1 is the serial row)");
-            }
-            vec![threads]
-        }
-        None if cpu_count <= 1 => {
-            // Thread fan-out on one core only measures context-switch
-            // overhead; the rows would read as a (bogus) slowdown.
-            parallel_skipped_reason = Some(format!(
-                "host exposes {cpu_count} logical CPU(s); pass --threads to force measurement"
-            ));
-            Vec::new()
-        }
-        None => vec![2, 4],
-    };
     let quick = args.iter().any(|a| a == "--quick");
     let delta = args.iter().any(|a| a == "--delta");
     let (evaluations, repeats) = if quick { (20, 3) } else { (60, 5) };
@@ -158,42 +99,8 @@ pub fn run(mode: &Mode, circuit: McncCircuit, args: &[String]) {
     let (chip, segments): (Rect, Vec<(Point, Point)>) = (eval.placement.chip(), eval.segments);
 
     let model = IrregularGridModel::new(pitch);
-    let serial_map = model.congestion_map(&chip, &segments);
-    let ir_cells = serial_map.ir_cell_count();
-
-    // Baseline: a fresh evaluator per call, as the one-shot trait method
-    // does — rebuilding LnFactorials and reallocating all scratch.
-    let baseline_maps_per_s = throughput(evaluations, repeats, || model.evaluate(&chip, &segments));
-
-    // Retained serial: one warm session.
-    let mut session = model.session();
-    let retained_serial_maps_per_s =
-        throughput(evaluations, repeats, || session.evaluate(&chip, &segments));
-
-    // Retained parallel, re-checking bit-identity before timing.
-    let mut parallel = Vec::new();
-    for &threads in &thread_counts {
-        let threaded = model.with_threads(threads);
-        let map = threaded.congestion_map(&chip, &segments);
-        for j in 0..serial_map.ir_rows() {
-            for i in 0..serial_map.ir_cols() {
-                assert_eq!(
-                    serial_map.total(i, j).to_bits(),
-                    map.total(i, j).to_bits(),
-                    "parallel map diverged from serial at cell ({i},{j}), {threads} threads"
-                );
-            }
-        }
-        let mut threaded_session = threaded.session();
-        let maps_per_s = throughput(evaluations, repeats, || {
-            threaded_session.evaluate(&chip, &segments)
-        });
-        parallel.push(ParallelRow {
-            threads,
-            maps_per_s,
-            speedup_vs_serial: maps_per_s / retained_serial_maps_per_s,
-        });
-    }
+    let ir_cells = model.congestion_map(&chip, &segments).ir_cell_count();
+    let maps_per_s = throughput(evaluations, repeats, || model.evaluate(&chip, &segments));
 
     // End-to-end annealer throughput with the congestion term active.
     let problem = FloorplanProblem::new(&netlist, pitch, Weights::routability(), Some(model));
@@ -251,6 +158,13 @@ pub fn run(mode: &Mode, circuit: McncCircuit, args: &[String]) {
         let delta_start = Instant::now();
         let delta_run = Annealer::new(sa_schedule).run_delta(&problem, 7);
         let seconds = delta_start.elapsed().as_secs_f64();
+        // One engine: the full and delta costs are the same bits, so the
+        // two loops make the same decisions.
+        assert_eq!(
+            delta_run.best_cost.to_bits(),
+            sa_run.best_cost.to_bits(),
+            "delta loop diverged from the full loop"
+        );
         let moves = delta_run.stats.accepted + delta_run.stats.rejected;
         sa_delta_moves = Some(moves);
         sa_delta_seconds = Some(seconds);
@@ -265,12 +179,7 @@ pub fn run(mode: &Mode, circuit: McncCircuit, args: &[String]) {
         evaluations,
         segments: segments.len(),
         ir_cells,
-        baseline_maps_per_s,
-        retained_serial_maps_per_s,
-        serial_speedup_vs_baseline: retained_serial_maps_per_s / baseline_maps_per_s,
-        parallel,
-        parallel_skipped_reason,
-        bit_identical: true,
+        maps_per_s,
         sa_moves,
         sa_seconds,
         sa_moves_per_s,

@@ -21,10 +21,9 @@
 //! once through a delta session (`Propose` + `Commit`/`Undo` per move,
 //! binary framing). Every checked `Propose` score must be bit-identical
 //! to a from-scratch rebase through a fresh local delta session
-//! (`delta_equivalent`) — *not* the float Simpson model, which is a
-//! different numeric contract — and the delta path must sustain at
-//! least [`DELTA_MIN_SPEEDUP`]× the full-session request throughput;
-//! the command aborts rather than report a mismatching or slow build.
+//! (`delta_equivalent`); the command aborts rather than report a
+//! mismatching build. The delta-over-full throughput ratio is reported,
+//! not gated.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -56,9 +55,6 @@ const MAX_TRIES: usize = 3_000;
 /// `--delta`: leading moves whose `Propose` scores are re-checked
 /// bit-for-bit against a fresh local delta-session rebase.
 const DELTA_CHECKED_MOVES: usize = 8;
-/// `--delta`: minimum delta-over-full request-throughput ratio; the
-/// bench aborts below this rather than report a regressed build.
-const DELTA_MIN_SPEEDUP: f64 = 3.0;
 
 #[derive(Debug, Serialize)]
 struct Report {
@@ -89,7 +85,7 @@ struct Report {
     full_moves_per_s: Option<f64>,
     /// Delta session: moves/s via `Propose` + `Commit`/`Undo` requests.
     delta_moves_per_s: Option<f64>,
-    /// `delta_moves_per_s / full_moves_per_s` (must be ≥ 3).
+    /// `delta_moves_per_s / full_moves_per_s`.
     delta_speedup_vs_full: Option<f64>,
 }
 
@@ -359,7 +355,7 @@ fn must_call(client: &mut Client, request: &Request) -> ResponsePayload {
 
 /// Benchmarks the delta serving path against the full-session baseline
 /// on one chaos-free daemon, then asserts bit-identity (vs a fresh
-/// local rebase) and the minimum speedup. See the module docs for the
+/// local rebase). See the module docs for the
 /// workload shape.
 fn run_delta_bench(scratch: &Path, workers: usize, moves: usize) -> DeltaOutcome {
     let socket = scratch.join("irgrid-serve-delta.sock");
@@ -557,11 +553,6 @@ fn run_delta_bench(scratch: &Path, workers: usize, moves: usize) -> DeltaOutcome
         "serve-bench --delta: full {full_moves_per_s:.1} moves/s, delta {delta_moves_per_s:.1} \
          moves/s, speedup {speedup:.2}x, {checked} moves bit-checked"
     );
-    if speedup < DELTA_MIN_SPEEDUP {
-        die(&format!(
-            "delta speedup {speedup:.2}x is below the required {DELTA_MIN_SPEEDUP}x"
-        ));
-    }
     DeltaOutcome {
         checked,
         moves,

@@ -158,14 +158,6 @@ impl CongestionModel for FixedGridModel {
     }
 }
 
-impl crate::RetainedCongestion for FixedGridModel {
-    type Session = crate::StatelessSession<FixedGridModel>;
-
-    fn session(&self) -> Self::Session {
-        crate::StatelessSession::new(*self)
-    }
-}
-
 impl crate::DeltaCongestion for FixedGridModel {
     type DeltaSession = crate::StatelessDeltaSession<FixedGridModel>;
 

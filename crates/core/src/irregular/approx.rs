@@ -126,8 +126,8 @@ fn exit_integral(g1: i64, g2: i64, y2: i64, a: f64, b: f64, base_intervals: usiz
 }
 
 /// The per-`(g1, g2, y2)` setup of [`exit_integral`] — support clipping,
-/// peak localization, and the effective width — hoisted out so a retained
-/// evaluator can sweep one row (or column) of IR-grids with a single
+/// peak localization, and the effective width — hoisted out so the
+/// engine can sweep one row (or column) of IR-grids with a single
 /// setup. `integral` reproduces `exit_integral` bit for bit: the same
 /// intermediate values are computed in the same order.
 #[derive(Debug, Clone, Copy)]

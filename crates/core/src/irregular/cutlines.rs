@@ -34,7 +34,7 @@ pub(crate) fn merged_cuts(
     kept
 }
 
-/// In-place variant of [`merged_cuts`] for retained evaluators: `scratch`
+/// In-place variant of [`merged_cuts`] for the evaluation engine: `scratch`
 /// holds the raw cut positions (consumed: sorted and filtered in place)
 /// and `kept` receives the merged result, both reusing their existing
 /// capacity so the steady state allocates nothing.

@@ -1,12 +1,11 @@
-//! Incremental (delta) evaluation of the Irregular-Grid model.
+//! The Irregular-Grid evaluation engine, incremental by construction.
 //!
-//! The retained [`CongestionEvaluator`](super::CongestionEvaluator)
-//! rebuilds the whole map per call: every range is re-scored even though
-//! a simulated-annealing move perturbs one or two modules. The expensive
-//! part of a rebuild is not the bookkeeping — cut merging and totals
-//! accumulation are microseconds — it is the per-range *scoring* (Simpson
-//! integration per IR cell). [`IrDeltaEvaluator`] makes scoring
-//! incremental:
+//! A simulated-annealing move perturbs one or two modules, yet a rebuild
+//! re-scores every range. The expensive part of a rebuild is not the
+//! bookkeeping — cut merging and totals accumulation are microseconds —
+//! it is the per-range *scoring*. [`IrDeltaEvaluator`] makes scoring
+//! incremental, and a fresh session's `rebase` is also the model's
+//! one-shot [`evaluate`](crate::CongestionModel::evaluate):
 //!
 //! * **Relative-signature block memo.** A range's scored block (its
 //!   per-cell probabilities over the snapped span) depends only on the
@@ -42,19 +41,17 @@
 //!   pattern into two `erf` evaluations, O(cells) per block with no
 //!   quadrature loop at all.
 //!
-//! Scoring structure (corridors, the `g1 + g2` exact threshold,
-//! Theorem-1 row/column exit sweeps, pin override, clamp) is the
-//! retained evaluator's. Cell values are not bit-identical to the
-//! Simpson-integrated `f64` pipeline — `ExitCdf` and Simpson are two
-//! quadratures of the same Theorem-1 density, agreeing to well inside
-//! the normal approximation's own deviation from exact route counts —
-//! but they are *pure functions of the floorplan*, so a fresh session
-//! reproduces a warm session's map bit for bit, which is the exactness
-//! the delta API contracts.
+//! Scoring structure: corridors score 1 per IR cell; ranges with
+//! `g1 + g2` at or below the exact threshold (and every range under
+//! [`Evaluator::Exact`]) use Formula 3; the rest sweep Theorem-1 exit
+//! rows and columns, then apply the pin override and clamp. Cell values
+//! follow per-cell Simpson ([`block_probability_approx`]) to within
+//! 0.02 — `ExitCdf` and Simpson are two quadratures of the same Theorem-1
+//! density — and are *pure functions of the floorplan*, so a fresh
+//! session reproduces a warm session's map bit for bit, which is the
+//! exactness the delta API contracts.
 //!
-//! The evaluator is serial: `IrregularGridModel::with_threads` is
-//! ignored here (the scoring work a proposal leaves after memoization is
-//! too small to fan out).
+//! [`block_probability_approx`]: super::block_probability_approx
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -122,10 +119,11 @@ struct Snapshot {
     valid: bool,
 }
 
-/// The incremental Irregular-Grid evaluation session — the
+/// The Irregular-Grid evaluation session — the
 /// [`DeltaCongestionSession`](crate::DeltaCongestionSession)
 /// implementation minted by
-/// [`IrregularGridModel::delta_session`](crate::DeltaCongestion::delta_session).
+/// [`IrregularGridModel::delta_session`](crate::DeltaCongestion::delta_session),
+/// and, freshly built, the model's one-shot scorer.
 ///
 /// # Examples
 ///
@@ -185,12 +183,6 @@ impl IrDeltaEvaluator {
             fblock: Vec::new(),
             pairs: Vec::new(),
         }
-    }
-
-    /// The model this session was built from.
-    #[must_use]
-    pub fn model(&self) -> &IrregularGridModel {
-        &self.model
     }
 
     /// The committed floorplan's cost (0 before the first rebase).
@@ -508,14 +500,12 @@ fn apply_block(
 
 /// Scores one snapped range in span-local coordinates: `xs`/`ys` are the
 /// cumulative cut offsets (`xs[0] = 0`, `xs.last() = g1`), `out` receives
-/// the per-cell probabilities row-major. Same exit-term structure,
-/// exact-threshold path, pin override, and clamp as the retained
-/// evaluator's `accumulate_range`, restated over the whole span (delta
-/// blocks are never band-restricted) with pins mapped to the span's
-/// corner cells (pins sit at the snapped range's corners by
-/// construction) — except that each approximate cell integral is the
-/// closed-form [`ExitCdf`] mass (two `erf` evaluations) instead of a
-/// Simpson pass. The closed form depends on nothing but `(g1, g2, exit)`
+/// the per-cell probabilities row-major. Pins map to the span's corner
+/// cells (pins sit at the snapped range's corners by construction). Each
+/// approximate cell's exit terms are the per-cell terms of
+/// [`block_probability_approx`](super::block_probability_approx), except
+/// that every integral is the closed-form [`ExitCdf`] mass (two `erf`
+/// evaluations) instead of a Simpson pass. The closed form depends on nothing but `(g1, g2, exit)`
 /// and the cell bounds, so scoring a brand-new cut pattern — which under
 /// annealing is every move — costs O(cells) with no quadrature and no
 /// caching, and a fresh session reproduces a warm session's values
@@ -582,7 +572,7 @@ fn score_block(
     // continuity correction adjacent cells share their half-integer
     // boundary, so the sweep costs one CDF evaluation per cut. Rows on
     // which the closed form degenerates (extreme exits) fall back to the
-    // same adaptive Simpson pass the float evaluator uses — still a pure
+    // adaptive Simpson pass of `block_probability_approx` — still a pure
     // function of the floorplan, just slower, and rare (one unit row per
     // span edge).
     for jy in 0..nrows {
@@ -662,8 +652,7 @@ fn score_block(
             }
         }
     }
-    // Pin override and clamp, matching the retained evaluator's commit
-    // pass cell for cell.
+    // Pin override and clamp, as `block_probability_approx` does per cell.
     for jy in 0..nrows {
         for jx in 0..ncols {
             let cell = &mut out[jy * ncols + jx];
@@ -679,7 +668,9 @@ fn score_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CongestionModel, DeltaCongestionSession};
+    use crate::irregular::approx::{block_probability_approx, ApproxConfig};
+    use crate::irregular::cutlines::merged_cuts;
+    use crate::DeltaCongestionSession;
     use irgrid_geom::Um;
 
     fn chip(w: i64, h: i64) -> Rect {
@@ -803,55 +794,200 @@ mod tests {
         }
     }
 
+    /// The per-cell oracle: the model's cuts, then every range scored
+    /// IR cell by IR cell with `block_probability_exact` or
+    /// `block_probability_approx` and a per-cell pin scan. Returns the
+    /// cuts and each cell's float sum and Q32 sum.
+    fn reference_totals(
+        model: &IrregularGridModel,
+        chip: &Rect,
+        segments: &[(Point, Point)],
+    ) -> (Vec<i64>, Vec<i64>, Vec<f64>, Vec<i64>) {
+        let grid = UnitGrid::new(chip, model.pitch);
+        let ranges: Vec<RoutingRange> = segments
+            .iter()
+            .map(|&(a, b)| RoutingRange::from_segment(&grid, a, b))
+            .collect();
+        let min_gap = if model.merge_lines { 2 } else { 1 };
+        let x_cuts = merged_cuts(
+            grid.cols(),
+            ranges.iter().flat_map(|r| [r.x0(), r.x0() + r.g1()]),
+            min_gap,
+        );
+        let y_cuts = merged_cuts(
+            grid.rows(),
+            ranges.iter().flat_map(|r| [r.y0(), r.y0() + r.g2()]),
+            min_gap,
+        );
+        let ir_cols = x_cuts.len() - 1;
+        let cells = ir_cols * (y_cuts.len() - 1);
+        let (mut float, mut q32) = (vec![0.0f64; cells], vec![0i64; cells]);
+        let lf = LnFactorials::up_to((grid.cols() + grid.rows() + 2) as usize);
+        for range in &ranges {
+            let (ix1, ix2) = snap_span(&x_cuts, range.x0(), range.x0() + range.g1());
+            let (iy1, iy2) = snap_span(&y_cuts, range.y0(), range.y0() + range.g2());
+            let corridor = range.g1() == 1 || range.g2() == 1;
+            let x0 = x_cuts[ix1];
+            let y0 = y_cuts[iy1];
+            let g1 = x_cuts[ix2] - x0;
+            let g2 = y_cuts[iy2] - y0;
+            let snapped = RoutingRange::from_cells(x0, y0, g1, g2, range.net_type());
+            let use_exact = model.evaluator == Evaluator::Exact || g1 + g2 <= model.exact_threshold;
+            for jy in iy1..iy2 {
+                let y1 = y_cuts[jy] - y0;
+                let y2 = y_cuts[jy + 1] - 1 - y0;
+                for jx in ix1..ix2 {
+                    let x1 = x_cuts[jx] - x0;
+                    let x2 = x_cuts[jx + 1] - 1 - x0;
+                    let pin = snapped
+                        .pin_cells()
+                        .iter()
+                        .any(|&(px, py)| (x1..=x2).contains(&px) && (y1..=y2).contains(&py));
+                    let p = if corridor || pin {
+                        1.0
+                    } else if use_exact {
+                        block_probability_exact(&snapped, &lf, x1, x2, y1, y2)
+                    } else {
+                        block_probability_approx(&snapped, x1, x2, y1, y2, &model.approx)
+                    };
+                    float[jy * ir_cols + jx] += p;
+                    q32[jy * ir_cols + jx] += quantize_probability(p);
+                }
+            }
+        }
+        (x_cuts, y_cuts, float, q32)
+    }
+
     #[test]
-    fn quantized_cost_tracks_float_evaluator() {
-        // Not bit-identical to the f64 pipeline: a different accumulator
-        // (Q32 integers) and a different quadrature (closed-form ExitCdf
-        // antiderivatives instead of per-cell adaptive Simpson). Both
-        // effects are far below the model's own approximation error;
-        // 1e-4 bounds them comfortably.
-        for model in [
-            IrregularGridModel::new(Um(30)),
-            IrregularGridModel::new(Um(30)).with_evaluator(Evaluator::Exact),
-            IrregularGridModel::new(Um(30)).without_line_merging(),
+    fn formula3_paths_equal_quantized_per_cell_sums() {
+        // Formula 3 is scored by the same per-cell function on both
+        // sides, so the Q32 totals agree bit for bit: every range under
+        // `Evaluator::Exact`, and in approximate mode every range at or
+        // below the exact threshold (the small nets) plus corridors.
+        let small = vec![
+            (pt(90, 90), pt(150, 150)),
+            (pt(300, 60), pt(180, 150)),
+            (pt(400, 400), pt(490, 430)),
+            (pt(15, 450), pt(885, 450)),
+            (pt(200, 200), pt(200, 200)),
+        ];
+        for (model, segments) in [
+            (
+                IrregularGridModel::new(Um(30)).with_evaluator(Evaluator::Exact),
+                crossing_segments(),
+            ),
+            (
+                IrregularGridModel::new(Um(30))
+                    .with_evaluator(Evaluator::Exact)
+                    .without_line_merging(),
+                crossing_segments(),
+            ),
+            (IrregularGridModel::new(Um(30)), small),
         ] {
-            let segments = crossing_segments();
-            let float_cost = model.evaluate(&chip(900, 900), &segments);
-            let mut session = IrDeltaEvaluator::new(model);
-            let quant_cost = session.rebase(&chip(900, 900), &segments);
-            assert!(
-                (float_cost - quant_cost).abs() < 1e-4,
-                "float {float_cost} vs quantized {quant_cost}"
-            );
+            let (x_cuts, y_cuts, _, q32) = reference_totals(&model, &chip(900, 900), &segments);
+            let session = fresh_rebase(model, &chip(900, 900), &segments);
+            assert_eq!(session.quantized(), (&x_cuts[..], &y_cuts[..], &q32[..]));
         }
     }
 
     #[test]
-    fn map_matches_float_map_to_quadrature_error() {
-        // Same cuts exactly; per-cell totals agree to quantization plus
-        // quadrature error (the delta path integrates exit terms with
-        // the closed-form ExitCdf, not per-cell Simpson; see approx.rs).
-        let model = IrregularGridModel::new(Um(30));
-        let segments = crossing_segments();
-        let float_map = model.congestion_map(&chip(900, 900), &segments);
-        let mut session = IrDeltaEvaluator::new(model);
-        session.rebase(&chip(900, 900), &segments);
-        let delta_map = session.congestion_map();
-        assert_eq!(float_map.x_cuts(), delta_map.x_cuts());
-        assert_eq!(float_map.y_cuts(), delta_map.y_cuts());
-        for j in 0..float_map.ir_rows() {
-            for i in 0..float_map.ir_cols() {
-                let f = float_map.total(i, j);
-                let d = delta_map.total(i, j);
-                // The closed-form exit integrals deviate from adaptive
-                // Simpson by up to ~0.02 per exit term in pathological
-                // shapes; on this fixture the observed worst cell is
-                // ~3e-4. 2e-3 absolute leaves margin while still
-                // catching structural regressions.
-                assert!(
-                    (f - d).abs() <= 2e-3,
-                    "cell ({i},{j}): float {f} vs delta {d}"
-                );
+    fn map_and_cost_track_per_cell_simpson() {
+        // The closed-form exit integrals against the per-cell Simpson
+        // oracle on the corridor + type II + exact-threshold fixture:
+        // every IR cell within 2e-3 (3e-3 with unmerged lines, whose
+        // thinner cells sum more exit terms) and the cost within 1e-4.
+        for (model, bound) in [
+            (IrregularGridModel::new(Um(30)), 2e-3),
+            (IrregularGridModel::new(Um(30)).without_line_merging(), 3e-3),
+        ] {
+            let segments = crossing_segments();
+            let (x_cuts, y_cuts, float, _) = reference_totals(&model, &chip(900, 900), &segments);
+            let session = fresh_rebase(model, &chip(900, 900), &segments);
+            let map = session.congestion_map();
+            assert_eq!((map.x_cuts(), map.y_cuts()), (&x_cuts[..], &y_cuts[..]));
+            let mut pairs = Vec::new();
+            for j in 0..map.ir_rows() {
+                for i in 0..map.ir_cols() {
+                    let (got, want) = (map.total(i, j), float[j * map.ir_cols() + i]);
+                    assert!(
+                        (got - want).abs() <= bound,
+                        "cell ({i},{j}): engine {got} vs per-cell Simpson {want}"
+                    );
+                    pairs.push((want / map.area_cells(i, j), map.area_cells(i, j)));
+                }
+            }
+            let want = crate::score::top_area_fraction_mean(&pairs, 0.1);
+            assert!(
+                (session.cost() - want).abs() <= 1e-4,
+                "cost {} vs per-cell Simpson {want}",
+                session.cost()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every block shape, cell by cell: the engine's scored block
+        /// against `block_probability_approx` (per-cell Simpson), with
+        /// the same pin override and exact-threshold dispatch, both at a
+        /// converged 512 Simpson intervals. Extreme exit rows
+        /// (`ExitKind::Quad`) run the same Simpson pass; closed-form
+        /// cells stay within 0.02 once both sides span 7 unit cells,
+        /// within 0.04 on thinner ranges.
+        #[test]
+        fn blocks_track_per_cell_simpson(
+            (g1, g2) in (2i64..64, 2i64..64),
+            type_ii in 0u8..2,
+            x_picks in proptest::collection::vec(1i64..64, 0..8),
+            y_picks in proptest::collection::vec(1i64..64, 0..8),
+        ) {
+            let cuts = |g: i64, picks: &[i64]| {
+                let mut cuts: Vec<i64> = picks.iter().map(|&c| c % g).filter(|&c| c > 0).collect();
+                cuts.extend([0, g]);
+                cuts.sort_unstable();
+                cuts.dedup();
+                cuts
+            };
+            let (xs, ys) = (cuts(g1, &x_picks), cuts(g2, &y_picks));
+            let net_type = if type_ii == 1 { NetType::TypeII } else { NetType::TypeI };
+            let model = IrregularGridModel::new(Um(30)).with_approx_config(ApproxConfig {
+                simpson_intervals: 512,
+                ..ApproxConfig::default()
+            });
+            let lf = LnFactorials::up_to((g1 + g2 + 2) as usize);
+            let mut block = Vec::new();
+            score_block(&model, net_type, &xs, &ys, &lf, &mut block);
+
+            let range = RoutingRange::from_cells(0, 0, g1, g2, net_type);
+            let ncols = xs.len() - 1;
+            for jy in 0..ys.len() - 1 {
+                for jx in 0..ncols {
+                    let (x1, x2, y1, y2) = (xs[jx], xs[jx + 1] - 1, ys[jy], ys[jy + 1] - 1);
+                    let pin = range
+                        .pin_cells()
+                        .iter()
+                        .any(|&(px, py)| (x1..=x2).contains(&px) && (y1..=y2).contains(&py));
+                    let got = block[jy * ncols + jx];
+                    // Each closed-form exit term deviates by up to 0.02;
+                    // ranges 4 to 6 cells thin add two such terms.
+                    let bound = if g1.min(g2) >= 7 { 0.02 } else { 0.04 };
+                    if pin || g1 + g2 <= model.exact_threshold {
+                        let want = if pin {
+                            1.0
+                        } else {
+                            block_probability_exact(&range, &lf, x1, x2, y1, y2)
+                        };
+                        proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+                    } else {
+                        let want = block_probability_approx(&range, x1, x2, y1, y2, &model.approx);
+                        proptest::prop_assert!(
+                            (got - want).abs() <= bound,
+                            "{}x{} {:?} cell [{},{}]x[{},{}]: engine {} vs Simpson {}",
+                            g1, g2, net_type, x1, x2, y1, y2, got, want
+                        );
+                    }
+                }
             }
         }
     }

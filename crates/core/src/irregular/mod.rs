@@ -6,28 +6,32 @@
 //! constant-time probability evaluation per net (Theorem 1) rather than
 //! one evaluation per covered unit cell, concentrating work exactly where
 //! routing ranges — and hence congestion — overlap.
+//!
+//! One engine scores every path: [`IrDeltaEvaluator`]. A one-shot
+//! [`CongestionModel::evaluate`] or [`IrregularGridModel::congestion_map`]
+//! is a fresh session's `rebase`, so it equals an incremental `propose`
+//! of the same floorplan bit for bit.
 
 mod approx;
 mod cutlines;
 mod delta;
-mod evaluator;
 mod exact;
 
 pub use approx::{block_probability_approx, function1_approx, function1_exact, ApproxConfig};
 pub use delta::IrDeltaEvaluator;
-pub use evaluator::CongestionEvaluator;
 pub use exact::block_probability_exact;
 
 use irgrid_geom::{Point, Rect, Um};
 
 use crate::score::top_area_fraction_mean;
-use crate::CongestionModel;
+use crate::{CongestionModel, DeltaCongestionSession};
 
 /// Which evaluator scores a (non-pin, non-corridor) IR-grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Evaluator {
-    /// Theorem 1 normal approximation with Simpson integration — the
-    /// paper's production path, O(1) per IR-grid.
+    /// Theorem 1 normal approximation — the paper's production path,
+    /// O(1) per IR-grid. Exit integrals use the closed-form `ExitCdf`;
+    /// extreme exit rows, where it degenerates, fall back to Simpson.
     Approximate,
     /// Formula 3 exact sums — O(block perimeter) per IR-grid. Kept for
     /// the accuracy ablation.
@@ -63,9 +67,6 @@ pub struct IrregularGridModel {
     /// and only pays off on larger ranges anyway.
     exact_threshold: i64,
     top_fraction_permille: u32,
-    /// Worker threads for the per-range accumulation fan-out (1 = serial,
-    /// no threads spawned). Any count produces a bit-identical map.
-    threads: usize,
 }
 
 impl IrregularGridModel {
@@ -85,26 +86,7 @@ impl IrregularGridModel {
             merge_lines: true,
             exact_threshold: 10,
             top_fraction_permille: 100,
-            threads: 1,
         }
-    }
-
-    /// Sets the worker-thread count for map accumulation (clamped to at
-    /// least 1; 1 evaluates serially without spawning).
-    ///
-    /// Each thread owns a contiguous band of IR rows and walks the full
-    /// range list, so every cell is written by exactly one thread in
-    /// range order: the map is **bit-identical** for every thread count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> IrregularGridModel {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured accumulation thread count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Switches the per-IR-grid evaluator (ablation).
@@ -114,7 +96,9 @@ impl IrregularGridModel {
         self
     }
 
-    /// Overrides the Simpson/continuity configuration (ablation).
+    /// Overrides the Simpson/continuity configuration (ablation). The
+    /// Simpson intervals only reach the extreme exit rows that fall back
+    /// to quadrature.
     #[must_use]
     pub fn with_approx_config(mut self, config: ApproxConfig) -> IrregularGridModel {
         self.approx = config;
@@ -150,37 +134,30 @@ impl IrregularGridModel {
         self.pitch
     }
 
-    /// Computes the Irregular-Grid congestion map of a floorplan.
-    ///
-    /// One-shot convenience over [`CongestionEvaluator`]: a transient
-    /// session is created per call. Loops should retain a session instead
-    /// ([`crate::RetainedCongestion::session`]) so the scratch state
-    /// amortizes.
+    /// Computes the Irregular-Grid congestion map of a floorplan: a
+    /// fresh [`IrDeltaEvaluator`]'s map after one `rebase`. Its
+    /// [`cost`](IrCongestionMap::cost) equals
+    /// [`evaluate`](CongestionModel::evaluate) bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `chip` is degenerate or not at the origin.
     #[must_use]
     pub fn congestion_map(&self, chip: &Rect, segments: &[(Point, Point)]) -> IrCongestionMap {
-        CongestionEvaluator::new(*self).congestion_map(chip, segments)
+        let mut session = IrDeltaEvaluator::new(*self);
+        session.rebase(chip, segments);
+        session.congestion_map()
     }
 }
 
 impl CongestionModel for IrregularGridModel {
+    /// A fresh [`IrDeltaEvaluator`]'s `rebase`.
     fn evaluate(&self, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
-        CongestionEvaluator::new(*self).evaluate(chip, segments)
+        IrDeltaEvaluator::new(*self).rebase(chip, segments)
     }
 
     fn name(&self) -> String {
         format!("irregular-grid {}", self.pitch)
-    }
-}
-
-impl crate::RetainedCongestion for IrregularGridModel {
-    type Session = CongestionEvaluator;
-
-    fn session(&self) -> CongestionEvaluator {
-        CongestionEvaluator::new(*self)
     }
 }
 

@@ -12,8 +12,9 @@
 //! * [`IrregularGridModel`] — the paper's contribution (§4): the chip is
 //!   partitioned by the cutting lines induced by the nets' routing
 //!   ranges; each *IR-grid* is scored with one constant-time evaluation
-//!   (Theorem 1 normal approximation, Simpson-integrated), concentrating
-//!   effort where routing ranges overlap.
+//!   (Theorem 1 normal approximation, integrated in closed form and
+//!   summed in exact fixed point), concentrating effort where routing
+//!   ranges overlap.
 //!
 //! # Examples
 //!
@@ -50,8 +51,7 @@ pub mod score;
 pub use fixed::{CellArithmetic, FixedCongestionMap, FixedGridModel};
 pub use grid::UnitGrid;
 pub use irregular::{
-    ApproxConfig, CongestionEvaluator, Evaluator, IrCongestionMap, IrDeltaEvaluator,
-    IrregularGridModel,
+    ApproxConfig, Evaluator, IrCongestionMap, IrDeltaEvaluator, IrregularGridModel,
 };
 pub use lz::{LzCongestionMap, LzShapeModel};
 pub use routing::{NetType, RoutingRange};
@@ -91,50 +91,6 @@ pub trait SpatialCongestion: CongestionModel {
     fn raster(&self, chip: &Rect, segments: &[(Point, Point)]) -> analysis::Raster;
 }
 
-/// A retained evaluation session minted by [`RetainedCongestion`]:
-/// mutable scratch state reused across evaluations so a hot loop (the
-/// annealer's cost function) does not pay per-call setup.
-///
-/// A session must score exactly like its model: for every input,
-/// `session.evaluate(..)` equals `model.evaluate(..)` bit for bit,
-/// regardless of what the session evaluated before.
-pub trait CongestionSession: std::fmt::Debug {
-    /// Scores a floorplan, reusing internal scratch. Same contract as
-    /// [`CongestionModel::evaluate`].
-    fn evaluate(&mut self, chip: &Rect, segments: &[(Point, Point)]) -> f64;
-}
-
-/// A congestion model that can mint retained evaluation sessions.
-///
-/// This lives beside [`CongestionModel`] (not in it) because the
-/// associated type would cost the base trait its object safety.
-pub trait RetainedCongestion: CongestionModel {
-    /// The session type this model mints.
-    type Session: CongestionSession;
-
-    /// Creates a fresh session. Sessions are independent: each carries
-    /// its own scratch and may live on its own thread.
-    fn session(&self) -> Self::Session;
-}
-
-/// A trivial [`CongestionSession`] for models without retained state: it
-/// forwards to the model's stateless [`CongestionModel::evaluate`].
-#[derive(Debug, Clone)]
-pub struct StatelessSession<M>(M);
-
-impl<M: CongestionModel> StatelessSession<M> {
-    /// Wraps a model (usually a cheap copy of it).
-    pub fn new(model: M) -> StatelessSession<M> {
-        StatelessSession(model)
-    }
-}
-
-impl<M: CongestionModel + std::fmt::Debug> CongestionSession for StatelessSession<M> {
-    fn evaluate(&mut self, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
-        self.0.evaluate(chip, segments)
-    }
-}
-
 /// An incremental (delta) evaluation session minted by
 /// [`DeltaCongestion`]: the session keeps the committed floorplan's
 /// evaluation state alive and scores a *proposed* floorplan by updating
@@ -156,10 +112,9 @@ impl<M: CongestionModel + std::fmt::Debug> CongestionSession for StatelessSessio
 /// any proposal, its cost (and the session's congestion totals) equal
 /// what `rebase` on a *fresh* session would produce for the same input.
 /// Implementations achieve this with integer (fixed-point) accumulation
-/// — see [`num::quantize_probability`] — not with tolerances. Note the
-/// quantized cost is a distinct (deterministic) quantity from the `f64`
-/// [`CongestionModel::evaluate`] pipeline; the two agree to ~2⁻³² per
-/// cell but not bit-for-bit.
+/// — see [`num::quantize_probability`] — not with tolerances. A fresh
+/// `rebase` is also what [`CongestionModel::evaluate`] computes, so the
+/// incremental and one-shot scores are the same bits.
 ///
 /// Object-safe so problem types can hold `Box<dyn DeltaCongestionSession>`
 /// without growing extra generic parameters.
@@ -183,11 +138,9 @@ pub trait DeltaCongestionSession: std::fmt::Debug {
 
 /// A congestion model that can mint incremental [`DeltaCongestionSession`]s.
 ///
-/// Split from [`RetainedCongestion`] so models gain delta support
-/// independently; the floorplanner's delta move path requires this
-/// bound, while its full-evaluation path keeps working with any
-/// [`RetainedCongestion`].
-pub trait DeltaCongestion: RetainedCongestion {
+/// The floorplanner's delta move path requires this bound; its
+/// full-evaluation path works with any [`CongestionModel`].
+pub trait DeltaCongestion: CongestionModel {
     /// The delta session type this model mints. `'static` so sessions
     /// can live behind `Box<dyn DeltaCongestionSession>`.
     type DeltaSession: DeltaCongestionSession + 'static;

@@ -166,14 +166,6 @@ impl CongestionModel for LzShapeModel {
     }
 }
 
-impl crate::RetainedCongestion for LzShapeModel {
-    type Session = crate::StatelessSession<LzShapeModel>;
-
-    fn session(&self) -> Self::Session {
-        crate::StatelessSession::new(*self)
-    }
-}
-
 impl crate::DeltaCongestion for LzShapeModel {
     type DeltaSession = crate::StatelessDeltaSession<LzShapeModel>;
 

@@ -70,7 +70,7 @@ pub fn top_area_fraction_mean(cells: &[(f64, f64)], fraction: f64) -> f64 {
 }
 
 /// [`top_area_fraction_mean`] sorting the caller's buffer in place, so a
-/// retained evaluator can score without allocating. Identical result
+/// reused buffer can be scored without allocating. Identical result
 /// (same stable sort, same accumulation order).
 ///
 /// # Panics

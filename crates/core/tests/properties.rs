@@ -5,8 +5,8 @@ use irgrid_core::irregular::{block_probability_approx, block_probability_exact, 
 use irgrid_core::num::{binomial_u128, LnFactorials};
 use irgrid_core::score::{top_area_fraction_mean, top_fraction_mean};
 use irgrid_core::{
-    CongestionModel, Evaluator, FixedGridModel, IrregularGridModel, NetType, RetainedCongestion,
-    RoutingRange, UnitGrid,
+    CongestionModel, DeltaCongestion, DeltaCongestionSession, Evaluator, FixedGridModel,
+    IrregularGridModel, NetType, RoutingRange, UnitGrid,
 };
 use irgrid_geom::{Point, Rect, Um};
 use proptest::prelude::*;
@@ -226,7 +226,8 @@ mod model_invariants {
 
         #[test]
         fn models_are_permutation_invariant(segments in arb_segments()) {
-            // Equal up to float summation order.
+            // The fixed grid is equal up to float summation order; the
+            // Irregular-Grid sums are exact integers, so equal bit for bit.
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
             let chip = Rect::from_origin_size(Point::ORIGIN, Um(900), Um(900));
             let mut reversed = segments.clone();
@@ -239,7 +240,7 @@ mod model_invariants {
             prop_assert!(close(a, b), "fixed: {a} vs {b}");
             let ir = IrregularGridModel::new(Um(30));
             let (a, b) = (ir.evaluate(&chip, &segments), ir.evaluate(&chip, &reversed));
-            prop_assert!(close(a, b), "irregular: {a} vs {b}");
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "irregular: {} vs {}", a, b);
         }
 
         #[test]
@@ -255,50 +256,27 @@ mod model_invariants {
         }
 
         #[test]
-        fn parallel_map_bit_identical_to_serial(
+        fn one_shot_scores_are_a_fresh_rebase(
             segments in arb_segments(),
             exact in prop_oneof![Just(false), Just(true)],
         ) {
-            // Row-band ownership makes every per-cell accumulation order
-            // independent of the thread count, so the maps must match
-            // bit for bit — not merely within tolerance.
+            // `evaluate`, the map's cost and a warm session's proposal
+            // are the same bits: one engine scores every path.
             let chip = Rect::from_origin_size(Point::ORIGIN, Um(900), Um(900));
-            let mut base = IrregularGridModel::new(Um(30));
+            let mut model = IrregularGridModel::new(Um(30));
             if exact {
-                base = base.with_evaluator(Evaluator::Exact);
+                model = model.with_evaluator(Evaluator::Exact);
             }
-            let serial = base.congestion_map(&chip, &segments);
-            for threads in [2usize, 4, 8] {
-                let parallel = base.with_threads(threads).congestion_map(&chip, &segments);
-                prop_assert_eq!(serial.x_cuts(), parallel.x_cuts());
-                prop_assert_eq!(serial.y_cuts(), parallel.y_cuts());
-                for j in 0..serial.ir_rows() {
-                    for i in 0..serial.ir_cols() {
-                        let (a, b) = (serial.total(i, j), parallel.total(i, j));
-                        prop_assert_eq!(
-                            a.to_bits(), b.to_bits(),
-                            "cell ({},{}) differs at {} threads: {} vs {}", i, j, threads, a, b
-                        );
-                    }
-                }
-            }
-        }
-
-        #[test]
-        fn retained_session_matches_one_shot_evaluate(segments in arb_segments()) {
-            // A warm session reused across calls must reproduce the
-            // one-shot model cost exactly, including after evaluating
-            // other segment sets in between.
-            let chip = Rect::from_origin_size(Point::ORIGIN, Um(900), Um(900));
-            let model = IrregularGridModel::new(Um(30));
             let one_shot = model.evaluate(&chip, &segments);
-            let mut session = model.session();
-            prop_assert_eq!(session.evaluate(&chip, &segments).to_bits(), one_shot.to_bits());
-            // Perturb the scratch with a different workload, then re-ask.
+            prop_assert_eq!(
+                model.congestion_map(&chip, &segments).cost().to_bits(),
+                one_shot.to_bits()
+            );
+            let mut warm = model.delta_session();
             let mut doubled = segments.clone();
             doubled.extend(segments.iter().copied());
-            session.evaluate(&chip, &doubled);
-            prop_assert_eq!(session.evaluate(&chip, &segments).to_bits(), one_shot.to_bits());
+            warm.rebase(&chip, &doubled);
+            prop_assert_eq!(warm.propose(&chip, &segments).to_bits(), one_shot.to_bits());
         }
 
         #[test]

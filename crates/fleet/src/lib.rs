@@ -31,15 +31,11 @@
 //!    are emitted by the supervisor in replica order at round boundaries;
 //!    workers never write shared state except their own result slot.
 //!
-//! This is the same contiguous-ownership discipline the retained
-//! congestion evaluator uses for row bands (DESIGN.md §3b), lifted from
-//! cells to whole annealing replicas.
-//!
 //! # Problem factories
 //!
 //! The supervisor is generic over a *problem factory* `Fn() -> P` called
 //! once per worker: problems with interior scratch (such as
-//! `FloorplanProblem`'s retained congestion session) are not `Sync`, so
+//! `FloorplanProblem`'s delta-path state) are not `Sync`, so
 //! every worker builds its own instance. Factories must produce
 //! **cost-identical** problems — the same state must score the same cost
 //! bits in every instance — which holds for any deterministic

@@ -4,9 +4,7 @@
 //! `α·Area + β·Wirelength + γ·Congestion` over normalized Polish
 //! expressions by simulated annealing. [`FloorplanProblem`] wires the
 //! workspace pieces together: packing, intersection-to-intersection pin
-//! placement, MST decomposition, and a pluggable congestion model
-//! ([`RetainedCongestion`]): the problem mints one retained evaluation
-//! session at construction and reuses it for every cost call.
+//! placement, MST decomposition, and a pluggable [`CongestionModel`].
 //!
 //! Objective terms are normalized by random-walk averages sampled at
 //! construction, so the weights express *relative* importance regardless
@@ -14,7 +12,7 @@
 //! congestion (~10⁻¹).
 
 use irgrid_anneal::{DeltaProblem, Problem};
-use irgrid_core::{CongestionSession, DeltaCongestion, DeltaCongestionSession, RetainedCongestion};
+use irgrid_core::{CongestionModel, DeltaCongestion, DeltaCongestionSession};
 use std::cell::RefCell;
 use std::fmt;
 use std::marker::PhantomData;
@@ -149,16 +147,11 @@ pub struct FloorplanEval {
 ///
 /// See the [crate-level quickstart](crate) for an end-to-end example.
 #[derive(Debug)]
-pub struct FloorplanProblem<'c, M: RetainedCongestion, R = PolishExpr> {
+pub struct FloorplanProblem<'c, M: CongestionModel, R = PolishExpr> {
     circuit: &'c Circuit,
     placer: PinPlacer,
     weights: Weights,
     congestion: Option<M>,
-    /// The model's retained evaluation session, reused across every cost
-    /// evaluation of the annealing loop so per-call scratch amortizes.
-    /// Interior mutability because [`Problem::cost`] takes `&self`; the
-    /// annealer is single-threaded, so borrows never overlap.
-    session: Option<RefCell<M::Session>>,
     /// Retained state of the incremental ([`DeltaProblem`]) evaluation
     /// path; `None` until the first `rebase`. Boxed dynamically so the
     /// struct does not need `M: DeltaCongestion` — the delta path is
@@ -209,7 +202,7 @@ struct Journal<R> {
     session_proposed: bool,
 }
 
-impl<'c, M: RetainedCongestion> FloorplanProblem<'c, M, PolishExpr> {
+impl<'c, M: CongestionModel> FloorplanProblem<'c, M, PolishExpr> {
     /// Creates a problem for `circuit` with pins and congestion evaluated
     /// at `pitch`, over normalized Polish expressions (the paper's
     /// slicing representation).
@@ -244,7 +237,7 @@ impl<'c, M: RetainedCongestion> FloorplanProblem<'c, M, PolishExpr> {
     }
 }
 
-impl<'c, M: RetainedCongestion, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
+impl<'c, M: CongestionModel, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
     /// Creates a problem over an arbitrary floorplan representation
     /// (e.g. [`irgrid_floorplan::SequencePair`] for non-slicing
     /// floorplans).
@@ -282,15 +275,11 @@ impl<'c, M: RetainedCongestion, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
         if !(weights.area >= 0.0 && weights.wire >= 0.0 && weights.congestion >= 0.0) {
             return Err(FloorplanError::NegativeWeights(weights));
         }
-        let session = congestion
-            .as_ref()
-            .map(|model| RefCell::new(model.session()));
         let mut problem = FloorplanProblem {
             circuit,
             placer: PinPlacer::new(pitch),
             weights,
             congestion,
-            session,
             delta: RefCell::new(None),
             area_scale: 1.0,
             wire_scale: 1.0,
@@ -325,10 +314,10 @@ impl<'c, M: RetainedCongestion, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
         let (mut area_sum, mut wire_sum, mut cgt_sum) = (0.0, 0.0, 0.0);
         for _ in 0..SAMPLES {
             repr.perturb(&mut rng);
-            let eval = self.evaluate_raw(&repr);
-            area_sum += eval.0;
-            wire_sum += eval.1;
-            cgt_sum += eval.2;
+            let eval = self.measure(&repr, self.weights.congestion > 0.0);
+            area_sum += eval.area_um2;
+            wire_sum += eval.wirelength_um;
+            cgt_sum += eval.congestion;
         }
         let n = SAMPLES as f64;
         for (objective, sum) in [
@@ -359,10 +348,8 @@ impl<'c, M: RetainedCongestion, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
             .iter()
             .map(|(a, b)| a.manhattan_distance(*b).as_f64())
             .sum(); // irgrid-lint: allow(D2): serial in-order sum over the segment Vec; order fixed by net decomposition
-        let congestion = match &self.session {
-            Some(session) if score_congestion => {
-                session.borrow_mut().evaluate(&placement.chip(), &segments)
-            }
+        let congestion = match &self.congestion {
+            Some(model) if score_congestion => model.evaluate(&placement.chip(), &segments),
             _ => 0.0,
         };
         let cost = self.combine(area, wire, congestion);
@@ -374,14 +361,6 @@ impl<'c, M: RetainedCongestion, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
             congestion,
             cost,
         }
-    }
-
-    /// `(area, wirelength, congestion)` of one encoding, unnormalized.
-    /// Congestion is skipped (scored 0) when γ = 0 — it would not affect
-    /// the cost.
-    fn evaluate_raw(&self, repr: &R) -> (f64, f64, f64) {
-        let eval = self.measure(repr, self.weights.congestion > 0.0);
-        (eval.area_um2, eval.wirelength_um, eval.congestion)
     }
 
     /// Fully evaluates an expression, returning the placement and all
@@ -401,8 +380,8 @@ impl<'c, M: RetainedCongestion, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
 
 /// A `Sync` recipe for building cost-identical [`FloorplanProblem`]s.
 ///
-/// [`FloorplanProblem`] itself is not `Sync` — its retained congestion
-/// session lives in a `RefCell` — so it cannot be shared across the
+/// [`FloorplanProblem`] itself is not `Sync` — its delta-path state
+/// lives in a `RefCell` — so it cannot be shared across the
 /// worker threads of an [`irgrid_fleet`] run. A spec captures the
 /// construction inputs instead; each worker calls
 /// [`build`](FloorplanSpec::build) to mint its own problem instance.
@@ -410,7 +389,7 @@ impl<'c, M: RetainedCongestion, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
 /// seeded), so every instance scores any given state to identical cost
 /// bits — exactly the factory contract the fleet supervisor requires.
 #[derive(Debug, Clone)]
-pub struct FloorplanSpec<'c, M: RetainedCongestion + Clone, R: FloorplanRepr = PolishExpr> {
+pub struct FloorplanSpec<'c, M: CongestionModel + Clone, R: FloorplanRepr = PolishExpr> {
     circuit: &'c Circuit,
     pitch: Um,
     weights: Weights,
@@ -418,7 +397,7 @@ pub struct FloorplanSpec<'c, M: RetainedCongestion + Clone, R: FloorplanRepr = P
     repr: PhantomData<R>,
 }
 
-impl<'c, M: RetainedCongestion + Clone, R: FloorplanRepr> FloorplanSpec<'c, M, R> {
+impl<'c, M: CongestionModel + Clone, R: FloorplanRepr> FloorplanSpec<'c, M, R> {
     /// Creates a spec, validating the parameters by building (and
     /// discarding) one problem instance.
     pub fn new(
@@ -462,16 +441,17 @@ impl<'c, M: RetainedCongestion + Clone, R: FloorplanRepr> FloorplanSpec<'c, M, R
     }
 }
 
-impl<'c, M: RetainedCongestion, R: FloorplanRepr> Problem for FloorplanProblem<'c, M, R> {
+impl<'c, M: CongestionModel, R: FloorplanRepr> Problem for FloorplanProblem<'c, M, R> {
     type State = R;
 
     fn initial_state(&self) -> R {
         R::initial(self.circuit.modules().len())
     }
 
+    /// Congestion is skipped (scored 0) when γ = 0 — it would not affect
+    /// the cost.
     fn cost(&self, state: &R) -> f64 {
-        let (area, wire, congestion) = self.evaluate_raw(state);
-        self.combine(area, wire, congestion)
+        self.measure(state, self.weights.congestion > 0.0).cost
     }
 
     fn perturb<G: rand::Rng>(&self, state: &mut R, rng: &mut G) {
@@ -521,12 +501,10 @@ impl<'c, M: DeltaCongestion, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
 /// routing ranges that moved. Available when the congestion model
 /// implements [`DeltaCongestion`].
 ///
-/// The delta congestion term is the session's exact fixed-point
-/// accumulation, which differs from [`Problem::cost`]'s float-summed
-/// congestion in the last ulps when γ > 0 — the two paths are never mixed
-/// inside one annealing run (see [`irgrid_anneal::DeltaProblem`]'s cost
-/// contract). With γ = 0 the delta cost is bit-identical to
-/// [`Problem::cost`].
+/// The delta cost is bit-identical to [`Problem::cost`] for any weights:
+/// area and wirelength are exact integer sums on both paths, and the
+/// session's `propose` equals the model's `evaluate` (a fresh `rebase`)
+/// bit for bit.
 impl<'c, M: DeltaCongestion, R: FloorplanRepr> DeltaProblem for FloorplanProblem<'c, M, R> {
     fn rebase(&self, state: &R) -> f64 {
         let placement = state.place(self.circuit);
@@ -809,14 +787,6 @@ mod tests {
         }
         fn name(&self) -> String {
             "nan".into()
-        }
-    }
-
-    impl RetainedCongestion for NanModel {
-        type Session = irgrid_core::StatelessSession<NanModel>;
-
-        fn session(&self) -> Self::Session {
-            irgrid_core::StatelessSession::new(self.clone())
         }
     }
 

@@ -119,7 +119,7 @@ pub mod route {
 }
 
 /// The fault-tolerant congestion-evaluation daemon and its JSONL client
-/// (re-export of [`irgrid_serve`]): concurrent retained sessions over a
+/// (re-export of [`irgrid_serve`]): concurrent sessions over a
 /// Unix or TCP socket with checkpointing, idempotent retries, graceful
 /// degradation, and deterministic fault injection.
 pub mod serve {

@@ -1,7 +1,7 @@
 //! Bounding-box wiring demand, uniform and wirelength-weighted.
 
 use irgrid_core::analysis::Raster;
-use irgrid_core::{CongestionModel, RetainedCongestion, SpatialCongestion, StatelessSession};
+use irgrid_core::{CongestionModel, SpatialCongestion};
 use irgrid_geom::{Point, Rect, Um};
 
 use crate::demand::DemandGrid;
@@ -90,14 +90,6 @@ impl SpatialCongestion for NetDemandModel {
     }
 }
 
-impl RetainedCongestion for NetDemandModel {
-    type Session = StatelessSession<NetDemandModel>;
-
-    fn session(&self) -> Self::Session {
-        StatelessSession::new(*self)
-    }
-}
-
 /// Wirelength-weighted net demand — the RUDY estimator (Spindler &
 /// Johannes, DATE 2007): each net deposits its expected L-route
 /// wirelength, `g1 + g2 - 1` cells, spread uniformly over its bounding
@@ -169,14 +161,6 @@ impl CongestionModel for WeightedNetDemandModel {
 impl SpatialCongestion for WeightedNetDemandModel {
     fn raster(&self, chip: &Rect, segments: &[(Point, Point)]) -> Raster {
         self.build(chip, segments).into_raster()
-    }
-}
-
-impl RetainedCongestion for WeightedNetDemandModel {
-    type Session = StatelessSession<WeightedNetDemandModel>;
-
-    fn session(&self) -> Self::Session {
-        StatelessSession::new(*self)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Pin density: the oldest congestion proxy there is.
 
 use irgrid_core::analysis::Raster;
-use irgrid_core::{CongestionModel, RetainedCongestion, SpatialCongestion, StatelessSession};
+use irgrid_core::{CongestionModel, SpatialCongestion};
 use irgrid_geom::{Point, Rect, Um};
 
 use crate::demand::DemandGrid;
@@ -87,14 +87,6 @@ impl CongestionModel for PinDensityModel {
 impl SpatialCongestion for PinDensityModel {
     fn raster(&self, chip: &Rect, segments: &[(Point, Point)]) -> Raster {
         self.build(chip, segments).into_raster()
-    }
-}
-
-impl RetainedCongestion for PinDensityModel {
-    type Session = StatelessSession<PinDensityModel>;
-
-    fn session(&self) -> Self::Session {
-        StatelessSession::new(*self)
     }
 }
 

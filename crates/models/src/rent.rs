@@ -1,7 +1,7 @@
 //! Rent's-rule wiring demand.
 
 use irgrid_core::analysis::Raster;
-use irgrid_core::{CongestionModel, RetainedCongestion, SpatialCongestion, StatelessSession};
+use irgrid_core::{CongestionModel, SpatialCongestion};
 use irgrid_geom::{Point, Rect, Um};
 
 use crate::demand::DemandGrid;
@@ -105,14 +105,6 @@ impl CongestionModel for RentDemandModel {
 impl SpatialCongestion for RentDemandModel {
     fn raster(&self, chip: &Rect, segments: &[(Point, Point)]) -> Raster {
         self.build(chip, segments).into_raster()
-    }
-}
-
-impl RetainedCongestion for RentDemandModel {
-    type Session = StatelessSession<RentDemandModel>;
-
-    fn session(&self) -> Self::Session {
-        StatelessSession::new(*self)
     }
 }
 

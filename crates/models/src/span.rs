@@ -1,7 +1,7 @@
 //! Per-axis span (track) demand.
 
 use irgrid_core::analysis::Raster;
-use irgrid_core::{CongestionModel, RetainedCongestion, SpatialCongestion, StatelessSession};
+use irgrid_core::{CongestionModel, SpatialCongestion};
 use irgrid_geom::{Point, Rect, Um};
 
 use crate::demand::DemandGrid;
@@ -90,14 +90,6 @@ impl CongestionModel for SpanDemandModel {
 impl SpatialCongestion for SpanDemandModel {
     fn raster(&self, chip: &Rect, segments: &[(Point, Point)]) -> Raster {
         self.build(chip, segments).into_raster()
-    }
-}
-
-impl RetainedCongestion for SpanDemandModel {
-    type Session = StatelessSession<SpanDemandModel>;
-
-    fn session(&self) -> Self::Session {
-        StatelessSession::new(*self)
     }
 }
 

@@ -36,8 +36,8 @@ use serde::Serialize;
 /// a hit; the digest alone is never trusted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScoreKey {
-    /// Scoring-pipeline identity, e.g. `irregular@p30` or
-    /// `irregular-delta@p30` — see [`model_id`].
+    /// Scoring-pipeline identity, e.g. `irregular@p30` — see
+    /// [`model_id`].
     pub model: String,
     /// 16-hex-char FNV-1a digest of the canonical JSON state (the same
     /// digest reported in [`EvalResult`](crate::EvalResult)).
@@ -293,7 +293,7 @@ mod tests {
         // Same digest and length, different check hash: miss.
         assert_eq!(cache.get(&key("irregular@p30", digest, 100, 8)), None);
         // Same state digest, different scoring pipeline: miss.
-        assert_eq!(cache.get(&key("irregular-delta@p30", digest, 100, 7)), None);
+        assert_eq!(cache.get(&key("irregular@p60", digest, 100, 7)), None);
         // The genuine key still hits.
         assert_eq!(cache.get(&key("irregular@p30", digest, 100, 7)), Some(1.5));
     }

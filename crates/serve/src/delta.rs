@@ -316,7 +316,8 @@ impl DeltaSession {
             cache,
             cache_enabled: state.config.cache_capacity > 0,
             cache_hits: 0,
-            cache_model: model_id(DELTA_MODEL_NAME, pitch.0),
+            // Full sessions score with the same engine: one namespace.
+            cache_model: model_id(DegradeRung::Full.model_name(), pitch.0),
             completed_ring: completed_ring.max(1),
             pending: None,
             state,

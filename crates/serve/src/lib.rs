@@ -1,14 +1,15 @@
 //! `irgrid-serve` — a fault-tolerant congestion-evaluation daemon.
 //!
 //! The annealing stack scores floorplans in-process; this crate turns the
-//! same retained evaluation machinery into a long-running service:
-//! concurrent clients hold named sessions, each wrapping a retained
-//! [`CongestionEvaluator`](irgrid_core::CongestionEvaluator) plus a
-//! score cache, and drive it with JSONL (or negotiated length-prefixed
+//! same evaluation engine into a long-running service: concurrent
+//! clients hold named sessions, each wrapping the irregular-grid model
+//! (or, for delta sessions, a warm
+//! [`IrDeltaEvaluator`](irgrid_core::IrDeltaEvaluator)) plus a score
+//! cache, and drive it with JSONL (or negotiated length-prefixed
 //! binary, [`frame`]) request frames over a Unix (or TCP) socket.
 //!
 //! Two session kinds share one session table: `Open` sessions score
-//! independent batches through the retained evaluator, and `OpenDelta`
+//! independent batches with `IrregularGridModel::evaluate`, and `OpenDelta`
 //! sessions ([`delta`]) hold a session-resident incremental evaluator
 //! driven move-by-move with `Propose`/`Commit`/`Undo` — the daemon-side
 //! mirror of the annealer's inner loop, bit-identical to a full rebuild

@@ -1,11 +1,9 @@
-//! One client's retained evaluation session.
+//! One client's evaluation session.
 //!
 //! A session pairs a small **persistent** state record ([`SessionState`],
 //! snapshotted atomically after every mutation) with ephemeral runtime
-//! machinery: the retained irregular-grid evaluator (scratch reused
-//! across requests, the whole point of a session), the degradation-ladder
-//! fallback models, and a handle to the manager-wide
-//! [`SharedScoreCache`]. Everything that matters for crash recovery
+//! machinery: the irregular-grid model, the degradation-ladder fallback
+//! models, and a handle to the manager-wide [`SharedScoreCache`]. Everything that matters for crash recovery
 //! lives in `SessionState`; everything else is reconstructed
 //! deterministically from it, so a daemon restart resumes the session
 //! bit-identically.
@@ -21,10 +19,7 @@
 //! retries idempotent and recovery bit-identical.
 
 use irgrid_anneal::RunControl;
-use irgrid_core::{
-    CongestionEvaluator, CongestionModel, FixedGridModel, IrregularGridModel, LzShapeModel,
-    RetainedCongestion,
-};
+use irgrid_core::{CongestionModel, FixedGridModel, IrregularGridModel, LzShapeModel};
 use irgrid_fleet::pool;
 use irgrid_fleet::state_digest;
 use irgrid_geom::{Point, Rect, Um};
@@ -150,12 +145,11 @@ impl EvalFailure {
     }
 }
 
-/// A live session: persistent state plus retained runtime machinery.
+/// A live session: persistent state plus runtime machinery.
 #[derive(Debug)]
 pub struct Session {
     /// The persistent record (the manager snapshots and rolls back this).
     pub state: SessionState,
-    evaluator: CongestionEvaluator,
     model: IrregularGridModel,
     lz: LzShapeModel,
     fixed: FixedGridModel,
@@ -167,7 +161,9 @@ pub struct Session {
     /// Hits observed by *this* session (the shared counter aggregates
     /// all sessions).
     cache_hits: u64,
-    /// The scoring-pipeline id this session caches under.
+    /// The scoring-pipeline id this session caches under; delta sessions
+    /// share it, since both score with `IrregularGridModel::evaluate`'s
+    /// engine.
     cache_model: String,
     completed_ring: usize,
 }
@@ -201,7 +197,6 @@ impl Session {
         let pitch = Um(state.config.pitch_um.max(1));
         let model = IrregularGridModel::new(pitch);
         Session {
-            evaluator: model.session(),
             model,
             lz: LzShapeModel::new(pitch),
             fixed: FixedGridModel::new(pitch),
@@ -329,8 +324,7 @@ impl Session {
     }
 
     /// Full-fidelity scoring: cache lookups, then the uncached remainder
-    /// fanned over the deterministic worker pool (inline and retained
-    /// when `workers <= 1`).
+    /// fanned over the deterministic worker pool.
     fn evaluate_full(
         &mut self,
         states: &[FloorplanState],
@@ -375,40 +369,27 @@ impl Session {
             return Err(deadline_failure());
         }
 
-        if pending.len() < 2 || workers <= 1 {
-            // Inline path: the session's own retained evaluator.
-            for &index in &pending {
+        // Outputs return in job order, and `evaluate` is a pure function
+        // of the state, so any worker count scores bit-identically (the
+        // pool runs inline for one worker or one job).
+        let model = &self.model;
+        let scored: Vec<Option<(usize, f64)>> = pool::run_ordered(
+            workers,
+            pending,
+            |_| (),
+            |(), _, index| {
                 if timed_out(request_control) {
-                    return Err(deadline_failure());
+                    return None;
                 }
                 let (chip, segments) = &geometries[index];
-                let score = self.evaluator.evaluate(chip, segments);
-                set_score(&mut results, index, score);
-            }
-        } else {
-            // Pool path: per-worker retained evaluators; outputs return in
-            // job order, so scores land bit-identically to the inline path
-            // (the evaluator's session contract guarantees score equality).
-            let jobs: Vec<usize> = pending.clone();
-            let model = &self.model;
-            let scored: Vec<Option<(usize, f64)>> = pool::run_ordered(
-                workers,
-                jobs,
-                |_| model.session(),
-                |evaluator, _, index| {
-                    if timed_out(request_control) {
-                        return None;
-                    }
-                    let (chip, segments) = &geometries[index];
-                    Some((index, evaluator.evaluate(chip, segments)))
-                },
-            );
-            for slot in scored {
-                let Some((index, score)) = slot else {
-                    return Err(deadline_failure());
-                };
-                set_score(&mut results, index, score);
-            }
+                Some((index, model.evaluate(chip, segments)))
+            },
+        );
+        for slot in scored {
+            let Some((index, score)) = slot else {
+                return Err(deadline_failure());
+            };
+            set_score(&mut results, index, score);
         }
 
         let results: Vec<EvalResult> = results.into_iter().flatten().collect();
