@@ -1,28 +1,22 @@
 //! Golden quick-scale reproduction of the paper's tables and figures.
 //!
 //! Every experiment runs at [`golden`] scale: two seeds and a short
-//! schedule, small enough for the debug test build.
+//! schedule, small enough for the debug test build. Every table and
+//! figure value is pinned bit for bit: Table 1, Table 5 and Figure 8
+//! never score the Irregular-Grid model inside an annealing cost, and
+//! Tables 2–4 and Figure 9 anneal over it. The full and incremental
+//! Irregular-Grid costs are the same bits, so any change that moves one
+//! of these numbers changed what the floorplanner computes.
 //!
-//! * Table 1, Table 5 and Figure 8 never score the Irregular-Grid model
-//!   inside an annealing cost, so they are pinned bit for bit.
-//! * Tables 2–4 and Figure 9 anneal over the Irregular-Grid cost, where
-//!   any last-bit change of a score can flip one Metropolis decision and
-//!   re-route the chain. Each of their values must instead lie inside
-//!   the range the float-Simpson engine (irgrid 0.10) produced over
-//!   [`RANGE_SEEDS`], widened by [`SLACK`] for the documented ≤ 1e-4
-//!   movement of Irregular-Grid scores between engines.
-//!
-//! Time columns are wall clock and never asserted. The ranges are
-//! recorded by the ignored `record_ranges` test:
+//! Time columns are wall clock and never asserted. The constants are
+//! printed, at full `Debug` precision, by the ignored `record_constants`
+//! test:
 //! `cargo test --release -p irgrid-bench golden -- --ignored --nocapture`.
 
 use irgrid::anneal::Schedule;
-use irgrid::congestion::IrregularGridModel;
-use irgrid::floorplanner::Weights;
-use irgrid::geom::Um;
 use irgrid::netlist::mcnc::McncCircuit;
 
-use crate::common::{improvement_pct, run_batch, FaultOptions, Mode, Row};
+use crate::common::{improvement_pct, FaultOptions, Mode, Row};
 use crate::exp1::{self, Exp1Results};
 use crate::exp3::{self, Config};
 use crate::{figure8, figure9};
@@ -43,14 +37,6 @@ fn golden() -> Mode {
     }
 }
 
-/// The annealing seeds the ranges are taken over: `0..RANGE_SEEDS` for
-/// the tables, `SEED..SEED + RANGE_SEEDS` for Figure 9. Both contain the
-/// seeds the golden runs use.
-const RANGE_SEEDS: u64 = 8;
-
-/// Relative widening of every recorded range.
-const SLACK: f64 = 1e-3;
-
 /// `(area mm², wire µm, judging cost)` of a row.
 type Judged = [f64; 3];
 
@@ -60,15 +46,22 @@ type Scored = [f64; 4];
 /// `(cells, model cost, judging cost)` of a Table 4/5 row.
 type Cells = [f64; 3];
 
-/// An inclusive `[lo, hi]` range.
-type Span = [f64; 2];
-
 fn judged(row: &Row) -> Judged {
     [row.area_mm2, row.wire_um, row.judging_cost]
 }
 
 fn scored(row: &Row) -> Scored {
     [row.area_mm2, row.wire_um, row.model_cost, row.judging_cost]
+}
+
+/// Table 3: Table 2's improvement over Table 1 in area, wire and
+/// judging cost.
+fn improvement(old: &Judged, new: &Scored) -> Judged {
+    [
+        improvement_pct(old[0], new[0]),
+        improvement_pct(old[1], new[1]),
+        improvement_pct(old[2], new[3]),
+    ]
 }
 
 fn cells(config: &Config) -> [Cells; 2] {
@@ -93,29 +86,15 @@ fn assert_bits(what: &str, got: &[f64], want: &[f64]) {
     }
 }
 
-/// `span` widened by [`SLACK`] on both sides.
-fn widened([lo, hi]: Span) -> Span {
-    [lo - SLACK * lo.abs(), hi + SLACK * hi.abs()]
-}
-
-fn assert_within(what: &str, got: &[f64], spans: &[Span]) {
-    assert_eq!(got.len(), spans.len(), "{what}: length");
-    for (k, (&g, &span)) in got.iter().zip(spans).enumerate() {
-        let [lo, hi] = widened(span);
-        assert!(
-            (lo..=hi).contains(&g),
-            "{what}[{k}]: {g:?} outside {span:?} widened to [{lo:?}, {hi:?}]"
-        );
-    }
-}
-
 /// The recorded numbers of one Experiment 1 circuit.
 struct Exp1Golden {
     circuit: McncCircuit,
-    /// Table 1 average and best rows, bit for bit.
+    /// Table 1 average and best rows.
     table1: [Judged; 2],
-    /// Per-metric range of Table 2's per-seed runs.
-    table2: [Span; 4],
+    /// Table 2 average and best rows.
+    table2: [Scored; 2],
+    /// Table 3 average and best rows.
+    table3: [Judged; 2],
 }
 
 const APTE: Exp1Golden = Exp1Golden {
@@ -125,10 +104,12 @@ const APTE: Exp1Golden = Exp1Golden {
         [57.8899, 175740.0, 0.30668416417729955],
     ],
     table2: [
-        [54.628728, 66.643327],
-        [164280.0, 243180.0],
-        [0.4358965698335303, 0.8056272460122826],
-        [0.2617643603221342, 0.4325805616361665],
+        [60.778228, 214620.0, 0.603428789584393, 0.3540774211280846],
+        [55.779864, 186060.0, 0.5475084110387872, 0.3363227896818775],
+    ],
+    table3: [
+        [-7.668636090551569, -1.937874038187518, 6.233630187682292],
+        [3.6449121522061603, -5.872311369067941, -9.664217774036533],
     ],
 };
 
@@ -139,10 +120,12 @@ const XEROX: Exp1Golden = Exp1Golden {
         [26.059827, 256500.0, 0.9883107530509283],
     ],
     table2: [
-        [23.939496, 28.294196],
-        [240570.0, 522720.0],
-        [0.8340577912820424, 1.247846915953672],
-        [0.8978893954993309, 1.984512346034062],
+        [26.439267, 420270.0, 0.9353421695884558, 1.572288556892481],
+        [27.178704, 317820.0, 0.9136728598204588, 1.1600647677509002],
+    ],
+    table3: [
+        [-2.147364020761537, -34.45628179287839, -37.13190133662458],
+        [-4.293493583054106, -23.906432748538013, -17.378543557253117],
     ],
 };
 
@@ -153,18 +136,19 @@ const HP: Exp1Golden = Exp1Golden {
         [10.187443, 84930.0, 0.8255686647229958],
     ],
     table2: [
-        [10.7725, 15.309587],
-        [55320.0, 91320.0],
-        [0.3180558897852997, 0.560253382597085],
-        [0.44283163859337954, 0.7671890829259002],
+        [13.239537, 72615.0, 0.41540828783686556, 0.5639222770746567],
+        [14.326824, 65340.0, 0.3882936265528213, 0.46100966467042875],
+    ],
+    table3: [
+        [-19.3284995489198, 10.118826587448941, 23.46750478335456],
+        [-40.63218807702777, 23.066054397739315, 44.15853164374741],
     ],
 };
 
-/// Table 4 (ami33): per-metric range of the per-seed runs.
-const TABLE4: [Span; 3] = [
-    [589.0, 891.0],
-    [1.4007312957293199, 1.5435602938796507],
-    [1.4300352244995507, 1.5833165500383992],
+/// Table 4 (ami33): average and best rows.
+const TABLE4: [Cells; 2] = [
+    [796.5, 1.534424327541279, 1.512407381610008],
+    [702.0, 1.525640429965394, 1.5072929651773141],
 ];
 
 /// Table 5 (ami33, fixed 100 µm then 50 µm): average and best rows.
@@ -222,67 +206,68 @@ const FIGURE8: [f64; 38] = [
     0.027812872010010148,
 ];
 
-/// Figure 9 (ami33): per-step range of curves A, B and C; the golden
-/// schedule cools through 16 temperature steps.
-const FIGURE9: [[Span; 16]; 3] = [
+/// Figure 9 (ami33): curves A, B and C; the golden schedule cools
+/// through 16 temperature steps.
+const FIGURE9: [[f64; 16]; 3] = [
     [
-        [1.6391204215952797, 1.9784894452640434],
-        [1.6765911730510796, 2.197369405577545],
-        [1.715689281143671, 2.1046954494621484],
-        [1.6593448156887782, 2.0441997870535187],
-        [1.7583046883466305, 2.0575774801589413],
-        [1.6647089781985092, 2.1848780253989584],
-        [1.6103959818725115, 2.0635392555060155],
-        [1.682742478696277, 2.094137300121113],
-        [1.6370874532296988, 2.2267293053992154],
-        [1.6252036845353672, 2.018088830021971],
-        [1.620947669913351, 1.8941930925750239],
-        [1.5682351430976706, 1.8749090542376416],
-        [1.4849443444974304, 1.8860884270184197],
-        [1.5094602037831835, 1.8392830861133609],
-        [1.417082141846724, 1.8141087389918915],
-        [1.423659069269639, 1.90707802362307],
+        1.6840904681787123,
+        1.676350450008141,
+        1.8988519781984363,
+        2.043141717094137,
+        1.7576072806491594,
+        1.9112052529318884,
+        1.9837690525554932,
+        2.0932563778783675,
+        2.22531773663827,
+        2.017230746576775,
+        1.770789598185532,
+        1.6135879017837529,
+        1.6016357760790183,
+        1.8388209099468202,
+        1.7370664988259221,
+        1.906702568403025,
     ],
     [
-        [1.5140243229911254, 1.8292314939291048],
-        [1.5828584292508303, 2.0135464729025463],
-        [1.5959277515858084, 2.0713912859873322],
-        [1.6233894266322915, 2.170829251585662],
-        [1.6754694838796003, 2.0793733599439923],
-        [1.533810236458042, 2.252750687370823],
-        [1.619174976548619, 2.3007543892328646],
-        [1.5824117161705646, 2.1927045794899302],
-        [1.5078115168094004, 1.9174007877797932],
-        [1.505832384913956, 1.8431084640281823],
-        [1.512609042927419, 1.8054082250567447],
-        [1.5006064430278032, 1.8268311039711325],
-        [1.5120473953479987, 1.8076164466666476],
-        [1.5521094807613618, 1.837861478023909],
-        [1.4284964369779094, 1.8008403915472362],
-        [1.4824026915259785, 1.8090919761867088],
+        1.5140243229911254,
+        1.6938397605208095,
+        1.7733082459067913,
+        1.7731200580985405,
+        1.6754694838796003,
+        1.6749661486506886,
+        1.7553102752309744,
+        1.8543097983931969,
+        1.899315360082069,
+        1.8431084640281823,
+        1.7991519913013234,
+        1.7229090162615257,
+        1.7211874309223703,
+        1.729904038066822,
+        1.63157970440816,
+        1.7167770351801008,
     ],
     [
-        [6.178659240202887, 7.048997483917231],
-        [6.36374852605321, 7.8003360306095635],
-        [6.330608444592429, 8.27543453267902],
-        [6.358371703178652, 8.043504478838475],
-        [6.823628075399592, 7.894005004823498],
-        [6.319785992413042, 8.248083813472427],
-        [6.372289926114711, 8.341647256372534],
-        [6.7185263062591, 8.29885754398206],
-        [6.175325083940999, 8.033626733827742],
-        [6.159435443912443, 7.636239121601369],
-        [6.140296076395981, 7.273655459227698],
-        [6.021406674910616, 7.293381531078415],
-        [6.1050663506935905, 7.082521316435711],
-        [6.179692098798704, 7.220815883005199],
-        [5.791468281237277, 7.258780782949776],
-        [6.059278892800139, 7.262413395040448],
+        6.372889911853786,
+        6.758456877573294,
+        7.165874363594331,
+        7.485784841689089,
+        6.823628075399592,
+        6.896787205540646,
+        7.352433117310062,
+        7.7281589366359915,
+        8.033626733827742,
+        7.636239121601369,
+        7.273655459227698,
+        6.779824482570084,
+        6.97374144181337,
+        7.034899576470323,
+        6.687438576148929,
+        7.128185039503168,
     ],
 ];
 
-fn check_exp1(golden_row: &Exp1Golden) {
-    let results = exp1::run(&golden(), &[golden_row.circuit]);
+/// Tables 1–3 of one Experiment 1 circuit at the golden scale.
+fn exp1_tables(circuit: McncCircuit) -> ([Judged; 2], [Scored; 2], [Judged; 2]) {
+    let results = exp1::run(&golden(), &[circuit]);
     let Exp1Results {
         baseline_avg,
         baseline_best,
@@ -290,33 +275,34 @@ fn check_exp1(golden_row: &Exp1Golden) {
         congestion_best,
         ..
     } = &results[0];
-    let name = golden_row.circuit.name();
-
     let table1 = [judged(baseline_avg), judged(baseline_best)];
-    for (row, (got, want)) in ["avg", "best"]
-        .iter()
-        .zip(table1.iter().zip(&golden_row.table1))
-    {
-        assert_bits(&format!("{name} Table 1 {row}"), got, want);
-    }
-
     let table2 = [scored(congestion_avg), scored(congestion_best)];
-    for (row, got) in ["avg", "best"].iter().zip(&table2) {
-        assert_within(&format!("{name} Table 2 {row}"), got, &golden_row.table2);
-    }
+    let table3 = [
+        improvement(&table1[0], &table2[0]),
+        improvement(&table1[1], &table2[1]),
+    ];
+    (table1, table2, table3)
+}
 
-    // Table 3 is Table 2's improvement over Table 1: decreasing in the
-    // Table 2 value, so its range follows from Table 2's.
-    for (row, (old, new)) in ["avg", "best"].iter().zip(table1.iter().zip(&table2)) {
-        for (k, metric) in [(0, 0), (1, 1), (2, 3)] {
-            let [lo, hi] = widened(golden_row.table2[metric]);
-            let got = improvement_pct(old[k], new[metric]);
-            let (low, high) = (improvement_pct(old[k], hi), improvement_pct(old[k], lo));
-            assert!(
-                (low..=high).contains(&got),
-                "{name} Table 3 {row}[{k}]: {got:?} outside [{low:?}, {high:?}]"
-            );
-        }
+fn check_exp1(golden_row: &Exp1Golden) {
+    let name = golden_row.circuit.name();
+    let (table1, table2, table3) = exp1_tables(golden_row.circuit);
+    for (k, row) in ["avg", "best"].iter().enumerate() {
+        assert_bits(
+            &format!("{name} Table 1 {row}"),
+            &table1[k],
+            &golden_row.table1[k],
+        );
+        assert_bits(
+            &format!("{name} Table 2 {row}"),
+            &table2[k],
+            &golden_row.table2[k],
+        );
+        assert_bits(
+            &format!("{name} Table 3 {row}"),
+            &table3[k],
+            &golden_row.table3[k],
+        );
     }
 }
 
@@ -338,8 +324,11 @@ fn tables_1_to_3_hp() {
 #[test]
 fn tables_4_and_5_ami33() {
     let (table4, table5) = exp3::compute(&golden(), McncCircuit::Ami33);
-    for (row, got) in ["avg", "best"].iter().zip(cells(&table4)) {
-        assert_within(&format!("Table 4 {row}"), &got, &TABLE4);
+    for (row, (got, want)) in ["avg", "best"]
+        .iter()
+        .zip(cells(&table4).iter().zip(&TABLE4))
+    {
+        assert_bits(&format!("Table 4 {row}"), got, want);
     }
     assert_eq!(table5.len(), TABLE5.len());
     for (config, want) in table5.iter().zip(&TABLE5) {
@@ -369,80 +358,26 @@ fn figure_8() {
 #[test]
 fn figure_9_ami33() {
     let curves = figure9::curves(&golden(), McncCircuit::Ami33, figure9::SEED);
-    for (name, (got, spans)) in ["A", "B", "C"].iter().zip(curves.iter().zip(&FIGURE9)) {
-        assert_within(&format!("Figure 9 curve {name}"), got, spans);
+    for (name, (got, want)) in ["A", "B", "C"].iter().zip(curves.iter().zip(&FIGURE9)) {
+        assert_bits(&format!("Figure 9 curve {name}"), got, want);
     }
-}
-
-/// Per-metric `[min, max]` over `values`.
-fn spans<const N: usize>(values: impl Iterator<Item = [f64; N]>) -> [Span; N] {
-    let mut spans = [[f64::INFINITY, f64::NEG_INFINITY]; N];
-    for value in values {
-        for (span, v) in spans.iter_mut().zip(value) {
-            *span = [span[0].min(v), span[1].max(v)];
-        }
-    }
-    spans
 }
 
 /// Prints the constants above, computed with the current engine.
 #[test]
 #[ignore = "records the golden constants; run in release with --nocapture"]
-fn record_ranges() {
-    let wide = Mode {
-        seeds: RANGE_SEEDS,
-        ..golden()
-    };
+fn record_constants() {
     for circuit in [McncCircuit::Apte, McncCircuit::Xerox, McncCircuit::Hp] {
-        let results = exp1::run(&golden(), &[circuit]);
-        let table1 = [
-            judged(&results[0].baseline_avg),
-            judged(&results[0].baseline_best),
-        ];
-        let pitch = Um(circuit.paper_grid_pitch_um());
-        let runs = run_batch(
-            &circuit.circuit(),
-            pitch,
-            Weights::routability(),
-            Some(IrregularGridModel::new(pitch)),
-            &wide,
+        let (table1, table2, table3) = exp1_tables(circuit);
+        println!(
+            "{circuit}: table1: {table1:?},\n    table2: {table2:?},\n    table3: {table3:?},"
         );
-        let table2 = spans(
-            runs.iter()
-                .map(|o| [o.area_mm2, o.wire_um, o.model_cost, o.judging_cost]),
-        );
-        println!("{circuit}: table1: {table1:?},\n    table2: {table2:?},");
     }
-
-    let ami33 = McncCircuit::Ami33;
-    let pitch = Um(ami33.paper_grid_pitch_um());
-    let runs = run_batch(
-        &ami33.circuit(),
-        pitch,
-        Weights::congestion_only(),
-        Some(IrregularGridModel::new(pitch)),
-        &wide,
-    );
-    let table4 = spans(runs.iter().map(|o| {
-        let map = IrregularGridModel::new(pitch)
-            .congestion_map(&o.eval.placement.chip(), &o.eval.segments);
-        [map.ir_cell_count() as f64, o.model_cost, o.judging_cost]
-    }));
-    println!("TABLE4: {table4:?}");
-    let (_, table5) = exp3::compute(&golden(), McncCircuit::Ami33);
+    let (table4, table5) = exp3::compute(&golden(), McncCircuit::Ami33);
+    println!("TABLE4: {:?}", cells(&table4));
     let table5: Vec<[Cells; 2]> = table5.iter().map(cells).collect();
     println!("TABLE5: {table5:?}");
     println!("FIGURE8: {:?}", figure8_values());
-
-    let runs: Vec<[Vec<f64>; 3]> = (0..RANGE_SEEDS)
-        .map(|k| figure9::curves(&golden(), McncCircuit::Ami33, figure9::SEED + k))
-        .collect();
-    let figure9: Vec<Vec<Span>> = (0..3)
-        .map(|curve| {
-            (0..runs[0][curve].len())
-                .map(|step| spans(runs.iter().map(|run| [run[curve][step]]))[0])
-                .collect()
-        })
-        .collect();
+    let figure9 = figure9::curves(&golden(), McncCircuit::Ami33, figure9::SEED);
     println!("FIGURE9: {figure9:?}");
 }
