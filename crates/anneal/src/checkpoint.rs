@@ -4,7 +4,7 @@
 //! temperature-step boundary — current and best states with their costs,
 //! the cooling position, run statistics, accumulated snapshots, and the
 //! exact RNG state. Feeding it back through
-//! [`Annealer::resume`](crate::Annealer::resume) continues the run
+//! [`RunOptions::resume`](crate::RunOptions::resume) continues the run
 //! **bit-identically**: the resumed run produces the same best state,
 //! cost, and statistics as an uninterrupted run with the same
 //! `(problem, seed)`.
@@ -33,11 +33,11 @@ pub const FORMAT_VERSION: u32 = 1;
 
 /// Complete engine state at a temperature-step boundary.
 ///
-/// Produced by
-/// [`Annealer::run_with_checkpoints`](crate::Annealer::run_with_checkpoints)
-/// on the cadence set by
+/// Emitted by [`Annealer::run`](crate::Annealer::run) to
+/// [`RunOptions::checkpoints`](crate::RunOptions::checkpoints) on the
+/// cadence set by
 /// [`RunControl::with_checkpoint_every`](crate::RunControl::with_checkpoint_every);
-/// consumed by [`Annealer::resume`](crate::Annealer::resume).
+/// consumed through [`RunOptions::resume`](crate::RunOptions::resume).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint<S> {
     /// Checkpoint format version ([`FORMAT_VERSION`]).

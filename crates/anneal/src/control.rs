@@ -42,11 +42,12 @@ impl CancelToken {
 
 /// Limits on a controlled annealing run.
 ///
-/// The default ([`RunControl::unlimited`]) imposes nothing, making
-/// [`Annealer::run_controlled`](crate::Annealer::run_controlled) behave
-/// exactly like [`Annealer::run`](crate::Annealer::run). Limits compose:
-/// the first one hit stops the run, and the partial result (best state so
-/// far plus accurate statistics) is still returned.
+/// The default ([`RunControl::unlimited`]) imposes nothing: the run goes
+/// to schedule completion. Limits compose: the first one hit stops the
+/// run, and the partial result (best state so far plus accurate
+/// statistics) is still returned. Passed to
+/// [`Annealer::run`](crate::Annealer::run) in
+/// [`RunOptions::control`](crate::RunOptions::control).
 ///
 /// All limits stop the run *between* proposed moves, so a stopped run's
 /// statistics are exact and a run resumed from the last checkpoint
@@ -108,7 +109,8 @@ impl RunControl {
     /// budget of `k + n` runs exactly `n` further steps.
     ///
     /// Because the stop lands on a boundary, the engine emits one final
-    /// [`Checkpoint`](crate::Checkpoint) to the run's sink when the
+    /// [`Checkpoint`](crate::Checkpoint) to the run's
+    /// [`checkpoints`](crate::RunOptions::checkpoints) sink when the
     /// budget trips (even without a
     /// [`with_checkpoint_every`](RunControl::with_checkpoint_every)
     /// cadence). This is the segmentation hook the `irgrid-fleet`
@@ -120,13 +122,9 @@ impl RunControl {
         self
     }
 
-    /// Emits a [`Checkpoint`](crate::Checkpoint) to the run's checkpoint
-    /// sink every `steps` completed temperature steps.
-    ///
-    /// Only meaningful with
-    /// [`Annealer::run_with_checkpoints`](crate::Annealer::run_with_checkpoints)
-    /// or [`Annealer::resume_with_checkpoints`](crate::Annealer::resume_with_checkpoints);
-    /// plain `run_controlled` has no sink to write to.
+    /// Emits a [`Checkpoint`](crate::Checkpoint) to the run's
+    /// [`checkpoints`](crate::RunOptions::checkpoints) sink every `steps`
+    /// completed temperature steps.
     ///
     /// # Panics
     ///
@@ -271,6 +269,14 @@ pub enum AnnealError {
     /// A checkpoint's schedule differs from the annealer's; resuming
     /// would not reproduce the original run.
     ScheduleMismatch,
+    /// A checkpoint was written by a run with a different seed than the
+    /// one passed to [`Annealer::run`](crate::Annealer::run).
+    SeedMismatch {
+        /// The seed recorded in the checkpoint.
+        checkpoint: u64,
+        /// The seed the caller asked for.
+        requested: u64,
+    },
     /// A checkpoint carries non-finite costs or temperatures and cannot
     /// be trusted.
     CorruptCheckpoint {
@@ -302,6 +308,13 @@ impl fmt::Display for AnnealError {
                 f,
                 "checkpoint schedule differs from the annealer's schedule; \
                  resuming would not reproduce the original run"
+            ),
+            AnnealError::SeedMismatch {
+                checkpoint,
+                requested,
+            } => write!(
+                f,
+                "checkpoint was written by seed {checkpoint}, not the requested seed {requested}"
             ),
             AnnealError::CorruptCheckpoint { field } => {
                 write!(f, "checkpoint field `{field}` failed validation")

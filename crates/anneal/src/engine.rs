@@ -34,10 +34,10 @@ pub trait Problem {
     fn perturb<R: Rng>(&self, state: &mut Self::State, rng: &mut R);
 }
 
-/// Opt-in incremental move evaluation: a [`Problem`] whose cost can be
-/// updated in O(changed components) per move instead of recomputed from
-/// scratch, driven by the engine's delta loop
-/// ([`Annealer::run_delta`] and friends).
+/// Incremental move evaluation: a [`Problem`] whose cost can be updated
+/// in O(changed components) per move instead of recomputed from
+/// scratch. This is the protocol [`Annealer::run`] drives; a problem
+/// with only a full cost runs through the [`FullCostDelta`] adapter.
 ///
 /// # Move protocol
 ///
@@ -48,8 +48,8 @@ pub trait Problem {
 /// [`undo`](DeltaProblem::undo) (move rejected). `propose` perturbs the
 /// state *in place* — there is no candidate clone — and `undo` must
 /// restore it exactly. `propose` draws from the RNG exactly as
-/// [`Problem::perturb`] would, so delta and full-cost loops consume
-/// identical RNG streams.
+/// [`Problem::perturb`] would, so a problem annealed natively and
+/// through [`FullCostDelta`] consumes identical RNG streams.
 ///
 /// # Cost contract
 ///
@@ -59,7 +59,8 @@ pub trait Problem {
 /// may not drift, not even in the last ulp (use integer/fixed-point
 /// accumulation for order-dependent sums). When the delta cost also
 /// equals [`Problem::cost`] bit for bit — as the floorplanner's does —
-/// the delta and full-cost loops make identical decisions.
+/// the native and [`FullCostDelta`]-wrapped runs make identical
+/// decisions.
 ///
 /// Every method takes `&self`: like [`Problem::cost`], implementations
 /// keep mutable evaluation state behind interior mutability.
@@ -87,21 +88,20 @@ pub trait DeltaProblem: Problem {
     fn undo(&self, state: &mut Self::State);
 }
 
-/// The universal [`DeltaProblem`] adapter: wraps any [`Problem`], with
+/// The [`DeltaProblem`] adapter for a problem that only has a full cost:
 /// `propose` = clone + perturb + full [`Problem::cost`] and `undo` =
-/// restore the clone. No incremental speedup — this is the "default impl
-/// = full cost" escape hatch that lets any existing problem run on the
-/// delta loop unchanged. [`Annealer::run_delta`] on `FullCostDelta<P>`
-/// is bit-identical to [`Annealer::run`] on `P` (tested below).
+/// restore the clone. No incremental speedup. It borrows the problem, so
+/// a problem that also implements [`DeltaProblem`] natively can be
+/// annealed both ways and compared.
 #[derive(Debug)]
-pub struct FullCostDelta<P: Problem> {
-    inner: P,
+pub struct FullCostDelta<'p, P: Problem> {
+    inner: &'p P,
     saved: std::cell::RefCell<Option<P::State>>,
 }
 
-impl<P: Problem> FullCostDelta<P> {
-    /// Wraps a problem for the delta loop.
-    pub fn new(inner: P) -> FullCostDelta<P> {
+impl<'p, P: Problem> FullCostDelta<'p, P> {
+    /// Wraps a problem for [`Annealer::run`].
+    pub fn new(inner: &'p P) -> FullCostDelta<'p, P> {
         FullCostDelta {
             inner,
             saved: std::cell::RefCell::new(None),
@@ -109,12 +109,12 @@ impl<P: Problem> FullCostDelta<P> {
     }
 
     /// The wrapped problem.
-    pub fn inner(&self) -> &P {
-        &self.inner
+    pub fn inner(&self) -> &'p P {
+        self.inner
     }
 }
 
-impl<P: Problem> Problem for FullCostDelta<P> {
+impl<P: Problem> Problem for FullCostDelta<'_, P> {
     type State = P::State;
 
     fn initial_state(&self) -> P::State {
@@ -130,7 +130,7 @@ impl<P: Problem> Problem for FullCostDelta<P> {
     }
 }
 
-impl<P: Problem> DeltaProblem for FullCostDelta<P> {
+impl<P: Problem> DeltaProblem for FullCostDelta<'_, P> {
     fn propose<R: Rng>(&self, state: &mut P::State, rng: &mut R) -> f64 {
         *self.saved.borrow_mut() = Some(state.clone());
         self.inner.perturb(state, rng);
@@ -208,6 +208,34 @@ pub struct AnnealResult<S> {
     pub stop_reason: StopReason,
 }
 
+/// Where a run's checkpoints go.
+type CheckpointSink<'a, S> = &'a mut dyn FnMut(&Checkpoint<S>);
+
+/// What one [`Annealer::run`] is limited by, reports to, and continues
+/// from. The default runs unlimited, from a fresh start, emitting no
+/// checkpoints.
+pub struct RunOptions<'a, S> {
+    /// Deadline, cancellation, move and step budgets, and the checkpoint
+    /// cadence.
+    pub control: RunControl,
+    /// Receives every [`Checkpoint`] the run emits: on the control's
+    /// cadence, and once when a step budget trips.
+    pub checkpoints: Option<CheckpointSink<'a, S>>,
+    /// Continue from this checkpoint instead of starting fresh. Its
+    /// `seed` must equal the `seed` passed to [`Annealer::run`].
+    pub resume: Option<Checkpoint<S>>,
+}
+
+impl<S> Default for RunOptions<'_, S> {
+    fn default() -> Self {
+        RunOptions {
+            control: RunControl::unlimited(),
+            checkpoints: None,
+            resume: None,
+        }
+    }
+}
+
 /// Mutable engine state between temperature steps — everything a
 /// [`Checkpoint`] captures and a resume restores.
 struct LoopState<S> {
@@ -259,68 +287,73 @@ impl Annealer {
         &self.schedule
     }
 
-    /// Runs one seeded annealing optimization.
+    /// Runs one seeded annealing optimization through the
+    /// [`DeltaProblem`] move protocol, or continues one from
+    /// `options.resume`.
     ///
-    /// Identical `(problem, seed)` pairs produce identical results.
+    /// Identical `(problem, seed, options)` produce identical results.
+    /// When a limit in `options.control` trips, the partial result —
+    /// best state so far and exact statistics — is returned with the
+    /// corresponding [`StopReason`].
     ///
-    /// # Panics
+    /// Checkpoints are only emitted at temperature-step boundaries, and
+    /// resuming from one is **bit-identical**: the same best state, cost,
+    /// statistics and snapshots as the uninterrupted run. A checkpoint
+    /// carries only the state, never the problem's retained evaluation
+    /// state; the problem is re-anchored on the checkpoint's current
+    /// state with [`DeltaProblem::rebase`]. Step-budget and cadence
+    /// positions count from step 0 of the original run.
     ///
-    /// Panics if the initial state's cost is non-finite (a violated
-    /// [`Problem::cost`] contract). Use [`Annealer::run_controlled`] to
-    /// get a typed [`AnnealError`] instead.
-    pub fn run<P: Problem>(&self, problem: &P, seed: u64) -> AnnealResult<P::State> {
-        match self.run_controlled(problem, seed, &RunControl::unlimited()) {
-            Ok(result) => result,
-            // irgrid-lint: allow(P1): documented panicking wrapper; run_controlled is the typed path
-            Err(err) => panic!("annealing run failed: {err}"),
-        }
-    }
-
-    /// Runs one seeded annealing optimization under [`RunControl`] limits
-    /// (deadline, cancellation, move budget).
+    /// # Errors
     ///
-    /// With [`RunControl::unlimited`] this is exactly [`Annealer::run`].
-    /// When a limit trips, the partial result — best state so far and
-    /// exact statistics — is returned with the corresponding
-    /// [`StopReason`].
-    pub fn run_controlled<P: Problem>(
+    /// [`AnnealError`] when the schedule is invalid, the initial or
+    /// rebased cost is not finite, the initial-temperature estimate
+    /// fails, or the resume checkpoint does not validate — its format
+    /// version, schedule, seed and recorded values are checked, and a
+    /// mismatch is a typed error, never a silent divergence.
+    pub fn run<P: DeltaProblem>(
         &self,
         problem: &P,
         seed: u64,
-        control: &RunControl,
+        options: RunOptions<'_, P::State>,
     ) -> Result<AnnealResult<P::State>, AnnealError> {
-        self.run_with_checkpoints(problem, seed, control, |_| {})
+        let RunOptions {
+            control,
+            checkpoints,
+            resume,
+        } = options;
+        let state = match resume {
+            Some(checkpoint) => self.resumed_state(problem, seed, checkpoint)?,
+            None => self.fresh_state(problem, seed)?,
+        };
+        let mut no_sink = |_: &Checkpoint<P::State>| {};
+        let sink = checkpoints.unwrap_or(&mut no_sink);
+        Ok(self.run_loop(problem, seed, state, &control, sink))
     }
 
-    /// Like [`Annealer::run_controlled`], additionally emitting a
-    /// [`Checkpoint`] to `sink` every
-    /// [`RunControl::with_checkpoint_every`] completed temperature steps.
-    ///
-    /// Checkpoints are only emitted at temperature-step boundaries, so
-    /// every emitted checkpoint resumes bit-identically. A run
-    /// interrupted *mid*-step resumes from the last emitted boundary
-    /// checkpoint, replaying at most one cadence interval of work.
-    pub fn run_with_checkpoints<P, F>(
+    /// The engine state at step 0 of a fresh run.
+    fn fresh_state<P: DeltaProblem>(
         &self,
         problem: &P,
         seed: u64,
-        control: &RunControl,
-        mut sink: F,
-    ) -> Result<AnnealResult<P::State>, AnnealError>
-    where
-        P: Problem,
-        F: FnMut(&Checkpoint<P::State>),
-    {
+    ) -> Result<LoopState<P::State>, AnnealError> {
         self.schedule.validated()?;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let current = problem.initial_state();
-        let current_cost = problem.cost(&current);
+        let current_cost = problem.rebase(&current);
         if !current_cost.is_finite() {
             return Err(AnnealError::NonFiniteInitialCost { cost: current_cost });
         }
 
         let initial_temperature = self.estimate_initial_temperature(problem, &mut rng)?;
-        let state = LoopState {
+        // Temperature estimation random-walks a scratch state through the
+        // full-cost path; re-anchor the retained session on the actual
+        // starting state before the move loop begins.
+        let current_cost = problem.rebase(&current);
+        if !current_cost.is_finite() {
+            return Err(AnnealError::NonFiniteInitialCost { cost: current_cost });
+        }
+        Ok(LoopState {
             rng,
             best: current.clone(),
             best_cost: current_cost,
@@ -335,53 +368,18 @@ impl Annealer {
                 ..AnnealStats::default()
             },
             snapshots: Vec::new(),
-        };
-        Ok(self.run_loop(problem, seed, state, control, &mut sink))
+        })
     }
 
-    /// Resumes a run from a [`Checkpoint`], continuing under `control`.
-    ///
-    /// Resuming is **bit-identical**: a run checkpointed at any
-    /// temperature-step boundary and resumed produces exactly the same
-    /// best state, cost, statistics, and snapshots as the same
-    /// `(problem, seed)` run uninterrupted. The checkpoint's format
-    /// version and schedule are validated first; mismatches are typed
-    /// errors, never silent divergence.
-    pub fn resume<P: Problem>(
+    /// Validates a checkpoint (format version, schedule, seed,
+    /// finiteness, internal consistency), converts it into a resumable
+    /// [`LoopState`], and re-anchors the problem on its current state.
+    fn resumed_state<P: DeltaProblem>(
         &self,
         problem: &P,
+        seed: u64,
         checkpoint: Checkpoint<P::State>,
-        control: &RunControl,
-    ) -> Result<AnnealResult<P::State>, AnnealError> {
-        self.resume_with_checkpoints(problem, checkpoint, control, |_| {})
-    }
-
-    /// Like [`Annealer::resume`], additionally emitting checkpoints on
-    /// the control's cadence (counted from step 0 of the original run,
-    /// so cadence positions match the uninterrupted run's).
-    pub fn resume_with_checkpoints<P, F>(
-        &self,
-        problem: &P,
-        checkpoint: Checkpoint<P::State>,
-        control: &RunControl,
-        mut sink: F,
-    ) -> Result<AnnealResult<P::State>, AnnealError>
-    where
-        P: Problem,
-        F: FnMut(&Checkpoint<P::State>),
-    {
-        let (seed, state) = self.validated_checkpoint_state(checkpoint)?;
-        Ok(self.run_loop(problem, seed, state, control, &mut sink))
-    }
-
-    /// Validates a checkpoint (format version, schedule, finiteness,
-    /// internal consistency) and converts it into a resumable
-    /// [`LoopState`] — shared by the full-cost and delta resume paths so
-    /// the two cannot drift.
-    fn validated_checkpoint_state<S>(
-        &self,
-        checkpoint: Checkpoint<S>,
-    ) -> Result<(u64, LoopState<S>), AnnealError> {
+    ) -> Result<LoopState<P::State>, AnnealError> {
         if checkpoint.version != FORMAT_VERSION {
             return Err(AnnealError::CheckpointVersion {
                 found: checkpoint.version,
@@ -391,6 +389,12 @@ impl Annealer {
         self.schedule.validated()?;
         if checkpoint.schedule != self.schedule {
             return Err(AnnealError::ScheduleMismatch);
+        }
+        if checkpoint.seed != seed {
+            return Err(AnnealError::SeedMismatch {
+                checkpoint: checkpoint.seed,
+                requested: seed,
+            });
         }
         if !(checkpoint.initial_temperature.is_finite() && checkpoint.initial_temperature > 0.0) {
             return Err(AnnealError::CorruptCheckpoint {
@@ -416,11 +420,14 @@ impl Annealer {
             });
         }
 
-        let seed = checkpoint.seed;
-        let state = LoopState {
+        let current_cost = problem.rebase(&checkpoint.current);
+        if !current_cost.is_finite() {
+            return Err(AnnealError::NonFiniteInitialCost { cost: current_cost });
+        }
+        Ok(LoopState {
             rng: checkpoint.rng,
             current: checkpoint.current,
-            current_cost: checkpoint.current_cost,
+            current_cost,
             best: checkpoint.best,
             best_cost: checkpoint.best_cost,
             temperature: checkpoint.temperature,
@@ -428,138 +435,13 @@ impl Annealer {
             steps_done: checkpoint.steps_done,
             stats: checkpoint.stats,
             snapshots: checkpoint.snapshots,
-        };
-        Ok((seed, state))
+        })
     }
 
-    /// Runs one seeded annealing optimization through the incremental
-    /// [`DeltaProblem`] move protocol.
-    ///
-    /// For a problem whose delta costs are bit-identical to its full
-    /// costs (the [`DeltaProblem`] contract), this produces exactly the
-    /// same result as [`Annealer::run`] — same best state, cost,
-    /// statistics, and snapshots — while paying only the incremental
-    /// evaluation cost per move.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the initial rebased cost is non-finite (a violated
-    /// [`DeltaProblem::rebase`] contract). Use
-    /// [`Annealer::run_controlled_delta`] for a typed [`AnnealError`]
-    /// instead.
-    pub fn run_delta<P: DeltaProblem>(&self, problem: &P, seed: u64) -> AnnealResult<P::State> {
-        match self.run_controlled_delta(problem, seed, &RunControl::unlimited()) {
-            Ok(result) => result,
-            // irgrid-lint: allow(P1): documented panicking wrapper; run_controlled_delta is the typed path
-            Err(err) => panic!("delta annealing run failed: {err}"),
-        }
-    }
-
-    /// Like [`Annealer::run_controlled`], but through the incremental
-    /// [`DeltaProblem`] move protocol.
-    pub fn run_controlled_delta<P: DeltaProblem>(
-        &self,
-        problem: &P,
-        seed: u64,
-        control: &RunControl,
-    ) -> Result<AnnealResult<P::State>, AnnealError> {
-        self.run_with_checkpoints_delta(problem, seed, control, |_| {})
-    }
-
-    /// Like [`Annealer::run_with_checkpoints`], but through the
-    /// incremental [`DeltaProblem`] move protocol. Checkpoints carry only
-    /// the state (never the problem's retained session), so a checkpoint
-    /// written by this path resumes identically through either
-    /// [`Annealer::resume`] or [`Annealer::resume_delta`].
-    pub fn run_with_checkpoints_delta<P, F>(
-        &self,
-        problem: &P,
-        seed: u64,
-        control: &RunControl,
-        mut sink: F,
-    ) -> Result<AnnealResult<P::State>, AnnealError>
-    where
-        P: DeltaProblem,
-        F: FnMut(&Checkpoint<P::State>),
-    {
-        self.schedule.validated()?;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let current = problem.initial_state();
-        let current_cost = problem.rebase(&current);
-        if !current_cost.is_finite() {
-            return Err(AnnealError::NonFiniteInitialCost { cost: current_cost });
-        }
-
-        let initial_temperature = self.estimate_initial_temperature(problem, &mut rng)?;
-        // Temperature estimation random-walks a scratch state through the
-        // full-cost path; re-anchor the retained session on the actual
-        // starting state before the move loop begins.
-        let current_cost = problem.rebase(&current);
-        if !current_cost.is_finite() {
-            return Err(AnnealError::NonFiniteInitialCost { cost: current_cost });
-        }
-        let state = LoopState {
-            rng,
-            best: current.clone(),
-            best_cost: current_cost,
-            current,
-            current_cost,
-            temperature: initial_temperature,
-            initial_temperature,
-            steps_done: 0,
-            stats: AnnealStats {
-                initial_temperature,
-                final_temperature: initial_temperature,
-                ..AnnealStats::default()
-            },
-            snapshots: Vec::new(),
-        };
-        Ok(self.run_loop_delta(problem, seed, state, control, &mut sink))
-    }
-
-    /// Resumes a checkpointed run through the incremental
-    /// [`DeltaProblem`] move protocol.
-    ///
-    /// The problem's retained session is re-anchored on the checkpoint's
-    /// current state via [`DeltaProblem::rebase`]; for a
-    /// contract-conforming problem the rebased cost equals the
-    /// checkpoint's recorded `current_cost`, so resuming here is
-    /// bit-identical to resuming through [`Annealer::resume`].
-    pub fn resume_delta<P: DeltaProblem>(
-        &self,
-        problem: &P,
-        checkpoint: Checkpoint<P::State>,
-        control: &RunControl,
-    ) -> Result<AnnealResult<P::State>, AnnealError> {
-        self.resume_with_checkpoints_delta(problem, checkpoint, control, |_| {})
-    }
-
-    /// Like [`Annealer::resume_delta`], additionally emitting checkpoints
-    /// on the control's cadence.
-    pub fn resume_with_checkpoints_delta<P, F>(
-        &self,
-        problem: &P,
-        checkpoint: Checkpoint<P::State>,
-        control: &RunControl,
-        mut sink: F,
-    ) -> Result<AnnealResult<P::State>, AnnealError>
-    where
-        P: DeltaProblem,
-        F: FnMut(&Checkpoint<P::State>),
-    {
-        let (seed, mut state) = self.validated_checkpoint_state(checkpoint)?;
-        let rebased = problem.rebase(&state.current);
-        if !rebased.is_finite() {
-            return Err(AnnealError::NonFiniteInitialCost { cost: rebased });
-        }
-        state.current_cost = rebased;
-        Ok(self.run_loop_delta(problem, seed, state, control, &mut sink))
-    }
-
-    /// The shared temperature loop. `state` is either a fresh start or a
-    /// restored checkpoint; both paths execute identical move sequences
-    /// for identical RNG states, which is what makes resume bit-identical.
-    fn run_loop<P: Problem>(
+    /// The temperature loop. `st` is either a fresh start or a restored
+    /// checkpoint; both execute identical move sequences for identical
+    /// RNG states, which is what makes resume bit-identical.
+    fn run_loop<P: DeltaProblem>(
         &self,
         problem: &P,
         seed: u64,
@@ -611,127 +493,11 @@ impl Annealer {
                     }
                 }
 
-                let mut candidate = st.current.clone();
-                problem.perturb(&mut candidate, &mut st.rng);
-                let candidate_cost = problem.cost(&candidate);
-                if !candidate_cost.is_finite() {
-                    // The candidate is poisoned; the best finite-cost
-                    // state found so far is preserved and returned.
-                    break 'outer StopReason::CostError;
-                }
-                moves_done += 1;
-                let delta = candidate_cost - st.current_cost;
-                let accept = delta <= 0.0 || st.rng.gen::<f64>() < (-delta / st.temperature).exp();
-                if accept {
-                    st.current = candidate;
-                    st.current_cost = candidate_cost;
-                    step_accepted += 1;
-                    st.stats.accepted += 1;
-                    if st.current_cost < st.best_cost {
-                        st.best = st.current.clone();
-                        st.best_cost = st.current_cost;
-                    }
-                } else {
-                    st.stats.rejected += 1;
-                }
-            }
-
-            st.stats.temperatures += 1;
-            st.steps_done += 1;
-            st.stats.final_temperature = st.temperature;
-            if self.schedule.snapshot_per_temperature {
-                st.snapshots.push(TemperatureSnapshot {
-                    temperature: st.temperature,
-                    current_state: st.current.clone(),
-                    current_cost: st.current_cost,
-                    best_state: st.best.clone(),
-                    best_cost: st.best_cost,
-                    acceptance_ratio: step_accepted as f64
-                        / self.schedule.moves_per_temperature as f64,
-                });
-            }
-            // Frozen: a full step with no accepted move cannot thaw at a
-            // lower temperature.
-            if step_accepted == 0 {
-                break StopReason::Frozen;
-            }
-            st.temperature *= self.schedule.cooling;
-
-            if let Some(every) = control.checkpoint_every {
-                if st.steps_done % every == 0 {
-                    sink(&boundary_checkpoint(self.schedule, seed, &st));
-                }
-            }
-        };
-
-        AnnealResult {
-            best: st.best,
-            best_cost: st.best_cost,
-            stats: st.stats,
-            snapshots: st.snapshots,
-            stop_reason,
-        }
-    }
-
-    /// The incremental counterpart of [`Annealer::run_loop`]: identical
-    /// control flow, stop reasons, statistics, and RNG consumption, with
-    /// the clone-perturb-cost move replaced by the
-    /// [`DeltaProblem`] propose/commit/undo protocol.
-    ///
-    /// The two loops are deliberately line-for-line parallel: any edit to
-    /// one must be mirrored in the other, or delta runs stop being
-    /// bit-identical to full-cost runs.
-    fn run_loop_delta<P: DeltaProblem>(
-        &self,
-        problem: &P,
-        seed: u64,
-        mut st: LoopState<P::State>,
-        control: &RunControl,
-        sink: &mut dyn FnMut(&Checkpoint<P::State>),
-    ) -> AnnealResult<P::State> {
-        /// Mirrors [`Annealer::run_loop`]'s poll cadence exactly.
-        const POLL_INTERVAL: usize = 64;
-
-        let min_temperature = st.initial_temperature * self.schedule.min_temperature_ratio;
-        let mut moves_done = (st.stats.accepted + st.stats.rejected) as u64;
-
-        let stop_reason = 'outer: loop {
-            if st.steps_done >= self.schedule.max_temperatures {
-                break StopReason::MaxTemperatures;
-            }
-            if st.temperature < min_temperature {
-                break StopReason::Converged;
-            }
-            if control.step_budget_hit(st.steps_done) {
-                sink(&boundary_checkpoint(self.schedule, seed, &st));
-                break StopReason::StepBudget;
-            }
-            if control.cancel_hit() {
-                break StopReason::Cancelled;
-            }
-            if control.deadline_hit() {
-                break StopReason::Deadline;
-            }
-
-            let mut step_accepted = 0usize;
-            for move_index in 0..self.schedule.moves_per_temperature {
-                if control.budget_hit(moves_done) {
-                    break 'outer StopReason::MoveBudget;
-                }
-                if move_index % POLL_INTERVAL == POLL_INTERVAL - 1 {
-                    if control.cancel_hit() {
-                        break 'outer StopReason::Cancelled;
-                    }
-                    if control.deadline_hit() {
-                        break 'outer StopReason::Deadline;
-                    }
-                }
-
                 let candidate_cost = problem.propose(&mut st.current, &mut st.rng);
                 if !candidate_cost.is_finite() {
-                    // Roll the state back so `best`/`current` invariants
-                    // hold in the returned partial result, then stop as
-                    // the full-cost loop does.
+                    // The candidate is poisoned: roll it back so the
+                    // returned partial result holds the best finite-cost
+                    // state found so far.
                     problem.undo(&mut st.current);
                     break 'outer StopReason::CostError;
                 }
@@ -767,6 +533,8 @@ impl Annealer {
                         / self.schedule.moves_per_temperature as f64,
                 });
             }
+            // Frozen: a full step with no accepted move cannot thaw at a
+            // lower temperature.
             if step_accepted == 0 {
                 break StopReason::Frozen;
             }
@@ -883,9 +651,31 @@ mod tests {
         }
     }
 
+    /// Anneals a full-cost test problem through [`FullCostDelta`].
+    fn anneal<P: Problem>(
+        annealer: &Annealer,
+        problem: &P,
+        seed: u64,
+        options: RunOptions<'_, P::State>,
+    ) -> Result<AnnealResult<P::State>, AnnealError> {
+        annealer.run(&FullCostDelta::new(problem), seed, options)
+    }
+
+    /// An unlimited run that must succeed.
+    fn plain<P: Problem>(annealer: &Annealer, problem: &P, seed: u64) -> AnnealResult<P::State> {
+        anneal(annealer, problem, seed, RunOptions::default()).expect("finite costs")
+    }
+
+    fn control(control: RunControl) -> RunOptions<'static, i64> {
+        RunOptions {
+            control,
+            ..RunOptions::default()
+        }
+    }
+
     #[test]
     fn finds_bowl_minimum() {
-        let result = Annealer::new(Schedule::default()).run(&Bowl, 1);
+        let result = plain(&Annealer::new(Schedule::default()), &Bowl, 1);
         assert!(
             (result.best - 7).abs() <= 2,
             "best {} should be near 7",
@@ -898,8 +688,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let annealer = Annealer::new(Schedule::quick());
-        let a = annealer.run(&Bowl, 99);
-        let b = annealer.run(&Bowl, 99);
+        let a = plain(&annealer, &Bowl, 99);
+        let b = plain(&annealer, &Bowl, 99);
         assert_eq!(a.best, b.best);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.stop_reason, b.stop_reason);
@@ -908,8 +698,8 @@ mod tests {
     #[test]
     fn different_seeds_explore_differently() {
         let annealer = Annealer::new(Schedule::quick());
-        let a = annealer.run(&Bowl, 1);
-        let b = annealer.run(&Bowl, 2);
+        let a = plain(&annealer, &Bowl, 1);
+        let b = plain(&annealer, &Bowl, 2);
         // Both should be good, but the trajectories differ.
         assert_ne!(
             (a.stats.accepted, a.stats.rejected),
@@ -923,7 +713,7 @@ mod tests {
             snapshot_per_temperature: true,
             ..Schedule::quick()
         };
-        let result = Annealer::new(schedule).run(&Bowl, 5);
+        let result = plain(&Annealer::new(schedule), &Bowl, 5);
         assert_eq!(result.snapshots.len(), result.stats.temperatures);
         // Best cost is non-increasing across snapshots.
         for pair in result.snapshots.windows(2) {
@@ -934,14 +724,14 @@ mod tests {
 
     #[test]
     fn no_snapshots_by_default() {
-        let result = Annealer::new(Schedule::quick()).run(&Bowl, 5);
+        let result = plain(&Annealer::new(Schedule::quick()), &Bowl, 5);
         assert!(result.snapshots.is_empty());
     }
 
     #[test]
     fn stats_are_consistent() {
         let schedule = Schedule::quick();
-        let result = Annealer::new(schedule).run(&Bowl, 3);
+        let result = plain(&Annealer::new(schedule), &Bowl, 3);
         let proposed = result.stats.accepted + result.stats.rejected;
         assert_eq!(
             proposed,
@@ -971,7 +761,7 @@ mod tests {
 
     #[test]
     fn flat_landscape_terminates() {
-        let result = Annealer::new(Schedule::quick()).run(&Flat, 0);
+        let result = plain(&Annealer::new(Schedule::quick()), &Flat, 0);
         assert_eq!(result.best_cost, 5.0);
         assert!(result.stats.temperatures > 0);
     }
@@ -980,7 +770,7 @@ mod tests {
     fn best_never_worse_than_initial() {
         let annealer = Annealer::new(Schedule::quick());
         for seed in 0..10 {
-            let result = annealer.run(&Bowl, seed);
+            let result = plain(&annealer, &Bowl, seed);
             assert!(result.best_cost <= Bowl.cost(&Bowl.initial_state()));
         }
     }
@@ -1006,24 +796,15 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_control_matches_plain_run() {
-        let annealer = Annealer::new(Schedule::quick());
-        let plain = annealer.run(&Bowl, 17);
-        let controlled = annealer
-            .run_controlled(&Bowl, 17, &RunControl::unlimited())
-            .expect("no limits, finite costs");
-        assert_eq!(plain.best, controlled.best);
-        assert_eq!(plain.best_cost, controlled.best_cost);
-        assert_eq!(plain.stats, controlled.stats);
-        assert_eq!(plain.stop_reason, controlled.stop_reason);
-    }
-
-    #[test]
     fn move_budget_stops_exactly() {
         let annealer = Annealer::new(Schedule::quick());
-        let result = annealer
-            .run_controlled(&Bowl, 3, &RunControl::unlimited().with_move_budget(100))
-            .expect("finite costs");
+        let result = anneal(
+            &annealer,
+            &Bowl,
+            3,
+            control(RunControl::unlimited().with_move_budget(100)),
+        )
+        .expect("finite costs");
         assert_eq!(result.stop_reason, StopReason::MoveBudget);
         assert_eq!(result.stats.accepted + result.stats.rejected, 100);
     }
@@ -1031,9 +812,13 @@ mod tests {
     #[test]
     fn zero_move_budget_returns_initial_state() {
         let annealer = Annealer::new(Schedule::quick());
-        let result = annealer
-            .run_controlled(&Bowl, 3, &RunControl::unlimited().with_move_budget(0))
-            .expect("finite costs");
+        let result = anneal(
+            &annealer,
+            &Bowl,
+            3,
+            control(RunControl::unlimited().with_move_budget(0)),
+        )
+        .expect("finite costs");
         assert_eq!(result.stop_reason, StopReason::MoveBudget);
         assert_eq!(result.best, Bowl.initial_state());
         assert_eq!(result.stats.accepted + result.stats.rejected, 0);
@@ -1043,14 +828,17 @@ mod tests {
     fn step_budget_stops_exactly_at_boundary_with_checkpoint() {
         let annealer = Annealer::new(Schedule::quick());
         let mut checkpoints = Vec::new();
-        let result = annealer
-            .run_with_checkpoints(
-                &Bowl,
-                3,
-                &RunControl::unlimited().with_step_budget(7),
-                |c| checkpoints.push(c.clone()),
-            )
-            .expect("finite costs");
+        let result = anneal(
+            &annealer,
+            &Bowl,
+            3,
+            RunOptions {
+                control: RunControl::unlimited().with_step_budget(7),
+                checkpoints: Some(&mut |c| checkpoints.push(c.clone())),
+                resume: None,
+            },
+        )
+        .expect("finite costs");
         assert_eq!(result.stop_reason, StopReason::StepBudget);
         assert_eq!(result.stats.temperatures, 7);
         // Exactly one checkpoint: the final boundary (no cadence set).
@@ -1061,34 +849,35 @@ mod tests {
     #[test]
     fn segmented_run_is_bit_identical_to_uninterrupted() {
         let annealer = Annealer::new(Schedule::quick());
-        let uninterrupted = annealer.run(&Bowl, 42);
+        let uninterrupted = plain(&annealer, &Bowl, 42);
 
         // Drive the same run 4 steps at a time through step budgets,
         // resuming each segment from the previous boundary checkpoint.
         let mut checkpoint = None;
-        let mut result = annealer
-            .run_with_checkpoints(
+        let mut budget = 0;
+        let result = loop {
+            budget += 4;
+            let result = anneal(
+                &annealer,
                 &Bowl,
                 42,
-                &RunControl::unlimited().with_step_budget(4),
-                |c| checkpoint = Some(c.clone()),
+                RunOptions {
+                    control: RunControl::unlimited().with_step_budget(budget),
+                    resume: checkpoint.take(),
+                    checkpoints: Some(&mut |c| checkpoint = Some(c.clone())),
+                },
             )
-            .expect("finite costs");
-        let mut budget = 4;
-        while result.stop_reason == StopReason::StepBudget {
-            budget += 4;
-            let from = checkpoint.take().expect("budget stop emits a checkpoint");
-            result = annealer
-                .resume_with_checkpoints(
-                    &Bowl,
-                    from,
-                    &RunControl::unlimited().with_step_budget(budget),
-                    |c| checkpoint = Some(c.clone()),
-                )
-                .expect("valid checkpoint");
-        }
+            .expect("valid checkpoint");
+            if result.stop_reason != StopReason::StepBudget {
+                break result;
+            }
+            assert!(checkpoint.is_some(), "budget stop emits a checkpoint");
+        };
         assert_eq!(result.best, uninterrupted.best);
-        assert_eq!(result.best_cost, uninterrupted.best_cost);
+        assert_eq!(
+            result.best_cost.to_bits(),
+            uninterrupted.best_cost.to_bits()
+        );
         assert_eq!(result.stats, uninterrupted.stats);
         assert_eq!(result.stop_reason, uninterrupted.stop_reason);
     }
@@ -1097,26 +886,32 @@ mod tests {
     fn exhausted_step_budget_on_resume_reemits_the_boundary() {
         let annealer = Annealer::new(Schedule::quick());
         let mut checkpoint = None;
-        annealer
-            .run_with_checkpoints(
-                &Bowl,
-                5,
-                &RunControl::unlimited().with_step_budget(3),
-                |c| checkpoint = Some(c.clone()),
-            )
-            .expect("finite costs");
+        anneal(
+            &annealer,
+            &Bowl,
+            5,
+            RunOptions {
+                control: RunControl::unlimited().with_step_budget(3),
+                checkpoints: Some(&mut |c| checkpoint = Some(c.clone())),
+                resume: None,
+            },
+        )
+        .expect("finite costs");
         let from = checkpoint.clone().expect("one checkpoint");
         // Resuming with the budget already met runs zero steps and hands
         // the same boundary back.
         let mut reemitted = None;
-        let result = annealer
-            .resume_with_checkpoints(
-                &Bowl,
-                from.clone(),
-                &RunControl::unlimited().with_step_budget(3),
-                |c| reemitted = Some(c.clone()),
-            )
-            .expect("valid checkpoint");
+        let result = anneal(
+            &annealer,
+            &Bowl,
+            5,
+            RunOptions {
+                control: RunControl::unlimited().with_step_budget(3),
+                checkpoints: Some(&mut |c| reemitted = Some(c.clone())),
+                resume: Some(from.clone()),
+            },
+        )
+        .expect("valid checkpoint");
         assert_eq!(result.stop_reason, StopReason::StepBudget);
         assert_eq!(result.stats.temperatures, 3);
         assert_eq!(reemitted.expect("boundary re-emitted"), from);
@@ -1127,9 +922,13 @@ mod tests {
         let annealer = Annealer::new(Schedule::quick());
         let token = CancelToken::new();
         token.cancel();
-        let result = annealer
-            .run_controlled(&Bowl, 3, &RunControl::unlimited().with_cancel_token(token))
-            .expect("finite costs");
+        let result = anneal(
+            &annealer,
+            &Bowl,
+            3,
+            control(RunControl::unlimited().with_cancel_token(token)),
+        )
+        .expect("finite costs");
         assert_eq!(result.stop_reason, StopReason::Cancelled);
         // Cancelled before any step completed.
         assert_eq!(result.stats.temperatures, 0);
@@ -1138,17 +937,50 @@ mod tests {
     #[test]
     fn expired_deadline_stops_before_first_step() {
         let annealer = Annealer::new(Schedule::quick());
-        let result = annealer
-            .run_controlled(
-                &Bowl,
-                3,
-                &RunControl::unlimited().with_time_limit(Duration::ZERO),
-            )
-            .expect("finite costs");
+        let result = anneal(
+            &annealer,
+            &Bowl,
+            3,
+            control(RunControl::unlimited().with_time_limit(Duration::ZERO)),
+        )
+        .expect("finite costs");
         assert_eq!(result.stop_reason, StopReason::Deadline);
         assert_eq!(result.stats.temperatures, 0);
         // The partial result is still well-formed.
         assert!(result.best_cost.is_finite());
+    }
+
+    /// Checkpoints of a seeded run on a cadence of `every` steps.
+    fn checkpoints_every(annealer: &Annealer, seed: u64, every: usize) -> Vec<Checkpoint<i64>> {
+        let mut checkpoints = Vec::new();
+        anneal(
+            annealer,
+            &Bowl,
+            seed,
+            RunOptions {
+                control: RunControl::unlimited().with_checkpoint_every(every),
+                checkpoints: Some(&mut |c| checkpoints.push(c.clone())),
+                resume: None,
+            },
+        )
+        .expect("finite costs");
+        checkpoints
+    }
+
+    fn resume(
+        annealer: &Annealer,
+        seed: u64,
+        checkpoint: Checkpoint<i64>,
+    ) -> Result<AnnealResult<i64>, AnnealError> {
+        anneal(
+            annealer,
+            &Bowl,
+            seed,
+            RunOptions {
+                resume: Some(checkpoint),
+                ..RunOptions::default()
+            },
+        )
     }
 
     #[test]
@@ -1158,23 +990,15 @@ mod tests {
             ..Schedule::quick()
         };
         let annealer = Annealer::new(schedule);
-        let uninterrupted = annealer.run(&Bowl, 42);
+        let uninterrupted = plain(&annealer, &Bowl, 42);
 
         // Capture checkpoints every 5 steps, then resume from each and
         // check the tail reproduces the uninterrupted run exactly.
-        let mut checkpoints = Vec::new();
-        let control = RunControl::unlimited().with_checkpoint_every(5);
-        let checkpointed = annealer
-            .run_with_checkpoints(&Bowl, 42, &control, |c| checkpoints.push(c.clone()))
-            .expect("finite costs");
-        assert_eq!(checkpointed.best, uninterrupted.best);
-        assert_eq!(checkpointed.stats, uninterrupted.stats);
+        let checkpoints = checkpoints_every(&annealer, 42, 5);
         assert!(!checkpoints.is_empty(), "run too short to checkpoint");
 
         for checkpoint in checkpoints {
-            let resumed = annealer
-                .resume(&Bowl, checkpoint, &RunControl::unlimited())
-                .expect("valid checkpoint");
+            let resumed = resume(&annealer, 42, checkpoint).expect("valid checkpoint");
             assert_eq!(resumed.best, uninterrupted.best);
             assert_eq!(resumed.best_cost, uninterrupted.best_cost);
             assert_eq!(resumed.stats, uninterrupted.stats);
@@ -1186,18 +1010,14 @@ mod tests {
     #[test]
     fn checkpoint_survives_json_and_still_resumes_identically() {
         let annealer = Annealer::new(Schedule::quick());
-        let uninterrupted = annealer.run(&Bowl, 7);
+        let uninterrupted = plain(&annealer, &Bowl, 7);
 
-        let mut last = None;
-        let control = RunControl::unlimited().with_checkpoint_every(3);
-        annealer
-            .run_with_checkpoints(&Bowl, 7, &control, |c| last = Some(c.to_json()))
-            .expect("finite costs");
-        let json = last.expect("at least one checkpoint");
+        let json = checkpoints_every(&annealer, 7, 3)
+            .pop()
+            .expect("at least one checkpoint")
+            .to_json();
         let restored: Checkpoint<i64> = Checkpoint::from_json(&json).expect("parse");
-        let resumed = annealer
-            .resume(&Bowl, restored, &RunControl::unlimited())
-            .expect("valid checkpoint");
+        let resumed = resume(&annealer, 7, restored).expect("valid checkpoint");
         assert_eq!(resumed.best, uninterrupted.best);
         assert_eq!(resumed.stats, uninterrupted.stats);
     }
@@ -1205,62 +1025,49 @@ mod tests {
     #[test]
     fn resume_rejects_schedule_mismatch() {
         let annealer = Annealer::new(Schedule::quick());
-        let mut checkpoint = None;
-        let control = RunControl::unlimited().with_checkpoint_every(1);
-        annealer
-            .run_with_checkpoints(&Bowl, 1, &control, |c| {
-                if checkpoint.is_none() {
-                    checkpoint = Some(c.clone());
-                }
-            })
-            .expect("finite costs");
-        let checkpoint = checkpoint.expect("one checkpoint");
-
+        let checkpoint = checkpoints_every(&annealer, 1, 1).remove(0);
         let other = Annealer::new(Schedule::default());
-        let err = other
-            .resume(&Bowl, checkpoint, &RunControl::unlimited())
-            .unwrap_err();
+        let err = resume(&other, 1, checkpoint).unwrap_err();
         assert_eq!(err, AnnealError::ScheduleMismatch);
+    }
+
+    #[test]
+    fn resume_rejects_a_checkpoint_of_another_seed() {
+        let annealer = Annealer::new(Schedule::quick());
+        let checkpoint = checkpoints_every(&annealer, 1, 1).remove(0);
+        let err = resume(&annealer, 2, checkpoint).unwrap_err();
+        assert_eq!(
+            err,
+            AnnealError::SeedMismatch {
+                checkpoint: 1,
+                requested: 2
+            }
+        );
     }
 
     #[test]
     fn resume_rejects_wrong_version_and_corruption() {
         let annealer = Annealer::new(Schedule::quick());
-        let mut captured = None;
-        let control = RunControl::unlimited().with_checkpoint_every(1);
-        annealer
-            .run_with_checkpoints(&Bowl, 1, &control, |c| {
-                if captured.is_none() {
-                    captured = Some(c.clone());
-                }
-            })
-            .expect("finite costs");
-        let checkpoint = captured.expect("one checkpoint");
+        let checkpoint = checkpoints_every(&annealer, 1, 1).remove(0);
 
         let mut wrong_version = checkpoint.clone();
         wrong_version.version = 999;
         assert!(matches!(
-            annealer
-                .resume(&Bowl, wrong_version, &RunControl::unlimited())
-                .unwrap_err(),
+            resume(&annealer, 1, wrong_version).unwrap_err(),
             AnnealError::CheckpointVersion { found: 999, .. }
         ));
 
         let mut poisoned = checkpoint.clone();
         poisoned.best_cost = f64::NAN;
         assert!(matches!(
-            annealer
-                .resume(&Bowl, poisoned, &RunControl::unlimited())
-                .unwrap_err(),
+            resume(&annealer, 1, poisoned).unwrap_err(),
             AnnealError::CorruptCheckpoint { field: "best_cost" }
         ));
 
         let mut inconsistent = checkpoint;
         inconsistent.steps_done += 1;
         assert!(matches!(
-            annealer
-                .resume(&Bowl, inconsistent, &RunControl::unlimited())
-                .unwrap_err(),
+            resume(&annealer, 1, inconsistent).unwrap_err(),
             AnnealError::CorruptCheckpoint {
                 field: "steps_done"
             }
@@ -1292,10 +1099,9 @@ mod tests {
     }
 
     #[test]
-    fn nan_cost_mid_run_stops_gracefully() {
+    fn nan_cost_mid_run_undoes_and_stops_gracefully() {
         let annealer = Annealer::new(Schedule::quick());
-        let result = annealer
-            .run_controlled(&PoisonedSlope, 1, &RunControl::unlimited())
+        let result = anneal(&annealer, &PoisonedSlope, 1, RunOptions::default())
             .expect("initial cost is finite");
         assert_eq!(result.stop_reason, StopReason::CostError);
         // The best state is the last finite-cost one, never poisoned.
@@ -1322,16 +1128,8 @@ mod tests {
     #[test]
     fn nan_initial_cost_is_a_typed_error() {
         let annealer = Annealer::new(Schedule::quick());
-        let err = annealer
-            .run_controlled(&AlwaysNan, 1, &RunControl::unlimited())
-            .unwrap_err();
+        let err = anneal(&annealer, &AlwaysNan, 1, RunOptions::default()).unwrap_err();
         assert!(matches!(err, AnnealError::NonFiniteInitialCost { .. }));
-    }
-
-    #[test]
-    #[should_panic(expected = "annealing run failed")]
-    fn plain_run_panics_on_nan_initial_cost() {
-        let _ = Annealer::new(Schedule::quick()).run(&AlwaysNan, 1);
     }
 
     /// Finite initial cost, NaN only during the estimation walk.
@@ -1357,147 +1155,14 @@ mod tests {
     #[test]
     fn nan_during_estimation_is_a_typed_error() {
         let annealer = Annealer::new(Schedule::quick());
-        let err = annealer
-            .run_controlled(&PoisonedNeighbourhood, 1, &RunControl::unlimited())
-            .unwrap_err();
+        let err = anneal(&annealer, &PoisonedNeighbourhood, 1, RunOptions::default()).unwrap_err();
         assert!(matches!(err, AnnealError::NonFiniteEstimationCost { .. }));
-    }
-
-    #[test]
-    fn delta_loop_is_bit_identical_to_full_cost_loop() {
-        let annealer = Annealer::new(Schedule::quick());
-        let wrapped = FullCostDelta::new(Bowl);
-        for seed in [0, 1, 7, 42, 99] {
-            let plain = annealer.run(&Bowl, seed);
-            let delta = annealer.run_delta(&wrapped, seed);
-            assert_eq!(plain.best, delta.best, "seed {seed}");
-            assert_eq!(plain.best_cost.to_bits(), delta.best_cost.to_bits());
-            assert_eq!(plain.stats, delta.stats);
-            assert_eq!(plain.stop_reason, delta.stop_reason);
-        }
-    }
-
-    #[test]
-    fn delta_loop_matches_full_cost_snapshots() {
-        let schedule = Schedule {
-            snapshot_per_temperature: true,
-            ..Schedule::quick()
-        };
-        let annealer = Annealer::new(schedule);
-        let plain = annealer.run(&Bowl, 5);
-        let delta = annealer.run_delta(&FullCostDelta::new(Bowl), 5);
-        assert_eq!(plain.snapshots.len(), delta.snapshots.len());
-        for (a, b) in plain.snapshots.iter().zip(&delta.snapshots) {
-            assert_eq!(a.temperature.to_bits(), b.temperature.to_bits());
-            assert_eq!(a.current_state, b.current_state);
-            assert_eq!(a.current_cost.to_bits(), b.current_cost.to_bits());
-            assert_eq!(a.best_cost.to_bits(), b.best_cost.to_bits());
-        }
-    }
-
-    #[test]
-    fn delta_segmented_resume_is_bit_identical() {
-        let annealer = Annealer::new(Schedule::quick());
-        let uninterrupted = annealer.run(&Bowl, 42);
-        let wrapped = FullCostDelta::new(Bowl);
-
-        let mut checkpoint = None;
-        let mut result = annealer
-            .run_with_checkpoints_delta(
-                &wrapped,
-                42,
-                &RunControl::unlimited().with_step_budget(4),
-                |c| checkpoint = Some(c.clone()),
-            )
-            .expect("finite costs");
-        let mut budget = 4;
-        while result.stop_reason == StopReason::StepBudget {
-            budget += 4;
-            let from = checkpoint.take().expect("budget stop emits a checkpoint");
-            result = annealer
-                .resume_with_checkpoints_delta(
-                    &wrapped,
-                    from,
-                    &RunControl::unlimited().with_step_budget(budget),
-                    |c| checkpoint = Some(c.clone()),
-                )
-                .expect("valid checkpoint");
-        }
-        assert_eq!(result.best, uninterrupted.best);
-        assert_eq!(
-            result.best_cost.to_bits(),
-            uninterrupted.best_cost.to_bits()
-        );
-        assert_eq!(result.stats, uninterrupted.stats);
-        assert_eq!(result.stop_reason, uninterrupted.stop_reason);
-    }
-
-    #[test]
-    fn delta_checkpoint_resumes_through_full_cost_path() {
-        // A checkpoint written by the delta loop carries no session state,
-        // so the full-cost resume path continues it bit-identically.
-        let annealer = Annealer::new(Schedule::quick());
-        let uninterrupted = annealer.run(&Bowl, 13);
-        let mut checkpoint = None;
-        annealer
-            .run_with_checkpoints_delta(
-                &FullCostDelta::new(Bowl),
-                13,
-                &RunControl::unlimited().with_step_budget(6),
-                |c| checkpoint = Some(c.clone()),
-            )
-            .expect("finite costs");
-        let resumed = annealer
-            .resume(
-                &Bowl,
-                checkpoint.expect("budget stop emits a checkpoint"),
-                &RunControl::unlimited(),
-            )
-            .expect("valid checkpoint");
-        assert_eq!(resumed.best, uninterrupted.best);
-        assert_eq!(resumed.stats, uninterrupted.stats);
-        assert_eq!(resumed.stop_reason, uninterrupted.stop_reason);
-    }
-
-    #[test]
-    fn delta_move_budget_stops_exactly() {
-        let annealer = Annealer::new(Schedule::quick());
-        let result = annealer
-            .run_controlled_delta(
-                &FullCostDelta::new(Bowl),
-                3,
-                &RunControl::unlimited().with_move_budget(100),
-            )
-            .expect("finite costs");
-        assert_eq!(result.stop_reason, StopReason::MoveBudget);
-        assert_eq!(result.stats.accepted + result.stats.rejected, 100);
-    }
-
-    #[test]
-    fn delta_nan_mid_run_undoes_and_stops_gracefully() {
-        let annealer = Annealer::new(Schedule::quick());
-        let result = annealer
-            .run_controlled_delta(
-                &FullCostDelta::new(PoisonedSlope),
-                1,
-                &RunControl::unlimited(),
-            )
-            .expect("initial cost is finite");
-        assert_eq!(result.stop_reason, StopReason::CostError);
-        assert!(result.best <= 200);
-        assert!(result.best_cost.is_finite());
-    }
-
-    #[test]
-    #[should_panic(expected = "delta annealing run failed")]
-    fn plain_delta_run_panics_on_nan_initial_cost() {
-        let _ = Annealer::new(Schedule::quick()).run_delta(&FullCostDelta::new(AlwaysNan), 1);
     }
 
     /// Counts protocol calls to verify every propose is paired with
     /// exactly one commit or undo.
     struct CountingDelta {
-        inner: FullCostDelta<Bowl>,
+        inner: FullCostDelta<'static, Bowl>,
         rebases: std::cell::Cell<usize>,
         proposes: std::cell::Cell<usize>,
         commits: std::cell::Cell<usize>,
@@ -1507,7 +1172,7 @@ mod tests {
     impl CountingDelta {
         fn new() -> CountingDelta {
             CountingDelta {
-                inner: FullCostDelta::new(Bowl),
+                inner: FullCostDelta::new(&Bowl),
                 rebases: std::cell::Cell::new(0),
                 proposes: std::cell::Cell::new(0),
                 commits: std::cell::Cell::new(0),
@@ -1552,7 +1217,9 @@ mod tests {
     fn every_propose_pairs_with_one_commit_or_undo() {
         let annealer = Annealer::new(Schedule::quick());
         let problem = CountingDelta::new();
-        let result = annealer.run_delta(&problem, 9);
+        let result = annealer
+            .run(&problem, 9, RunOptions::default())
+            .expect("finite costs");
         assert!(problem.rebases.get() >= 1);
         assert_eq!(
             problem.proposes.get(),

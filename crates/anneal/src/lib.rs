@@ -10,10 +10,11 @@
 //!
 //! # Examples
 //!
-//! Annealing a toy one-dimensional problem:
+//! Annealing a toy one-dimensional problem, which has only a full cost
+//! and so runs through the [`FullCostDelta`] adapter:
 //!
 //! ```
-//! use irgrid_anneal::{Annealer, Problem, Schedule};
+//! use irgrid_anneal::{Annealer, FullCostDelta, Problem, RunOptions, Schedule};
 //! use rand::Rng;
 //!
 //! struct Parabola;
@@ -31,34 +32,36 @@
 //!     }
 //! }
 //!
-//! let result = Annealer::new(Schedule::default()).run(&Parabola, 42);
+//! let annealer = Annealer::new(Schedule::default());
+//! let result = annealer.run(&FullCostDelta::new(&Parabola), 42, RunOptions::default())?;
 //! assert!((result.best - 3.0).abs() < 1.0);
+//! # Ok::<(), irgrid_anneal::AnnealError>(())
 //! ```
+//!
+//! # One loop
+//!
+//! [`Annealer::run`] is the only entry point, and it drives the
+//! incremental [`DeltaProblem`] move protocol: per move one `propose`,
+//! then `commit` or `undo`. Problems that can re-evaluate cost in
+//! O(changed components) implement [`DeltaProblem`] themselves; any other
+//! [`Problem`] runs through [`FullCostDelta`], whose `propose` is a
+//! clone, a perturbation and a full cost.
 //!
 //! # Fault tolerance
 //!
-//! Long runs can be made interruptible and restartable:
+//! Long runs can be made interruptible and restartable through
+//! [`RunOptions`]:
 //!
-//! * [`Annealer::run_controlled`] accepts a [`RunControl`] carrying a
-//!   wall-clock deadline, a [`CancelToken`], and/or a total-move budget;
-//!   the partial result reports *why* it stopped via [`StopReason`].
-//! * [`Annealer::run_with_checkpoints`] additionally emits a serializable
-//!   [`Checkpoint`] on a configurable cadence, and [`Annealer::resume`]
-//!   continues from one **bit-identically** — same best state, cost, and
-//!   statistics as the uninterrupted run.
+//! * [`RunOptions::control`] carries a [`RunControl`] with a wall-clock
+//!   deadline, a [`CancelToken`], and/or move and step budgets; the
+//!   partial result reports *why* it stopped via [`StopReason`].
+//! * [`RunOptions::checkpoints`] receives a serializable [`Checkpoint`]
+//!   on a configurable cadence, and [`RunOptions::resume`] continues from
+//!   one **bit-identically** — same best state, cost, and statistics as
+//!   the uninterrupted run.
 //! * Non-finite costs are surfaced as typed [`AnnealError`]s (at startup)
 //!   or a graceful [`StopReason::CostError`] (mid-run) instead of
 //!   corrupting the best state.
-//!
-//! # Incremental evaluation
-//!
-//! Problems that can re-evaluate cost in O(changed components) per move
-//! implement [`DeltaProblem`] and run through [`Annealer::run_delta`]
-//! (and its controlled/checkpointed/resumed variants). The delta loop
-//! consumes the same RNG stream as the full-cost loop, so for a
-//! contract-conforming problem the two produce bit-identical results;
-//! [`FullCostDelta`] adapts any [`Problem`] to the delta protocol by
-//! falling back to full-cost evaluation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,6 +74,7 @@ mod schedule;
 pub use checkpoint::{Checkpoint, CheckpointIoError, FORMAT_VERSION};
 pub use control::{AnnealError, CancelToken, RunControl, StopReason};
 pub use engine::{
-    AnnealResult, AnnealStats, Annealer, DeltaProblem, FullCostDelta, Problem, TemperatureSnapshot,
+    AnnealResult, AnnealStats, Annealer, DeltaProblem, FullCostDelta, Problem, RunOptions,
+    TemperatureSnapshot,
 };
 pub use schedule::{Schedule, ScheduleError};

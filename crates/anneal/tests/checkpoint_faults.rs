@@ -2,7 +2,9 @@
 //! mid-checkpoint must leave the previously committed checkpoint valid
 //! and the run resumable — bit-identically — from it.
 
-use irgrid_anneal::{Annealer, Checkpoint, Problem, RunControl, Schedule};
+use irgrid_anneal::{
+    Annealer, Checkpoint, FullCostDelta, Problem, RunControl, RunOptions, Schedule,
+};
 use rand::Rng;
 
 /// A rugged 1-D landscape (same shape as the property-test problem).
@@ -32,12 +34,16 @@ fn write_failure_mid_checkpoint_leaves_previous_checkpoint_valid_and_resumable()
     let path = dir.join("run.ckpt.json");
     let tmp = path.with_extension("tmp");
 
-    let problem = Rugged { offset: 37 };
+    let problem = FullCostDelta::new(&Rugged { offset: 37 });
     let annealer = Annealer::new(Schedule::quick());
     let control = RunControl::unlimited().with_checkpoint_every(2);
+    let options = || RunOptions {
+        control: control.clone(),
+        ..RunOptions::default()
+    };
 
     let reference = annealer
-        .run_with_checkpoints(&problem, 11, &control, |_| {})
+        .run(&problem, 11, options())
         .expect("reference run");
 
     // Chaotic run: the first two checkpoints commit normally; then a
@@ -46,17 +52,25 @@ fn write_failure_mid_checkpoint_leaves_previous_checkpoint_valid_and_resumable()
     let mut writes = 0u32;
     let mut failures = 0u32;
     let mut last_committed_step = 0usize;
+    let mut sink = |checkpoint: &Checkpoint<i64>| {
+        writes += 1;
+        if writes == 3 {
+            std::fs::create_dir_all(&tmp).expect("squat the tmp path");
+        }
+        match checkpoint.write_file(&path) {
+            Ok(()) => last_committed_step = checkpoint.steps_done,
+            Err(_) => failures += 1,
+        }
+    };
     let result = annealer
-        .run_with_checkpoints(&problem, 11, &control, |checkpoint| {
-            writes += 1;
-            if writes == 3 {
-                std::fs::create_dir_all(&tmp).expect("squat the tmp path");
-            }
-            match checkpoint.write_file(&path) {
-                Ok(()) => last_committed_step = checkpoint.steps_done,
-                Err(_) => failures += 1,
-            }
-        })
+        .run(
+            &problem,
+            11,
+            RunOptions {
+                checkpoints: Some(&mut sink),
+                ..options()
+            },
+        )
         .expect("chaotic run");
     assert!(writes >= 3, "schedule too short to exercise the fault");
     assert!(failures > 0, "fault injection never fired");
@@ -75,7 +89,14 @@ fn write_failure_mid_checkpoint_leaves_previous_checkpoint_valid_and_resumable()
 
     // Resuming from it reproduces the uninterrupted run bit for bit.
     let resumed = annealer
-        .resume(&problem, checkpoint, &control)
+        .run(
+            &problem,
+            11,
+            RunOptions {
+                resume: Some(checkpoint),
+                ..options()
+            },
+        )
         .expect("resume");
     assert_eq!(resumed.best, reference.best);
     assert_eq!(resumed.best_cost.to_bits(), reference.best_cost.to_bits());

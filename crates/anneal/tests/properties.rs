@@ -1,6 +1,6 @@
 //! Property-based tests of the annealing engine's contracts.
 
-use irgrid_anneal::{Annealer, Problem, Schedule};
+use irgrid_anneal::{AnnealResult, Annealer, FullCostDelta, Problem, RunOptions, Schedule};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -24,13 +24,19 @@ impl Problem for Rugged {
     }
 }
 
+fn anneal(schedule: Schedule, problem: &Rugged, seed: u64) -> AnnealResult<i64> {
+    Annealer::new(schedule)
+        .run(&FullCostDelta::new(problem), seed, RunOptions::default())
+        .expect("finite costs")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn best_cost_never_exceeds_initial(offset in -200i64..200, ripple in 0.0f64..2.0, seed in 0u64..500) {
         let problem = Rugged { offset, ripple };
-        let result = Annealer::new(Schedule::quick()).run(&problem, seed);
+        let result = anneal(Schedule::quick(), &problem, seed);
         prop_assert!(result.best_cost <= problem.cost(&problem.initial_state()) + 1e-9);
         // The reported best state matches the reported best cost.
         prop_assert!((problem.cost(&result.best) - result.best_cost).abs() < 1e-9);
@@ -39,9 +45,8 @@ proptest! {
     #[test]
     fn runs_are_reproducible(offset in -200i64..200, seed in 0u64..500) {
         let problem = Rugged { offset, ripple: 1.0 };
-        let annealer = Annealer::new(Schedule::quick());
-        let a = annealer.run(&problem, seed);
-        let b = annealer.run(&problem, seed);
+        let a = anneal(Schedule::quick(), &problem, seed);
+        let b = anneal(Schedule::quick(), &problem, seed);
         prop_assert_eq!(a.best, b.best);
         prop_assert_eq!(a.stats, b.stats);
         prop_assert_eq!(a.snapshots.len(), b.snapshots.len());
@@ -54,7 +59,7 @@ proptest! {
             ..Schedule::quick()
         };
         let problem = Rugged { offset: 40, ripple: 0.5 };
-        let result = Annealer::new(schedule).run(&problem, seed);
+        let result = anneal(schedule, &problem, seed);
         let proposed = result.stats.accepted + result.stats.rejected;
         prop_assert_eq!(proposed, result.stats.temperatures * schedule.moves_per_temperature);
         prop_assert_eq!(result.snapshots.len(), result.stats.temperatures);
@@ -71,7 +76,7 @@ proptest! {
     fn temperature_bounds_respected(seed in 0u64..100) {
         let problem = Rugged { offset: 0, ripple: 1.5 };
         let schedule = Schedule::quick();
-        let result = Annealer::new(schedule).run(&problem, seed);
+        let result = anneal(schedule, &problem, seed);
         prop_assert!(result.stats.temperatures <= schedule.max_temperatures);
         prop_assert!(result.stats.final_temperature <= result.stats.initial_temperature);
         prop_assert!(result.stats.initial_temperature > 0.0);

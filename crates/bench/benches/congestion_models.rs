@@ -3,7 +3,7 @@
 //! benchmark floorplan.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use irgrid::anneal::{Annealer, Schedule};
+use irgrid::anneal::{Annealer, RunOptions, Schedule};
 use irgrid::congestion::{
     CellArithmetic, CongestionModel, Evaluator, FixedGridModel, IrregularGridModel,
 };
@@ -20,7 +20,9 @@ fn floorplan(bench: McncCircuit) -> (Rect, Vec<(Point, Point)>) {
         Weights::area_wire(),
         None::<IrregularGridModel>,
     );
-    let result = Annealer::new(Schedule::quick()).run(&problem, 4);
+    let result = Annealer::new(Schedule::quick())
+        .run(&problem, 4, RunOptions::default())
+        .expect("finite costs");
     let eval = problem.evaluate(&result.best);
     (eval.placement.chip(), eval.segments)
 }

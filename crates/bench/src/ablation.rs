@@ -5,7 +5,7 @@
 
 use std::time::Instant;
 
-use irgrid::anneal::{Annealer, Schedule};
+use irgrid::anneal::{Annealer, RunOptions, Schedule};
 use irgrid::congestion::{
     ApproxConfig, CellArithmetic, CongestionModel, Evaluator, FixedGridModel, IrregularGridModel,
 };
@@ -38,7 +38,9 @@ pub fn run(bench: McncCircuit) {
         Weights::area_wire(),
         None::<IrregularGridModel>,
     );
-    let result = Annealer::new(Schedule::quick()).run(&problem, 2);
+    let result = Annealer::new(Schedule::quick())
+        .run(&problem, 2, RunOptions::default())
+        .expect("finite costs");
     let eval = problem.evaluate(&result.best);
     let chip = eval.placement.chip();
     let segments = &eval.segments;
@@ -137,13 +139,17 @@ pub fn run(bench: McncCircuit) {
         let slicing: FloorplanProblem<'_, IrregularGridModel, PolishExpr> =
             FloorplanProblem::with_representation(&circuit, pitch, Weights::area_wire(), None);
         let t = Instant::now();
-        let r = annealer.run(&slicing, 2);
+        let r = annealer
+            .run(&slicing, 2, RunOptions::default())
+            .expect("finite costs");
         let slicing_eval = slicing.evaluate(&r.best);
         let slicing_t = t.elapsed().as_secs_f64();
         let seqpair: FloorplanProblem<'_, IrregularGridModel, SequencePair> =
             FloorplanProblem::with_representation(&circuit, pitch, Weights::area_wire(), None);
         let t = Instant::now();
-        let r = annealer.run(&seqpair, 2);
+        let r = annealer
+            .run(&seqpair, 2, RunOptions::default())
+            .expect("finite costs");
         let seqpair_eval = seqpair.evaluate(&r.best);
         let seqpair_t = t.elapsed().as_secs_f64();
         println!(

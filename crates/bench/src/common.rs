@@ -4,8 +4,8 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use irgrid::anneal::{Annealer, Checkpoint, RunControl, Schedule, StopReason};
-use irgrid::congestion::{CongestionModel, FixedGridModel};
+use irgrid::anneal::{Annealer, Checkpoint, RunControl, RunOptions, Schedule, StopReason};
+use irgrid::congestion::{CongestionModel, DeltaCongestion, FixedGridModel};
 use irgrid::fleet::pool;
 use irgrid::floorplanner::{FloorplanEval, FloorplanProblem, FloorplanSpec, Weights};
 use irgrid::geom::Um;
@@ -217,7 +217,7 @@ impl SeedRunner {
     /// path to drop seeds the deadline prevented from ever starting).
     ///
     /// [`AnnealError`]: irgrid::anneal::AnnealError
-    fn run_seed<M: CongestionModel>(
+    fn run_seed<M: DeltaCongestion>(
         &self,
         problem: &FloorplanProblem<'_, M>,
         seed: u64,
@@ -243,24 +243,25 @@ impl SeedRunner {
             .fault
             .resume_dir
             .map(|dir| FaultOptions::checkpoint_file(dir, circuit, self.pitch, self.weights, seed));
-        let run = match resumed_from.filter(|path| path.exists()) {
-            Some(path) => match Checkpoint::read_file(&path) {
-                Ok(checkpoint) => self.annealer.resume_with_checkpoints(
-                    problem,
-                    checkpoint,
-                    &self.control,
-                    &mut sink,
-                ),
-                Err(err) => {
-                    eprintln!("warning: ignoring checkpoint {}: {err}", path.display());
-                    self.annealer
-                        .run_with_checkpoints(problem, seed, &self.control, &mut sink)
-                }
+        let resume =
+            resumed_from
+                .filter(|path| path.exists())
+                .and_then(|path| match Checkpoint::read_file(&path) {
+                    Ok(checkpoint) => Some(checkpoint),
+                    Err(err) => {
+                        eprintln!("warning: ignoring checkpoint {}: {err}", path.display());
+                        None
+                    }
+                });
+        let run = self.annealer.run(
+            problem,
+            seed,
+            RunOptions {
+                control: self.control.clone(),
+                checkpoints: Some(&mut sink),
+                resume,
             },
-            None => self
-                .annealer
-                .run_with_checkpoints(problem, seed, &self.control, &mut sink),
-        };
+        );
         let result = match run {
             Ok(result) => result,
             Err(err) => {
@@ -313,7 +314,7 @@ pub fn run_batch<M>(
     mode: &Mode,
 ) -> Vec<RunOutcome>
 where
-    M: CongestionModel + Clone + Sync,
+    M: DeltaCongestion + Clone + Sync,
 {
     let runner = SeedRunner {
         annealer: Annealer::new(mode.schedule),

@@ -163,7 +163,8 @@ fn annealed_floorplan(circuit: &Circuit) -> PolishExpr {
         None::<IrregularGridModel>,
     );
     irgrid::anneal::Annealer::new(irgrid::anneal::Schedule::quick())
-        .run(&problem, 8)
+        .run(&problem, 8, irgrid::anneal::RunOptions::default())
+        .expect("finite costs")
         .best
 }
 

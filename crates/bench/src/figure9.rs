@@ -8,7 +8,7 @@
 //! paper's claim: "the slopes of curve A and B are more similar than the
 //! slopes of curve A and C".
 
-use irgrid::anneal::{Annealer, Schedule};
+use irgrid::anneal::{Annealer, RunOptions, Schedule};
 use irgrid::congestion::{CongestionModel, FixedGridModel, IrregularGridModel};
 use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::Um;
@@ -59,7 +59,9 @@ pub fn curves(mode: &Mode, bench: McncCircuit, seed: u64) -> [Vec<f64>; 3] {
         snapshot_per_temperature: true,
         ..mode.schedule
     };
-    let result = Annealer::new(schedule).run(&problem, seed);
+    let result = Annealer::new(schedule)
+        .run(&problem, seed, RunOptions::default())
+        .expect("finite costs");
 
     // Pick up to 20 evenly spaced temperature snapshots, as in the paper.
     let snapshots = &result.snapshots;

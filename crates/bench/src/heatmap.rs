@@ -6,7 +6,7 @@
 //! 10 µm judging map downsampled 3× — per-cell Pearson correlation,
 //! scale-free MAE, and top-10 % hotspot overlap (Jaccard).
 
-use irgrid::anneal::{Annealer, Schedule};
+use irgrid::anneal::{Annealer, RunOptions, Schedule};
 use irgrid::congestion::analysis::{compare, Raster};
 use irgrid::congestion::{FixedGridModel, IrregularGridModel, LzShapeModel};
 use irgrid::floorplanner::{FloorplanProblem, Weights};
@@ -23,7 +23,9 @@ pub fn run(bench: McncCircuit) {
         Weights::area_wire(),
         None::<IrregularGridModel>,
     );
-    let result = Annealer::new(Schedule::quick()).run(&problem, 6);
+    let result = Annealer::new(Schedule::quick())
+        .run(&problem, 6, RunOptions::default())
+        .expect("finite costs");
     let eval = problem.evaluate(&result.best);
     let chip = eval.placement.chip();
     let segments = &eval.segments;

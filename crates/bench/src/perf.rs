@@ -5,18 +5,20 @@
 //! On an annealed floorplan of the chosen circuit (ami49 by default, the
 //! largest of the suite) it times one-shot `evaluate` calls (each a fresh
 //! `IrDeltaEvaluator` rebase) and the congestion-weighted annealer end to
-//! end (`sa_moves_per_s`), and records `cpu_count` with the numbers.
+//! end with every move scored from scratch through
+//! [`FullCostDelta`] (`sa_moves_per_s`), and records `cpu_count` with the
+//! numbers.
 //!
-//! With `--delta` the report additionally times the incremental
-//! ([`DeltaProblem`](irgrid::anneal::DeltaProblem)) annealing loop and
+//! With `--delta` the report additionally times the floorplanner's own
+//! incremental ([`DeltaProblem`]) moves on the same problem and seed, and
 //! re-verifies on the spot that every incremental cost is bit-identical
-//! to from-scratch evaluation and that the delta loop reaches the full
-//! loop's best cost bit for bit (`delta_equivalent`); the command aborts
-//! rather than report a mismatching build.
+//! to from-scratch evaluation and that the incremental run reaches the
+//! full-cost run's best cost bit for bit (`delta_equivalent`); the
+//! command aborts rather than report a mismatching build.
 
 use std::time::Instant;
 
-use irgrid::anneal::{Annealer, DeltaProblem, Problem, Schedule};
+use irgrid::anneal::{Annealer, DeltaProblem, FullCostDelta, Problem, RunOptions, Schedule};
 use irgrid::congestion::{CongestionModel, IrregularGridModel};
 use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::{Point, Rect, Um};
@@ -38,7 +40,8 @@ struct Report {
     ir_cells: usize,
     /// One-shot `evaluate` throughput (a fresh session per call).
     maps_per_s: f64,
-    /// Annealer throughput with the IR model in the cost loop.
+    /// Annealer throughput with the IR model in the cost loop, every
+    /// move scored from scratch.
     sa_moves: usize,
     sa_seconds: f64,
     sa_moves_per_s: f64,
@@ -46,7 +49,7 @@ struct Report {
     /// bit-identically to from-scratch evaluation; the command aborts
     /// instead of reporting `false`. `None` without `--delta`.
     delta_equivalent: Option<bool>,
-    /// Annealer throughput through the incremental delta loop.
+    /// Annealer throughput with incremental moves.
     sa_delta_moves: Option<usize>,
     sa_delta_seconds: Option<f64>,
     sa_delta_moves_per_s: Option<f64>,
@@ -94,7 +97,9 @@ pub fn run(mode: &Mode, circuit: McncCircuit, args: &[String]) {
         Weights::area_wire(),
         None::<IrregularGridModel>,
     );
-    let fixture_run = Annealer::new(Schedule::quick()).run(&fixture, 4);
+    let fixture_run = Annealer::new(Schedule::quick())
+        .run(&fixture, 4, RunOptions::default())
+        .expect("finite costs");
     let eval = fixture.evaluate(&fixture_run.best);
     let (chip, segments): (Rect, Vec<(Point, Point)>) = (eval.placement.chip(), eval.segments);
 
@@ -102,7 +107,8 @@ pub fn run(mode: &Mode, circuit: McncCircuit, args: &[String]) {
     let ir_cells = model.congestion_map(&chip, &segments).ir_cell_count();
     let maps_per_s = throughput(evaluations, repeats, || model.evaluate(&chip, &segments));
 
-    // End-to-end annealer throughput with the congestion term active.
+    // End-to-end annealer throughput with the congestion term active,
+    // every move scored from scratch.
     let problem = FloorplanProblem::new(&netlist, pitch, Weights::routability(), Some(model));
     let sa_schedule = if quick {
         Schedule::quick()
@@ -110,13 +116,15 @@ pub fn run(mode: &Mode, circuit: McncCircuit, args: &[String]) {
         mode.schedule
     };
     let sa_start = Instant::now();
-    let sa_run = Annealer::new(sa_schedule).run(&problem, 7);
+    let sa_run = Annealer::new(sa_schedule)
+        .run(&FullCostDelta::new(&problem), 7, RunOptions::default())
+        .expect("finite costs");
     let sa_seconds = sa_start.elapsed().as_secs_f64();
     let sa_moves = sa_run.stats.accepted + sa_run.stats.rejected;
     let sa_moves_per_s = sa_moves as f64 / sa_seconds;
 
-    // --delta: verify bit-exact equivalence of the incremental loop, then
-    // time it on the identical problem and seed.
+    // --delta: verify bit-exact equivalence of the incremental moves, then
+    // time them on the identical problem and seed.
     let mut delta_equivalent = None;
     let mut sa_delta_moves = None;
     let mut sa_delta_seconds = None;
@@ -156,14 +164,16 @@ pub fn run(mode: &Mode, circuit: McncCircuit, args: &[String]) {
         delta_equivalent = Some(true);
 
         let delta_start = Instant::now();
-        let delta_run = Annealer::new(sa_schedule).run_delta(&problem, 7);
+        let delta_run = Annealer::new(sa_schedule)
+            .run(&problem, 7, RunOptions::default())
+            .expect("finite costs");
         let seconds = delta_start.elapsed().as_secs_f64();
         // One engine: the full and delta costs are the same bits, so the
-        // two loops make the same decisions.
+        // two runs make the same decisions.
         assert_eq!(
             delta_run.best_cost.to_bits(),
             sa_run.best_cost.to_bits(),
-            "delta loop diverged from the full loop"
+            "incremental run diverged from the full-cost run"
         );
         let moves = delta_run.stats.accepted + delta_run.stats.rejected;
         sa_delta_moves = Some(moves);

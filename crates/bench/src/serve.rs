@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
-use irgrid::anneal::{Annealer, Schedule};
+use irgrid::anneal::{Annealer, RunOptions, Schedule};
 use irgrid::congestion::{DeltaCongestion, DeltaCongestionSession, IrregularGridModel};
 use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::{Point, Rect, Um};
@@ -274,7 +274,9 @@ fn ami49_state() -> (FloorplanState, i64) {
         Weights::area_wire(),
         None::<IrregularGridModel>,
     );
-    let run = Annealer::new(Schedule::quick()).run(&problem, 4);
+    let run = Annealer::new(Schedule::quick())
+        .run(&problem, 4, RunOptions::default())
+        .expect("finite costs");
     let eval = problem.evaluate(&run.best);
     let (chip, segments): (Rect, Vec<(Point, Point)>) = (eval.placement.chip(), eval.segments);
     let (dx, dy) = (chip.ll().x.0, chip.ll().y.0);

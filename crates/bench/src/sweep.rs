@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use irgrid::anneal::{Annealer, Schedule};
+use irgrid::anneal::{Annealer, RunOptions, Schedule};
 use irgrid::congestion::{CongestionModel, FixedGridModel, IrregularGridModel};
 use irgrid::floorplan::{pack, two_pin_segments, PinPlacer, PolishExpr};
 use irgrid::floorplanner::{FloorplanProblem, Weights};
@@ -30,7 +30,9 @@ pub fn run(bench: McncCircuit) {
         Weights::area_wire(),
         None::<IrregularGridModel>,
     );
-    let result = Annealer::new(Schedule::quick()).run(&problem, 8);
+    let result = Annealer::new(Schedule::quick())
+        .run(&problem, 8, RunOptions::default())
+        .expect("finite costs");
     let eval = problem.evaluate(&result.best);
     let chip = eval.placement.chip();
 

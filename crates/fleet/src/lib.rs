@@ -5,7 +5,9 @@
 //! different random number generator seeds"). This crate turns that
 //! protocol into a supervised subsystem: a fixed-size worker pool over
 //! [`std::thread::scope`] runs many replicas of one
-//! [`Problem`](irgrid_anneal::Problem) concurrently, with per-replica
+//! [`DeltaProblem`](irgrid_anneal::DeltaProblem) concurrently (a
+//! full-cost [`Problem`](irgrid_anneal::Problem) runs through
+//! [`FullCostDelta`](irgrid_anneal::FullCostDelta)), with per-replica
 //! checkpoints, propagated cancellation and deadlines, crash recovery
 //! from a single atomic manifest, and a deterministic JSONL telemetry
 //! stream.
@@ -44,7 +46,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use irgrid_anneal::{Annealer, Problem, Schedule};
+//! use irgrid_anneal::{Annealer, FullCostDelta, Problem, Schedule};
 //! use irgrid_fleet::{ExchangeMode, Fleet, FleetConfig, FleetOptions};
 //! use rand::Rng;
 //!
@@ -67,7 +69,7 @@
 //!         ..FleetConfig::default()
 //!     },
 //! )?;
-//! let outcome = fleet.run(|| Bowl, &FleetOptions::default())?;
+//! let outcome = fleet.run(|| FullCostDelta::new(&Bowl), &FleetOptions::default())?;
 //! assert!(outcome.complete);
 //! assert!((outcome.best - 7).abs() <= 2);
 //! # Ok::<(), irgrid_fleet::FleetError>(())

@@ -7,7 +7,8 @@
 //! manifest always holds a consistent barrier snapshot of every replica.
 
 use irgrid_anneal::{
-    AnnealError, AnnealResult, AnnealStats, Annealer, Checkpoint, Problem, RunControl, StopReason,
+    AnnealError, AnnealResult, AnnealStats, Annealer, Checkpoint, DeltaProblem, RunControl,
+    RunOptions, StopReason,
 };
 use serde::{Deserialize, Serialize};
 
@@ -115,7 +116,7 @@ pub struct SegmentOutcome<S> {
 /// The segment is pure: its outcome is a function of `(problem, seed,
 /// start, target_steps)` alone, so it may run on any worker thread in
 /// any round ordering.
-pub fn run_segment<P: Problem>(
+pub fn run_segment<P: DeltaProblem>(
     annealer: &Annealer,
     problem: &P,
     seed: u64,
@@ -123,15 +124,16 @@ pub fn run_segment<P: Problem>(
     target_steps: usize,
     base: &RunControl,
 ) -> Result<SegmentOutcome<P::State>, AnnealError> {
-    let control = base.clone().with_step_budget(target_steps);
     let mut boundary: Option<Checkpoint<P::State>> = None;
-    let sink = |checkpoint: &Checkpoint<P::State>| boundary = Some(checkpoint.clone());
-    let result = match start {
-        None => annealer.run_with_checkpoints(problem, seed, &control, sink)?,
-        Some(checkpoint) => {
-            annealer.resume_with_checkpoints(problem, checkpoint, &control, sink)?
-        }
-    };
+    let result = annealer.run(
+        problem,
+        seed,
+        RunOptions {
+            control: base.clone().with_step_budget(target_steps),
+            checkpoints: Some(&mut |checkpoint| boundary = Some(checkpoint.clone())),
+            resume: start,
+        },
+    )?;
     let boundary = if result.stop_reason == StopReason::StepBudget {
         boundary
     } else {
@@ -143,7 +145,7 @@ pub fn run_segment<P: Problem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irgrid_anneal::Schedule;
+    use irgrid_anneal::{FullCostDelta, Problem, Schedule};
     use rand::Rng;
 
     struct Bowl;
@@ -166,8 +168,15 @@ mod tests {
 
     #[test]
     fn fresh_segment_stops_at_target_with_boundary() {
-        let outcome = run_segment(&annealer(), &Bowl, 3, None, 5, &RunControl::unlimited())
-            .expect("segment runs");
+        let outcome = run_segment(
+            &annealer(),
+            &FullCostDelta::new(&Bowl),
+            3,
+            None,
+            5,
+            &RunControl::unlimited(),
+        )
+        .expect("segment runs");
         assert_eq!(outcome.result.stop_reason, StopReason::StepBudget);
         let boundary = outcome.boundary.expect("budget stop emits a boundary");
         assert_eq!(boundary.steps_done, 5);
@@ -177,7 +186,7 @@ mod tests {
     fn chained_segments_match_one_uninterrupted_run() {
         let ann = annealer();
         let reference = ann
-            .run_controlled(&Bowl, 3, &RunControl::unlimited())
+            .run(&FullCostDelta::new(&Bowl), 3, RunOptions::default())
             .expect("reference runs");
 
         let mut start = None;
@@ -186,7 +195,7 @@ mod tests {
             total += 4;
             let outcome = run_segment(
                 &ann,
-                &Bowl,
+                &FullCostDelta::new(&Bowl),
                 3,
                 start.take(),
                 total,
@@ -208,7 +217,7 @@ mod tests {
     fn natural_finish_has_no_boundary() {
         let outcome = run_segment(
             &annealer(),
-            &Bowl,
+            &FullCostDelta::new(&Bowl),
             3,
             None,
             1_000_000,
@@ -225,8 +234,15 @@ mod tests {
         assert!(pending.is_live());
         assert!(pending.best_cost().is_none());
 
-        let outcome = run_segment(&annealer(), &Bowl, 9, None, 4, &RunControl::unlimited())
-            .expect("segment runs");
+        let outcome = run_segment(
+            &annealer(),
+            &FullCostDelta::new(&Bowl),
+            9,
+            None,
+            4,
+            &RunControl::unlimited(),
+        )
+        .expect("segment runs");
         let active = ReplicaPhase::Active(outcome.boundary.expect("boundary"));
         assert!(active.is_live());
         assert_eq!(
@@ -246,8 +262,15 @@ mod tests {
 
     #[test]
     fn replica_record_survives_serde() {
-        let outcome = run_segment(&annealer(), &Bowl, 5, None, 4, &RunControl::unlimited())
-            .expect("segment runs");
+        let outcome = run_segment(
+            &annealer(),
+            &FullCostDelta::new(&Bowl),
+            5,
+            None,
+            4,
+            &RunControl::unlimited(),
+        )
+        .expect("segment runs");
         let record = ReplicaRecord {
             seed: 5,
             phase: ReplicaPhase::Active(outcome.boundary.expect("boundary")),

@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 // elapsed-time reporting in this supervisor module; results never depend on it.
 use std::time::{Duration, Instant};
 
-use irgrid_anneal::{Annealer, CancelToken, Problem, RunControl, StopReason};
+use irgrid_anneal::{Annealer, CancelToken, DeltaProblem, RunControl, StopReason};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -200,7 +200,7 @@ impl Fleet {
         options: &FleetOptions,
     ) -> Result<FleetOutcome<P::State>, FleetError>
     where
-        P: Problem,
+        P: DeltaProblem,
         P::State: Clone + Send + PartialEq + Serialize + Deserialize,
         F: Fn() -> P + Sync,
     {
@@ -508,7 +508,7 @@ impl<S> RunState<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irgrid_anneal::Schedule;
+    use irgrid_anneal::{FullCostDelta, Problem, RunOptions, Schedule};
     use rand::Rng;
 
     struct Bowl;
@@ -542,7 +542,7 @@ mod tests {
     fn independent_fleet_matches_sequential_runs() {
         let fleet = fleet(ExchangeMode::Independent, 2);
         let outcome = fleet
-            .run(|| Bowl, &FleetOptions::default())
+            .run(|| FullCostDelta::new(&Bowl), &FleetOptions::default())
             .expect("fleet runs");
         assert!(outcome.complete);
         assert!(outcome.trace.is_empty(), "independent mode never exchanges");
@@ -551,7 +551,11 @@ mod tests {
         let annealer = Annealer::new(Schedule::quick());
         for summary in &outcome.replicas {
             let reference = annealer
-                .run_controlled(&Bowl, summary.seed, &RunControl::unlimited())
+                .run(
+                    &FullCostDelta::new(&Bowl),
+                    summary.seed,
+                    RunOptions::default(),
+                )
                 .expect("reference runs");
             assert_eq!(
                 summary.best_cost.map(f64::to_bits),
@@ -568,11 +572,11 @@ mod tests {
     fn outcome_is_bit_identical_across_worker_counts() {
         for mode in [ExchangeMode::Independent, ExchangeMode::Ladder] {
             let reference = fleet(mode, 1)
-                .run(|| Bowl, &FleetOptions::default())
+                .run(|| FullCostDelta::new(&Bowl), &FleetOptions::default())
                 .expect("reference fleet");
             for workers in [2, 4, 8] {
                 let outcome = fleet(mode, workers)
-                    .run(|| Bowl, &FleetOptions::default())
+                    .run(|| FullCostDelta::new(&Bowl), &FleetOptions::default())
                     .expect("fleet runs");
                 assert!(
                     outcome.deterministic_eq(&reference),
@@ -585,7 +589,7 @@ mod tests {
     #[test]
     fn ladder_mode_records_an_exchange_trace() {
         let outcome = fleet(ExchangeMode::Ladder, 2)
-            .run(|| Bowl, &FleetOptions::default())
+            .run(|| FullCostDelta::new(&Bowl), &FleetOptions::default())
             .expect("fleet runs");
         assert!(outcome.complete);
         assert!(
@@ -604,7 +608,7 @@ mod tests {
     #[test]
     fn telemetry_brackets_every_replica() {
         let outcome = fleet(ExchangeMode::Independent, 3)
-            .run(|| Bowl, &FleetOptions::default())
+            .run(|| FullCostDelta::new(&Bowl), &FleetOptions::default())
             .expect("fleet runs");
         let started = outcome
             .events
@@ -634,12 +638,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let fleet = fleet(ExchangeMode::Ladder, 2);
         let reference = fleet
-            .run(|| Bowl, &FleetOptions::default())
+            .run(|| FullCostDelta::new(&Bowl), &FleetOptions::default())
             .expect("reference fleet");
 
         let paused = fleet
             .run(
-                || Bowl,
+                || FullCostDelta::new(&Bowl),
                 &FleetOptions {
                     run_dir: Some(dir.clone()),
                     pause_after_rounds: Some(2),
@@ -652,7 +656,7 @@ mod tests {
 
         let resumed = fleet
             .run(
-                || Bowl,
+                || FullCostDelta::new(&Bowl),
                 &FleetOptions {
                     run_dir: Some(dir.clone()),
                     resume: true,
@@ -670,7 +674,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let fleet = fleet(ExchangeMode::Ladder, 2);
         let reference = fleet
-            .run(|| Bowl, &FleetOptions::default())
+            .run(|| FullCostDelta::new(&Bowl), &FleetOptions::default())
             .expect("reference fleet");
 
         // A pre-cancelled token stops every segment at its first
@@ -679,7 +683,7 @@ mod tests {
         token.cancel();
         let first = fleet
             .run(
-                || Bowl,
+                || FullCostDelta::new(&Bowl),
                 &FleetOptions {
                     run_dir: Some(dir.clone()),
                     cancel: Some(token),
@@ -692,7 +696,7 @@ mod tests {
         // The directory holds a start-of-run telemetry file but no
         // manifest, so resuming reports NothingToResume.
         let resumed = fleet.run(
-            || Bowl,
+            || FullCostDelta::new(&Bowl),
             &FleetOptions {
                 run_dir: Some(dir.clone()),
                 resume: true,
@@ -705,7 +709,7 @@ mod tests {
         let token = CancelToken::new();
         let paused = fleet
             .run(
-                || Bowl,
+                || FullCostDelta::new(&Bowl),
                 &FleetOptions {
                     run_dir: Some(dir.clone()),
                     pause_after_rounds: Some(1),
@@ -717,7 +721,7 @@ mod tests {
         assert!(!paused.complete);
         let resumed = fleet
             .run(
-                || Bowl,
+                || FullCostDelta::new(&Bowl),
                 &FleetOptions {
                     run_dir: Some(dir.clone()),
                     resume: true,
@@ -736,7 +740,7 @@ mod tests {
         let fleet_a = fleet(ExchangeMode::Independent, 1);
         fleet_a
             .run(
-                || Bowl,
+                || FullCostDelta::new(&Bowl),
                 &FleetOptions {
                     run_dir: Some(dir.clone()),
                     pause_after_rounds: Some(1),
@@ -749,7 +753,7 @@ mod tests {
             .expect("valid config");
         let err = fleet_b
             .run(
-                || Bowl,
+                || FullCostDelta::new(&Bowl),
                 &FleetOptions {
                     run_dir: Some(dir.clone()),
                     resume: true,
@@ -773,11 +777,13 @@ mod tests {
             run_dir: Some(dir.clone()),
             ..FleetOptions::default()
         };
-        let first = fleet.run(|| Bowl, &options).expect("fleet runs");
+        let first = fleet
+            .run(|| FullCostDelta::new(&Bowl), &options)
+            .expect("fleet runs");
         assert!(first.complete);
         let again = fleet
             .run(
-                || Bowl,
+                || FullCostDelta::new(&Bowl),
                 &FleetOptions {
                     resume: true,
                     ..options

@@ -389,7 +389,7 @@ impl<'c, M: CongestionModel, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
 /// seeded), so every instance scores any given state to identical cost
 /// bits — exactly the factory contract the fleet supervisor requires.
 #[derive(Debug, Clone)]
-pub struct FloorplanSpec<'c, M: CongestionModel + Clone, R: FloorplanRepr = PolishExpr> {
+pub struct FloorplanSpec<'c, M: DeltaCongestion + Clone, R: FloorplanRepr = PolishExpr> {
     circuit: &'c Circuit,
     pitch: Um,
     weights: Weights,
@@ -397,7 +397,7 @@ pub struct FloorplanSpec<'c, M: CongestionModel + Clone, R: FloorplanRepr = Poli
     repr: PhantomData<R>,
 }
 
-impl<'c, M: CongestionModel + Clone, R: FloorplanRepr> FloorplanSpec<'c, M, R> {
+impl<'c, M: DeltaCongestion + Clone, R: FloorplanRepr> FloorplanSpec<'c, M, R> {
     /// Creates a spec, validating the parameters by building (and
     /// discarding) one problem instance.
     pub fn new(
@@ -632,9 +632,19 @@ impl<'c, M: DeltaCongestion, R: FloorplanRepr> DeltaProblem for FloorplanProblem
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irgrid_anneal::{Annealer, Schedule};
+    use irgrid_anneal::{AnnealResult, Annealer, FullCostDelta, RunOptions, Schedule};
     use irgrid_core::{FixedGridModel, IrregularGridModel};
     use irgrid_netlist::generator::CircuitGenerator;
+
+    fn anneal<P: DeltaProblem>(
+        annealer: &Annealer,
+        problem: &P,
+        seed: u64,
+    ) -> AnnealResult<P::State> {
+        annealer
+            .run(problem, seed, RunOptions::default())
+            .expect("finite costs")
+    }
 
     fn small_circuit() -> Circuit {
         CircuitGenerator::new("t", 8, 16)
@@ -669,7 +679,7 @@ mod tests {
             None::<FixedGridModel>,
         );
         let initial_cost = problem.cost(&problem.initial_state());
-        let result = Annealer::new(Schedule::quick()).run(&problem, 11);
+        let result = anneal(&Annealer::new(Schedule::quick()), &problem, 11);
         assert!(
             result.best_cost < initial_cost,
             "best {} vs initial {initial_cost}",
@@ -700,22 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_runs() {
-        let circuit = small_circuit();
-        let problem = FloorplanProblem::new(
-            &circuit,
-            Um(30),
-            Weights::balanced(),
-            Some(IrregularGridModel::new(Um(30))),
-        );
-        let annealer = Annealer::new(Schedule::quick());
-        let a = annealer.run(&problem, 5);
-        let b = annealer.run(&problem, 5);
-        assert_eq!(a.best, b.best);
-        assert_eq!(a.best_cost, b.best_cost);
-    }
-
-    #[test]
     fn single_module_circuit_is_stable() {
         let circuit = Circuit::new(
             "one",
@@ -729,7 +723,7 @@ mod tests {
             Weights::balanced(),
             None::<FixedGridModel>,
         );
-        let result = Annealer::new(Schedule::quick()).run(&problem, 1);
+        let result = anneal(&Annealer::new(Schedule::quick()), &problem, 1);
         let eval = problem.evaluate(&result.best);
         assert_eq!(eval.area_um2, 5000.0);
         assert_eq!(eval.wirelength_um, 0.0);
@@ -846,7 +840,7 @@ mod tests {
         let initial = problem.cost(&<SequencePair as irgrid_floorplan::FloorplanRepr>::initial(
             circuit.modules().len(),
         ));
-        let result = Annealer::new(Schedule::quick()).run(&problem, 9);
+        let result = anneal(&Annealer::new(Schedule::quick()), &problem, 9);
         assert!(result.best_cost <= initial);
         let eval = problem.evaluate(&result.best);
         assert!(eval.placement.check_consistency().is_none());
@@ -854,10 +848,11 @@ mod tests {
     }
 
     #[test]
-    fn gamma_zero_delta_run_is_bit_identical_to_plain_run() {
+    fn gamma_zero_native_run_is_bit_identical_to_full_cost_run() {
         // With γ = 0 the delta cost function coincides with the full cost
         // function exactly (integer wirelength sums are exact in f64), so
-        // the delta loop must reproduce the plain loop bit for bit.
+        // the native delta run must reproduce the full-cost run bit for
+        // bit.
         let circuit = small_circuit();
         let problem = FloorplanProblem::new(
             &circuit,
@@ -867,8 +862,8 @@ mod tests {
         );
         let annealer = Annealer::new(Schedule::quick());
         for seed in [2, 11, 23] {
-            let plain = annealer.run(&problem, seed);
-            let delta = annealer.run_delta(&problem, seed);
+            let plain = anneal(&annealer, &FullCostDelta::new(&problem), seed);
+            let delta = anneal(&annealer, &problem, seed);
             assert_eq!(plain.best, delta.best, "seed {seed}");
             assert_eq!(plain.best_cost.to_bits(), delta.best_cost.to_bits());
             assert_eq!(plain.stats, delta.stats);
@@ -963,8 +958,8 @@ mod tests {
             Some(IrregularGridModel::new(Um(30))),
         );
         let annealer = Annealer::new(Schedule::quick());
-        let a = annealer.run_delta(&problem, 5);
-        let b = annealer.run_delta(&problem, 5);
+        let a = anneal(&annealer, &problem, 5);
+        let b = anneal(&annealer, &problem, 5);
         assert_eq!(a.best, b.best);
         assert_eq!(a.best_cost.to_bits(), b.best_cost.to_bits());
         assert_eq!(a.stats, b.stats);

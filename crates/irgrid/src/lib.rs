@@ -29,7 +29,7 @@
 //! ```
 //! use irgrid::congestion::{CongestionModel, FixedGridModel, IrregularGridModel};
 //! use irgrid::floorplanner::{FloorplanProblem, Weights};
-//! use irgrid::anneal::{Annealer, Schedule};
+//! use irgrid::anneal::{Annealer, RunOptions, Schedule};
 //! use irgrid::geom::Um;
 //! use irgrid::netlist::generator::CircuitGenerator;
 //!
@@ -40,7 +40,7 @@
 //!     Weights::balanced(),
 //!     Some(IrregularGridModel::new(Um(30))),
 //! );
-//! let result = Annealer::new(Schedule::quick()).run(&problem, 7);
+//! let result = Annealer::new(Schedule::quick()).run(&problem, 7, RunOptions::default())?;
 //! let eval = problem.evaluate(&result.best);
 //! assert!(eval.placement.check_consistency().is_none());
 //!
@@ -48,20 +48,18 @@
 //! let judging = FixedGridModel::judging();
 //! let judged = judging.evaluate(&eval.placement.chip(), &eval.segments);
 //! assert!(judged >= 0.0);
-//! # Ok::<(), irgrid::netlist::BuildCircuitError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
 //! # Incremental evaluation
 //!
-//! For long annealing runs, swap `run` for
-//! [`run_delta`](anneal::Annealer::run_delta): the
-//! [`FloorplanProblem`](floorplanner::FloorplanProblem) then re-evaluates
-//! only the nets each move touched, and the Irregular-Grid model scores
-//! them through its exact fixed-point delta session
+//! [`Annealer::run`](anneal::Annealer::run) drives the incremental move
+//! protocol: the [`FloorplanProblem`](floorplanner::FloorplanProblem)
+//! re-evaluates only the nets each move touched, and the Irregular-Grid
+//! model scores them through its exact fixed-point delta session
 //! ([`congestion::IrDeltaEvaluator`], wired in via
-//! [`congestion::DeltaCongestion`]) — about twice the SA throughput on
-//! the MCNC circuits, with results that are bit-identical to
-//! from-scratch evaluation of every visited floorplan.
+//! [`congestion::DeltaCongestion`]), with results that are bit-identical
+//! to from-scratch evaluation of every visited floorplan.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

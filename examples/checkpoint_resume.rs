@@ -5,7 +5,7 @@
 //! cargo run -p irgrid --example checkpoint_resume
 //! ```
 
-use irgrid::anneal::{Annealer, Checkpoint, RunControl, Schedule, StopReason};
+use irgrid::anneal::{Annealer, Checkpoint, RunControl, RunOptions, Schedule, StopReason};
 use irgrid::congestion::IrregularGridModel;
 use irgrid::floorplan::PolishExpr;
 use irgrid::floorplanner::{FloorplanProblem, Weights};
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed = 7;
 
     // The reference: one uninterrupted run.
-    let uninterrupted = annealer.run_controlled(&problem, seed, &RunControl::unlimited())?;
+    let uninterrupted = annealer.run(&problem, seed, RunOptions::default())?;
     println!(
         "uninterrupted: best cost {:.6}, {} temperature steps, stopped: {}",
         uninterrupted.best_cost, uninterrupted.stats.temperatures, uninterrupted.stop_reason
@@ -34,14 +34,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // every 5 temperature steps; a real deployment would set a deadline or
     // wire the CancelToken to a signal handler instead.
     let path = std::env::temp_dir().join("irgrid_example.ckpt.json");
-    let control = RunControl::unlimited()
-        .with_checkpoint_every(5)
-        .with_move_budget(1_200);
-    let interrupted = annealer.run_with_checkpoints(&problem, seed, &control, |checkpoint| {
+    let mut write = |checkpoint: &Checkpoint<PolishExpr>| {
         if let Err(err) = checkpoint.write_file(&path) {
             eprintln!("warning: {err}");
         }
-    })?;
+    };
+    let interrupted = annealer.run(
+        &problem,
+        seed,
+        RunOptions {
+            control: RunControl::unlimited()
+                .with_checkpoint_every(5)
+                .with_move_budget(1_200),
+            checkpoints: Some(&mut write),
+            resume: None,
+        },
+    )?;
     assert_eq!(interrupted.stop_reason, StopReason::MoveBudget);
     println!(
         "interrupted:   best cost {:.6} after {} steps, stopped: {}",
@@ -54,7 +62,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "resuming from step {} (temperature {:.4})...",
         checkpoint.steps_done, checkpoint.temperature
     );
-    let resumed = annealer.resume(&problem, checkpoint, &RunControl::unlimited())?;
+    let resumed = annealer.run(
+        &problem,
+        seed,
+        RunOptions {
+            resume: Some(checkpoint),
+            ..RunOptions::default()
+        },
+    )?;
     println!(
         "resumed:       best cost {:.6}, {} temperature steps, stopped: {}",
         resumed.best_cost, resumed.stats.temperatures, resumed.stop_reason

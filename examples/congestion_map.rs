@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example congestion_map [circuit]`
 //! where `circuit` is one of apte, xerox, hp, ami33 (default), ami49.
 
-use irgrid::anneal::{Annealer, Schedule};
+use irgrid::anneal::{Annealer, RunOptions, Schedule};
 use irgrid::congestion::{FixedGridModel, IrregularGridModel};
 use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::Um;
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Weights::balanced(),
         Some(IrregularGridModel::new(pitch)),
     );
-    let result = Annealer::new(Schedule::quick()).run(&problem, 1);
+    let result = Annealer::new(Schedule::quick()).run(&problem, 1, RunOptions::default())?;
     let eval = problem.evaluate(&result.best);
     println!(
         "best floorplan: {:.2} mm^2, wirelength {:.0} um, IR cost {:.4}",

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example floorplan_svg [circuit] [outdir]`
 
-use irgrid::anneal::{Annealer, Schedule};
+use irgrid::anneal::{Annealer, RunOptions, Schedule};
 use irgrid::congestion::{FixedGridModel, IrregularGridModel};
 use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::Um;
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Weights::routability(),
         Some(IrregularGridModel::new(pitch)),
     );
-    let result = Annealer::new(Schedule::quick()).run(&problem, 3);
+    let result = Annealer::new(Schedule::quick()).run(&problem, 3, RunOptions::default())?;
     let eval = problem.evaluate(&result.best);
 
     let placement_path = outdir.join(format!("{}_floorplan.svg", bench.name()));

@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use irgrid::anneal::{Annealer, Schedule};
+use irgrid::anneal::{Annealer, RunOptions, Schedule};
 use irgrid::congestion::{Evaluator, FixedGridModel, IrregularGridModel, LzShapeModel};
 use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::Um;
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Weights::area_wire(),
         None::<IrregularGridModel>,
     );
-    let result = Annealer::new(Schedule::quick()).run(&problem, 3);
+    let result = Annealer::new(Schedule::quick()).run(&problem, 3, RunOptions::default())?;
     let eval = problem.evaluate(&result.best);
     let chip = eval.placement.chip();
     let segments = &eval.segments;

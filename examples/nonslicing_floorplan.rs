@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use irgrid::anneal::{Annealer, Schedule};
+use irgrid::anneal::{Annealer, RunOptions, Schedule};
 use irgrid::congestion::{CongestionModel, FixedGridModel, IrregularGridModel};
 use irgrid::floorplan::{PolishExpr, SequencePair};
 use irgrid::floorplanner::{FloorplanEval, FloorplanProblem, Weights};
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Some(IrregularGridModel::new(pitch)),
         );
     let t = Instant::now();
-    let result = annealer.run(&slicing, seed);
+    let result = annealer.run(&slicing, seed, RunOptions::default())?;
     let eval = slicing.evaluate(&result.best);
     let judged = judging.evaluate(&eval.placement.chip(), &eval.segments);
     report(
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Some(IrregularGridModel::new(pitch)),
         );
     let t = Instant::now();
-    let result = annealer.run(&seqpair, seed);
+    let result = annealer.run(&seqpair, seed, RunOptions::default())?;
     let eval = seqpair.evaluate(&result.best);
     let judged = judging.evaluate(&eval.placement.chip(), &eval.segments);
     report(

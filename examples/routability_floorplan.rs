@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use irgrid::anneal::{Annealer, Schedule};
+use irgrid::anneal::{Annealer, RunOptions, Schedule};
 use irgrid::congestion::{CongestionModel, FixedGridModel, IrregularGridModel};
 use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::Um;
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None::<IrregularGridModel>,
     );
     let t = Instant::now();
-    let result_aw = annealer.run(&problem_aw, seed);
+    let result_aw = annealer.run(&problem_aw, seed, RunOptions::default())?;
     let time_aw = t.elapsed();
     let eval_aw = problem_aw.evaluate(&result_aw.best);
     let judged_aw = judging.evaluate(&eval_aw.placement.chip(), &eval_aw.segments);
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(IrregularGridModel::new(pitch)),
     );
     let t = Instant::now();
-    let result_cgt = annealer.run(&problem_cgt, seed);
+    let result_cgt = annealer.run(&problem_cgt, seed, RunOptions::default())?;
     let time_cgt = t.elapsed();
     let eval_cgt = problem_cgt.evaluate(&result_cgt.best);
     let judged_cgt = judging.evaluate(&eval_cgt.placement.chip(), &eval_cgt.segments);

@@ -1,11 +1,11 @@
 //! End-to-end incremental (delta) floorplan evaluation on real MCNC
-//! circuits: the delta annealing loop must reproduce the full-cost loop
-//! bit for bit for any weights, and the
-//! propose/commit/undo protocol must stay bit-identical to from-scratch
-//! evaluation through long reject/undo chains and repeated moves of the
-//! same module.
+//! circuits: annealing the floorplanner natively must reproduce the
+//! same run through the full-cost [`FullCostDelta`] adapter bit for bit
+//! for any weights, and the propose/commit/undo protocol must stay
+//! bit-identical to from-scratch evaluation through long reject/undo
+//! chains and repeated moves of the same module.
 
-use irgrid::anneal::{Annealer, DeltaProblem, Problem, Schedule};
+use irgrid::anneal::{Annealer, DeltaProblem, FullCostDelta, Problem, RunOptions, Schedule};
 use irgrid::congestion::IrregularGridModel;
 use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::Um;
@@ -13,9 +13,10 @@ use irgrid::netlist::mcnc::McncCircuit;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Runs both annealing loops on apte from each seed and asserts they
-/// make the same decisions and reach the same best cost bits.
-fn assert_loops_agree(weights: Weights, schedule: Schedule, seeds: &[u64]) {
+/// Anneals apte from each seed natively and through [`FullCostDelta`]
+/// and asserts the two runs make the same decisions and reach the same
+/// best cost bits.
+fn assert_native_matches_full_cost(weights: Weights, schedule: Schedule, seeds: &[u64]) {
     let circuit = McncCircuit::Apte.circuit();
     let problem = FloorplanProblem::new(
         &circuit,
@@ -24,9 +25,14 @@ fn assert_loops_agree(weights: Weights, schedule: Schedule, seeds: &[u64]) {
         Some(IrregularGridModel::new(Um(60))),
     );
     let annealer = Annealer::new(schedule);
+    let full_cost = FullCostDelta::new(&problem);
     for &seed in seeds {
-        let plain = annealer.run(&problem, seed);
-        let delta = annealer.run_delta(&problem, seed);
+        let plain = annealer
+            .run(&full_cost, seed, RunOptions::default())
+            .expect("finite costs");
+        let delta = annealer
+            .run(&problem, seed, RunOptions::default())
+            .expect("finite costs");
         assert_eq!(plain.best, delta.best, "seed {seed}");
         assert_eq!(plain.best_cost.to_bits(), delta.best_cost.to_bits());
         assert_eq!(plain.stats, delta.stats);
@@ -35,21 +41,21 @@ fn assert_loops_agree(weights: Weights, schedule: Schedule, seeds: &[u64]) {
 }
 
 #[test]
-fn apte_gamma_zero_delta_run_matches_plain_run_bitwise() {
-    assert_loops_agree(Weights::area_wire(), Schedule::quick(), &[1, 8]);
+fn apte_gamma_zero_native_run_matches_full_cost_run_bitwise() {
+    assert_native_matches_full_cost(Weights::area_wire(), Schedule::quick(), &[1, 8]);
 }
 
 #[test]
-fn apte_routability_delta_run_matches_plain_run_bitwise() {
-    // With γ > 0 the congestion term is a fresh rebase on the full path
-    // and a warm propose on the delta path: the same bits, so the two
-    // loops still agree move for move.
+fn apte_routability_native_run_matches_full_cost_run_bitwise() {
+    // With γ > 0 the congestion term is a full evaluation through the
+    // adapter and a warm propose natively: the same bits, so the two
+    // runs still agree move for move.
     let schedule = Schedule {
         moves_per_temperature: 24,
         max_temperatures: 24,
         ..Schedule::quick()
     };
-    assert_loops_agree(Weights::routability(), schedule, &[1, 8]);
+    assert_native_matches_full_cost(Weights::routability(), schedule, &[1, 8]);
 }
 
 #[test]
@@ -134,7 +140,9 @@ fn ami33_delta_run_improves_and_stays_consistent() {
         Some(IrregularGridModel::new(Um(30))),
     );
     let initial = problem.rebase(&problem.initial_state());
-    let result = Annealer::new(Schedule::quick()).run_delta(&problem, 7);
+    let result = Annealer::new(Schedule::quick())
+        .run(&problem, 7, RunOptions::default())
+        .expect("finite costs");
     assert!(
         result.best_cost < initial,
         "delta annealing failed to improve"

@@ -2,15 +2,21 @@
 //! with the Irregular-Grid model in the loop → judging with the
 //! fixed-grid reference.
 
-use irgrid::anneal::{Annealer, Problem, Schedule};
+use irgrid::anneal::{AnnealResult, Annealer, DeltaProblem, Problem, RunOptions, Schedule};
 use irgrid::congestion::{CongestionModel, FixedGridModel, IrregularGridModel};
 use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::Um;
 use irgrid::netlist::generator::CircuitGenerator;
 use irgrid::netlist::mcnc::McncCircuit;
 
-fn quick() -> Annealer {
-    Annealer::new(Schedule::quick())
+fn anneal<P: DeltaProblem>(schedule: Schedule, problem: &P, seed: u64) -> AnnealResult<P::State> {
+    Annealer::new(schedule)
+        .run(problem, seed, RunOptions::default())
+        .expect("finite costs")
+}
+
+fn quick<P: DeltaProblem>(problem: &P, seed: u64) -> AnnealResult<P::State> {
+    anneal(Schedule::quick(), problem, seed)
 }
 
 #[test]
@@ -27,7 +33,7 @@ fn congestion_driven_annealing_improves_all_the_way_down() {
         Some(IrregularGridModel::new(Um(30))),
     );
     let initial = problem.cost(&problem.initial_state());
-    let result = quick().run(&problem, 3);
+    let result = quick(&problem, 3);
     assert!(result.best_cost <= initial);
     let eval = problem.evaluate(&result.best);
     assert!(eval.placement.check_consistency().is_none());
@@ -43,7 +49,7 @@ fn judging_model_scores_any_floorplanner_output() {
         Weights::area_wire(),
         None::<IrregularGridModel>,
     );
-    let result = quick().run(&problem, 1);
+    let result = quick(&problem, 1);
     let eval = problem.evaluate(&result.best);
     let judged = FixedGridModel::judging().evaluate(&eval.placement.chip(), &eval.segments);
     assert!(judged.is_finite());
@@ -71,7 +77,7 @@ fn per_temperature_snapshots_flow_through_the_stack() {
         snapshot_per_temperature: true,
         ..Schedule::quick()
     };
-    let result = Annealer::new(schedule).run(&problem, 5);
+    let result = anneal(schedule, &problem, 5);
     assert!(!result.snapshots.is_empty());
     let judging = FixedGridModel::new(Um(10));
     for snapshot in &result.snapshots {
@@ -93,10 +99,10 @@ fn same_seed_same_floorplan_different_seed_usually_differs() {
         Weights::balanced(),
         Some(IrregularGridModel::new(Um(30))),
     );
-    let a = quick().run(&problem, 100);
-    let b = quick().run(&problem, 100);
+    let a = quick(&problem, 100);
+    let b = quick(&problem, 100);
     assert_eq!(a.best, b.best, "same seed must reproduce exactly");
-    let c = quick().run(&problem, 101);
+    let c = quick(&problem, 101);
     // Different seeds explore differently (costs may coincide, full
     // stats rarely do).
     assert!(

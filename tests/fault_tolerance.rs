@@ -3,7 +3,8 @@
 //! guards on the real floorplanning problem.
 
 use irgrid::anneal::{
-    AnnealError, Annealer, CancelToken, Checkpoint, Problem, RunControl, Schedule, StopReason,
+    AnnealError, AnnealResult, Annealer, CancelToken, Checkpoint, DeltaProblem, FullCostDelta,
+    Problem, RunControl, RunOptions, Schedule, StopReason,
 };
 use irgrid::congestion::IrregularGridModel;
 use irgrid::floorplan::PolishExpr;
@@ -29,6 +30,31 @@ impl Problem for Bowl {
     }
 }
 
+fn run<P: DeltaProblem>(
+    annealer: &Annealer,
+    problem: &P,
+    seed: u64,
+    options: RunOptions<'_, P::State>,
+) -> AnnealResult<P::State> {
+    annealer
+        .run(problem, seed, options)
+        .expect("finite costs, valid checkpoint")
+}
+
+fn controlled<S>(control: RunControl) -> RunOptions<'static, S> {
+    RunOptions {
+        control,
+        ..RunOptions::default()
+    }
+}
+
+fn resuming<S>(checkpoint: Checkpoint<S>) -> RunOptions<'static, S> {
+    RunOptions {
+        resume: Some(checkpoint),
+        ..RunOptions::default()
+    }
+}
+
 fn test_circuit() -> Circuit {
     CircuitGenerator::new("ft", 8, 16)
         .total_area_um2(1.0e6)
@@ -45,19 +71,19 @@ proptest! {
     #[test]
     fn bowl_resume_is_bit_identical(seed in 0u64..10_000, cadence in 1usize..9) {
         let annealer = Annealer::new(Schedule::quick());
-        let uninterrupted = annealer.run(&Bowl, seed);
+        let bowl = FullCostDelta::new(&Bowl);
+        let uninterrupted = run(&annealer, &bowl, seed, RunOptions::default());
 
         let mut checkpoints = Vec::new();
-        let control = RunControl::unlimited().with_checkpoint_every(cadence);
-        annealer
-            .run_with_checkpoints(&Bowl, seed, &control, |c| checkpoints.push(c.clone()))
-            .expect("finite costs");
+        run(&annealer, &bowl, seed, RunOptions {
+            control: RunControl::unlimited().with_checkpoint_every(cadence),
+            checkpoints: Some(&mut |c| checkpoints.push(c.clone())),
+            resume: None,
+        });
         prop_assert!(!checkpoints.is_empty());
 
         for checkpoint in checkpoints {
-            let resumed = annealer
-                .resume(&Bowl, checkpoint, &RunControl::unlimited())
-                .expect("valid checkpoint");
+            let resumed = run(&annealer, &bowl, seed, resuming(checkpoint));
             prop_assert_eq!(resumed.best, uninterrupted.best);
             prop_assert_eq!(resumed.best_cost, uninterrupted.best_cost);
             prop_assert_eq!(resumed.stats, uninterrupted.stats);
@@ -70,9 +96,12 @@ proptest! {
     #[test]
     fn bowl_move_budget_is_exact(seed in 0u64..10_000, budget in 1u64..2_000) {
         let annealer = Annealer::new(Schedule::quick());
-        let result = annealer
-            .run_controlled(&Bowl, seed, &RunControl::unlimited().with_move_budget(budget))
-            .expect("finite costs");
+        let result = run(
+            &annealer,
+            &FullCostDelta::new(&Bowl),
+            seed,
+            controlled(RunControl::unlimited().with_move_budget(budget)),
+        );
         let proposed = (result.stats.accepted + result.stats.rejected) as u64;
         if result.stop_reason == StopReason::MoveBudget {
             prop_assert_eq!(proposed, budget);
@@ -100,23 +129,22 @@ proptest! {
             Some(IrregularGridModel::new(Um(30))),
         );
         let annealer = Annealer::new(Schedule::quick());
-        let uninterrupted = annealer.run(&problem, seed);
+        let uninterrupted = run(&annealer, &problem, seed, RunOptions::default());
 
         let mut middle: Option<String> = None;
-        let control = RunControl::unlimited().with_checkpoint_every(7);
-        annealer
-            .run_with_checkpoints(&problem, seed, &control, |c| {
+        run(&annealer, &problem, seed, RunOptions {
+            control: RunControl::unlimited().with_checkpoint_every(7),
+            checkpoints: Some(&mut |c| {
                 if middle.is_none() {
                     middle = Some(c.to_json());
                 }
-            })
-            .expect("finite costs");
+            }),
+            resume: None,
+        });
         let json = middle.expect("run long enough to checkpoint");
         let checkpoint: Checkpoint<PolishExpr> =
             Checkpoint::from_json(&json).expect("parse");
-        let resumed = annealer
-            .resume(&problem, checkpoint, &RunControl::unlimited())
-            .expect("valid checkpoint");
+        let resumed = run(&annealer, &problem, seed, resuming(checkpoint));
         prop_assert_eq!(resumed.best, uninterrupted.best);
         prop_assert_eq!(resumed.best_cost, uninterrupted.best_cost);
         prop_assert_eq!(resumed.stats, uninterrupted.stats);
@@ -136,24 +164,28 @@ fn floorplan_run_survives_interrupt_then_resume_to_same_answer() {
         Some(IrregularGridModel::new(Um(30))),
     );
     let annealer = Annealer::new(Schedule::quick());
-    let uninterrupted = annealer.run(&problem, 11);
+    let uninterrupted = run(&annealer, &problem, 11, RunOptions::default());
 
     // Interrupt halfway through: strictly fewer moves than the full run,
     // so the budget is guaranteed to trip.
     let total_moves = (uninterrupted.stats.accepted + uninterrupted.stats.rejected) as u64;
     let mut last: Option<Checkpoint<PolishExpr>> = None;
-    let control = RunControl::unlimited()
-        .with_checkpoint_every(1)
-        .with_move_budget(total_moves / 2);
-    let interrupted = annealer
-        .run_with_checkpoints(&problem, 11, &control, |c| last = Some(c.clone()))
-        .expect("finite costs");
+    let interrupted = run(
+        &annealer,
+        &problem,
+        11,
+        RunOptions {
+            control: RunControl::unlimited()
+                .with_checkpoint_every(1)
+                .with_move_budget(total_moves / 2),
+            checkpoints: Some(&mut |c| last = Some(c.clone())),
+            resume: None,
+        },
+    );
     assert_eq!(interrupted.stop_reason, StopReason::MoveBudget);
     let checkpoint = last.expect("checkpointed before the budget ran out");
 
-    let resumed = annealer
-        .resume(&problem, checkpoint, &RunControl::unlimited())
-        .expect("valid checkpoint");
+    let resumed = run(&annealer, &problem, 11, resuming(checkpoint));
     assert_eq!(resumed.best, uninterrupted.best);
     assert_eq!(resumed.best_cost, uninterrupted.best_cost);
     assert_eq!(resumed.stats, uninterrupted.stats);
@@ -181,13 +213,12 @@ fn cancellation_across_threads_stops_the_floorplanner() {
         min_temperature_ratio: 1e-12,
         ..Schedule::default()
     });
-    let result = annealer
-        .run_controlled(
-            &problem,
-            1,
-            &RunControl::unlimited().with_cancel_token(token),
-        )
-        .expect("finite costs");
+    let result = run(
+        &annealer,
+        &problem,
+        1,
+        controlled(RunControl::unlimited().with_cancel_token(token)),
+    );
     handle.join().expect("canceller thread");
     assert_eq!(result.stop_reason, StopReason::Cancelled);
     // The partial result is still a valid floorplan.
@@ -207,21 +238,23 @@ fn resume_on_different_problem_diverges_but_never_corrupts() {
     );
     let annealer = Annealer::new(Schedule::quick());
     let mut checkpoint: Option<Checkpoint<PolishExpr>> = None;
-    let control = RunControl::unlimited().with_checkpoint_every(1);
-    annealer
-        .run_with_checkpoints(&problem, 5, &control, |c| {
-            if checkpoint.is_none() {
-                checkpoint = Some(c.clone());
-            }
-        })
-        .expect("finite costs");
+    run(
+        &annealer,
+        &problem,
+        5,
+        RunOptions {
+            control: RunControl::unlimited().with_checkpoint_every(1),
+            checkpoints: Some(&mut |c| {
+                if checkpoint.is_none() {
+                    checkpoint = Some(c.clone());
+                }
+            }),
+            resume: None,
+        },
+    );
     let other = Annealer::new(Schedule::default());
     let err = other
-        .resume(
-            &problem,
-            checkpoint.expect("one checkpoint"),
-            &RunControl::unlimited(),
-        )
+        .run(&problem, 5, resuming(checkpoint.expect("one checkpoint")))
         .unwrap_err();
     assert_eq!(err, AnnealError::ScheduleMismatch);
 }
@@ -250,9 +283,12 @@ impl Problem for EventuallyNan {
 #[test]
 fn nan_mid_run_reports_cost_error_and_keeps_finite_best() {
     let annealer = Annealer::new(Schedule::quick());
-    let result = annealer
-        .run_controlled(&EventuallyNan, 3, &RunControl::unlimited())
-        .expect("initial cost finite");
+    let result = run(
+        &annealer,
+        &FullCostDelta::new(&EventuallyNan),
+        3,
+        RunOptions::default(),
+    );
     assert_eq!(result.stop_reason, StopReason::CostError);
     assert!(result.best <= 400, "best {} is poisoned", result.best);
     assert!(result.best_cost.is_finite());

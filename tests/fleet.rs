@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use irgrid::anneal::{Annealer, CancelToken, Problem, Schedule};
+use irgrid::anneal::{Annealer, CancelToken, FullCostDelta, Problem, Schedule};
 use irgrid::congestion::IrregularGridModel;
 use irgrid::fleet::{
     ExchangeMode, Fleet, FleetConfig, FleetManifest, FleetOptions, FleetOutcome, MANIFEST_FILE,
@@ -253,7 +253,7 @@ proptest! {
         };
         let reference = Fleet::new(Annealer::new(Schedule::quick()), config)
             .expect("valid")
-            .run(|| Bowl, &FleetOptions::default())
+            .run(|| FullCostDelta::new(&Bowl), &FleetOptions::default())
             .expect("run");
         for workers in [2, 3] {
             let outcome = Fleet::new(
@@ -261,7 +261,7 @@ proptest! {
                 FleetConfig { workers, ..config },
             )
             .expect("valid")
-            .run(|| Bowl, &FleetOptions::default())
+            .run(|| FullCostDelta::new(&Bowl), &FleetOptions::default())
             .expect("run");
             prop_assert!(outcome.deterministic_eq(&reference), "workers={}", workers);
         }
