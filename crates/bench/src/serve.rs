@@ -2,28 +2,29 @@
 //! the `irgrid-serve` daemon, written to `BENCH_serve.json`.
 //!
 //! Starts an in-process daemon on a Unix socket, drives it with N
-//! concurrent synthetic clients (default 8) each evaluating a
-//! deterministic script of floorplan batches, and reports sustained
-//! evaluations/s plus the robustness counters CI asserts on:
-//! `corrupted_sessions` (must be 0), `degraded_responses`,
+//! concurrent synthetic clients (default 8) each playing a deterministic
+//! script of moves — `Propose`, then `Commit` (or `Undo` for every third
+//! move) — and reports sustained moves/s plus the robustness counters CI
+//! asserts on: `corrupted_sessions` (must be 0), `degraded_responses`,
 //! `replayed_responses`, `injected_faults`, and `restarts`.
 //!
 //! With `--chaos SEED` the daemon runs under the default fault mix
 //! (I/O errors, torn writes, kills); a supervisor loop restarts the
 //! daemon — same state directory, bumped chaos epoch — whenever an
-//! injected kill fires, and clients retry per protocol. The final
-//! snapshot audit must still find every session intact.
+//! injected kill fires, and clients retry per protocol. Every commit
+//! persists, so the final snapshot audit must still find every session
+//! intact with exactly its scripted `commits_done`.
 //!
-//! With `--delta` the report additionally benchmarks the delta-native
-//! serving path on an annealed ami49 floorplan: one warm move sequence
-//! (a single segment nudged per step) is driven once through a full
-//! session (`Evaluate`, one state per request — the PR 6 baseline) and
-//! once through a delta session (`Propose` + `Commit`/`Undo` per move,
-//! binary framing). Every checked `Propose` score must be bit-identical
-//! to a from-scratch rebase through a fresh local delta session
+//! With `--delta` the report additionally benchmarks incremental serving
+//! on an annealed ami49 floorplan: one warm move sequence (a single
+//! segment nudged per step) is driven once as one-state `Evaluate`
+//! requests (every move scored from scratch, the baseline) and once as
+//! `Propose` + `Commit`/`Undo` per move over binary framing, each on its
+//! own session. Every checked `Propose` score must be bit-identical to a
+//! from-scratch rebase through a fresh local delta session
 //! (`delta_equivalent`); the command aborts rather than report a
-//! mismatching build. The delta-over-full throughput ratio is reported,
-//! not gated.
+//! mismatching build. The incremental-over-full throughput ratio is
+//! reported, not gated.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,14 +40,12 @@ use irgrid::geom::{Point, Rect, Um};
 use irgrid::netlist::mcnc::McncCircuit;
 use irgrid::serve::{
     serve, Chaos, ChaosConfig, Client, DegradePolicy, ErrorKind, FloorplanState, FrameCodec,
-    KillSwitch, Limits, Request, RequestOp, ResponsePayload, ServerHandle, ServerOptions,
+    KillSwitch, Limits, Request, RequestOp, Response, ResponsePayload, ServerHandle, ServerOptions,
     SessionConfig, SessionManager, SnapshotStore, Transport,
 };
 
 use crate::common::{die, flag_value, Mode};
 
-/// States per `Evaluate` request; every state carries 3 segments.
-const BATCH: usize = 4;
 /// Retry attempts per `Client::call` before the outer loop reconnects.
 const CALL_ATTEMPTS: u32 = 8;
 /// Outer-loop bound per request; far beyond what any survivable chaos
@@ -60,12 +59,12 @@ const DELTA_CHECKED_MOVES: usize = 8;
 struct Report {
     clients: usize,
     steps_per_client: usize,
-    batch: usize,
     workers: usize,
     chaos_seed: Option<u64>,
-    evaluations: u64,
+    /// Completed moves (a `Propose` plus its `Commit` or `Undo`).
+    moves: u64,
     wall_s: f64,
-    evals_per_s: f64,
+    moves_per_s: f64,
     degraded_responses: u64,
     replayed_responses: u64,
     injected_faults: u64,
@@ -81,9 +80,9 @@ struct Report {
     delta_checked_moves: Option<usize>,
     /// Warm move-sequence length driven through both serving paths.
     delta_moves: Option<usize>,
-    /// Full-session baseline: moves/s via one-state `Evaluate` requests.
+    /// Baseline: moves/s via one-state `Evaluate` requests.
     full_moves_per_s: Option<f64>,
-    /// Delta session: moves/s via `Propose` + `Commit`/`Undo` requests.
+    /// Moves/s via `Propose` + `Commit`/`Undo` requests.
     delta_moves_per_s: Option<f64>,
     /// `delta_moves_per_s / full_moves_per_s`.
     delta_speedup_vs_full: Option<f64>,
@@ -92,7 +91,7 @@ struct Report {
 /// Per-client tallies returned by each worker thread.
 #[derive(Debug, Default)]
 struct ClientTally {
-    evaluations: u64,
+    moves: u64,
     degraded: u64,
     replayed: u64,
 }
@@ -105,19 +104,24 @@ fn session_config() -> SessionConfig {
     }
 }
 
-/// The deterministic batch client `c` evaluates at script step `s`.
-fn states_for(client: usize, step: usize) -> Vec<FloorplanState> {
+/// The floorplan client `c` proposes at script step `s`; every state
+/// carries 3 segments.
+fn state_for(client: usize, step: usize) -> FloorplanState {
     let (c, s) = (client as i64, step as i64);
-    (0..BATCH as i64)
-        .map(|k| FloorplanState {
-            chip: [900, 800],
-            segments: vec![
-                [10 + 17 * c + 5 * s + k, 12, 880 - 7 * s, 780 - 13 * c],
-                [15, 780 - 11 * s - k, 870 - 3 * c, 20],
-                [450 + 9 * k, 16, 440 - 15 * c, 790 - 4 * s],
-            ],
-        })
-        .collect()
+    FloorplanState {
+        chip: [900, 800],
+        segments: vec![
+            [10 + 17 * c + 5 * s, 12, 880 - 7 * s, 780 - 13 * c],
+            [15, 780 - 11 * s, 870 - 3 * c, 20],
+            [450, 16, 440 - 15 * c, 790 - 4 * s],
+        ],
+    }
+}
+
+/// Whether script step `step` is rejected (`Undo`) rather than accepted
+/// (`Commit`): every third move, as in the serve chaos suite.
+fn rejected(step: usize) -> bool {
+    step % 3 == 2
 }
 
 struct Daemon {
@@ -149,88 +153,157 @@ fn start_daemon(
     Ok(Daemon { handle, kill })
 }
 
-/// One client thread: open the session, then run every evaluate step,
+/// How one attempt at a scripted move ended.
+enum Attempt {
+    Done,
+    /// A transport failure, exhausted retries, or a lost pending
+    /// proposal: re-run the whole move — `Propose` is pure and `Commit`
+    /// is idempotent.
+    Retry,
+    /// The daemon restarted and forgot the live session: re-send
+    /// `OpenDelta` (an idempotent resume) first.
+    Reopen,
+}
+
+/// Sends `request`, or backs off and drops the connection when the
+/// transport died (kill mid-request) or retries ran out while the
+/// supervisor restarts the daemon.
+fn send(connection: &mut Client, request: &Request) -> Option<Response> {
+    match connection.call(request, CALL_ATTEMPTS) {
+        Ok(response) => Some(response),
+        Err(_) => {
+            connection.disconnect();
+            std::thread::sleep(Duration::from_millis(5));
+            None
+        }
+    }
+}
+
+fn terminal(client: usize, request: &Request, payload: &ResponsePayload) -> ! {
+    die(&format!(
+        "client {client}: request {} failed terminally: {payload:?}",
+        request.id
+    ))
+}
+
+/// One attempt at scripted move `step`: propose, then commit or undo.
+/// Request ids are stable per step, so a commit whose reply was lost
+/// replays from the idempotency ring on re-send.
+fn attempt_move(
+    connection: &mut Client,
+    session: &str,
+    client: usize,
+    step: usize,
+    tally: &mut ClientTally,
+) -> Attempt {
+    let propose = Request {
+        id: format!("b{client}-propose-{step}"),
+        session: session.to_owned(),
+        op: RequestOp::Propose {
+            state: state_for(client, step),
+        },
+    };
+    let Some(response) = send(connection, &propose) else {
+        return Attempt::Retry;
+    };
+    let digest = match &response.payload {
+        ResponsePayload::Proposed { digest, .. } => {
+            if response.degraded {
+                tally.degraded += 1;
+            }
+            digest.clone()
+        }
+        ResponsePayload::Error {
+            kind: ErrorKind::UnknownSession,
+            ..
+        } => return Attempt::Reopen,
+        other => terminal(client, &propose, other),
+    };
+    let followup = Request {
+        id: format!("b{client}-settle-{step}"),
+        session: session.to_owned(),
+        op: if rejected(step) {
+            RequestOp::Undo
+        } else {
+            RequestOp::Commit { digest }
+        },
+    };
+    let Some(response) = send(connection, &followup) else {
+        return Attempt::Retry;
+    };
+    match &response.payload {
+        ResponsePayload::Committed { .. } | ResponsePayload::Undone { .. } => {
+            if response.replayed {
+                tally.replayed += 1;
+            }
+            tally.moves += 1;
+            Attempt::Done
+        }
+        ResponsePayload::Error {
+            kind: ErrorKind::UnknownSession,
+            ..
+        } => Attempt::Reopen,
+        // The daemon restarted between propose and commit (the pending
+        // proposal is volatile), or the proposal was degraded and never
+        // armed: re-propose, then re-commit.
+        ResponsePayload::Error {
+            kind: ErrorKind::NoPendingProposal,
+            ..
+        } => Attempt::Retry,
+        other => terminal(client, &followup, other),
+    }
+}
+
+/// One client thread: open the session, then play every scripted move,
 /// retrying through chaos (reconnects, re-opens after a daemon restart)
-/// until each request succeeds.
+/// until each move completes.
 fn run_client(socket: PathBuf, client: usize, steps: usize) -> ClientTally {
     let session = format!("bench-{client}");
     let open = Request {
         id: format!("b{client}-open"),
         session: session.clone(),
-        op: RequestOp::Open {
+        op: RequestOp::OpenDelta {
             config: session_config(),
         },
     };
     let mut connection = Client::new(Transport::Unix(socket));
     let mut tally = ClientTally::default();
-
-    let mut requests = vec![open.clone()];
-    for step in 0..steps {
-        requests.push(Request {
-            id: format!("b{client}-eval-{step}"),
-            session: session.clone(),
-            op: RequestOp::Evaluate {
-                states: states_for(client, step),
-            },
-        });
-    }
-
-    for request in &requests {
-        let mut tries = 0;
-        loop {
-            tries += 1;
-            if tries > MAX_TRIES {
-                die(&format!("client {client}: request {} wedged", request.id));
+    let mut opened = false;
+    let mut step = 0;
+    let mut tries = 0;
+    while step < steps {
+        tries += 1;
+        if tries > MAX_TRIES {
+            die(&format!("client {client}: move {step} wedged"));
+        }
+        if !opened {
+            match send(&mut connection, &open) {
+                Some(response) if response.ok => opened = true,
+                Some(response) => terminal(client, &open, &response.payload),
+                None => continue,
             }
-            match connection.call(request, CALL_ATTEMPTS) {
-                Ok(response) if response.ok => {
-                    if let ResponsePayload::Evaluated { results } = &response.payload {
-                        tally.evaluations += results.len() as u64;
-                        if response.degraded {
-                            tally.degraded += 1;
-                        }
-                        if response.replayed {
-                            tally.replayed += 1;
-                        }
-                    }
-                    break;
-                }
-                Ok(response) => match &response.payload {
-                    // The daemon restarted since our open: re-open (an
-                    // idempotent resume), then retry this request.
-                    ResponsePayload::Error {
-                        kind: ErrorKind::UnknownSession,
-                        ..
-                    } => {
-                        let _ = connection.call(&open, CALL_ATTEMPTS);
-                    }
-                    other => die(&format!(
-                        "client {client}: request {} failed terminally: {other:?}",
-                        request.id
-                    )),
-                },
-                // Transport died (kill mid-request) or retries ran out
-                // while the supervisor restarts the daemon: back off and
-                // go around with a fresh connection.
-                Err(_) => {
-                    connection.disconnect();
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+        }
+        match attempt_move(&mut connection, &session, client, step, &mut tally) {
+            Attempt::Done => {
+                step += 1;
+                tries = 0;
             }
+            Attempt::Retry => {}
+            Attempt::Reopen => opened = false,
         }
     }
     tally
 }
 
 /// Audits the final state directory: every session snapshot must parse
-/// and report exactly the evaluation count its script performed.
+/// and report exactly the commit count its script performed.
 fn audit_sessions(state_dir: &Path, clients: usize, steps: usize) -> (usize, usize) {
     let store = SnapshotStore::open(state_dir, Chaos::off(), KillSwitch::new())
         .unwrap_or_else(|err| die(&format!("audit: cannot reopen state dir: {err}")));
     let ids = store
         .list()
         .unwrap_or_else(|err| die(&format!("audit: cannot list sessions: {err}")));
-    let expected_evals = (steps * BATCH) as i64;
+    let expected_commits = (0..steps).filter(|&step| !rejected(step)).count() as i64;
     let mut corrupted = 0;
     for id in &ids {
         let Ok(Some(text)) = store.read(id) else {
@@ -241,7 +314,7 @@ fn audit_sessions(state_dir: &Path, clients: usize, steps: usize) -> (usize, usi
             corrupted += 1;
             continue;
         };
-        if value.get("evals_done") != Some(&serde::Value::Int(expected_evals)) {
+        if value.get("commits_done") != Some(&serde::Value::Int(expected_commits)) {
             corrupted += 1;
         }
     }
@@ -317,8 +390,6 @@ fn mutated(committed: &FloorplanState, step: usize) -> FloorplanState {
 
 /// Scores `state` through a fresh from-scratch delta-session rebase —
 /// the reference every served `Propose` score must match bit for bit.
-/// Deliberately the exact Q32 delta contract, *not* the float Simpson
-/// model: the two pipelines agree per cell but not per bit.
 fn local_reference_score(state: &FloorplanState, pitch: i64) -> f64 {
     let chip = Rect::from_origin_size(Point::ORIGIN, Um(state.chip[0]), Um(state.chip[1]));
     let segments: Vec<(Point, Point)> = state
@@ -355,11 +426,10 @@ fn must_call(client: &mut Client, request: &Request) -> ResponsePayload {
     }
 }
 
-/// Benchmarks the delta serving path against the full-session baseline
-/// on one chaos-free daemon, then asserts bit-identity (vs a fresh
-/// local rebase). See the module docs for the
-/// workload shape.
-fn run_delta_bench(scratch: &Path, workers: usize, moves: usize) -> DeltaOutcome {
+/// Benchmarks incremental serving against the one-state `Evaluate`
+/// baseline on one chaos-free daemon, then asserts bit-identity (vs a
+/// fresh local rebase). See the module docs for the workload shape.
+fn bench_incremental_serving(scratch: &Path, workers: usize, moves: usize) -> DeltaOutcome {
     let socket = scratch.join("irgrid-serve-delta.sock");
     let state_dir = scratch.join("delta-state");
     let daemon =
@@ -389,8 +459,8 @@ fn run_delta_bench(scratch: &Path, workers: usize, moves: usize) -> DeltaOutcome
         trajectory.push((proposed, accepted));
     }
 
-    // Full-session baseline: one one-state `Evaluate` request per move
-    // (the PR 6 serving shape), warmed with an untimed evaluation.
+    // Baseline: one one-state `Evaluate` request per move, every state
+    // scored from scratch, warmed with an untimed evaluation.
     let full_session = "delta-bench-full";
     let mut full = Client::new(Transport::Unix(socket.clone()));
     must_call(
@@ -398,7 +468,7 @@ fn run_delta_bench(scratch: &Path, workers: usize, moves: usize) -> DeltaOutcome
         &delta_request(
             full_session,
             "f-open".to_owned(),
-            RequestOp::Open { config },
+            RequestOp::OpenDelta { config },
         ),
     );
     must_call(
@@ -431,8 +501,8 @@ fn run_delta_bench(scratch: &Path, workers: usize, moves: usize) -> DeltaOutcome
     }
     let full_s = full_start.elapsed().as_secs_f64();
 
-    // Delta session over binary framing: `Propose` every move, `Commit`
-    // accepted ones, `Undo` rejected ones. Seeded with an untimed
+    // Incremental moves over binary framing: `Propose` every move,
+    // `Commit` accepted ones, `Undo` rejected ones. Seeded with an untimed
     // initial commit so the timed loop measures warm incremental moves.
     let delta_session = "delta-bench-delta";
     let mut delta = Client::with_codec(Transport::Unix(socket), FrameCodec::Binary);
@@ -599,7 +669,7 @@ pub fn run(mode: &Mode, args: &[String]) {
     };
 
     println!(
-        "serve-bench: {clients} clients x {steps} steps x {BATCH} states, workers={workers}, chaos={chaos_seed:?}"
+        "serve-bench: {clients} clients x {steps} moves, workers={workers}, chaos={chaos_seed:?}"
     );
     let mut daemon =
         start_daemon(&socket, &state_dir, chaos_for(0), workers).unwrap_or_else(|err| die(&err));
@@ -638,7 +708,7 @@ pub fn run(mode: &Mode, args: &[String]) {
         let tally = thread.join().unwrap_or_else(|_| {
             die("a client thread panicked");
         });
-        tallies.evaluations += tally.evaluations;
+        tallies.moves += tally.moves;
         tallies.degraded += tally.degraded;
         tallies.replayed += tally.replayed;
     }
@@ -653,24 +723,24 @@ pub fn run(mode: &Mode, args: &[String]) {
     // daemon (separate socket and state dir inside the same scratch).
     // The warm move sequence scales with --steps so the CI smoke stays
     // fast while a full run measures a longer steady state.
-    let delta_outcome = delta.then(|| run_delta_bench(&scratch, workers, (steps * 4).max(24)));
+    let delta_outcome =
+        delta.then(|| bench_incremental_serving(&scratch, workers, (steps * 4).max(24)));
 
     let report = Report {
         clients,
         steps_per_client: steps,
-        batch: BATCH,
         workers,
         chaos_seed,
-        evaluations: tallies.evaluations,
+        moves: tallies.moves,
         wall_s,
-        evals_per_s: tallies.evaluations as f64 / wall_s,
+        moves_per_s: tallies.moves as f64 / wall_s,
         degraded_responses: tallies.degraded,
         replayed_responses: tallies.replayed,
         injected_faults,
         restarts,
         sessions,
         corrupted_sessions,
-        // `run_delta_bench` died on any bit mismatch, so reaching this
+        // `bench_incremental_serving` died on any bit mismatch, so reaching this
         // point with an outcome means the equivalence check passed.
         delta_equivalent: delta_outcome.as_ref().map(|_| true),
         delta_checked_moves: delta_outcome.as_ref().map(|o| o.checked),

@@ -20,8 +20,8 @@
 //!   one per [`SessionManager`](crate::SessionManager)), so concurrent
 //!   sessions — e.g. fleet replicas probing neighboring floorplans —
 //!   share work. The model id in the key keeps pipelines with different
-//!   numeric contracts (full Simpson vs Q32 delta, different grid
-//!   pitches) from cross-contaminating.
+//!   numeric contracts (different models or grid pitches) from
+//!   cross-contaminating.
 //!
 //! The map itself stays a plain `Vec` in recency order — O(capacity)
 //! per touch, irrelevant at the capacities the daemon uses, and the

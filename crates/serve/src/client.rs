@@ -3,9 +3,10 @@
 //! This is the client the chaos tests, the CI smoke harness, and
 //! `repro serve-bench` all share. Its retry loop implements the
 //! protocol's contract: any response marked `retryable` may be resent
-//! verbatim, and the idempotency ring guarantees a retried `Evaluate`
-//! or `Commit` never double-counts. Transport failures (daemon killed
-//! mid-request) reconnect and resend the same frame for the same reason.
+//! verbatim: the idempotency ring guarantees a retried `Commit` never
+//! double-counts, and every other op is read-only or pure. Transport
+//! failures (daemon killed mid-request) reconnect and resend the same
+//! frame for the same reason.
 //!
 //! The client reads responses through the same bounded frame reader as
 //! the server ([`frame`](crate::frame)) — a hostile or broken daemon

@@ -2,18 +2,17 @@
 //!
 //! The annealing stack scores floorplans in-process; this crate turns the
 //! same evaluation engine into a long-running service: concurrent
-//! clients hold named sessions, each wrapping the irregular-grid model
-//! (or, for delta sessions, a warm
-//! [`IrDeltaEvaluator`](irgrid_core::IrDeltaEvaluator)) plus a score
-//! cache, and drive it with JSONL (or negotiated length-prefixed
-//! binary, [`frame`]) request frames over a Unix (or TCP) socket.
+//! clients hold named sessions and drive them with JSONL (or negotiated
+//! length-prefixed binary, [`frame`]) request frames over a Unix (or TCP)
+//! socket.
 //!
-//! Two session kinds share one session table: `Open` sessions score
-//! independent batches with `IrregularGridModel::evaluate`, and `OpenDelta`
-//! sessions ([`delta`]) hold a session-resident incremental evaluator
-//! driven move-by-move with `Propose`/`Commit`/`Undo` — the daemon-side
-//! mirror of the annealer's inner loop, bit-identical to a full rebuild
-//! by construction.
+//! There is one session kind ([`session`]), opened with `OpenDelta`. It
+//! holds a warm session-resident
+//! [`IrDeltaEvaluator`](irgrid_core::IrDeltaEvaluator) driven
+//! move-by-move with `Propose`/`Commit`/`Undo` — the daemon-side mirror of
+//! the annealer's inner loop, bit-identical to a full rebuild by
+//! construction — and scores independent batches read-only with
+//! `Evaluate`, through a daemon-wide score cache.
 //!
 //! The design goal is *robustness you can prove*, not raw throughput:
 //!
@@ -21,10 +20,11 @@
 //!   workspace's tmp+fsync+rename discipline before the client sees the
 //!   response; a killed daemon resumes every session bit-identically
 //!   ([`store`], [`session`]).
-//! - **Idempotent retries.** `Evaluate` responses are recorded in a
-//!   bounded per-session ring keyed by request id and batch digest, so a
-//!   client that resends after any retryable failure converges on the
-//!   same final state as an uninterrupted run ([`manager`]).
+//! - **Idempotent retries.** `Commit` acks are recorded in a bounded
+//!   per-session ring keyed by request id and digest, and every other op
+//!   is read-only or pure, so a client that resends after any retryable
+//!   failure converges on the same final state as an uninterrupted run
+//!   ([`manager`]).
 //! - **Bounded everything.** Frames, batches, sessions, and connections
 //!   all have hard limits with explicit typed refusals — backpressure is
 //!   visible, queues never grow without bound ([`protocol::Limits`]).
@@ -49,7 +49,6 @@
 pub mod cache;
 pub mod chaos;
 pub mod client;
-pub mod delta;
 pub mod frame;
 pub mod manager;
 pub mod protocol;
@@ -60,7 +59,6 @@ pub mod store;
 pub use cache::SharedScoreCache;
 pub use chaos::{Chaos, ChaosConfig};
 pub use client::{Client, ClientError};
-pub use delta::{DeltaSession, DeltaSessionState, DELTA_MODEL_NAME};
 pub use frame::{FrameCodec, BINARY_MAGIC};
 pub use manager::{DegradePolicy, SessionManager};
 pub use protocol::{
@@ -68,4 +66,5 @@ pub use protocol::{
     SessionConfig, SessionStat, PROTOCOL_VERSION,
 };
 pub use server::{serve, ServerHandle, ServerOptions, Transport};
+pub use session::{Session, SessionState};
 pub use store::{KillSwitch, SnapshotStore, StoreError};

@@ -1,28 +1,20 @@
 //! The session manager: request dispatch, idempotent retries, load-based
-//! degradation, and the persist-then-reply commit discipline — for both
-//! session kinds (batch-shaped full sessions and move-shaped delta
-//! sessions).
+//! degradation, and the persist-then-reply commit discipline.
 //!
 //! # Commit discipline
 //!
-//! An `Evaluate` on a full session mutates the session's persistent
-//! record (counters and the idempotency ring). The manager clones that
-//! record before the mutation, persists the new record through the
-//! [`SnapshotStore`], and only then releases the response. If
-//! persistence fails, the in-memory record rolls back to the clone and
-//! the client gets a retryable `PersistFailed` — so the daemon never
-//! acknowledges work it could forget. Combined with the idempotency
-//! ring, a client that retries on every retryable error reaches a final
-//! state byte-identical to an uninterrupted run.
-//!
-//! Delta sessions sharpen the same discipline: `Propose`, `Undo`, and
-//! `Evaluate` are pure (nothing to persist), and `Commit` is staged by
-//! [`DeltaSession::prepare_commit`] *before* anything mutates — persist
-//! the staged snapshot, then apply. A failed persist needs no rollback
-//! because nothing moved, and the armed proposal survives for the
-//! retry. The chaos injector is consulted at the dedicated
-//! `delta.commit` site between staging and persisting, so kill-point
-//! tests cover the propose → commit → persist window explicitly.
+//! `Propose`, `Undo`, and `Evaluate` are pure (nothing to persist), and
+//! `Commit` is staged by [`Session::prepare_commit`] *before* anything
+//! mutates — persist the staged snapshot through the [`SnapshotStore`],
+//! then apply, then reply. The daemon therefore never acknowledges a
+//! commit it could forget, and a failed persist needs no rollback
+//! because nothing moved: the client gets a retryable `PersistFailed`
+//! and the armed proposal survives for the retry. Combined with the
+//! commit idempotency ring, a client that retries on every retryable
+//! error reaches a final state byte-identical to an uninterrupted run.
+//! The chaos injector is consulted at the dedicated `delta.commit` site
+//! between staging and persisting, so kill-point tests cover the
+//! propose → commit → persist window explicitly.
 //!
 //! # Degradation ladder
 //!
@@ -44,15 +36,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use irgrid_anneal::RunControl;
-use irgrid_fleet::state_digest;
 
 use crate::cache::SharedScoreCache;
-use crate::delta::{CommitOutcome, DeltaSession, DeltaSessionState};
 use crate::protocol::{
     valid_session_id, ErrorKind, FloorplanState, Limits, Request, RequestOp, Response,
-    ResponsePayload, SessionConfig, SessionStat,
+    ResponsePayload, SessionConfig,
 };
-use crate::session::{DegradeRung, Session, SessionState};
+use crate::session::{CommitOutcome, DegradeRung, Session, SessionState};
 use crate::store::{SnapshotStore, StoreError};
 
 /// Load thresholds for the degradation ladder, in concurrent in-flight
@@ -122,61 +112,6 @@ impl Drop for LoadGuard<'_> {
     }
 }
 
-/// Which session kind a request addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SessionKind {
-    Full,
-    Delta,
-}
-
-impl SessionKind {
-    fn open_op(self) -> &'static str {
-        match self {
-            SessionKind::Full => "Open",
-            SessionKind::Delta => "OpenDelta",
-        }
-    }
-}
-
-/// A live session of either kind, behind one slot in the session table.
-#[derive(Debug)]
-pub enum AnySession {
-    /// A batch-shaped full session.
-    Full(Box<Session>),
-    /// A move-shaped delta session.
-    Delta(Box<DeltaSession>),
-}
-
-impl AnySession {
-    fn kind(&self) -> SessionKind {
-        match self {
-            AnySession::Full(_) => SessionKind::Full,
-            AnySession::Delta(_) => SessionKind::Delta,
-        }
-    }
-
-    fn config(&self) -> &SessionConfig {
-        match self {
-            AnySession::Full(session) => &session.state.config,
-            AnySession::Delta(session) => &session.state.config,
-        }
-    }
-
-    fn stat(&self) -> SessionStat {
-        match self {
-            AnySession::Full(session) => session.stat(),
-            AnySession::Delta(session) => session.stat(),
-        }
-    }
-
-    fn snapshot_json(&self) -> String {
-        match self {
-            AnySession::Full(session) => session.state.to_json(),
-            AnySession::Delta(session) => session.state.to_json(),
-        }
-    }
-}
-
 /// The daemon's session table and request dispatcher. One instance is
 /// shared (via `Arc`) by every connection thread.
 #[derive(Debug)]
@@ -187,12 +122,12 @@ pub struct SessionManager {
     workers: usize,
     /// The process-wide score cache every cache-enabled session shares.
     cache: SharedScoreCache,
-    sessions: Mutex<BTreeMap<String, Arc<Mutex<AnySession>>>>,
+    sessions: Mutex<BTreeMap<String, Arc<Mutex<Session>>>>,
     /// Per-session persistence attempt counters — the chaos consultation
     /// indices. Kept here (not in the `Session`) so every attempt draws
     /// a fresh index even when the session object is discarded, e.g. a
-    /// retried `Open` whose birth write failed: tying the index to the
-    /// session would replay the identical injected fault forever.
+    /// retried `OpenDelta` whose birth write failed: tying the index to
+    /// the session would replay the identical injected fault forever.
     write_seqs: Mutex<BTreeMap<String, u64>>,
     /// Per-session `delta.commit` consultation counters, separate from
     /// `write_seqs` so the pre-commit site does not shift the persist
@@ -219,8 +154,8 @@ fn next_in(map: &Mutex<BTreeMap<String, u64>>, key: &str) -> u64 {
 }
 
 impl SessionManager {
-    /// Creates a manager over `store`, fanning full-fidelity batches over
-    /// `workers` pool threads (`<= 1` evaluates inline).
+    /// Creates a manager over `store`, fanning full-fidelity `Evaluate`
+    /// batches over `workers` pool threads (`<= 1` evaluates inline).
     /// The shared score cache is sized by `limits.shared_cache_capacity`.
     #[must_use]
     pub fn new(
@@ -260,8 +195,7 @@ impl SessionManager {
         self.shutting_down.store(true, Ordering::Release);
     }
 
-    /// Session ids with a snapshot on disk (resumable via `Open` /
-    /// `OpenDelta`, matching the kind that wrote them).
+    /// Session ids with a snapshot on disk (resumable via `OpenDelta`).
     ///
     /// # Errors
     ///
@@ -312,10 +246,7 @@ impl SessionManager {
                 "daemon is shutting down",
                 true,
             ),
-            RequestOp::Open { config } => self.handle_open(request, *config, SessionKind::Full),
-            RequestOp::OpenDelta { config } => {
-                self.handle_open(request, *config, SessionKind::Delta)
-            }
+            RequestOp::OpenDelta { config } => self.handle_open(request, *config),
             RequestOp::Evaluate { states } => {
                 self.handle_evaluate(request, states, request_control)
             }
@@ -334,20 +265,7 @@ impl SessionManager {
         }
     }
 
-    fn wrong_kind(&self, id: &str, have: SessionKind, want: SessionKind) -> Response {
-        Response::error(
-            id,
-            ErrorKind::WrongSessionKind,
-            format!(
-                "session was opened with {} but this op needs an {} session",
-                have.open_op(),
-                want.open_op()
-            ),
-            false,
-        )
-    }
-
-    fn handle_open(&self, request: &Request, config: SessionConfig, kind: SessionKind) -> Response {
+    fn handle_open(&self, request: &Request, config: SessionConfig) -> Response {
         if !valid_session_id(&request.session) {
             return Response::error(
                 &request.id,
@@ -370,10 +288,7 @@ impl SessionManager {
             let sessions = lock(&self.sessions);
             if let Some(slot) = sessions.get(&request.session) {
                 let session = lock(slot);
-                if session.kind() != kind {
-                    return self.wrong_kind(&request.id, session.kind(), kind);
-                }
-                if *session.config() == config {
+                if session.state.config == config {
                     return Response::ok(
                         &request.id,
                         ResponsePayload::Opened {
@@ -407,27 +322,19 @@ impl SessionManager {
         };
         let was_resumed = on_disk.is_some();
         let session = match on_disk {
-            Some(text) => match self.resume(request, &text, config, kind) {
+            Some(text) => match self.resume(request, &text, config) {
                 Ok(session) => session,
                 Err(response) => return response,
             },
-            None => match kind {
-                SessionKind::Full => AnySession::Full(Box::new(Session::create(
-                    &request.session,
-                    config,
-                    self.limits.completed_ring,
-                    self.cache.clone(),
-                ))),
-                SessionKind::Delta => AnySession::Delta(Box::new(DeltaSession::create(
-                    &request.session,
-                    config,
-                    self.limits.completed_ring,
-                    self.cache.clone(),
-                ))),
-            },
+            None => Session::create(
+                &request.session,
+                config,
+                self.limits.completed_ring,
+                self.cache.clone(),
+            ),
         };
         if !was_resumed {
-            let payload = session.snapshot_json();
+            let payload = session.state.to_json();
             let seq = self.next_seq(&request.session);
             if let Err(err) = self.store.write(&request.session, &payload, seq) {
                 return self.store_failure(&request.id, &err);
@@ -444,10 +351,7 @@ impl SessionManager {
         drop(sessions);
         let stat = {
             let session = lock(&entry);
-            if session.kind() != kind {
-                return self.wrong_kind(&request.id, session.kind(), kind);
-            }
-            if *session.config() != config {
+            if session.state.config != config {
                 return Response::error(
                     &request.id,
                     ErrorKind::InvalidRequest,
@@ -466,96 +370,42 @@ impl SessionManager {
         )
     }
 
-    /// Rebuilds a session of the requested kind from checkpoint text,
-    /// diagnosing kind mismatches loudly (the two snapshot schemas are
-    /// disjoint, so a checkpoint parses as exactly one kind).
+    /// Rebuilds a session from checkpoint text. A checkpoint that does
+    /// not parse as a session record — torn, foreign, or written by an
+    /// older daemon's full session — is refused loudly and left on disk:
+    /// silently recreating the session would lose history.
     fn resume(
         &self,
         request: &Request,
         text: &str,
         config: SessionConfig,
-        kind: SessionKind,
-    ) -> Result<AnySession, Response> {
-        let config_mismatch = || {
+    ) -> Result<Session, Response> {
+        let state = SessionState::from_json(text, &request.session).map_err(|why| {
             Response::error(
+                &request.id,
+                ErrorKind::PersistFailed,
+                format!("session checkpoint unreadable: {why}"),
+                false,
+            )
+        })?;
+        if state.config != config {
+            return Err(Response::error(
                 &request.id,
                 ErrorKind::InvalidRequest,
                 "checkpoint on disk has a different config",
                 false,
-            )
-        };
-        match kind {
-            SessionKind::Full => match SessionState::from_json(text, &request.session) {
-                Ok(state) => {
-                    if state.config != config {
-                        return Err(config_mismatch());
-                    }
-                    Ok(AnySession::Full(Box::new(Session::from_state(
-                        state,
-                        self.limits.completed_ring,
-                        self.cache.clone(),
-                    ))))
-                }
-                Err(why) => Err(self.unreadable(request, text, kind, &why)),
-            },
-            SessionKind::Delta => match DeltaSessionState::from_json(text, &request.session) {
-                Ok(state) => {
-                    if state.config != config {
-                        return Err(config_mismatch());
-                    }
-                    DeltaSession::from_state(state, self.limits.completed_ring, self.cache.clone())
-                        .map(|session| AnySession::Delta(Box::new(session)))
-                        .map_err(|why| {
-                            // The replayed map failed bit-identity
-                            // verification — refuse loudly instead of
-                            // serving from a diverged map.
-                            Response::error(
-                                &request.id,
-                                ErrorKind::PersistFailed,
-                                format!("delta checkpoint failed recovery verification: {why}"),
-                                false,
-                            )
-                        })
-                }
-                Err(why) => Err(self.unreadable(request, text, kind, &why)),
-            },
+            ));
         }
-    }
-
-    /// A checkpoint that did not parse as the requested kind: either it
-    /// belongs to the *other* kind (typed `WrongSessionKind` so the
-    /// client can switch ops) or it is genuinely unreadable (a loud
-    /// error — silently recreating the session would lose history).
-    fn unreadable(&self, request: &Request, text: &str, kind: SessionKind, why: &str) -> Response {
-        let other_kind_parses = match kind {
-            SessionKind::Full => DeltaSessionState::from_json(text, &request.session).is_ok(),
-            SessionKind::Delta => SessionState::from_json(text, &request.session).is_ok(),
-        };
-        if other_kind_parses {
-            let other = match kind {
-                SessionKind::Full => SessionKind::Delta,
-                SessionKind::Delta => SessionKind::Full,
-            };
-            return Response::error(
+        Session::from_state(state, self.limits.completed_ring, self.cache.clone()).map_err(|why| {
+            // The replayed map failed bit-identity verification — refuse
+            // loudly instead of serving from a diverged map.
+            Response::error(
                 &request.id,
-                ErrorKind::WrongSessionKind,
-                format!(
-                    "checkpoint on disk is a {} session; resume it with {}",
-                    match other {
-                        SessionKind::Full => "full",
-                        SessionKind::Delta => "delta",
-                    },
-                    other.open_op()
-                ),
+                ErrorKind::PersistFailed,
+                format!("session checkpoint failed recovery verification: {why}"),
                 false,
-            );
-        }
-        Response::error(
-            &request.id,
-            ErrorKind::PersistFailed,
-            format!("session checkpoint unreadable: {why}"),
-            false,
-        )
+            )
+        })
     }
 
     fn handle_evaluate(
@@ -602,98 +452,24 @@ impl SessionManager {
             );
         };
 
-        let batch_digest = state_digest(&states);
-        self.with_session(request, |session| match session {
-            AnySession::Full(session) => self.evaluate_full(
-                request,
-                session,
-                states,
-                &batch_digest,
-                rung,
-                request_control,
-            ),
-            AnySession::Delta(session) => {
-                // Read-only fast path through the session-resident delta
-                // evaluator: deterministic, budget-free, nothing to
-                // persist or record.
-                match session.evaluate(states, rung, request_control) {
-                    Ok(results) => {
-                        let mut response =
-                            Response::ok(&request.id, ResponsePayload::Evaluated { results });
-                        response.degraded = rung.is_degraded();
-                        response
-                    }
-                    Err(failure) => Response::error(
-                        &request.id,
-                        failure.kind,
-                        failure.message,
-                        failure.retryable,
-                    ),
+        // Read-only: deterministic, budget-free, nothing to persist or
+        // record.
+        self.with_session(request, |session| {
+            match session.evaluate(states, rung, request_control, self.workers) {
+                Ok(results) => {
+                    let mut response =
+                        Response::ok(&request.id, ResponsePayload::Evaluated { results });
+                    response.degraded = rung.is_degraded();
+                    response
                 }
-            }
-        })
-    }
-
-    fn evaluate_full(
-        &self,
-        request: &Request,
-        session: &mut Session,
-        states: &[FloorplanState],
-        batch_digest: &str,
-        rung: DegradeRung,
-        request_control: &RunControl,
-    ) -> Response {
-        // Idempotent retry: replay the recorded response verbatim.
-        if let Some(record) = session.recorded(&request.id) {
-            if record.batch_digest == batch_digest {
-                let mut response = Response::ok(
-                    &request.id,
-                    ResponsePayload::Evaluated {
-                        results: record.results.clone(),
-                    },
-                );
-                response.replayed = true;
-                return response;
-            }
-            return Response::error(
-                &request.id,
-                ErrorKind::IdempotencyViolation,
-                "request id reused with a different state batch",
-                false,
-            );
-        }
-
-        let rollback = session.state.clone();
-        let results = match session.evaluate(
-            &request.id,
-            batch_digest,
-            states,
-            rung,
-            request_control,
-            self.workers,
-        ) {
-            Ok(results) => results,
-            Err(failure) => {
-                return Response::error(
+                Err(failure) => Response::error(
                     &request.id,
                     failure.kind,
                     failure.message,
                     failure.retryable,
-                );
+                ),
             }
-        };
-
-        // Persist before acknowledging; roll back if the disk refused.
-        let payload = session.state.to_json();
-        let seq = self.next_seq(&session.state.session_id);
-        if let Err(err) = self.store.write(&session.state.session_id, &payload, seq) {
-            session.state = rollback;
-            return self.store_failure(&request.id, &err);
-        }
-
-        let mut response = Response::ok(&request.id, ResponsePayload::Evaluated { results });
-        response.degraded = rung.is_degraded();
-        response
+        })
     }
 
     fn handle_propose(
@@ -728,9 +504,6 @@ impl SessionManager {
         };
 
         self.with_session(request, |session| {
-            let AnySession::Delta(session) = session else {
-                return self.wrong_kind(&request.id, SessionKind::Full, SessionKind::Delta);
-            };
             match session.propose(state, rung, request_control) {
                 Ok((digest, score, degraded)) => {
                     let mut response =
@@ -750,9 +523,6 @@ impl SessionManager {
 
     fn handle_commit(&self, request: &Request, digest: &str) -> Response {
         self.with_session(request, |session| {
-            let AnySession::Delta(session) = session else {
-                return self.wrong_kind(&request.id, SessionKind::Full, SessionKind::Delta);
-            };
             let prepared = match session.prepare_commit(&request.id, digest) {
                 Ok(CommitOutcome::Replayed { digest, score, seq }) => {
                     let mut response = Response::ok(
@@ -813,9 +583,6 @@ impl SessionManager {
 
     fn handle_undo(&self, request: &Request) -> Response {
         self.with_session(request, |session| {
-            let AnySession::Delta(session) = session else {
-                return self.wrong_kind(&request.id, SessionKind::Full, SessionKind::Delta);
-            };
             let score = session.undo();
             Response::ok(&request.id, ResponsePayload::Undone { score })
         })
@@ -842,7 +609,7 @@ impl SessionManager {
     fn with_session(
         &self,
         request: &Request,
-        body: impl FnOnce(&mut AnySession) -> Response,
+        body: impl FnOnce(&mut Session) -> Response,
     ) -> Response {
         let slot = lock(&self.sessions).get(&request.session).cloned();
         match slot {
@@ -851,7 +618,7 @@ impl SessionManager {
                 &request.id,
                 ErrorKind::UnknownSession,
                 format!(
-                    "session `{}` is not open (Open/OpenDelta resumes checkpoints)",
+                    "session `{}` is not open (OpenDelta resumes checkpoints)",
                     request.session
                 ),
                 false,
@@ -864,7 +631,7 @@ impl SessionManager {
             StoreError::Io { .. } => Response::error(
                 id,
                 ErrorKind::PersistFailed,
-                format!("checkpoint write failed, state rolled back: {err}"),
+                format!("checkpoint write failed, nothing was applied: {err}"),
                 true,
             ),
             StoreError::Killed => {
@@ -879,6 +646,7 @@ impl SessionManager {
 mod tests {
     use super::*;
     use crate::chaos::{Chaos, ChaosConfig};
+    use crate::protocol::FloorplanState;
     use crate::store::KillSwitch;
 
     fn temp_manager(tag: &str, chaos: Chaos, policy: DegradePolicy) -> SessionManager {
@@ -897,19 +665,6 @@ mod tests {
     }
 
     fn open(manager: &SessionManager, id: &str, session: &str) -> Response {
-        manager.handle(
-            &request(
-                id,
-                session,
-                RequestOp::Open {
-                    config: SessionConfig::default_config(),
-                },
-            ),
-            &RunControl::unlimited(),
-        )
-    }
-
-    fn open_delta(manager: &SessionManager, id: &str, session: &str) -> Response {
         manager.handle(
             &request(
                 id,
@@ -959,11 +714,31 @@ mod tests {
         )
     }
 
+    fn stat(manager: &SessionManager, session: &str) -> crate::protocol::SessionStat {
+        let response = manager.handle(
+            &request("stat", session, RequestOp::Stat),
+            &RunControl::unlimited(),
+        );
+        let ResponsePayload::Stats { stat } = response.payload else {
+            panic!("expected Stats, got {response:?}");
+        };
+        stat
+    }
+
     fn proposed_digest(response: &Response) -> String {
         let ResponsePayload::Proposed { digest, .. } = &response.payload else {
             panic!("expected Proposed, got {response:?}");
         };
         digest.clone()
+    }
+
+    fn error_kind(response: &Response) -> Option<(ErrorKind, bool)> {
+        match response.payload {
+            ResponsePayload::Error {
+                kind, retryable, ..
+            } => Some((kind, retryable)),
+            _ => None,
+        }
     }
 
     fn states(count: usize) -> Vec<FloorplanState> {
@@ -973,6 +748,17 @@ mod tests {
                 segments: vec![[10 + k, 10, 480, 480], [10, 480, 480 - k, 10]],
             })
             .collect()
+    }
+
+    fn all_fail() -> Chaos {
+        Chaos::with_config(
+            0,
+            ChaosConfig {
+                io_error_ppm: 1_000_000,
+                torn_ppm: 0,
+                kill_ppm: 0,
+            },
+        )
     }
 
     #[test]
@@ -993,15 +779,7 @@ mod tests {
         };
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].model, "irregular");
-
-        let stat = manager.handle(
-            &request("r3", "alice", RequestOp::Stat),
-            &RunControl::unlimited(),
-        );
-        let ResponsePayload::Stats { stat } = &stat.payload else {
-            panic!("wrong payload {stat:?}");
-        };
-        assert_eq!(stat.evals_done, 2);
+        assert_eq!(stat(&manager, "alice").evals_done, 0, "evaluate is free");
 
         let closed = manager.handle(
             &request("r4", "alice", RequestOp::Close),
@@ -1015,22 +793,15 @@ mod tests {
     fn unknown_session_and_invalid_ids_are_typed_errors() {
         let manager = temp_manager("unknown", Chaos::off(), DegradePolicy::default());
         let response = evaluate(&manager, "r1", "ghost", states(1));
-        assert!(!response.ok);
-        assert!(matches!(
-            response.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::UnknownSession,
-                ..
-            }
-        ));
+        assert_eq!(
+            error_kind(&response),
+            Some((ErrorKind::UnknownSession, false))
+        );
         let response = open(&manager, "r2", "../escape");
-        assert!(matches!(
-            response.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::InvalidRequest,
-                ..
-            }
-        ));
+        assert_eq!(
+            error_kind(&response),
+            Some((ErrorKind::InvalidRequest, false))
+        );
     }
 
     #[test]
@@ -1042,7 +813,7 @@ mod tests {
             &request(
                 "r3",
                 "s",
-                RequestOp::Open {
+                RequestOp::OpenDelta {
                     config: SessionConfig {
                         pitch_um: 60,
                         ..SessionConfig::default_config()
@@ -1051,24 +822,22 @@ mod tests {
             ),
             &RunControl::unlimited(),
         );
-        assert!(matches!(
-            different.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::InvalidRequest,
-                ..
-            }
-        ));
+        assert_eq!(
+            error_kind(&different),
+            Some((ErrorKind::InvalidRequest, false))
+        );
     }
 
     #[test]
-    fn retry_replays_the_recorded_response_bit_for_bit() {
-        let manager = temp_manager("retry", Chaos::off(), DegradePolicy::default());
+    fn evaluate_retry_recomputes_the_same_bits_and_persists_nothing() {
+        let manager = temp_manager("eval_retry", Chaos::off(), DegradePolicy::default());
         assert!(open(&manager, "r1", "s").ok);
+        let before = manager.store.read("s").expect("read").expect("snapshot");
         let batch = states(2);
         let first = evaluate(&manager, "e1", "s", batch.clone());
+        let second = evaluate(&manager, "e1", "s", batch);
         assert!(first.ok && !first.replayed);
-        let second = evaluate(&manager, "e1", "s", batch.clone());
-        assert!(second.ok && second.replayed);
+        assert!(second.ok && !second.replayed, "evaluate is never replayed");
         let (ResponsePayload::Evaluated { results: a }, ResponsePayload::Evaluated { results: b }) =
             (&first.payload, &second.payload)
         else {
@@ -1077,26 +846,8 @@ mod tests {
         for (x, y) in a.iter().zip(b) {
             assert_eq!(x.score.to_bits(), y.score.to_bits());
         }
-        // Same id, different batch: refused.
-        let conflict = evaluate(&manager, "e1", "s", states(3));
-        assert!(matches!(
-            conflict.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::IdempotencyViolation,
-                ..
-            }
-        ));
-        // The replay did not double-count evaluations.
-        let ResponsePayload::Stats { stat } = manager
-            .handle(
-                &request("r9", "s", RequestOp::Stat),
-                &RunControl::unlimited(),
-            )
-            .payload
-        else {
-            panic!("stat");
-        };
-        assert_eq!(stat.evals_done, 2);
+        let after = manager.store.read("s").expect("read").expect("snapshot");
+        assert_eq!(before, after, "read-only evaluate must not persist");
     }
 
     #[test]
@@ -1151,48 +902,35 @@ mod tests {
         assert!(open(&manager, "r1", "s").ok);
         // Unknown session.
         assert!(!evaluate(&manager, "e1", "ghost", states(1)).ok);
+        assert!(!propose(&manager, "e2", "ghost", states(1).remove(0)).ok);
         // Invalid geometry (single bad state fails the batch).
         let bad = FloorplanState {
             chip: [100, 100],
             segments: vec![[0, 0, 101, 50]],
         };
-        assert!(!evaluate(&manager, "e2", "s", vec![bad.clone()]).ok);
-        // Wrong session kind for Propose.
-        assert!(!propose(&manager, "e3", "s", states(1).remove(0)).ok);
+        assert!(!evaluate(&manager, "e3", "s", vec![bad.clone()]).ok);
+        assert!(!propose(&manager, "e4", "s", bad).ok);
         // Expired deadline.
         let expired = RunControl::unlimited().with_time_limit(std::time::Duration::ZERO);
         let timeout = manager.handle(
-            &request("e4", "s", RequestOp::Evaluate { states: states(1) }),
+            &request("e5", "s", RequestOp::Evaluate { states: states(1) }),
             &expired,
         );
         assert!(!timeout.ok);
         assert_eq!(manager.load(), 0, "an error path leaked a gauge slot");
 
-        // Persist failure (all writes fault) on both Evaluate and the
-        // delta Propose/Commit path.
-        let all_fail = Chaos::with_config(
-            0,
-            ChaosConfig {
-                io_error_ppm: 1_000_000,
-                torn_ppm: 0,
-                kill_ppm: 0,
-            },
-        );
+        // Persist failure on the Propose/Commit path.
         let dir = std::env::temp_dir().join("irgrid_serve_mgr_gauge_persist");
         let _ = std::fs::remove_dir_all(&dir);
         let clean = SnapshotStore::open(&dir, Chaos::off(), KillSwitch::new()).expect("store");
-        let healthy = SessionManager::new(
-            clean.clone(),
-            Limits::default(),
-            DegradePolicy::default(),
-            1,
-        );
+        let healthy = SessionManager::new(clean, Limits::default(), DegradePolicy::default(), 1);
         assert!(open(&healthy, "r1", "s").ok);
-        let faulty_store = SnapshotStore::open(&dir, all_fail, KillSwitch::new()).expect("store");
+        let faulty_store = SnapshotStore::open(&dir, all_fail(), KillSwitch::new()).expect("store");
         let faulty =
             SessionManager::new(faulty_store, Limits::default(), DegradePolicy::default(), 1);
         assert!(open(&faulty, "r2", "s").ok, "resume reads, doesn't write");
-        assert!(!evaluate(&faulty, "e9", "s", states(1)).ok);
+        let digest = proposed_digest(&propose(&faulty, "p1", "s", states(1).remove(0)));
+        assert!(!commit(&faulty, "c1", "s", &digest).ok);
         assert_eq!(faulty.load(), 0, "persist-failure path leaked a slot");
         // Success paths also return to zero.
         assert!(evaluate(&healthy, "e1", "s", states(1)).ok);
@@ -1232,18 +970,11 @@ mod tests {
         );
         assert!(open(&manager, "r1", "s").ok);
         let response = evaluate(&manager, "e1", "s", states(1));
-        assert!(matches!(
-            response.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::Backpressure,
-                retryable: true,
-                ..
-            }
-        ));
+        assert_eq!(error_kind(&response), Some((ErrorKind::Backpressure, true)));
     }
 
     #[test]
-    fn degraded_responses_are_not_recorded_so_retries_rescore_full() {
+    fn degraded_scores_are_not_cached_so_retries_rescore_full() {
         let dir = std::env::temp_dir().join("irgrid_serve_mgr_degrade_retry");
         let _ = std::fs::remove_dir_all(&dir);
         let store = SnapshotStore::open(&dir, Chaos::off(), KillSwitch::new()).expect("store");
@@ -1262,8 +993,8 @@ mod tests {
         let degraded = evaluate(&degrade_all, "e1", "s", batch.clone());
         assert!(degraded.degraded);
 
-        // Same state dir, healthy policy: the same request id re-scores
-        // at full fidelity instead of replaying the degraded answer.
+        // Same state dir, healthy policy: the same request re-scores at
+        // full fidelity.
         let healthy = SessionManager::new(store, Limits::default(), DegradePolicy::default(), 1);
         assert!(open(&healthy, "r2", "s").ok);
         let retry = evaluate(&healthy, "e1", "s", batch);
@@ -1272,85 +1003,7 @@ mod tests {
             panic!("payload");
         };
         assert_eq!(results[0].model, "irregular");
-    }
-
-    #[test]
-    fn persist_failure_rolls_back_and_is_retryable() {
-        let dir = std::env::temp_dir().join("irgrid_serve_mgr_persistfail");
-        let _ = std::fs::remove_dir_all(&dir);
-        let all_fail = Chaos::with_config(
-            0,
-            ChaosConfig {
-                io_error_ppm: 1_000_000,
-                torn_ppm: 0,
-                kill_ppm: 0,
-            },
-        );
-        let clean_store =
-            SnapshotStore::open(&dir, Chaos::off(), KillSwitch::new()).expect("store");
-        let healthy = SessionManager::new(
-            clean_store.clone(),
-            Limits::default(),
-            DegradePolicy::default(),
-            1,
-        );
-        assert!(open(&healthy, "r1", "s").ok);
-        let before = clean_store.read("s").expect("read").expect("snapshot");
-
-        let faulty_store = SnapshotStore::open(&dir, all_fail, KillSwitch::new()).expect("store");
-        let faulty =
-            SessionManager::new(faulty_store, Limits::default(), DegradePolicy::default(), 1);
-        assert!(open(&faulty, "r2", "s").ok, "resume reads, doesn't write");
-        let response = evaluate(&faulty, "e1", "s", states(1));
-        assert!(matches!(
-            response.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::PersistFailed,
-                retryable: true,
-                ..
-            }
-        ));
-        // On-disk snapshot is untouched; in-memory counters rolled back.
-        let after = clean_store.read("s").expect("read").expect("snapshot");
-        assert_eq!(before, after);
-        let ResponsePayload::Stats { stat } = faulty
-            .handle(
-                &request("r9", "s", RequestOp::Stat),
-                &RunControl::unlimited(),
-            )
-            .payload
-        else {
-            panic!("stat");
-        };
-        assert_eq!(stat.evals_done, 0, "rolled back");
-    }
-
-    #[test]
-    fn restart_resumes_from_checkpoint() {
-        let dir = std::env::temp_dir().join("irgrid_serve_mgr_restart");
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = SnapshotStore::open(&dir, Chaos::off(), KillSwitch::new()).expect("store");
-        let first = SessionManager::new(
-            store.clone(),
-            Limits::default(),
-            DegradePolicy::default(),
-            1,
-        );
-        assert!(open(&first, "r1", "s").ok);
-        assert!(evaluate(&first, "e1", "s", states(2)).ok);
-        drop(first);
-
-        let second = SessionManager::new(store, Limits::default(), DegradePolicy::default(), 1);
-        assert_eq!(second.resumable().expect("list"), vec!["s".to_owned()]);
-        let reopened = open(&second, "r2", "s");
-        let ResponsePayload::Opened { resumed, stat } = &reopened.payload else {
-            panic!("payload {reopened:?}");
-        };
-        assert!(resumed);
-        assert_eq!(stat.evals_done, 2);
-        // The idempotency ring survived the restart.
-        let replay = evaluate(&second, "e1", "s", states(2));
-        assert!(replay.ok && replay.replayed);
+        assert!(!results[0].cached);
     }
 
     #[test]
@@ -1364,13 +1017,7 @@ mod tests {
         assert!(bye.ok);
         assert!(manager.shutting_down());
         let refused = evaluate(&manager, "e1", "s", states(1));
-        assert!(matches!(
-            refused.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::ShuttingDown,
-                ..
-            }
-        ));
+        assert_eq!(error_kind(&refused), Some((ErrorKind::ShuttingDown, true)));
         let pong = manager.handle(
             &request("r3", "", RequestOp::Ping),
             &RunControl::unlimited(),
@@ -1391,41 +1038,31 @@ mod tests {
         let manager = SessionManager::new(store, limits, DegradePolicy::default(), 1);
         assert!(open(&manager, "r1", "s").ok);
         let response = evaluate(&manager, "e1", "s", states(3));
-        assert!(matches!(
-            response.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::BatchTooLarge,
-                ..
-            }
-        ));
-        let fat = vec![FloorplanState {
+        assert_eq!(
+            error_kind(&response),
+            Some((ErrorKind::BatchTooLarge, false))
+        );
+        let fat = FloorplanState {
             chip: [100, 100],
             segments: vec![[0, 0, 1, 1]; 4],
-        }];
-        let response = evaluate(&manager, "e2", "s", fat.clone());
-        assert!(matches!(
-            response.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::BatchTooLarge,
-                ..
-            }
-        ));
+        };
+        let response = evaluate(&manager, "e2", "s", vec![fat.clone()]);
+        assert_eq!(
+            error_kind(&response),
+            Some((ErrorKind::BatchTooLarge, false))
+        );
         // Propose enforces max_segments too.
-        assert!(open_delta(&manager, "r2", "d").ok);
-        let response = propose(&manager, "e3", "d", fat.into_iter().next().expect("state"));
-        assert!(matches!(
-            response.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::BatchTooLarge,
-                ..
-            }
-        ));
+        let response = propose(&manager, "e3", "s", fat);
+        assert_eq!(
+            error_kind(&response),
+            Some((ErrorKind::BatchTooLarge, false))
+        );
     }
 
     #[test]
-    fn delta_lifecycle_propose_commit_undo_evaluate() {
+    fn propose_commit_undo_evaluate_lifecycle() {
         let manager = temp_manager("delta_lifecycle", Chaos::off(), DegradePolicy::default());
-        let opened = open_delta(&manager, "r1", "d");
+        let opened = open(&manager, "r1", "d");
         assert!(opened.ok, "{opened:?}");
 
         let batch = states(2);
@@ -1456,56 +1093,24 @@ mod tests {
         };
         assert_eq!(score.to_bits(), committed_score.to_bits());
 
-        // Evaluate on a delta session: read-only fast path, no budget,
-        // and the snapshot on disk is untouched by it.
+        // Evaluate: read-only, no budget, and the snapshot on disk is
+        // untouched by it.
         let before = manager.store.read("d").expect("read").expect("snapshot");
         let evaluated = evaluate(&manager, "e1", "d", batch.clone());
         assert!(evaluated.ok, "{evaluated:?}");
         let ResponsePayload::Evaluated { results } = &evaluated.payload else {
             panic!("wrong payload {evaluated:?}");
         };
-        assert_eq!(results[0].model, "irregular-delta");
+        assert_eq!(results[0].model, "irregular");
         let after = manager.store.read("d").expect("read").expect("snapshot");
         assert_eq!(before, after, "read-only evaluate must not persist");
-
-        let ResponsePayload::Stats { stat } = manager
-            .handle(
-                &request("r9", "d", RequestOp::Stat),
-                &RunControl::unlimited(),
-            )
-            .payload
-        else {
-            panic!("stat");
-        };
-        assert_eq!(stat.evals_done, 1, "only the commit consumed budget");
-    }
-
-    #[test]
-    fn full_and_delta_sessions_share_cached_scores() {
-        // One engine scores both kinds, so a full session's score serves
-        // a delta session's `Evaluate` of the same state from the shared
-        // cache, bit for bit, under the delta session's own label.
-        let manager = temp_manager("shared_cache", Chaos::off(), DegradePolicy::default());
-        assert!(open(&manager, "r1", "full").ok);
-        assert!(open_delta(&manager, "r2", "delta").ok);
-        let full = evaluate(&manager, "e1", "full", states(1));
-        let delta = evaluate(&manager, "e2", "delta", states(1));
-        let (
-            ResponsePayload::Evaluated { results: first },
-            ResponsePayload::Evaluated { results: second },
-        ) = (&full.payload, &delta.payload)
-        else {
-            panic!("wrong payloads {full:?} {delta:?}");
-        };
-        assert!(!first[0].cached && second[0].cached, "{delta:?}");
-        assert_eq!(first[0].score.to_bits(), second[0].score.to_bits());
-        assert_eq!(second[0].model, "irregular-delta");
+        assert_eq!(stat(&manager, "d").evals_done, 1, "only the commit counted");
     }
 
     #[test]
     fn delta_commit_replay_is_idempotent() {
         let manager = temp_manager("delta_replay", Chaos::off(), DegradePolicy::default());
-        assert!(open_delta(&manager, "r1", "d").ok);
+        assert!(open(&manager, "r1", "d").ok);
         let state = states(1).remove(0);
         let digest = proposed_digest(&propose(&manager, "p1", "d", state));
         let first = commit(&manager, "c1", "d", &digest);
@@ -1522,86 +1127,10 @@ mod tests {
         assert_eq!(a.to_bits(), b.to_bits());
         // A commit without a matching proposal is a typed error.
         let stale = commit(&manager, "c2", "d", &"0".repeat(16));
-        assert!(matches!(
-            stale.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::NoPendingProposal,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn wrong_session_kind_is_a_typed_error_everywhere() {
-        let manager = temp_manager("wrong_kind", Chaos::off(), DegradePolicy::default());
-        assert!(open(&manager, "r1", "full").ok);
-        assert!(open_delta(&manager, "r2", "delta").ok);
-
-        // Delta ops on a full session.
-        for response in [
-            propose(&manager, "p1", "full", states(1).remove(0)),
-            commit(&manager, "c1", "full", "00"),
-            manager.handle(
-                &request("u1", "full", RequestOp::Undo),
-                &RunControl::unlimited(),
-            ),
-        ] {
-            assert!(matches!(
-                response.payload,
-                ResponsePayload::Error {
-                    kind: ErrorKind::WrongSessionKind,
-                    ..
-                }
-            ));
-        }
-
-        // Opening a live session as the other kind.
-        let response = open_delta(&manager, "r3", "full");
-        assert!(matches!(
-            response.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::WrongSessionKind,
-                ..
-            }
-        ));
-        let response = open(&manager, "r4", "delta");
-        assert!(matches!(
-            response.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::WrongSessionKind,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn checkpoint_kind_mismatch_is_diagnosed_across_restart() {
-        let dir = std::env::temp_dir().join("irgrid_serve_mgr_kinddisk");
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = SnapshotStore::open(&dir, Chaos::off(), KillSwitch::new()).expect("store");
-        let first = SessionManager::new(
-            store.clone(),
-            Limits::default(),
-            DegradePolicy::default(),
-            1,
+        assert_eq!(
+            error_kind(&stale),
+            Some((ErrorKind::NoPendingProposal, false))
         );
-        assert!(open_delta(&first, "r1", "d").ok);
-        drop(first);
-
-        // A fresh manager (restart) resolves the kind from disk.
-        let second = SessionManager::new(store, Limits::default(), DegradePolicy::default(), 1);
-        let response = open(&second, "r2", "d");
-        assert!(
-            matches!(
-                response.payload,
-                ResponsePayload::Error {
-                    kind: ErrorKind::WrongSessionKind,
-                    ..
-                }
-            ),
-            "{response:?}"
-        );
-        assert!(open_delta(&second, "r3", "d").ok, "right kind resumes");
     }
 
     #[test]
@@ -1615,7 +1144,7 @@ mod tests {
             DegradePolicy::default(),
             1,
         );
-        assert!(open_delta(&first, "r1", "d").ok);
+        assert!(open(&first, "r1", "d").ok);
         let state = states(1).remove(0);
         let digest = proposed_digest(&propose(&first, "p1", "d", state.clone()));
         let committed = commit(&first, "c1", "d", &digest);
@@ -1623,7 +1152,8 @@ mod tests {
         drop(first);
 
         let second = SessionManager::new(store, Limits::default(), DegradePolicy::default(), 1);
-        let reopened = open_delta(&second, "r2", "d");
+        assert_eq!(second.resumable().expect("list"), vec!["d".to_owned()]);
+        let reopened = open(&second, "r2", "d");
         let ResponsePayload::Opened { resumed, stat } = &reopened.payload else {
             panic!("payload {reopened:?}");
         };
@@ -1635,13 +1165,156 @@ mod tests {
         // ...but the (volatile) pending proposal did not: a *new*
         // commit id needs a fresh propose first.
         let fresh = commit(&second, "c2", "d", &digest);
-        assert!(matches!(
-            fresh.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::NoPendingProposal,
-                ..
-            }
-        ));
+        assert_eq!(
+            error_kind(&fresh),
+            Some((ErrorKind::NoPendingProposal, false))
+        );
+    }
+
+    /// A session snapshot written by irgrid 0.12: two commits.
+    const LEGACY_SESSION: &str = r#"{
+  "version": 1,
+  "session_id": "legacy-delta",
+  "config": {
+    "pitch_um": 30,
+    "budget": 0,
+    "cache_capacity": 128
+  },
+  "commits_done": 2,
+  "committed": {
+    "chip": [
+      700,
+      600
+    ],
+    "segments": [
+      [
+        90,
+        15,
+        600,
+        500
+      ],
+      [
+        20,
+        500,
+        600,
+        15
+      ],
+      [
+        350,
+        10,
+        400,
+        590
+      ]
+    ]
+  },
+  "journal": [
+    {
+      "seq": 1,
+      "digest": "bddb9f624202bc61",
+      "score": 0.011538461538461539,
+      "fingerprint": "c3344dabae2855c4"
+    },
+    {
+      "seq": 2,
+      "digest": "4fce5a18d186eed2",
+      "score": 0.06857669456518374,
+      "fingerprint": "7880e156b3b8b7e5"
+    }
+  ],
+  "completed": [
+    {
+      "request_id": "c0",
+      "digest": "bddb9f624202bc61",
+      "score": 0.011538461538461539,
+      "seq": 1
+    },
+    {
+      "request_id": "c1",
+      "digest": "4fce5a18d186eed2",
+      "score": 0.06857669456518374,
+      "seq": 2
+    }
+  ]
+}"#;
+
+    /// A full-session snapshot written by irgrid 0.12 (one `Open` and
+    /// one `Evaluate`); that session kind no longer exists.
+    const LEGACY_FULL_SESSION: &str = r#"{
+  "version": 1,
+  "session_id": "legacy-full",
+  "config": {
+    "pitch_um": 30,
+    "budget": 0,
+    "cache_capacity": 128
+  },
+  "evals_done": 1,
+  "completed": [
+    {
+      "request_id": "e1",
+      "batch_digest": "a862299743d59171",
+      "results": [
+        {
+          "digest": "bddb9f624202bc61",
+          "score": 0.011538461538461539,
+          "model": "irregular",
+          "cached": false
+        }
+      ]
+    }
+  ]
+}"#;
+
+    /// A manager over a fresh state directory holding `snapshot` under
+    /// `session`.
+    fn manager_with_snapshot(tag: &str, session: &str, snapshot: &str) -> SessionManager {
+        let manager = temp_manager(tag, Chaos::off(), DegradePolicy::default());
+        manager
+            .store
+            .write(session, snapshot, 0)
+            .expect("seed the snapshot");
+        manager
+    }
+
+    #[test]
+    fn a_session_snapshot_from_0_12_resumes_verified() {
+        let manager = manager_with_snapshot("legacy", "legacy-delta", LEGACY_SESSION);
+        let reopened = open(&manager, "r1", "legacy-delta");
+        let ResponsePayload::Opened { resumed, stat } = &reopened.payload else {
+            panic!("payload {reopened:?}");
+        };
+        assert!(resumed, "the fingerprint check passed");
+        assert_eq!(stat.evals_done, 2);
+        // The recorded commit acks replay from the resumed ring.
+        let replay = commit(&manager, "c1", "legacy-delta", "4fce5a18d186eed2");
+        assert!(replay.ok && replay.replayed, "{replay:?}");
+        let ResponsePayload::Committed { score, .. } = replay.payload else {
+            panic!("payload");
+        };
+        assert_eq!(score.to_bits(), 0.06857669456518374f64.to_bits());
+    }
+
+    #[test]
+    fn a_full_session_snapshot_is_refused_and_left_on_disk() {
+        let manager = manager_with_snapshot("legacy_full", "legacy-full", LEGACY_FULL_SESSION);
+        let refused = open(&manager, "r1", "legacy-full");
+        assert_eq!(
+            error_kind(&refused),
+            Some((ErrorKind::PersistFailed, false)),
+            "{refused:?}"
+        );
+        let ResponsePayload::Error { message, .. } = &refused.payload else {
+            panic!("payload");
+        };
+        assert!(message.contains("checkpoint unreadable"), "{message}");
+        let on_disk = manager
+            .store
+            .read("legacy-full")
+            .expect("read")
+            .expect("snapshot kept");
+        assert_eq!(
+            on_disk, LEGACY_FULL_SESSION,
+            "the file stays byte-identical"
+        );
     }
 
     #[test]
@@ -1655,34 +1328,19 @@ mod tests {
             DegradePolicy::default(),
             1,
         );
-        assert!(open_delta(&healthy, "r1", "d").ok);
+        assert!(open(&healthy, "r1", "d").ok);
         let before = clean.read("d").expect("read").expect("snapshot");
 
         // Every chaos consultation faults with an io-error: the commit
         // fails at the delta.commit site, before anything mutated.
-        let all_fail = Chaos::with_config(
-            0,
-            ChaosConfig {
-                io_error_ppm: 1_000_000,
-                torn_ppm: 0,
-                kill_ppm: 0,
-            },
-        );
-        let faulty_store = SnapshotStore::open(&dir, all_fail, KillSwitch::new()).expect("store");
+        let faulty_store = SnapshotStore::open(&dir, all_fail(), KillSwitch::new()).expect("store");
         let faulty =
             SessionManager::new(faulty_store, Limits::default(), DegradePolicy::default(), 1);
-        assert!(open_delta(&faulty, "r2", "d").ok, "resume reads, no write");
+        assert!(open(&faulty, "r2", "d").ok, "resume reads, no write");
         let state = states(1).remove(0);
         let digest = proposed_digest(&propose(&faulty, "p1", "d", state));
         let failed = commit(&faulty, "c1", "d", &digest);
-        assert!(matches!(
-            failed.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::PersistFailed,
-                retryable: true,
-                ..
-            }
-        ));
+        assert_eq!(error_kind(&failed), Some((ErrorKind::PersistFailed, true)));
         // Nothing durable or in-memory moved; the proposal is still
         // armed, so a healthy retry of the same commit succeeds.
         assert_eq!(
@@ -1690,16 +1348,7 @@ mod tests {
             before,
             "failed commit must not touch the snapshot"
         );
-        let ResponsePayload::Stats { stat } = faulty
-            .handle(
-                &request("r9", "d", RequestOp::Stat),
-                &RunControl::unlimited(),
-            )
-            .payload
-        else {
-            panic!("stat");
-        };
-        assert_eq!(stat.evals_done, 0, "commit not counted");
+        assert_eq!(stat(&faulty, "d").evals_done, 0, "commit not counted");
 
         // Kill decision at the same site trips the daemon-wide switch.
         let all_kill = Chaos::with_config(
@@ -1713,35 +1362,36 @@ mod tests {
         let kill_store = SnapshotStore::open(&dir, all_kill, KillSwitch::new()).expect("store");
         let killed =
             SessionManager::new(kill_store, Limits::default(), DegradePolicy::default(), 1);
-        assert!(open_delta(&killed, "r3", "d").ok);
+        assert!(open(&killed, "r3", "d").ok);
         let state = states(2).remove(1);
         let digest = proposed_digest(&propose(&killed, "p2", "d", state));
         let response = commit(&killed, "c2", "d", &digest);
-        assert!(matches!(
-            response.payload,
-            ResponsePayload::Error {
-                kind: ErrorKind::ShuttingDown,
-                ..
-            }
-        ));
+        assert_eq!(error_kind(&response), Some((ErrorKind::ShuttingDown, true)));
         assert!(killed.shutting_down(), "kill at delta.commit shuts down");
     }
 
     #[test]
-    fn shared_cache_crosses_sessions_of_the_same_pipeline() {
+    fn shared_cache_crosses_sessions() {
         let manager = temp_manager("shared_cache", Chaos::off(), DegradePolicy::default());
         assert!(open(&manager, "r1", "a").ok);
         assert!(open(&manager, "r2", "b").ok);
+        assert!(open(&manager, "r3", "c").ok);
         let batch = states(1);
         assert!(evaluate(&manager, "e1", "a", batch.clone()).ok);
         // Session b scores the identical state: served from the shared
         // cache, bit-identically.
-        let second = evaluate(&manager, "e2", "b", batch);
-        assert!(second.ok);
-        let ResponsePayload::Evaluated { results } = &second.payload else {
-            panic!("payload");
+        let second = evaluate(&manager, "e2", "b", batch.clone());
+        let ResponsePayload::Evaluated { results: hit } = &second.payload else {
+            panic!("payload {second:?}");
         };
-        assert!(results[0].cached, "cross-session hit expected");
+        assert!(hit[0].cached, "cross-session hit expected");
         assert!(manager.shared_cache_hits() >= 1);
+        // A proposal's score is the same bits: session c's propose of the
+        // state scores what Evaluate served.
+        let proposed = propose(&manager, "p1", "c", batch[0].clone());
+        let ResponsePayload::Proposed { score, .. } = proposed.payload else {
+            panic!("payload {proposed:?}");
+        };
+        assert_eq!(score.to_bits(), hit[0].score.to_bits());
     }
 }

@@ -18,7 +18,6 @@
 //! frame     := json-object "\n"
 //! request   := { "id": string, "session": string, "op": op }
 //! op        := "Ping" | "Stat" | "Close" | "Shutdown" | "Undo"
-//!            | { "Open":      { "config": session-config } }
 //!            | { "OpenDelta": { "config": session-config } }
 //!            | { "Evaluate":  { "states": [ floorplan-state* ] } }
 //!            | { "Propose":   { "state": floorplan-state } }
@@ -30,7 +29,7 @@
 //! Enum encodings follow the workspace's serde conventions: unit
 //! variants are strings, payload variants single-entry maps.
 //!
-//! # Delta sessions
+//! # Sessions
 //!
 //! `OpenDelta` opens (or resumes) a session holding a session-resident
 //! [`IrDeltaEvaluator`](irgrid_core::congestion::IrDeltaEvaluator)
@@ -38,8 +37,7 @@
 //! state incrementally against the committed snapshot (pure, nothing
 //! persisted — a retry recomputes bit-identically); `Commit` promotes
 //! the pending proposal (persist-then-reply, idempotent by request id);
-//! `Undo` drops it. `Evaluate` on a delta session is a read-only
-//! fast path: each state is scored as propose + undo, leaving the
+//! `Undo` drops it. `Evaluate` scores a batch read-only, leaving the
 //! committed state and any pending proposal untouched.
 
 use serde::{Deserialize, Serialize};
@@ -65,7 +63,8 @@ pub struct Limits {
     pub max_clients: usize,
     /// Most segments in one floorplan state.
     pub max_segments: usize,
-    /// Idempotency records retained per session (oldest evicted first).
+    /// Commit idempotency records and journal entries retained per
+    /// session (oldest evicted first).
     pub completed_ring: usize,
     /// Capacity of the manager-wide shared score cache (entries across
     /// *all* sessions); `0` disables caching daemon-wide.
@@ -86,19 +85,20 @@ impl Default for Limits {
     }
 }
 
-/// Per-session configuration fixed at `Open`.
+/// Per-session configuration fixed at `OpenDelta`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SessionConfig {
     /// Evaluation grid pitch in µm (strictly positive).
     pub pitch_um: i64,
-    /// Total evaluation budget across the session's lifetime; `0` means
-    /// unlimited. Enforced through
+    /// Total commit budget across the session's lifetime; `0` means
+    /// unlimited. `Propose`, `Undo` and `Evaluate` are free. Enforced
+    /// through
     /// [`RunControl::with_move_budget`](irgrid_anneal::RunControl::with_move_budget).
     pub budget: u64,
     /// Score-cache participation. The cache itself is daemon-wide
     /// (bounded by [`Limits::shared_cache_capacity`]); any non-zero
     /// value opts this session in, `0` opts it out. The historical name
-    /// is kept for wire compatibility with PR 6 clients.
+    /// is kept for wire compatibility with older clients.
     pub cache_capacity: u64,
 }
 
@@ -128,34 +128,26 @@ pub struct FloorplanState {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum RequestOp {
     /// Create the named session (or resume it from its checkpoint if the
-    /// daemon restarted). Opening an existing live session with the same
-    /// config is idempotent.
+    /// daemon restarted): a session-resident incremental evaluator
+    /// scoring through the exact Q32 delta pipeline. Opening an existing
+    /// live session with the same config is idempotent.
     /// [idempotency: idempotent for an identical config; a different
     /// config for a live session is `InvalidRequest`]
-    Open {
-        /// The session's fixed configuration.
-        config: SessionConfig,
-    },
-    /// Create the named *delta* session (or resume it from its
-    /// checkpoint): a session-resident incremental evaluator scoring
-    /// through the exact Q32 delta pipeline. Idempotent like `Open`.
-    /// [idempotency: idempotent for an identical config, like `Open`]
     OpenDelta {
         /// The session's fixed configuration.
         config: SessionConfig,
     },
-    /// Score a batch of floorplan states in the named session. On a
-    /// delta session this is a read-only fast path (propose + undo per
-    /// state); it leaves the committed state and any pending proposal
+    /// Score a batch of floorplan states in the named session,
+    /// read-only: it leaves the committed state and any pending proposal
     /// untouched and consumes no budget.
-    /// [idempotency: deduplicated by request id — a retry replays the
-    /// recorded response and spends no additional budget]
+    /// [idempotency: read-only — a retry recomputes the same scores
+    /// bit-identically]
     Evaluate {
         /// The states to score, answered in order.
         states: Vec<FloorplanState>,
     },
-    /// Score one state incrementally against the delta session's
-    /// committed snapshot and leave it pending for `Commit`. Pure:
+    /// Score one state incrementally against the session's committed
+    /// snapshot and leave it pending for `Commit`. Pure:
     /// nothing is persisted, and a retry recomputes bit-identically.
     /// [idempotency: naturally idempotent — a retry recomputes the same
     /// digest and score bit-identically]
@@ -197,7 +189,7 @@ pub enum RequestOp {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     /// Client-chosen request id; echoed in the response and used as the
-    /// idempotency key for `Evaluate` retries.
+    /// idempotency key for `Commit` retries.
     pub id: String,
     /// Session name; `[A-Za-z0-9_-]{1,64}`. Ignored by `Ping`/`Shutdown`.
     pub session: String,
@@ -213,7 +205,7 @@ pub enum ErrorKind {
     /// The daemon (or one of its bounded queues) is full; retry later.
     /// [retry: always — transient load, back off and resend unchanged]
     Backpressure,
-    /// The session's evaluation budget is exhausted.
+    /// The session's commit budget is exhausted.
     /// [retry: never — the budget is spent; open a new session]
     BudgetExhausted,
     /// The frame was not a valid request object.
@@ -226,30 +218,25 @@ pub enum ErrorKind {
     /// exceeded [`Limits::max_segments`].
     /// [retry: never — split the batch instead]
     BatchTooLarge,
-    /// `Evaluate`/`Stat`/`Close` named a session that was never opened.
-    /// [retry: conditional — valid after an `Open` re-establishes it]
+    /// A session op named a session that is not open.
+    /// [retry: conditional — valid after an `OpenDelta` re-establishes it]
     UnknownSession,
     /// The request named an invalid session id or config.
     /// [retry: never — the request itself is wrong]
     InvalidRequest,
-    /// A request id was reused with a different payload digest.
-    /// [retry: never — pick a fresh request id]
-    IdempotencyViolation,
     /// The per-request evaluation deadline passed mid-batch.
     /// [retry: always — no state changed; the retry re-evaluates]
     Timeout,
-    /// Persisting the session checkpoint failed; state was rolled back,
-    /// retry the request.
-    /// [retry: always — the rollback restored the pre-request state]
+    /// Persisting the session checkpoint failed, or a checkpoint on disk
+    /// could not be resumed. The `retryable` flag tells the two apart: a
+    /// failed persist applied nothing and may be retried; an unreadable
+    /// or unverifiable checkpoint is refused for good.
+    /// [retry: conditional — retryable after a failed persist, which
+    /// applied nothing; never for an unreadable checkpoint]
     PersistFailed,
     /// The daemon is shutting down (or a chaos kill point fired).
     /// [retry: conditional — against the restarted daemon, not this one]
     ShuttingDown,
-    /// A delta-only op (`Propose`/`Commit`/`Undo`) was sent to a full
-    /// session, or `Open`/`OpenDelta` named a session of the other
-    /// kind.
-    /// [retry: never — the session kind does not change; fix the caller]
-    WrongSessionKind,
     /// `Commit` named a digest with no matching pending proposal (e.g.
     /// the daemon restarted since the propose). Re-send the `Propose`,
     /// then retry the commit.
@@ -267,28 +254,29 @@ pub struct EvalResult {
     /// Which model produced the score: `"irregular"`, `"lz"`, or
     /// `"fixed"` — the degradation ladder, top first.
     pub model: String,
-    /// Whether the score came from the session's congestion-map cache.
+    /// Whether the score came from the daemon-wide score cache.
     pub cached: bool,
 }
 
 /// Session counters reported by `Stat` (and embedded in `Opened`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SessionStat {
-    /// States evaluated over the session's lifetime (across restarts).
+    /// Commits over the session's lifetime (across restarts). The name
+    /// is kept for wire compatibility.
     pub evals_done: u64,
-    /// Remaining evaluation budget; `0` with a zero-budget config means
+    /// Remaining commit budget; `0` with a zero-budget config means
     /// unlimited.
     pub budget_left: u64,
     /// Cache hits over this process's lifetime (not persisted).
     pub cache_hits: u64,
-    /// Idempotency records currently retained.
+    /// Commit idempotency records currently retained.
     pub completed: u64,
 }
 
 /// The response body.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ResponsePayload {
-    /// `Open` succeeded.
+    /// `OpenDelta` succeeded.
     Opened {
         /// Whether the session was resumed from a checkpoint on disk.
         resumed: bool,
@@ -354,10 +342,10 @@ pub struct Response {
     pub ok: bool,
     /// `true` when load shedding downgraded the scoring model below the
     /// session's irregular-grid default. Degraded scores are never
-    /// cached and never recorded for idempotent replay.
+    /// cached and a degraded proposal never arms a commit.
     pub degraded: bool,
-    /// `true` when this is a recorded response replayed for an
-    /// idempotent retry (same request id and payload digest).
+    /// `true` when this is a recorded `Commit` ack replayed for an
+    /// idempotent retry (same request id and digest).
     pub replayed: bool,
     /// The body.
     pub payload: ResponsePayload,
@@ -538,11 +526,9 @@ mod tests {
             ErrorKind::BatchTooLarge,
             ErrorKind::UnknownSession,
             ErrorKind::InvalidRequest,
-            ErrorKind::IdempotencyViolation,
             ErrorKind::Timeout,
             ErrorKind::PersistFailed,
             ErrorKind::ShuttingDown,
-            ErrorKind::WrongSessionKind,
             ErrorKind::NoPendingProposal,
         ] {
             let response = Response::error("x", kind, "m", true);
@@ -578,6 +564,8 @@ mod tests {
             "[1,2,3]",
             r#"{"id":"a","session":"s","op":{"Evaluate":{"states":"nope"}}}"#,
             r#"{"id":"a","session":"s"}"#,
+            // The full session's open op is gone.
+            r#"{"id":"a","session":"s","op":{"Open":{"config":{"pitch_um":30,"budget":0,"cache_capacity":8}}}}"#,
         ] {
             assert!(parse_request(bad).is_err(), "frame {bad:?} must not parse");
         }

@@ -471,11 +471,11 @@ mod tests {
         assert!(pong.ok, "{pong:?}");
         assert!(matches!(pong.payload, ResponsePayload::Pong));
 
-        // A full Open/Evaluate exchange over binary frames.
+        // An OpenDelta exchange over binary frames.
         let open = Request {
             id: "p2".into(),
             session: "alice".into(),
-            op: RequestOp::Open {
+            op: RequestOp::OpenDelta {
                 config: crate::protocol::SessionConfig::default_config(),
             },
         };
@@ -586,13 +586,32 @@ mod tests {
         .expect("serve");
 
         let mut stream = UnixStream::connect(&socket).expect("connect");
-        stream
-            .write_all(
-                b"{\"id\":\"u1\",\"session\":\"alice\",\"op\":{\"Open\":{\"config\":{\"pitch_um\":30,\"budget\":0,\"cache_capacity\":8}}}}\n",
-            )
-            .expect("send");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut line = String::new();
+        // The removed full-session `Open` op is a malformed frame; the
+        // connection survives it.
+        stream
+            .write_all(
+                b"{\"id\":\"u0\",\"session\":\"alice\",\"op\":{\"Open\":{\"config\":{\"pitch_um\":30,\"budget\":0,\"cache_capacity\":8}}}}\n",
+            )
+            .expect("send");
+        reader.read_line(&mut line).expect("reply");
+        let refused: Response = serde_json::from_str(line.trim_end()).expect("parse");
+        assert_eq!(refused.id, "u0");
+        assert!(matches!(
+            refused.payload,
+            ResponsePayload::Error {
+                kind: ErrorKind::MalformedFrame,
+                retryable: false,
+                ..
+            }
+        ));
+        line.clear();
+        stream
+            .write_all(
+                b"{\"id\":\"u1\",\"session\":\"alice\",\"op\":{\"OpenDelta\":{\"config\":{\"pitch_um\":30,\"budget\":0,\"cache_capacity\":8}}}}\n",
+            )
+            .expect("send");
         reader.read_line(&mut line).expect("reply");
         let opened: Response = serde_json::from_str(line.trim_end()).expect("parse");
         assert!(opened.ok, "{opened:?}");

@@ -1,25 +1,42 @@
-//! One client's evaluation session.
+//! One client's session: the serve-side wrapper around a
+//! session-resident [`IrDeltaEvaluator`].
 //!
-//! A session pairs a small **persistent** state record ([`SessionState`],
-//! snapshotted atomically after every mutation) with ephemeral runtime
-//! machinery: the irregular-grid model, the degradation-ladder fallback
-//! models, and a handle to the manager-wide [`SharedScoreCache`]. Everything that matters for crash recovery
-//! lives in `SessionState`; everything else is reconstructed
-//! deterministically from it, so a daemon restart resumes the session
-//! bit-identically.
+//! A session pairs a small **persistent** record ([`SessionState`]) with
+//! deterministic runtime machinery. The contract is move-shaped:
+//! `Propose` scores one candidate against the committed floorplan through
+//! the exact Q32 delta pipeline, `Commit` makes the pending proposal the
+//! new committed state, and `Undo` drops it. `Evaluate` scores a batch of
+//! independent states with [`IrregularGridModel::evaluate`] (the same
+//! bits as a fresh rebase) and never touches the evaluator. Only `Commit`
+//! mutates persistent state; `Propose`/`Undo`/`Evaluate` are pure, which
+//! is what lets the daemon skip a persist round-trip on the
+//! (overwhelmingly common) rejected-move path.
 //!
-//! # Mutation discipline
+//! # Crash recovery
 //!
-//! [`Session::evaluate`] never mutates persistent state on a failed
-//! request: budget checks happen before work, deadline aborts happen
-//! before the commit, and the *caller* (the session manager) persists the
-//! new state before releasing the response — rolling the in-memory record
-//! back if persistence fails. A client therefore observes a success only
-//! after the state that remembers it is durable, which is what makes
-//! retries idempotent and recovery bit-identical.
+//! The snapshot stores the committed [`FloorplanState`] plus a bounded
+//! **commit journal** whose tail pins the committed map's identity: the
+//! commit's score bits and a fingerprint of the evaluator's exact cut
+//! vectors and Q32 totals ([`IrDeltaEvaluator::committed_fingerprint`]).
+//! [`Session::from_state`] replays the committed state through a fresh
+//! evaluator and refuses to resume unless both match — a restored
+//! session is therefore *verified* bit-identical to the one that
+//! persisted, not assumed.
+//!
+//! # Commit ordering
+//!
+//! Commits are split into [`Session::prepare_commit`] (pure: builds the
+//! next persistent record) and [`Session::apply_commit`] (advances the
+//! evaluator). The manager persists *between* the two, so a failed
+//! persist leaves both the evaluator and the pending proposal untouched
+//! and the client can simply retry the commit — no rollback path exists
+//! because nothing was mutated.
 
 use irgrid_anneal::RunControl;
-use irgrid_core::{CongestionModel, FixedGridModel, IrregularGridModel, LzShapeModel};
+use irgrid_core::{
+    CongestionModel, DeltaCongestion, DeltaCongestionSession, FixedGridModel, IrDeltaEvaluator,
+    IrregularGridModel, LzShapeModel,
+};
 use irgrid_fleet::pool;
 use irgrid_fleet::state_digest;
 use irgrid_geom::{Point, Rect, Um};
@@ -31,15 +48,35 @@ use crate::protocol::{ErrorKind, EvalResult, FloorplanState, SessionConfig, Sess
 /// Snapshot format version written by this library.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// One remembered `Evaluate` response, for idempotent retries.
+/// One committed move, oldest first in the journal. The tail record
+/// pins the committed map: recovery re-derives the map from the stored
+/// [`FloorplanState`] and must reproduce `score` bit for bit and
+/// `fingerprint` exactly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CompletedRecord {
+pub struct CommitRecord {
+    /// 1-based commit sequence number (== `commits_done` at commit time).
+    pub seq: u64,
+    /// Digest of the committed state.
+    pub digest: String,
+    /// The committed map's cost, bit-exact.
+    pub score: f64,
+    /// 16-hex-char fingerprint of the committed snapshot's cut vectors,
+    /// Q32 totals, and cost bits (hex so the u64 never rides through a
+    /// JSON float).
+    pub fingerprint: String,
+}
+
+/// One remembered `Commit` response, for idempotent retries.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CompletedCommit {
     /// The client's request id.
     pub request_id: String,
-    /// Digest of the request's state batch; a retry must match it.
-    pub batch_digest: String,
-    /// The recorded results, replayed verbatim.
-    pub results: Vec<EvalResult>,
+    /// The digest the commit was issued against; a retry must match it.
+    pub digest: String,
+    /// The recorded score, replayed verbatim.
+    pub score: f64,
+    /// The recorded commit sequence number.
+    pub seq: u64,
 }
 
 /// The persistent part of a session — everything crash recovery needs.
@@ -47,16 +84,19 @@ pub struct CompletedRecord {
 pub struct SessionState {
     /// Snapshot format version ([`SNAPSHOT_VERSION`]).
     pub version: u32,
-    /// The session id (redundant with the file name; cross-checked on
-    /// load so a renamed or copied snapshot cannot impersonate another
-    /// session).
+    /// The session id, cross-checked on load.
     pub session_id: String,
-    /// The fixed configuration from `Open`.
+    /// The fixed configuration from `OpenDelta`. `budget` counts
+    /// *commits* (proposes, undos and evaluates are free).
     pub config: SessionConfig,
-    /// States evaluated over the session's lifetime.
-    pub evals_done: u64,
-    /// Idempotency ring, oldest first.
-    pub completed: Vec<CompletedRecord>,
+    /// Commits over the session's lifetime.
+    pub commits_done: u64,
+    /// The committed floorplan (`None` until the first commit).
+    pub committed: Option<FloorplanState>,
+    /// Bounded commit journal, oldest first; the tail verifies recovery.
+    pub journal: Vec<CommitRecord>,
+    /// Idempotency ring for commits, oldest first.
+    pub completed: Vec<CompletedCommit>,
 }
 
 impl SessionState {
@@ -67,12 +107,13 @@ impl SessionState {
         serde_json::to_string_pretty(self).expect("session snapshot serialization is infallible")
     }
 
-    /// Parses a snapshot, validating version and id.
+    /// Parses a snapshot, validating version, id, and journal shape.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable reason when the text is torn/garbage,
-    /// the version is foreign, or the embedded id does not match.
+    /// Returns a human-readable reason when the text is torn/garbage or
+    /// internally inconsistent (version, id, pitch, or a journal that
+    /// does not agree with `commits_done`/`committed`).
     pub fn from_json(text: &str, expect_id: &str) -> Result<SessionState, String> {
         let state: SessionState =
             serde_json::from_str(text).map_err(|err| format!("snapshot did not parse: {err}"))?;
@@ -90,6 +131,34 @@ impl SessionState {
         }
         if state.config.pitch_um <= 0 {
             return Err("snapshot config has a non-positive pitch".to_owned());
+        }
+        if state.commits_done == 0 {
+            if state.committed.is_some() || !state.journal.is_empty() {
+                return Err("snapshot has commit data but commits_done = 0".to_owned());
+            }
+        } else {
+            if state.committed.is_none() {
+                return Err(format!(
+                    "snapshot records {} commit(s) but no committed state",
+                    state.commits_done
+                ));
+            }
+            let Some(tail) = state.journal.last() else {
+                return Err("snapshot has commits but an empty journal".to_owned());
+            };
+            if tail.seq != state.commits_done {
+                return Err(format!(
+                    "journal tail seq {} does not match commits_done {}",
+                    tail.seq, state.commits_done
+                ));
+            }
+            let increasing = state.journal.windows(2).all(|w| w[0].seq < w[1].seq);
+            if !increasing || state.journal.iter().any(|r| r.seq == 0) {
+                return Err("journal seq numbers are not strictly increasing from 1".to_owned());
+            }
+        }
+        if state.completed.iter().any(|r| r.seq > state.commits_done) {
+            return Err("completed ring references a commit past commits_done".to_owned());
         }
         Ok(state)
     }
@@ -145,31 +214,80 @@ impl EvalFailure {
     }
 }
 
-/// A live session: persistent state plus runtime machinery.
+/// The proposal currently armed for commit. Mirrors the evaluator's
+/// internal proposed snapshot.
+#[derive(Debug, Clone)]
+struct PendingProposal {
+    state: FloorplanState,
+    digest: String,
+    score: f64,
+}
+
+/// A live session: persistent record plus the session-resident
+/// [`IrDeltaEvaluator`], the stateless model `Evaluate` scores with, and
+/// the degradation fallbacks.
 #[derive(Debug)]
 pub struct Session {
-    /// The persistent record (the manager snapshots and rolls back this).
+    /// The persistent record (the manager persists this via
+    /// [`prepare_commit`](Self::prepare_commit)).
     pub state: SessionState,
+    evaluator: IrDeltaEvaluator,
     model: IrregularGridModel,
     lz: LzShapeModel,
     fixed: FixedGridModel,
-    /// Handle to the manager-wide score cache.
     cache: SharedScoreCache,
-    /// Whether this session participates in the shared cache
-    /// (`config.cache_capacity > 0`).
     cache_enabled: bool,
-    /// Hits observed by *this* session (the shared counter aggregates
-    /// all sessions).
     cache_hits: u64,
-    /// The scoring-pipeline id this session caches under; delta sessions
-    /// share it, since both score with `IrregularGridModel::evaluate`'s
-    /// engine.
     cache_model: String,
     completed_ring: usize,
+    pending: Option<PendingProposal>,
+}
+
+/// What [`Session::prepare_commit`] decided.
+#[derive(Debug)]
+pub enum CommitOutcome {
+    /// The request id was already recorded; replay the remembered ack
+    /// (nothing to persist or apply).
+    Replayed {
+        /// Recorded state digest.
+        digest: String,
+        /// Recorded score, bit-exact.
+        score: f64,
+        /// Recorded commit sequence number.
+        seq: u64,
+    },
+    /// A new commit: persist [`PreparedCommit::snapshot_json`], then
+    /// [`apply_commit`](Session::apply_commit).
+    Prepared(PreparedCommit),
+}
+
+/// A commit that has been validated and staged but not yet applied.
+/// Holds the *next* persistent record; the session is untouched until
+/// [`Session::apply_commit`] consumes this.
+#[derive(Debug)]
+pub struct PreparedCommit {
+    next: SessionState,
+    digest: String,
+    score: f64,
+    seq: u64,
+}
+
+impl PreparedCommit {
+    /// The snapshot JSON the manager must persist before applying.
+    #[must_use]
+    pub fn snapshot_json(&self) -> String {
+        self.next.to_json()
+    }
+
+    /// The commit sequence number this prepared commit will ack with.
+    #[must_use]
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
 }
 
 impl Session {
-    /// Creates a fresh session for `config`, caching scores in `cache`.
+    /// Creates a fresh session for `config`.
     #[must_use]
     pub fn create(
         session_id: &str,
@@ -181,35 +299,77 @@ impl Session {
             version: SNAPSHOT_VERSION,
             session_id: session_id.to_owned(),
             config,
-            evals_done: 0,
+            commits_done: 0,
+            committed: None,
+            journal: Vec::new(),
             completed: Vec::new(),
         };
         Session::from_state(state, completed_ring, cache)
+            .unwrap_or_else(|why| unreachable!("fresh session state cannot fail recovery: {why}"))
     }
 
-    /// Rebuilds a session around recovered persistent state.
-    #[must_use]
+    /// Rebuilds a session around recovered persistent state, replaying
+    /// the committed floorplan through a fresh evaluator and verifying
+    /// it against the journal tail.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable reason when the committed state is
+    /// unparseable geometry or the replayed map's cost bits or
+    /// fingerprint disagree with what the journal recorded — a loud
+    /// refusal, since serving from a diverged map would silently break
+    /// the bit-identity contract.
     pub fn from_state(
         state: SessionState,
         completed_ring: usize,
         cache: SharedScoreCache,
-    ) -> Session {
+    ) -> Result<Session, String> {
         let pitch = Um(state.config.pitch_um.max(1));
         let model = IrregularGridModel::new(pitch);
-        Session {
+        let mut evaluator = model.delta_session();
+        if let Some(committed) = &state.committed {
+            let (chip, segments) = to_geometry(committed)
+                .map_err(|why| format!("recovered committed state is invalid: {why}"))?;
+            let cost = evaluator.rebase(&chip, &segments);
+            let tail = state
+                .journal
+                .last()
+                .ok_or_else(|| "committed state without a journal tail".to_owned())?;
+            if cost.to_bits() != tail.score.to_bits() {
+                return Err(format!(
+                    "replayed committed map cost {cost:?} (bits {:016x}) does not match \
+                     journal tail score {:?} (bits {:016x})",
+                    cost.to_bits(),
+                    tail.score,
+                    tail.score.to_bits()
+                ));
+            }
+            let fingerprint = format!("{:016x}", evaluator.committed_fingerprint());
+            if fingerprint != tail.fingerprint {
+                return Err(format!(
+                    "replayed committed map fingerprint {fingerprint} does not match \
+                     journal tail fingerprint {}",
+                    tail.fingerprint
+                ));
+            }
+        }
+        Ok(Session {
+            evaluator,
             model,
             lz: LzShapeModel::new(pitch),
             fixed: FixedGridModel::new(pitch),
             cache,
             cache_enabled: state.config.cache_capacity > 0,
             cache_hits: 0,
-            cache_model: model_id("irregular", pitch.0),
+            cache_model: model_id(DegradeRung::Full.model_name(), pitch.0),
             completed_ring: completed_ring.max(1),
+            pending: None,
             state,
-        }
+        })
     }
 
-    /// The budget control this session's config induces.
+    /// The budget control this session's config induces (`budget`
+    /// bounds commits; 0 means unlimited).
     #[must_use]
     pub fn budget_control(&self) -> RunControl {
         let control = RunControl::unlimited();
@@ -220,63 +380,208 @@ impl Session {
         }
     }
 
-    /// Current counters.
+    /// Current counters. `evals_done` reports commits — the only
+    /// budget-metered operation.
     #[must_use]
     pub fn stat(&self) -> SessionStat {
         let budget = self.state.config.budget;
         SessionStat {
-            evals_done: self.state.evals_done,
-            budget_left: budget.saturating_sub(self.state.evals_done),
+            evals_done: self.state.commits_done,
+            budget_left: budget.saturating_sub(self.state.commits_done),
             cache_hits: self.cache_hits,
             completed: self.state.completed.len() as u64,
         }
     }
 
-    /// The recorded response for `request_id`, if any.
+    /// The recorded commit ack for `request_id`, if any.
     #[must_use]
-    pub fn recorded(&self, request_id: &str) -> Option<&CompletedRecord> {
+    pub fn recorded(&self, request_id: &str) -> Option<&CompletedCommit> {
         self.state
             .completed
             .iter()
             .find(|record| record.request_id == request_id)
     }
 
-    /// Scores a batch of states at the given rung.
+    /// The digest of the pending proposal, if one is armed.
+    #[must_use]
+    pub fn pending_digest(&self) -> Option<&str> {
+        self.pending.as_ref().map(|pending| pending.digest.as_str())
+    }
+
+    /// Scores one candidate against the committed floorplan and (at
+    /// full fidelity) arms it for commit. Pure with respect to
+    /// persistent state — nothing to persist, nothing to record.
     ///
-    /// On success the session's `evals_done` advances and (at
-    /// [`DegradeRung::Full`] only) the response is recorded for
-    /// idempotent replay — the caller must persist the state before
-    /// releasing the response, rolling back on failure. On error nothing
-    /// is mutated except the (non-persistent, always-safe) score cache.
+    /// At a degraded rung the score comes from the stateless fallback
+    /// models and the proposal is **not** commit-eligible: the
+    /// committed map only ever advances through the exact delta
+    /// pipeline, so a degraded propose leaves any previously armed
+    /// proposal in place.
     ///
     /// # Errors
     ///
-    /// [`EvalFailure`] with the protocol error class: budget exhaustion,
-    /// invalid geometry, or a tripped per-request deadline.
-    pub fn evaluate(
+    /// [`EvalFailure`] on invalid geometry or an expired deadline.
+    pub fn propose(
         &mut self,
-        request_id: &str,
-        batch_digest: &str,
-        states: &[FloorplanState],
+        state: &FloorplanState,
         rung: DegradeRung,
-        request_control: &RunControl,
-        workers: usize,
-    ) -> Result<Vec<EvalResult>, EvalFailure> {
-        let budget = self.budget_control();
-        let asked = states.len() as u64;
-        if asked > 0 && budget.budget_hit(self.state.evals_done + asked - 1) {
+        control: &RunControl,
+    ) -> Result<(String, f64, bool), EvalFailure> {
+        let (chip, segments) = to_geometry(state)
+            .map_err(|why| EvalFailure::new(ErrorKind::InvalidRequest, why, false))?;
+        if timed_out(control) {
+            return Err(deadline_failure());
+        }
+        if rung.is_degraded() {
+            let score = self.degraded_score(rung, &chip, &segments);
+            return Ok((state_digest(state), score, true));
+        }
+        let key = score_key(&self.cache_model, state);
+        let digest = key.digest.clone();
+        let score = self.evaluator.propose(&chip, &segments);
+        if self.cache_enabled {
+            self.cache.put(key, score);
+        }
+        self.pending = Some(PendingProposal {
+            state: state.clone(),
+            digest: digest.clone(),
+            score,
+        });
+        Ok((digest, score, false))
+    }
+
+    /// Validates a commit and stages the next persistent record without
+    /// mutating the session. The manager persists the staged snapshot,
+    /// then calls [`apply_commit`](Self::apply_commit); on persist
+    /// failure it simply drops the [`PreparedCommit`] and the pending
+    /// proposal stays armed for a retry.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorKind::NoPendingProposal`] when no proposal (or a
+    /// different one) is armed, [`ErrorKind::BudgetExhausted`] when the
+    /// commit budget is spent, [`ErrorKind::InvalidRequest`] when a
+    /// recorded request id is retried with a different digest.
+    pub fn prepare_commit(
+        &self,
+        request_id: &str,
+        digest: &str,
+    ) -> Result<CommitOutcome, EvalFailure> {
+        if let Some(record) = self.recorded(request_id) {
+            if record.digest != digest {
+                return Err(EvalFailure::new(
+                    ErrorKind::InvalidRequest,
+                    format!(
+                        "request id `{request_id}` was recorded for digest {} but retried \
+                         with {digest}",
+                        record.digest
+                    ),
+                    false,
+                ));
+            }
+            return Ok(CommitOutcome::Replayed {
+                digest: record.digest.clone(),
+                score: record.score,
+                seq: record.seq,
+            });
+        }
+        let Some(pending) = &self.pending else {
             return Err(EvalFailure::new(
-                ErrorKind::BudgetExhausted,
+                ErrorKind::NoPendingProposal,
+                "no pending proposal in this session (propose, then commit)",
+                false,
+            ));
+        };
+        if pending.digest != digest {
+            return Err(EvalFailure::new(
+                ErrorKind::NoPendingProposal,
                 format!(
-                    "budget {} cannot cover {asked} more evaluation(s) after {}",
-                    self.state.config.budget, self.state.evals_done
+                    "pending proposal has digest {}, not {digest} (propose, then commit)",
+                    pending.digest
                 ),
                 false,
             ));
         }
+        if self.budget_control().budget_hit(self.state.commits_done) {
+            return Err(EvalFailure::new(
+                ErrorKind::BudgetExhausted,
+                format!(
+                    "budget {} cannot cover another commit after {}",
+                    self.state.config.budget, self.state.commits_done
+                ),
+                false,
+            ));
+        }
+        let seq = self.state.commits_done + 1;
+        let mut next = self.state.clone();
+        next.commits_done = seq;
+        next.committed = Some(pending.state.clone());
+        next.journal.push(CommitRecord {
+            seq,
+            digest: pending.digest.clone(),
+            score: pending.score,
+            // The proposal's fingerprint IS the post-commit committed
+            // fingerprint (commit only swaps buffers), which is what
+            // lets the record be persisted before the commit applies.
+            fingerprint: format!("{:016x}", self.evaluator.proposed_fingerprint()),
+        });
+        while next.journal.len() > self.completed_ring {
+            next.journal.remove(0);
+        }
+        next.completed.push(CompletedCommit {
+            request_id: request_id.to_owned(),
+            digest: pending.digest.clone(),
+            score: pending.score,
+            seq,
+        });
+        while next.completed.len() > self.completed_ring {
+            next.completed.remove(0);
+        }
+        Ok(CommitOutcome::Prepared(PreparedCommit {
+            next,
+            digest: pending.digest.clone(),
+            score: pending.score,
+            seq,
+        }))
+    }
 
-        // Validate geometry up front so a bad state fails the whole batch
-        // before any work (keeps evals_done all-or-nothing per request).
+    /// Applies a persisted commit: advances the evaluator's committed
+    /// snapshot and installs the staged persistent record. Returns the
+    /// `(digest, score, seq)` ack.
+    pub fn apply_commit(&mut self, prepared: PreparedCommit) -> (String, f64, u64) {
+        self.evaluator.commit();
+        self.state = prepared.next;
+        self.pending = None;
+        (prepared.digest, prepared.score, prepared.seq)
+    }
+
+    /// Drops any pending proposal and returns the committed cost (0
+    /// before the first commit). Pure with respect to persistent state.
+    pub fn undo(&mut self) -> f64 {
+        self.pending = None;
+        self.evaluator.undo()
+    }
+
+    /// Read-only batch scoring — the `Evaluate` op. Consumes no budget,
+    /// records nothing, and never touches the evaluator or the pending
+    /// proposal: it is deterministic, so a retry recomputes the identical
+    /// bits. At full fidelity the uncached states are scored by
+    /// [`IrregularGridModel::evaluate`] (a fresh rebase, so the same bits
+    /// as a `Propose` of the same state) fanned over `workers` pool
+    /// threads; outputs return in job order, so any worker count scores
+    /// bit-identically.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalFailure`] on invalid geometry (whole batch, before any
+    /// work) or an expired deadline.
+    pub fn evaluate(
+        &mut self,
+        states: &[FloorplanState],
+        rung: DegradeRung,
+        control: &RunControl,
+        workers: usize,
+    ) -> Result<Vec<EvalResult>, EvalFailure> {
         let mut geometries = Vec::with_capacity(states.len());
         for (index, state) in states.iter().enumerate() {
             let geometry = to_geometry(state).map_err(|why| {
@@ -288,51 +593,11 @@ impl Session {
             })?;
             geometries.push(geometry);
         }
-
-        let results = match rung {
-            DegradeRung::Full => {
-                self.evaluate_full(states, &geometries, request_control, workers)?
-            }
-            DegradeRung::Lz | DegradeRung::Fixed => {
-                self.evaluate_degraded(states, &geometries, rung, request_control)?
-            }
-        };
-
-        self.state.evals_done += asked;
-        if rung == DegradeRung::Full {
-            // Normalize `cached` before recording: whether a score came
-            // from the (non-persistent, never-rolled-back) cache is
-            // runtime observability, and letting it into the durable
-            // record would make snapshot bytes depend on retry history.
-            let recorded = results
-                .iter()
-                .map(|result| EvalResult {
-                    cached: false,
-                    ..result.clone()
-                })
-                .collect();
-            self.state.completed.push(CompletedRecord {
-                request_id: request_id.to_owned(),
-                batch_digest: batch_digest.to_owned(),
-                results: recorded,
-            });
-            while self.state.completed.len() > self.completed_ring {
-                self.state.completed.remove(0);
-            }
+        if rung.is_degraded() {
+            return self.evaluate_degraded(states, &geometries, rung, control);
         }
-        Ok(results)
-    }
 
-    /// Full-fidelity scoring: cache lookups, then the uncached remainder
-    /// fanned over the deterministic worker pool.
-    fn evaluate_full(
-        &mut self,
-        states: &[FloorplanState],
-        geometries: &[(Rect, Vec<(Point, Point)>)],
-        request_control: &RunControl,
-        workers: usize,
-    ) -> Result<Vec<EvalResult>, EvalFailure> {
-        let mut results: Vec<Option<EvalResult>> = Vec::with_capacity(states.len());
+        let mut results = Vec::with_capacity(states.len());
         let mut keys = Vec::with_capacity(states.len());
         let mut pending: Vec<usize> = Vec::new();
         for (index, state) in states.iter().enumerate() {
@@ -342,43 +607,30 @@ impl Session {
             } else {
                 None
             };
-            match hit {
-                Some(score) => {
-                    self.cache_hits += 1;
-                    results.push(Some(EvalResult {
-                        digest: key.digest.clone(),
-                        score,
-                        model: DegradeRung::Full.model_name().to_owned(),
-                        cached: true,
-                    }));
-                }
-                None => {
-                    results.push(Some(EvalResult {
-                        digest: key.digest.clone(),
-                        score: 0.0,
-                        model: DegradeRung::Full.model_name().to_owned(),
-                        cached: false,
-                    }));
-                    pending.push(index);
-                }
+            if hit.is_some() {
+                self.cache_hits += 1;
+            } else {
+                pending.push(index);
             }
+            results.push(EvalResult {
+                digest: key.digest.clone(),
+                score: hit.unwrap_or(0.0),
+                model: rung.model_name().to_owned(),
+                cached: hit.is_some(),
+            });
             keys.push(key);
         }
 
-        if timed_out(request_control) {
+        if timed_out(control) {
             return Err(deadline_failure());
         }
-
-        // Outputs return in job order, and `evaluate` is a pure function
-        // of the state, so any worker count scores bit-identically (the
-        // pool runs inline for one worker or one job).
         let model = &self.model;
         let scored: Vec<Option<(usize, f64)>> = pool::run_ordered(
             workers,
             pending,
             |_| (),
             |(), _, index| {
-                if timed_out(request_control) {
+                if timed_out(control) {
                     return None;
                 }
                 let (chip, segments) = &geometries[index];
@@ -389,10 +641,11 @@ impl Session {
             let Some((index, score)) = slot else {
                 return Err(deadline_failure());
             };
-            set_score(&mut results, index, score);
+            if let Some(result) = results.get_mut(index) {
+                result.score = score;
+            }
         }
 
-        let results: Vec<EvalResult> = results.into_iter().flatten().collect();
         if self.cache_enabled {
             for (result, key) in results.iter().zip(keys) {
                 if !result.cached {
@@ -406,35 +659,33 @@ impl Session {
     /// Degraded scoring: always inline (the cheap models are the load
     /// valve, there is nothing to parallelize), never cached.
     fn evaluate_degraded(
-        &mut self,
+        &self,
         states: &[FloorplanState],
         geometries: &[(Rect, Vec<(Point, Point)>)],
         rung: DegradeRung,
-        request_control: &RunControl,
+        control: &RunControl,
     ) -> Result<Vec<EvalResult>, EvalFailure> {
         let mut results = Vec::with_capacity(states.len());
         for (state, (chip, segments)) in states.iter().zip(geometries) {
-            if timed_out(request_control) {
+            if timed_out(control) {
                 return Err(deadline_failure());
             }
-            let score = match rung {
-                DegradeRung::Lz => self.lz.evaluate(chip, segments),
-                _ => self.fixed.evaluate(chip, segments),
-            };
             results.push(EvalResult {
                 digest: state_digest(state),
-                score,
+                score: self.degraded_score(rung, chip, segments),
                 model: rung.model_name().to_owned(),
                 cached: false,
             });
         }
         Ok(results)
     }
-}
 
-fn set_score(results: &mut [Option<EvalResult>], index: usize, score: f64) {
-    if let Some(Some(result)) = results.get_mut(index) {
-        result.score = score;
+    /// The score of a fallback model.
+    fn degraded_score(&self, rung: DegradeRung, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
+        match rung {
+            DegradeRung::Lz => self.lz.evaluate(chip, segments),
+            _ => self.fixed.evaluate(chip, segments),
+        }
     }
 }
 
@@ -504,55 +755,323 @@ mod tests {
         Session::create("t", SessionConfig::default_config(), 8, shared())
     }
 
+    /// Score of `state` through a fresh from-scratch delta rebase — the
+    /// reference the serving path must match bit for bit.
+    fn fresh_rebase(state: &FloorplanState) -> f64 {
+        let (chip, segments) = to_geometry(state).expect("geometry");
+        let model = IrregularGridModel::new(Um(30));
+        model.delta_session().rebase(&chip, &segments)
+    }
+
+    fn commit(session: &mut Session, request_id: &str, digest: &str) -> (String, f64, u64) {
+        match session.prepare_commit(request_id, digest).expect("prepare") {
+            CommitOutcome::Prepared(prepared) => session.apply_commit(prepared),
+            CommitOutcome::Replayed { digest, score, seq } => (digest, score, seq),
+        }
+    }
+
     #[test]
-    fn full_evaluation_matches_the_stateless_model_bit_for_bit() {
+    fn propose_commit_undo_lifecycle() {
+        let mut session = session();
+        let states = demo_states(2);
+
+        let (d1, s1, degraded) = session
+            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose");
+        assert!(!degraded);
+        assert_eq!(s1.to_bits(), fresh_rebase(&states[0]).to_bits());
+        assert_eq!(session.pending_digest(), Some(d1.as_str()));
+
+        let (digest, score, seq) = commit(&mut session, "r1", &d1);
+        assert_eq!((digest.as_str(), seq), (d1.as_str(), 1));
+        assert_eq!(score.to_bits(), s1.to_bits());
+        assert_eq!(session.state.commits_done, 1);
+        assert_eq!(session.pending_digest(), None);
+        assert_eq!(session.state.journal.last().expect("tail").seq, 1);
+
+        // Rejected move: propose, then undo back to the committed cost.
+        let (_, s2, _) = session
+            .propose(&states[1], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose 2");
+        assert_ne!(s2.to_bits(), s1.to_bits());
+        assert_eq!(session.undo().to_bits(), s1.to_bits());
+        assert_eq!(session.state.commits_done, 1, "undo persists nothing");
+    }
+
+    #[test]
+    fn commit_without_matching_proposal_is_refused() {
+        let mut session = session();
+        let states = demo_states(2);
+        let err = session
+            .prepare_commit("r1", "feedbeef00000000")
+            .expect_err("nothing pending");
+        assert_eq!(err.kind, ErrorKind::NoPendingProposal);
+
+        let (d1, _, _) = session
+            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose");
+        let err = session
+            .prepare_commit("r1", "feedbeef00000000")
+            .expect_err("wrong digest");
+        assert_eq!(err.kind, ErrorKind::NoPendingProposal);
+        // The armed proposal survives the refusal.
+        assert_eq!(session.pending_digest(), Some(d1.as_str()));
+    }
+
+    #[test]
+    fn degraded_propose_scores_but_never_arms() {
+        let mut session = session();
+        let states = demo_states(1);
+        let (digest, _, degraded) = session
+            .propose(&states[0], DegradeRung::Lz, &RunControl::unlimited())
+            .expect("degraded propose");
+        assert!(degraded);
+        assert_eq!(session.pending_digest(), None);
+        let err = session
+            .prepare_commit("r1", &digest)
+            .expect_err("degraded proposals are not commit-eligible");
+        assert_eq!(err.kind, ErrorKind::NoPendingProposal);
+    }
+
+    #[test]
+    fn commit_replay_is_idempotent_and_digest_checked() {
+        let mut session = session();
+        let states = demo_states(1);
+        let (d1, _, _) = session
+            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose");
+        let first = commit(&mut session, "r1", &d1);
+        // Retry with the same id: replayed ack, no second commit.
+        let outcome = session.prepare_commit("r1", &d1).expect("replay");
+        let CommitOutcome::Replayed { digest, score, seq } = outcome else {
+            panic!("expected a replayed ack");
+        };
+        assert_eq!(
+            (digest, score.to_bits(), seq),
+            (first.0, first.1.to_bits(), first.2)
+        );
+        assert_eq!(session.state.commits_done, 1);
+        // Same id, different digest: loud refusal.
+        let err = session
+            .prepare_commit("r1", "feedbeef00000000")
+            .expect_err("digest mismatch on replay");
+        assert_eq!(err.kind, ErrorKind::InvalidRequest);
+    }
+
+    #[test]
+    fn budget_meters_commits_not_proposes() {
+        let config = SessionConfig {
+            budget: 1,
+            ..SessionConfig::default_config()
+        };
+        let mut session = Session::create("b", config, 8, shared());
+        let states = demo_states(2);
+        // Proposes, undos and evaluates are free.
+        for _ in 0..3 {
+            session
+                .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+                .expect("free propose");
+            session.undo();
+            session
+                .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
+                .expect("free evaluate");
+        }
+        let (d1, _, _) = session
+            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose");
+        commit(&mut session, "r1", &d1);
+        assert_eq!(session.stat().budget_left, 0);
+        let (d2, _, _) = session
+            .propose(&states[1], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose 2");
+        let err = session
+            .prepare_commit("r2", &d2)
+            .expect_err("budget exhausted");
+        assert_eq!(err.kind, ErrorKind::BudgetExhausted);
+        assert!(!err.retryable);
+        assert_eq!(session.state.commits_done, 1);
+    }
+
+    #[test]
+    fn failed_persist_leaves_commit_retryable() {
+        let mut session = session();
+        let states = demo_states(1);
+        let (d1, s1, _) = session
+            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose");
+        // Prepare, then "fail the persist" by dropping the prepared
+        // commit: nothing was mutated, so the retry succeeds.
+        let CommitOutcome::Prepared(prepared) = session.prepare_commit("r1", &d1).expect("prepare")
+        else {
+            panic!("fresh id cannot replay");
+        };
+        drop(prepared);
+        assert_eq!(session.state.commits_done, 0);
+        assert_eq!(session.pending_digest(), Some(d1.as_str()));
+        let (_, score, seq) = commit(&mut session, "r1", &d1);
+        assert_eq!((score.to_bits(), seq), (s1.to_bits(), 1));
+    }
+
+    #[test]
+    fn readonly_evaluate_matches_fresh_rebase_and_leaves_pending_armed() {
+        let mut session = session();
+        let states = demo_states(3);
+        let (d0, _, _) = session
+            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose");
+        commit(&mut session, "r0", &d0);
+
+        // Arm a proposal, interleave a read-only evaluate, then commit
+        // the armed proposal — bit-identical to the uninterleaved run.
+        let (d1, s1, _) = session
+            .propose(&states[1], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose");
+        let results = session
+            .evaluate(&states[2..], DegradeRung::Full, &RunControl::unlimited(), 1)
+            .expect("read-only evaluate");
+        assert_eq!(results.len(), 1);
+        assert_eq!(
+            results[0].score.to_bits(),
+            fresh_rebase(&states[2]).to_bits()
+        );
+        assert_eq!(results[0].model, "irregular");
+        assert_eq!(session.state.commits_done, 1, "evaluate consumes no budget");
+        assert_eq!(
+            session.pending_digest(),
+            Some(d1.as_str()),
+            "pending untouched"
+        );
+        let (_, score, seq) = commit(&mut session, "r1", &d1);
+        assert_eq!((score.to_bits(), seq), (s1.to_bits(), 2));
+
+        // Second evaluate of the same state hits the shared cache.
+        let again = session
+            .evaluate(&states[2..], DegradeRung::Full, &RunControl::unlimited(), 1)
+            .expect("cached evaluate");
+        assert!(again[0].cached);
+        assert_eq!(again[0].score.to_bits(), results[0].score.to_bits());
+        assert_eq!(session.stat().cache_hits, 1);
+    }
+
+    #[test]
+    fn snapshot_roundtrip_and_validation() {
+        let mut session = session();
+        let states = demo_states(2);
+        for (k, state) in states.iter().enumerate() {
+            let (digest, _, _) = session
+                .propose(state, DegradeRung::Full, &RunControl::unlimited())
+                .expect("propose");
+            commit(&mut session, &format!("r{k}"), &digest);
+        }
+        let json = session.state.to_json();
+        let back = SessionState::from_json(&json, "t").expect("parse");
+        assert_eq!(back, session.state);
+        assert_eq!(
+            back.journal[1].score.to_bits(),
+            session.state.journal[1].score.to_bits(),
+            "scores survive bit-exactly"
+        );
+
+        assert!(SessionState::from_json(&json, "other").is_err());
+        assert!(SessionState::from_json("{torn", "t").is_err());
+        let mut wrong = session.state.clone();
+        wrong.version = 99;
+        assert!(SessionState::from_json(&wrong.to_json(), "t").is_err());
+        let mut torn = session.state.clone();
+        torn.journal.clear();
+        assert!(
+            SessionState::from_json(&torn.to_json(), "t").is_err(),
+            "commits without a journal tail are refused"
+        );
+    }
+
+    #[test]
+    fn resumed_session_is_verified_and_continues_bit_identically() {
+        let states = demo_states(3);
+
+        // Uninterrupted reference: three commits in one lifetime.
+        let mut reference = session();
+        for (k, state) in states.iter().enumerate() {
+            let (digest, _, _) = reference
+                .propose(state, DegradeRung::Full, &RunControl::unlimited())
+                .expect("propose");
+            commit(&mut reference, &format!("r{k}"), &digest);
+        }
+
+        // Interrupted: two commits, snapshot, "restart", third commit.
+        let mut first = session();
+        for (k, state) in states[..2].iter().enumerate() {
+            let (digest, _, _) = first
+                .propose(state, DegradeRung::Full, &RunControl::unlimited())
+                .expect("propose");
+            commit(&mut first, &format!("r{k}"), &digest);
+        }
+        let snapshot = first.state.to_json();
+        let recovered = SessionState::from_json(&snapshot, "t").expect("parse");
+        let mut resumed = Session::from_state(recovered, 8, shared()).expect("verified");
+        let (digest, _, _) = resumed
+            .propose(&states[2], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose");
+        commit(&mut resumed, "r2", &digest);
+
+        assert_eq!(resumed.state, reference.state, "recovered state diverged");
+        assert_eq!(
+            resumed.state.to_json(),
+            reference.state.to_json(),
+            "snapshots must be byte-identical"
+        );
+    }
+
+    #[test]
+    fn resume_refuses_a_diverged_committed_state() {
+        let mut session = session();
+        let states = demo_states(1);
+        let (digest, _, _) = session
+            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose");
+        commit(&mut session, "r1", &digest);
+        // Tamper with the committed floorplan but keep the journal: the
+        // replayed map no longer matches the recorded identity. The move
+        // is several grid pitches, so the congestion map really changes
+        // (a sub-pitch nudge could legitimately snap to the same map).
+        let mut tampered = session.state.clone();
+        let committed = tampered.committed.as_mut().expect("committed");
+        committed.segments[0][0] += 120;
+        let err =
+            Session::from_state(tampered, 8, shared()).expect_err("diverged state must be refused");
+        assert!(
+            err.contains("does not match"),
+            "error should name the mismatch: {err}"
+        );
+    }
+
+    #[test]
+    fn evaluate_matches_the_stateless_model_bit_for_bit() {
         let mut session = session();
         let states = demo_states(3);
         let results = session
-            .evaluate(
-                "r1",
-                "d1",
-                &states,
-                DegradeRung::Full,
-                &RunControl::unlimited(),
-                1,
-            )
+            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
             .expect("evaluate");
         let model = IrregularGridModel::new(Um(30));
         for (state, result) in states.iter().zip(&results) {
             let (chip, segments) = to_geometry(state).expect("geometry");
             let expected = model.evaluate(&chip, &segments);
             assert_eq!(result.score.to_bits(), expected.to_bits());
+            assert_eq!(result.score.to_bits(), fresh_rebase(state).to_bits());
             assert_eq!(result.model, "irregular");
             assert!(!result.cached);
         }
-        assert_eq!(session.state.evals_done, 3);
+        assert_eq!(session.state.commits_done, 0);
     }
 
     #[test]
     fn pool_path_matches_inline_path_bit_for_bit() {
         let states = demo_states(6);
-        let mut inline = session();
-        let a = inline
-            .evaluate(
-                "r",
-                "d",
-                &states,
-                DegradeRung::Full,
-                &RunControl::unlimited(),
-                1,
-            )
+        let a = session()
+            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
             .expect("inline");
-        let mut pooled = session();
-        let b = pooled
-            .evaluate(
-                "r",
-                "d",
-                &states,
-                DegradeRung::Full,
-                &RunControl::unlimited(),
-                4,
-            )
+        let b = session()
+            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 4)
             .expect("pooled");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.score.to_bits(), y.score.to_bits());
@@ -565,24 +1084,10 @@ mod tests {
         let mut session = session();
         let states = demo_states(2);
         let first = session
-            .evaluate(
-                "r1",
-                "d1",
-                &states,
-                DegradeRung::Full,
-                &RunControl::unlimited(),
-                1,
-            )
+            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
             .expect("first");
         let second = session
-            .evaluate(
-                "r2",
-                "d2",
-                &states,
-                DegradeRung::Full,
-                &RunControl::unlimited(),
-                1,
-            )
+            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
             .expect("second");
         for (a, b) in first.iter().zip(&second) {
             assert!(!a.cached);
@@ -593,66 +1098,17 @@ mod tests {
     }
 
     #[test]
-    fn degraded_rungs_flag_and_skip_recording() {
+    fn degraded_rungs_flag_the_fallback_model() {
         let mut session = session();
         let states = demo_states(1);
         for (rung, name) in [(DegradeRung::Lz, "lz"), (DegradeRung::Fixed, "fixed")] {
             let results = session
-                .evaluate("r1", "d1", &states, rung, &RunControl::unlimited(), 1)
+                .evaluate(&states, rung, &RunControl::unlimited(), 1)
                 .expect("evaluate");
             assert_eq!(results[0].model, name);
+            assert!(!results[0].cached);
             assert!(rung.is_degraded());
         }
-        // Degraded responses are not recorded for replay.
-        assert!(session.recorded("r1").is_none());
-        // But they do advance the (client-deterministic) eval counter.
-        assert_eq!(session.state.evals_done, 2);
-    }
-
-    #[test]
-    fn budget_rejects_whole_batches_without_partial_spend() {
-        let config = SessionConfig {
-            budget: 4,
-            ..SessionConfig::default_config()
-        };
-        let mut session = Session::create("b", config, 8, shared());
-        let states = demo_states(3);
-        session
-            .evaluate(
-                "r1",
-                "d1",
-                &states,
-                DegradeRung::Full,
-                &RunControl::unlimited(),
-                1,
-            )
-            .expect("first batch fits");
-        let err = session
-            .evaluate(
-                "r2",
-                "d2",
-                &states,
-                DegradeRung::Full,
-                &RunControl::unlimited(),
-                1,
-            )
-            .expect_err("second batch exceeds budget");
-        assert_eq!(err.kind, ErrorKind::BudgetExhausted);
-        assert!(!err.retryable);
-        assert_eq!(session.state.evals_done, 3, "no partial spend");
-        // A batch that exactly fits still passes.
-        let one = demo_states(1);
-        session
-            .evaluate(
-                "r3",
-                "d3",
-                &one,
-                DegradeRung::Full,
-                &RunControl::unlimited(),
-                1,
-            )
-            .expect("exact fit");
-        assert_eq!(session.stat().budget_left, 0);
     }
 
     #[test]
@@ -666,17 +1122,10 @@ mod tests {
             },
         ];
         let err = session
-            .evaluate(
-                "r1",
-                "d1",
-                &states,
-                DegradeRung::Full,
-                &RunControl::unlimited(),
-                1,
-            )
+            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
             .expect_err("out-of-chip coordinate");
         assert_eq!(err.kind, ErrorKind::InvalidRequest);
-        assert_eq!(session.state.evals_done, 0);
+        assert_eq!(session.stat().cache_hits, 0);
 
         let err = to_geometry(&FloorplanState {
             chip: [0, 100],
@@ -687,128 +1136,34 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_aborts_before_mutation() {
+    fn expired_deadline_aborts_before_scoring() {
         let mut session = session();
         let states = demo_states(2);
         let expired = RunControl::unlimited().with_time_limit(std::time::Duration::ZERO);
         let err = session
-            .evaluate("r1", "d1", &states, DegradeRung::Full, &expired, 1)
+            .evaluate(&states, DegradeRung::Full, &expired, 1)
             .expect_err("deadline already passed");
         assert_eq!(err.kind, ErrorKind::Timeout);
         assert!(err.retryable);
-        assert_eq!(session.state.evals_done, 0);
-        assert!(session.recorded("r1").is_none());
+        let err = session
+            .propose(&states[0], DegradeRung::Full, &expired)
+            .expect_err("deadline already passed");
+        assert_eq!(err.kind, ErrorKind::Timeout);
+        assert_eq!(session.pending_digest(), None);
     }
 
     #[test]
-    fn completed_ring_is_bounded_and_replayable() {
+    fn commit_ring_and_journal_are_bounded() {
         let mut session = Session::create("r", SessionConfig::default_config(), 2, shared());
-        for k in 0..4 {
-            let states = demo_states(1);
-            session
-                .evaluate(
-                    &format!("req-{k}"),
-                    &format!("digest-{k}"),
-                    &states,
-                    DegradeRung::Full,
-                    &RunControl::unlimited(),
-                    1,
-                )
-                .expect("evaluate");
+        for (k, state) in demo_states(4).iter().enumerate() {
+            let (digest, _, _) = session
+                .propose(state, DegradeRung::Full, &RunControl::unlimited())
+                .expect("propose");
+            commit(&mut session, &format!("req-{k}"), &digest);
         }
         assert_eq!(session.state.completed.len(), 2);
+        assert_eq!(session.state.journal.len(), 2);
         assert!(session.recorded("req-0").is_none(), "oldest evicted");
-        let record = session.recorded("req-3").expect("newest kept");
-        assert_eq!(record.batch_digest, "digest-3");
-    }
-
-    #[test]
-    fn snapshot_roundtrip_and_validation() {
-        let mut session = session();
-        let states = demo_states(2);
-        session
-            .evaluate(
-                "r1",
-                "d1",
-                &states,
-                DegradeRung::Full,
-                &RunControl::unlimited(),
-                1,
-            )
-            .expect("evaluate");
-        let json = session.state.to_json();
-        let back = SessionState::from_json(&json, "t").expect("parse");
-        assert_eq!(back, session.state);
-        // Result scores survive bit-exactly.
-        assert_eq!(
-            back.completed[0].results[0].score.to_bits(),
-            session.state.completed[0].results[0].score.to_bits()
-        );
-
-        assert!(SessionState::from_json(&json, "other").is_err(), "id check");
-        assert!(SessionState::from_json("{torn", "t").is_err());
-        let mut wrong = session.state.clone();
-        wrong.version = 99;
-        assert!(SessionState::from_json(&wrong.to_json(), "t").is_err());
-    }
-
-    #[test]
-    fn resumed_session_continues_bit_identically() {
-        let states = demo_states(3);
-        // Uninterrupted reference: two batches in one lifetime.
-        let mut reference = session();
-        reference
-            .evaluate(
-                "r1",
-                "d1",
-                &states[..2],
-                DegradeRung::Full,
-                &RunControl::unlimited(),
-                1,
-            )
-            .expect("batch 1");
-        reference
-            .evaluate(
-                "r2",
-                "d2",
-                &states[2..],
-                DegradeRung::Full,
-                &RunControl::unlimited(),
-                1,
-            )
-            .expect("batch 2");
-
-        // Interrupted: batch 1, snapshot, "restart", batch 2.
-        let mut first = session();
-        first
-            .evaluate(
-                "r1",
-                "d1",
-                &states[..2],
-                DegradeRung::Full,
-                &RunControl::unlimited(),
-                1,
-            )
-            .expect("batch 1");
-        let snapshot = first.state.to_json();
-        let recovered = SessionState::from_json(&snapshot, "t").expect("parse");
-        let mut resumed = Session::from_state(recovered, 8, shared());
-        resumed
-            .evaluate(
-                "r2",
-                "d2",
-                &states[2..],
-                DegradeRung::Full,
-                &RunControl::unlimited(),
-                1,
-            )
-            .expect("batch 2");
-
-        assert_eq!(resumed.state, reference.state, "recovered state diverged");
-        assert_eq!(
-            resumed.state.to_json(),
-            reference.state.to_json(),
-            "snapshots must be byte-identical"
-        );
+        assert_eq!(session.recorded("req-3").expect("newest kept").seq, 4);
     }
 }

@@ -11,7 +11,11 @@
 //!
 //! Afterwards every session snapshot in the chaotic state directory must
 //! equal the reference snapshot byte for byte — zero lost sessions, zero
-//! corrupted sessions, zero double-counted evaluations.
+//! corrupted sessions, zero double-counted commits. A session's snapshot
+//! carries the committed floorplan, the commit journal (sequence, digest,
+//! score, map fingerprint), and the commit idempotency ring — all of
+//! which must survive kills at the `delta.commit` site and at the persist
+//! boundary, byte for byte.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -19,7 +23,7 @@ use std::sync::Arc;
 
 use irgrid_serve::{
     serve, Chaos, ChaosConfig, Client, ClientError, DegradePolicy, ErrorKind, FloorplanState,
-    KillSwitch, Limits, Request, RequestOp, Response, ResponsePayload, ServerHandle, ServerOptions,
+    KillSwitch, Limits, Request, RequestOp, ResponsePayload, ServerHandle, ServerOptions,
     SessionConfig, SessionManager, SnapshotStore, Transport,
 };
 
@@ -56,26 +60,6 @@ fn states_for(client: usize, step: usize) -> Vec<FloorplanState> {
             ],
         })
         .collect()
-}
-
-/// One client's full request script, in order.
-fn script_for(client: usize) -> Vec<Request> {
-    let session = format!("client-{client}");
-    let mut script = vec![Request {
-        id: format!("c{client}-open"),
-        session: session.clone(),
-        op: RequestOp::Open { config: config() },
-    }];
-    for step in 0..STEPS {
-        script.push(Request {
-            id: format!("c{client}-eval-{step}"),
-            session: session.clone(),
-            op: RequestOp::Evaluate {
-                states: states_for(client, step),
-            },
-        });
-    }
-    script
 }
 
 struct TestDaemon {
@@ -115,348 +99,6 @@ fn snapshots(state_dir: &Path) -> BTreeMap<String, String> {
     }
     map
 }
-
-/// Runs every client script to completion against a clean daemon,
-/// returning each response in order per client.
-fn run_reference(state_dir: &Path) -> Vec<Vec<Response>> {
-    let daemon = start_daemon(state_dir, Chaos::off(), 1);
-    let mut transcripts = Vec::new();
-    for client_index in 0..CLIENTS {
-        let mut client = Client::new(daemon.handle.transport().clone());
-        let mut responses = Vec::new();
-        for request in script_for(client_index) {
-            let response = client.call(&request, 3).expect("clean run never faults");
-            assert!(response.ok, "clean run failed: {response:?}");
-            responses.push(response);
-        }
-        transcripts.push(responses);
-    }
-    stop_daemon(daemon);
-    transcripts
-}
-
-/// Drives every script against a chaotic daemon, restarting on kills.
-/// Returns the first successful response per request id, plus the number
-/// of restarts survived and injected faults drawn across all lifetimes.
-fn run_chaotic(state_dir: &Path, seed: u64) -> (BTreeMap<String, Response>, usize, u64) {
-    // An aggressive mix so a short scripted run reliably draws every
-    // fault class (still deterministic: same seed, same decisions).
-    let mix = ChaosConfig {
-        io_error_ppm: 150_000,
-        torn_ppm: 100_000,
-        kill_ppm: 60_000,
-    };
-    let chaos_for = |epoch: u64| Chaos::with_config(seed, mix).with_epoch(epoch);
-    let mut daemon = start_daemon(state_dir, chaos_for(0), 1);
-    let mut clients: Vec<Client> = (0..CLIENTS)
-        .map(|_| Client::new(daemon.handle.transport().clone()))
-        .collect();
-    let scripts: Vec<Vec<Request>> = (0..CLIENTS).map(script_for).collect();
-    let mut positions = [0usize; CLIENTS];
-    // Set after a daemon restart: the rebooted daemon only resumes a
-    // session when the client re-sends `Open`.
-    let mut needs_reopen = [false; CLIENTS];
-    let mut outcomes: BTreeMap<String, Response> = BTreeMap::new();
-    let mut restarts = 0usize;
-    let mut injected_failures = 0usize;
-    let mut injected_faults = 0u64;
-
-    while positions
-        .iter()
-        .zip(&scripts)
-        .any(|(&p, script)| p < script.len())
-    {
-        // Round-robin one request per client, retrying in place.
-        for client_index in 0..CLIENTS {
-            let position = positions[client_index];
-            let Some(request) = scripts[client_index].get(position) else {
-                continue;
-            };
-            if needs_reopen[client_index] && position > 0 {
-                match clients[client_index].call(&scripts[client_index][0], ATTEMPTS_PER_ROUND) {
-                    Ok(response) if response.ok => needs_reopen[client_index] = false,
-                    Ok(response) => panic!("reopen refused: {response:?}"),
-                    Err(ClientError::Transport(_) | ClientError::RetriesExhausted(_)) => {
-                        injected_failures += 1;
-                        continue;
-                    }
-                    Err(err) => panic!("protocol violation under chaos: {err}"),
-                }
-            }
-            match clients[client_index].call(request, ATTEMPTS_PER_ROUND) {
-                Ok(response) if response.ok => {
-                    outcomes.insert(request.id.clone(), response);
-                    positions[client_index] += 1;
-                }
-                Ok(response) => {
-                    panic!("non-retryable failure in chaos run: {response:?}");
-                }
-                Err(ClientError::Transport(_) | ClientError::RetriesExhausted(_)) => {
-                    injected_failures += 1;
-                }
-                Err(err) => panic!("protocol violation under chaos: {err}"),
-            }
-        }
-
-        if daemon.kill.is_tripped() {
-            // Simulated SIGKILL: tear the daemon down and "reboot" it
-            // over the same state directory with a fresh kill switch and
-            // the next chaos epoch.
-            restarts += 1;
-            assert!(
-                restarts <= MAX_RESTARTS,
-                "daemon not making progress after {restarts} restarts"
-            );
-            injected_faults += daemon.handle.manager().injected_faults();
-            stop_daemon(daemon);
-            daemon = start_daemon(state_dir, chaos_for(restarts as u64), 1);
-            for client in &mut clients {
-                client.disconnect();
-            }
-            let transport = daemon.handle.transport().clone();
-            clients = (0..CLIENTS)
-                .map(|_| Client::new(transport.clone()))
-                .collect();
-            needs_reopen = [true; CLIENTS];
-        }
-    }
-
-    injected_faults += daemon.handle.manager().injected_faults();
-    stop_daemon(daemon);
-    let _ = injected_failures;
-    (outcomes, restarts, injected_faults)
-}
-
-#[test]
-fn chaotic_run_converges_to_the_uninterrupted_state_byte_for_byte() {
-    let reference_dir = temp_dir("reference");
-    let reference = run_reference(&reference_dir);
-    let reference_snapshots = snapshots(&reference_dir);
-    assert_eq!(
-        reference_snapshots.len(),
-        CLIENTS,
-        "one snapshot per session"
-    );
-
-    // A seed that demonstrably injects faults (asserted below).
-    let chaotic_dir = temp_dir("chaotic");
-    let (outcomes, restarts, injected_faults) = run_chaotic(&chaotic_dir, 0xC0FFEE);
-    let chaotic_snapshots = snapshots(&chaotic_dir);
-
-    // The run must actually have been chaotic, or this test proves
-    // nothing. Faults absorbed by client-side retries are invisible at
-    // the harness, so count them at the store.
-    assert!(
-        injected_faults > 0,
-        "chaos seed injected nothing; the suite is not exercising faults"
-    );
-    eprintln!("chaos run: {injected_faults} injected fault(s), {restarts} restart(s)");
-
-    // Zero lost, zero extra, zero corrupted sessions...
-    assert_eq!(
-        chaotic_snapshots.keys().collect::<Vec<_>>(),
-        reference_snapshots.keys().collect::<Vec<_>>()
-    );
-    // ...and every snapshot byte-identical to the uninterrupted run.
-    for (id, reference_text) in &reference_snapshots {
-        assert_eq!(
-            &chaotic_snapshots[id], reference_text,
-            "session `{id}` diverged from the uninterrupted run"
-        );
-    }
-
-    // Every score the chaotic clients saw matches the reference run
-    // bit for bit (replays included).
-    for (client_index, responses) in reference.iter().enumerate() {
-        for (request, reference_response) in script_for(client_index).iter().zip(responses) {
-            let chaotic_response = &outcomes[&request.id];
-            let (
-                ResponsePayload::Evaluated { results: want },
-                ResponsePayload::Evaluated { results: got },
-            ) = (&reference_response.payload, &chaotic_response.payload)
-            else {
-                continue;
-            };
-            assert_eq!(want.len(), got.len());
-            for (a, b) in want.iter().zip(got) {
-                assert_eq!(a.digest, b.digest);
-                assert_eq!(
-                    a.score.to_bits(),
-                    b.score.to_bits(),
-                    "score diverged for {}",
-                    request.id
-                );
-                assert_eq!(
-                    a.model, b.model,
-                    "chaos run must not leave degraded results"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn concurrent_chaotic_clients_lose_no_sessions() {
-    // Real thread-per-client concurrency; io-error + torn faults only
-    // (kills need the restart choreography covered above). Every client
-    // retries until its script completes; afterwards every session must
-    // be present, parseable, and fully counted.
-    let dir = temp_dir("concurrent");
-    let kill = KillSwitch::new();
-    let chaos = Chaos::with_config(
-        99,
-        ChaosConfig {
-            io_error_ppm: 120_000,
-            torn_ppm: 80_000,
-            kill_ppm: 0,
-        },
-    );
-    let store = SnapshotStore::open(&dir, chaos, kill.clone()).expect("store");
-    let manager = Arc::new(SessionManager::new(
-        store,
-        Limits::default(),
-        DegradePolicy::default(),
-        2,
-    ));
-    let handle = serve(
-        Transport::Tcp("127.0.0.1:0".to_owned()),
-        manager,
-        ServerOptions::default(),
-    )
-    .expect("serve");
-
-    let transport = handle.transport().clone();
-    std::thread::scope(|scope| {
-        for client_index in 0..8 {
-            let transport = transport.clone();
-            scope.spawn(move || {
-                let mut client = Client::new(transport);
-                for request in script_for(client_index) {
-                    let response = client.call(&request, 64).expect("retries must converge");
-                    assert!(response.ok, "{response:?}");
-                }
-            });
-        }
-    });
-    handle.manager().request_shutdown();
-    handle.join();
-    assert!(!kill.is_tripped());
-
-    let expected_evals: u64 = (0..8)
-        .map(|c| {
-            (0..STEPS)
-                .map(|s| states_for(c, s).len() as u64)
-                .sum::<u64>()
-        })
-        .sum();
-    let recovered = snapshots(&dir);
-    assert_eq!(recovered.len(), 8, "no session lost or corrupted");
-    let mut total_evals = 0u64;
-    for client_index in 0..8 {
-        let id = format!("client-{client_index}");
-        let text = &recovered[&id];
-        let value: serde::Value = serde_json::from_str(text).expect("snapshot parses");
-        let Some(serde::Value::Int(done)) = value.get("evals_done") else {
-            panic!("snapshot for `{id}` has no evals_done: {text}");
-        };
-        total_evals += u64::try_from(*done).expect("non-negative");
-    }
-    assert_eq!(
-        total_evals, expected_evals,
-        "retries double-counted or dropped evaluations"
-    );
-}
-
-#[test]
-fn killed_daemon_resumes_sessions_bit_identically_after_restart() {
-    // Focused kill-only scenario: run half a script, force a kill on the
-    // next persist, restart, finish — and compare against one continuous
-    // run in a separate directory.
-    let continuous_dir = temp_dir("kill_continuous");
-    {
-        let daemon = start_daemon(&continuous_dir, Chaos::off(), 1);
-        let mut client = Client::new(daemon.handle.transport().clone());
-        for request in script_for(0) {
-            assert!(client.call(&request, 3).expect("call").ok);
-        }
-        stop_daemon(daemon);
-    }
-
-    let interrupted_dir = temp_dir("kill_interrupted");
-    let script = script_for(0);
-    let half = script.len() / 2;
-    {
-        let daemon = start_daemon(&interrupted_dir, Chaos::off(), 1);
-        let mut client = Client::new(daemon.handle.transport().clone());
-        for request in &script[..half] {
-            assert!(client.call(request, 3).expect("call").ok);
-        }
-        // Chaos kill on every write from here on: the very next evaluate
-        // trips the kill switch mid-persist and is rolled back.
-        let kill_all = Chaos::with_config(
-            1,
-            ChaosConfig {
-                io_error_ppm: 0,
-                torn_ppm: 0,
-                kill_ppm: 1_000_000,
-            },
-        );
-        let kill_store =
-            SnapshotStore::open(&interrupted_dir, kill_all, daemon.kill.clone()).expect("store");
-        let killed_manager = Arc::new(SessionManager::new(
-            kill_store,
-            Limits::default(),
-            DegradePolicy::default(),
-            1,
-        ));
-        // Resume the session in the doomed manager (reads only, no
-        // persist), then evaluate: that persist draws the injected kill.
-        let reopened = killed_manager.handle(&script[0], &irgrid_anneal::RunControl::unlimited());
-        assert!(reopened.ok, "{reopened:?}");
-        let refused = killed_manager.handle(&script[half], &irgrid_anneal::RunControl::unlimited());
-        assert!(!refused.ok, "kill-injected persist must fail: {refused:?}");
-        assert!(daemon.kill.is_tripped());
-        stop_daemon(daemon);
-    }
-    // "Reboot" and run the remainder of the script, retries included.
-    {
-        let daemon = start_daemon(&interrupted_dir, Chaos::off(), 1);
-        let mut client = Client::new(daemon.handle.transport().clone());
-        // Re-open, then resend everything from the failed request on.
-        assert!(client.call(&script[0], 3).expect("reopen").ok);
-        for request in &script[half..] {
-            assert!(client.call(request, 3).expect("call").ok);
-        }
-        stop_daemon(daemon);
-    }
-
-    let continuous = snapshots(&continuous_dir);
-    let recovered = snapshots(&interrupted_dir);
-    assert_eq!(
-        recovered, continuous,
-        "post-kill recovery diverged from the continuous run"
-    );
-    // No stale staging litter indistinguishable from a snapshot: the torn
-    // tmp may exist, but it is ignored by list/read, which is what the
-    // equality above proves. Belt and braces: the tmp never parses as a
-    // complete snapshot.
-    let tmp = interrupted_dir.join("client-0.session.tmp");
-    if let Ok(text) = std::fs::read_to_string(&tmp) {
-        assert!(
-            serde_json::from_str::<serde::Value>(&text).is_err(),
-            "torn staging file unexpectedly parses as complete JSON"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Delta-session chaos: the same byte-identity discipline for the
-// move-shaped Propose/Commit/Undo pipeline. A delta session's snapshot
-// carries the committed floorplan, the commit journal (sequence,
-// digest, score, map fingerprint), and the commit idempotency ring —
-// all of which must survive kills at the new `delta.commit` site and at
-// the persist boundary, byte for byte.
-// ---------------------------------------------------------------------
 
 fn delta_session_name(client: usize) -> String {
     format!("delta-{client}")
@@ -569,7 +211,7 @@ fn drive_delta_step(
 }
 
 /// Runs every delta client script to completion against a clean daemon.
-fn run_delta_reference(state_dir: &Path) -> BTreeMap<String, f64> {
+fn delta_reference_run(state_dir: &Path) -> BTreeMap<String, f64> {
     let daemon = start_daemon(state_dir, Chaos::off(), 1);
     let mut scores = BTreeMap::new();
     for client_index in 0..CLIENTS {
@@ -590,7 +232,7 @@ fn run_delta_reference(state_dir: &Path) -> BTreeMap<String, f64> {
 /// Drives every delta script against a chaotic daemon, restarting on
 /// kills, with the full retry contract (reopen on `UnknownSession`,
 /// re-propose on `NoPendingProposal`, resend on anything retryable).
-fn run_delta_chaotic(state_dir: &Path, seed: u64) -> (BTreeMap<String, f64>, usize, u64) {
+fn delta_chaotic_run(state_dir: &Path, seed: u64) -> (BTreeMap<String, f64>, usize, u64) {
     let mix = ChaosConfig {
         io_error_ppm: 150_000,
         torn_ppm: 100_000,
@@ -658,12 +300,12 @@ fn run_delta_chaotic(state_dir: &Path, seed: u64) -> (BTreeMap<String, f64>, usi
 #[test]
 fn chaotic_delta_sessions_converge_to_the_uninterrupted_state_byte_for_byte() {
     let reference_dir = temp_dir("delta_reference");
-    let reference = run_delta_reference(&reference_dir);
+    let reference = delta_reference_run(&reference_dir);
     let reference_snapshots = snapshots(&reference_dir);
     assert_eq!(reference_snapshots.len(), CLIENTS);
 
     let chaotic_dir = temp_dir("delta_chaotic");
-    let (scores, restarts, injected_faults) = run_delta_chaotic(&chaotic_dir, 0x0DE17A);
+    let (scores, restarts, injected_faults) = delta_chaotic_run(&chaotic_dir, 0x0DE17A);
     assert!(
         injected_faults > 0,
         "chaos seed injected nothing; the suite is not exercising faults"
@@ -814,6 +456,86 @@ fn killed_delta_daemon_recovers_committed_map_and_journal_bit_identically() {
 }
 
 #[test]
+fn concurrent_chaotic_clients_lose_no_sessions() {
+    // Real thread-per-client concurrency; io-error + torn faults only
+    // (kills need the restart choreography covered above). Every client
+    // retries until its script completes; afterwards every session must
+    // be present, parseable, and hold exactly its scripted commits.
+    let dir = temp_dir("concurrent");
+    let kill = KillSwitch::new();
+    let chaos = Chaos::with_config(
+        99,
+        ChaosConfig {
+            io_error_ppm: 120_000,
+            torn_ppm: 80_000,
+            kill_ppm: 0,
+        },
+    );
+    let store = SnapshotStore::open(&dir, chaos, kill.clone()).expect("store");
+    let manager = Arc::new(SessionManager::new(
+        store,
+        Limits::default(),
+        DegradePolicy::default(),
+        2,
+    ));
+    let handle = serve(
+        Transport::Tcp("127.0.0.1:0".to_owned()),
+        manager,
+        ServerOptions::default(),
+    )
+    .expect("serve");
+
+    let transport = handle.transport().clone();
+    std::thread::scope(|scope| {
+        for client_index in 0..8 {
+            let transport = transport.clone();
+            scope.spawn(move || {
+                let mut client = Client::new(transport);
+                let opened = client
+                    .call(&delta_open(client_index), 64)
+                    .expect("retries must converge");
+                assert!(opened.ok, "{opened:?}");
+                let mut scores = BTreeMap::new();
+                for step in 0..STEPS {
+                    loop {
+                        match drive_delta_step(&mut client, client_index, step, 64, &mut scores) {
+                            StepOutcome::Done => break,
+                            StepOutcome::Retry => {}
+                            StepOutcome::Reopen => panic!("no restart, yet the session was lost"),
+                        }
+                    }
+                }
+            });
+        }
+    });
+    assert!(
+        handle.manager().injected_faults() > 0,
+        "chaos seed injected nothing; the test is not exercising faults"
+    );
+    handle.manager().request_shutdown();
+    handle.join();
+    assert!(!kill.is_tripped());
+
+    let expected_commits = 8 * (0..STEPS).filter(|&s| !step_is_rejected(s)).count() as u64;
+    let recovered = snapshots(&dir);
+    assert_eq!(recovered.len(), 8, "no session lost or corrupted");
+    let mut total_commits = 0u64;
+    for client_index in 0..8 {
+        let id = delta_session_name(client_index);
+        let text = &recovered[&id];
+        let value: serde::Value = serde_json::from_str(text).expect("snapshot parses");
+        let Some(serde::Value::Int(done)) = value.get("commits_done") else {
+            panic!("snapshot for `{id}` has no commits_done: {text}");
+        };
+        total_commits += u64::try_from(*done).expect("non-negative");
+    }
+    assert_eq!(
+        total_commits, expected_commits,
+        "retries double-counted or dropped commits"
+    );
+}
+
+#[test]
 fn degradation_ladder_flags_and_recovers_over_the_socket() {
     let dir = temp_dir("degrade");
     let store = SnapshotStore::open(&dir, Chaos::off(), KillSwitch::new()).expect("store");
@@ -835,9 +557,15 @@ fn degradation_ladder_flags_and_recovers_over_the_socket() {
     )
     .expect("serve");
     let mut client = Client::new(handle.transport().clone());
-    let script = script_for(0);
-    assert!(client.call(&script[0], 3).expect("open").ok);
-    let degraded = client.call(&script[1], 3).expect("evaluate");
+    let evaluate = Request {
+        id: "d0-eval".to_owned(),
+        session: delta_session_name(0),
+        op: RequestOp::Evaluate {
+            states: states_for(0, 0),
+        },
+    };
+    assert!(client.call(&delta_open(0), 3).expect("open").ok);
+    let degraded = client.call(&evaluate, 3).expect("evaluate");
     assert!(degraded.ok);
     assert!(
         degraded.degraded,
@@ -850,9 +578,9 @@ fn degradation_ladder_flags_and_recovers_over_the_socket() {
     handle.manager().request_shutdown();
     handle.join();
 
-    // Healthy daemon over the same state dir: the same request id is NOT
-    // replayed from the ring (degraded responses are never recorded) and
-    // re-scores at full fidelity.
+    // Healthy daemon over the same state dir: the same request is not a
+    // replay (degraded scores are never cached) and re-scores at full
+    // fidelity.
     let manager = Arc::new(SessionManager::new(
         store,
         Limits::default(),
@@ -866,8 +594,8 @@ fn degradation_ladder_flags_and_recovers_over_the_socket() {
     )
     .expect("serve");
     let mut client = Client::new(handle.transport().clone());
-    assert!(client.call(&script[0], 3).expect("reopen").ok);
-    let retried = client.call(&script[1], 3).expect("retry");
+    assert!(client.call(&delta_open(0), 3).expect("reopen").ok);
+    let retried = client.call(&evaluate, 3).expect("retry");
     assert!(
         retried.ok && !retried.degraded && !retried.replayed,
         "{retried:?}"
