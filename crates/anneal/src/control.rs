@@ -153,7 +153,7 @@ impl RunControl {
     }
 
     /// Whether the move budget (if any) is exhausted at `moves_done`
-    /// proposed moves (for `irgrid-serve` sessions: evaluations).
+    /// proposed moves (for `irgrid-serve` sessions: commits).
     #[must_use]
     pub fn budget_hit(&self, moves_done: u64) -> bool {
         self.move_budget.is_some_and(|b| moves_done >= b)

@@ -107,11 +107,6 @@ impl<'p, P: Problem> FullCostDelta<'p, P> {
             saved: std::cell::RefCell::new(None),
         }
     }
-
-    /// The wrapped problem.
-    pub fn inner(&self) -> &'p P {
-        self.inner
-    }
 }
 
 impl<P: Problem> Problem for FullCostDelta<'_, P> {

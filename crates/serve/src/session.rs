@@ -205,7 +205,7 @@ pub struct EvalFailure {
 }
 
 impl EvalFailure {
-    pub(crate) fn new(kind: ErrorKind, message: impl Into<String>, retryable: bool) -> EvalFailure {
+    fn new(kind: ErrorKind, message: impl Into<String>, retryable: bool) -> EvalFailure {
         EvalFailure {
             kind,
             message: message.into(),
@@ -277,12 +277,6 @@ impl PreparedCommit {
     #[must_use]
     pub fn snapshot_json(&self) -> String {
         self.next.to_json()
-    }
-
-    /// The commit sequence number this prepared commit will ack with.
-    #[must_use]
-    pub fn seq(&self) -> u64 {
-        self.seq
     }
 }
 
@@ -689,11 +683,11 @@ impl Session {
     }
 }
 
-pub(crate) fn timed_out(control: &RunControl) -> bool {
+fn timed_out(control: &RunControl) -> bool {
     control.deadline_hit() || control.cancel_hit()
 }
 
-pub(crate) fn deadline_failure() -> EvalFailure {
+fn deadline_failure() -> EvalFailure {
     EvalFailure::new(
         ErrorKind::Timeout,
         "per-request evaluation deadline passed mid-batch",
@@ -702,7 +696,7 @@ pub(crate) fn deadline_failure() -> EvalFailure {
 }
 
 /// Converts a wire state into model geometry, validating bounds.
-pub(crate) fn to_geometry(state: &FloorplanState) -> Result<(Rect, Vec<(Point, Point)>), String> {
+fn to_geometry(state: &FloorplanState) -> Result<(Rect, Vec<(Point, Point)>), String> {
     let [width, height] = state.chip;
     if width <= 0 || height <= 0 {
         return Err(format!("chip extent {width}x{height} is not positive"));
