@@ -791,6 +791,31 @@ mod tests {
     }
 
     #[test]
+    fn unlimited_control_matches_plain_run() {
+        // Observing a run — a checkpoint cadence and a sink — must not
+        // change a single decision.
+        let annealer = Annealer::new(Schedule::quick());
+        let plain = plain(&annealer, &Bowl, 17);
+        let mut emitted = 0usize;
+        let controlled = anneal(
+            &annealer,
+            &Bowl,
+            17,
+            RunOptions {
+                control: RunControl::unlimited().with_checkpoint_every(2),
+                checkpoints: Some(&mut |_| emitted += 1),
+                resume: None,
+            },
+        )
+        .expect("no limits, finite costs");
+        assert!(emitted > 0, "the cadence emitted nothing");
+        assert_eq!(plain.best, controlled.best);
+        assert_eq!(plain.best_cost.to_bits(), controlled.best_cost.to_bits());
+        assert_eq!(plain.stats, controlled.stats);
+        assert_eq!(plain.stop_reason, controlled.stop_reason);
+    }
+
+    #[test]
     fn move_budget_stops_exactly() {
         let annealer = Annealer::new(Schedule::quick());
         let result = anneal(
@@ -1094,7 +1119,7 @@ mod tests {
     }
 
     #[test]
-    fn nan_cost_mid_run_undoes_and_stops_gracefully() {
+    fn nan_cost_mid_run_stops_gracefully() {
         let annealer = Annealer::new(Schedule::quick());
         let result = anneal(&annealer, &PoisonedSlope, 1, RunOptions::default())
             .expect("initial cost is finite");
@@ -1152,6 +1177,209 @@ mod tests {
         let annealer = Annealer::new(Schedule::quick());
         let err = anneal(&annealer, &PoisonedNeighbourhood, 1, RunOptions::default()).unwrap_err();
         assert!(matches!(err, AnnealError::NonFiniteEstimationCost { .. }));
+    }
+
+    /// A natively incremental [`DeltaProblem`]: it keeps the committed
+    /// cost as a running total and adds each move's cost difference, so
+    /// a missed `commit`, `undo` or `rebase` makes it drift. The test
+    /// problems' costs are integers, which keeps the total exact: it must
+    /// anneal bit for bit like the [`FullCostDelta`] adapter.
+    struct RunningTotal<'p, P: Problem> {
+        inner: &'p P,
+        committed: std::cell::Cell<f64>,
+        pending: std::cell::RefCell<Option<(P::State, f64)>>,
+    }
+
+    impl<'p, P: Problem> RunningTotal<'p, P> {
+        fn new(inner: &'p P) -> RunningTotal<'p, P> {
+            RunningTotal {
+                inner,
+                committed: std::cell::Cell::new(f64::NAN),
+                pending: std::cell::RefCell::new(None),
+            }
+        }
+    }
+
+    impl<P: Problem> Problem for RunningTotal<'_, P> {
+        type State = P::State;
+        fn initial_state(&self) -> P::State {
+            self.inner.initial_state()
+        }
+        fn cost(&self, s: &P::State) -> f64 {
+            self.inner.cost(s)
+        }
+        fn perturb<R: Rng>(&self, s: &mut P::State, rng: &mut R) {
+            self.inner.perturb(s, rng);
+        }
+    }
+
+    impl<P: Problem> DeltaProblem for RunningTotal<'_, P> {
+        fn rebase(&self, state: &P::State) -> f64 {
+            let cost = self.inner.cost(state);
+            self.committed.set(cost);
+            *self.pending.borrow_mut() = None;
+            cost
+        }
+        fn propose<R: Rng>(&self, state: &mut P::State, rng: &mut R) -> f64 {
+            let before = state.clone();
+            self.inner.perturb(state, rng);
+            let cost = self.committed.get() + (self.inner.cost(state) - self.inner.cost(&before));
+            *self.pending.borrow_mut() = Some((before, cost));
+            cost
+        }
+        fn commit(&self) {
+            if let Some((_, cost)) = self.pending.borrow_mut().take() {
+                self.committed.set(cost);
+            }
+        }
+        fn undo(&self, state: &mut P::State) {
+            if let Some((before, _)) = self.pending.borrow_mut().take() {
+                *state = before;
+            }
+        }
+    }
+
+    #[test]
+    fn delta_loop_is_bit_identical_to_full_cost_loop() {
+        let annealer = Annealer::new(Schedule::quick());
+        for seed in [0, 1, 7, 42, 99] {
+            let full = plain(&annealer, &Bowl, seed);
+            let delta = annealer
+                .run(&RunningTotal::new(&Bowl), seed, RunOptions::default())
+                .expect("finite costs");
+            assert_eq!(full.best, delta.best, "seed {seed}");
+            assert_eq!(full.best_cost.to_bits(), delta.best_cost.to_bits());
+            assert_eq!(full.stats, delta.stats);
+            assert_eq!(full.stop_reason, delta.stop_reason);
+        }
+    }
+
+    #[test]
+    fn delta_loop_matches_full_cost_snapshots() {
+        let schedule = Schedule {
+            snapshot_per_temperature: true,
+            ..Schedule::quick()
+        };
+        let annealer = Annealer::new(schedule);
+        let full = plain(&annealer, &Bowl, 5);
+        let delta = annealer
+            .run(&RunningTotal::new(&Bowl), 5, RunOptions::default())
+            .expect("finite costs");
+        assert_eq!(full.snapshots.len(), delta.snapshots.len());
+        for (a, b) in full.snapshots.iter().zip(&delta.snapshots) {
+            assert_eq!(a.temperature.to_bits(), b.temperature.to_bits());
+            assert_eq!(a.current_state, b.current_state);
+            assert_eq!(a.current_cost.to_bits(), b.current_cost.to_bits());
+            assert_eq!(a.best_cost.to_bits(), b.best_cost.to_bits());
+        }
+    }
+
+    #[test]
+    fn delta_segmented_resume_is_bit_identical() {
+        let annealer = Annealer::new(Schedule::quick());
+        let uninterrupted = plain(&annealer, &Bowl, 42);
+        // Every segment starts on a problem that has never seen the run:
+        // resume must re-anchor the running total with `rebase`.
+        let mut checkpoint = None;
+        let mut budget = 0;
+        let result = loop {
+            budget += 4;
+            let result = annealer
+                .run(
+                    &RunningTotal::new(&Bowl),
+                    42,
+                    RunOptions {
+                        control: RunControl::unlimited().with_step_budget(budget),
+                        resume: checkpoint.take(),
+                        checkpoints: Some(&mut |c| checkpoint = Some(c.clone())),
+                    },
+                )
+                .expect("valid checkpoint");
+            if result.stop_reason != StopReason::StepBudget {
+                break result;
+            }
+            assert!(checkpoint.is_some(), "budget stop emits a checkpoint");
+        };
+        assert_eq!(result.best, uninterrupted.best);
+        assert_eq!(
+            result.best_cost.to_bits(),
+            uninterrupted.best_cost.to_bits()
+        );
+        assert_eq!(result.stats, uninterrupted.stats);
+        assert_eq!(result.stop_reason, uninterrupted.stop_reason);
+    }
+
+    #[test]
+    fn delta_checkpoint_resumes_through_full_cost_path() {
+        // A checkpoint carries no evaluation state, so one written by a
+        // native delta run continues bit-identically through the
+        // full-cost adapter.
+        let annealer = Annealer::new(Schedule::quick());
+        let uninterrupted = plain(&annealer, &Bowl, 13);
+        let mut checkpoint = None;
+        annealer
+            .run(
+                &RunningTotal::new(&Bowl),
+                13,
+                RunOptions {
+                    control: RunControl::unlimited().with_step_budget(6),
+                    checkpoints: Some(&mut |c| checkpoint = Some(c.clone())),
+                    resume: None,
+                },
+            )
+            .expect("finite costs");
+        let resumed = resume(
+            &annealer,
+            13,
+            checkpoint.expect("budget stop emits a checkpoint"),
+        )
+        .expect("valid checkpoint");
+        assert_eq!(resumed.best, uninterrupted.best);
+        assert_eq!(
+            resumed.best_cost.to_bits(),
+            uninterrupted.best_cost.to_bits()
+        );
+        assert_eq!(resumed.stats, uninterrupted.stats);
+        assert_eq!(resumed.stop_reason, uninterrupted.stop_reason);
+    }
+
+    #[test]
+    fn delta_move_budget_stops_exactly() {
+        let annealer = Annealer::new(Schedule::quick());
+        let result = annealer
+            .run(
+                &RunningTotal::new(&Bowl),
+                3,
+                control(RunControl::unlimited().with_move_budget(100)),
+            )
+            .expect("finite costs");
+        assert_eq!(result.stop_reason, StopReason::MoveBudget);
+        assert_eq!(result.stats.accepted + result.stats.rejected, 100);
+    }
+
+    #[test]
+    fn delta_nan_mid_run_undoes_and_stops_gracefully() {
+        let annealer = Annealer::new(Schedule::quick());
+        let result = annealer
+            .run(&RunningTotal::new(&PoisonedSlope), 1, RunOptions::default())
+            .expect("initial cost is finite");
+        assert_eq!(result.stop_reason, StopReason::CostError);
+        assert!(result.best <= 200);
+        assert!(result.best_cost.is_finite());
+        // It stops on the same move as the full-cost adapter run.
+        let full = anneal(&annealer, &PoisonedSlope, 1, RunOptions::default())
+            .expect("initial cost is finite");
+        assert_eq!(result.best, full.best);
+        assert_eq!(result.stats, full.stats);
+    }
+
+    #[test]
+    fn delta_nan_initial_cost_is_a_typed_error() {
+        let annealer = Annealer::new(Schedule::quick());
+        let err = annealer
+            .run(&RunningTotal::new(&AlwaysNan), 1, RunOptions::default())
+            .unwrap_err();
+        assert!(matches!(err, AnnealError::NonFiniteInitialCost { .. }));
     }
 
     /// Counts protocol calls to verify every propose is paired with

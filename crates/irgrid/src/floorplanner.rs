@@ -710,6 +710,28 @@ mod tests {
     }
 
     #[test]
+    fn deterministic_runs() {
+        let circuit = small_circuit();
+        let problem = FloorplanProblem::new(
+            &circuit,
+            Um(30),
+            Weights::balanced(),
+            Some(IrregularGridModel::new(Um(30))),
+        );
+        let annealer = Annealer::new(Schedule::quick());
+        let a = anneal(&annealer, &FullCostDelta::new(&problem), 5);
+        let b = anneal(&annealer, &FullCostDelta::new(&problem), 5);
+        assert_eq!(a.best, b.best);
+        assert_eq!(a.best_cost.to_bits(), b.best_cost.to_bits());
+        assert_eq!(a.stats, b.stats);
+        // With γ > 0 the native run still makes the same decisions.
+        let native = anneal(&annealer, &problem, 5);
+        assert_eq!(native.best, a.best);
+        assert_eq!(native.best_cost.to_bits(), a.best_cost.to_bits());
+        assert_eq!(native.stats, a.stats);
+    }
+
+    #[test]
     fn single_module_circuit_is_stable() {
         let circuit = Circuit::new(
             "one",

@@ -1394,4 +1394,143 @@ mod tests {
         };
         assert_eq!(score.to_bits(), hit[0].score.to_bits());
     }
+
+    /// The `(commit_seq, score)` of a `Committed` response.
+    fn committed(response: &Response) -> (u64, f64) {
+        let ResponsePayload::Committed {
+            commit_seq, score, ..
+        } = &response.payload
+        else {
+            panic!("expected Committed, got {response:?}");
+        };
+        (*commit_seq, *score)
+    }
+
+    /// Proposes and commits `state` as step `k` of a script.
+    fn step(manager: &SessionManager, session: &str, k: usize, state: FloorplanState) -> Response {
+        let digest = proposed_digest(&propose(manager, &format!("p{k}"), session, state));
+        commit(manager, &format!("c{k}"), session, &digest)
+    }
+
+    #[test]
+    fn restart_resumes_from_checkpoint() {
+        // One script of commits, run uninterrupted and split by a
+        // restart: the same scores and a byte-identical snapshot.
+        let batch = states(3);
+        let reference = temp_manager("restart_reference", Chaos::off(), DegradePolicy::default());
+        assert!(open(&reference, "r1", "s").ok);
+        let want: Vec<(u64, f64)> = (0..batch.len())
+            .map(|k| committed(&step(&reference, "s", k, batch[k].clone())))
+            .collect();
+
+        let dir = std::env::temp_dir().join("irgrid_serve_mgr_restart");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SnapshotStore::open(&dir, Chaos::off(), KillSwitch::new()).expect("store");
+        let first = SessionManager::new(
+            store.clone(),
+            Limits::default(),
+            DegradePolicy::default(),
+            1,
+        );
+        assert!(open(&first, "r1", "s").ok);
+        for k in 0..2 {
+            let (seq, score) = committed(&step(&first, "s", k, batch[k].clone()));
+            assert_eq!((seq, score.to_bits()), (want[k].0, want[k].1.to_bits()));
+        }
+        drop(first);
+
+        let second = SessionManager::new(store, Limits::default(), DegradePolicy::default(), 1);
+        let reopened = open(&second, "r2", "s");
+        let ResponsePayload::Opened { resumed, stat } = &reopened.payload else {
+            panic!("payload {reopened:?}");
+        };
+        assert!(resumed);
+        assert_eq!(stat.evals_done, 2);
+        let (seq, score) = committed(&step(&second, "s", 2, batch[2].clone()));
+        assert_eq!((seq, score.to_bits()), (want[2].0, want[2].1.to_bits()));
+        assert_eq!(
+            second.store.read("s").expect("read"),
+            reference.store.read("s").expect("read"),
+            "the resumed session's snapshot diverged"
+        );
+    }
+
+    #[test]
+    fn persist_failure_rolls_back_and_is_retryable() {
+        let dir = std::env::temp_dir().join("irgrid_serve_mgr_persistfail");
+        let _ = std::fs::remove_dir_all(&dir);
+        let clean = SnapshotStore::open(&dir, Chaos::off(), KillSwitch::new()).expect("store");
+        let healthy = SessionManager::new(
+            clean.clone(),
+            Limits::default(),
+            DegradePolicy::default(),
+            1,
+        );
+        assert!(open(&healthy, "r1", "s").ok);
+        drop(healthy);
+        let before = clean.read("s").expect("read").expect("snapshot");
+
+        let faulty_store = SnapshotStore::open(&dir, all_fail(), KillSwitch::new()).expect("store");
+        let faulty =
+            SessionManager::new(faulty_store, Limits::default(), DegradePolicy::default(), 1);
+        assert!(open(&faulty, "r2", "s").ok);
+        let proposed = propose(&faulty, "p0", "s", states(1).remove(0));
+        let ResponsePayload::Proposed { digest, score } = &proposed.payload else {
+            panic!("expected Proposed, got {proposed:?}");
+        };
+        let failed = commit(&faulty, "c0", "s", digest);
+        assert_eq!(error_kind(&failed), Some((ErrorKind::PersistFailed, true)));
+        assert_eq!(clean.read("s").expect("read").expect("snapshot"), before);
+        assert_eq!(stat(&faulty, "s").evals_done, 0);
+        drop(faulty);
+
+        // The failed attempt recorded nothing under its request id, so
+        // the retry commits for real instead of replaying a phantom ack.
+        let retried = SessionManager::new(clean, Limits::default(), DegradePolicy::default(), 1);
+        assert!(open(&retried, "r3", "s").ok);
+        let response = step(&retried, "s", 0, states(1).remove(0));
+        assert!(response.ok && !response.replayed, "{response:?}");
+        let (seq, retried_score) = committed(&response);
+        assert_eq!(
+            (seq, retried_score.to_bits()),
+            (1, score.to_bits()),
+            "the retry commits the bits the failed attempt proposed"
+        );
+    }
+
+    #[test]
+    fn budget_exhaustion_refuses_commits_but_not_reads() {
+        let manager = temp_manager("budget", Chaos::off(), DegradePolicy::default());
+        let opened = manager.handle(
+            &request(
+                "r1",
+                "s",
+                RequestOp::OpenDelta {
+                    config: SessionConfig {
+                        budget: 1,
+                        ..SessionConfig::default_config()
+                    },
+                },
+            ),
+            &RunControl::unlimited(),
+        );
+        assert!(opened.ok, "{opened:?}");
+        let batch = states(2);
+        assert_eq!(committed(&step(&manager, "s", 0, batch[0].clone())).0, 1);
+        let before = manager.store.read("s").expect("read").expect("snapshot");
+
+        let refused = step(&manager, "s", 1, batch[1].clone());
+        assert_eq!(
+            error_kind(&refused),
+            Some((ErrorKind::BudgetExhausted, false))
+        );
+        assert_eq!(
+            manager.store.read("s").expect("read").expect("snapshot"),
+            before,
+            "a refused commit persists nothing"
+        );
+        let left = stat(&manager, "s");
+        assert_eq!((left.evals_done, left.budget_left), (1, 0));
+        assert!(evaluate(&manager, "e1", "s", batch).ok, "evaluate is free");
+    }
 }

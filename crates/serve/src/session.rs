@@ -828,6 +828,34 @@ mod tests {
     }
 
     #[test]
+    fn undo_disarms_the_proposal_and_reports_the_committed_cost() {
+        let mut session = session();
+        let states = demo_states(2);
+        assert_eq!(
+            session.undo().to_bits(),
+            0.0f64.to_bits(),
+            "nothing committed"
+        );
+        let (d0, s0, _) = session
+            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose");
+        commit(&mut session, "r0", &d0);
+
+        let (d1, _, _) = session
+            .propose(&states[1], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose");
+        assert_eq!(session.undo().to_bits(), s0.to_bits());
+        assert_eq!(session.pending_digest(), None);
+        let err = session
+            .prepare_commit("r1", &d1)
+            .expect_err("an undone proposal cannot commit");
+        assert_eq!(err.kind, ErrorKind::NoPendingProposal);
+        // A second undo, with nothing armed, changes nothing.
+        assert_eq!(session.undo().to_bits(), s0.to_bits());
+        assert_eq!(session.state.commits_done, 1);
+    }
+
+    #[test]
     fn commit_replay_is_idempotent_and_digest_checked() {
         let mut session = session();
         let states = demo_states(1);
@@ -884,6 +912,42 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::BudgetExhausted);
         assert!(!err.retryable);
         assert_eq!(session.state.commits_done, 1);
+    }
+
+    #[test]
+    fn an_exhausted_budget_still_serves_evaluate_and_propose() {
+        let config = SessionConfig {
+            budget: 1,
+            ..SessionConfig::default_config()
+        };
+        let mut session = Session::create("b", config, 8, shared());
+        let states = demo_states(3);
+        let (d0, s0, _) = session
+            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose");
+        commit(&mut session, "r0", &d0);
+        assert_eq!(session.stat().budget_left, 0);
+
+        // Read-only work is never metered: a whole batch still scores...
+        let results = session
+            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
+            .expect("evaluate past the budget");
+        assert_eq!(results.len(), states.len());
+        for (state, result) in states.iter().zip(&results) {
+            assert_eq!(result.score.to_bits(), fresh_rebase(state).to_bits());
+        }
+        // ...and a proposal still scores and arms; only its commit is
+        // refused, and the refusal leaves it armed.
+        let (d1, s1, degraded) = session
+            .propose(&states[1], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose past the budget");
+        assert!(!degraded);
+        assert_eq!(s1.to_bits(), fresh_rebase(&states[1]).to_bits());
+        let err = session.prepare_commit("r1", &d1).expect_err("budget spent");
+        assert_eq!(err.kind, ErrorKind::BudgetExhausted);
+        assert_eq!(session.pending_digest(), Some(d1.as_str()));
+        assert_eq!(session.undo().to_bits(), s0.to_bits());
+        assert_eq!(session.stat().evals_done, 1);
     }
 
     #[test]
@@ -1092,6 +1156,37 @@ mod tests {
     }
 
     #[test]
+    fn proposed_scores_serve_later_evaluates_from_the_cache() {
+        let mut session = session();
+        let states = demo_states(2);
+        let (_, proposed, _) = session
+            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+            .expect("propose");
+        session.undo();
+        let results = session
+            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
+            .expect("evaluate");
+        assert!(results[0].cached, "the proposal's score was cached");
+        assert_eq!(results[0].score.to_bits(), proposed.to_bits());
+        assert!(!results[1].cached);
+        assert_eq!(session.stat().cache_hits, 1);
+
+        // A degraded proposal is never cached: full fidelity re-scores.
+        let mut other = Session::create("o", SessionConfig::default_config(), 8, shared());
+        other
+            .propose(&states[1], DegradeRung::Fixed, &RunControl::unlimited())
+            .expect("degraded propose");
+        let results = other
+            .evaluate(&states[1..], DegradeRung::Full, &RunControl::unlimited(), 1)
+            .expect("evaluate");
+        assert!(!results[0].cached);
+        assert_eq!(
+            results[0].score.to_bits(),
+            fresh_rebase(&states[1]).to_bits()
+        );
+    }
+
+    #[test]
     fn degraded_rungs_flag_the_fallback_model() {
         let mut session = session();
         let states = demo_states(1);
@@ -1159,5 +1254,45 @@ mod tests {
         assert_eq!(session.state.journal.len(), 2);
         assert!(session.recorded("req-0").is_none(), "oldest evicted");
         assert_eq!(session.recorded("req-3").expect("newest kept").seq, 4);
+    }
+
+    #[test]
+    fn completed_ring_is_bounded_and_replayable() {
+        let mut session = Session::create("r", SessionConfig::default_config(), 2, shared());
+        let mut acks = Vec::new();
+        for (k, state) in demo_states(4).iter().enumerate() {
+            let (digest, _, _) = session
+                .propose(state, DegradeRung::Full, &RunControl::unlimited())
+                .expect("propose");
+            acks.push(commit(&mut session, &format!("req-{k}"), &digest));
+        }
+        // The kept acks replay verbatim, also after a snapshot round trip.
+        let text = session.state.to_json();
+        let resumed = Session::from_state(
+            SessionState::from_json(&text, "r").expect("parse"),
+            2,
+            shared(),
+        )
+        .expect("verified");
+        for live in [&session, &resumed] {
+            for (k, ack) in acks.iter().enumerate().skip(2) {
+                let outcome = live
+                    .prepare_commit(&format!("req-{k}"), &ack.0)
+                    .expect("replay");
+                let CommitOutcome::Replayed { digest, score, seq } = outcome else {
+                    panic!("req-{k} should replay");
+                };
+                assert_eq!(
+                    (digest.as_str(), score.to_bits(), seq),
+                    (ack.0.as_str(), ack.1.to_bits(), ack.2)
+                );
+            }
+            // An evicted id is forgotten: with nothing armed it is a new
+            // commit without a proposal, never a stale replay.
+            let err = live
+                .prepare_commit("req-0", &acks[0].0)
+                .expect_err("evicted");
+            assert_eq!(err.kind, ErrorKind::NoPendingProposal);
+        }
     }
 }

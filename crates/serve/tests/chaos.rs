@@ -455,6 +455,151 @@ fn killed_delta_daemon_recovers_committed_map_and_journal_bit_identically() {
     }
 }
 
+/// Opens every client's session on `daemon` and evaluates its whole
+/// script of batches there, each on the first attempt. Returns every
+/// result's score, keyed by request id and batch position.
+fn evaluate_scripts(daemon: &TestDaemon) -> BTreeMap<String, f64> {
+    let mut scores = BTreeMap::new();
+    for client_index in 0..CLIENTS {
+        let mut client = Client::new(daemon.handle.transport().clone());
+        let opened = client.call(&delta_open(client_index), 1).expect("open");
+        assert!(opened.ok, "{opened:?}");
+        for step in 0..STEPS {
+            let request = Request {
+                id: format!("e{client_index}-{step}"),
+                session: delta_session_name(client_index),
+                op: RequestOp::Evaluate {
+                    states: states_for(client_index, step),
+                },
+            };
+            let response = client.call(&request, 1).expect("evaluate needs no retry");
+            let ResponsePayload::Evaluated { results } = &response.payload else {
+                panic!("payload {response:?}");
+            };
+            for (k, result) in results.iter().enumerate() {
+                scores.insert(format!("{}#{k}", request.id), result.score);
+            }
+        }
+    }
+    scores
+}
+
+#[test]
+fn chaotic_daemon_serves_evaluates_without_faults_or_writes() {
+    // Evaluate is read-only, so it never reaches a chaos site: under a
+    // mix that faults or kills most persists, an Evaluate-only workload
+    // on resumed sessions never fails, never writes, and scores exactly
+    // what a clean daemon scores.
+    let dir = temp_dir("evaluate_only");
+    let clean = start_daemon(&dir, Chaos::off(), 1);
+    let reference = evaluate_scripts(&clean);
+    stop_daemon(clean);
+    let before = snapshots(&dir);
+    assert_eq!(
+        before.len(),
+        CLIENTS,
+        "the clean daemon created every session"
+    );
+
+    let chaos = Chaos::with_config(
+        7,
+        ChaosConfig {
+            io_error_ppm: 500_000,
+            torn_ppm: 300_000,
+            kill_ppm: 200_000,
+        },
+    );
+    let chaotic = start_daemon(&dir, chaos, 2);
+    let scores = evaluate_scripts(&chaotic);
+    assert_eq!(chaotic.handle.manager().injected_faults(), 0);
+    assert!(!chaotic.kill.is_tripped());
+    stop_daemon(chaotic);
+
+    assert_eq!(
+        snapshots(&dir),
+        before,
+        "an evaluate wrote to the state dir"
+    );
+    assert_eq!(scores.len(), reference.len());
+    for (id, want) in &reference {
+        assert_eq!(
+            want.to_bits(),
+            scores[id].to_bits(),
+            "score diverged for {id}"
+        );
+    }
+}
+
+#[test]
+fn evaluates_interleaved_with_moves_leave_sessions_byte_identical() {
+    // Evaluate never touches a session's evaluator or pending proposal:
+    // a second connection evaluating on every session while its owner
+    // proposes, commits and undoes must leave the snapshots and move
+    // scores of the moves alone.
+    let reference_dir = temp_dir("interleaved_reference");
+    let reference = delta_reference_run(&reference_dir);
+
+    let dir = temp_dir("interleaved");
+    let daemon = start_daemon(&dir, Chaos::off(), 2);
+    let transport = daemon.handle.transport().clone();
+    let scores = std::sync::Mutex::new(BTreeMap::new());
+    std::thread::scope(|scope| {
+        for client_index in 0..CLIENTS {
+            let opened = Client::new(transport.clone())
+                .call(&delta_open(client_index), 3)
+                .expect("open");
+            assert!(opened.ok, "{opened:?}");
+            let scores = &scores;
+            let mover = transport.clone();
+            scope.spawn(move || {
+                let mut client = Client::new(mover);
+                let mut own = BTreeMap::new();
+                for step in 0..STEPS {
+                    assert!(
+                        matches!(
+                            drive_delta_step(&mut client, client_index, step, 3, &mut own),
+                            StepOutcome::Done
+                        ),
+                        "client {client_index} step {step} did not complete"
+                    );
+                }
+                scores.lock().expect("scores").extend(own);
+            });
+            let reader = transport.clone();
+            scope.spawn(move || {
+                let mut client = Client::new(reader);
+                for round in 0..2 * STEPS {
+                    let request = Request {
+                        id: format!("e{client_index}-{round}"),
+                        session: delta_session_name(client_index),
+                        op: RequestOp::Evaluate {
+                            states: states_for(client_index, round % STEPS),
+                        },
+                    };
+                    let response = client.call(&request, 3).expect("evaluate");
+                    assert!(response.ok && !response.degraded, "{response:?}");
+                }
+            });
+        }
+    });
+    stop_daemon(daemon);
+
+    assert_eq!(
+        snapshots(&dir),
+        snapshots(&reference_dir),
+        "interleaved evaluates changed a session"
+    );
+    let scores = scores.into_inner().expect("scores");
+    assert_eq!(scores.len(), reference.len());
+    for (request_id, want) in &reference {
+        assert_eq!(
+            want.to_bits(),
+            scores[request_id].to_bits(),
+            "score diverged for {request_id}"
+        );
+    }
+}
+
 #[test]
 fn concurrent_chaotic_clients_lose_no_sessions() {
     // Real thread-per-client concurrency; io-error + torn faults only
