@@ -15,6 +15,15 @@
 //!   memoized in a `BTreeMap` (deterministic iteration; `HashMap` is
 //!   banned by lint rule D1) keyed by that signature, as `Arc<[i64]>` of
 //!   **Q32-quantized** probabilities.
+//! * **Committed-block reuse.** Before any memo key is built, a range
+//!   that equals the committed range at the same index, over cut
+//!   positions unchanged inside its snapped span, takes the committed
+//!   span and block for one `Arc` clone (when the whole cut vectors are
+//!   unchanged, not even the span is re-snapped). A move that repacks a
+//!   10k-module floorplan leaves about 99 % of ranges that way. Ranges
+//!   that shifted index — a re-decomposed net gained or lost a segment —
+//!   take the memo path. [`WorkCounters`] says how each range of the
+//!   last build got its block.
 //! * **Integer totals.** Per-cell totals are `i64` sums of quantized
 //!   blocks (see [`crate::num::quantize_probability`]). Integer addition
 //!   commutes, so incremental subtract/add updates are bit-identical to
@@ -161,6 +170,28 @@ pub struct IrDeltaEvaluator {
     ys: Vec<i64>,
     fblock: Vec<f64>,
     pairs: Vec<(f64, f64)>,
+    counters: WorkCounters,
+}
+
+/// What the last build of an [`IrDeltaEvaluator`] (a `rebase` or a
+/// `propose`) did, as plain counts — no clock, so equal inputs give
+/// equal counts and tests can assert them.
+///
+/// Every range takes its block one way: `reused + memo_hits +
+/// memo_misses == ranges`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Routing ranges in the scored floorplan.
+    pub ranges: usize,
+    /// Ranges whose block came from the committed snapshot: the same
+    /// range at the same index over unchanged cuts inside its span.
+    pub reused: usize,
+    /// Ranges whose block came from the relative-signature memo.
+    pub memo_hits: usize,
+    /// Ranges whose block was scored afresh.
+    pub memo_misses: usize,
+    /// IR cells in the blocks scored afresh.
+    pub cells_scored: usize,
 }
 
 impl IrDeltaEvaluator {
@@ -182,7 +213,14 @@ impl IrDeltaEvaluator {
             ys: Vec::new(),
             fblock: Vec::new(),
             pairs: Vec::new(),
+            counters: WorkCounters::default(),
         }
+    }
+
+    /// The work counts of the last `rebase` or `propose`.
+    #[must_use]
+    pub fn work_counters(&self) -> WorkCounters {
+        self.counters
     }
 
     /// The committed floorplan's cost (0 before the first rebase).
@@ -260,9 +298,9 @@ impl IrDeltaEvaluator {
     }
 
     /// Builds `self.proposed` from the given floorplan and returns its
-    /// cost. Uses the committed snapshot only as a subtract/add base
-    /// when the merged cut sets coincide — the result is independent of
-    /// it either way.
+    /// cost. Uses the committed snapshot only as a source of unchanged
+    /// blocks and, when the merged cut sets coincide, as a subtract/add
+    /// base — the result is independent of it either way.
     fn build_proposal(&mut self, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
         let grid = UnitGrid::new(chip, self.model.pitch);
         let min_gap = if self.model.merge_lines { 2 } else { 1 };
@@ -301,79 +339,46 @@ impl IrDeltaEvaluator {
         // irgrid-lint: allow(C1): cols + rows + 2 is positive and far below usize::MAX
         self.lf.ensure_up_to(lf_bound as usize);
 
-        // Per-range snapped spans and (memoized) scored blocks.
+        // Per-range snapped spans and scored blocks. A range unchanged at
+        // its index, over cuts unchanged inside its span, takes its
+        // committed block with no memo key and no lookup: a block is a
+        // pure function of the net type and the relative cut offsets, so
+        // this equals the memo path bit for bit. When the whole cut
+        // vectors are unchanged, so is its snapped span.
+        let same_cuts = self.committed.valid
+            && self.proposed.x_cuts == self.committed.x_cuts
+            && self.proposed.y_cuts == self.committed.y_cuts;
+        self.counters = WorkCounters {
+            ranges: self.proposed.ranges.len(),
+            ..WorkCounters::default()
+        };
         self.proposed.spans.clear();
         self.proposed.blocks.clear();
         for i in 0..self.proposed.ranges.len() {
             let range = self.proposed.ranges[i];
-            let (ix1, ix2) = snap_span(&self.proposed.x_cuts, range.x0(), range.x0() + range.g1());
-            let (iy1, iy2) = snap_span(&self.proposed.y_cuts, range.y0(), range.y0() + range.g2());
-            self.proposed.spans.push((ix1, ix2, iy1, iy2));
-
-            let corridor = range.g1() == 1 || range.g2() == 1;
-            self.key.clear();
-            if corridor {
-                self.key.push(KIND_CORRIDOR);
-                self.key.push(span_len(ix1, ix2));
-                self.key.push(span_len(iy1, iy2));
+            let unchanged = self.committed.valid && self.committed.ranges.get(i) == Some(&range);
+            let span = if unchanged && same_cuts {
+                self.committed.spans[i]
             } else {
-                self.key.push(match range.net_type() {
-                    NetType::TypeI => 0,
-                    NetType::TypeII => 1,
+                let (ix1, ix2) =
+                    snap_span(&self.proposed.x_cuts, range.x0(), range.x0() + range.g1());
+                let (iy1, iy2) =
+                    snap_span(&self.proposed.y_cuts, range.y0(), range.y0() + range.g2());
+                (ix1, ix2, iy1, iy2)
+            };
+            self.proposed.spans.push(span);
+            let reuse = unchanged
+                && (same_cuts || {
+                    let (ix1, ix2, iy1, iy2) = span;
+                    let (cx1, cx2, cy1, cy2) = self.committed.spans[i];
+                    self.proposed.x_cuts[ix1..=ix2] == self.committed.x_cuts[cx1..=cx2]
+                        && self.proposed.y_cuts[iy1..=iy2] == self.committed.y_cuts[cy1..=cy2]
                 });
-                self.key.push(span_len(ix1, ix2));
-                let x0 = self.proposed.x_cuts[ix1];
-                for j in ix1 + 1..=ix2 {
-                    self.key.push(self.proposed.x_cuts[j] - x0);
-                }
-                let y0 = self.proposed.y_cuts[iy1];
-                for j in iy1 + 1..=iy2 {
-                    self.key.push(self.proposed.y_cuts[j] - y0);
-                }
-            }
-
-            let block = if let Some(hit) = self.memo.get(&self.key) {
-                Arc::clone(hit)
+            let block = if reuse {
+                self.counters.reused += 1;
+                Arc::clone(&self.committed.blocks[i])
             } else {
-                let scored: Arc<[i64]> = if corridor {
-                    let cells = (ix2 - ix1) * (iy2 - iy1);
-                    std::iter::repeat(quantize_probability(1.0))
-                        .take(cells)
-                        .collect()
-                } else {
-                    self.xs.clear();
-                    self.xs.push(0);
-                    let x0 = self.proposed.x_cuts[ix1];
-                    for j in ix1 + 1..=ix2 {
-                        self.xs.push(self.proposed.x_cuts[j] - x0);
-                    }
-                    self.ys.clear();
-                    self.ys.push(0);
-                    let y0 = self.proposed.y_cuts[iy1];
-                    for j in iy1 + 1..=iy2 {
-                        self.ys.push(self.proposed.y_cuts[j] - y0);
-                    }
-                    score_block(
-                        &self.model,
-                        range.net_type(),
-                        &self.xs,
-                        &self.ys,
-                        &self.lf,
-                        &mut self.fblock,
-                    );
-                    self.fblock
-                        .iter()
-                        .map(|&p| quantize_probability(p))
-                        .collect()
-                };
-                // Deterministic overflow policy: clear and restart. Blocks
-                // are pure functions of their key, so dropping the memo
-                // never changes a result, only re-scores it.
-                if self.memo.len() >= self.memo_capacity {
-                    self.memo.clear();
-                }
-                self.memo.insert(self.key.clone(), Arc::clone(&scored));
-                scored
+                self.memo_block(range, span)
             };
             self.proposed.blocks.push(block);
         }
@@ -448,6 +453,84 @@ impl IrDeltaEvaluator {
         self.proposed.cost = cost;
         self.proposed.valid = true;
         cost
+    }
+
+    /// The scored block of `range` over its snapped proposed `span`, from
+    /// the relative-signature memo or, on a miss, freshly scored and
+    /// memoized.
+    fn memo_block(
+        &mut self,
+        range: RoutingRange,
+        span: (usize, usize, usize, usize),
+    ) -> Arc<[i64]> {
+        let (ix1, ix2, iy1, iy2) = span;
+        let corridor = range.g1() == 1 || range.g2() == 1;
+        self.key.clear();
+        if corridor {
+            self.key.push(KIND_CORRIDOR);
+            self.key.push(span_len(ix1, ix2));
+            self.key.push(span_len(iy1, iy2));
+        } else {
+            self.key.push(match range.net_type() {
+                NetType::TypeI => 0,
+                NetType::TypeII => 1,
+            });
+            self.key.push(span_len(ix1, ix2));
+            let x0 = self.proposed.x_cuts[ix1];
+            for j in ix1 + 1..=ix2 {
+                self.key.push(self.proposed.x_cuts[j] - x0);
+            }
+            let y0 = self.proposed.y_cuts[iy1];
+            for j in iy1 + 1..=iy2 {
+                self.key.push(self.proposed.y_cuts[j] - y0);
+            }
+        }
+
+        if let Some(hit) = self.memo.get(&self.key) {
+            self.counters.memo_hits += 1;
+            return Arc::clone(hit);
+        }
+        self.counters.memo_misses += 1;
+        let scored: Arc<[i64]> = if corridor {
+            let cells = (ix2 - ix1) * (iy2 - iy1);
+            std::iter::repeat(quantize_probability(1.0))
+                .take(cells)
+                .collect()
+        } else {
+            self.xs.clear();
+            self.xs.push(0);
+            let x0 = self.proposed.x_cuts[ix1];
+            for j in ix1 + 1..=ix2 {
+                self.xs.push(self.proposed.x_cuts[j] - x0);
+            }
+            self.ys.clear();
+            self.ys.push(0);
+            let y0 = self.proposed.y_cuts[iy1];
+            for j in iy1 + 1..=iy2 {
+                self.ys.push(self.proposed.y_cuts[j] - y0);
+            }
+            score_block(
+                &self.model,
+                range.net_type(),
+                &self.xs,
+                &self.ys,
+                &self.lf,
+                &mut self.fblock,
+            );
+            self.fblock
+                .iter()
+                .map(|&p| quantize_probability(p))
+                .collect()
+        };
+        self.counters.cells_scored += scored.len();
+        // Deterministic overflow policy: clear and restart. Blocks are
+        // pure functions of their key, so dropping the memo never changes
+        // a result, only re-scores it.
+        if self.memo.len() >= self.memo_capacity {
+            self.memo.clear();
+        }
+        self.memo.insert(self.key.clone(), Arc::clone(&scored));
+        scored
     }
 }
 
@@ -770,6 +853,64 @@ mod tests {
             &warm,
             &fresh_rebase(model, &the_chip, &segments),
             "small move",
+        );
+    }
+
+    #[test]
+    fn unchanged_ranges_reuse_committed_blocks() {
+        // Widening the small exact-threshold range by four cells moves
+        // its right edge to a cut that merges away: the merged cuts stay
+        // as they were, so every other range takes its committed block
+        // and leaves the memo alone.
+        let model = IrregularGridModel::new(Um(30));
+        let the_chip = chip(900, 900);
+        let mut segments = crossing_segments();
+        let mut warm = fresh_rebase(model, &the_chip, &segments);
+        let rebuilt = warm.work_counters();
+        assert_eq!((rebuilt.ranges, rebuilt.reused), (6, 0));
+        assert_eq!(rebuilt.memo_hits + rebuilt.memo_misses, 6);
+        let (x_cuts, y_cuts) = (warm.quantized().0.to_vec(), warm.quantized().1.to_vec());
+        let memo_len = warm.memo.len();
+
+        segments[4].1 = pt(210, 150);
+        warm.propose(&the_chip, &segments);
+        let moved = warm.work_counters();
+        warm.commit();
+        assert_eq!(warm.quantized().0, &x_cuts[..], "x cuts unchanged");
+        assert_eq!(warm.quantized().1, &y_cuts[..], "y cuts unchanged");
+        assert_eq!((moved.ranges, moved.reused), (6, 5), "{moved:?}");
+        assert_eq!(moved.memo_hits + moved.memo_misses, 1, "{moved:?}");
+        assert!(warm.memo.len() <= memo_len + 1);
+        assert_bit_identical(
+            &warm,
+            &fresh_rebase(model, &the_chip, &segments),
+            "one range moved",
+        );
+    }
+
+    #[test]
+    fn a_cut_shifted_inside_a_span_rescores_that_range() {
+        // Nudging the type II segment's upper pin down half a cell moves
+        // the y cut at 26 to 25. That cut lies inside the near-vertical
+        // range's span, so that range is scored again although it did not
+        // move; the other four unchanged ranges are reused.
+        let model = IrregularGridModel::new(Um(30));
+        let the_chip = chip(900, 900);
+        let mut segments = crossing_segments();
+        let mut warm = fresh_rebase(model, &the_chip, &segments);
+        let y_cuts = warm.quantized().1.to_vec();
+
+        segments[1].0 = pt(75, 735);
+        warm.propose(&the_chip, &segments);
+        let moved = warm.work_counters();
+        warm.commit();
+        assert_ne!(warm.quantized().1, &y_cuts[..], "a y cut moved");
+        assert_eq!((moved.ranges, moved.reused), (6, 4), "{moved:?}");
+        assert_eq!(moved.memo_hits + moved.memo_misses, 2, "{moved:?}");
+        assert_bit_identical(
+            &warm,
+            &fresh_rebase(model, &the_chip, &segments),
+            "cut shifted under an unchanged range",
         );
     }
 

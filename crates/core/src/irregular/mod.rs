@@ -18,7 +18,7 @@ mod delta;
 mod exact;
 
 pub use approx::{block_probability_approx, function1_approx, function1_exact, ApproxConfig};
-pub use delta::IrDeltaEvaluator;
+pub use delta::{IrDeltaEvaluator, WorkCounters};
 pub use exact::block_probability_exact;
 
 use irgrid_geom::{Point, Rect, Um};

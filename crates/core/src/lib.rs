@@ -51,7 +51,7 @@ pub mod score;
 pub use fixed::{CellArithmetic, FixedCongestionMap, FixedGridModel};
 pub use grid::UnitGrid;
 pub use irregular::{
-    ApproxConfig, Evaluator, IrCongestionMap, IrDeltaEvaluator, IrregularGridModel,
+    ApproxConfig, Evaluator, IrCongestionMap, IrDeltaEvaluator, IrregularGridModel, WorkCounters,
 };
 pub use lz::{LzCongestionMap, LzShapeModel};
 pub use routing::{NetType, RoutingRange};

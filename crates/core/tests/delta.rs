@@ -5,9 +5,10 @@
 //! list **bit-identically** to a freshly constructed session rebased on
 //! the same list. These properties drive randomized move sequences
 //! (including rejected-move undo chains, repeated edits of the same
-//! segment, zero-length segments, and fully overlapping ranges) and check
-//! both the returned cost and the committed quantized congestion state
-//! against a from-scratch evaluation after every move.
+//! segment, zero-length segments, fully overlapping ranges, and mid-list
+//! insertions and removals that shift every later range's index) and
+//! check both the returned cost and the committed quantized congestion
+//! state against a from-scratch evaluation after every move.
 
 use irgrid_core::{DeltaCongestion, DeltaCongestionSession, IrDeltaEvaluator, IrregularGridModel};
 use irgrid_geom::{Point, Rect, Um};
@@ -30,7 +31,9 @@ struct MoveSpec {
     /// Selects the edited segment (taken modulo the list length).
     slot: usize,
     segment: (Point, Point),
-    /// 0 = push, 1 = pop, otherwise replace in place.
+    /// 0 = push, 1 = pop, 2 = insert at the slot, 3 = remove at the
+    /// slot, otherwise replace in place. Inserts and removals shift every
+    /// later range off its committed index.
     op: u8,
     accept: bool,
     double_propose: bool,
@@ -55,6 +58,14 @@ fn apply_move(segments: &mut Vec<(Point, Point)>, spec: &MoveSpec) {
         0 => segments.push(spec.segment),
         1 => {
             segments.pop();
+        }
+        2 => {
+            let slot = spec.slot % (segments.len() + 1);
+            segments.insert(slot, spec.segment);
+        }
+        3 if !segments.is_empty() => {
+            let slot = spec.slot % segments.len();
+            segments.remove(slot);
         }
         _ => {
             if segments.is_empty() {
