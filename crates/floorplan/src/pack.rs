@@ -5,6 +5,15 @@
 //! optimal-orientation algorithm). The root shape of minimum area is
 //! selected and positions are assigned top-down.
 //!
+//! Every node's pruned list lives in one flat arena, in postfix order.
+//! A node's unpruned list — a leaf's candidates, or an operator's
+//! Cartesian product of its children's lists — is built in one reused
+//! scratch buffer, stably sorted, and pruned onto the arena's end, so a
+//! repack allocates a few buffers rather than three per node. The lists
+//! are short — along perturbation walks on ami49 and a 10k-module
+//! synthetic a pruned list holds at most 6 shapes and a product at most
+//! 30 — so the product-and-prune needs no linear-merge variant.
+//!
 //! Two entry points:
 //!
 //! * [`pack`] — hard modules: each leaf offers its two 90°-rotations
@@ -31,10 +40,55 @@ struct Shape {
     right_choice: u32,
 }
 
+impl Shape {
+    fn leaf(choice: usize, w: Um, h: Um) -> Shape {
+        Shape {
+            w,
+            h,
+            left_choice: choice as u32,
+            right_choice: 0,
+        }
+    }
+}
+
 #[derive(Debug)]
 enum Node {
     Leaf(ModuleId),
     Internal { cut: Cut, left: usize, right: usize },
+}
+
+/// Every node's pruned shape list, concatenated in postfix order.
+#[derive(Debug, Default)]
+struct ShapeLists {
+    shapes: Vec<Shape>,
+    /// Node `i`'s list is `shapes[bounds[i].0..bounds[i].1]`.
+    bounds: Vec<(usize, usize)>,
+}
+
+impl ShapeLists {
+    fn list(&self, node: usize) -> &[Shape] {
+        let (start, end) = self.bounds[node];
+        &self.shapes[start..end]
+    }
+
+    /// Stably sorts `unpruned` by width, then height, and appends its
+    /// non-dominated shapes as the next node's list: increasing width,
+    /// strictly decreasing height.
+    fn push_pruned(&mut self, unpruned: &mut [Shape]) {
+        unpruned.sort_by_key(|s| (s.w, s.h));
+        let start = self.shapes.len();
+        for &s in unpruned.iter() {
+            if let Some(last) = self.shapes[start..].last() {
+                // Same width: the earlier (smaller-height) entry
+                // dominates. Wider and at least as tall: dominated.
+                if last.w == s.w || last.h <= s.h {
+                    continue;
+                }
+            }
+            self.shapes.push(s);
+        }
+        self.bounds.push((start, self.shapes.len()));
+    }
 }
 
 /// Packs a Polish expression into a [`Placement`] of minimum chip area,
@@ -55,18 +109,14 @@ pub fn pack(expr: &PolishExpr, circuit: &Circuit) -> Placement {
         circuit.modules().len(),
         "expression and circuit disagree on module count"
     );
-    let candidates: Vec<Vec<(Um, Um)>> = circuit
-        .modules()
-        .iter()
-        .map(|m| {
-            if m.width() == m.height() {
-                vec![(m.width(), m.height())]
-            } else {
-                vec![(m.width(), m.height()), (m.height(), m.width())]
-            }
-        })
-        .collect();
-    let (rects, chip) = pack_impl(expr, &candidates);
+    let modules = circuit.modules();
+    let (rects, chip) = pack_impl(expr, modules.len(), |id, shapes| {
+        let m = &modules[id.index()];
+        shapes.push(Shape::leaf(0, m.width(), m.height()));
+        if m.width() != m.height() {
+            shapes.push(Shape::leaf(1, m.height(), m.width()));
+        }
+    });
     let rotated = circuit
         .modules_with_ids()
         .map(|(id, m)| rects[id.index()].width() != m.width())
@@ -92,7 +142,17 @@ pub fn pack_with_shapes(expr: &PolishExpr, candidates: &[Vec<(Um, Um)>]) -> Plac
         candidates.len(),
         "expression and shape lists disagree on module count"
     );
-    let (rects, chip) = pack_impl(expr, candidates);
+    let (rects, chip) = pack_impl(expr, candidates.len(), |id, shapes| {
+        let list = &candidates[id.index()];
+        assert!(!list.is_empty(), "module {id} has no shape candidates");
+        for (i, &(w, h)) in list.iter().enumerate() {
+            assert!(
+                w > Um::ZERO && h > Um::ZERO,
+                "module {id} candidate {i} has non-positive dims {w} x {h}"
+            );
+            shapes.push(Shape::leaf(i, w, h));
+        }
+    });
     let rotated = vec![false; candidates.len()];
     Placement::from_parts(rects, rotated, chip)
 }
@@ -148,51 +208,37 @@ pub fn soft_shapes(area: UmArea, ar_min: f64, ar_max: f64, count: usize) -> Vec<
         .collect()
 }
 
-/// Shared packing core over explicit leaf shape candidates.
-fn pack_impl(expr: &PolishExpr, candidates: &[Vec<(Um, Um)>]) -> (Vec<Rect>, Rect) {
+/// Shared packing core: `leaf` pushes a module's candidate shapes.
+fn pack_impl(
+    expr: &PolishExpr,
+    module_count: usize,
+    mut leaf: impl FnMut(ModuleId, &mut Vec<Shape>),
+) -> (Vec<Rect>, Rect) {
     // Build the slicing tree from the postfix expression.
     let mut nodes: Vec<Node> = Vec::with_capacity(expr.elements().len());
-    let mut shapes: Vec<Vec<Shape>> = Vec::with_capacity(expr.elements().len());
+    let mut lists = ShapeLists::default();
+    let mut unpruned: Vec<Shape> = Vec::new();
     let mut stack: Vec<usize> = Vec::new();
 
     for element in expr.elements() {
+        unpruned.clear();
         match *element {
             Element::Operand(id) => {
-                let list = &candidates[id.index()];
-                assert!(!list.is_empty(), "module {id} has no shape candidates");
-                let leaf_shapes: Vec<Shape> = list
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(w, h))| {
-                        assert!(
-                            w > Um::ZERO && h > Um::ZERO,
-                            "module {id} candidate {i} has non-positive dims {w} x {h}"
-                        );
-                        Shape {
-                            w,
-                            h,
-                            left_choice: i as u32,
-                            right_choice: 0,
-                        }
-                    })
-                    .collect();
+                leaf(id, &mut unpruned);
                 nodes.push(Node::Leaf(id));
-                shapes.push(prune(leaf_shapes));
-                stack.push(nodes.len() - 1);
             }
             Element::Operator(cut) => {
                 // irgrid-lint: allow(P1): the balloting property of a normalized Polish expression guarantees two operands per operator
                 let right = stack.pop().expect("balloting guarantees a right child");
                 // irgrid-lint: allow(P1): the balloting property of a normalized Polish expression guarantees two operands per operator
                 let left = stack.pop().expect("balloting guarantees a left child");
-                let mut combined = Vec::with_capacity(shapes[left].len() * shapes[right].len());
-                for (li, ls) in shapes[left].iter().enumerate() {
-                    for (ri, rs) in shapes[right].iter().enumerate() {
+                for (li, ls) in lists.list(left).iter().enumerate() {
+                    for (ri, rs) in lists.list(right).iter().enumerate() {
                         let (w, h) = match cut {
                             Cut::V => (ls.w + rs.w, ls.h.max(rs.h)),
                             Cut::H => (ls.w.max(rs.w), ls.h + rs.h),
                         };
-                        combined.push(Shape {
+                        unpruned.push(Shape {
                             w,
                             h,
                             left_choice: li as u32,
@@ -201,10 +247,10 @@ fn pack_impl(expr: &PolishExpr, candidates: &[Vec<(Um, Um)>]) -> (Vec<Rect>, Rec
                     }
                 }
                 nodes.push(Node::Internal { cut, left, right });
-                shapes.push(prune(combined));
-                stack.push(nodes.len() - 1);
             }
         }
+        lists.push_pruned(&mut unpruned);
+        stack.push(nodes.len() - 1);
     }
 
     // irgrid-lint: allow(P1): PolishExpr construction rejects empty expressions
@@ -212,64 +258,42 @@ fn pack_impl(expr: &PolishExpr, candidates: &[Vec<(Um, Um)>]) -> (Vec<Rect>, Rec
     debug_assert!(stack.is_empty(), "valid expression leaves exactly one root");
 
     // Pick the minimum-area root shape (ties: most square).
-    let best = shapes[root]
+    let best = lists
+        .list(root)
         .iter()
         .enumerate()
         .min_by_key(|(_, s)| (s.w * s.h, (s.w - s.h).abs()))
         .map(|(i, _)| i)
-        // irgrid-lint: allow(P1): prune() always returns at least one shape
+        // irgrid-lint: allow(P1): a pruned list keeps at least one shape
         .expect("shape lists are never empty");
 
-    // Assign positions top-down. For leaves, `left_choice` holds the
-    // chosen candidate index; the *pruned* list stores original-list
-    // back-pointers, so the chosen dims are in the pruned Shape itself.
-    let n = candidates.len();
-    let mut rects = vec![Rect::from_origin_size(Point::ORIGIN, Um(1), Um(1)); n];
-    let root_shape = shapes[root][best];
-    assign(&nodes, &shapes, root, best, Point::ORIGIN, &mut rects);
+    // Assign positions top-down. A leaf's pruned shape carries its
+    // chosen dimensions itself.
+    let mut rects = vec![Rect::from_origin_size(Point::ORIGIN, Um(1), Um(1)); module_count];
+    let root_shape = lists.list(root)[best];
+    assign(&nodes, &lists, root, best, Point::ORIGIN, &mut rects);
     let chip = Rect::from_origin_size(Point::ORIGIN, root_shape.w, root_shape.h);
     (rects, chip)
 }
 
-/// Keeps only non-dominated shapes, sorted by increasing width (and hence
-/// strictly decreasing height).
-fn prune(mut list: Vec<Shape>) -> Vec<Shape> {
-    list.sort_by_key(|s| (s.w, s.h));
-    let mut pruned: Vec<Shape> = Vec::with_capacity(list.len());
-    for s in list {
-        // Same width: the earlier (smaller-height) entry dominates.
-        if let Some(last) = pruned.last() {
-            if last.w == s.w {
-                continue;
-            }
-            if last.h <= s.h {
-                // Wider and at least as tall: dominated.
-                continue;
-            }
-        }
-        pruned.push(s);
-    }
-    pruned
-}
-
 fn assign(
     nodes: &[Node],
-    shapes: &[Vec<Shape>],
+    lists: &ShapeLists,
     node: usize,
     shape_idx: usize,
     origin: Point,
     rects: &mut [Rect],
 ) {
-    let shape = shapes[node][shape_idx];
+    let shape = lists.list(node)[shape_idx];
     match nodes[node] {
         Node::Leaf(id) => {
             rects[id.index()] = Rect::from_origin_size(origin, shape.w, shape.h);
         }
         Node::Internal { cut, left, right } => {
-            let ls = shapes[left][shape.left_choice as usize];
+            let ls = lists.list(left)[shape.left_choice as usize];
             assign(
                 nodes,
-                shapes,
+                lists,
                 left,
                 shape.left_choice as usize,
                 origin,
@@ -281,12 +305,122 @@ fn assign(
             };
             assign(
                 nodes,
-                shapes,
+                lists,
                 right,
                 shape.right_choice as usize,
                 right_origin,
                 rects,
             );
+        }
+    }
+}
+
+/// The packer as it was before the shape arena — one `Vec` per module
+/// for the candidates and per node for the product and the pruned list —
+/// kept as the oracle the arena packer must match exactly.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// Packs over explicit leaf candidates; returns the module
+    /// rectangles and the chip.
+    pub(super) fn pack(expr: &PolishExpr, candidates: &[Vec<(Um, Um)>]) -> (Vec<Rect>, Rect) {
+        let mut nodes: Vec<Node> = Vec::with_capacity(expr.elements().len());
+        let mut shapes: Vec<Vec<Shape>> = Vec::with_capacity(expr.elements().len());
+        let mut stack: Vec<usize> = Vec::new();
+        for element in expr.elements() {
+            match *element {
+                Element::Operand(id) => {
+                    let leaf_shapes: Vec<Shape> = candidates[id.index()]
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(w, h))| Shape::leaf(i, w, h))
+                        .collect();
+                    nodes.push(Node::Leaf(id));
+                    shapes.push(prune(leaf_shapes));
+                }
+                Element::Operator(cut) => {
+                    let right = stack.pop().expect("right child");
+                    let left = stack.pop().expect("left child");
+                    let mut combined = Vec::with_capacity(shapes[left].len() * shapes[right].len());
+                    for (li, ls) in shapes[left].iter().enumerate() {
+                        for (ri, rs) in shapes[right].iter().enumerate() {
+                            let (w, h) = match cut {
+                                Cut::V => (ls.w + rs.w, ls.h.max(rs.h)),
+                                Cut::H => (ls.w.max(rs.w), ls.h + rs.h),
+                            };
+                            combined.push(Shape {
+                                w,
+                                h,
+                                left_choice: li as u32,
+                                right_choice: ri as u32,
+                            });
+                        }
+                    }
+                    nodes.push(Node::Internal { cut, left, right });
+                    shapes.push(prune(combined));
+                }
+            }
+            stack.push(nodes.len() - 1);
+        }
+        let root = stack.pop().expect("root");
+        let best = shapes[root]
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, s)| (s.w * s.h, (s.w - s.h).abs()))
+            .map(|(i, _)| i)
+            .expect("non-empty");
+        let mut rects = vec![Rect::from_origin_size(Point::ORIGIN, Um(1), Um(1)); candidates.len()];
+        let root_shape = shapes[root][best];
+        assign(&nodes, &shapes, root, best, Point::ORIGIN, &mut rects);
+        (
+            rects,
+            Rect::from_origin_size(Point::ORIGIN, root_shape.w, root_shape.h),
+        )
+    }
+
+    fn prune(mut list: Vec<Shape>) -> Vec<Shape> {
+        list.sort_by_key(|s| (s.w, s.h));
+        let mut pruned: Vec<Shape> = Vec::with_capacity(list.len());
+        for s in list {
+            if let Some(last) = pruned.last() {
+                if last.w == s.w || last.h <= s.h {
+                    continue;
+                }
+            }
+            pruned.push(s);
+        }
+        pruned
+    }
+
+    fn assign(
+        nodes: &[Node],
+        shapes: &[Vec<Shape>],
+        node: usize,
+        shape_idx: usize,
+        origin: Point,
+        rects: &mut [Rect],
+    ) {
+        let shape = shapes[node][shape_idx];
+        match nodes[node] {
+            Node::Leaf(id) => rects[id.index()] = Rect::from_origin_size(origin, shape.w, shape.h),
+            Node::Internal { cut, left, right } => {
+                let ls = shapes[left][shape.left_choice as usize];
+                assign(
+                    nodes,
+                    shapes,
+                    left,
+                    shape.left_choice as usize,
+                    origin,
+                    rects,
+                );
+                let right_origin = match cut {
+                    Cut::V => Point::new(origin.x + ls.w, origin.y),
+                    Cut::H => Point::new(origin.x, origin.y + ls.h),
+                };
+                let right_choice = shape.right_choice as usize;
+                assign(nodes, shapes, right, right_choice, right_origin, rects);
+            }
         }
     }
 }
@@ -398,7 +532,7 @@ mod tests {
 
     #[test]
     fn prune_removes_dominated() {
-        let raw = vec![
+        let mut raw = vec![
             Shape {
                 w: Um(10),
                 h: Um(10),
@@ -424,7 +558,9 @@ mod tests {
                 right_choice: 0,
             }, // same w, taller
         ];
-        let pruned = prune(raw);
+        let mut lists = ShapeLists::default();
+        lists.push_pruned(&mut raw);
+        let pruned = lists.list(0);
         assert_eq!(pruned.len(), 2);
         assert_eq!(pruned[0].w, Um(10));
         assert_eq!(pruned[1].h, Um(8));
@@ -500,5 +636,67 @@ mod tests {
     #[should_panic(expected = "non-positive dims")]
     fn bad_candidate_dims_rejected() {
         let _ = pack_with_shapes(&PolishExpr::initial(1), &[vec![(Um(0), Um(5))]]);
+    }
+
+    /// Side lengths rich in ties: 1 µm sides, squares when both sides
+    /// pick one entry, and a repeated entry.
+    const SIDES: [i64; 6] = [1, 2, 4, 4, 7, 12];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Along a random perturbation walk of normalized Polish
+        /// expressions, `pack` and `pack_with_shapes` place every module
+        /// exactly where the one-`Vec`-per-node reference does, with the
+        /// same rotations and chip.
+        #[test]
+        fn arena_packer_matches_the_reference(
+            picks in proptest::collection::vec((0usize..6, 0usize..6), 2..24),
+            steps in 0usize..40,
+            seed in 0u64..1_000,
+        ) {
+            use rand::SeedableRng;
+            let dims: Vec<(i64, i64)> = picks.iter().map(|&(w, h)| (SIDES[w], SIDES[h])).collect();
+            let c = circuit(&dims);
+            let rotations: Vec<Vec<(Um, Um)>> = c
+                .modules()
+                .iter()
+                .map(|m| {
+                    let mut list = vec![(m.width(), m.height())];
+                    if m.width() != m.height() {
+                        list.push((m.height(), m.width()));
+                    }
+                    list
+                })
+                .collect();
+            let soft: Vec<Vec<(Um, Um)>> = c
+                .modules()
+                .iter()
+                .enumerate()
+                .map(|(i, m)| soft_shapes(m.area(), 0.25, 4.0, 1 + i % 5))
+                .collect();
+            let mut expr = PolishExpr::initial(dims.len());
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            for _ in 0..=steps {
+                let placement = pack(&expr, &c);
+                let (rects, chip) = reference::pack(&expr, &rotations);
+                proptest::prop_assert_eq!(placement.module_rects(), &rects[..], "{}", expr);
+                proptest::prop_assert_eq!(placement.chip(), chip);
+                for (id, m) in c.modules_with_ids() {
+                    proptest::prop_assert_eq!(
+                        placement.is_rotated(id),
+                        rects[id.index()].width() != m.width()
+                    );
+                }
+                for candidates in [&rotations, &soft] {
+                    let placement = pack_with_shapes(&expr, candidates);
+                    let (rects, chip) = reference::pack(&expr, candidates);
+                    proptest::prop_assert_eq!(placement.module_rects(), &rects[..], "{}", expr);
+                    proptest::prop_assert_eq!(placement.chip(), chip);
+                    proptest::prop_assert!(c.modules_with_ids().all(|(id, _)| !placement.is_rotated(id)));
+                }
+                expr.perturb_random(&mut rng);
+            }
+        }
     }
 }
