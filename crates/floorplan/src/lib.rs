@@ -46,5 +46,5 @@ pub use repr::FloorplanRepr;
 pub use seqpair::SequencePair;
 pub use wire::{
     net_pins, net_segments, segments_wirelength, total_wirelength, two_pin_segments,
-    two_pin_segments_with, Decomposition,
+    two_pin_segments_with, Decomposition, NetScratch,
 };

@@ -76,8 +76,17 @@ impl PinPlacer {
     /// empty result.
     #[must_use]
     pub fn place_net(&self, members: &[Rect]) -> Vec<Point> {
+        let mut pins = Vec::with_capacity(members.len());
+        self.place_net_into(members, &mut pins);
+        pins
+    }
+
+    /// Like [`place_net`](Self::place_net), but replaces the contents of
+    /// `pins`, reusing its capacity.
+    pub(crate) fn place_net_into(&self, members: &[Rect], pins: &mut Vec<Point>) {
+        pins.clear();
         if members.is_empty() {
-            return Vec::new();
+            return;
         }
         // Net center of gravity over member-module centers.
         let n = members.len() as i64;
@@ -86,7 +95,7 @@ impl PinPlacer {
             .map(Rect::center)
             .fold(Point::ORIGIN, |acc, p| acc + p);
         let cog = Point::new(sum.x / n, sum.y / n);
-        members.iter().map(|r| self.pin(r, cog)).collect()
+        pins.extend(members.iter().map(|r| self.pin(r, cog)));
     }
 }
 

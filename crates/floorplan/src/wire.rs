@@ -6,7 +6,8 @@
 //! 2-pin segments (each segment's bounding box is a routing range).
 
 use irgrid_geom::{Point, Rect, Um};
-use irgrid_netlist::{mst, Circuit};
+use irgrid_netlist::mst::{self, MstScratch};
+use irgrid_netlist::Circuit;
 
 use crate::{PinPlacer, Placement};
 
@@ -62,7 +63,8 @@ pub fn two_pin_segments(
     two_pin_segments_with(circuit, placement, placer, Decomposition::Mst)
 }
 
-/// All 2-pin segments under the chosen [`Decomposition`].
+/// All 2-pin segments under the chosen [`Decomposition`], net by net
+/// through one [`NetScratch`].
 #[must_use]
 pub fn two_pin_segments_with(
     circuit: &Circuit,
@@ -70,23 +72,86 @@ pub fn two_pin_segments_with(
     placer: &PinPlacer,
     decomposition: Decomposition,
 ) -> Vec<(Point, Point)> {
-    net_pins(circuit, placement, placer)
-        .iter()
-        .flat_map(|pins| net_segments(pins, decomposition))
-        .collect()
+    let mut scratch = NetScratch::default();
+    let mut segments = Vec::new();
+    for net in circuit.nets() {
+        let members = net.pins().iter().map(|&m| placement.module_rect(m));
+        scratch.decompose(members, placer, decomposition, &mut segments);
+    }
+    segments
 }
 
 /// The 2-pin segments of a single net's pins under the chosen
 /// [`Decomposition`], with zero-length segments dropped — the per-net
-/// building block of [`two_pin_segments_with`], exposed so incremental
-/// evaluators can re-decompose only the nets a move touched.
+/// building block of [`two_pin_segments_with`]. The allocating form of
+/// [`NetScratch::decompose`]'s decomposition step.
 #[must_use]
 pub fn net_segments(pins: &[Point], decomposition: Decomposition) -> Vec<(Point, Point)> {
-    let raw = match decomposition {
-        Decomposition::Mst => mst::decompose(pins),
-        Decomposition::Star => mst::star_decompose(pins),
-    };
-    raw.into_iter().filter(|(a, b)| a != b).collect()
+    let mut segments = Vec::new();
+    net_segments_into(
+        pins,
+        decomposition,
+        &mut MstScratch::default(),
+        &mut segments,
+    );
+    segments
+}
+
+/// Appends the non-zero-length 2-pin segments of `pins` to `out`.
+fn net_segments_into(
+    pins: &[Point],
+    decomposition: Decomposition,
+    scratch: &mut MstScratch,
+    out: &mut Vec<(Point, Point)>,
+) {
+    match decomposition {
+        Decomposition::Mst => mst::manhattan_mst_with(pins, scratch, |a, b| {
+            if pins[a] != pins[b] {
+                out.push((pins[a], pins[b]));
+            }
+        }),
+        Decomposition::Star => {
+            out.extend(
+                mst::star_decompose(pins)
+                    .into_iter()
+                    .filter(|(a, b)| a != b),
+            );
+        }
+    }
+}
+
+/// Reusable buffers for decomposing nets one at a time: the member
+/// rectangles, the placed pins and Prim's arrays. One scratch serves any
+/// number of nets in turn, so incremental evaluators can re-decompose
+/// only the nets a move touched without allocating per net; what it held
+/// before never changes a result.
+#[derive(Debug, Clone, Default)]
+pub struct NetScratch {
+    members: Vec<Rect>,
+    pins: Vec<Point>,
+    mst: MstScratch,
+}
+
+impl NetScratch {
+    /// Places the pins of a net whose member modules occupy `members`,
+    /// in member order, and appends the net's 2-pin segments under
+    /// `decomposition` to `out`, zero-length segments dropped. Returns
+    /// the appended segments' total Manhattan length. The result equals
+    /// [`net_segments`] over [`PinPlacer::place_net`].
+    pub fn decompose(
+        &mut self,
+        members: impl IntoIterator<Item = Rect>,
+        placer: &PinPlacer,
+        decomposition: Decomposition,
+        out: &mut Vec<(Point, Point)>,
+    ) -> Um {
+        self.members.clear();
+        self.members.extend(members);
+        placer.place_net_into(&self.members, &mut self.pins);
+        let start = out.len();
+        net_segments_into(&self.pins, decomposition, &mut self.mst, out);
+        segments_wirelength(&out[start..])
+    }
 }
 
 /// Total Manhattan length of a segment list. With [`net_segments`]'s
@@ -217,6 +282,43 @@ mod tests {
             .map(|pins| segments_wirelength(&net_segments(pins, Decomposition::Mst)))
             .sum();
         assert_eq!(total, per_net);
+    }
+
+    #[test]
+    fn one_scratch_serves_nets_of_every_size() {
+        // The largest net first, so a buffer left long by it would show
+        // in the smaller nets after it.
+        let placer = PinPlacer::new(Um(10));
+        let module = |i: i64| {
+            Rect::from_origin_size(
+                Point::new(Um(37 * i % 400), Um(53 * i % 300)),
+                Um(20 + i),
+                Um(15),
+            )
+        };
+        let nets: Vec<Vec<Rect>> = vec![
+            (0..20).map(module).collect(),
+            vec![],
+            vec![module(3)],
+            vec![module(1), module(7)],
+            vec![module(4), module(4), module(9)],
+        ];
+        let mut scratch = NetScratch::default();
+        for decomposition in [Decomposition::Mst, Decomposition::Star] {
+            for members in &nets {
+                let want = net_segments(&placer.place_net(members), decomposition);
+                let mut got = vec![(Point::ORIGIN, Point::ORIGIN)];
+                let wire =
+                    scratch.decompose(members.iter().copied(), &placer, decomposition, &mut got);
+                assert_eq!(got[1..], want[..], "{} members", members.len());
+                assert_eq!(
+                    wire,
+                    segments_wirelength(&want),
+                    "{} members",
+                    members.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,10 +18,9 @@ use std::fmt;
 use std::marker::PhantomData;
 
 use irgrid_floorplan::{
-    net_segments, segments_wirelength, two_pin_segments, Decomposition, FloorplanRepr, PinPlacer,
-    Placement, PolishExpr,
+    two_pin_segments, Decomposition, FloorplanRepr, NetScratch, PinPlacer, Placement, PolishExpr,
 };
-use irgrid_geom::{Point, Rect, Um};
+use irgrid_geom::{Point, Um};
 use irgrid_netlist::Circuit;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -166,7 +165,8 @@ pub struct FloorplanProblem<'c, M: CongestionModel, R = PolishExpr> {
 /// Committed state of the incremental evaluation: the placed floorplan
 /// decomposed per net, plus the congestion model's retained delta session.
 /// `propose` applies a move eagerly and records what it overwrote in
-/// `journal`; `undo` plays the journal back.
+/// `journal` and the `saved_*` buffers; `undo` plays them back. Every
+/// buffer here is reused from move to move.
 #[derive(Debug)]
 struct DeltaState<R> {
     session: Option<Box<dyn DeltaCongestionSession>>,
@@ -185,19 +185,24 @@ struct DeltaState<R> {
     /// [`two_pin_segments`] produces, so the session scores the same
     /// list a from-scratch evaluation would.
     flat: Vec<(Point, Point)>,
+    /// Pin-placement and Prim buffers shared by every re-decomposed net.
+    scratch: NetScratch,
+    /// The nets the pending move re-decomposes, ascending.
+    changed_nets: Vec<usize>,
+    /// Per re-decomposed net of the pending move: `(net, old wirelength,
+    /// end of its old segments in saved_segments)`.
+    saved_nets: Vec<(usize, Um, usize)>,
+    /// The re-decomposed nets' old segments, back to back.
+    saved_segments: Vec<(Point, Point)>,
     journal: Option<Journal<R>>,
 }
 
-/// `(net index, segments, wirelength)` of one re-decomposed net.
-type SavedNet = (usize, Vec<(Point, Point)>, Um);
-
-/// Everything one `propose` overwrote, for exact rollback on `undo`.
+/// What one `propose` overwrote besides the saved nets, for exact
+/// rollback on `undo`.
 #[derive(Debug)]
 struct Journal<R> {
     prev_repr: R,
     prev_placement: Placement,
-    /// One entry per net the move re-decomposed.
-    prev_nets: Vec<SavedNet>,
     prev_wire_total: Um,
     session_proposed: bool,
 }
@@ -460,20 +465,23 @@ impl<'c, M: CongestionModel, R: FloorplanRepr> Problem for FloorplanProblem<'c, 
 }
 
 impl<'c, M: DeltaCongestion, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
-    /// Recomputes one net's pins, segments, and wirelength against
-    /// `placement` — the per-net unit of work both `rebase` (all nets)
-    /// and `propose` (changed nets only) go through, so the two cannot
-    /// drift.
-    fn decompose_net(&self, net_index: usize, placement: &Placement) -> (Vec<(Point, Point)>, Um) {
-        let members: Vec<Rect> = self.circuit.nets()[net_index]
+    /// Recomputes one net's pins and segments against `placement` into
+    /// `segments`, replacing its contents, and returns the net's
+    /// wirelength — the per-net unit of work both `rebase` (all nets) and
+    /// `propose` (changed nets only) go through, so the two cannot drift.
+    fn decompose_net(
+        &self,
+        net_index: usize,
+        placement: &Placement,
+        scratch: &mut NetScratch,
+        segments: &mut Vec<(Point, Point)>,
+    ) -> Um {
+        segments.clear();
+        let members = self.circuit.nets()[net_index]
             .pins()
             .iter()
-            .map(|&m| placement.module_rect(m))
-            .collect();
-        let pins = self.placer.place_net(&members);
-        let segments = net_segments(&pins, Decomposition::Mst);
-        let wire = segments_wirelength(&segments);
-        (segments, wire)
+            .map(|&m| placement.module_rect(m));
+        scratch.decompose(members, &self.placer, Decomposition::Mst, segments)
     }
 
     /// Scores the pending flat segment list: congestion through the delta
@@ -530,12 +538,19 @@ impl<'c, M: DeltaCongestion, R: FloorplanRepr> DeltaProblem for FloorplanProblem
             wire_total: Um::ZERO,
             placement,
             flat: Vec::new(),
+            scratch: NetScratch::default(),
+            changed_nets: Vec::new(),
+            saved_nets: Vec::new(),
+            saved_segments: Vec::new(),
             journal: None,
         };
+        // Decompose through one buffer and keep exact-size copies, so the
+        // per-net lists hold no spare capacity.
+        let mut segments = Vec::new();
         for n in 0..nets.len() {
-            let (segments, wire) = self.decompose_net(n, &delta.placement);
+            let wire = self.decompose_net(n, &delta.placement, &mut delta.scratch, &mut segments);
             delta.wire_total += wire;
-            delta.net_segments.push(segments);
+            delta.net_segments.push(segments.clone());
             delta.net_wire.push(wire);
         }
         let (cost, _) = self.delta_cost(&mut delta, false);
@@ -561,34 +576,38 @@ impl<'c, M: DeltaCongestion, R: FloorplanRepr> DeltaProblem for FloorplanProblem
         };
         let placement = state.place(self.circuit);
         let changed = delta.placement.changed_modules(&placement);
-        let mut changed_nets: Vec<usize> = Vec::new();
+        delta.changed_nets.clear();
         for &module in &changed {
             for &n in &delta.module_nets[module] {
                 if !delta.net_mark[n] {
                     delta.net_mark[n] = true;
-                    changed_nets.push(n);
+                    delta.changed_nets.push(n);
                 }
             }
         }
-        changed_nets.sort_unstable();
+        delta.changed_nets.sort_unstable();
 
         let prev_wire_total = delta.wire_total;
         let prev_placement = std::mem::replace(&mut delta.placement, placement);
-        let mut prev_nets = Vec::with_capacity(changed_nets.len());
-        for &n in &changed_nets {
+        delta.saved_nets.clear();
+        delta.saved_segments.clear();
+        for &n in &delta.changed_nets {
             delta.net_mark[n] = false;
-            let (segments, wire) = self.decompose_net(n, &delta.placement);
-            let old_segments = std::mem::replace(&mut delta.net_segments[n], segments);
-            let old_wire = std::mem::replace(&mut delta.net_wire[n], wire);
+            let segments = &mut delta.net_segments[n];
+            delta.saved_segments.extend_from_slice(segments);
+            let old_wire = delta.net_wire[n];
+            delta
+                .saved_nets
+                .push((n, old_wire, delta.saved_segments.len()));
+            let wire = self.decompose_net(n, &delta.placement, &mut delta.scratch, segments);
+            delta.net_wire[n] = wire;
             delta.wire_total += wire - old_wire;
-            prev_nets.push((n, old_segments, old_wire));
         }
 
         let (cost, session_proposed) = self.delta_cost(delta, true);
         delta.journal = Some(Journal {
             prev_repr,
             prev_placement,
-            prev_nets,
             prev_wire_total,
             session_proposed,
         });
@@ -615,9 +634,13 @@ impl<'c, M: DeltaCongestion, R: FloorplanRepr> DeltaProblem for FloorplanProblem
                 *state = journal.prev_repr;
                 delta.placement = journal.prev_placement;
                 delta.wire_total = journal.prev_wire_total;
-                for (n, segments, wire) in journal.prev_nets {
-                    delta.net_segments[n] = segments;
+                let mut start = 0;
+                for &(n, wire, end) in &delta.saved_nets {
+                    let segments = &mut delta.net_segments[n];
+                    segments.clear();
+                    segments.extend_from_slice(&delta.saved_segments[start..end]);
                     delta.net_wire[n] = wire;
+                    start = end;
                 }
                 if journal.session_proposed {
                     if let Some(session) = delta.session.as_mut() {

@@ -27,26 +27,44 @@
 
 use irgrid_geom::{Point, Um};
 
-/// Computes a minimum spanning tree over `pins` under the Manhattan metric.
-///
-/// Returns the tree edges as index pairs into `pins` (each pair ordered
-/// `(smaller, larger)`); for `n` pins the result has `n - 1` edges, or is
-/// empty when `n < 2`. Uses Prim's algorithm in `O(n²)`, which is optimal
-/// for the dense implicit graph of a net's pins (net degrees are small).
+/// Reusable buffers for [`manhattan_mst_with`]: Prim's tree marks and
+/// each vertex's distance to the tree and the tree vertex realizing it.
+/// One scratch serves any number of pin sets in turn.
+#[derive(Debug, Clone, Default)]
+pub struct MstScratch {
+    in_tree: Vec<bool>,
+    best_dist: Vec<Um>,
+    best_from: Vec<usize>,
+}
+
+/// Prim's algorithm over `pins` under the Manhattan metric, reporting
+/// each tree edge to `edge(a, b)` with `a < b`, in the order Prim adds
+/// them; `scratch`'s buffers are reused, so a warm scratch allocates
+/// nothing. For `n` pins there are `n - 1` edges, none when `n < 2`.
+/// `O(n²)`, which is optimal for the dense implicit graph of a net's
+/// pins (net degrees are small).
 ///
 /// Coincident pins are handled: a zero-length edge connects them.
-#[must_use]
-pub fn manhattan_mst(pins: &[Point]) -> Vec<(usize, usize)> {
+pub fn manhattan_mst_with(
+    pins: &[Point],
+    scratch: &mut MstScratch,
+    mut edge: impl FnMut(usize, usize),
+) {
     let n = pins.len();
     if n < 2 {
-        return Vec::new();
+        return;
     }
-    let mut in_tree = vec![false; n];
-    // best_dist[v] = distance from v to the tree; best_from[v] = tree vertex
-    // realizing it.
-    let mut best_dist = vec![Um::MAX; n];
-    let mut best_from = vec![0usize; n];
-    let mut edges = Vec::with_capacity(n - 1);
+    let MstScratch {
+        in_tree,
+        best_dist,
+        best_from,
+    } = scratch;
+    in_tree.clear();
+    in_tree.resize(n, false);
+    best_dist.clear();
+    best_dist.resize(n, Um::MAX);
+    best_from.clear();
+    best_from.resize(n, 0);
 
     in_tree[0] = true;
     for v in 1..n {
@@ -65,7 +83,7 @@ pub fn manhattan_mst(pins: &[Point]) -> Vec<(usize, usize)> {
         debug_assert_ne!(next, usize::MAX, "graph is complete, a vertex must remain");
         in_tree[next] = true;
         let from = best_from[next];
-        edges.push((from.min(next), from.max(next)));
+        edge(from.min(next), from.max(next));
         for v in 0..n {
             if !in_tree[v] {
                 let d = pins[next].manhattan_distance(pins[v]);
@@ -76,6 +94,19 @@ pub fn manhattan_mst(pins: &[Point]) -> Vec<(usize, usize)> {
             }
         }
     }
+}
+
+/// Computes a minimum spanning tree over `pins` under the Manhattan metric.
+///
+/// Returns the tree edges as index pairs into `pins` (each pair ordered
+/// `(smaller, larger)`); for `n` pins the result has `n - 1` edges, or is
+/// empty when `n < 2`. The allocating form of [`manhattan_mst_with`].
+#[must_use]
+pub fn manhattan_mst(pins: &[Point]) -> Vec<(usize, usize)> {
+    let mut edges = Vec::with_capacity(pins.len().saturating_sub(1));
+    manhattan_mst_with(pins, &mut MstScratch::default(), |a, b| {
+        edges.push((a, b));
+    });
     edges
 }
 
@@ -85,10 +116,11 @@ pub fn manhattan_mst(pins: &[Point]) -> Vec<(usize, usize)> {
 /// bounding box is one routing range.
 #[must_use]
 pub fn decompose(pins: &[Point]) -> Vec<(Point, Point)> {
-    manhattan_mst(pins)
-        .into_iter()
-        .map(|(a, b)| (pins[a], pins[b]))
-        .collect()
+    let mut segments = Vec::with_capacity(pins.len().saturating_sub(1));
+    manhattan_mst_with(pins, &mut MstScratch::default(), |a, b| {
+        segments.push((pins[a], pins[b]));
+    });
+    segments
 }
 
 /// Total Manhattan length of the MST over `pins`.
@@ -97,10 +129,11 @@ pub fn decompose(pins: &[Point]) -> Vec<(Point, Point)> {
 /// nets.
 #[must_use]
 pub fn mst_length(pins: &[Point]) -> Um {
-    manhattan_mst(pins)
-        .into_iter()
-        .map(|(a, b)| pins[a].manhattan_distance(pins[b]))
-        .sum()
+    let mut total = Um::ZERO;
+    manhattan_mst_with(pins, &mut MstScratch::default(), |a, b| {
+        total += pins[a].manhattan_distance(pins[b]);
+    });
+    total
 }
 
 /// Decomposes a pin set into a *star*: the pin nearest the centroid is
