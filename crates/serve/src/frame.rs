@@ -572,16 +572,80 @@ mod tests {
         assert!(decode_value(&bomb).is_err(), "over-deep nesting");
     }
 
-    #[test]
-    fn request_and_response_frames_roundtrip_in_both_codecs() {
-        let request = demo_request();
-        let response = Response::ok(
+    fn demo_proposed() -> Response {
+        Response::ok(
             "r-1",
             ResponsePayload::Proposed {
                 digest: "abcd".into(),
                 score: 1.25,
             },
-        );
+        )
+    }
+
+    /// The binary `Propose` request frame (`request`) or `Proposed`
+    /// response frame.
+    fn binary_frame(request: bool) -> Vec<u8> {
+        if request {
+            request_frame(FrameCodec::Binary, &demo_request())
+        } else {
+            response_frame(FrameCodec::Binary, &demo_proposed())
+        }
+    }
+
+    /// Reads `bytes` as one binary frame and parses it as a request or a
+    /// response; any failure comes back as its text.
+    fn read_and_parse(bytes: &[u8], request: bool) -> Result<(), String> {
+        let mut reader = BufReader::new(bytes);
+        let payload = read_frame(&mut reader, FrameCodec::Binary, 1 << 20, &mut keep())
+            .map_err(|err| format!("{err:?}"))?;
+        if request {
+            parse_request_payload(&payload).map(drop)
+        } else {
+            parse_response_payload(&payload).map(drop)
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_binary_frame_is_a_typed_error() {
+        for request in [true, false] {
+            let frame = binary_frame(request);
+            assert_eq!(read_and_parse(&frame, request), Ok(()));
+            for cut in 0..frame.len() {
+                // The stream ends inside the frame...
+                assert!(read_and_parse(&frame[..cut], request).is_err(), "cut {cut}");
+                // ...or a whole frame carries a truncated payload.
+                if let Some(len) = cut.checked_sub(4) {
+                    let mut reframed = Vec::new();
+                    encode_len(len, &mut reframed);
+                    reframed.extend_from_slice(&frame[4..cut]);
+                    assert!(
+                        read_and_parse(&reframed, request).is_err(),
+                        "payload cut {cut}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// One flipped byte anywhere in either frame reads and parses to
+        /// a message or a typed error, never a panic.
+        #[test]
+        fn single_byte_flips_never_panic(at in 0usize..4096, flip in 1u8..=255, request in 0u8..2) {
+            let request = request == 1;
+            let mut frame = binary_frame(request);
+            let at = at % frame.len();
+            frame[at] ^= flip;
+            let _ = read_and_parse(&frame, request);
+        }
+    }
+
+    #[test]
+    fn request_and_response_frames_roundtrip_in_both_codecs() {
+        let request = demo_request();
+        let response = demo_proposed();
         for codec in [FrameCodec::Jsonl, FrameCodec::Binary] {
             let bytes = request_frame(codec, &request);
             let mut reader = BufReader::new(bytes.as_slice());
