@@ -20,14 +20,12 @@
 //!               + structural) vs PathFinder and staircase routed ground
 //!               truth on MCNC + synthetic circuits (BENCH_models.json;
 //!               --quick: apte + the 1k synthetic only)
-//!   congestion-perf  Irregular-Grid engine throughput report (BENCH_congestion.json)
 //!   fleet       Multi-replica annealing via irgrid-fleet (BENCH_fleet.json)
-//!   serve-bench Concurrent-client daemon throughput + robustness report
-//!               (BENCH_serve.json)
+//!   serve-bench Concurrent-client daemon robustness smoke (BENCH_serve.json)
 //!   lint-report Workspace lint health: per-rule finding counts and wall
 //!               times plus the suppression-debt ledger (BENCH_lint.json)
-//!   all         Everything above (except congestion-perf, fleet,
-//!               serve-bench, lint-report)
+//!   all         Everything above (except compare-all, fleet, serve-bench,
+//!               lint-report)
 //!
 //! flags:
 //!   --quick           2 seeds, short schedule (smoke run)
@@ -39,20 +37,13 @@
 //!   --checkpoint DIR  write per-run checkpoints into DIR every 10 steps
 //!   --resume DIR      resume runs from matching checkpoints in DIR
 //!                     (for fleet: resume from the fleet manifest in DIR)
-//!   --delta           congestion-perf: verify and time the incremental
-//!                     (delta) annealing loop; adds `delta_equivalent` and
-//!                     `sa_delta_moves_per_s` to the report.
-//!                     serve-bench: benchmark delta sessions
-//!                     (`Propose`/`Commit`/`Undo`, binary framing) against
-//!                     the full-session `Evaluate` baseline on an annealed
-//!                     ami49 warm move sequence; asserts bit-identity vs a
-//!                     fresh local delta rebase, and
-//!                     adds `delta_equivalent` + delta throughput fields
-//!   --out FILE        report path (congestion-perf, fleet, serve-bench)
+//!   --out FILE        report path (compare-all, fleet, serve-bench,
+//!                     lint-report)
 //!
 //! serve-bench flags:
 //!   --clients N       concurrent synthetic clients (default 8)
-//!   --steps N         evaluate requests per client (default 16)
+//!   --steps N         moves per client, each a Propose then a Commit or
+//!                     Undo (default 16)
 //!   --chaos SEED      run the daemon under the default injected-fault mix
 //!                     (I/O errors, torn writes, kills + supervised restart)
 //!
@@ -80,7 +71,6 @@ mod heatmap;
 mod lint_report;
 mod metrics;
 mod motivation;
-mod perf;
 mod report;
 mod serve;
 mod sweep;
@@ -151,16 +141,6 @@ fn main() {
                 .filter(|_| circuits.len() == 1)
                 .unwrap_or(McncCircuit::Apte);
             fleet::run(&mode, fleet_circuit, &args);
-        }
-        "congestion-perf" => {
-            // Perf runs default to the largest circuit unless one was
-            // picked explicitly with --circuit.
-            let perf_circuit = circuits
-                .first()
-                .copied()
-                .filter(|_| circuits.len() == 1)
-                .unwrap_or(McncCircuit::Ami49);
-            perf::run(&mode, perf_circuit, &args);
         }
         "serve-bench" => serve::run(&mode, &args),
         "lint-report" => lint_report::run(&args),

@@ -1,12 +1,14 @@
-//! `repro serve-bench` — sustained-throughput and robustness report for
-//! the `irgrid-serve` daemon, written to `BENCH_serve.json`.
+//! `repro serve-bench` — robustness smoke for the `irgrid-serve` daemon,
+//! written to `BENCH_serve.json`.
 //!
 //! Starts an in-process daemon on a Unix socket, drives it with N
 //! concurrent synthetic clients (default 8) each playing a deterministic
 //! script of moves — `Propose`, then `Commit` (or `Undo` for every third
-//! move) — and reports sustained moves/s plus the robustness counters CI
-//! asserts on: `corrupted_sessions` (must be 0), `degraded_responses`,
-//! `replayed_responses`, `injected_faults`, and `restarts`.
+//! move) — and reports the robustness counters CI asserts on:
+//! `corrupted_sessions` (must be 0), `degraded_responses`,
+//! `replayed_responses`, `injected_faults`, and `restarts`. Its
+//! `moves_per_s` is a smoke figure; served throughput and latency are
+//! measured by the `benchmark/` package.
 //!
 //! With `--chaos SEED` the daemon runs under the default fault mix
 //! (I/O errors, torn writes, kills); a supervisor loop restarts the
@@ -14,17 +16,6 @@
 //! injected kill fires, and clients retry per protocol. Every commit
 //! persists, so the final snapshot audit must still find every session
 //! intact with exactly its scripted `commits_done`.
-//!
-//! With `--delta` the report additionally benchmarks incremental serving
-//! on an annealed ami49 floorplan: one warm move sequence (a single
-//! segment nudged per step) is driven once as one-state `Evaluate`
-//! requests (every move scored from scratch, the baseline) and once as
-//! `Propose` + `Commit`/`Undo` per move over binary framing, each on its
-//! own session. Every checked `Propose` score must be bit-identical to a
-//! from-scratch rebase through a fresh local delta session
-//! (`delta_equivalent`); the command aborts rather than report a
-//! mismatching build. The incremental-over-full throughput ratio is
-//! reported, not gated.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,14 +24,9 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
-use irgrid::anneal::{Annealer, RunOptions, Schedule};
-use irgrid::congestion::{DeltaCongestion, DeltaCongestionSession, IrregularGridModel};
-use irgrid::floorplanner::{FloorplanProblem, Weights};
-use irgrid::geom::{Point, Rect, Um};
-use irgrid::netlist::mcnc::McncCircuit;
 use irgrid::serve::{
-    serve, Chaos, ChaosConfig, Client, DegradePolicy, ErrorKind, FloorplanState, FrameCodec,
-    KillSwitch, Limits, Request, RequestOp, Response, ResponsePayload, ServerHandle, ServerOptions,
+    serve, Chaos, ChaosConfig, Client, DegradePolicy, ErrorKind, FloorplanState, KillSwitch,
+    Limits, Request, RequestOp, Response, ResponsePayload, ServerHandle, ServerOptions,
     SessionConfig, SessionManager, SnapshotStore, Transport,
 };
 
@@ -51,9 +37,6 @@ const CALL_ATTEMPTS: u32 = 8;
 /// Outer-loop bound per request; far beyond what any survivable chaos
 /// mix needs, small enough that a genuine wedge fails fast.
 const MAX_TRIES: usize = 3_000;
-/// `--delta`: leading moves whose `Propose` scores are re-checked
-/// bit-for-bit against a fresh local delta-session rebase.
-const DELTA_CHECKED_MOVES: usize = 8;
 
 #[derive(Debug, Serialize)]
 struct Report {
@@ -71,21 +54,6 @@ struct Report {
     restarts: u64,
     sessions: usize,
     corrupted_sessions: usize,
-    /// Runtime re-check that every checked `--delta` `Propose` score is
-    /// bit-identical to a from-scratch local delta-session rebase; the
-    /// bench aborts on a mismatch instead of reporting `false`. `None`
-    /// without `--delta`.
-    delta_equivalent: Option<bool>,
-    /// Moves whose scores were bit-checked against the local reference.
-    delta_checked_moves: Option<usize>,
-    /// Warm move-sequence length driven through both serving paths.
-    delta_moves: Option<usize>,
-    /// Baseline: moves/s via one-state `Evaluate` requests.
-    full_moves_per_s: Option<f64>,
-    /// Moves/s via `Propose` + `Commit`/`Undo` requests.
-    delta_moves_per_s: Option<f64>,
-    /// `delta_moves_per_s / full_moves_per_s`.
-    delta_speedup_vs_full: Option<f64>,
 }
 
 /// Per-client tallies returned by each worker thread.
@@ -324,316 +292,6 @@ fn audit_sessions(state_dir: &Path, clients: usize, steps: usize) -> (usize, usi
     (ids.len(), corrupted)
 }
 
-/// Everything `--delta` measures; folded into the report as `Option`s.
-struct DeltaOutcome {
-    checked: usize,
-    moves: usize,
-    full_moves_per_s: f64,
-    delta_moves_per_s: f64,
-    speedup: f64,
-}
-
-/// An annealed ami49 floorplan as a protocol state — the same fixture
-/// recipe `congestion-perf` uses, translated so the chip's lower-left
-/// corner sits at the protocol origin and clamped into the chip extent.
-/// Returns the state and the circuit's paper grid pitch in µm.
-fn ami49_state() -> (FloorplanState, i64) {
-    let circuit = McncCircuit::Ami49;
-    let netlist = circuit.circuit();
-    let pitch = circuit.paper_grid_pitch_um();
-    let problem = FloorplanProblem::new(
-        &netlist,
-        Um(pitch),
-        Weights::area_wire(),
-        None::<IrregularGridModel>,
-    );
-    let run = Annealer::new(Schedule::quick())
-        .run(&problem, 4, RunOptions::default())
-        .expect("finite costs");
-    let eval = problem.evaluate(&run.best);
-    let (chip, segments): (Rect, Vec<(Point, Point)>) = (eval.placement.chip(), eval.segments);
-    let (dx, dy) = (chip.ll().x.0, chip.ll().y.0);
-    let extent = [chip.width().0, chip.height().0];
-    let segments = segments
-        .iter()
-        .map(|(a, b)| {
-            [
-                (a.x.0 - dx).clamp(0, extent[0]),
-                (a.y.0 - dy).clamp(0, extent[1]),
-                (b.x.0 - dx).clamp(0, extent[0]),
-                (b.y.0 - dy).clamp(0, extent[1]),
-            ]
-        })
-        .collect();
-    (
-        FloorplanState {
-            chip: extent,
-            segments,
-        },
-        pitch,
-    )
-}
-
-/// The deterministic warm move for `step`: nudge one endpoint of one
-/// segment within the chip, leaving every other segment untouched —
-/// the move shape the delta evaluator is built for.
-fn mutated(committed: &FloorplanState, step: usize) -> FloorplanState {
-    let mut next = committed.clone();
-    let index = (step * 7 + 3) % next.segments.len();
-    let s = step as i64;
-    let [width, height] = next.chip;
-    let segment = &mut next.segments[index];
-    segment[0] = (segment[0] + 131 * (s + 1)).rem_euclid(width + 1);
-    segment[1] = (segment[1] + 89 * (s + 2)).rem_euclid(height + 1);
-    next
-}
-
-/// Scores `state` through a fresh from-scratch delta-session rebase —
-/// the reference every served `Propose` score must match bit for bit.
-fn local_reference_score(state: &FloorplanState, pitch: i64) -> f64 {
-    let chip = Rect::from_origin_size(Point::ORIGIN, Um(state.chip[0]), Um(state.chip[1]));
-    let segments: Vec<(Point, Point)> = state
-        .segments
-        .iter()
-        .map(|&[x1, y1, x2, y2]| (Point::new(Um(x1), Um(y1)), Point::new(Um(x2), Um(y2))))
-        .collect();
-    IrregularGridModel::new(Um(pitch))
-        .delta_session()
-        .rebase(&chip, &segments)
-}
-
-fn delta_request(session: &str, id: String, op: RequestOp) -> Request {
-    Request {
-        id,
-        session: session.to_owned(),
-        op,
-    }
-}
-
-/// Sends `request` on the chaos-free delta bench daemon and returns the
-/// payload; any refusal or transport failure here is a bench bug.
-fn must_call(client: &mut Client, request: &Request) -> ResponsePayload {
-    match client.call(request, CALL_ATTEMPTS) {
-        Ok(response) if response.ok => response.payload,
-        Ok(response) => die(&format!(
-            "delta bench: request {} refused: {:?}",
-            request.id, response.payload
-        )),
-        Err(err) => die(&format!(
-            "delta bench: request {} failed: {err}",
-            request.id
-        )),
-    }
-}
-
-/// Benchmarks incremental serving against the one-state `Evaluate`
-/// baseline on one chaos-free daemon, then asserts bit-identity (vs a
-/// fresh local rebase). See the module docs for the workload shape.
-fn bench_incremental_serving(scratch: &Path, workers: usize, moves: usize) -> DeltaOutcome {
-    let socket = scratch.join("irgrid-serve-delta.sock");
-    let state_dir = scratch.join("delta-state");
-    let daemon =
-        start_daemon(&socket, &state_dir, Chaos::off(), workers).unwrap_or_else(|err| die(&err));
-
-    let (initial, pitch) = ami49_state();
-    let config = SessionConfig {
-        pitch_um: pitch,
-        budget: 0,
-        cache_capacity: 64,
-    };
-    println!(
-        "serve-bench --delta: ami49, {} segments, pitch {pitch} um, {moves} warm moves",
-        initial.segments.len()
-    );
-
-    // The shared trajectory: proposed state + accept/reject per move.
-    // Every third move is rejected, mirroring the chaos suite's script.
-    let mut committed = initial.clone();
-    let mut trajectory: Vec<(FloorplanState, bool)> = Vec::with_capacity(moves);
-    for step in 0..moves {
-        let proposed = mutated(&committed, step);
-        let accepted = step % 3 != 2;
-        if accepted {
-            committed = proposed.clone();
-        }
-        trajectory.push((proposed, accepted));
-    }
-
-    // Baseline: one one-state `Evaluate` request per move, every state
-    // scored from scratch, warmed with an untimed evaluation.
-    let full_session = "delta-bench-full";
-    let mut full = Client::new(Transport::Unix(socket.clone()));
-    must_call(
-        &mut full,
-        &delta_request(
-            full_session,
-            "f-open".to_owned(),
-            RequestOp::OpenDelta { config },
-        ),
-    );
-    must_call(
-        &mut full,
-        &delta_request(
-            full_session,
-            "f-warm".to_owned(),
-            RequestOp::Evaluate {
-                states: vec![initial.clone()],
-            },
-        ),
-    );
-    let full_start = Instant::now();
-    for (move_index, (proposed, _)) in trajectory.iter().enumerate() {
-        let payload = must_call(
-            &mut full,
-            &delta_request(
-                full_session,
-                format!("f-eval-{move_index}"),
-                RequestOp::Evaluate {
-                    states: vec![proposed.clone()],
-                },
-            ),
-        );
-        if !matches!(payload, ResponsePayload::Evaluated { .. }) {
-            die(&format!(
-                "delta bench: full evaluate {move_index} returned {payload:?}"
-            ));
-        }
-    }
-    let full_s = full_start.elapsed().as_secs_f64();
-
-    // Incremental moves over binary framing: `Propose` every move,
-    // `Commit` accepted ones, `Undo` rejected ones. Seeded with an untimed
-    // initial commit so the timed loop measures warm incremental moves.
-    let delta_session = "delta-bench-delta";
-    let mut delta = Client::with_codec(Transport::Unix(socket), FrameCodec::Binary);
-    must_call(
-        &mut delta,
-        &delta_request(
-            delta_session,
-            "d-open".to_owned(),
-            RequestOp::OpenDelta { config },
-        ),
-    );
-    let seed_digest = match must_call(
-        &mut delta,
-        &delta_request(
-            delta_session,
-            "d-seed-propose".to_owned(),
-            RequestOp::Propose {
-                state: initial.clone(),
-            },
-        ),
-    ) {
-        ResponsePayload::Proposed { digest, .. } => digest,
-        other => die(&format!("delta bench: seed propose returned {other:?}")),
-    };
-    must_call(
-        &mut delta,
-        &delta_request(
-            delta_session,
-            "d-seed-commit".to_owned(),
-            RequestOp::Commit {
-                digest: seed_digest,
-            },
-        ),
-    );
-
-    let mut proposed_scores: Vec<f64> = Vec::with_capacity(moves);
-    let delta_start = Instant::now();
-    for (move_index, (proposed, accepted)) in trajectory.iter().enumerate() {
-        let (digest, score) = match must_call(
-            &mut delta,
-            &delta_request(
-                delta_session,
-                format!("d-propose-{move_index}"),
-                RequestOp::Propose {
-                    state: proposed.clone(),
-                },
-            ),
-        ) {
-            ResponsePayload::Proposed { digest, score } => (digest, score),
-            other => die(&format!(
-                "delta bench: propose {move_index} returned {other:?}"
-            )),
-        };
-        proposed_scores.push(score);
-        if *accepted {
-            match must_call(
-                &mut delta,
-                &delta_request(
-                    delta_session,
-                    format!("d-commit-{move_index}"),
-                    RequestOp::Commit { digest },
-                ),
-            ) {
-                ResponsePayload::Committed {
-                    score: committed_score,
-                    ..
-                } => {
-                    if committed_score.to_bits() != score.to_bits() {
-                        die(&format!(
-                            "delta bench: commit {move_index} score diverged from its propose"
-                        ));
-                    }
-                }
-                other => die(&format!(
-                    "delta bench: commit {move_index} returned {other:?}"
-                )),
-            }
-        } else {
-            let payload = must_call(
-                &mut delta,
-                &delta_request(
-                    delta_session,
-                    format!("d-undo-{move_index}"),
-                    RequestOp::Undo,
-                ),
-            );
-            if !matches!(payload, ResponsePayload::Undone { .. }) {
-                die(&format!(
-                    "delta bench: undo {move_index} returned {payload:?}"
-                ));
-            }
-        }
-    }
-    let delta_s = delta_start.elapsed().as_secs_f64();
-
-    daemon.handle.manager().request_shutdown();
-    daemon.handle.join();
-
-    // Bit-identity, checked after the clocks stop so the local rebases
-    // don't pollute the delta timing: every checked served score must
-    // equal a from-scratch rebase of the same state, bit for bit.
-    let checked = DELTA_CHECKED_MOVES.min(moves);
-    for (move_index, (proposed, _)) in trajectory.iter().take(checked).enumerate() {
-        let reference = local_reference_score(proposed, pitch);
-        let served = proposed_scores[move_index];
-        if served.to_bits() != reference.to_bits() {
-            die(&format!(
-                "delta bench: move {move_index} served score {served:?} (bits {:016x}) != \
-                 fresh-rebase reference {reference:?} (bits {:016x}) — bit-identity broken",
-                served.to_bits(),
-                reference.to_bits()
-            ));
-        }
-    }
-
-    let full_moves_per_s = moves as f64 / full_s;
-    let delta_moves_per_s = moves as f64 / delta_s;
-    let speedup = delta_moves_per_s / full_moves_per_s;
-    println!(
-        "serve-bench --delta: full {full_moves_per_s:.1} moves/s, delta {delta_moves_per_s:.1} \
-         moves/s, speedup {speedup:.2}x, {checked} moves bit-checked"
-    );
-    DeltaOutcome {
-        checked,
-        moves,
-        full_moves_per_s,
-        delta_moves_per_s,
-        speedup,
-    }
-}
-
 /// Entry point for `repro serve-bench`.
 pub fn run(mode: &Mode, args: &[String]) {
     let clients: usize = flag_value(args, "--clients")
@@ -652,7 +310,6 @@ pub fn run(mode: &Mode, args: &[String]) {
         text.parse()
             .unwrap_or_else(|_| die(&format!("--chaos `{text}` is not a seed")))
     });
-    let delta = args.iter().any(|a| a == "--delta");
     let out_path = flag_value(args, "--out").unwrap_or("BENCH_serve.json");
     let workers = mode.jobs;
 
@@ -719,13 +376,6 @@ pub fn run(mode: &Mode, args: &[String]) {
 
     let (sessions, corrupted_sessions) = audit_sessions(&state_dir, clients, steps);
 
-    // --delta: benchmark the delta serving path on its own chaos-free
-    // daemon (separate socket and state dir inside the same scratch).
-    // The warm move sequence scales with --steps so the CI smoke stays
-    // fast while a full run measures a longer steady state.
-    let delta_outcome =
-        delta.then(|| bench_incremental_serving(&scratch, workers, (steps * 4).max(24)));
-
     let report = Report {
         clients,
         steps_per_client: steps,
@@ -740,14 +390,6 @@ pub fn run(mode: &Mode, args: &[String]) {
         restarts,
         sessions,
         corrupted_sessions,
-        // `bench_incremental_serving` died on any bit mismatch, so reaching this
-        // point with an outcome means the equivalence check passed.
-        delta_equivalent: delta_outcome.as_ref().map(|_| true),
-        delta_checked_moves: delta_outcome.as_ref().map(|o| o.checked),
-        delta_moves: delta_outcome.as_ref().map(|o| o.moves),
-        full_moves_per_s: delta_outcome.as_ref().map(|o| o.full_moves_per_s),
-        delta_moves_per_s: delta_outcome.as_ref().map(|o| o.delta_moves_per_s),
-        delta_speedup_vs_full: delta_outcome.as_ref().map(|o| o.speedup),
     };
     crate::report::emit(out_path, &report);
     let _ = std::fs::remove_dir_all(&scratch);

@@ -1133,6 +1133,57 @@ mod tests {
         }
     }
 
+    /// The `ExitKind` of every row and column exit `score_block` sweeps
+    /// (both net types) over 512 seeded spans: random axis extents and
+    /// raw cuts, merged at `min_gap`, and a span between two kept cuts.
+    fn merged_span_exit_kinds(min_gap: i64) -> Vec<ExitKind> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x9a7);
+        let mut span = || {
+            let extent = rng.gen_range(1i64..=64);
+            let raw: Vec<i64> = (0..rng.gen_range(0..16))
+                .map(|_| rng.gen_range(0..=extent))
+                .collect();
+            let kept = merged_cuts(extent, raw, min_gap);
+            let lo = rng.gen_range(0..kept.len() - 1);
+            let hi = rng.gen_range(lo + 1..kept.len());
+            kept[lo..=hi]
+                .iter()
+                .map(|c| c - kept[lo])
+                .collect::<Vec<i64>>()
+        };
+        let mut kinds = Vec::new();
+        for _ in 0..512 {
+            let (xs, ys) = (span(), span());
+            let (g1, g2) = (xs[xs.len() - 1], ys[ys.len() - 1]);
+            for jy in 0..ys.len() - 1 {
+                // Type I exits through a row's top edge, type II through
+                // its mirrored bottom edge.
+                for my2 in [ys[jy + 1] - 1, g2 - 1 - ys[jy]] {
+                    if my2 < g2 - 1 {
+                        kinds.push(ExitCdf::new(g1, g2, my2).kind());
+                    }
+                }
+            }
+            for x2 in xs[1..].iter().map(|x| x - 1).filter(|&x2| x2 < g1 - 1) {
+                kinds.push(ExitCdf::new(g2, g1, x2).kind());
+            }
+        }
+        kinds
+    }
+
+    #[test]
+    fn merged_lines_never_produce_quad_exits() {
+        // Merged intervals are at least 2 unit cells wide, so no exit
+        // falls on a span's edge unit row: the `ExitProfile` fallback
+        // serves only `without_line_merging`.
+        let merged = merged_span_exit_kinds(2);
+        assert!(merged.contains(&ExitKind::Closed));
+        assert!(!merged.contains(&ExitKind::Quad));
+        // One-cell intervals do, so the assertion above can fail.
+        assert!(merged_span_exit_kinds(1).contains(&ExitKind::Quad));
+    }
+
     #[test]
     fn empty_and_degenerate_floorplans() {
         let model = IrregularGridModel::new(Um(30));

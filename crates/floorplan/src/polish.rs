@@ -4,7 +4,7 @@ use std::fmt;
 
 use irgrid_netlist::ModuleId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A slicing cut direction.
 ///
@@ -81,9 +81,21 @@ pub enum Move {
 /// assert_eq!(expr.elements().len(), 5); // 3 operands + 2 operators
 /// assert!(expr.is_valid());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct PolishExpr {
     elements: Vec<Element>,
+}
+
+/// Reads the derived `{"elements": [...]}` shape and refuses any element
+/// sequence that [`PolishExpr::from_elements`] refuses, so a corrupt
+/// checkpoint fails to parse instead of resuming a malformed tree.
+impl Deserialize for PolishExpr {
+    fn from_value(value: &Value) -> Result<PolishExpr, DeError> {
+        let map = serde::expect_map(value, "PolishExpr")?;
+        let elements = serde::get_field(map, "elements", "PolishExpr")?;
+        PolishExpr::from_elements(elements)
+            .ok_or_else(|| DeError::new("PolishExpr: not a normalized Polish expression"))
+    }
 }
 
 impl PolishExpr {
@@ -390,15 +402,24 @@ mod tests {
     fn from_elements_validates() {
         use Cut::*;
         use Element::*;
+        // Deserializing the same elements must agree with `from_elements`.
+        let parse = |elements: Vec<Element>| {
+            let expr = PolishExpr {
+                elements: elements.clone(),
+            };
+            let direct = PolishExpr::from_elements(elements);
+            assert_eq!(PolishExpr::from_value(&expr.to_value()).ok(), direct);
+            direct
+        };
         // "0 1 V" is valid.
-        assert!(PolishExpr::from_elements(vec![
+        assert!(parse(vec![
             Operand(ModuleId(0)),
             Operand(ModuleId(1)),
             Operator(V)
         ])
         .is_some());
         // "0 V 1" violates balloting.
-        assert!(PolishExpr::from_elements(vec![
+        assert!(parse(vec![
             Operand(ModuleId(0)),
             Operator(V),
             Operand(ModuleId(1))
@@ -406,7 +427,7 @@ mod tests {
         .is_none());
         // "0 1 V 2 V" — wait, consecutive operators must differ only when
         // adjacent; V at positions 2 and 4 are separated by an operand, fine.
-        assert!(PolishExpr::from_elements(vec![
+        assert!(parse(vec![
             Operand(ModuleId(0)),
             Operand(ModuleId(1)),
             Operator(V),
@@ -415,7 +436,7 @@ mod tests {
         ])
         .is_some());
         // "0 1 2 V V" has two adjacent V operators: not normalized.
-        assert!(PolishExpr::from_elements(vec![
+        assert!(parse(vec![
             Operand(ModuleId(0)),
             Operand(ModuleId(1)),
             Operand(ModuleId(2)),
@@ -424,7 +445,7 @@ mod tests {
         ])
         .is_none());
         // Duplicate module.
-        assert!(PolishExpr::from_elements(vec![
+        assert!(parse(vec![
             Operand(ModuleId(0)),
             Operand(ModuleId(0)),
             Operator(V)

@@ -16,7 +16,7 @@
 use irgrid_geom::{Point, Rect, Um};
 use irgrid_netlist::{Circuit, ModuleId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::{FloorplanRepr, Placement};
 
@@ -42,7 +42,7 @@ use crate::{FloorplanRepr, Placement};
 /// assert!(placement.check_consistency().is_none());
 /// # Ok::<(), irgrid_netlist::BuildCircuitError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct SequencePair {
     /// Γ⁺ as module ids.
     pos: Vec<ModuleId>,
@@ -50,6 +50,23 @@ pub struct SequencePair {
     neg: Vec<ModuleId>,
     /// Whether each module is rotated 90°.
     rotated: Vec<bool>,
+}
+
+/// Reads the derived `{"pos", "neg", "rotated"}` shape and refuses a
+/// pair that fails [`SequencePair::is_valid`], so a corrupt checkpoint
+/// fails to parse instead of resuming a malformed floorplan.
+impl Deserialize for SequencePair {
+    fn from_value(value: &Value) -> Result<SequencePair, DeError> {
+        let map = serde::expect_map(value, "SequencePair")?;
+        let pair = SequencePair {
+            pos: serde::get_field(map, "pos", "SequencePair")?,
+            neg: serde::get_field(map, "neg", "SequencePair")?,
+            rotated: serde::get_field(map, "rotated", "SequencePair")?,
+        };
+        pair.is_valid().then_some(pair).ok_or_else(|| {
+            DeError::new("SequencePair: sequences are not permutations of one module set")
+        })
+    }
 }
 
 impl SequencePair {
@@ -328,12 +345,16 @@ mod tests {
 
     #[test]
     fn is_valid_rejects_corrupt_pairs() {
-        let mut sp = SequencePair::new_identity(3);
-        sp.neg[0] = ModuleId(9);
-        assert!(!sp.is_valid());
-        let mut sp = SequencePair::new_identity(3);
-        sp.pos[0] = sp.pos[1];
-        assert!(!sp.is_valid());
+        let sp = SequencePair::new_identity(3);
+        assert_eq!(SequencePair::from_value(&sp.to_value()), Ok(sp.clone()));
+        let mut corrupt = [sp.clone(), sp.clone(), sp];
+        corrupt[0].neg[0] = ModuleId(9);
+        corrupt[1].pos[0] = corrupt[1].pos[1];
+        corrupt[2].rotated.pop();
+        for sp in corrupt {
+            assert!(!sp.is_valid());
+            assert!(SequencePair::from_value(&sp.to_value()).is_err());
+        }
     }
 
     #[test]

@@ -1294,6 +1294,49 @@ mod tests {
     }
 
     #[test]
+    fn every_prefix_of_a_session_snapshot_is_refused() {
+        assert!(SessionState::from_json(LEGACY_SESSION, "legacy-delta").is_ok());
+        for cut in 0..LEGACY_SESSION.len() {
+            assert!(
+                SessionState::from_json(&LEGACY_SESSION[..cut], "legacy-delta").is_err(),
+                "cut {cut}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// One byte anywhere in a session snapshot, flipped in one of its
+        /// five low bits, either resumes under `OpenDelta` or is refused
+        /// with a typed error; never a panic. Low-bit flips keep the text
+        /// ASCII and turn digits into other digits.
+        #[test]
+        fn session_snapshot_byte_flips_resume_or_are_refused(at in 0usize..4096, bit in 0u8..5) {
+            // Each case gets its own state directory: the vendored
+            // `proptest!` adds a `#[test]` of its own, so this test runs
+            // twice, in parallel.
+            static CASE: AtomicUsize = AtomicUsize::new(0);
+            let tag = format!("legacy_flip_{}", CASE.fetch_add(1, Ordering::Relaxed));
+            let mut bytes = LEGACY_SESSION.as_bytes().to_vec();
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+            let text = String::from_utf8(bytes).expect("ASCII stays ASCII");
+            let manager = manager_with_snapshot(&tag, "legacy-delta", &text);
+            let reopened = open(&manager, "r1", "legacy-delta");
+            drop(manager);
+            let _ = std::fs::remove_dir_all(
+                std::env::temp_dir().join(format!("irgrid_serve_mgr_{tag}")),
+            );
+            match &reopened.payload {
+                ResponsePayload::Opened { resumed, .. } => proptest::prop_assert!(*resumed),
+                ResponsePayload::Error { .. } => proptest::prop_assert!(!reopened.ok),
+                other => proptest::prop_assert!(false, "payload {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn a_full_session_snapshot_is_refused_and_left_on_disk() {
         let manager = manager_with_snapshot("legacy_full", "legacy-full", LEGACY_FULL_SESSION);
         let refused = open(&manager, "r1", "legacy-full");

@@ -2,12 +2,14 @@
 //! bit-identity across the stack, control limits, and cost-validity
 //! guards on the real floorplanning problem.
 
+use std::sync::OnceLock;
+
 use irgrid::anneal::{
-    AnnealError, AnnealResult, Annealer, CancelToken, Checkpoint, DeltaProblem, FullCostDelta,
-    Problem, RunControl, RunOptions, Schedule, StopReason,
+    AnnealError, AnnealResult, Annealer, CancelToken, Checkpoint, CheckpointIoError, DeltaProblem,
+    FullCostDelta, Problem, RunControl, RunOptions, Schedule, StopReason,
 };
 use irgrid::congestion::IrregularGridModel;
-use irgrid::floorplan::PolishExpr;
+use irgrid::floorplan::{Element, PolishExpr};
 use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::Um;
 use irgrid::netlist::generator::CircuitGenerator;
@@ -61,6 +63,15 @@ fn test_circuit() -> Circuit {
         .seed(3)
         .generate()
         .expect("valid")
+}
+
+fn ir_problem(circuit: &Circuit) -> FloorplanProblem<'_, IrregularGridModel> {
+    FloorplanProblem::new(
+        circuit,
+        Um(30),
+        Weights::balanced(),
+        Some(IrregularGridModel::new(Um(30))),
+    )
 }
 
 proptest! {
@@ -122,12 +133,7 @@ proptest! {
     #[test]
     fn floorplan_resume_is_bit_identical(seed in 0u64..1_000) {
         let circuit = test_circuit();
-        let problem = FloorplanProblem::new(
-            &circuit,
-            Um(30),
-            Weights::balanced(),
-            Some(IrregularGridModel::new(Um(30))),
-        );
+        let problem = ir_problem(&circuit);
         let annealer = Annealer::new(Schedule::quick());
         let uninterrupted = run(&annealer, &problem, seed, RunOptions::default());
 
@@ -157,12 +163,7 @@ fn floorplan_run_survives_interrupt_then_resume_to_same_answer() {
     // move budget, resume from its last checkpoint, and get the same
     // best/cost/stats as never having been interrupted.
     let circuit = test_circuit();
-    let problem = FloorplanProblem::new(
-        &circuit,
-        Um(30),
-        Weights::balanced(),
-        Some(IrregularGridModel::new(Um(30))),
-    );
+    let problem = ir_problem(&circuit);
     let annealer = Annealer::new(Schedule::quick());
     let uninterrupted = run(&annealer, &problem, 11, RunOptions::default());
 
@@ -195,12 +196,7 @@ fn floorplan_run_survives_interrupt_then_resume_to_same_answer() {
 #[test]
 fn cancellation_across_threads_stops_the_floorplanner() {
     let circuit = test_circuit();
-    let problem = FloorplanProblem::new(
-        &circuit,
-        Um(30),
-        Weights::balanced(),
-        Some(IrregularGridModel::new(Um(30))),
-    );
+    let problem = ir_problem(&circuit);
     let token = CancelToken::new();
     let canceller = token.clone();
     // Cancel from another thread while the run is in flight.
@@ -230,12 +226,7 @@ fn cancellation_across_threads_stops_the_floorplanner() {
 fn resume_on_different_problem_diverges_but_never_corrupts() {
     // Resuming with a *different* schedule is refused outright.
     let circuit = test_circuit();
-    let problem = FloorplanProblem::new(
-        &circuit,
-        Um(30),
-        Weights::balanced(),
-        Some(IrregularGridModel::new(Um(30))),
-    );
+    let problem = ir_problem(&circuit);
     let annealer = Annealer::new(Schedule::quick());
     let mut checkpoint: Option<Checkpoint<PolishExpr>> = None;
     run(
@@ -292,4 +283,112 @@ fn nan_mid_run_reports_cost_error_and_keeps_finite_best() {
     assert_eq!(result.stop_reason, StopReason::CostError);
     assert!(result.best <= 400, "best {} is poisoned", result.best);
     assert!(result.best_cost.is_finite());
+}
+
+/// A short schedule for the corrupt-checkpoint tests, so a resume is
+/// cheap enough to run once per fuzz case.
+fn short_schedule() -> Schedule {
+    Schedule {
+        max_temperatures: 4,
+        ..Schedule::quick()
+    }
+}
+
+/// The first checkpoint of a seed-3 run on [`test_circuit`], as JSON.
+fn first_checkpoint() -> &'static str {
+    static JSON: OnceLock<String> = OnceLock::new();
+    JSON.get_or_init(|| {
+        let circuit = test_circuit();
+        let mut first: Option<String> = None;
+        run(
+            &Annealer::new(short_schedule()),
+            &ir_problem(&circuit),
+            3,
+            RunOptions {
+                control: RunControl::unlimited().with_checkpoint_every(1),
+                checkpoints: Some(&mut |c| {
+                    first.get_or_insert_with(|| c.to_json());
+                }),
+                resume: None,
+            },
+        );
+        first.expect("run long enough to checkpoint")
+    })
+}
+
+/// `json` with the first operand of its `current` expression set to `id`.
+fn with_first_current_operand(json: &str, id: u32) -> String {
+    let key = "\"Operand\": ";
+    let current = json.find("\"current\"").expect("a current field");
+    let at = current + json[current..].find(key).expect("an operand") + key.len();
+    let end = at
+        + json[at..]
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("the id ends");
+    format!("{}{id}{}", &json[..at], &json[end..])
+}
+
+fn assert_parse_error(json: &str) {
+    let parsed = Checkpoint::<PolishExpr>::from_json(json);
+    assert!(
+        matches!(parsed, Err(CheckpointIoError::Parse(_))),
+        "{parsed:?}"
+    );
+}
+
+#[test]
+fn checkpoint_with_an_operand_equal_to_the_module_count_fails_to_parse() {
+    // Module ids run 0..8. An id of 8 used to parse and then index past
+    // the module list inside `pack` on resume.
+    assert_parse_error(&with_first_current_operand(first_checkpoint(), 8));
+}
+
+#[test]
+fn checkpoint_with_a_duplicated_operand_fails_to_parse() {
+    // A duplicated id used to parse and resume a floorplan that places
+    // one module twice and another not at all.
+    let json = first_checkpoint();
+    let checkpoint = Checkpoint::<PolishExpr>::from_json(json).expect("parse");
+    // Balloting makes the second element an operand too.
+    let Element::Operand(second) = checkpoint.current.elements()[1] else {
+        panic!("the second element is an operand");
+    };
+    assert_parse_error(&with_first_current_operand(json, second.0));
+}
+
+#[test]
+fn every_prefix_of_a_checkpoint_fails_to_parse() {
+    let json = first_checkpoint();
+    assert!(Checkpoint::<PolishExpr>::from_json(json).is_ok());
+    for cut in 0..json.len() {
+        assert_parse_error(&json[..cut]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One byte anywhere in a checkpoint, flipped in one of its five low
+    /// bits, ends in a parse error, a typed `AnnealError`, or a resumed
+    /// run with a valid best floorplan; never in a panic. Low-bit flips
+    /// keep the text ASCII and turn digits into other digits.
+    #[test]
+    fn checkpoint_byte_flips_never_panic(at in 0usize..4096, bit in 0u8..5) {
+        let mut bytes = first_checkpoint().as_bytes().to_vec();
+        let at = at % bytes.len();
+        bytes[at] ^= 1 << bit;
+        let text = String::from_utf8(bytes).expect("ASCII stays ASCII");
+        if let Ok(checkpoint) = Checkpoint::<PolishExpr>::from_json(&text) {
+            let circuit = test_circuit();
+            let resumed = Annealer::new(short_schedule()).run(
+                &ir_problem(&circuit),
+                3,
+                resuming(checkpoint),
+            );
+            if let Ok(result) = resumed {
+                prop_assert!(result.best.is_valid());
+                prop_assert_eq!(result.best.operand_count(), circuit.modules().len());
+            }
+        }
+    }
 }
