@@ -7,11 +7,14 @@
 //! scale-free MAE, and top-10 % hotspot overlap (Jaccard).
 
 use irgrid::anneal::{Annealer, RunOptions, Schedule};
-use irgrid::congestion::analysis::{compare, Raster};
+use irgrid::congestion::analysis::Raster;
 use irgrid::congestion::{FixedGridModel, IrregularGridModel, LzShapeModel};
 use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::Um;
 use irgrid::netlist::mcnc::McncCircuit;
+
+use crate::common::die;
+use crate::metrics::{hotspot_jaccard, pearson, scaled_mae, MetricError};
 
 pub fn run(bench: McncCircuit) {
     let circuit = bench.circuit();
@@ -59,15 +62,33 @@ pub fn run(bench: McncCircuit) {
         // pitch multiple; crop the reference once to match.
         reference = crop(&reference, raster.cols(), raster.rows());
         let cropped = crop(&raster, reference.cols(), reference.rows());
-        let c = compare(&cropped, &reference, 0.1);
-        println!(
-            "{:<22} {:>10.4} {:>12.4} {:>16.4}",
-            name, c.pearson, c.scaled_mae, c.hotspot_jaccard
-        );
+        let (pearson, mae, jaccard) = agreement(&cropped, &reference)
+            .unwrap_or_else(|why| die(&format!("heatmap {name}: {why}")));
+        println!("{name:<22} {pearson:>10.4} {mae:>12.4} {jaccard:>16.4}");
     }
     println!("\n(the IR model should match the fine map about as well as the same-pitch");
     println!("fixed model, while evaluating far fewer regions — the paper's accuracy claim");
     println!("stated per cell instead of per score)");
+}
+
+/// Per-cell agreement of `candidate` with `reference`: Pearson
+/// correlation, MAE after scaling `reference` to `candidate`'s mean, and
+/// the Jaccard overlap of their top-10 % hotspot cells.
+fn agreement(candidate: &Raster, reference: &Raster) -> Result<(f64, f64, f64), String> {
+    let dims = (candidate.cols(), candidate.rows());
+    let reference_dims = (reference.cols(), reference.rows());
+    if dims != reference_dims {
+        return Err(format!(
+            "rasters differ in dimensions: {dims:?} vs {reference_dims:?}"
+        ));
+    }
+    let (a, b) = (candidate.values(), reference.values());
+    let why = |e: MetricError| e.to_string();
+    Ok((
+        pearson(a, b).map_err(why)?,
+        scaled_mae(a, b).map_err(why)?,
+        hotspot_jaccard(a, b, 0.1).map_err(why)?,
+    ))
 }
 
 /// Crops a raster to at most `cols × rows` (top/right cells dropped).
@@ -83,4 +104,49 @@ fn crop(r: &Raster, cols: usize, rows: usize) -> Raster {
         }
     }
     Raster::new(cols, rows, values)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use irgrid::geom::{Point, Rect};
+
+    fn chip() -> Rect {
+        Rect::from_origin_size(Point::ORIGIN, Um(600), Um(600))
+    }
+
+    fn segments() -> Vec<(Point, Point)> {
+        vec![
+            (Point::new(Um(90), Um(90)), Point::new(Um(510), Um(510))),
+            (Point::new(Um(90), Um(510)), Point::new(Um(510), Um(90))),
+            (Point::new(Um(120), Um(300)), Point::new(Um(480), Um(330))),
+        ]
+    }
+
+    #[test]
+    fn ir_tracks_fixed_grid_spatially() {
+        let fixed = FixedGridModel::new(Um(30)).congestion_map(&chip(), &segments());
+        let ir = IrregularGridModel::new(Um(30)).congestion_map(&chip(), &segments());
+        let (pearson, _, jaccard) =
+            agreement(&Raster::from_fixed(&fixed), &Raster::from_ir(&ir)).expect("same grid");
+        assert!(pearson > 0.5, "spatial correlation {pearson}");
+        assert!(jaccard > 0.2, "hotspot overlap {jaccard}");
+    }
+
+    #[test]
+    fn downsample_aligns_judging_raster() {
+        let fine = FixedGridModel::new(Um(10)).congestion_map(&chip(), &segments());
+        let coarse = FixedGridModel::new(Um(30)).congestion_map(&chip(), &segments());
+        let down = Raster::from_fixed(&fine).downsample(3);
+        let (pearson, _, _) = agreement(&Raster::from_fixed(&coarse), &down).expect("same grid");
+        assert!(pearson > 0.7, "cross-pitch correlation {pearson}");
+    }
+
+    #[test]
+    fn mismatched_dimensions_are_refused() {
+        let a = Raster::new(2, 2, vec![0.0; 4]);
+        let b = Raster::new(4, 1, vec![0.0; 4]);
+        let why = agreement(&a, &b).expect_err("2x2 vs 4x1");
+        assert!(why.contains("dimensions"), "{why}");
+    }
 }

@@ -22,10 +22,7 @@
 //!               --quick: apte + the 1k synthetic only)
 //!   fleet       Multi-replica annealing via irgrid-fleet (BENCH_fleet.json)
 //!   serve-bench Concurrent-client daemon robustness smoke (BENCH_serve.json)
-//!   lint-report Workspace lint health: per-rule finding counts and wall
-//!               times plus the suppression-debt ledger (BENCH_lint.json)
-//!   all         Everything above (except compare-all, fleet, serve-bench,
-//!               lint-report)
+//!   all         Everything above (except compare-all, fleet, serve-bench)
 //!
 //! flags:
 //!   --quick           2 seeds, short schedule (smoke run)
@@ -37,8 +34,7 @@
 //!   --checkpoint DIR  write per-run checkpoints into DIR every 10 steps
 //!   --resume DIR      resume runs from matching checkpoints in DIR
 //!                     (for fleet: resume from the fleet manifest in DIR)
-//!   --out FILE        report path (compare-all, fleet, serve-bench,
-//!                     lint-report)
+//!   --out FILE        report path (compare-all, fleet, serve-bench)
 //!
 //! serve-bench flags:
 //!   --clients N       concurrent synthetic clients (default 8)
@@ -68,7 +64,6 @@ mod fleet;
 #[cfg(test)]
 mod golden;
 mod heatmap;
-mod lint_report;
 mod metrics;
 mod motivation;
 mod report;
@@ -143,7 +138,6 @@ fn main() {
             fleet::run(&mode, fleet_circuit, &args);
         }
         "serve-bench" => serve::run(&mode, &args),
-        "lint-report" => lint_report::run(&args),
         "validate" => {
             let n = if args.iter().any(|a| a == "--quick") {
                 6

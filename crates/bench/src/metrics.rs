@@ -7,11 +7,10 @@
 //! references) return defined sentinels instead of NaN so report JSON
 //! never contains non-finite garbage.
 //!
-//! Per-cell *raster* comparison stays in `irgrid::congestion::analysis`
-//! — these functions compare plain slices (per-floorplan scores or
-//! flattened maps) and mirror that module's conventions: zero variance
-//! ⇒ correlation 0, MAE scales the second argument to the first's mean,
-//! hotspot sets take the top-`fraction` indices by value.
+//! They compare plain slices: per-floorplan scores, or the values of
+//! two rasters on the same grid (`heatmap`, `compare-all`). Zero
+//! variance ⇒ correlation 0, MAE scales the second argument to the
+//! first's mean, hotspot sets take the top-`fraction` indices by value.
 
 use std::fmt;
 
@@ -81,8 +80,7 @@ pub fn pearson(a: &[f64], b: &[f64]) -> Result<f64, MetricError> {
 /// Mean absolute error after rescaling `b` to `a`'s mean.
 ///
 /// The models report in different units; rescaling makes the error
-/// scale-free, matching `analysis::compare`. A zero-mean `b` cannot be
-/// rescaled and is compared as-is.
+/// scale-free. A zero-mean `b` cannot be rescaled and is compared as-is.
 pub fn scaled_mae(a: &[f64], b: &[f64]) -> Result<f64, MetricError> {
     check(a, b)?;
     let n = a.len() as f64;

@@ -1,8 +1,8 @@
 //! Shared atomic `BENCH_*.json` report writing.
 //!
 //! Every subcommand that persists a machine-readable report
-//! (`BENCH_models.json`, `BENCH_fleet.json`, `BENCH_serve.json`,
-//! `BENCH_lint.json`) goes through [`emit`]: pretty JSON to stdout, then
+//! (`BENCH_models.json`, `BENCH_fleet.json`, `BENCH_serve.json`) goes
+//! through [`emit`]: pretty JSON to stdout, then
 //! an atomic tmp + fsync + rename to the report path. A crash mid-write therefore
 //! never leaves a torn report for CI or downstream tooling to misparse —
 //! either the previous report survives or the new one is complete.

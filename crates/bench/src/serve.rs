@@ -5,8 +5,8 @@
 //! concurrent synthetic clients (default 8) each playing a deterministic
 //! script of moves — `Propose`, then `Commit` (or `Undo` for every third
 //! move) — and reports the robustness counters CI asserts on:
-//! `corrupted_sessions` (must be 0), `degraded_responses`,
-//! `replayed_responses`, `injected_faults`, and `restarts`. Its
+//! `corrupted_sessions` (must be 0), `replayed_responses`,
+//! `injected_faults`, and `restarts`. Its
 //! `moves_per_s` is a smoke figure; served throughput and latency are
 //! measured by the `benchmark/` package.
 //!
@@ -48,7 +48,6 @@ struct Report {
     moves: u64,
     wall_s: f64,
     moves_per_s: f64,
-    degraded_responses: u64,
     replayed_responses: u64,
     injected_faults: u64,
     restarts: u64,
@@ -60,7 +59,6 @@ struct Report {
 #[derive(Debug, Default)]
 struct ClientTally {
     moves: u64,
-    degraded: u64,
     replayed: u64,
 }
 
@@ -175,12 +173,7 @@ fn attempt_move(
         return Attempt::Retry;
     };
     let digest = match &response.payload {
-        ResponsePayload::Proposed { digest, .. } => {
-            if response.degraded {
-                tally.degraded += 1;
-            }
-            digest.clone()
-        }
+        ResponsePayload::Proposed { digest, .. } => digest.clone(),
         ResponsePayload::Error {
             kind: ErrorKind::UnknownSession,
             ..
@@ -212,8 +205,7 @@ fn attempt_move(
             ..
         } => Attempt::Reopen,
         // The daemon restarted between propose and commit (the pending
-        // proposal is volatile), or the proposal was degraded and never
-        // armed: re-propose, then re-commit.
+        // proposal is volatile): re-propose, then re-commit.
         ResponsePayload::Error {
             kind: ErrorKind::NoPendingProposal,
             ..
@@ -366,7 +358,6 @@ pub fn run(mode: &Mode, args: &[String]) {
             die("a client thread panicked");
         });
         tallies.moves += tally.moves;
-        tallies.degraded += tally.degraded;
         tallies.replayed += tally.replayed;
     }
     let wall_s = start.elapsed().as_secs_f64();
@@ -384,7 +375,6 @@ pub fn run(mode: &Mode, args: &[String]) {
         moves: tallies.moves,
         wall_s,
         moves_per_s: tallies.moves as f64 / wall_s,
-        degraded_responses: tallies.degraded,
         replayed_responses: tallies.replayed,
         injected_faults,
         restarts,

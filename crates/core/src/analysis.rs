@@ -1,11 +1,12 @@
 //! Per-cell congestion-map analysis.
 //!
 //! The paper compares models by their scalar floorplan scores; this
-//! module compares them *spatially*: rasterize any congestion map onto
-//! its unit grid and measure per-cell agreement (correlation, mean
-//! absolute error, hotspot overlap). The `repro heatmap` experiment uses
-//! it to show that the Irregular-Grid model reproduces the fixed-grid
-//! congestion *picture*, not just its top-10 % summary.
+//! module lets them be compared *spatially*: rasterize any congestion
+//! map onto its unit grid, and downsample rasters of different pitches
+//! onto one grid. The `repro heatmap` experiment measures per-cell
+//! agreement on these rasters to show that the Irregular-Grid model
+//! reproduces the fixed-grid congestion *picture*, not just its top-10 %
+//! summary.
 
 use irgrid_geom::{Point, Rect};
 
@@ -153,110 +154,10 @@ impl SpatialCongestion for IrregularGridModel {
     }
 }
 
-/// Per-cell agreement between two rasters of identical dimensions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MapComparison {
-    /// Pearson correlation of cell values.
-    pub pearson: f64,
-    /// Mean absolute difference after scaling `b` to `a`'s mean (the
-    /// models use different units; scale-free comparison).
-    pub scaled_mae: f64,
-    /// Jaccard overlap of the two maps' top-`fraction` hotspot cell sets.
-    pub hotspot_jaccard: f64,
-}
-
-/// Compares two rasters cell by cell.
-///
-/// # Panics
-///
-/// Panics if the rasters' dimensions differ or `fraction` is not in
-/// `(0, 1]`.
-#[must_use]
-pub fn compare(a: &Raster, b: &Raster, fraction: f64) -> MapComparison {
-    assert_eq!(
-        (a.cols, a.rows),
-        (b.cols, b.rows),
-        "rasters must share dimensions"
-    );
-    assert!(
-        fraction > 0.0 && fraction <= 1.0,
-        "fraction must be in (0, 1], got {fraction}"
-    );
-    let n = a.values.len() as f64;
-    let (ma, mb) = (
-        a.values.iter().sum::<f64>() / n, // irgrid-lint: allow(D2): diagnostic mean over a dense raster; serial in-order
-        b.values.iter().sum::<f64>() / n, // irgrid-lint: allow(D2): diagnostic mean over a dense raster; serial in-order
-    );
-
-    // Pearson.
-    let mut num = 0.0;
-    let (mut va, mut vb) = (0.0, 0.0);
-    for (&x, &y) in a.values.iter().zip(&b.values) {
-        num += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    let pearson = if va <= 0.0 || vb <= 0.0 {
-        0.0
-    } else {
-        num / (va.sqrt() * vb.sqrt())
-    };
-
-    // Scale-free MAE: rescale b to a's mean.
-    let scale = if mb.abs() < f64::MIN_POSITIVE {
-        0.0
-    } else {
-        ma / mb
-    };
-    let scaled_mae = a
-        .values
-        .iter()
-        .zip(&b.values)
-        .map(|(&x, &y)| (x - y * scale).abs())
-        .sum::<f64>() // irgrid-lint: allow(D2): diagnostic MAE over zipped dense rasters; serial in-order
-        / n;
-
-    // Hotspot overlap.
-    let top_set = |r: &Raster| -> Vec<usize> {
-        let take = ((r.values.len() as f64 * fraction).ceil() as usize).clamp(1, r.values.len());
-        let mut idx: Vec<usize> = (0..r.values.len()).collect();
-        idx.sort_by(|&i, &j| r.values[j].total_cmp(&r.values[i]));
-        let mut top = idx[..take].to_vec();
-        top.sort_unstable();
-        top
-    };
-    let (ta, tb) = (top_set(a), top_set(b));
-    let mut inter = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ta.len() && j < tb.len() {
-        match ta[i].cmp(&tb[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    let union = ta.len() + tb.len() - inter;
-    let hotspot_jaccard = if union == 0 {
-        1.0
-    } else {
-        inter as f64 / union as f64
-    };
-
-    MapComparison {
-        pearson,
-        scaled_mae,
-        hotspot_jaccard,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FixedGridModel, IrregularGridModel, LzShapeModel};
+    use crate::{IrregularGridModel, LzShapeModel};
     use irgrid_geom::{Point, Rect, Um};
 
     fn chip() -> Rect {
@@ -269,16 +170,6 @@ mod tests {
             (Point::new(Um(90), Um(510)), Point::new(Um(510), Um(90))),
             (Point::new(Um(120), Um(300)), Point::new(Um(480), Um(330))),
         ]
-    }
-
-    #[test]
-    fn identical_rasters_agree_perfectly() {
-        let map = FixedGridModel::new(Um(30)).congestion_map(&chip(), &segments());
-        let r = Raster::from_fixed(&map);
-        let c = compare(&r, &r, 0.1);
-        assert!((c.pearson - 1.0).abs() < 1e-12);
-        assert_eq!(c.scaled_mae, 0.0);
-        assert_eq!(c.hotspot_jaccard, 1.0);
     }
 
     #[test]
@@ -295,19 +186,6 @@ mod tests {
             .map(|(i, j)| map.total(i, j))
             .sum();
         assert!((raster_mass - ir_mass).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ir_tracks_fixed_grid_spatially() {
-        let fixed = FixedGridModel::new(Um(30)).congestion_map(&chip(), &segments());
-        let ir = IrregularGridModel::new(Um(30)).congestion_map(&chip(), &segments());
-        let c = compare(&Raster::from_fixed(&fixed), &Raster::from_ir(&ir), 0.1);
-        assert!(c.pearson > 0.5, "spatial correlation {}", c.pearson);
-        assert!(
-            c.hotspot_jaccard > 0.2,
-            "hotspot overlap {}",
-            c.hotspot_jaccard
-        );
     }
 
     #[test]
@@ -331,32 +209,6 @@ mod tests {
         let d = r.downsample(2);
         assert_eq!((d.cols(), d.rows()), (2, 2));
         assert!(d.values().iter().all(|&v| (v - 1.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn downsample_aligns_judging_raster() {
-        let fine = FixedGridModel::new(Um(10)).congestion_map(&chip(), &segments());
-        let coarse = FixedGridModel::new(Um(30)).congestion_map(&chip(), &segments());
-        let down = Raster::from_fixed(&fine).downsample(3);
-        let c = compare(&Raster::from_fixed(&coarse), &down, 0.1);
-        assert!(c.pearson > 0.7, "cross-pitch correlation {}", c.pearson);
-    }
-
-    #[test]
-    fn anti_correlated_maps_score_low() {
-        let a = Raster::new(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
-        let b = Raster::new(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
-        let c = compare(&a, &b, 0.5);
-        assert!(c.pearson < 0.0);
-        assert_eq!(c.hotspot_jaccard, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "share dimensions")]
-    fn mismatched_dims_rejected() {
-        let a = Raster::new(2, 2, vec![0.0; 4]);
-        let b = Raster::new(4, 1, vec![0.0; 4]);
-        let _ = compare(&a, &b, 0.1);
     }
 
     #[test]

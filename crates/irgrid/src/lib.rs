@@ -118,8 +118,8 @@ pub mod route {
 
 /// The fault-tolerant congestion-evaluation daemon and its JSONL client
 /// (re-export of [`irgrid_serve`]): concurrent sessions over a
-/// Unix or TCP socket with checkpointing, idempotent retries, graceful
-/// degradation, and deterministic fault injection.
+/// Unix or TCP socket with checkpointing, idempotent retries, load
+/// shedding, and deterministic fault injection.
 pub mod serve {
     pub use irgrid_serve::*;
 }

@@ -5,7 +5,7 @@
 //! netlist by a pitch multiple relocates the demand map without
 //! changing its values or the scalar cost.
 
-use irgrid_core::SpatialCongestion;
+use irgrid_core::{SpatialCongestion, UnitGrid};
 use irgrid_geom::{Point, Rect, Um};
 use irgrid_models::{
     NetDemandModel, PinDensityModel, RentDemandModel, SpanDemandModel, WeightedNetDemandModel,
@@ -117,6 +117,83 @@ proptest! {
                 rederived.to_bits(),
                 "{} scalar cost disagrees with its raster",
                 model.name()
+            );
+        }
+    }
+}
+
+fn pt(x: i64, y: i64) -> Point {
+    Point::new(Um(x), Um(y))
+}
+
+/// A degenerate input: `(label, chip, segments)`.
+type Case = (&'static str, Rect, Vec<(Point, Point)>);
+
+fn degenerate_cases() -> Vec<Case> {
+    let square = chip();
+    let strip = Rect::from_origin_size(Point::ORIGIN, Um(6000), Um(30));
+    let tiny = Rect::from_origin_size(Point::ORIGIN, Um(10), Um(7));
+    vec![
+        ("no segments", square, vec![]),
+        (
+            "zero-length segment",
+            square,
+            vec![(pt(100, 100), pt(100, 100))],
+        ),
+        (
+            "every endpoint in one bin",
+            square,
+            vec![
+                (pt(31, 31), pt(59, 59)),
+                (pt(35, 50), pt(50, 35)),
+                (pt(40, 40), pt(40, 58)),
+            ],
+        ),
+        (
+            "endpoints on the far chip edge",
+            square,
+            vec![
+                (pt(600, 600), pt(0, 0)),
+                (pt(600, 300), pt(300, 600)),
+                (pt(600, 0), pt(600, 600)),
+            ],
+        ),
+        (
+            "10x7 chip at pitch 30",
+            tiny,
+            vec![(pt(0, 0), pt(10, 7)), (pt(5, 0), pt(5, 7))],
+        ),
+        (
+            "6000x30 strip",
+            strip,
+            vec![
+                (pt(0, 0), pt(6000, 30)),
+                (pt(100, 15), pt(5900, 15)),
+                (pt(3000, 0), pt(3000, 30)),
+            ],
+        ),
+    ]
+}
+
+#[test]
+fn predictors_survive_degenerate_inputs() {
+    for (label, chip, segments) in degenerate_cases() {
+        let grid = UnitGrid::new(&chip, Um(PITCH));
+        for model in models() {
+            let cost = model.evaluate(&chip, &segments);
+            assert!(cost.is_finite(), "{} on {label}: cost {cost}", model.name());
+            let raster = model.raster(&chip, &segments);
+            assert_eq!(
+                (raster.cols() as i64, raster.rows() as i64),
+                (grid.cols(), grid.rows()),
+                "{} on {label}: raster dimensions",
+                model.name()
+            );
+            assert!(
+                raster.values().iter().all(|v| v.is_finite() && *v >= 0.0),
+                "{} on {label}: {:?}",
+                model.name(),
+                raster.values()
             );
         }
     }

@@ -107,6 +107,7 @@ proptest! {
 
 mod staircase_properties {
     use super::*;
+    use irgrid_core::UnitGrid;
     use irgrid_route::{StaircaseConfig, StaircaseRouter};
 
     /// A deterministic pseudo-placement: full-height blocks with
@@ -128,6 +129,88 @@ mod staircase_properties {
             seed,
             ..StaircaseConfig::default()
         })
+    }
+
+    fn pt(x: i64, y: i64) -> Point {
+        Point::new(Um(x), Um(y))
+    }
+
+    /// A degenerate input: `(label, chip, segments)`.
+    type Case = (&'static str, Rect, Vec<(Point, Point)>);
+
+    fn degenerate_cases() -> Vec<Case> {
+        let square = chip();
+        let strip = Rect::from_origin_size(Point::ORIGIN, Um(6000), Um(30));
+        let tiny = Rect::from_origin_size(Point::ORIGIN, Um(10), Um(7));
+        vec![
+            ("no segments", square, vec![]),
+            (
+                "zero-length segment",
+                square,
+                vec![(pt(100, 100), pt(100, 100))],
+            ),
+            (
+                "every endpoint in one bin",
+                square,
+                vec![
+                    (pt(31, 31), pt(59, 59)),
+                    (pt(35, 50), pt(50, 35)),
+                    (pt(40, 40), pt(40, 58)),
+                ],
+            ),
+            (
+                "endpoints on the far chip edge",
+                square,
+                vec![
+                    (pt(600, 600), pt(0, 0)),
+                    (pt(600, 300), pt(300, 600)),
+                    (pt(600, 0), pt(600, 600)),
+                ],
+            ),
+            (
+                "10x7 chip at pitch 30",
+                tiny,
+                vec![(pt(0, 0), pt(10, 7)), (pt(5, 0), pt(5, 7))],
+            ),
+            (
+                "6000x30 strip",
+                strip,
+                vec![
+                    (pt(0, 0), pt(6000, 30)),
+                    (pt(100, 15), pt(5900, 15)),
+                    (pt(3000, 0), pt(3000, 30)),
+                ],
+            ),
+        ]
+    }
+
+    #[test]
+    fn staircase_survives_degenerate_inputs() {
+        for (label, chip, segments) in degenerate_cases() {
+            let grid = UnitGrid::new(&chip, Um(30));
+            let centre = pt(chip.width().0 / 2, chip.height().0 / 2);
+            let module_sets = [
+                ("no modules", vec![]),
+                (
+                    "a zero-area module",
+                    vec![Rect::from_origin_size(centre, Um(0), Um(0))],
+                ),
+                ("one chip-sized module", vec![chip]),
+            ];
+            let split = segments
+                .iter()
+                .filter(|&&(a, b)| grid.cell_of(a) != grid.cell_of(b))
+                .count();
+            for (modules_label, modules) in &module_sets {
+                let result = staircase(0).route(&chip, modules, &segments);
+                let case = format!("{label} with {modules_label}");
+                assert_eq!(result.cut_count + 1, result.leaf_count, "{case}");
+                assert_eq!(result.routed_nets, split, "{case}");
+                assert_eq!(*result.usage.grid(), grid, "{case}");
+                let total: u64 = result.usage.counts().iter().sum();
+                assert_eq!(total, result.routed_bins, "{case}");
+            }
+        }
     }
 
     proptest! {

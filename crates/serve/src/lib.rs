@@ -28,10 +28,10 @@
 //! - **Bounded everything.** Frames, batches, sessions, and connections
 //!   all have hard limits with explicit typed refusals — backpressure is
 //!   visible, queues never grow without bound ([`protocol::Limits`]).
-//! - **Graceful degradation.** Under load the scoring model steps down
-//!   the ladder irregular-grid → L/Z-shape → fixed-grid, flagged
-//!   `degraded: true`, before load sheds as `Backpressure`
-//!   ([`manager::DegradePolicy`]).
+//! - **Load shedding.** Every served score comes from the
+//!   irregular-grid engine; past a threshold of in-flight scoring
+//!   requests the daemon refuses work with retryable `Backpressure`
+//!   instead of queueing it ([`manager::DegradePolicy`]).
 //! - **Deterministic chaos.** A seeded fault injector ([`chaos`])
 //!   exercises every persistence boundary with I/O errors, torn writes,
 //!   and simulated kills — replayable byte for byte from its seed, and

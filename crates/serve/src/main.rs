@@ -13,11 +13,9 @@
 //! | `--socket PATH`         | `./irgrid-serve.sock`| listen on a Unix socket             |
 //! | `--tcp ADDR`            | —                    | listen on TCP instead (`host:port`) |
 //! | `--state-dir DIR`       | `./irgrid-serve-state` | session checkpoint directory      |
-//! | `--workers N`           | `1`                  | pool threads per full-fidelity batch|
+//! | `--workers N`           | `1`                  | pool threads per `Evaluate` batch   |
 //! | `--request-timeout-ms N`| `30000`              | per-request deadline; `0` disables  |
 //! | `--chaos SEED`          | off                  | seeded fault injection (testing)    |
-//! | `--lz-at N`             | `9`                  | degrade to L/Z at this load         |
-//! | `--fixed-at N`          | `17`                 | degrade to fixed grid at this load  |
 //! | `--reject-at N`         | `33`                 | refuse (`Backpressure`) at this load|
 //! | `--max-clients N`       | `64`                 | concurrent connection cap           |
 //!
@@ -38,7 +36,7 @@ fn die(message: &str) -> ExitCode {
     eprintln!("irgrid-serve: {message}");
     eprintln!("usage: irgrid-serve [--socket PATH | --tcp ADDR] [--state-dir DIR] [--workers N]");
     eprintln!("                    [--request-timeout-ms N] [--chaos SEED]");
-    eprintln!("                    [--lz-at N] [--fixed-at N] [--reject-at N] [--max-clients N]");
+    eprintln!("                    [--reject-at N] [--max-clients N]");
     ExitCode::from(2)
 }
 
@@ -88,16 +86,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     .parse()
                     .map_err(|_| "--chaos needs a u64 seed".to_owned())?;
                 flags.chaos_seed = Some(seed);
-            }
-            "--lz-at" => {
-                flags.policy.lz_at = value("--lz-at")?
-                    .parse()
-                    .map_err(|_| "--lz-at needs an integer".to_owned())?;
-            }
-            "--fixed-at" => {
-                flags.policy.fixed_at = value("--fixed-at")?
-                    .parse()
-                    .map_err(|_| "--fixed-at needs an integer".to_owned())?;
             }
             "--reject-at" => {
                 flags.policy.reject_at = value("--reject-at")?
@@ -184,4 +172,24 @@ fn main() -> ExitCode {
     }
     eprintln!("irgrid-serve: clean shutdown");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        let args: Vec<String> = args.iter().map(|&arg| arg.to_owned()).collect();
+        parse_flags(&args)
+    }
+
+    #[test]
+    fn reject_at_is_the_only_load_flag() {
+        let flags = parse(&["--reject-at", "5"]).expect("parses");
+        assert_eq!(flags.policy, DegradePolicy { reject_at: 5 });
+        for removed in ["--lz-at", "--fixed-at"] {
+            let refused = parse(&[removed, "9"]).err().expect("refused");
+            assert_eq!(refused, format!("unknown flag `{removed}`"));
+        }
+    }
 }

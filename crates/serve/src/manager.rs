@@ -1,5 +1,5 @@
-//! The session manager: request dispatch, idempotent retries, load-based
-//! degradation, and the persist-then-reply commit discipline.
+//! The session manager: request dispatch, idempotent retries, load
+//! shedding, and the persist-then-reply commit discipline.
 //!
 //! # Commit discipline
 //!
@@ -16,20 +16,19 @@
 //! between staging and persisting, so kill-point tests cover the
 //! propose → commit → persist window explicitly.
 //!
-//! # Degradation ladder
+//! # Load shedding
 //!
 //! Load is the number of scoring requests (`Evaluate` or `Propose`) in
 //! flight across all connections, tracked by an RAII [`LoadGuard`]
 //! whose *constructor* performs the increment — there is no window in
 //! which an early return (or panic) can leak a gauge slot, on any error
-//! path. The [`DegradePolicy`] maps load to a scoring rung: below
-//! `lz_at` the paper's irregular-grid model, then the L/Z-shape model,
-//! then the fixed grid, and past `reject_at` an explicit `Backpressure`
-//! error — bounded work, never an unbounded queue. Degraded responses
-//! carry `degraded: true`, are never cached, and are never recorded for
-//! replay: a retry re-scores at full fidelity. A degraded `Propose`
-//! additionally never arms a commit — the committed map only advances
-//! through the exact delta pipeline.
+//! path. Below [`DegradePolicy::reject_at`] every request scores with
+//! the irregular-grid engine; at or above it the request is refused
+//! with retryable `Backpressure` before any scoring — bounded work,
+//! never an unbounded queue. There is no cheaper fallback model: a
+//! served `Propose` is a delta move, which costs less than a
+//! from-scratch L/Z or fixed-grid score of the same state (DESIGN.md
+//! §3e).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -42,49 +41,21 @@ use crate::protocol::{
     valid_session_id, ErrorKind, FloorplanState, Limits, Request, RequestOp, Response,
     ResponsePayload, SessionConfig,
 };
-use crate::session::{CommitOutcome, DegradeRung, Session, SessionState};
+use crate::session::{CommitOutcome, Session, SessionState};
 use crate::store::{SnapshotStore, StoreError};
 
-/// Load thresholds for the degradation ladder, in concurrent in-flight
-/// scoring requests. A request's own slot counts: the first request
-/// sees load 1, so with the defaults loads 1..=8 score at full
-/// fidelity, 9..=16 on the L/Z model, 17..=32 on the fixed grid, and
-/// 33+ are refused.
+/// The load-shedding threshold, in concurrent in-flight scoring
+/// requests. A request's own slot counts: the first request sees load
+/// 1, so with the default loads 1..=32 are served and 33+ are refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradePolicy {
-    /// Loads at or above this degrade to the L/Z-shape model.
-    pub lz_at: usize,
-    /// Loads at or above this degrade to the fixed-grid model.
-    pub fixed_at: usize,
     /// Loads at or above this are refused with `Backpressure`.
     pub reject_at: usize,
 }
 
 impl Default for DegradePolicy {
     fn default() -> DegradePolicy {
-        DegradePolicy {
-            lz_at: 9,
-            fixed_at: 17,
-            reject_at: 33,
-        }
-    }
-}
-
-impl DegradePolicy {
-    /// The rung for a given in-flight load, or `None` for refusal.
-    /// Thresholds are inclusive: `load == lz_at` already degrades, and
-    /// `load == reject_at` is already refused.
-    #[must_use]
-    pub fn rung_for(&self, load: usize) -> Option<DegradeRung> {
-        if load >= self.reject_at {
-            None
-        } else if load >= self.fixed_at {
-            Some(DegradeRung::Fixed)
-        } else if load >= self.lz_at {
-            Some(DegradeRung::Lz)
-        } else {
-            Some(DegradeRung::Full)
-        }
+        DegradePolicy { reject_at: 33 }
     }
 }
 
@@ -154,8 +125,8 @@ fn next_in(map: &Mutex<BTreeMap<String, u64>>, key: &str) -> u64 {
 }
 
 impl SessionManager {
-    /// Creates a manager over `store`, fanning full-fidelity `Evaluate`
-    /// batches over `workers` pool threads (`<= 1` evaluates inline).
+    /// Creates a manager over `store`, fanning `Evaluate` batches over
+    /// `workers` pool threads (`<= 1` evaluates inline).
     /// The shared score cache is sized by `limits.shared_cache_capacity`.
     #[must_use]
     pub fn new(
@@ -216,9 +187,9 @@ impl SessionManager {
         self.store.injected_faults()
     }
 
-    /// The scoring requests currently in flight (the degradation
-    /// ladder's input). Zero whenever the daemon is idle — every exit
-    /// path of every handler releases its slot.
+    /// The scoring requests currently in flight (the load-shedding
+    /// input). Zero whenever the daemon is idle — every exit path of
+    /// every handler releases its slot.
     #[must_use]
     pub fn load(&self) -> usize {
         self.load.load(Ordering::Acquire)
@@ -408,6 +379,22 @@ impl SessionManager {
         })
     }
 
+    /// Takes a load slot for one scoring request, or refuses the request
+    /// with retryable `Backpressure` when its load reaches `reject_at`.
+    /// The slot is released when the returned guard drops.
+    fn admit(&self, request: &Request) -> Result<LoadGuard<'_>, Response> {
+        let slot = LoadGuard::acquire(&self.load);
+        if slot.load >= self.policy.reject_at {
+            return Err(Response::error(
+                &request.id,
+                ErrorKind::Backpressure,
+                format!("{} scoring requests in flight; retry later", slot.load),
+                true,
+            ));
+        }
+        Ok(slot)
+    }
+
     fn handle_evaluate(
         &self,
         request: &Request,
@@ -442,26 +429,16 @@ impl SessionManager {
             );
         }
 
-        let guard = LoadGuard::acquire(&self.load);
-        let Some(rung) = self.policy.rung_for(guard.load) else {
-            return Response::error(
-                &request.id,
-                ErrorKind::Backpressure,
-                format!("{} evaluate requests in flight; retry later", guard.load),
-                true,
-            );
+        let _slot = match self.admit(request) {
+            Ok(slot) => slot,
+            Err(refused) => return refused,
         };
 
         // Read-only: deterministic, budget-free, nothing to persist or
         // record.
         self.with_session(request, |session| {
-            match session.evaluate(states, rung, request_control, self.workers) {
-                Ok(results) => {
-                    let mut response =
-                        Response::ok(&request.id, ResponsePayload::Evaluated { results });
-                    response.degraded = rung.is_degraded();
-                    response
-                }
+            match session.evaluate(states, request_control, self.workers) {
+                Ok(results) => Response::ok(&request.id, ResponsePayload::Evaluated { results }),
                 Err(failure) => Response::error(
                     &request.id,
                     failure.kind,
@@ -491,25 +468,17 @@ impl SessionManager {
             );
         }
 
-        // Proposes are scoring work: they occupy a ladder slot exactly
-        // like Evaluate and are refused past reject_at.
-        let guard = LoadGuard::acquire(&self.load);
-        let Some(rung) = self.policy.rung_for(guard.load) else {
-            return Response::error(
-                &request.id,
-                ErrorKind::Backpressure,
-                format!("{} evaluate requests in flight; retry later", guard.load),
-                true,
-            );
+        // Proposes are scoring work: they occupy a load slot exactly
+        // like Evaluate.
+        let _slot = match self.admit(request) {
+            Ok(slot) => slot,
+            Err(refused) => return refused,
         };
 
         self.with_session(request, |session| {
-            match session.propose(state, rung, request_control) {
-                Ok((digest, score, degraded)) => {
-                    let mut response =
-                        Response::ok(&request.id, ResponsePayload::Proposed { digest, score });
-                    response.degraded = degraded;
-                    response
+            match session.propose(state, request_control) {
+                Ok((digest, score)) => {
+                    Response::ok(&request.id, ResponsePayload::Proposed { digest, score })
                 }
                 Err(failure) => Response::error(
                     &request.id,
@@ -648,6 +617,8 @@ mod tests {
     use crate::chaos::{Chaos, ChaosConfig};
     use crate::protocol::FloorplanState;
     use crate::store::KillSwitch;
+    use irgrid_core::{DeltaCongestion, DeltaCongestionSession, IrregularGridModel};
+    use irgrid_geom::{Point, Rect, Um};
 
     fn temp_manager(tag: &str, chaos: Chaos, policy: DegradePolicy) -> SessionManager {
         let dir = std::env::temp_dir().join(format!("irgrid_serve_mgr_{tag}"));
@@ -773,12 +744,10 @@ mod tests {
 
         let evaluated = evaluate(&manager, "r2", "alice", states(2));
         assert!(evaluated.ok, "{evaluated:?}");
-        assert!(!evaluated.degraded);
         let ResponsePayload::Evaluated { results } = &evaluated.payload else {
             panic!("wrong payload {evaluated:?}");
         };
         assert_eq!(results.len(), 2);
-        assert_eq!(results[0].model, "irregular");
         assert_eq!(stat(&manager, "alice").evals_done, 0, "evaluate is free");
 
         let closed = manager.handle(
@@ -851,48 +820,9 @@ mod tests {
     }
 
     #[test]
-    fn rung_thresholds_are_boundary_exact() {
-        let policy = DegradePolicy::default();
-        // Defaults: lz_at 9, fixed_at 17, reject_at 33. Thresholds are
-        // inclusive (>=): the boundary load itself already degrades.
-        assert_eq!(policy.rung_for(1), Some(DegradeRung::Full));
-        assert_eq!(policy.rung_for(8), Some(DegradeRung::Full), "lz_at - 1");
-        assert_eq!(policy.rung_for(9), Some(DegradeRung::Lz), "exactly lz_at");
-        assert_eq!(policy.rung_for(16), Some(DegradeRung::Lz), "fixed_at - 1");
-        assert_eq!(
-            policy.rung_for(17),
-            Some(DegradeRung::Fixed),
-            "exactly fixed_at"
-        );
-        assert_eq!(
-            policy.rung_for(32),
-            Some(DegradeRung::Fixed),
-            "reject_at - 1"
-        );
-        assert_eq!(policy.rung_for(33), None, "exactly reject_at");
-        assert_eq!(policy.rung_for(1000), None);
-        // Degenerate ladder: everything at 0 refuses even the first
-        // request (its own slot makes load 1 >= 0).
-        let zero = DegradePolicy {
-            lz_at: 0,
-            fixed_at: 0,
-            reject_at: 0,
-        };
-        assert_eq!(zero.rung_for(1), None);
-    }
-
-    #[test]
     fn load_gauge_returns_to_zero_on_every_error_path() {
         // Backpressure refusal.
-        let rejecting = temp_manager(
-            "gauge_reject",
-            Chaos::off(),
-            DegradePolicy {
-                lz_at: 0,
-                fixed_at: 0,
-                reject_at: 0,
-            },
-        );
+        let rejecting = temp_manager("gauge_reject", Chaos::off(), DegradePolicy { reject_at: 0 });
         assert!(open(&rejecting, "r1", "s").ok);
         assert!(!evaluate(&rejecting, "e1", "s", states(1)).ok);
         assert!(!propose(&rejecting, "e2", "s", states(1).remove(0)).ok);
@@ -937,73 +867,62 @@ mod tests {
         assert_eq!(healthy.load(), 0);
     }
 
-    #[test]
-    fn degrade_thresholds_at_zero_force_degraded_or_backpressure() {
-        // lz_at 0: every request degrades (load >= 0 is always true).
-        let manager = temp_manager(
-            "degrade",
-            Chaos::off(),
-            DegradePolicy {
-                lz_at: 0,
-                fixed_at: 100,
-                reject_at: 200,
-            },
-        );
-        assert!(open(&manager, "r1", "s").ok);
-        let response = evaluate(&manager, "e1", "s", states(1));
-        assert!(response.ok);
-        assert!(response.degraded, "{response:?}");
-        let ResponsePayload::Evaluated { results } = &response.payload else {
-            panic!("payload");
-        };
-        assert_eq!(results[0].model, "lz");
-
-        // reject_at 0 (and the rest 0): every request is refused.
-        let manager = temp_manager(
-            "reject",
-            Chaos::off(),
-            DegradePolicy {
-                lz_at: 0,
-                fixed_at: 0,
-                reject_at: 0,
-            },
-        );
-        assert!(open(&manager, "r1", "s").ok);
-        let response = evaluate(&manager, "e1", "s", states(1));
-        assert_eq!(error_kind(&response), Some((ErrorKind::Backpressure, true)));
+    /// Score of `state` through a fresh from-scratch delta rebase.
+    fn fresh_rebase(state: &FloorplanState) -> f64 {
+        let [width, height] = state.chip;
+        let chip = Rect::from_origin_size(Point::ORIGIN, Um(width), Um(height));
+        let segments: Vec<(Point, Point)> = state
+            .segments
+            .iter()
+            .map(|&[x1, y1, x2, y2]| (Point::new(Um(x1), Um(y1)), Point::new(Um(x2), Um(y2))))
+            .collect();
+        IrregularGridModel::new(Um(30))
+            .delta_session()
+            .rebase(&chip, &segments)
     }
 
     #[test]
-    fn degraded_scores_are_not_cached_so_retries_rescore_full() {
-        let dir = std::env::temp_dir().join("irgrid_serve_mgr_degrade_retry");
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = SnapshotStore::open(&dir, Chaos::off(), KillSwitch::new()).expect("store");
-        let degrade_all = SessionManager::new(
-            store.clone(),
-            Limits::default(),
-            DegradePolicy {
-                lz_at: 0,
-                fixed_at: 100,
-                reject_at: 200,
-            },
-            1,
-        );
-        assert!(open(&degrade_all, "r1", "s").ok);
-        let batch = states(1);
-        let degraded = evaluate(&degrade_all, "e1", "s", batch.clone());
-        assert!(degraded.degraded);
+    fn load_below_reject_at_is_served_in_full_and_at_it_is_shed() {
+        let manager = temp_manager("shed", Chaos::off(), DegradePolicy::default());
+        let reject_at = DegradePolicy::default().reject_at;
+        assert!(open(&manager, "r1", "s").ok);
+        let batch = states(2);
 
-        // Same state dir, healthy policy: the same request re-scores at
-        // full fidelity.
-        let healthy = SessionManager::new(store, Limits::default(), DegradePolicy::default(), 1);
-        assert!(open(&healthy, "r2", "s").ok);
-        let retry = evaluate(&healthy, "e1", "s", batch);
-        assert!(retry.ok && !retry.replayed && !retry.degraded);
-        let ResponsePayload::Evaluated { results } = &retry.payload else {
-            panic!("payload");
+        // Other requests hold all but two slots, so each request below
+        // sees load reject_at - 1, the highest load still served.
+        let busy = reject_at - 2;
+        manager.load.store(busy, Ordering::Release);
+        let evaluated = evaluate(&manager, "e1", "s", batch.clone());
+        let ResponsePayload::Evaluated { results } = &evaluated.payload else {
+            panic!("expected Evaluated, got {evaluated:?}");
         };
-        assert_eq!(results[0].model, "irregular");
-        assert!(!results[0].cached);
+        for (state, result) in batch.iter().zip(results) {
+            assert_eq!(result.score.to_bits(), fresh_rebase(state).to_bits());
+        }
+        let proposed = propose(&manager, "p1", "s", batch[0].clone());
+        let ResponsePayload::Proposed { digest, score } = &proposed.payload else {
+            panic!("expected Proposed, got {proposed:?}");
+        };
+        assert_eq!(score.to_bits(), fresh_rebase(&batch[0]).to_bits());
+        let (seq, committed_score) = committed(&commit(&manager, "c1", "s", digest));
+        assert_eq!((seq, committed_score.to_bits()), (1, score.to_bits()));
+        assert_eq!(manager.load(), busy);
+
+        // One more slot taken: each request sees exactly reject_at.
+        manager.load.store(busy + 1, Ordering::Release);
+        let before = manager.store.read("s").expect("read");
+        let refused = evaluate(&manager, "e2", "s", batch.clone());
+        assert_eq!(error_kind(&refused), Some((ErrorKind::Backpressure, true)));
+        let refused = propose(&manager, "p2", "s", batch[1].clone());
+        assert_eq!(error_kind(&refused), Some((ErrorKind::Backpressure, true)));
+        assert_eq!(manager.load(), busy + 1);
+        // The refused proposal armed nothing and persisted nothing.
+        let unarmed = commit(&manager, "c2", "s", &results[1].digest);
+        assert_eq!(
+            error_kind(&unarmed),
+            Some((ErrorKind::NoPendingProposal, false))
+        );
+        assert_eq!(manager.store.read("s").expect("read"), before);
     }
 
     #[test]
@@ -1067,7 +986,7 @@ mod tests {
 
         let batch = states(2);
         let proposed = propose(&manager, "p1", "d", batch[0].clone());
-        assert!(proposed.ok && !proposed.degraded, "{proposed:?}");
+        assert!(proposed.ok, "{proposed:?}");
         let digest = proposed_digest(&proposed);
 
         let committed = commit(&manager, "c1", "d", &digest);
@@ -1098,10 +1017,6 @@ mod tests {
         let before = manager.store.read("d").expect("read").expect("snapshot");
         let evaluated = evaluate(&manager, "e1", "d", batch.clone());
         assert!(evaluated.ok, "{evaluated:?}");
-        let ResponsePayload::Evaluated { results } = &evaluated.payload else {
-            panic!("wrong payload {evaluated:?}");
-        };
-        assert_eq!(results[0].model, "irregular");
         let after = manager.store.read("d").expect("read").expect("snapshot");
         assert_eq!(before, after, "read-only evaluate must not persist");
         assert_eq!(stat(&manager, "d").evals_done, 1, "only the commit counted");

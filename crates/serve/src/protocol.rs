@@ -22,8 +22,8 @@
 //!            | { "Evaluate":  { "states": [ floorplan-state* ] } }
 //!            | { "Propose":   { "state": floorplan-state } }
 //!            | { "Commit":    { "digest": string } }
-//! response  := { "id": string, "ok": bool, "degraded": bool,
-//!                "replayed": bool, "payload": payload }
+//! response  := { "id": string, "ok": bool, "replayed": bool,
+//!                "payload": payload }
 //! ```
 //!
 //! Enum encodings follow the workspace's serde conventions: unit
@@ -103,7 +103,9 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// A sane default: 30 µm pitch, unlimited budget, 128-entry cache.
+    /// A sane default: 30 µm pitch, unlimited budget, opted into the
+    /// daemon-wide score cache (whose capacity is
+    /// [`Limits::shared_cache_capacity`], not this value).
     #[must_use]
     pub fn default_config() -> SessionConfig {
         SessionConfig {
@@ -249,11 +251,8 @@ pub enum ErrorKind {
 pub struct EvalResult {
     /// FNV-1a digest of the state's canonical JSON (the cache key).
     pub digest: String,
-    /// The congestion score (higher = more congested).
+    /// The irregular-grid congestion score (higher = more congested).
     pub score: f64,
-    /// Which model produced the score: `"irregular"`, `"lz"`, or
-    /// `"fixed"` — the degradation ladder, top first.
-    pub model: String,
     /// Whether the score came from the daemon-wide score cache.
     pub cached: bool,
 }
@@ -340,10 +339,6 @@ pub struct Response {
     pub id: String,
     /// Whether the operation succeeded.
     pub ok: bool,
-    /// `true` when load shedding downgraded the scoring model below the
-    /// session's irregular-grid default. Degraded scores are never
-    /// cached and a degraded proposal never arms a commit.
-    pub degraded: bool,
     /// `true` when this is a recorded `Commit` ack replayed for an
     /// idempotent retry (same request id and digest).
     pub replayed: bool,
@@ -358,7 +353,6 @@ impl Response {
         Response {
             id: id.to_owned(),
             ok: true,
-            degraded: false,
             replayed: false,
             payload,
         }
@@ -375,7 +369,6 @@ impl Response {
         Response {
             id: id.to_owned(),
             ok: false,
-            degraded: false,
             replayed: false,
             payload: ResponsePayload::Error {
                 kind,
@@ -458,7 +451,6 @@ mod tests {
                 results: vec![EvalResult {
                     digest: "abc".into(),
                     score: 1.5,
-                    model: "irregular".into(),
                     cached: false,
                 }],
             },

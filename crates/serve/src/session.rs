@@ -34,11 +34,9 @@
 
 use irgrid_anneal::RunControl;
 use irgrid_core::{
-    CongestionModel, DeltaCongestion, DeltaCongestionSession, FixedGridModel, IrDeltaEvaluator,
-    IrregularGridModel, LzShapeModel,
+    CongestionModel, DeltaCongestion, DeltaCongestionSession, IrDeltaEvaluator, IrregularGridModel,
 };
 use irgrid_fleet::pool;
-use irgrid_fleet::state_digest;
 use irgrid_geom::{Point, Rect, Um};
 use serde::{Deserialize, Serialize};
 
@@ -164,35 +162,6 @@ impl SessionState {
     }
 }
 
-/// A rung of the graceful-degradation ladder, cheapest last.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradeRung {
-    /// Full fidelity: the paper's irregular-grid model (cached).
-    Full,
-    /// First fallback: the L/Z-shape model.
-    Lz,
-    /// Last resort: the uniform fixed-grid model.
-    Fixed,
-}
-
-impl DegradeRung {
-    /// The model name reported in [`EvalResult::model`].
-    #[must_use]
-    pub fn model_name(&self) -> &'static str {
-        match self {
-            DegradeRung::Full => "irregular",
-            DegradeRung::Lz => "lz",
-            DegradeRung::Fixed => "fixed",
-        }
-    }
-
-    /// Whether this rung flags the response as degraded.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        !matches!(self, DegradeRung::Full)
-    }
-}
-
 /// A failed evaluation, mapped to a protocol error by the manager.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalFailure {
@@ -224,8 +193,7 @@ struct PendingProposal {
 }
 
 /// A live session: persistent record plus the session-resident
-/// [`IrDeltaEvaluator`], the stateless model `Evaluate` scores with, and
-/// the degradation fallbacks.
+/// [`IrDeltaEvaluator`] and the stateless model `Evaluate` scores with.
 #[derive(Debug)]
 pub struct Session {
     /// The persistent record (the manager persists this via
@@ -233,8 +201,6 @@ pub struct Session {
     pub state: SessionState,
     evaluator: IrDeltaEvaluator,
     model: IrregularGridModel,
-    lz: LzShapeModel,
-    fixed: FixedGridModel,
     cache: SharedScoreCache,
     cache_enabled: bool,
     cache_hits: u64,
@@ -350,12 +316,10 @@ impl Session {
         Ok(Session {
             evaluator,
             model,
-            lz: LzShapeModel::new(pitch),
-            fixed: FixedGridModel::new(pitch),
             cache,
             cache_enabled: state.config.cache_capacity > 0,
             cache_hits: 0,
-            cache_model: model_id(DegradeRung::Full.model_name(), pitch.0),
+            cache_model: model_id("irregular", pitch.0),
             completed_ring: completed_ring.max(1),
             pending: None,
             state,
@@ -402,15 +366,9 @@ impl Session {
         self.pending.as_ref().map(|pending| pending.digest.as_str())
     }
 
-    /// Scores one candidate against the committed floorplan and (at
-    /// full fidelity) arms it for commit. Pure with respect to
+    /// Scores one candidate against the committed floorplan and arms it
+    /// for commit, returning its `(digest, score)`. Pure with respect to
     /// persistent state — nothing to persist, nothing to record.
-    ///
-    /// At a degraded rung the score comes from the stateless fallback
-    /// models and the proposal is **not** commit-eligible: the
-    /// committed map only ever advances through the exact delta
-    /// pipeline, so a degraded propose leaves any previously armed
-    /// proposal in place.
     ///
     /// # Errors
     ///
@@ -418,17 +376,12 @@ impl Session {
     pub fn propose(
         &mut self,
         state: &FloorplanState,
-        rung: DegradeRung,
         control: &RunControl,
-    ) -> Result<(String, f64, bool), EvalFailure> {
+    ) -> Result<(String, f64), EvalFailure> {
         let (chip, segments) = to_geometry(state)
             .map_err(|why| EvalFailure::new(ErrorKind::InvalidRequest, why, false))?;
         if timed_out(control) {
             return Err(deadline_failure());
-        }
-        if rung.is_degraded() {
-            let score = self.degraded_score(rung, &chip, &segments);
-            return Ok((state_digest(state), score, true));
         }
         let key = score_key(&self.cache_model, state);
         let digest = key.digest.clone();
@@ -441,7 +394,7 @@ impl Session {
             digest: digest.clone(),
             score,
         });
-        Ok((digest, score, false))
+        Ok((digest, score))
     }
 
     /// Validates a commit and stages the next persistent record without
@@ -559,7 +512,7 @@ impl Session {
     /// Read-only batch scoring — the `Evaluate` op. Consumes no budget,
     /// records nothing, and never touches the evaluator or the pending
     /// proposal: it is deterministic, so a retry recomputes the identical
-    /// bits. At full fidelity the uncached states are scored by
+    /// bits. The uncached states are scored by
     /// [`IrregularGridModel::evaluate`] (a fresh rebase, so the same bits
     /// as a `Propose` of the same state) fanned over `workers` pool
     /// threads; outputs return in job order, so any worker count scores
@@ -572,7 +525,6 @@ impl Session {
     pub fn evaluate(
         &mut self,
         states: &[FloorplanState],
-        rung: DegradeRung,
         control: &RunControl,
         workers: usize,
     ) -> Result<Vec<EvalResult>, EvalFailure> {
@@ -586,9 +538,6 @@ impl Session {
                 )
             })?;
             geometries.push(geometry);
-        }
-        if rung.is_degraded() {
-            return self.evaluate_degraded(states, &geometries, rung, control);
         }
 
         let mut results = Vec::with_capacity(states.len());
@@ -609,7 +558,6 @@ impl Session {
             results.push(EvalResult {
                 digest: key.digest.clone(),
                 score: hit.unwrap_or(0.0),
-                model: rung.model_name().to_owned(),
                 cached: hit.is_some(),
             });
             keys.push(key);
@@ -648,38 +596,6 @@ impl Session {
             }
         }
         Ok(results)
-    }
-
-    /// Degraded scoring: always inline (the cheap models are the load
-    /// valve, there is nothing to parallelize), never cached.
-    fn evaluate_degraded(
-        &self,
-        states: &[FloorplanState],
-        geometries: &[(Rect, Vec<(Point, Point)>)],
-        rung: DegradeRung,
-        control: &RunControl,
-    ) -> Result<Vec<EvalResult>, EvalFailure> {
-        let mut results = Vec::with_capacity(states.len());
-        for (state, (chip, segments)) in states.iter().zip(geometries) {
-            if timed_out(control) {
-                return Err(deadline_failure());
-            }
-            results.push(EvalResult {
-                digest: state_digest(state),
-                score: self.degraded_score(rung, chip, segments),
-                model: rung.model_name().to_owned(),
-                cached: false,
-            });
-        }
-        Ok(results)
-    }
-
-    /// The score of a fallback model.
-    fn degraded_score(&self, rung: DegradeRung, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
-        match rung {
-            DegradeRung::Lz => self.lz.evaluate(chip, segments),
-            _ => self.fixed.evaluate(chip, segments),
-        }
     }
 }
 
@@ -769,10 +685,9 @@ mod tests {
         let mut session = session();
         let states = demo_states(2);
 
-        let (d1, s1, degraded) = session
-            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+        let (d1, s1) = session
+            .propose(&states[0], &RunControl::unlimited())
             .expect("propose");
-        assert!(!degraded);
         assert_eq!(s1.to_bits(), fresh_rebase(&states[0]).to_bits());
         assert_eq!(session.pending_digest(), Some(d1.as_str()));
 
@@ -784,8 +699,8 @@ mod tests {
         assert_eq!(session.state.journal.last().expect("tail").seq, 1);
 
         // Rejected move: propose, then undo back to the committed cost.
-        let (_, s2, _) = session
-            .propose(&states[1], DegradeRung::Full, &RunControl::unlimited())
+        let (_, s2) = session
+            .propose(&states[1], &RunControl::unlimited())
             .expect("propose 2");
         assert_ne!(s2.to_bits(), s1.to_bits());
         assert_eq!(session.undo().to_bits(), s1.to_bits());
@@ -801,8 +716,8 @@ mod tests {
             .expect_err("nothing pending");
         assert_eq!(err.kind, ErrorKind::NoPendingProposal);
 
-        let (d1, _, _) = session
-            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+        let (d1, _) = session
+            .propose(&states[0], &RunControl::unlimited())
             .expect("propose");
         let err = session
             .prepare_commit("r1", "feedbeef00000000")
@@ -810,21 +725,6 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::NoPendingProposal);
         // The armed proposal survives the refusal.
         assert_eq!(session.pending_digest(), Some(d1.as_str()));
-    }
-
-    #[test]
-    fn degraded_propose_scores_but_never_arms() {
-        let mut session = session();
-        let states = demo_states(1);
-        let (digest, _, degraded) = session
-            .propose(&states[0], DegradeRung::Lz, &RunControl::unlimited())
-            .expect("degraded propose");
-        assert!(degraded);
-        assert_eq!(session.pending_digest(), None);
-        let err = session
-            .prepare_commit("r1", &digest)
-            .expect_err("degraded proposals are not commit-eligible");
-        assert_eq!(err.kind, ErrorKind::NoPendingProposal);
     }
 
     #[test]
@@ -836,13 +736,13 @@ mod tests {
             0.0f64.to_bits(),
             "nothing committed"
         );
-        let (d0, s0, _) = session
-            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+        let (d0, s0) = session
+            .propose(&states[0], &RunControl::unlimited())
             .expect("propose");
         commit(&mut session, "r0", &d0);
 
-        let (d1, _, _) = session
-            .propose(&states[1], DegradeRung::Full, &RunControl::unlimited())
+        let (d1, _) = session
+            .propose(&states[1], &RunControl::unlimited())
             .expect("propose");
         assert_eq!(session.undo().to_bits(), s0.to_bits());
         assert_eq!(session.pending_digest(), None);
@@ -859,8 +759,8 @@ mod tests {
     fn commit_replay_is_idempotent_and_digest_checked() {
         let mut session = session();
         let states = demo_states(1);
-        let (d1, _, _) = session
-            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+        let (d1, _) = session
+            .propose(&states[0], &RunControl::unlimited())
             .expect("propose");
         let first = commit(&mut session, "r1", &d1);
         // Retry with the same id: replayed ack, no second commit.
@@ -891,20 +791,20 @@ mod tests {
         // Proposes, undos and evaluates are free.
         for _ in 0..3 {
             session
-                .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+                .propose(&states[0], &RunControl::unlimited())
                 .expect("free propose");
             session.undo();
             session
-                .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
+                .evaluate(&states, &RunControl::unlimited(), 1)
                 .expect("free evaluate");
         }
-        let (d1, _, _) = session
-            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+        let (d1, _) = session
+            .propose(&states[0], &RunControl::unlimited())
             .expect("propose");
         commit(&mut session, "r1", &d1);
         assert_eq!(session.stat().budget_left, 0);
-        let (d2, _, _) = session
-            .propose(&states[1], DegradeRung::Full, &RunControl::unlimited())
+        let (d2, _) = session
+            .propose(&states[1], &RunControl::unlimited())
             .expect("propose 2");
         let err = session
             .prepare_commit("r2", &d2)
@@ -922,15 +822,15 @@ mod tests {
         };
         let mut session = Session::create("b", config, 8, shared());
         let states = demo_states(3);
-        let (d0, s0, _) = session
-            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+        let (d0, s0) = session
+            .propose(&states[0], &RunControl::unlimited())
             .expect("propose");
         commit(&mut session, "r0", &d0);
         assert_eq!(session.stat().budget_left, 0);
 
         // Read-only work is never metered: a whole batch still scores...
         let results = session
-            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
+            .evaluate(&states, &RunControl::unlimited(), 1)
             .expect("evaluate past the budget");
         assert_eq!(results.len(), states.len());
         for (state, result) in states.iter().zip(&results) {
@@ -938,10 +838,9 @@ mod tests {
         }
         // ...and a proposal still scores and arms; only its commit is
         // refused, and the refusal leaves it armed.
-        let (d1, s1, degraded) = session
-            .propose(&states[1], DegradeRung::Full, &RunControl::unlimited())
+        let (d1, s1) = session
+            .propose(&states[1], &RunControl::unlimited())
             .expect("propose past the budget");
-        assert!(!degraded);
         assert_eq!(s1.to_bits(), fresh_rebase(&states[1]).to_bits());
         let err = session.prepare_commit("r1", &d1).expect_err("budget spent");
         assert_eq!(err.kind, ErrorKind::BudgetExhausted);
@@ -954,8 +853,8 @@ mod tests {
     fn failed_persist_leaves_commit_retryable() {
         let mut session = session();
         let states = demo_states(1);
-        let (d1, s1, _) = session
-            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+        let (d1, s1) = session
+            .propose(&states[0], &RunControl::unlimited())
             .expect("propose");
         // Prepare, then "fail the persist" by dropping the prepared
         // commit: nothing was mutated, so the retry succeeds.
@@ -974,25 +873,24 @@ mod tests {
     fn readonly_evaluate_matches_fresh_rebase_and_leaves_pending_armed() {
         let mut session = session();
         let states = demo_states(3);
-        let (d0, _, _) = session
-            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+        let (d0, _) = session
+            .propose(&states[0], &RunControl::unlimited())
             .expect("propose");
         commit(&mut session, "r0", &d0);
 
         // Arm a proposal, interleave a read-only evaluate, then commit
         // the armed proposal — bit-identical to the uninterleaved run.
-        let (d1, s1, _) = session
-            .propose(&states[1], DegradeRung::Full, &RunControl::unlimited())
+        let (d1, s1) = session
+            .propose(&states[1], &RunControl::unlimited())
             .expect("propose");
         let results = session
-            .evaluate(&states[2..], DegradeRung::Full, &RunControl::unlimited(), 1)
+            .evaluate(&states[2..], &RunControl::unlimited(), 1)
             .expect("read-only evaluate");
         assert_eq!(results.len(), 1);
         assert_eq!(
             results[0].score.to_bits(),
             fresh_rebase(&states[2]).to_bits()
         );
-        assert_eq!(results[0].model, "irregular");
         assert_eq!(session.state.commits_done, 1, "evaluate consumes no budget");
         assert_eq!(
             session.pending_digest(),
@@ -1004,7 +902,7 @@ mod tests {
 
         // Second evaluate of the same state hits the shared cache.
         let again = session
-            .evaluate(&states[2..], DegradeRung::Full, &RunControl::unlimited(), 1)
+            .evaluate(&states[2..], &RunControl::unlimited(), 1)
             .expect("cached evaluate");
         assert!(again[0].cached);
         assert_eq!(again[0].score.to_bits(), results[0].score.to_bits());
@@ -1016,8 +914,8 @@ mod tests {
         let mut session = session();
         let states = demo_states(2);
         for (k, state) in states.iter().enumerate() {
-            let (digest, _, _) = session
-                .propose(state, DegradeRung::Full, &RunControl::unlimited())
+            let (digest, _) = session
+                .propose(state, &RunControl::unlimited())
                 .expect("propose");
             commit(&mut session, &format!("r{k}"), &digest);
         }
@@ -1050,8 +948,8 @@ mod tests {
         // Uninterrupted reference: three commits in one lifetime.
         let mut reference = session();
         for (k, state) in states.iter().enumerate() {
-            let (digest, _, _) = reference
-                .propose(state, DegradeRung::Full, &RunControl::unlimited())
+            let (digest, _) = reference
+                .propose(state, &RunControl::unlimited())
                 .expect("propose");
             commit(&mut reference, &format!("r{k}"), &digest);
         }
@@ -1059,16 +957,16 @@ mod tests {
         // Interrupted: two commits, snapshot, "restart", third commit.
         let mut first = session();
         for (k, state) in states[..2].iter().enumerate() {
-            let (digest, _, _) = first
-                .propose(state, DegradeRung::Full, &RunControl::unlimited())
+            let (digest, _) = first
+                .propose(state, &RunControl::unlimited())
                 .expect("propose");
             commit(&mut first, &format!("r{k}"), &digest);
         }
         let snapshot = first.state.to_json();
         let recovered = SessionState::from_json(&snapshot, "t").expect("parse");
         let mut resumed = Session::from_state(recovered, 8, shared()).expect("verified");
-        let (digest, _, _) = resumed
-            .propose(&states[2], DegradeRung::Full, &RunControl::unlimited())
+        let (digest, _) = resumed
+            .propose(&states[2], &RunControl::unlimited())
             .expect("propose");
         commit(&mut resumed, "r2", &digest);
 
@@ -1084,8 +982,8 @@ mod tests {
     fn resume_refuses_a_diverged_committed_state() {
         let mut session = session();
         let states = demo_states(1);
-        let (digest, _, _) = session
-            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+        let (digest, _) = session
+            .propose(&states[0], &RunControl::unlimited())
             .expect("propose");
         commit(&mut session, "r1", &digest);
         // Tamper with the committed floorplan but keep the journal: the
@@ -1108,7 +1006,7 @@ mod tests {
         let mut session = session();
         let states = demo_states(3);
         let results = session
-            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
+            .evaluate(&states, &RunControl::unlimited(), 1)
             .expect("evaluate");
         let model = IrregularGridModel::new(Um(30));
         for (state, result) in states.iter().zip(&results) {
@@ -1116,7 +1014,6 @@ mod tests {
             let expected = model.evaluate(&chip, &segments);
             assert_eq!(result.score.to_bits(), expected.to_bits());
             assert_eq!(result.score.to_bits(), fresh_rebase(state).to_bits());
-            assert_eq!(result.model, "irregular");
             assert!(!result.cached);
         }
         assert_eq!(session.state.commits_done, 0);
@@ -1126,10 +1023,10 @@ mod tests {
     fn pool_path_matches_inline_path_bit_for_bit() {
         let states = demo_states(6);
         let a = session()
-            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
+            .evaluate(&states, &RunControl::unlimited(), 1)
             .expect("inline");
         let b = session()
-            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 4)
+            .evaluate(&states, &RunControl::unlimited(), 4)
             .expect("pooled");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.score.to_bits(), y.score.to_bits());
@@ -1142,10 +1039,10 @@ mod tests {
         let mut session = session();
         let states = demo_states(2);
         let first = session
-            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
+            .evaluate(&states, &RunControl::unlimited(), 1)
             .expect("first");
         let second = session
-            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
+            .evaluate(&states, &RunControl::unlimited(), 1)
             .expect("second");
         for (a, b) in first.iter().zip(&second) {
             assert!(!a.cached);
@@ -1159,45 +1056,17 @@ mod tests {
     fn proposed_scores_serve_later_evaluates_from_the_cache() {
         let mut session = session();
         let states = demo_states(2);
-        let (_, proposed, _) = session
-            .propose(&states[0], DegradeRung::Full, &RunControl::unlimited())
+        let (_, proposed) = session
+            .propose(&states[0], &RunControl::unlimited())
             .expect("propose");
         session.undo();
         let results = session
-            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
+            .evaluate(&states, &RunControl::unlimited(), 1)
             .expect("evaluate");
         assert!(results[0].cached, "the proposal's score was cached");
         assert_eq!(results[0].score.to_bits(), proposed.to_bits());
         assert!(!results[1].cached);
         assert_eq!(session.stat().cache_hits, 1);
-
-        // A degraded proposal is never cached: full fidelity re-scores.
-        let mut other = Session::create("o", SessionConfig::default_config(), 8, shared());
-        other
-            .propose(&states[1], DegradeRung::Fixed, &RunControl::unlimited())
-            .expect("degraded propose");
-        let results = other
-            .evaluate(&states[1..], DegradeRung::Full, &RunControl::unlimited(), 1)
-            .expect("evaluate");
-        assert!(!results[0].cached);
-        assert_eq!(
-            results[0].score.to_bits(),
-            fresh_rebase(&states[1]).to_bits()
-        );
-    }
-
-    #[test]
-    fn degraded_rungs_flag_the_fallback_model() {
-        let mut session = session();
-        let states = demo_states(1);
-        for (rung, name) in [(DegradeRung::Lz, "lz"), (DegradeRung::Fixed, "fixed")] {
-            let results = session
-                .evaluate(&states, rung, &RunControl::unlimited(), 1)
-                .expect("evaluate");
-            assert_eq!(results[0].model, name);
-            assert!(!results[0].cached);
-            assert!(rung.is_degraded());
-        }
     }
 
     #[test]
@@ -1211,7 +1080,7 @@ mod tests {
             },
         ];
         let err = session
-            .evaluate(&states, DegradeRung::Full, &RunControl::unlimited(), 1)
+            .evaluate(&states, &RunControl::unlimited(), 1)
             .expect_err("out-of-chip coordinate");
         assert_eq!(err.kind, ErrorKind::InvalidRequest);
         assert_eq!(session.stat().cache_hits, 0);
@@ -1230,12 +1099,12 @@ mod tests {
         let states = demo_states(2);
         let expired = RunControl::unlimited().with_time_limit(std::time::Duration::ZERO);
         let err = session
-            .evaluate(&states, DegradeRung::Full, &expired, 1)
+            .evaluate(&states, &expired, 1)
             .expect_err("deadline already passed");
         assert_eq!(err.kind, ErrorKind::Timeout);
         assert!(err.retryable);
         let err = session
-            .propose(&states[0], DegradeRung::Full, &expired)
+            .propose(&states[0], &expired)
             .expect_err("deadline already passed");
         assert_eq!(err.kind, ErrorKind::Timeout);
         assert_eq!(session.pending_digest(), None);
@@ -1245,8 +1114,8 @@ mod tests {
     fn commit_ring_and_journal_are_bounded() {
         let mut session = Session::create("r", SessionConfig::default_config(), 2, shared());
         for (k, state) in demo_states(4).iter().enumerate() {
-            let (digest, _, _) = session
-                .propose(state, DegradeRung::Full, &RunControl::unlimited())
+            let (digest, _) = session
+                .propose(state, &RunControl::unlimited())
                 .expect("propose");
             commit(&mut session, &format!("req-{k}"), &digest);
         }
@@ -1261,8 +1130,8 @@ mod tests {
         let mut session = Session::create("r", SessionConfig::default_config(), 2, shared());
         let mut acks = Vec::new();
         for (k, state) in demo_states(4).iter().enumerate() {
-            let (digest, _, _) = session
-                .propose(state, DegradeRung::Full, &RunControl::unlimited())
+            let (digest, _) = session
+                .propose(state, &RunControl::unlimited())
                 .expect("propose");
             acks.push(commit(&mut session, &format!("req-{k}"), &digest));
         }

@@ -577,7 +577,7 @@ fn evaluates_interleaved_with_moves_leave_sessions_byte_identical() {
                         },
                     };
                     let response = client.call(&request, 3).expect("evaluate");
-                    assert!(response.ok && !response.degraded, "{response:?}");
+                    assert!(response.ok, "{response:?}");
                 }
             });
         }
@@ -681,18 +681,15 @@ fn concurrent_chaotic_clients_lose_no_sessions() {
 }
 
 #[test]
-fn degradation_ladder_flags_and_recovers_over_the_socket() {
-    let dir = temp_dir("degrade");
+fn a_saturated_daemon_sheds_scoring_and_a_default_daemon_serves_it() {
+    let dir = temp_dir("shed");
     let store = SnapshotStore::open(&dir, Chaos::off(), KillSwitch::new()).expect("store");
-    // lz_at 0: every evaluate degrades to the L/Z model.
+    // reject_at 0: a request's own slot already reaches the threshold,
+    // so every Evaluate and Propose is refused.
     let manager = Arc::new(SessionManager::new(
-        store.clone(),
+        store,
         Limits::default(),
-        DegradePolicy {
-            lz_at: 0,
-            fixed_at: 1_000,
-            reject_at: 2_000,
-        },
+        DegradePolicy { reject_at: 0 },
         1,
     ));
     let handle = serve(
@@ -709,46 +706,69 @@ fn degradation_ladder_flags_and_recovers_over_the_socket() {
             states: states_for(0, 0),
         },
     };
-    assert!(client.call(&delta_open(0), 3).expect("open").ok);
-    let degraded = client.call(&evaluate, 3).expect("evaluate");
-    assert!(degraded.ok);
-    assert!(
-        degraded.degraded,
-        "must flag the downgraded model: {degraded:?}"
-    );
-    let ResponsePayload::Evaluated { results } = &degraded.payload else {
-        panic!("payload {degraded:?}");
+    let propose = Request {
+        id: "d0-prop".to_owned(),
+        session: delta_session_name(0),
+        op: RequestOp::Propose {
+            state: delta_state_for(0, 0),
+        },
     };
-    assert!(results.iter().all(|r| r.model == "lz"));
+    assert!(client.call(&delta_open(0), 3).expect("open").ok);
+    let before = snapshots(&dir);
+    for request in [&evaluate, &propose] {
+        let refused = client.call_once(request).expect("transport");
+        assert!(
+            matches!(
+                refused.payload,
+                ResponsePayload::Error {
+                    kind: ErrorKind::Backpressure,
+                    retryable: true,
+                    ..
+                }
+            ),
+            "{refused:?}"
+        );
+    }
+    assert_eq!(
+        snapshots(&dir),
+        before,
+        "a refused request changed a session"
+    );
     handle.manager().request_shutdown();
     handle.join();
 
-    // Healthy daemon over the same state dir: the same request is not a
-    // replay (degraded scores are never cached) and re-scores at full
-    // fidelity.
-    let manager = Arc::new(SessionManager::new(
-        store,
-        Limits::default(),
-        DegradePolicy::default(),
-        1,
-    ));
-    let handle = serve(
-        Transport::Tcp("127.0.0.1:0".to_owned()),
-        manager,
-        ServerOptions::default(),
-    )
-    .expect("serve");
-    let mut client = Client::new(handle.transport().clone());
-    assert!(client.call(&delta_open(0), 3).expect("reopen").ok);
-    let retried = client.call(&evaluate, 3).expect("retry");
+    // A default daemon over the same state dir serves both requests.
+    let daemon = start_daemon(&dir, Chaos::off(), 1);
+    let mut client = Client::new(daemon.handle.transport().clone());
+    let reopened = client.call(&delta_open(0), 3).expect("reopen");
     assert!(
-        retried.ok && !retried.degraded && !retried.replayed,
-        "{retried:?}"
+        matches!(
+            reopened.payload,
+            ResponsePayload::Opened { resumed: true, .. }
+        ),
+        "{reopened:?}"
     );
-    let ResponsePayload::Evaluated { results } = &retried.payload else {
-        panic!("payload {retried:?}");
+    let evaluated = client.call(&evaluate, 3).expect("evaluate");
+    assert!(
+        matches!(&evaluated.payload, ResponsePayload::Evaluated { results } if results.len() == 1),
+        "{evaluated:?}"
+    );
+    let proposed = client.call(&propose, 3).expect("propose");
+    let ResponsePayload::Proposed { digest, .. } = proposed.payload else {
+        panic!("payload {proposed:?}");
     };
-    assert!(results.iter().all(|r| r.model == "irregular"));
-    handle.manager().request_shutdown();
-    handle.join();
+    let commit = Request {
+        id: "d0-commit".to_owned(),
+        session: delta_session_name(0),
+        op: RequestOp::Commit { digest },
+    };
+    let committed = client.call(&commit, 3).expect("commit");
+    assert!(
+        matches!(
+            committed.payload,
+            ResponsePayload::Committed { commit_seq: 1, .. }
+        ),
+        "{committed:?}"
+    );
+    stop_daemon(daemon);
 }
