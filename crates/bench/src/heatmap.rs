@@ -124,6 +124,25 @@ mod tests {
     }
 
     #[test]
+    fn identical_rasters_agree_perfectly() {
+        let map = FixedGridModel::new(Um(30)).congestion_map(&chip(), &segments());
+        let r = Raster::from_fixed(&map);
+        let (pearson, mae, jaccard) = agreement(&r, &r).expect("same grid");
+        assert!((pearson - 1.0).abs() < 1e-12);
+        assert_eq!(mae, 0.0);
+        assert_eq!(jaccard, 1.0);
+    }
+
+    #[test]
+    fn anti_correlated_maps_score_low() {
+        let a = Raster::new(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
+        let b = Raster::new(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
+        let (pearson, _, jaccard) = agreement(&a, &b).expect("same grid");
+        assert!(pearson < 0.0);
+        assert_eq!(jaccard, 0.0);
+    }
+
+    #[test]
     fn ir_tracks_fixed_grid_spatially() {
         let fixed = FixedGridModel::new(Um(30)).congestion_map(&chip(), &segments());
         let ir = IrregularGridModel::new(Um(30)).congestion_map(&chip(), &segments());

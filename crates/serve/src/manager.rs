@@ -926,6 +926,39 @@ mod tests {
     }
 
     #[test]
+    fn a_shed_request_retried_under_its_id_is_scored_not_replayed() {
+        let manager = temp_manager("shed_retry", Chaos::off(), DegradePolicy::default());
+        let reject_at = DegradePolicy::default().reject_at;
+        assert!(open(&manager, "r1", "s").ok);
+        let batch = states(1);
+
+        manager.load.store(reject_at - 1, Ordering::Release);
+        let refused = evaluate(&manager, "e1", "s", batch.clone());
+        assert_eq!(error_kind(&refused), Some((ErrorKind::Backpressure, true)));
+        let refused = propose(&manager, "p1", "s", batch[0].clone());
+        assert_eq!(error_kind(&refused), Some((ErrorKind::Backpressure, true)));
+
+        // Load drains and the client retries under the same ids. The
+        // refusals recorded and cached nothing, so both are scored afresh.
+        manager.load.store(0, Ordering::Release);
+        let retried = evaluate(&manager, "e1", "s", batch.clone());
+        assert!(retried.ok && !retried.replayed, "{retried:?}");
+        let ResponsePayload::Evaluated { results } = &retried.payload else {
+            panic!("expected Evaluated, got {retried:?}");
+        };
+        assert!(!results[0].cached, "the refused evaluate cached a score");
+        assert_eq!(
+            results[0].score.to_bits(),
+            fresh_rebase(&batch[0]).to_bits()
+        );
+        let retried = propose(&manager, "p1", "s", batch[0].clone());
+        assert!(retried.ok && !retried.replayed, "{retried:?}");
+        let (seq, _) = committed(&commit(&manager, "c1", "s", &proposed_digest(&retried)));
+        assert_eq!(seq, 1);
+        assert_eq!(manager.load(), 0);
+    }
+
+    #[test]
     fn shutdown_refuses_new_work_but_answers_ping() {
         let manager = temp_manager("shutdown", Chaos::off(), DegradePolicy::default());
         assert!(open(&manager, "r1", "s").ok);

@@ -728,6 +728,31 @@ mod tests {
     }
 
     #[test]
+    fn a_new_propose_replaces_the_armed_one() {
+        let mut session = session();
+        let states = demo_states(2);
+        let (d1, _) = session
+            .propose(&states[0], &RunControl::unlimited())
+            .expect("propose 1");
+        let (d2, s2) = session
+            .propose(&states[1], &RunControl::unlimited())
+            .expect("propose 2");
+        assert_ne!(d1, d2);
+        assert_eq!(session.pending_digest(), Some(d2.as_str()));
+        // Scored against the committed state, not the superseded proposal.
+        assert_eq!(s2.to_bits(), fresh_rebase(&states[1]).to_bits());
+
+        let err = session
+            .prepare_commit("r1", &d1)
+            .expect_err("superseded proposal");
+        assert_eq!(err.kind, ErrorKind::NoPendingProposal);
+        let (digest, score, seq) = commit(&mut session, "r1", &d2);
+        assert_eq!((digest.as_str(), seq), (d2.as_str(), 1));
+        assert_eq!(score.to_bits(), s2.to_bits());
+        assert_eq!(session.undo().to_bits(), s2.to_bits(), "committed cost");
+    }
+
+    #[test]
     fn undo_disarms_the_proposal_and_reports_the_committed_cost() {
         let mut session = session();
         let states = demo_states(2);
