@@ -56,15 +56,23 @@ pub fn run(bench: McncCircuit) {
     let exact_model = IrregularGridModel::new(pitch).with_evaluator(Evaluator::Exact);
     let (exact_cost, exact_ms) = time_model(&exact_model, &chip, segments, reps);
     // The closed-form exit rows ignore the interval count; only the
-    // extreme rows that fall back to Simpson (`ExitKind::Quad`) use it,
-    // so this column is expected to be nearly flat.
-    println!("\n(a) Simpson intervals of the extreme-row fallback (reference: exact Formula 3 = {exact_cost:.5}, {exact_ms:.3} ms):");
+    // extreme rows that fall back to Simpson (`ExitKind::Quad`) use it.
+    // Merged cut lines never produce those rows, so the sweep runs on the
+    // unmerged partition, the only one that has them.
+    let unmerged = IrregularGridModel::new(pitch).without_line_merging();
+    let (unmerged_exact, unmerged_exact_ms) = time_model(
+        &unmerged.with_evaluator(Evaluator::Exact),
+        &chip,
+        segments,
+        reps,
+    );
+    println!("\n(a) Simpson intervals of the extreme-row fallback, line merging off (reference: exact Formula 3 = {unmerged_exact:.5}, {unmerged_exact_ms:.3} ms):");
     println!(
         "{:>10} {:>12} {:>12} {:>12}",
         "intervals", "cost", "rel err", "eval (ms)"
     );
     for intervals in [2usize, 4, 6, 8, 16, 32] {
-        let model = IrregularGridModel::new(pitch).with_approx_config(ApproxConfig {
+        let model = unmerged.with_approx_config(ApproxConfig {
             simpson_intervals: intervals,
             continuity_correction: true,
         });
@@ -73,13 +81,13 @@ pub fn run(bench: McncCircuit) {
             "{:>10} {:>12.5} {:>12.4} {:>12.3}",
             intervals,
             cost,
-            (cost - exact_cost).abs() / exact_cost.max(1e-12),
+            (cost - unmerged_exact).abs() / unmerged_exact.max(1e-12),
             ms
         );
     }
 
     // Continuity correction.
-    println!("\n(b) continuity correction (±0.5 integration bounds):");
+    println!("\n(b) continuity correction (±0.5 integration bounds; reference: exact Formula 3 = {exact_cost:.5}, {exact_ms:.3} ms):");
     for (label, correction) in [
         ("on (default)", true),
         ("off (paper's literal bounds)", false),

@@ -180,8 +180,7 @@ pub fn die(message: &str) -> ! {
 /// One seeded floorplanner run's reported fields.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
-    /// The annealing seed (kept for traceability in debug dumps).
-    #[allow(dead_code)]
+    /// The annealing seed.
     pub seed: u64,
     /// The annealer's internal (normalized) best cost — used to pick the
     /// "best" run of a batch, like the paper's cost function.
@@ -212,16 +211,14 @@ struct SeedRunner {
 impl SeedRunner {
     /// One per-seed annealing run: checkpoint sink, optional resume,
     /// anneal, judge. Returns `None` (after a stderr warning) on a typed
-    /// [`AnnealError`]; otherwise the outcome plus the stop reason and
-    /// the number of temperature steps actually run (used by the parallel
-    /// path to drop seeds the deadline prevented from ever starting).
+    /// [`AnnealError`]; otherwise the outcome and the stop reason.
     ///
     /// [`AnnealError`]: irgrid::anneal::AnnealError
     fn run_seed<M: DeltaCongestion>(
         &self,
         problem: &FloorplanProblem<'_, M>,
         seed: u64,
-    ) -> Option<(RunOutcome, StopReason, usize)> {
+    ) -> Option<(RunOutcome, StopReason)> {
         let circuit = problem.circuit();
         let start = Instant::now();
         let checkpoint_path = self.fault.checkpoint_dir.map(|dir| {
@@ -285,25 +282,26 @@ impl SeedRunner {
             judging_cost,
             eval,
         };
-        Some((outcome, result.stop_reason, result.stats.temperatures))
+        Some((outcome, result.stop_reason))
     }
 }
 
 /// Runs the annealing floorplanner once per seed and judges every final
 /// floorplan with the 10 µm fixed-grid judging model.
 ///
-/// With `mode.jobs > 1` the seeds are fanned out over a deterministic
-/// worker pool ([`irgrid::fleet::pool`]); each worker builds its own
-/// problem instance from a [`FloorplanSpec`], so per-seed results are
-/// bit-identical to the single-threaded run (each seeded run is
-/// self-contained) apart from wall-clock `time_s`. With the default
-/// `jobs = 1` the original sequential loop runs unchanged.
+/// The seeds run on a deterministic worker pool
+/// ([`irgrid::fleet::pool`]) of `mode.jobs` workers, which runs a single
+/// worker inline; each worker builds its own problem instance from a
+/// [`FloorplanSpec`], so per-seed results are bit-identical for any
+/// worker count (each seeded run is self-contained) apart from
+/// wall-clock `time_s`.
 ///
 /// Honors the mode's [`FaultOptions`]: runs stop at the shared deadline
-/// (remaining seeds are skipped), write checkpoints on a cadence when a
-/// checkpoint directory is set, and resume from matching checkpoint files
-/// when a resume directory is set. A failed run (typed [`AnnealError`])
-/// is reported on stderr and skipped, never a panic.
+/// (outcomes after the first stopped seed are dropped), write checkpoints
+/// on a cadence when a checkpoint directory is set, and resume from
+/// matching checkpoint files when a resume directory is set. A failed
+/// run (typed [`AnnealError`]) is reported on stderr and skipped, never
+/// a panic.
 ///
 /// [`AnnealError`]: irgrid::anneal::AnnealError
 pub fn run_batch<M>(
@@ -325,49 +323,24 @@ where
         weights,
     };
 
-    if mode.jobs > 1 {
-        let spec: FloorplanSpec<'_, M> = FloorplanSpec::new(circuit, pitch, weights, model)
-            .unwrap_or_else(|err| {
-                die(&format!(
-                    "invalid floorplan configuration for {}: {err}",
-                    circuit.name()
-                ))
-            });
-        let seeds: Vec<u64> = (0..mode.seeds).collect();
-        let results = pool::run_ordered(
-            mode.jobs,
-            seeds,
-            |_| spec.build(),
-            |problem, _, seed| runner.run_seed(problem, seed),
-        );
-        let mut outcomes = Vec::new();
-        let mut deadline_hit = false;
-        for (outcome, stop, temperatures) in results.into_iter().flatten() {
-            if stop == StopReason::Deadline {
-                deadline_hit = true;
-                // A seed the deadline stopped before its first temperature
-                // step is one the sequential loop would never have started.
-                if temperatures == 0 {
-                    continue;
-                }
-            }
-            outcomes.push(outcome);
-        }
-        if deadline_hit {
-            eprintln!(
-                "time limit reached on {}; partial results kept",
+    let spec: FloorplanSpec<'_, M> = FloorplanSpec::new(circuit, pitch, weights, model)
+        .unwrap_or_else(|err| {
+            die(&format!(
+                "invalid floorplan configuration for {}: {err}",
                 circuit.name()
-            );
-        }
-        return outcomes;
-    }
-
-    let problem = FloorplanProblem::new(circuit, pitch, weights, model);
+            ))
+        });
+    let results = pool::run_ordered(
+        mode.jobs,
+        (0..mode.seeds).collect(),
+        |_| spec.build(),
+        |problem, _, seed| runner.run_seed(problem, seed),
+    );
+    // Every worker count keeps the seeds in order up to and including
+    // the first one the deadline stopped.
     let mut outcomes = Vec::new();
-    for seed in 0..mode.seeds {
-        let Some((outcome, stop, _)) = runner.run_seed(&problem, seed) else {
-            continue;
-        };
+    for (outcome, stop) in results.into_iter().flatten() {
+        let seed = outcome.seed;
         outcomes.push(outcome);
         if stop == StopReason::Deadline {
             eprintln!(
@@ -489,6 +462,37 @@ mod tests {
             assert_eq!(s.judging_cost.to_bits(), p.judging_cost.to_bits());
             assert_eq!(s.area_mm2.to_bits(), p.area_mm2.to_bits());
             assert_eq!(s.wire_um.to_bits(), p.wire_um.to_bits());
+        }
+    }
+
+    #[test]
+    fn an_expired_deadline_keeps_seed_zero_for_any_worker_count() {
+        // Every seed stops at once; each worker count keeps the seeds in
+        // order up to and including the first stopped one.
+        let circuit = CircuitGenerator::new("late", 6, 10)
+            .seed(4)
+            .generate()
+            .expect("valid");
+        for jobs in [1, 3] {
+            let mode = Mode {
+                seeds: 3,
+                schedule: irgrid::anneal::Schedule::quick(),
+                label: "test",
+                jobs,
+                fault: FaultOptions {
+                    deadline: Some(Instant::now()),
+                    ..FaultOptions::default()
+                },
+            };
+            let outcomes = run_batch(
+                &circuit,
+                Um(30),
+                Weights::area_wire(),
+                None::<IrregularGridModel>,
+                &mode,
+            );
+            let seeds: Vec<u64> = outcomes.iter().map(|o| o.seed).collect();
+            assert_eq!(seeds, [0], "jobs {jobs}");
         }
     }
 

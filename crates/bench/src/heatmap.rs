@@ -8,7 +8,7 @@
 
 use irgrid::anneal::{Annealer, RunOptions, Schedule};
 use irgrid::congestion::analysis::Raster;
-use irgrid::congestion::{FixedGridModel, IrregularGridModel, LzShapeModel};
+use irgrid::congestion::{FixedGridModel, IrregularGridModel, LzShapeModel, SpatialCongestion};
 use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::Um;
 use irgrid::netlist::mcnc::McncCircuit;
@@ -34,21 +34,22 @@ pub fn run(bench: McncCircuit) {
     let segments = &eval.segments;
 
     // Reference: the 10 um judging map downsampled onto the 30 um grid.
-    let judging = FixedGridModel::new(Um(10)).congestion_map(&chip, segments);
-    let mut reference = Raster::from_fixed(&judging).downsample(3);
+    let mut reference = FixedGridModel::new(Um(10))
+        .raster(&chip, segments)
+        .downsample(3);
 
     let candidates: Vec<(&str, Raster)> = vec![
         (
             "lz-shape 30um",
-            Raster::from_lz(&LzShapeModel::new(pitch).congestion_map(&chip, segments)),
+            LzShapeModel::new(pitch).raster(&chip, segments),
         ),
         (
             "fixed-grid 30um",
-            Raster::from_fixed(&FixedGridModel::new(pitch).congestion_map(&chip, segments)),
+            FixedGridModel::new(pitch).raster(&chip, segments),
         ),
         (
             "irregular-grid 30um",
-            Raster::from_ir(&IrregularGridModel::new(pitch).congestion_map(&chip, segments)),
+            IrregularGridModel::new(pitch).raster(&chip, segments),
         ),
     ];
 
@@ -125,8 +126,7 @@ mod tests {
 
     #[test]
     fn identical_rasters_agree_perfectly() {
-        let map = FixedGridModel::new(Um(30)).congestion_map(&chip(), &segments());
-        let r = Raster::from_fixed(&map);
+        let r = FixedGridModel::new(Um(30)).raster(&chip(), &segments());
         let (pearson, mae, jaccard) = agreement(&r, &r).expect("same grid");
         assert!((pearson - 1.0).abs() < 1e-12);
         assert_eq!(mae, 0.0);
@@ -144,20 +144,20 @@ mod tests {
 
     #[test]
     fn ir_tracks_fixed_grid_spatially() {
-        let fixed = FixedGridModel::new(Um(30)).congestion_map(&chip(), &segments());
-        let ir = IrregularGridModel::new(Um(30)).congestion_map(&chip(), &segments());
-        let (pearson, _, jaccard) =
-            agreement(&Raster::from_fixed(&fixed), &Raster::from_ir(&ir)).expect("same grid");
+        let fixed = FixedGridModel::new(Um(30)).raster(&chip(), &segments());
+        let ir = IrregularGridModel::new(Um(30)).raster(&chip(), &segments());
+        let (pearson, _, jaccard) = agreement(&fixed, &ir).expect("same grid");
         assert!(pearson > 0.5, "spatial correlation {pearson}");
         assert!(jaccard > 0.2, "hotspot overlap {jaccard}");
     }
 
     #[test]
     fn downsample_aligns_judging_raster() {
-        let fine = FixedGridModel::new(Um(10)).congestion_map(&chip(), &segments());
-        let coarse = FixedGridModel::new(Um(30)).congestion_map(&chip(), &segments());
-        let down = Raster::from_fixed(&fine).downsample(3);
-        let (pearson, _, _) = agreement(&Raster::from_fixed(&coarse), &down).expect("same grid");
+        let down = FixedGridModel::new(Um(10))
+            .raster(&chip(), &segments())
+            .downsample(3);
+        let coarse = FixedGridModel::new(Um(30)).raster(&chip(), &segments());
+        let (pearson, _, _) = agreement(&coarse, &down).expect("same grid");
         assert!(pearson > 0.7, "cross-pitch correlation {pearson}");
     }
 

@@ -10,6 +10,7 @@
 //! top-edge usage and total overflow of a negotiated-congestion global
 //! router.
 
+use irgrid::congestion::score::TOP_FRACTION;
 use irgrid::congestion::{CongestionModel, FixedGridModel, IrregularGridModel, LzShapeModel};
 use irgrid::floorplan::{pack, two_pin_segments, PinPlacer, PolishExpr};
 use irgrid::geom::Um;
@@ -91,7 +92,7 @@ pub fn run(bench: McncCircuit, floorplans: usize) {
             slot.push(model.evaluate(&chip, &segments));
         }
         let result = router.route(&chip, &segments);
-        routed_top.push(result.grid.top_fraction_usage(0.1));
+        routed_top.push(result.grid.top_fraction_usage(TOP_FRACTION));
         routed_overflow.push(result.total_overflow as f64);
         routed_detour.push(result.detour_edges(&segments) as f64);
     }

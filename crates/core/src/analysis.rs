@@ -10,10 +10,7 @@
 
 use irgrid_geom::{Point, Rect};
 
-use crate::{
-    FixedCongestionMap, FixedGridModel, IrCongestionMap, IrregularGridModel, LzCongestionMap,
-    LzShapeModel, SpatialCongestion,
-};
+use crate::{FixedGridModel, IrCongestionMap, IrregularGridModel, LzShapeModel, SpatialCongestion};
 
 /// A congestion map rasterized onto its unit grid: `cols × rows` values
 /// in row-major order, one per pitch² cell.
@@ -56,27 +53,6 @@ impl Raster {
     #[must_use]
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Rasterizes a fixed-grid map (an identity re-labelling: its cells
-    /// already are unit cells).
-    #[must_use]
-    pub fn from_fixed(map: &FixedCongestionMap) -> Raster {
-        Raster {
-            cols: map.grid().cols() as usize,
-            rows: map.grid().rows() as usize,
-            values: map.values().to_vec(),
-        }
-    }
-
-    /// Rasterizes an L/Z-shape map.
-    #[must_use]
-    pub fn from_lz(map: &LzCongestionMap) -> Raster {
-        Raster {
-            cols: map.grid().cols() as usize,
-            rows: map.grid().rows() as usize,
-            values: map.values().to_vec(),
-        }
     }
 
     /// Rasterizes an Irregular-Grid map: every unit cell of an IR-grid
@@ -138,13 +114,13 @@ impl Raster {
 
 impl SpatialCongestion for FixedGridModel {
     fn raster(&self, chip: &Rect, segments: &[(Point, Point)]) -> Raster {
-        Raster::from_fixed(&self.congestion_map(chip, segments))
+        self.congestion_map(chip, segments).into_raster()
     }
 }
 
 impl SpatialCongestion for LzShapeModel {
     fn raster(&self, chip: &Rect, segments: &[(Point, Point)]) -> Raster {
-        Raster::from_lz(&self.congestion_map(chip, segments))
+        self.congestion_map(chip, segments).into_raster()
     }
 }
 
@@ -190,8 +166,7 @@ mod tests {
 
     #[test]
     fn lz_raster_has_fixed_dimensions() {
-        let lz = LzShapeModel::new(Um(30)).congestion_map(&chip(), &segments());
-        let r = Raster::from_lz(&lz);
+        let r = LzShapeModel::new(Um(30)).raster(&chip(), &segments());
         assert_eq!((r.cols(), r.rows()), (20, 20));
     }
 

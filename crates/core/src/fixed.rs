@@ -15,8 +15,7 @@
 use irgrid_geom::{Point, Rect, Um};
 
 use crate::num::LnFactorials;
-use crate::score::top_fraction_mean;
-use crate::{CongestionModel, RoutingRange, UnitGrid};
+use crate::{CongestionModel, UnitGridMap};
 
 /// The fixed-size-grid congestion model.
 ///
@@ -37,7 +36,6 @@ use crate::{CongestionModel, RoutingRange, UnitGrid};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FixedGridModel {
     pitch: Um,
-    top_fraction_permille: u32,
     arithmetic: CellArithmetic,
 }
 
@@ -68,7 +66,6 @@ impl FixedGridModel {
         assert!(pitch > Um::ZERO, "grid pitch must be positive, got {pitch}");
         FixedGridModel {
             pitch,
-            top_fraction_permille: 100,
             arithmetic: CellArithmetic::TableLookup,
         }
     }
@@ -84,21 +81,6 @@ impl FixedGridModel {
     #[must_use]
     pub fn judging() -> FixedGridModel {
         FixedGridModel::new(Um(10))
-    }
-
-    /// Overrides the scoring fraction (default 10 %).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `permille` is 0 or greater than 1000.
-    #[must_use]
-    pub fn with_top_fraction_permille(mut self, permille: u32) -> FixedGridModel {
-        assert!(
-            permille > 0 && permille <= 1000,
-            "permille must be in 1..=1000, got {permille}"
-        );
-        self.top_fraction_permille = permille;
-        self
     }
 
     /// The grid pitch.
@@ -117,34 +99,21 @@ impl FixedGridModel {
     ///
     /// Panics if `chip` is degenerate or not at the origin.
     #[must_use]
-    pub fn congestion_map(&self, chip: &Rect, segments: &[(Point, Point)]) -> FixedCongestionMap {
-        let grid = UnitGrid::new(chip, self.pitch);
-        let mut values = vec![0.0f64; grid.cell_count()];
-        let cols = grid.cols();
-
+    pub fn congestion_map(&self, chip: &Rect, segments: &[(Point, Point)]) -> UnitGridMap {
+        let mut map = UnitGridMap::new(chip, self.pitch);
+        let grid = map.grid();
         // irgrid-lint: allow(C1): grid dimensions are positive and far below 2^31
         let max_arg = (grid.cols() + grid.rows() + 2) as usize;
         let lf = LnFactorials::up_to(max_arg);
 
         for &(a, b) in segments {
-            let range = RoutingRange::from_segment(&grid, a, b);
-            for y in 0..range.g2() {
-                let row_base = (range.y0() + y) * cols + range.x0();
-                for x in 0..range.g1() {
-                    // irgrid-lint: allow(C1): row-major index, non-negative and < cell_count
-                    values[(row_base + x) as usize] += match self.arithmetic {
-                        CellArithmetic::TableLookup => range.cell_probability(&lf, x, y),
-                        CellArithmetic::PerCellGamma => range.cell_probability_gamma(x, y),
-                    };
-                }
-            }
+            let range = map.range_of(a, b);
+            map.add_range(&range, |range, x, y| match self.arithmetic {
+                CellArithmetic::TableLookup => range.cell_probability(&lf, x, y),
+                CellArithmetic::PerCellGamma => range.cell_probability_gamma(x, y),
+            });
         }
-
-        FixedCongestionMap {
-            grid,
-            values,
-            top_fraction: f64::from(self.top_fraction_permille) / 1000.0,
-        }
+        map
     }
 }
 
@@ -163,72 +132,6 @@ impl crate::DeltaCongestion for FixedGridModel {
 
     fn delta_session(&self) -> Self::DeltaSession {
         crate::StatelessDeltaSession::new(*self)
-    }
-}
-
-/// The per-grid congestion values produced by [`FixedGridModel`].
-#[derive(Debug, Clone)]
-pub struct FixedCongestionMap {
-    grid: UnitGrid,
-    values: Vec<f64>,
-    top_fraction: f64,
-}
-
-impl FixedCongestionMap {
-    /// The underlying grid.
-    #[must_use]
-    pub fn grid(&self) -> &UnitGrid {
-        &self.grid
-    }
-
-    /// The congestion value `f(x, y) = Σᵢ Pᵢ(x, y)` of one grid cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell is out of range.
-    #[must_use]
-    pub fn value(&self, x: i64, y: i64) -> f64 {
-        assert!(
-            (0..self.grid.cols()).contains(&x) && (0..self.grid.rows()).contains(&y),
-            "cell ({x}, {y}) outside {}x{} grid",
-            self.grid.cols(),
-            self.grid.rows()
-        );
-        // irgrid-lint: allow(C1): row-major index, asserted in range just above
-        self.values[(y * self.grid.cols() + x) as usize]
-    }
-
-    /// All cell values in row-major order.
-    #[must_use]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Number of grid cells (reported in Table 5 as "# of grid").
-    #[must_use]
-    pub fn cell_count(&self) -> usize {
-        self.values.len()
-    }
-
-    /// The floorplan congestion cost: mean of the top 10 % (or configured
-    /// fraction) most congested grids.
-    #[must_use]
-    pub fn cost(&self) -> f64 {
-        top_fraction_mean(&self.values, self.top_fraction)
-    }
-
-    /// The maximum cell congestion.
-    #[must_use]
-    pub fn peak(&self) -> f64 {
-        self.values.iter().copied().fold(0.0, f64::max) // irgrid-lint: allow(D2): max is order-independent
-    }
-
-    /// Total congestion mass: `Σ f(x, y)`. For one net this equals the
-    /// expected number of grids its route crosses, a useful invariant in
-    /// tests.
-    #[must_use]
-    pub fn total_mass(&self) -> f64 {
-        self.values.iter().sum() // irgrid-lint: allow(D2): serial in-order sum over the dense row-major Vec
     }
 }
 

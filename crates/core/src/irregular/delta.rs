@@ -69,7 +69,7 @@ use irgrid_geom::{Point, Rect};
 
 use crate::num::{dequantize_total, quantize_probability, LnFactorials};
 use crate::routing::{NetType, RoutingRange};
-use crate::score::top_area_fraction_mean_in_place;
+use crate::score::{top_area_fraction_mean_in_place, TOP_FRACTION};
 use crate::UnitGrid;
 
 use super::approx::{ExitCdf, ExitKind, ExitProfile};
@@ -263,7 +263,6 @@ impl IrDeltaEvaluator {
                 .iter()
                 .map(|&t| dequantize_total(t))
                 .collect(),
-            top_fraction: f64::from(self.model.top_fraction_permille) / 1000.0,
         }
     }
 
@@ -446,10 +445,7 @@ impl IrDeltaEvaluator {
                 ));
             }
         }
-        let cost = top_area_fraction_mean_in_place(
-            &mut self.pairs,
-            f64::from(self.model.top_fraction_permille) / 1000.0,
-        );
+        let cost = top_area_fraction_mean_in_place(&mut self.pairs, TOP_FRACTION);
         self.proposed.cost = cost;
         self.proposed.valid = true;
         cost
@@ -1057,7 +1053,7 @@ mod tests {
                     pairs.push((want / map.area_cells(i, j), map.area_cells(i, j)));
                 }
             }
-            let want = crate::score::top_area_fraction_mean(&pairs, 0.1);
+            let want = crate::score::top_area_fraction_mean(&pairs, TOP_FRACTION);
             assert!(
                 (session.cost() - want).abs() <= 1e-4,
                 "cost {} vs per-cell Simpson {want}",

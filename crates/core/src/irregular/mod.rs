@@ -23,7 +23,7 @@ pub use exact::block_probability_exact;
 
 use irgrid_geom::{Point, Rect, Um};
 
-use crate::score::top_area_fraction_mean;
+use crate::score::{top_area_fraction_mean, TOP_FRACTION};
 use crate::{CongestionModel, DeltaCongestionSession};
 
 /// Which evaluator scores a (non-pin, non-corridor) IR-grid.
@@ -66,7 +66,6 @@ pub struct IrregularGridModel {
     /// approximate mode: the normal transformation needs `g1 + g2 > 4`
     /// and only pays off on larger ranges anyway.
     exact_threshold: i64,
-    top_fraction_permille: u32,
 }
 
 impl IrregularGridModel {
@@ -85,7 +84,6 @@ impl IrregularGridModel {
             approx: ApproxConfig::default(),
             merge_lines: true,
             exact_threshold: 10,
-            top_fraction_permille: 100,
         }
     }
 
@@ -110,21 +108,6 @@ impl IrregularGridModel {
     #[must_use]
     pub fn without_line_merging(mut self) -> IrregularGridModel {
         self.merge_lines = false;
-        self
-    }
-
-    /// Overrides the scoring fraction (default 10 %).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `permille` is 0 or greater than 1000.
-    #[must_use]
-    pub fn with_top_fraction_permille(mut self, permille: u32) -> IrregularGridModel {
-        assert!(
-            permille > 0 && permille <= 1000,
-            "permille must be in 1..=1000, got {permille}"
-        );
-        self.top_fraction_permille = permille;
         self
     }
 
@@ -181,7 +164,6 @@ pub struct IrCongestionMap {
     x_cuts: Vec<i64>,
     y_cuts: Vec<i64>,
     totals: Vec<f64>,
-    top_fraction: f64,
 }
 
 impl IrCongestionMap {
@@ -271,11 +253,10 @@ impl IrCongestionMap {
     }
 
     /// The floorplan congestion cost: area-weighted mean density of the
-    /// top 10 % (or configured fraction) most congested area units
-    /// (Algorithm step 5).
+    /// top 10 % most congested area units (Algorithm step 5).
     #[must_use]
     pub fn cost(&self) -> f64 {
-        top_area_fraction_mean(&self.density_area_pairs(), self.top_fraction)
+        top_area_fraction_mean(&self.density_area_pairs(), TOP_FRACTION)
     }
 
     /// The peak IR-grid density.

@@ -44,16 +44,18 @@ mod fixed;
 mod grid;
 pub mod irregular;
 mod lz;
+mod map;
 pub mod num;
 mod routing;
 pub mod score;
 
-pub use fixed::{CellArithmetic, FixedCongestionMap, FixedGridModel};
+pub use fixed::{CellArithmetic, FixedGridModel};
 pub use grid::UnitGrid;
 pub use irregular::{
     ApproxConfig, Evaluator, IrCongestionMap, IrDeltaEvaluator, IrregularGridModel, WorkCounters,
 };
-pub use lz::{LzCongestionMap, LzShapeModel};
+pub use lz::LzShapeModel;
+pub use map::UnitGridMap;
 pub use routing::{NetType, RoutingRange};
 
 use irgrid_geom::{Point, Rect};

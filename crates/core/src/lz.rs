@@ -14,8 +14,7 @@
 
 use irgrid_geom::{Point, Rect, Um};
 
-use crate::score::top_fraction_mean;
-use crate::{CongestionModel, NetType, RoutingRange, UnitGrid};
+use crate::{CongestionModel, NetType, RoutingRange, UnitGridMap};
 
 /// The L/Z-shape fixed-grid congestion model.
 ///
@@ -38,7 +37,6 @@ use crate::{CongestionModel, NetType, RoutingRange, UnitGrid};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LzShapeModel {
     pitch: Um,
-    top_fraction_permille: u32,
 }
 
 impl LzShapeModel {
@@ -50,25 +48,7 @@ impl LzShapeModel {
     #[must_use]
     pub fn new(pitch: Um) -> LzShapeModel {
         assert!(pitch > Um::ZERO, "grid pitch must be positive, got {pitch}");
-        LzShapeModel {
-            pitch,
-            top_fraction_permille: 100,
-        }
-    }
-
-    /// Overrides the scoring fraction (default 10 %).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `permille` is 0 or greater than 1000.
-    #[must_use]
-    pub fn with_top_fraction_permille(mut self, permille: u32) -> LzShapeModel {
-        assert!(
-            permille > 0 && permille <= 1000,
-            "permille must be in 1..=1000, got {permille}"
-        );
-        self.top_fraction_permille = permille;
-        self
+        LzShapeModel { pitch }
     }
 
     /// The grid pitch.
@@ -135,24 +115,13 @@ impl LzShapeModel {
     ///
     /// Panics if `chip` is degenerate or not at the origin.
     #[must_use]
-    pub fn congestion_map(&self, chip: &Rect, segments: &[(Point, Point)]) -> LzCongestionMap {
-        let grid = UnitGrid::new(chip, self.pitch);
-        let mut values = vec![0.0f64; grid.cell_count()];
-        let cols = grid.cols();
+    pub fn congestion_map(&self, chip: &Rect, segments: &[(Point, Point)]) -> UnitGridMap {
+        let mut map = UnitGridMap::new(chip, self.pitch);
         for &(a, b) in segments {
-            let range = RoutingRange::from_segment(&grid, a, b);
-            for y in 0..range.g2() {
-                let row_base = (range.y0() + y) * cols + range.x0();
-                for x in 0..range.g1() {
-                    values[(row_base + x) as usize] += Self::cell_probability(&range, x, y);
-                }
-            }
+            let range = map.range_of(a, b);
+            map.add_range(&range, Self::cell_probability);
         }
-        LzCongestionMap {
-            grid,
-            values,
-            top_fraction: self.top_fraction_permille as f64 / 1000.0,
-        }
+        map
     }
 }
 
@@ -171,51 +140,6 @@ impl crate::DeltaCongestion for LzShapeModel {
 
     fn delta_session(&self) -> Self::DeltaSession {
         crate::StatelessDeltaSession::new(*self)
-    }
-}
-
-/// The per-grid congestion produced by [`LzShapeModel`].
-#[derive(Debug, Clone)]
-pub struct LzCongestionMap {
-    grid: UnitGrid,
-    values: Vec<f64>,
-    top_fraction: f64,
-}
-
-impl LzCongestionMap {
-    /// The underlying grid.
-    #[must_use]
-    pub fn grid(&self) -> &UnitGrid {
-        &self.grid
-    }
-
-    /// The congestion value of one grid cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell is out of range.
-    #[must_use]
-    pub fn value(&self, x: i64, y: i64) -> f64 {
-        assert!(
-            (0..self.grid.cols()).contains(&x) && (0..self.grid.rows()).contains(&y),
-            "cell ({x}, {y}) outside {}x{} grid",
-            self.grid.cols(),
-            self.grid.rows()
-        );
-        self.values[(y * self.grid.cols() + x) as usize]
-    }
-
-    /// All cell values in row-major order.
-    #[must_use]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// The floorplan congestion cost: mean of the top-fraction most
-    /// congested grids.
-    #[must_use]
-    pub fn cost(&self) -> f64 {
-        top_fraction_mean(&self.values, self.top_fraction)
     }
 }
 

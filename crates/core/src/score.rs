@@ -6,6 +6,10 @@
 //! Algorithm step 5): IR-grids differ in size, so their totals are first
 //! converted to per-area densities and then area-weighted.
 
+/// The paper's scoring fraction: every congestion model scores a
+/// floorplan by its top 10 % most congested grids or area units.
+pub const TOP_FRACTION: f64 = 0.1;
+
 /// Mean of the largest `fraction` of `values` (the fixed-grid score).
 ///
 /// At least one value is always taken for a non-empty input; an empty

@@ -6,7 +6,7 @@ use irgrid_core::num::{binomial_u128, LnFactorials};
 use irgrid_core::score::{top_area_fraction_mean, top_fraction_mean};
 use irgrid_core::{
     CongestionModel, DeltaCongestion, DeltaCongestionSession, Evaluator, FixedGridModel,
-    IrregularGridModel, NetType, RoutingRange, UnitGrid,
+    IrregularGridModel, NetType, RoutingRange, SpatialCongestion, UnitGrid,
 };
 use irgrid_geom::{Point, Rect, Um};
 use proptest::prelude::*;
@@ -222,6 +222,29 @@ mod model_invariants {
                 "mass {} vs expected {expected}",
                 map.total_mass()
             );
+
+            // Each net alone, through the `Raster` path: its map sums to 1
+            // on every anti-diagonal of its routing range.
+            for &(a, b) in &segments {
+                let raster = FixedGridModel::new(Um(30)).raster(&chip, &[(a, b)]);
+                let r = RoutingRange::from_segment(&grid, a, b);
+                let (g1, g2) = (r.g1(), r.g2());
+                for d in 0..(g1 + g2 - 1) {
+                    let sum: f64 = (0..g1)
+                        .filter_map(|x| {
+                            let y = match r.net_type() {
+                                NetType::TypeI => d - x,
+                                NetType::TypeII => g2 - 1 - (d - x),
+                            };
+                            r.contains_local(x, y).then(|| {
+                                let cell = (r.y0() + y) * grid.cols() + r.x0() + x;
+                                raster.values()[usize::try_from(cell).expect("in-grid cell")]
+                            })
+                        })
+                        .sum();
+                    prop_assert!((sum - 1.0).abs() < 1e-9, "{:?} diagonal {d}: {sum}", r);
+                }
+            }
         }
 
         #[test]

@@ -26,12 +26,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod interval;
 mod point;
 mod rect;
 mod um;
 
-pub use interval::Interval;
 pub use point::Point;
 pub use rect::Rect;
 pub use um::{Um, UmArea};

@@ -4,7 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Interval, Point, Um, UmArea};
+use crate::{Point, Um, UmArea};
 
 /// An axis-aligned rectangle, closed on all four sides.
 ///
@@ -88,18 +88,6 @@ impl Rect {
         self.ur
     }
 
-    /// Horizontal extent as an interval.
-    #[must_use]
-    pub fn x_range(&self) -> Interval {
-        Interval::new(self.ll.x, self.ur.x)
-    }
-
-    /// Vertical extent as an interval.
-    #[must_use]
-    pub fn y_range(&self) -> Interval {
-        Interval::new(self.ll.y, self.ur.y)
-    }
-
     /// Width (`ur.x - ll.x`).
     #[must_use]
     pub fn width(&self) -> Um {
@@ -133,14 +121,13 @@ impl Rect {
     /// Whether `p` lies inside or on the boundary.
     #[must_use]
     pub fn contains(&self, p: Point) -> bool {
-        self.x_range().contains(p.x) && self.y_range().contains(p.y)
+        self.ll.x <= p.x && p.x <= self.ur.x && self.ll.y <= p.y && p.y <= self.ur.y
     }
 
     /// Whether `other` lies entirely within `self` (boundaries may touch).
     #[must_use]
     pub fn contains_rect(&self, other: &Rect) -> bool {
-        self.x_range().contains_interval(other.x_range())
-            && self.y_range().contains_interval(other.y_range())
+        self.contains(other.ll) && self.contains(other.ur)
     }
 
     /// The overlap with `other`, or `None` if they are disjoint.
@@ -148,12 +135,9 @@ impl Rect {
     /// Rectangles that merely touch overlap in a degenerate rectangle.
     #[must_use]
     pub fn intersection(&self, other: &Rect) -> Option<Rect> {
-        let x = self.x_range().intersection(other.x_range())?;
-        let y = self.y_range().intersection(other.y_range())?;
-        Some(Rect {
-            ll: Point::new(x.lo(), y.lo()),
-            ur: Point::new(x.hi(), y.hi()),
-        })
+        let ll = self.ll.max(other.ll);
+        let ur = self.ur.min(other.ur);
+        (ll.x <= ur.x && ll.y <= ur.y).then_some(Rect { ll, ur })
     }
 
     /// Whether `self` and `other` overlap with positive area.
@@ -228,11 +212,21 @@ mod tests {
     #[test]
     fn containment() {
         let outer = rect(0, 0, 10, 10);
-        assert!(outer.contains(Point::new(Um(0), Um(10))));
-        assert!(!outer.contains(Point::new(Um(11), Um(0))));
+        // Closed on every edge.
+        for (x, y) in [(0, 0), (10, 10), (0, 10), (10, 0), (5, 5)] {
+            assert!(outer.contains(Point::new(Um(x), Um(y))), "({x}, {y})");
+        }
+        for (x, y) in [(-1, 5), (11, 5), (5, -1), (5, 11)] {
+            assert!(!outer.contains(Point::new(Um(x), Um(y))), "({x}, {y})");
+        }
         assert!(outer.contains_rect(&rect(1, 1, 9, 9)));
         assert!(outer.contains_rect(&outer));
         assert!(!outer.contains_rect(&rect(1, 1, 11, 9)));
+        assert!(!outer.contains_rect(&rect(-1, 1, 9, 9)));
+        // A point rectangle contains exactly itself.
+        let point = rect(4, 4, 4, 4);
+        assert!(point.contains_rect(&point));
+        assert!(!point.contains(Point::new(Um(4), Um(5))));
     }
 
     #[test]
@@ -245,8 +239,14 @@ mod tests {
         let c = rect(10, 0, 20, 10);
         assert_eq!(a.intersection(&c), Some(rect(10, 0, 10, 10)));
         assert!(!a.overlaps_area(&c));
-        // Disjoint.
+        // Touching corners: a point.
+        assert_eq!(
+            a.intersection(&rect(10, 10, 20, 20)),
+            Some(rect(10, 10, 10, 10))
+        );
+        // Disjoint, and overlapping in one axis only.
         assert_eq!(a.intersection(&rect(11, 11, 12, 12)), None);
+        assert_eq!(a.intersection(&rect(2, 11, 8, 12)), None);
     }
 
     #[test]

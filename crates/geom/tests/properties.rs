@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry primitives.
 
-use irgrid_geom::{Interval, Point, Rect, Um};
+use irgrid_geom::{Point, Rect, Um};
 use proptest::prelude::*;
 
 fn arb_um() -> impl Strategy<Value = Um> {
@@ -15,10 +15,6 @@ fn arb_rect() -> impl Strategy<Value = Rect> {
     (arb_point(), arb_point()).prop_map(|(a, b)| Rect::from_corner_points(a, b))
 }
 
-fn arb_interval() -> impl Strategy<Value = Interval> {
-    (arb_um(), arb_um()).prop_map(|(a, b)| Interval::spanning(a, b))
-}
-
 proptest! {
     #[test]
     fn manhattan_distance_triangle_inequality(a in arb_point(), b in arb_point(), c in arb_point()) {
@@ -29,26 +25,6 @@ proptest! {
     fn manhattan_distance_symmetry(a in arb_point(), b in arb_point()) {
         prop_assert_eq!(a.manhattan_distance(b), b.manhattan_distance(a));
         prop_assert_eq!(a.manhattan_distance(a), Um::ZERO);
-    }
-
-    #[test]
-    fn interval_intersection_commutes(a in arb_interval(), b in arb_interval()) {
-        prop_assert_eq!(a.intersection(b), b.intersection(a));
-    }
-
-    #[test]
-    fn interval_intersection_contained_in_both(a in arb_interval(), b in arb_interval()) {
-        if let Some(i) = a.intersection(b) {
-            prop_assert!(a.contains_interval(i));
-            prop_assert!(b.contains_interval(i));
-        }
-    }
-
-    #[test]
-    fn interval_hull_contains_both(a in arb_interval(), b in arb_interval()) {
-        let h = a.hull(b);
-        prop_assert!(h.contains_interval(a));
-        prop_assert!(h.contains_interval(b));
     }
 
     #[test]

@@ -754,24 +754,74 @@ mod tests {
         assert_eq!(native.stats, a.stats);
     }
 
+    /// Runs a one-module circuit through the whole floorplanner with
+    /// `model` on representation `R`: an annealing run, its evaluation,
+    /// and a few delta moves, each checked against a fresh rebase.
+    fn run_single_module<M, R>(circuit: &Circuit, model: Option<M>)
+    where
+        M: DeltaCongestion + Clone,
+        R: FloorplanRepr,
+    {
+        let label = format!(
+            "{} on {}",
+            model.as_ref().map_or("no model".to_owned(), |m| m.name()),
+            std::any::type_name::<R>()
+        );
+        let make = || -> FloorplanProblem<'_, M, R> {
+            FloorplanProblem::with_representation(
+                circuit,
+                Um(30),
+                Weights::balanced(),
+                model.clone(),
+            )
+        };
+        let problem = make();
+        let result = anneal(&Annealer::new(Schedule::quick()), &problem, 1);
+        let eval = problem.evaluate(&result.best);
+        assert_eq!(eval.area_um2, 5000.0, "{label}");
+        assert_eq!(eval.wirelength_um, 0.0, "{label}");
+        assert_eq!(eval.congestion, 0.0, "{label}");
+
+        let scratch = make();
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut state = problem.initial_state();
+        let _ = problem.rebase(&state);
+        for step in 0..4 {
+            let proposed = problem.propose(&mut state, &mut rng);
+            assert_eq!(
+                proposed.to_bits(),
+                scratch.rebase(&state).to_bits(),
+                "{label}, step {step}"
+            );
+            if step % 2 == 0 {
+                problem.commit();
+            } else {
+                problem.undo(&mut state);
+            }
+        }
+    }
+
     #[test]
     fn single_module_circuit_is_stable() {
+        use irgrid_core::LzShapeModel;
+        use irgrid_floorplan::SequencePair;
         let circuit = Circuit::new(
             "one",
             vec![irgrid_netlist::Module::new("m", Um(100), Um(50)).expect("valid")],
             vec![],
         )
         .expect("valid");
-        let problem = FloorplanProblem::new(
-            &circuit,
-            Um(30),
-            Weights::balanced(),
-            None::<FixedGridModel>,
-        );
-        let result = anneal(&Annealer::new(Schedule::quick()), &problem, 1);
-        let eval = problem.evaluate(&result.best);
-        assert_eq!(eval.area_um2, 5000.0);
-        assert_eq!(eval.wirelength_um, 0.0);
+        run_single_module::<FixedGridModel, PolishExpr>(&circuit, None);
+        run_single_module::<FixedGridModel, SequencePair>(&circuit, None);
+        let irregular = Some(IrregularGridModel::new(Um(30)));
+        run_single_module::<_, PolishExpr>(&circuit, irregular);
+        run_single_module::<_, SequencePair>(&circuit, irregular);
+        let fixed = Some(FixedGridModel::new(Um(30)));
+        run_single_module::<_, PolishExpr>(&circuit, fixed);
+        run_single_module::<_, SequencePair>(&circuit, fixed);
+        let lz = Some(LzShapeModel::new(Um(30)));
+        run_single_module::<_, PolishExpr>(&circuit, lz);
+        run_single_module::<_, SequencePair>(&circuit, lz);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! assert!(svg.contains("</svg>"));
 //! ```
 
-use irgrid_core::{FixedCongestionMap, IrCongestionMap};
+use irgrid_core::{IrCongestionMap, UnitGridMap};
 use irgrid_floorplan::Placement;
 use irgrid_geom::Rect;
 use irgrid_netlist::Circuit;
@@ -150,11 +150,7 @@ pub fn ir_congestion_svg(
 
 /// Renders a fixed-grid congestion map as a heat overlay.
 #[must_use]
-pub fn fixed_congestion_svg(
-    circuit: &Circuit,
-    placement: &Placement,
-    map: &FixedCongestionMap,
-) -> String {
+pub fn fixed_congestion_svg(circuit: &Circuit, placement: &Placement, map: &UnitGridMap) -> String {
     let chip = placement.chip();
     let mut svg = svg_open(&chip, 0.0);
     svg.push_str(&rect_elem(

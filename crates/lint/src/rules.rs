@@ -116,9 +116,11 @@ const LIBRARY_CRATE_PREFIXES: &[&str] = &[
 /// The fixed-point and binomial numeric paths audited by C1. The delta
 /// evaluator is included because its bit-identity guarantee rests on
 /// exact integer accumulation — an unaudited cast there can silently
-/// break `delta == rebuild`.
+/// break `delta == rebuild`. The unit-grid map is included for its cell
+/// index arithmetic, which every fixed-pitch model's map goes through.
 const CAST_AUDIT_PREFIXES: &[&str] = &[
     "crates/core/src/fixed.rs",
+    "crates/core/src/map.rs",
     "crates/core/src/num/",
     "crates/core/src/irregular/delta.rs",
 ];

@@ -29,10 +29,12 @@
 //!   horizontal track somewhere in its row span and one vertical track
 //!   somewhere in its column span.
 //!
-//! Every predictor is deterministic (pure functions of `(chip,
-//! segments)`, fixed iteration order, no wall clock, no hashing) and
-//! allocation-disciplined: one map-sized buffer per evaluation, nothing
-//! per segment.
+//! Each predictor fills one [`irgrid_core::UnitGridMap`], the map the
+//! fixed-grid and L/Z models fill too, and scores it with
+//! [`irgrid_core::score::TOP_FRACTION`]. Every predictor is deterministic
+//! (pure functions of `(chip, segments)`, fixed iteration order, no wall
+//! clock, no hashing) and allocation-disciplined: one map-sized buffer
+//! per evaluation, nothing per segment.
 //!
 //! # Examples
 //!
@@ -52,13 +54,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod demand;
 mod net_demand;
 mod pin_density;
 mod rent;
 mod span;
 
-pub use demand::DemandGrid;
 pub use net_demand::{NetDemandModel, WeightedNetDemandModel};
 pub use pin_density::PinDensityModel;
 pub use rent::RentDemandModel;
@@ -67,16 +67,3 @@ pub use span::SpanDemandModel;
 // Re-exported so downstream code can bound generics on the traits the
 // predictors implement without a separate irgrid-core dependency.
 pub use irgrid_core::{CongestionModel, SpatialCongestion};
-
-/// Validates a permille scoring fraction (shared by every predictor's
-/// `with_top_fraction_permille`).
-///
-/// # Panics
-///
-/// Panics if `permille` is 0 or greater than 1000.
-fn check_permille(permille: u32) {
-    assert!(
-        permille > 0 && permille <= 1000,
-        "permille must be in 1..=1000, got {permille}"
-    );
-}

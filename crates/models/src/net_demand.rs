@@ -1,10 +1,8 @@
 //! Bounding-box wiring demand, uniform and wirelength-weighted.
 
 use irgrid_core::analysis::Raster;
-use irgrid_core::{CongestionModel, SpatialCongestion};
+use irgrid_core::{CongestionModel, SpatialCongestion, UnitGridMap};
 use irgrid_geom::{Point, Rect, Um};
-
-use crate::demand::DemandGrid;
 
 /// Standard net demand: every net deposits one unit of demand, spread
 /// uniformly over the `g1 × g2` cells of its bounding box. Cells
@@ -25,7 +23,6 @@ use crate::demand::DemandGrid;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetDemandModel {
     pitch: Um,
-    top_fraction_permille: u32,
 }
 
 impl NetDemandModel {
@@ -38,22 +35,7 @@ impl NetDemandModel {
     #[must_use]
     pub fn new(pitch: Um) -> NetDemandModel {
         assert!(pitch > Um::ZERO, "grid pitch must be positive, got {pitch}");
-        NetDemandModel {
-            pitch,
-            top_fraction_permille: 100,
-        }
-    }
-
-    /// Overrides the scoring fraction (default 10 %).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `permille` is 0 or greater than 1000.
-    #[must_use]
-    pub fn with_top_fraction_permille(mut self, permille: u32) -> NetDemandModel {
-        crate::check_permille(permille);
-        self.top_fraction_permille = permille;
-        self
+        NetDemandModel { pitch }
     }
 
     /// The grid pitch.
@@ -62,12 +44,12 @@ impl NetDemandModel {
         self.pitch
     }
 
-    fn build(&self, chip: &Rect, segments: &[(Point, Point)]) -> DemandGrid {
-        let mut map = DemandGrid::new(chip, self.pitch);
+    fn build(&self, chip: &Rect, segments: &[(Point, Point)]) -> UnitGridMap {
+        let mut map = UnitGridMap::new(chip, self.pitch);
         for &(a, b) in segments {
             let range = map.range_of(a, b);
-            let cells = (range.g1() * range.g2()) as f64;
-            map.add_range(&range, 1.0 / cells);
+            let per_cell = 1.0 / (range.g1() * range.g2()) as f64;
+            map.add_range(&range, |_, _, _| per_cell);
         }
         map
     }
@@ -75,8 +57,7 @@ impl NetDemandModel {
 
 impl CongestionModel for NetDemandModel {
     fn evaluate(&self, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
-        self.build(chip, segments)
-            .cost(f64::from(self.top_fraction_permille) / 1000.0)
+        self.build(chip, segments).cost()
     }
 
     fn name(&self) -> String {
@@ -98,7 +79,6 @@ impl SpatialCongestion for NetDemandModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WeightedNetDemandModel {
     pitch: Um,
-    top_fraction_permille: u32,
 }
 
 impl WeightedNetDemandModel {
@@ -111,22 +91,7 @@ impl WeightedNetDemandModel {
     #[must_use]
     pub fn new(pitch: Um) -> WeightedNetDemandModel {
         assert!(pitch > Um::ZERO, "grid pitch must be positive, got {pitch}");
-        WeightedNetDemandModel {
-            pitch,
-            top_fraction_permille: 100,
-        }
-    }
-
-    /// Overrides the scoring fraction (default 10 %).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `permille` is 0 or greater than 1000.
-    #[must_use]
-    pub fn with_top_fraction_permille(mut self, permille: u32) -> WeightedNetDemandModel {
-        crate::check_permille(permille);
-        self.top_fraction_permille = permille;
-        self
+        WeightedNetDemandModel { pitch }
     }
 
     /// The grid pitch.
@@ -135,13 +100,14 @@ impl WeightedNetDemandModel {
         self.pitch
     }
 
-    fn build(&self, chip: &Rect, segments: &[(Point, Point)]) -> DemandGrid {
-        let mut map = DemandGrid::new(chip, self.pitch);
+    fn build(&self, chip: &Rect, segments: &[(Point, Point)]) -> UnitGridMap {
+        let mut map = UnitGridMap::new(chip, self.pitch);
         for &(a, b) in segments {
             let range = map.range_of(a, b);
             let cells = (range.g1() * range.g2()) as f64;
             let wirelength = (range.g1() + range.g2() - 1) as f64;
-            map.add_range(&range, wirelength / cells);
+            let per_cell = wirelength / cells;
+            map.add_range(&range, |_, _, _| per_cell);
         }
         map
     }
@@ -149,8 +115,7 @@ impl WeightedNetDemandModel {
 
 impl CongestionModel for WeightedNetDemandModel {
     fn evaluate(&self, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
-        self.build(chip, segments)
-            .cost(f64::from(self.top_fraction_permille) / 1000.0)
+        self.build(chip, segments).cost()
     }
 
     fn name(&self) -> String {

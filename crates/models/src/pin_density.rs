@@ -1,10 +1,8 @@
 //! Pin density: the oldest congestion proxy there is.
 
 use irgrid_core::analysis::Raster;
-use irgrid_core::{CongestionModel, SpatialCongestion};
+use irgrid_core::{CongestionModel, SpatialCongestion, UnitGridMap};
 use irgrid_geom::{Point, Rect, Um};
-
-use crate::demand::DemandGrid;
 
 /// Counts segment endpoints (pins after MST decomposition) per grid
 /// cell. Cells crowded with pins need local wiring regardless of where
@@ -26,7 +24,6 @@ use crate::demand::DemandGrid;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PinDensityModel {
     pitch: Um,
-    top_fraction_permille: u32,
 }
 
 impl PinDensityModel {
@@ -39,22 +36,7 @@ impl PinDensityModel {
     #[must_use]
     pub fn new(pitch: Um) -> PinDensityModel {
         assert!(pitch > Um::ZERO, "grid pitch must be positive, got {pitch}");
-        PinDensityModel {
-            pitch,
-            top_fraction_permille: 100,
-        }
-    }
-
-    /// Overrides the scoring fraction (default 10 %).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `permille` is 0 or greater than 1000.
-    #[must_use]
-    pub fn with_top_fraction_permille(mut self, permille: u32) -> PinDensityModel {
-        crate::check_permille(permille);
-        self.top_fraction_permille = permille;
-        self
+        PinDensityModel { pitch }
     }
 
     /// The grid pitch.
@@ -63,8 +45,8 @@ impl PinDensityModel {
         self.pitch
     }
 
-    fn build(&self, chip: &Rect, segments: &[(Point, Point)]) -> DemandGrid {
-        let mut map = DemandGrid::new(chip, self.pitch);
+    fn build(&self, chip: &Rect, segments: &[(Point, Point)]) -> UnitGridMap {
+        let mut map = UnitGridMap::new(chip, self.pitch);
         for &(a, b) in segments {
             map.add_point(a, 1.0);
             map.add_point(b, 1.0);
@@ -75,8 +57,7 @@ impl PinDensityModel {
 
 impl CongestionModel for PinDensityModel {
     fn evaluate(&self, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
-        self.build(chip, segments)
-            .cost(f64::from(self.top_fraction_permille) / 1000.0)
+        self.build(chip, segments).cost()
     }
 
     fn name(&self) -> String {

@@ -1,10 +1,11 @@
 //! Rent's-rule wiring demand.
 
 use irgrid_core::analysis::Raster;
-use irgrid_core::{CongestionModel, SpatialCongestion};
+use irgrid_core::{CongestionModel, SpatialCongestion, UnitGridMap};
 use irgrid_geom::{Point, Rect, Um};
 
-use crate::demand::DemandGrid;
+/// The classic Rent exponent for random logic.
+const RENT_EXPONENT: f64 = 0.6;
 
 /// Maps per-cell pin counts through a Rent's-rule power law.
 ///
@@ -14,13 +15,11 @@ use crate::demand::DemandGrid;
 /// dense cluster keeps a growing share of its connectivity internal.
 /// Compared with raw [`crate::PinDensityModel`] this damps the very
 /// hottest pin clusters and so predicts *routable* density rather than
-/// raw pin crowding. The default exponent 0.6 is the classic value for
-/// random logic; tune with [`with_exponent`](RentDemandModel::with_exponent).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// raw pin crowding. The exponent is the classic `p = 0.6` for random
+/// logic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RentDemandModel {
     pitch: Um,
-    exponent: f64,
-    top_fraction_permille: u32,
 }
 
 impl RentDemandModel {
@@ -33,38 +32,7 @@ impl RentDemandModel {
     #[must_use]
     pub fn new(pitch: Um) -> RentDemandModel {
         assert!(pitch > Um::ZERO, "grid pitch must be positive, got {pitch}");
-        RentDemandModel {
-            pitch,
-            exponent: 0.6,
-            top_fraction_permille: 100,
-        }
-    }
-
-    /// Overrides the Rent exponent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exponent` is not in `(0, 1]`.
-    #[must_use]
-    pub fn with_exponent(mut self, exponent: f64) -> RentDemandModel {
-        assert!(
-            exponent > 0.0 && exponent <= 1.0,
-            "Rent exponent must be in (0, 1], got {exponent}"
-        );
-        self.exponent = exponent;
-        self
-    }
-
-    /// Overrides the scoring fraction (default 10 %).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `permille` is 0 or greater than 1000.
-    #[must_use]
-    pub fn with_top_fraction_permille(mut self, permille: u32) -> RentDemandModel {
-        crate::check_permille(permille);
-        self.top_fraction_permille = permille;
-        self
+        RentDemandModel { pitch }
     }
 
     /// The grid pitch.
@@ -73,32 +41,30 @@ impl RentDemandModel {
         self.pitch
     }
 
-    /// The Rent exponent in use.
-    #[must_use]
-    pub fn exponent(&self) -> f64 {
-        self.exponent
-    }
-
-    fn build(&self, chip: &Rect, segments: &[(Point, Point)]) -> DemandGrid {
-        let mut map = DemandGrid::new(chip, self.pitch);
+    fn build(&self, chip: &Rect, segments: &[(Point, Point)]) -> UnitGridMap {
+        let mut map = UnitGridMap::new(chip, self.pitch);
         for &(a, b) in segments {
             map.add_point(a, 1.0);
             map.add_point(b, 1.0);
         }
-        let p = self.exponent;
-        map.map_values(|pins| if pins > 0.0 { pins.powf(p) } else { 0.0 });
+        map.map_values(|pins| {
+            if pins > 0.0 {
+                pins.powf(RENT_EXPONENT)
+            } else {
+                0.0
+            }
+        });
         map
     }
 }
 
 impl CongestionModel for RentDemandModel {
     fn evaluate(&self, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
-        self.build(chip, segments)
-            .cost(f64::from(self.top_fraction_permille) / 1000.0)
+        self.build(chip, segments).cost()
     }
 
     fn name(&self) -> String {
-        format!("rent-demand {} p={}", self.pitch, self.exponent)
+        format!("rent-demand {} p={RENT_EXPONENT}", self.pitch)
     }
 }
 
@@ -144,21 +110,18 @@ mod tests {
     }
 
     #[test]
-    fn exponent_one_is_pin_density() {
-        let segments = vec![(pt(15, 15), pt(255, 195)), (pt(45, 255), pt(285, 15))];
-        let rent = RentDemandModel::new(Um(30)).with_exponent(1.0);
-        let pins = PinDensityModel::new(Um(30));
-        let (a, b) = (
-            rent.evaluate(&chip(), &segments),
-            pins.evaluate(&chip(), &segments),
-        );
-        assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-    }
-
-    #[test]
-    #[should_panic(expected = "Rent exponent")]
-    fn wild_exponent_rejected() {
-        let _ = RentDemandModel::new(Um(30)).with_exponent(1.5);
+    fn maps_pin_density_through_the_power_law() {
+        let segments = vec![
+            (pt(15, 15), pt(255, 195)),
+            (pt(15, 15), pt(285, 15)),
+            (pt(45, 255), pt(285, 15)),
+        ];
+        let rent = RentDemandModel::new(Um(30)).raster(&chip(), &segments);
+        let pins = PinDensityModel::new(Um(30)).raster(&chip(), &segments);
+        for (r, p) in rent.values().iter().zip(pins.values()) {
+            let expected = if *p > 0.0 { p.powf(0.6) } else { 0.0 };
+            assert_eq!(r.to_bits(), expected.to_bits(), "{r} vs {p}^0.6");
+        }
     }
 
     #[test]

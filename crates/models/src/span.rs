@@ -1,10 +1,8 @@
 //! Per-axis span (track) demand.
 
 use irgrid_core::analysis::Raster;
-use irgrid_core::{CongestionModel, SpatialCongestion};
+use irgrid_core::{CongestionModel, SpatialCongestion, UnitGridMap};
 use irgrid_geom::{Point, Rect, Um};
-
-use crate::demand::DemandGrid;
 
 /// Track-oriented demand: any route of a net needs one horizontal track
 /// somewhere in the `g2` rows of its bounding box and one vertical
@@ -28,7 +26,6 @@ use crate::demand::DemandGrid;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanDemandModel {
     pitch: Um,
-    top_fraction_permille: u32,
 }
 
 impl SpanDemandModel {
@@ -41,22 +38,7 @@ impl SpanDemandModel {
     #[must_use]
     pub fn new(pitch: Um) -> SpanDemandModel {
         assert!(pitch > Um::ZERO, "grid pitch must be positive, got {pitch}");
-        SpanDemandModel {
-            pitch,
-            top_fraction_permille: 100,
-        }
-    }
-
-    /// Overrides the scoring fraction (default 10 %).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `permille` is 0 or greater than 1000.
-    #[must_use]
-    pub fn with_top_fraction_permille(mut self, permille: u32) -> SpanDemandModel {
-        crate::check_permille(permille);
-        self.top_fraction_permille = permille;
-        self
+        SpanDemandModel { pitch }
     }
 
     /// The grid pitch.
@@ -65,12 +47,12 @@ impl SpanDemandModel {
         self.pitch
     }
 
-    fn build(&self, chip: &Rect, segments: &[(Point, Point)]) -> DemandGrid {
-        let mut map = DemandGrid::new(chip, self.pitch);
+    fn build(&self, chip: &Rect, segments: &[(Point, Point)]) -> UnitGridMap {
+        let mut map = UnitGridMap::new(chip, self.pitch);
         for &(a, b) in segments {
             let range = map.range_of(a, b);
             let per_cell = 1.0 / range.g2() as f64 + 1.0 / range.g1() as f64;
-            map.add_range(&range, per_cell);
+            map.add_range(&range, |_, _, _| per_cell);
         }
         map
     }
@@ -78,8 +60,7 @@ impl SpanDemandModel {
 
 impl CongestionModel for SpanDemandModel {
     fn evaluate(&self, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
-        self.build(chip, segments)
-            .cost(f64::from(self.top_fraction_permille) / 1000.0)
+        self.build(chip, segments).cost()
     }
 
     fn name(&self) -> String {

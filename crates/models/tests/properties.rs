@@ -1,11 +1,13 @@
-//! Property-based tests for the structural predictors.
+//! Property-based tests for the seven models that fill a unit-grid map:
+//! the structural predictors and the fixed-grid and L/Z models.
 //!
-//! Every predictor must be a pure function of the geometry: repeated
+//! Every model must be a pure function of the geometry: repeated
 //! evaluation is bit-identical, and rigidly translating the whole
 //! netlist by a pitch multiple relocates the demand map without
 //! changing its values or the scalar cost.
 
-use irgrid_core::{SpatialCongestion, UnitGrid};
+use irgrid_core::score::{top_fraction_mean, TOP_FRACTION};
+use irgrid_core::{FixedGridModel, LzShapeModel, SpatialCongestion, UnitGrid};
 use irgrid_geom::{Point, Rect, Um};
 use irgrid_models::{
     NetDemandModel, PinDensityModel, RentDemandModel, SpanDemandModel, WeightedNetDemandModel,
@@ -14,8 +16,12 @@ use proptest::prelude::*;
 
 const PITCH: i64 = 30;
 
+/// Every model that fills a map on the unit grid: the fixed-grid and
+/// L/Z probabilistic models and the five structural predictors.
 fn models() -> Vec<Box<dyn SpatialCongestion>> {
     vec![
+        Box::new(FixedGridModel::new(Um(PITCH))),
+        Box::new(LzShapeModel::new(Um(PITCH))),
         Box::new(PinDensityModel::new(Um(PITCH))),
         Box::new(NetDemandModel::new(Um(PITCH))),
         Box::new(WeightedNetDemandModel::new(Um(PITCH))),
@@ -110,8 +116,7 @@ proptest! {
         for model in models() {
             let cost = model.evaluate(&chip(), &segments);
             let raster = model.raster(&chip(), &segments);
-            let rederived =
-                irgrid_core::score::top_fraction_mean(raster.values(), 0.1);
+            let rederived = top_fraction_mean(raster.values(), TOP_FRACTION);
             prop_assert_eq!(
                 cost.to_bits(),
                 rederived.to_bits(),
