@@ -220,6 +220,48 @@ mod tests {
     }
 
     #[test]
+    fn empty_map_scores_zero() {
+        let map = UnitGridMap::new(&chip(), Um(30));
+        assert_eq!(map.cost(), 0.0);
+        assert_eq!(map.peak(), 0.0);
+        assert_eq!(map.total_mass(), 0.0);
+        assert_eq!((map.grid().cols(), map.grid().rows()), (3, 3));
+    }
+
+    #[test]
+    fn point_deposits_on_the_far_edge_clamp_into_the_grid() {
+        let mut map = UnitGridMap::new(&chip(), Um(30));
+        map.add_point(Point::new(Um(90), Um(90)), 1.0);
+        map.add_point(Point::new(Um(90), Um(0)), 2.0);
+        assert_eq!(map.value(2, 2), 1.0);
+        assert_eq!(map.value(2, 0), 2.0);
+        assert_eq!(map.total_mass(), 3.0);
+    }
+
+    #[test]
+    fn deposits_accumulate_in_call_order() {
+        let mut map = UnitGridMap::new(&chip(), Um(30));
+        let range = RoutingRange::from_cells(0, 0, 1, 1, NetType::TypeI);
+        for amount in [0.1, 0.2, 0.3] {
+            map.add_range(&range, |_, _, _| amount);
+        }
+        // Left to right, as the deposits were made; a different order
+        // would round differently.
+        let expected = (0.1f64 + 0.2) + 0.3;
+        assert_ne!(expected.to_bits(), (0.1f64 + (0.2 + 0.3)).to_bits());
+        assert_eq!(map.value(0, 0).to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn map_values_transforms_every_cell() {
+        let mut map = UnitGridMap::new(&chip(), Um(30));
+        map.add_point(Point::new(Um(45), Um(45)), 4.0);
+        map.map_values(|v| v * 2.0 + 1.0);
+        assert_eq!(map.value(1, 1), 9.0);
+        assert_eq!(map.values().iter().filter(|&&v| v == 1.0).count(), 8);
+    }
+
+    #[test]
     fn into_raster_preserves_layout() {
         let mut map = UnitGridMap::new(&chip(), Um(30));
         map.add_point(Point::new(Um(0), Um(0)), 1.0);

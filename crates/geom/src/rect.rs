@@ -250,6 +250,39 @@ mod tests {
     }
 
     #[test]
+    fn contains_rect_checks_each_axis() {
+        let outer = rect(0, 0, 10, 10);
+        // Inside in x, outside in y (and the reverse).
+        assert!(!outer.contains_rect(&rect(1, 1, 9, 11)));
+        assert!(!outer.contains_rect(&rect(1, -1, 9, 9)));
+        assert!(!outer.contains_rect(&rect(-1, 1, 9, 9)));
+        assert!(!outer.contains_rect(&rect(1, 1, 11, 9)));
+        // Lines flush with an edge are inside.
+        assert!(outer.contains_rect(&rect(0, 0, 0, 10)));
+        assert!(outer.contains_rect(&rect(0, 10, 10, 10)));
+    }
+
+    #[test]
+    fn degenerate_intersections() {
+        // A horizontal and a vertical line cross in a point.
+        assert_eq!(
+            rect(0, 5, 10, 5).intersection(&rect(3, 0, 3, 10)),
+            Some(rect(3, 5, 3, 5))
+        );
+        // Collinear lines overlap in a line.
+        assert_eq!(
+            rect(0, 5, 10, 5).intersection(&rect(4, 5, 20, 5)),
+            Some(rect(4, 5, 10, 5))
+        );
+        // Parallel lines one unit apart do not meet.
+        assert_eq!(rect(0, 5, 10, 5).intersection(&rect(0, 6, 10, 6)), None);
+        // A point meets a rectangle in itself exactly when it is inside.
+        let point = rect(10, 4, 10, 4);
+        assert_eq!(rect(0, 0, 10, 10).intersection(&point), Some(point));
+        assert_eq!(rect(0, 0, 9, 10).intersection(&point), None);
+    }
+
+    #[test]
     fn hull_and_translate() {
         let h = rect(0, 0, 1, 1).hull(&rect(5, 7, 6, 9));
         assert_eq!(h, rect(0, 0, 6, 9));

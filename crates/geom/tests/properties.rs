@@ -41,10 +41,45 @@ proptest! {
     }
 
     #[test]
+    fn rect_intersection_holds_exactly_the_common_points(
+        a in arb_rect(),
+        b in arb_rect(),
+        p in arb_point(),
+    ) {
+        // Sample near the rectangles too, where the closed edges matter.
+        let near = Point::new(a.ll().x + Um(p.x.0 % 4), b.ur().y - Um(p.y.0 % 4));
+        for q in [p, near, a.ll(), a.ur(), b.ll(), b.ur()] {
+            let in_both = a.contains(q) && b.contains(q);
+            prop_assert_eq!(a.intersection(&b).is_some_and(|i| i.contains(q)), in_both);
+        }
+    }
+
+    #[test]
+    fn rect_contains_rect_iff_intersection_is_inner(a in arb_rect(), b in arb_rect()) {
+        prop_assert_eq!(a.contains_rect(&b), a.intersection(&b) == Some(b));
+        prop_assert!(a.contains_rect(&a));
+        prop_assert_eq!(a.intersection(&a), Some(a));
+    }
+
+    #[test]
     fn rect_hull_contains_both(a in arb_rect(), b in arb_rect()) {
         let h = a.hull(&b);
         prop_assert!(h.contains_rect(&a));
         prop_assert!(h.contains_rect(&b));
+    }
+
+    #[test]
+    fn rect_hull_is_the_smallest_cover(a in arb_rect(), b in arb_rect()) {
+        let h = a.hull(&b);
+        prop_assert_eq!(h, b.hull(&a));
+        // Every edge of the hull is an edge of one of the two.
+        prop_assert!(h.ll().x == a.ll().x || h.ll().x == b.ll().x);
+        prop_assert!(h.ll().y == a.ll().y || h.ll().y == b.ll().y);
+        prop_assert!(h.ur().x == a.ur().x || h.ur().x == b.ur().x);
+        prop_assert!(h.ur().y == a.ur().y || h.ur().y == b.ur().y);
+        if a.contains_rect(&b) {
+            prop_assert_eq!(h, a);
+        }
     }
 
     #[test]
