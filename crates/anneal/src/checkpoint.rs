@@ -20,7 +20,7 @@
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -30,6 +30,36 @@ use crate::Schedule;
 
 /// The checkpoint format version this library writes and reads.
 pub const FORMAT_VERSION: u32 = 1;
+
+/// The staging file [`write_atomic`] writes before renaming it over
+/// `path`: `path` with its extension replaced by `tmp`.
+#[must_use]
+pub fn staging_path(path: &Path) -> PathBuf {
+    path.with_extension("tmp")
+}
+
+/// Atomically replaces `path` with `bytes`, the one durable writer of
+/// the workspace: creates the [`staging_path`], writes `bytes`, syncs
+/// the file, closes it and renames it over `path`. A crash at any point
+/// leaves the old file or the new one, and at worst a torn staging file
+/// that readers never open. The parent directory is not synced after the
+/// rename, so a power loss can still undo the rename.
+///
+/// # Errors
+///
+/// The file that failed — the staging file, or `path` when the rename
+/// failed — with the I/O error.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), (PathBuf, std::io::Error)> {
+    let tmp = staging_path(path);
+    let staged = fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(bytes)?;
+        file.sync_all()
+    });
+    if let Err(err) = staged {
+        return Err((tmp, err));
+    }
+    fs::rename(&tmp, path).map_err(|err| (path.to_owned(), err))
+}
 
 /// Complete engine state at a temperature-step boundary.
 ///
@@ -78,23 +108,15 @@ impl<S: Serialize> Checkpoint<S> {
         serde_json::to_string_pretty(self).expect("checkpoint serialization is infallible")
     }
 
-    /// Atomically writes the checkpoint to `path`: the JSON is written to
-    /// a sibling temporary file and renamed into place, so a crash
-    /// mid-write never leaves a truncated checkpoint behind.
+    /// Atomically writes the checkpoint to `path` through
+    /// [`write_atomic`], so a crash mid-write never leaves a truncated
+    /// checkpoint behind.
     pub fn write_file(&self, path: &Path) -> Result<(), CheckpointIoError> {
-        let tmp = path.with_extension("tmp");
-        let io = |source| CheckpointIoError::Io {
-            path: tmp.display().to_string(),
-            source,
-        };
-        {
-            let mut file = fs::File::create(&tmp).map_err(io)?;
-            file.write_all(self.to_json().as_bytes()).map_err(io)?;
-            file.sync_all().map_err(io)?;
-        }
-        fs::rename(&tmp, path).map_err(|source| CheckpointIoError::Io {
-            path: path.display().to_string(),
-            source,
+        write_atomic(path, self.to_json().as_bytes()).map_err(|(path, source)| {
+            CheckpointIoError::Io {
+                path: path.display().to_string(),
+                source,
+            }
         })
     }
 }
@@ -218,6 +240,18 @@ mod tests {
         let back: Checkpoint<i64> = Checkpoint::read_file(&path).expect("read");
         assert_eq!(checkpoint, back);
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_atomic_write_names_the_staging_file() {
+        let path = std::env::temp_dir()
+            .join("irgrid_no_such_dir")
+            .join("ckpt.json");
+        let err = sample_checkpoint().write_file(&path).unwrap_err();
+        let CheckpointIoError::Io { path: named, .. } = err else {
+            panic!("expected an i/o error, got {err}");
+        };
+        assert_eq!(named, staging_path(&path).display().to_string());
     }
 
     #[test]

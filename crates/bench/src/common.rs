@@ -118,18 +118,18 @@ impl Mode {
         }
     }
 
-    /// Parses `--quick` / `--full` flags (default standard) plus
-    /// `--jobs <n>` and the fault-tolerance flags `--time-limit <seconds>`,
+    /// Reads `--quick` / `--full` (default standard) plus `--jobs <n>`
+    /// and the fault-tolerance flags `--time-limit <seconds>`,
     /// `--checkpoint <dir>`, and `--resume <dir>`.
-    pub fn from_args(args: &[String]) -> Mode {
-        let mut mode = if args.iter().any(|a| a == "--quick") {
+    pub fn from_args(args: &Args) -> Mode {
+        let mut mode = if args.has("--quick") {
             Mode::quick()
-        } else if args.iter().any(|a| a == "--full") {
+        } else if args.has("--full") {
             Mode::full()
         } else {
             Mode::standard()
         };
-        if let Some(text) = flag_value(args, "--jobs") {
+        if let Some(text) = args.value("--jobs") {
             let jobs: usize = text
                 .parse()
                 .unwrap_or_else(|_| die(&format!("--jobs `{text}` is not a count")));
@@ -139,7 +139,7 @@ impl Mode {
             mode.jobs = jobs;
         }
         mode.fault = FaultOptions {
-            deadline: flag_value(args, "--time-limit").map(|text| {
+            deadline: args.value("--time-limit").map(|text| {
                 let seconds: f64 = text
                     .parse()
                     .unwrap_or_else(|_| die(&format!("--time-limit `{text}` is not a number")));
@@ -148,19 +148,93 @@ impl Mode {
                 }
                 Instant::now() + Duration::from_secs_f64(seconds)
             }),
-            checkpoint_dir: flag_value(args, "--checkpoint").map(leak),
-            resume_dir: flag_value(args, "--resume").map(leak),
+            checkpoint_dir: args.value("--checkpoint").map(leak),
+            resume_dir: args.value("--resume").map(leak),
         };
         mode
     }
 }
 
-/// The value following a `--flag`, if present.
-pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    let position = args.iter().position(|a| a == flag)?;
-    match args.get(position + 1) {
-        Some(value) if !value.starts_with("--") => Some(value),
-        _ => die(&format!("{flag} needs a value")),
+/// Every flag `repro` accepts, as the help text in `main.rs` lists it,
+/// and whether it takes a value.
+const FLAGS: &[(&str, bool)] = &[
+    ("--quick", false),
+    ("--full", false),
+    ("--circuit", true),
+    ("--jobs", true),
+    ("--time-limit", true),
+    ("--checkpoint", true),
+    ("--resume", true),
+    ("--out", true),
+    ("--replicas", true),
+    ("--sync-every", true),
+    ("--seed0", true),
+    ("--independent", false),
+    ("--run-dir", true),
+];
+
+/// The command line, parsed once against [`FLAGS`].
+#[derive(Debug)]
+pub struct Args {
+    /// The command; `all` when none is given.
+    pub command: String,
+    /// The flags given, with their values. A repeated flag keeps its
+    /// first value.
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// Parses the arguments after the program name. A flag missing from
+    /// [`FLAGS`], a value-taking flag without a value and a second
+    /// command are errors; a flag's value is never the command.
+    pub fn parse(raw: &[String]) -> Result<Args, String> {
+        let mut command: Option<&String> = None;
+        let mut flags: Vec<(&'static str, Option<String>)> = Vec::new();
+        let mut rest = raw.iter();
+        while let Some(arg) = rest.next() {
+            if !arg.starts_with("--") {
+                if let Some(first) = command {
+                    return Err(format!(
+                        "unexpected argument `{arg}` after the command `{first}`"
+                    ));
+                }
+                command = Some(arg);
+                continue;
+            }
+            let Some(&(name, takes_value)) = FLAGS.iter().find(|(name, _)| name == arg) else {
+                return Err(format!(
+                    "unknown flag `{arg}`; see the help text in the source header"
+                ));
+            };
+            let value = if takes_value {
+                match rest.next() {
+                    Some(value) if !value.starts_with("--") => Some(value.clone()),
+                    _ => return Err(format!("{name} needs a value")),
+                }
+            } else {
+                None
+            };
+            if !flags.iter().any(|(seen, _)| *seen == name) {
+                flags.push((name, value));
+            }
+        }
+        Ok(Args {
+            command: command.map_or_else(|| "all".to_owned(), Clone::clone),
+            flags,
+        })
+    }
+
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(name, _)| *name == flag)
+    }
+
+    /// The value given with `flag`, if any.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(name, _)| *name == flag)
+            .and_then(|(_, value)| value.as_deref())
     }
 }
 
@@ -408,9 +482,13 @@ mod tests {
     use irgrid::congestion::IrregularGridModel;
     use irgrid::netlist::generator::CircuitGenerator;
 
+    fn parse(raw: &[&str]) -> Result<Args, String> {
+        Args::parse(&raw.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
     #[test]
     fn mode_flag_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let args = |v: &[&str]| parse(v).expect("known flags");
         assert_eq!(
             Mode::from_args(&args(&["--quick"])).seeds,
             Mode::quick().seeds
@@ -422,6 +500,31 @@ mod tests {
         );
         assert_eq!(Mode::from_args(&args(&["table1"])).jobs, 1);
         assert_eq!(Mode::from_args(&args(&["--quick", "--jobs", "4"])).jobs, 4);
+    }
+
+    #[test]
+    fn an_unknown_flag_is_refused() {
+        let err = parse(&["figure8", "--no-such-flag"]).unwrap_err();
+        assert!(err.contains("unknown flag `--no-such-flag`"), "{err}");
+    }
+
+    #[test]
+    fn a_removed_flag_is_refused() {
+        // The flags of the removed daemon smoke command.
+        for removed in ["--clients", "--steps", "--chaos"] {
+            let err = parse(&["fleet", "--quick", removed]).unwrap_err();
+            assert!(err.contains(&format!("unknown flag `{removed}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_flag_value_is_never_the_command() {
+        let args = parse(&["--jobs", "2", "figure8"]).expect("known flags");
+        assert_eq!(args.command, "figure8");
+        assert_eq!(args.value("--jobs"), Some("2"));
+        assert_eq!(parse(&["--out", "figure8"]).expect("parses").command, "all");
+        assert!(parse(&["table1", "--quick", "figure8"]).is_err());
+        assert!(parse(&["table1", "--jobs"]).is_err());
     }
 
     #[test]

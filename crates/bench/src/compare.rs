@@ -34,7 +34,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
-use crate::common::{die, flag_value};
+use crate::common::{die, Args};
 use crate::metrics;
 use crate::report;
 
@@ -419,9 +419,9 @@ fn irregular_beats_structural(circuits: &[CircuitReport], synthetic: bool) -> bo
         || beats_all(&|m| m.vs_staircase.scaled_mae, false)
 }
 
-pub fn run(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = flag_value(args, "--out").unwrap_or("BENCH_models.json");
+pub fn run(args: &Args) {
+    let quick = args.has("--quick");
+    let out = args.value("--out").unwrap_or("BENCH_models.json");
 
     let prepared: Vec<Prepared> = if quick {
         vec![prepare_mcnc(McncCircuit::Apte), prepare_synthetic(1000)]

@@ -7,9 +7,7 @@
 //! model at the paper pitch) over `--jobs` worker threads, with
 //! temperature-ladder replica exchange every `--sync-every` temperature
 //! steps (pass `--independent` to disable exchange). The fleet's outcome
-//! is bit-identical for any `--jobs` value; `--verify-identical` re-runs
-//! a 1-worker reference fleet and records the comparison in the report's
-//! `bit_identical` field — CI greps for `"bit_identical": true`.
+//! is bit-identical for any `--jobs` value, which `tests/fleet.rs` pins.
 //!
 //! Crash recovery: `--run-dir DIR` persists the fleet manifest and the
 //! JSONL telemetry mirror into DIR; a killed or `--time-limit`-paused run
@@ -27,7 +25,7 @@ use irgrid::geom::Um;
 use irgrid::netlist::mcnc::McncCircuit;
 use serde::Serialize;
 
-use crate::common::{die, flag_value, header, Mode};
+use crate::common::{die, header, Args, Mode};
 
 /// The JSON document `fleet` emits.
 #[derive(Debug, Serialize)]
@@ -59,16 +57,13 @@ struct Report {
     exchanges_attempted: usize,
     exchanges_accepted: usize,
     replica_summaries: Vec<ReplicaSummary>,
-    /// `Some(true)` when the 1-worker reference fleet reproduced this
-    /// outcome bit for bit; only present under `--verify-identical`.
-    bit_identical: Option<bool>,
     /// Wall-clock seconds (the only nondeterministic field).
     wall_s: f64,
 }
 
 /// The value of a `--flag <count>` argument, strictly positive.
-fn count_flag(args: &[String], flag: &str, default: usize) -> usize {
-    match flag_value(args, flag) {
+fn count_flag(args: &Args, flag: &str, default: usize) -> usize {
+    match args.value(flag) {
         Some(text) => {
             let count: usize = text
                 .parse()
@@ -83,19 +78,18 @@ fn count_flag(args: &[String], flag: &str, default: usize) -> usize {
 }
 
 /// Runs the fleet and writes/prints the JSON report.
-pub fn run(mode: &Mode, bench: McncCircuit, args: &[String]) {
+pub fn run(mode: &Mode, bench: McncCircuit, args: &Args) {
     let defaults = FleetConfig::default();
     let replicas = count_flag(args, "--replicas", 4);
     let sync_every = count_flag(args, "--sync-every", defaults.sync_every);
-    let seed0: u64 = match flag_value(args, "--seed0") {
+    let seed0: u64 = match args.value("--seed0") {
         Some(text) => text
             .parse()
             .unwrap_or_else(|_| die(&format!("--seed0 `{text}` is not a seed"))),
         None => 0,
     };
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_fleet.json");
-    let verify = args.iter().any(|a| a == "--verify-identical");
-    let exchange_mode = if args.iter().any(|a| a == "--independent") {
+    let out_path = args.value("--out").unwrap_or("BENCH_fleet.json");
+    let exchange_mode = if args.has("--independent") {
         ExchangeMode::Independent
     } else {
         ExchangeMode::Ladder
@@ -104,7 +98,7 @@ pub fn run(mode: &Mode, bench: McncCircuit, args: &[String]) {
     // run directory; otherwise `--run-dir DIR` persists without resuming.
     let (run_dir, resume) = match mode.fault.resume_dir {
         Some(dir) => (Some(PathBuf::from(dir)), true),
-        None => (flag_value(args, "--run-dir").map(PathBuf::from), false),
+        None => (args.value("--run-dir").map(PathBuf::from), false),
     };
 
     header(&format!("fleet ({})", bench.name()), mode);
@@ -159,25 +153,6 @@ pub fn run(mode: &Mode, bench: McncCircuit, args: &[String]) {
         );
     }
 
-    let bit_identical = if verify && outcome.complete {
-        let reference = Fleet::new(
-            Annealer::new(mode.schedule),
-            FleetConfig {
-                workers: 1,
-                ..config
-            },
-        )
-        .expect("a valid fleet config stays valid with one worker")
-        .run(|| spec.build(), &FleetOptions::default())
-        .unwrap_or_else(|err| die(&format!("reference fleet run failed: {err}")));
-        Some(outcome.deterministic_eq(&reference))
-    } else {
-        if verify {
-            eprintln!("--verify-identical skipped: the fleet paused before completion");
-        }
-        None
-    };
-
     // Judge the fleet-best floorplan exactly as the experiment tables do.
     let problem = spec.build();
     let eval = problem.evaluate(&outcome.best);
@@ -202,11 +177,7 @@ pub fn run(mode: &Mode, bench: McncCircuit, args: &[String]) {
         exchanges_attempted: outcome.trace.len(),
         exchanges_accepted: outcome.trace.iter().filter(|d| d.accepted).count(),
         replica_summaries: outcome.replicas.clone(),
-        bit_identical,
         wall_s: outcome.wall_s,
     };
     crate::report::emit(out_path, &report);
-    if bit_identical == Some(false) {
-        die("fleet outcome diverged from the 1-worker reference — determinism bug");
-    }
 }

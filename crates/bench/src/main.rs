@@ -21,10 +21,9 @@
 //!               truth on MCNC + synthetic circuits (BENCH_models.json;
 //!               --quick: apte + the 1k synthetic only)
 //!   fleet       Multi-replica annealing via irgrid-fleet (BENCH_fleet.json)
-//!   serve-bench Concurrent-client daemon robustness smoke (BENCH_serve.json)
-//!   all         Everything above (except compare-all, fleet, serve-bench)
+//!   all         Everything above (except compare-all and fleet)
 //!
-//! flags:
+//! flags (any other flag exits 2):
 //!   --quick           2 seeds, short schedule (smoke run)
 //!   --full            20 seeds, classic schedule (paper protocol)
 //!   --circuit X       restrict exp1 to one circuit (apte/xerox/hp/ami33/ami49)
@@ -34,14 +33,7 @@
 //!   --checkpoint DIR  write per-run checkpoints into DIR every 10 steps
 //!   --resume DIR      resume runs from matching checkpoints in DIR
 //!                     (for fleet: resume from the fleet manifest in DIR)
-//!   --out FILE        report path (compare-all, fleet, serve-bench)
-//!
-//! serve-bench flags:
-//!   --clients N       concurrent synthetic clients (default 8)
-//!   --steps N         moves per client, each a Propose then a Commit or
-//!                     Undo (default 16)
-//!   --chaos SEED      run the daemon under the default injected-fault mix
-//!                     (I/O errors, torn writes, kills + supervised restart)
+//!   --out FILE        report path (compare-all, fleet)
 //!
 //! fleet flags:
 //!   --replicas N        annealing replicas (default 4)
@@ -49,8 +41,6 @@
 //!   --seed0 N           seed of replica 0 (replica k anneals with seed0+k)
 //!   --independent       disable temperature-ladder replica exchange
 //!   --run-dir DIR       persist manifest + telemetry into DIR
-//!   --verify-identical  re-run a 1-worker reference fleet and record
-//!                       `bit_identical` in the report
 //! ```
 
 mod ablation;
@@ -67,31 +57,23 @@ mod heatmap;
 mod metrics;
 mod motivation;
 mod report;
-mod serve;
 mod sweep;
 mod validate;
 
-use common::Mode;
+use common::{die, Args, Mode};
 use irgrid::netlist::mcnc::McncCircuit;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".into());
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&raw).unwrap_or_else(|why| die(&why));
     let mode = Mode::from_args(&args);
 
-    let circuits: Vec<McncCircuit> = match args.iter().position(|a| a == "--circuit") {
-        Some(i) => {
-            let Some(name) = args.get(i + 1).filter(|a| !a.starts_with("--")) else {
-                eprintln!("--circuit needs a name (apte/xerox/hp/ami33/ami49)");
-                std::process::exit(2);
-            };
+    let circuits: Vec<McncCircuit> = match args.value("--circuit") {
+        Some(name) => {
             let Some(circuit) = McncCircuit::from_name(name) else {
-                eprintln!("unknown circuit `{name}` (expected apte/xerox/hp/ami33/ami49)");
-                std::process::exit(2);
+                die(&format!(
+                    "unknown circuit `{name}` (expected apte/xerox/hp/ami33/ami49)"
+                ));
             };
             vec![circuit]
         }
@@ -104,7 +86,7 @@ fn main() {
         .filter(|_| circuits.len() == 1)
         .unwrap_or(McncCircuit::Ami33);
 
-    match command.as_str() {
+    match args.command.as_str() {
         "table1" => {
             let results = exp1::run(&mode, &circuits);
             exp1::print_table1(&results, &mode);
@@ -137,13 +119,8 @@ fn main() {
                 .unwrap_or(McncCircuit::Apte);
             fleet::run(&mode, fleet_circuit, &args);
         }
-        "serve-bench" => serve::run(&mode, &args),
         "validate" => {
-            let n = if args.iter().any(|a| a == "--quick") {
-                6
-            } else {
-                12
-            };
+            let n = if args.has("--quick") { 6 } else { 12 };
             validate::run(single, n);
         }
         "all" => {
@@ -160,9 +137,8 @@ fn main() {
             figure9::run(&mode, single);
             exp3::run(&mode, single);
         }
-        other => {
-            eprintln!("unknown command `{other}`; see --help text in the source header");
-            std::process::exit(2);
-        }
+        other => die(&format!(
+            "unknown command `{other}`; see the help text in the source header"
+        )),
     }
 }

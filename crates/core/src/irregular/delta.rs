@@ -266,15 +266,6 @@ impl IrDeltaEvaluator {
         }
     }
 
-    /// Whether a committed state exists (i.e. a `rebase` or `commit`
-    /// has happened). Before that, [`cost`](Self::cost) is a default 0
-    /// and [`committed_fingerprint`](Self::committed_fingerprint) covers
-    /// an empty snapshot.
-    #[must_use]
-    pub fn has_committed(&self) -> bool {
-        self.committed.valid
-    }
-
     /// An FNV-1a fingerprint of the committed snapshot: the exact cut
     /// vectors, Q32 totals, and the cost's bit pattern. Two sessions
     /// with equal fingerprints committed bit-identical maps — this is

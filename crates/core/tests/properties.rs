@@ -187,6 +187,68 @@ proptest! {
     }
 }
 
+/// The intervals merged cut lines can cut a `g`-cell axis into: merged
+/// cuts lie at least two cells apart, so an interval is at least two
+/// cells wide, and so is each gap it leaves at either end of the axis
+/// unless that gap is empty.
+fn merged_axis_intervals(g: i64) -> Vec<(i64, i64)> {
+    let tileable = |gap: i64| gap == 0 || gap >= 2;
+    (0..g)
+        .flat_map(|x1| (x1 + 1..g).map(move |x2| (x1, x2)))
+        .filter(|&(x1, x2)| tileable(x1) && tileable(g - 1 - x2))
+        .collect()
+}
+
+#[test]
+fn theorem1_tracks_formula3_on_every_merged_block_near_exact_threshold() {
+    // The engine scores a range with Theorem 1 once g1 + g2 exceeds
+    // `exact_threshold` (10). Sweep every non-pin block merged cut lines
+    // can produce on ranges with 11 <= g1 + g2 <= 20, both net types.
+    // Thin ranges deviate most: 0.1039 on the 4x16 type I block
+    // [0,1]x[3,15], above the 0.08 of `theorem1_tracks_formula3`.
+    const BOUND: f64 = 0.11;
+    let config = ApproxConfig::default();
+    let mut blocks = 0;
+    let mut worst = (0.0f64, String::new());
+    for sum in 11..=20 {
+        for g1 in 2..=sum - 2 {
+            let g2 = sum - g1;
+            for net_type in [NetType::TypeI, NetType::TypeII] {
+                let range = RoutingRange::from_cells(0, 0, g1, g2, net_type);
+                let lf = LnFactorials::up_to(range.max_factorial_arg() + 2);
+                let pins = range.pin_cells();
+                for &(x1, x2) in &merged_axis_intervals(g1) {
+                    for &(y1, y2) in &merged_axis_intervals(g2) {
+                        let pin_block = pins
+                            .iter()
+                            .any(|&(px, py)| (x1..=x2).contains(&px) && (y1..=y2).contains(&py));
+                        if pin_block {
+                            continue;
+                        }
+                        blocks += 1;
+                        let exact = block_probability_exact(&range, &lf, x1, x2, y1, y2);
+                        let approx = block_probability_approx(&range, x1, x2, y1, y2, &config);
+                        let deviation = (exact - approx).abs();
+                        if deviation > worst.0 {
+                            worst = (
+                                deviation,
+                                format!("{g1}x{g2} {net_type:?} block [{x1},{x2}]x[{y1},{y2}]"),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(blocks, 44_462, "the sweep covers every merged block");
+    assert!(
+        worst.0 < BOUND,
+        "Theorem 1 deviates by {} on the {}",
+        worst.0,
+        worst.1
+    );
+}
+
 /// Segment-level invariants of the two full models.
 mod model_invariants {
     use super::*;

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use irgrid_anneal::{AnnealError, CheckpointIoError};
+use irgrid_anneal::AnnealError;
 use serde::{Deserialize, Serialize};
 
 /// How replicas relate to each other while the fleet runs.
@@ -126,8 +126,7 @@ pub enum FleetError {
         /// The underlying error.
         source: AnnealError,
     },
-    /// Reading or writing a manifest / checkpoint / telemetry file
-    /// failed.
+    /// Reading or writing the manifest or the telemetry file failed.
     Io {
         /// The path involved.
         path: String,
@@ -187,15 +186,6 @@ impl std::error::Error for FleetError {
             FleetError::Anneal { source, .. } => Some(source),
             FleetError::Io { source, .. } => Some(source),
             _ => None,
-        }
-    }
-}
-
-impl From<CheckpointIoError> for FleetError {
-    fn from(err: CheckpointIoError) -> Self {
-        match err {
-            CheckpointIoError::Io { path, source } => FleetError::Io { path, source },
-            CheckpointIoError::Parse(why) => FleetError::ManifestParse(why),
         }
     }
 }

@@ -7,10 +7,10 @@
 //! [`std::thread::scope`] runs many replicas of one
 //! [`DeltaProblem`](irgrid_anneal::DeltaProblem) concurrently (a
 //! full-cost [`Problem`](irgrid_anneal::Problem) runs through
-//! [`FullCostDelta`](irgrid_anneal::FullCostDelta)), with per-replica
-//! checkpoints, propagated cancellation and deadlines, crash recovery
-//! from a single atomic manifest, and a deterministic JSONL telemetry
-//! stream.
+//! [`FullCostDelta`](irgrid_anneal::FullCostDelta)), with propagated
+//! cancellation and deadlines, crash recovery from a single atomic
+//! manifest that holds every replica's checkpoint, and a deterministic
+//! JSONL telemetry stream.
 //!
 //! # Determinism contract
 //!

@@ -6,16 +6,14 @@
 //! every round barrier. A crash therefore never leaves the run directory
 //! torn across files: either the barrier committed (the manifest names
 //! it) or it did not (the manifest still names the previous barrier and
-//! the interrupted round is simply re-run). Per-replica checkpoint files
-//! written alongside are convenience artifacts for inspection and
-//! single-replica resume; the manifest alone is the source of truth.
+//! the interrupted round is simply re-run). The manifest is the only
+//! file that holds replica state, so it is the source of truth.
 
 use std::fmt::Write as _;
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
-use irgrid_anneal::Schedule;
+use irgrid_anneal::{write_atomic, Schedule};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -65,21 +63,11 @@ impl<S: Serialize> FleetManifest<S> {
         serde_json::to_string_pretty(self).expect("manifest serialization is infallible")
     }
 
-    /// Atomically writes the manifest: JSON to a sibling temporary file,
-    /// synced, then renamed into place. A crash mid-write leaves the
+    /// Atomically writes the manifest through
+    /// [`irgrid_anneal::write_atomic`]. A crash mid-write leaves the
     /// previous manifest intact.
     pub fn write_file(&self, path: &Path) -> Result<(), FleetError> {
-        let tmp = path.with_extension("tmp");
-        let io = |source| FleetError::Io {
-            path: tmp.display().to_string(),
-            source,
-        };
-        {
-            let mut file = fs::File::create(&tmp).map_err(io)?;
-            file.write_all(self.to_json().as_bytes()).map_err(io)?;
-            file.sync_all().map_err(io)?;
-        }
-        fs::rename(&tmp, path).map_err(|source| FleetError::Io {
+        write_atomic(path, self.to_json().as_bytes()).map_err(|(path, source)| FleetError::Io {
             path: path.display().to_string(),
             source,
         })

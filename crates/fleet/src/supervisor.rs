@@ -46,9 +46,9 @@ pub struct Fleet {
 /// to — only how far a single invocation gets.
 #[derive(Debug, Clone, Default)]
 pub struct FleetOptions {
-    /// Directory for the manifest, per-replica checkpoints, and the
-    /// JSONL telemetry mirror. `None` keeps everything in memory (no
-    /// crash recovery).
+    /// Directory for the manifest, which holds every replica's
+    /// checkpoint, and the JSONL telemetry mirror. `None` keeps
+    /// everything in memory (no crash recovery).
     pub run_dir: Option<PathBuf>,
     /// Continue from the manifest in [`run_dir`](FleetOptions::run_dir)
     /// instead of starting fresh. Errors if no manifest exists.
@@ -445,8 +445,7 @@ impl Fleet {
     }
 
     /// Commits the current barrier to the run directory (if any): the
-    /// convenience per-replica checkpoint files, then the atomic
-    /// manifest, then a telemetry flush.
+    /// atomic manifest, then a telemetry flush.
     fn persist<S: Clone + Serialize>(
         &self,
         state: &mut RunState<S>,
@@ -455,11 +454,6 @@ impl Fleet {
         let Some(dir) = run_dir else {
             return Ok(());
         };
-        for (k, record) in state.replicas.iter().enumerate() {
-            if let Some(checkpoint) = record.phase.checkpoint() {
-                checkpoint.write_file(&dir.join(format!("replica_{k}.ckpt.json")))?;
-            }
-        }
         let manifest = FleetManifest {
             version: MANIFEST_VERSION,
             config: self.config,

@@ -301,12 +301,6 @@ impl<'c, M: CongestionModel, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
         self.circuit
     }
 
-    /// The attached congestion model, if any.
-    #[must_use]
-    pub fn congestion_model(&self) -> Option<&M> {
-        self.congestion.as_ref()
-    }
-
     /// Samples a deterministic random walk to set the normalization
     /// scales to the average magnitude of each objective. A non-finite
     /// average (a NaN-producing congestion model, an overflowing

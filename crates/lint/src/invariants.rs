@@ -49,14 +49,14 @@ const S1_SCOPE: &[&str] = &[
 
 /// The blessed writer modules: the only places in the S1 scope allowed
 /// to touch the filesystem write API directly. Everything else routes
-/// through them ([`SnapshotStore`], the fleet manifest/telemetry
-/// writers, annealing checkpoints, the shared `BENCH_*.json` emitter).
+/// through them: `irgrid_anneal::write_atomic` in the checkpoint module
+/// (which fleet manifests, session snapshots and `BENCH_*.json` reports
+/// use too), the snapshot store's torn-write injection, and the fleet's
+/// JSONL telemetry mirror.
 const S1_BLESSED: &[&str] = &[
     "crates/serve/src/store.rs",
-    "crates/fleet/src/manifest.rs",
     "crates/fleet/src/telemetry.rs",
     "crates/anneal/src/checkpoint.rs",
-    "crates/bench/src/report.rs",
 ];
 
 /// Raw write-path tokens S1 flags outside the blessed modules.

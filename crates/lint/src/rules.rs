@@ -713,7 +713,7 @@ mod tests {
             rules: vec!["D1".to_owned()],
             ..RuleConfig::default()
         };
-        let hits = check_file("crates/bench/src/serve.rs", &scan, &config);
+        let hits = check_file("crates/bench/src/fleet.rs", &scan, &config);
         assert!(hits.iter().any(|f| f.rule == "D1"));
     }
 }

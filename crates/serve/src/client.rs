@@ -1,7 +1,7 @@
 //! The reference client for the daemon.
 //!
-//! This is the client the chaos tests, the CI smoke harness, and
-//! `repro serve-bench` all share. Its retry loop implements the
+//! This is the client the chaos tests and the benchmark package's served
+//! workload share. Its retry loop implements the
 //! protocol's contract: any response marked `retryable` may be resent
 //! verbatim: the idempotency ring guarantees a retried `Commit` never
 //! double-counts, and every other op is read-only or pure. Transport

@@ -1,11 +1,12 @@
 //! Crash-safe session persistence: atomic snapshot writes with fault
 //! hooks, and hardened loads that treat anything torn as absent.
 //!
-//! Write protocol (the same tmp+fsync+rename discipline as annealing
-//! checkpoints and fleet manifests): stage the full payload in a sibling
-//! `*.tmp`, `fsync`, rename over the target. A crash at any point leaves
-//! either the old complete snapshot or the new complete snapshot — never
-//! a mixture — and at worst a torn `*.tmp` that loads ignore.
+//! Write protocol: [`irgrid_anneal::write_atomic`], the writer annealing
+//! checkpoints and fleet manifests use, stages the full payload in a
+//! sibling `*.tmp`, `fsync`s it and renames it over the target. A crash
+//! at any point leaves either the old complete snapshot or the new
+//! complete snapshot — never a mixture — and at worst a torn `*.tmp`
+//! that loads ignore.
 //!
 //! Every write consults the [`Chaos`] injector first. An injected
 //! `IoError` fails before touching the filesystem; `Torn` stages only a
@@ -16,10 +17,11 @@
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+
+use irgrid_anneal::{staging_path, write_atomic};
 
 use crate::chaos::{Chaos, FaultDecision};
 
@@ -191,15 +193,15 @@ impl SnapshotStore {
             return Err(StoreError::Killed);
         }
         let path = self.path_for(session_id);
-        let tmp = path.with_extension("tmp");
+        let tmp = staging_path(&path);
         let io = |source| StoreError::Io {
             path: tmp.display().to_string(),
             source,
         };
 
         let bytes = payload.as_bytes();
-        let staged: &[u8] = match self.chaos.decide("persist.session", session_id, write_seq) {
-            FaultDecision::None => bytes,
+        match self.chaos.decide("persist.session", session_id, write_seq) {
+            FaultDecision::None => {}
             FaultDecision::IoError => {
                 self.faults.fetch_add(1, Ordering::Relaxed);
                 return Err(io(injected("io-error")));
@@ -217,14 +219,9 @@ impl SnapshotStore {
                 self.kill.trip();
                 return Err(StoreError::Killed);
             }
-        };
-
-        {
-            let mut file = fs::File::create(&tmp).map_err(io)?;
-            file.write_all(staged).map_err(io)?;
-            file.sync_all().map_err(io)?;
         }
-        fs::rename(&tmp, &path).map_err(|source| StoreError::Io {
+
+        write_atomic(&path, bytes).map_err(|(path, source)| StoreError::Io {
             path: path.display().to_string(),
             source,
         })
@@ -260,7 +257,7 @@ impl SnapshotStore {
             return Err(StoreError::Killed);
         }
         let path = self.path_for(session_id);
-        let _ = fs::remove_file(path.with_extension("tmp"));
+        let _ = fs::remove_file(staging_path(&path));
         match fs::remove_file(&path) {
             Ok(()) => Ok(()),
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => Ok(()),

@@ -20,6 +20,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 use irgrid_serve::{
     serve, Chaos, ChaosConfig, Client, ClientError, DegradePolicy, ErrorKind, FloorplanState,
@@ -28,9 +29,16 @@ use irgrid_serve::{
 };
 
 const CLIENTS: usize = 4;
+const CONCURRENT_CLIENTS: usize = 8;
 const STEPS: usize = 12;
 const ATTEMPTS_PER_ROUND: u32 = 4;
 const MAX_RESTARTS: usize = 200;
+/// Attempts at one script step before a client thread gives up; far
+/// beyond what the chaos mix needs, small enough that a wedge fails.
+const MAX_TRIES_PER_STEP: usize = 3_000;
+/// Seeds the `--chaos` mix of the concurrent test; under it at least
+/// one session draws a kill in the daemon's first lifetime.
+const CONCURRENT_CHAOS_SEED: u64 = 42;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("irgrid_serve_chaos_{tag}"));
@@ -68,6 +76,20 @@ struct TestDaemon {
 }
 
 fn start_daemon(state_dir: &Path, chaos: Chaos, workers: usize) -> TestDaemon {
+    start_daemon_on(
+        Transport::Tcp("127.0.0.1:0".to_owned()),
+        state_dir,
+        chaos,
+        workers,
+    )
+}
+
+fn start_daemon_on(
+    transport: Transport,
+    state_dir: &Path,
+    chaos: Chaos,
+    workers: usize,
+) -> TestDaemon {
     let kill = KillSwitch::new();
     let store = SnapshotStore::open(state_dir, chaos, kill.clone()).expect("open store");
     let manager = Arc::new(SessionManager::new(
@@ -76,12 +98,7 @@ fn start_daemon(state_dir: &Path, chaos: Chaos, workers: usize) -> TestDaemon {
         DegradePolicy::default(),
         workers,
     ));
-    let handle = serve(
-        Transport::Tcp("127.0.0.1:0".to_owned()),
-        manager,
-        ServerOptions::default(),
-    )
-    .expect("serve");
+    let handle = serve(transport, manager, ServerOptions::default()).expect("serve");
     TestDaemon { handle, kill }
 }
 
@@ -210,11 +227,12 @@ fn drive_delta_step(
     }
 }
 
-/// Runs every delta client script to completion against a clean daemon.
-fn delta_reference_run(state_dir: &Path) -> BTreeMap<String, f64> {
+/// Runs the delta scripts of the first `clients` clients to completion
+/// against a clean daemon.
+fn delta_reference_run(state_dir: &Path, clients: usize) -> BTreeMap<String, f64> {
     let daemon = start_daemon(state_dir, Chaos::off(), 1);
     let mut scores = BTreeMap::new();
-    for client_index in 0..CLIENTS {
+    for client_index in 0..clients {
         let mut client = Client::new(daemon.handle.transport().clone());
         let opened = client.call(&delta_open(client_index), 3).expect("open");
         assert!(opened.ok, "{opened:?}");
@@ -300,7 +318,7 @@ fn delta_chaotic_run(state_dir: &Path, seed: u64) -> (BTreeMap<String, f64>, usi
 #[test]
 fn chaotic_delta_sessions_converge_to_the_uninterrupted_state_byte_for_byte() {
     let reference_dir = temp_dir("delta_reference");
-    let reference = delta_reference_run(&reference_dir);
+    let reference = delta_reference_run(&reference_dir, CLIENTS);
     let reference_snapshots = snapshots(&reference_dir);
     assert_eq!(reference_snapshots.len(), CLIENTS);
 
@@ -537,7 +555,7 @@ fn evaluates_interleaved_with_moves_leave_sessions_byte_identical() {
     // proposes, commits and undoes must leave the snapshots and move
     // scores of the moves alone.
     let reference_dir = temp_dir("interleaved_reference");
-    let reference = delta_reference_run(&reference_dir);
+    let reference = delta_reference_run(&reference_dir, CLIENTS);
 
     let dir = temp_dir("interleaved");
     let daemon = start_daemon(&dir, Chaos::off(), 2);
@@ -600,84 +618,141 @@ fn evaluates_interleaved_with_moves_leave_sessions_byte_identical() {
     }
 }
 
+/// Plays client `client_index`'s whole delta script against whatever
+/// daemon listens on `transport`, riding out injected faults and
+/// supervised restarts: reconnect after a failed round, reopen after
+/// `UnknownSession`, re-propose after `NoPendingProposal`. A failed
+/// round drops the connection and backs off, so a killed daemon's
+/// connection threads see the client leave and the daemon can stop.
+fn drive_script_through_restarts(
+    transport: Transport,
+    client_index: usize,
+) -> BTreeMap<String, f64> {
+    let mut client = Client::new(transport);
+    let mut scores = BTreeMap::new();
+    let mut opened = false;
+    let mut step = 0;
+    let mut tries = 0;
+    while step < STEPS {
+        tries += 1;
+        assert!(
+            tries <= MAX_TRIES_PER_STEP,
+            "client {client_index} step {step} made no progress"
+        );
+        let outcome = if opened {
+            drive_delta_step(
+                &mut client,
+                client_index,
+                step,
+                ATTEMPTS_PER_ROUND,
+                &mut scores,
+            )
+        } else {
+            match client.call(&delta_open(client_index), ATTEMPTS_PER_ROUND) {
+                Ok(response) if response.ok => {
+                    opened = true;
+                    continue;
+                }
+                Ok(response) => panic!("delta reopen refused: {response:?}"),
+                Err(ClientError::Transport(_) | ClientError::RetriesExhausted(_)) => {
+                    StepOutcome::Retry
+                }
+                Err(err) => panic!("protocol violation under chaos: {err}"),
+            }
+        };
+        match outcome {
+            StepOutcome::Done => {
+                step += 1;
+                tries = 0;
+            }
+            StepOutcome::Retry => {
+                client.disconnect();
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            StepOutcome::Reopen => opened = false,
+        }
+    }
+    scores
+}
+
 #[test]
 fn concurrent_chaotic_clients_lose_no_sessions() {
-    // Real thread-per-client concurrency; io-error + torn faults only
-    // (kills need the restart choreography covered above). Every client
-    // retries until its script completes; afterwards every session must
-    // be present, parseable, and hold exactly its scripted commits.
-    let dir = temp_dir("concurrent");
-    let kill = KillSwitch::new();
-    let chaos = Chaos::with_config(
-        99,
-        ChaosConfig {
-            io_error_ppm: 120_000,
-            torn_ppm: 80_000,
-            kill_ppm: 0,
-        },
-    );
-    let store = SnapshotStore::open(&dir, chaos, kill.clone()).expect("store");
-    let manager = Arc::new(SessionManager::new(
-        store,
-        Limits::default(),
-        DegradePolicy::default(),
-        2,
-    ));
-    let handle = serve(
-        Transport::Tcp("127.0.0.1:0".to_owned()),
-        manager,
-        ServerOptions::default(),
-    )
-    .expect("serve");
+    // One thread per client over a Unix socket, against a daemon under
+    // the `--chaos` mix (I/O errors, torn writes, kills). The main
+    // thread supervises: whenever an injected kill trips, it restarts
+    // the daemon on the same socket and state directory with a bumped
+    // epoch. Every session must end byte-identical to a clean run of
+    // the same scripts, and every score must match bit for bit.
+    let reference_dir = temp_dir("concurrent_reference");
+    let reference = delta_reference_run(&reference_dir, CONCURRENT_CLIENTS);
+    let reference_snapshots = snapshots(&reference_dir);
+    assert_eq!(reference_snapshots.len(), CONCURRENT_CLIENTS);
 
-    let transport = handle.transport().clone();
-    std::thread::scope(|scope| {
-        for client_index in 0..8 {
-            let transport = transport.clone();
-            scope.spawn(move || {
-                let mut client = Client::new(transport);
-                let opened = client
-                    .call(&delta_open(client_index), 64)
-                    .expect("retries must converge");
-                assert!(opened.ok, "{opened:?}");
-                let mut scores = BTreeMap::new();
-                for step in 0..STEPS {
-                    loop {
-                        match drive_delta_step(&mut client, client_index, step, 64, &mut scores) {
-                            StepOutcome::Done => break,
-                            StepOutcome::Retry => {}
-                            StepOutcome::Reopen => panic!("no restart, yet the session was lost"),
-                        }
-                    }
-                }
-            });
+    let dir = temp_dir("concurrent");
+    let state_dir = dir.join("state");
+    let transport = Transport::Unix(dir.join("irgrid-serve.sock"));
+    let chaos_for = |epoch: usize| Chaos::seeded(CONCURRENT_CHAOS_SEED).with_epoch(epoch as u64);
+    let (scores, restarts, injected_faults) = std::thread::scope(|scope| {
+        let mut daemon = start_daemon_on(transport.clone(), &state_dir, chaos_for(0), 2);
+        let threads: Vec<_> = (0..CONCURRENT_CLIENTS)
+            .map(|client_index| {
+                let transport = transport.clone();
+                scope.spawn(move || drive_script_through_restarts(transport, client_index))
+            })
+            .collect();
+        let mut restarts = 0;
+        let mut injected_faults = 0;
+        while !threads.iter().all(|thread| thread.is_finished()) {
+            if daemon.kill.is_tripped() {
+                restarts += 1;
+                assert!(
+                    restarts <= MAX_RESTARTS,
+                    "daemon not making progress after {restarts} restarts"
+                );
+                injected_faults += daemon.handle.manager().injected_faults();
+                stop_daemon(daemon);
+                daemon = start_daemon_on(transport.clone(), &state_dir, chaos_for(restarts), 2);
+            }
+            std::thread::sleep(Duration::from_millis(5));
         }
+        injected_faults += daemon.handle.manager().injected_faults();
+        stop_daemon(daemon);
+        let mut scores = BTreeMap::new();
+        for thread in threads {
+            scores.extend(thread.join().expect("client thread"));
+        }
+        (scores, restarts, injected_faults)
     });
+    eprintln!("concurrent chaos run: {injected_faults} injected fault(s), {restarts} restart(s)");
     assert!(
-        handle.manager().injected_faults() > 0,
+        injected_faults > 0,
         "chaos seed injected nothing; the test is not exercising faults"
     );
-    handle.manager().request_shutdown();
-    handle.join();
-    assert!(!kill.is_tripped());
-
-    let expected_commits = 8 * (0..STEPS).filter(|&s| !step_is_rejected(s)).count() as u64;
-    let recovered = snapshots(&dir);
-    assert_eq!(recovered.len(), 8, "no session lost or corrupted");
-    let mut total_commits = 0u64;
-    for client_index in 0..8 {
-        let id = delta_session_name(client_index);
-        let text = &recovered[&id];
-        let value: serde::Value = serde_json::from_str(text).expect("snapshot parses");
-        let Some(serde::Value::Int(done)) = value.get("commits_done") else {
-            panic!("snapshot for `{id}` has no commits_done: {text}");
-        };
-        total_commits += u64::try_from(*done).expect("non-negative");
-    }
-    assert_eq!(
-        total_commits, expected_commits,
-        "retries double-counted or dropped commits"
+    assert!(
+        restarts > 0,
+        "no injected kill fired; the test is not exercising restarts"
     );
+
+    let recovered = snapshots(&state_dir);
+    assert_eq!(
+        recovered.keys().collect::<Vec<_>>(),
+        reference_snapshots.keys().collect::<Vec<_>>(),
+        "a session was lost"
+    );
+    for (id, reference_text) in &reference_snapshots {
+        assert_eq!(
+            &recovered[id], reference_text,
+            "session `{id}` diverged from the clean run"
+        );
+    }
+    assert_eq!(scores.len(), reference.len());
+    for (request_id, want) in &reference {
+        assert_eq!(
+            want.to_bits(),
+            scores[request_id].to_bits(),
+            "score diverged for {request_id}"
+        );
+    }
 }
 
 #[test]
