@@ -153,6 +153,10 @@ pub enum FleetError {
         /// The directory searched.
         dir: String,
     },
+    /// The run was paused (time limit, cancellation or
+    /// `pause_after_rounds: Some(0)`) before its first round completed, so
+    /// no replica has a result and nothing was saved to resume from.
+    StoppedBeforeFirstRound,
 }
 
 impl fmt::Display for FleetError {
@@ -176,6 +180,11 @@ impl fmt::Display for FleetError {
             FleetError::NothingToResume { dir } => {
                 write!(f, "no fleet manifest to resume in `{dir}`")
             }
+            FleetError::StoppedBeforeFirstRound => write!(
+                f,
+                "fleet stopped before its first round completed, so nothing was saved; \
+                 rerun with a longer time limit"
+            ),
         }
     }
 }

@@ -308,16 +308,14 @@ impl Fleet {
             self.persist(&mut state, options.run_dir.as_deref())?;
         }
 
-        let (best_replica, best_cost) = state.fleet_best().ok_or(FleetError::Config(
-            "fleet paused before any replica completed a segment",
-        ))?;
+        let (best_replica, best_cost) = state
+            .fleet_best()
+            .ok_or(FleetError::StoppedBeforeFirstRound)?;
         let best = state.replicas[best_replica]
             .phase
             .best()
             .cloned()
-            .ok_or(FleetError::Config(
-                "fleet paused before any replica completed a segment",
-            ))?;
+            .ok_or(FleetError::StoppedBeforeFirstRound)?;
         let replicas = state
             .replicas
             .iter()
@@ -685,7 +683,7 @@ mod tests {
                 },
             )
             .expect_err("nothing committed, so there is no partial result");
-        assert!(matches!(first, FleetError::Config(_)));
+        assert!(matches!(first, FleetError::StoppedBeforeFirstRound));
 
         // The directory holds a start-of-run telemetry file but no
         // manifest, so resuming reports NothingToResume.
@@ -724,6 +722,48 @@ mod tests {
             )
             .expect("resumed fleet");
         assert!(resumed.deterministic_eq(&reference));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_fleet_stopped_before_its_first_round_says_nothing_was_saved() {
+        let dir = std::env::temp_dir().join("irgrid_fleet_no_round");
+        std::fs::remove_dir_all(&dir).ok();
+        let fleet = fleet(ExchangeMode::Ladder, 2);
+        let token = CancelToken::new();
+        token.cancel();
+        // A pause, a cancelled token, and `repro fleet --time-limit` with
+        // a limit no round fits in.
+        for options in [
+            FleetOptions {
+                run_dir: Some(dir.clone()),
+                pause_after_rounds: Some(0),
+                ..FleetOptions::default()
+            },
+            FleetOptions {
+                run_dir: Some(dir.clone()),
+                cancel: Some(token),
+                ..FleetOptions::default()
+            },
+            FleetOptions {
+                run_dir: Some(dir.clone()),
+                time_limit: Some(Duration::ZERO),
+                ..FleetOptions::default()
+            },
+        ] {
+            let err = fleet
+                .run(|| FullCostDelta::new(&Bowl), &options)
+                .expect_err("no round completed");
+            assert!(
+                matches!(err, FleetError::StoppedBeforeFirstRound),
+                "{err:?}"
+            );
+            let message = err.to_string();
+            assert!(message.contains("nothing was saved"), "{message}");
+            assert!(message.contains("longer time limit"), "{message}");
+            assert!(dir.join(TELEMETRY_FILE).exists());
+            assert!(!dir.join(MANIFEST_FILE).exists(), "nothing to resume");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

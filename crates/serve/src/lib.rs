@@ -12,7 +12,8 @@
 //! move-by-move with `Propose`/`Commit`/`Undo` — the daemon-side mirror of
 //! the annealer's inner loop, bit-identical to a full rebuild by
 //! construction — and scores independent batches read-only with
-//! `Evaluate`, through a daemon-wide score cache.
+//! `Evaluate`. Every request is scored afresh; the daemon keeps no score
+//! cache (DESIGN.md §3g says why).
 //!
 //! The design goal is *robustness you can prove*, not raw throughput:
 //!
@@ -46,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod chaos;
 pub mod client;
 pub mod frame;
@@ -56,14 +56,13 @@ pub mod server;
 pub mod session;
 pub mod store;
 
-pub use cache::SharedScoreCache;
 pub use chaos::{Chaos, ChaosConfig};
 pub use client::{Client, ClientError};
 pub use frame::{FrameCodec, BINARY_MAGIC};
 pub use manager::{DegradePolicy, SessionManager};
 pub use protocol::{
     ErrorKind, EvalResult, FloorplanState, Limits, Request, RequestOp, Response, ResponsePayload,
-    SessionConfig, SessionStat, PROTOCOL_VERSION,
+    SessionConfig, SessionStat,
 };
 pub use server::{serve, ServerHandle, ServerOptions, Transport};
 pub use session::{Session, SessionState};

@@ -36,7 +36,6 @@ use std::sync::{Arc, Mutex};
 
 use irgrid_anneal::RunControl;
 
-use crate::cache::SharedScoreCache;
 use crate::protocol::{
     valid_session_id, ErrorKind, FloorplanState, Limits, Request, RequestOp, Response,
     ResponsePayload, SessionConfig,
@@ -91,8 +90,6 @@ pub struct SessionManager {
     limits: Limits,
     policy: DegradePolicy,
     workers: usize,
-    /// The process-wide score cache every cache-enabled session shares.
-    cache: SharedScoreCache,
     sessions: Mutex<BTreeMap<String, Arc<Mutex<Session>>>>,
     /// Per-session persistence attempt counters — the chaos consultation
     /// indices. Kept here (not in the `Session`) so every attempt draws
@@ -127,7 +124,6 @@ fn next_in(map: &Mutex<BTreeMap<String, u64>>, key: &str) -> u64 {
 impl SessionManager {
     /// Creates a manager over `store`, fanning `Evaluate` batches over
     /// `workers` pool threads (`<= 1` evaluates inline).
-    /// The shared score cache is sized by `limits.shared_cache_capacity`.
     #[must_use]
     pub fn new(
         store: SnapshotStore,
@@ -137,7 +133,6 @@ impl SessionManager {
     ) -> SessionManager {
         SessionManager {
             store,
-            cache: SharedScoreCache::new(limits.shared_cache_capacity),
             limits,
             policy,
             workers: workers.max(1),
@@ -193,12 +188,6 @@ impl SessionManager {
     #[must_use]
     pub fn load(&self) -> usize {
         self.load.load(Ordering::Acquire)
-    }
-
-    /// Cache hits observed by the process-wide shared score cache.
-    #[must_use]
-    pub fn shared_cache_hits(&self) -> u64 {
-        self.cache.hits()
     }
 
     /// Handles one request. `request_control` carries the per-request
@@ -297,12 +286,7 @@ impl SessionManager {
                 Ok(session) => session,
                 Err(response) => return response,
             },
-            None => Session::create(
-                &request.session,
-                config,
-                self.limits.completed_ring,
-                self.cache.clone(),
-            ),
+            None => Session::create(&request.session, config, self.limits.completed_ring),
         };
         if !was_resumed {
             let payload = session.state.to_json();
@@ -367,7 +351,7 @@ impl SessionManager {
                 false,
             ));
         }
-        Session::from_state(state, self.limits.completed_ring, self.cache.clone()).map_err(|why| {
+        Session::from_state(state, self.limits.completed_ring).map_err(|why| {
             // The replayed map failed bit-identity verification — refuse
             // loudly instead of serving from a diverged map.
             Response::error(
@@ -939,14 +923,13 @@ mod tests {
         assert_eq!(error_kind(&refused), Some((ErrorKind::Backpressure, true)));
 
         // Load drains and the client retries under the same ids. The
-        // refusals recorded and cached nothing, so both are scored afresh.
+        // refusals recorded nothing, so both are scored afresh.
         manager.load.store(0, Ordering::Release);
         let retried = evaluate(&manager, "e1", "s", batch.clone());
         assert!(retried.ok && !retried.replayed, "{retried:?}");
         let ResponsePayload::Evaluated { results } = &retried.payload else {
             panic!("expected Evaluated, got {retried:?}");
         };
-        assert!(!results[0].cached, "the refused evaluate cached a score");
         assert_eq!(
             results[0].score.to_bits(),
             fresh_rebase(&batch[0]).to_bits()
@@ -1361,29 +1344,113 @@ mod tests {
         assert!(killed.shutting_down(), "kill at delta.commit shuts down");
     }
 
+    /// The `Evaluated` results of a response.
+    fn evaluated(response: &Response) -> &[crate::protocol::EvalResult] {
+        let ResponsePayload::Evaluated { results } = &response.payload else {
+            panic!("expected Evaluated, got {response:?}");
+        };
+        results
+    }
+
     #[test]
-    fn shared_cache_crosses_sessions() {
-        let manager = temp_manager("shared_cache", Chaos::off(), DegradePolicy::default());
+    fn sessions_scoring_one_state_agree_bit_for_bit() {
+        let manager = temp_manager("cross_session", Chaos::off(), DegradePolicy::default());
         assert!(open(&manager, "r1", "a").ok);
         assert!(open(&manager, "r2", "b").ok);
         assert!(open(&manager, "r3", "c").ok);
         let batch = states(1);
-        assert!(evaluate(&manager, "e1", "a", batch.clone()).ok);
-        // Session b scores the identical state: served from the shared
-        // cache, bit-identically.
+        let first = evaluate(&manager, "e1", "a", batch.clone());
+        // Session b scores the identical state: the same bits and digest.
         let second = evaluate(&manager, "e2", "b", batch.clone());
-        let ResponsePayload::Evaluated { results: hit } = &second.payload else {
-            panic!("payload {second:?}");
-        };
-        assert!(hit[0].cached, "cross-session hit expected");
-        assert!(manager.shared_cache_hits() >= 1);
+        let (first, second) = (evaluated(&first), evaluated(&second));
+        assert_eq!(first[0].score.to_bits(), second[0].score.to_bits());
+        assert_eq!(first[0].digest, second[0].digest);
         // A proposal's score is the same bits: session c's propose of the
-        // state scores what Evaluate served.
+        // state scores what Evaluate returned.
         let proposed = propose(&manager, "p1", "c", batch[0].clone());
-        let ResponsePayload::Proposed { score, .. } = proposed.payload else {
+        let ResponsePayload::Proposed { digest, score } = &proposed.payload else {
             panic!("payload {proposed:?}");
         };
-        assert_eq!(score.to_bits(), hit[0].score.to_bits());
+        assert_eq!(score.to_bits(), second[0].score.to_bits());
+        assert_eq!(digest, &second[0].digest);
+    }
+
+    #[test]
+    fn a_resumed_0_12_session_proposes_its_committed_state_under_the_recorded_digest() {
+        let manager = manager_with_snapshot("legacy_propose", "legacy-delta", LEGACY_SESSION);
+        assert!(open(&manager, "r1", "legacy-delta").ok);
+        let committed_state = SessionState::from_json(LEGACY_SESSION, "legacy-delta")
+            .expect("parse")
+            .committed
+            .expect("two commits");
+        // The journal tail recorded this digest and score when 0.12
+        // committed the state; a Propose of it today reports both.
+        let proposed = propose(&manager, "p1", "legacy-delta", committed_state.clone());
+        let ResponsePayload::Proposed { digest, score } = &proposed.payload else {
+            panic!("expected Proposed, got {proposed:?}");
+        };
+        assert_eq!(digest, "4fce5a18d186eed2");
+        assert_eq!(score.to_bits(), 0.06857669456518374f64.to_bits());
+        // Evaluate scores the same state to the same digest and bits.
+        let response = evaluate(&manager, "e1", "legacy-delta", vec![committed_state]);
+        let results = evaluated(&response);
+        assert_eq!(results[0].digest, *digest);
+        assert_eq!(results[0].score.to_bits(), score.to_bits());
+    }
+
+    /// Runs one propose/commit/undo/evaluate script in `session`, opened
+    /// with `cache_capacity`, and returns every digest and score bit
+    /// pattern it was answered with, in order.
+    fn scripted_answers(
+        manager: &SessionManager,
+        session: &str,
+        cache_capacity: u64,
+    ) -> Vec<(String, u64)> {
+        let config = SessionConfig {
+            cache_capacity,
+            ..SessionConfig::default_config()
+        };
+        let opened = manager.handle(
+            &request("r0", session, RequestOp::OpenDelta { config }),
+            &RunControl::unlimited(),
+        );
+        assert!(opened.ok, "{opened:?}");
+        let batch = states(3);
+        let mut answers = Vec::new();
+        for (k, state) in batch.iter().enumerate() {
+            let proposed = propose(manager, &format!("p{k}"), session, state.clone());
+            let ResponsePayload::Proposed { digest, score } = &proposed.payload else {
+                panic!("expected Proposed, got {proposed:?}");
+            };
+            answers.push((digest.clone(), score.to_bits()));
+            if k == 1 {
+                let undone = manager.handle(
+                    &request(&format!("u{k}"), session, RequestOp::Undo),
+                    &RunControl::unlimited(),
+                );
+                let ResponsePayload::Undone { score } = &undone.payload else {
+                    panic!("expected Undone, got {undone:?}");
+                };
+                answers.push((String::new(), score.to_bits()));
+            } else {
+                let (seq, score) = committed(&commit(manager, &format!("c{k}"), session, digest));
+                answers.push((seq.to_string(), score.to_bits()));
+            }
+        }
+        let response = evaluate(manager, "e0", session, batch);
+        for result in evaluated(&response) {
+            answers.push((result.digest.clone(), result.score.to_bits()));
+        }
+        answers
+    }
+
+    #[test]
+    fn cache_capacity_changes_no_score_or_digest() {
+        let manager = temp_manager("capacity", Chaos::off(), DegradePolicy::default());
+        let off = scripted_answers(&manager, "off", 0);
+        let on = scripted_answers(&manager, "on", 64);
+        assert_eq!(off.len(), 3 * 2 + 3);
+        assert_eq!(off, on);
     }
 
     /// The `(commit_seq, score)` of a `Committed` response.

@@ -42,10 +42,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Newest protocol version; [`Request`]s do not carry it (the daemon and
-/// clients ship together), but session snapshots on disk do.
-pub const PROTOCOL_VERSION: u32 = 1;
-
 /// Hard resource bounds the daemon enforces per frame / session / daemon.
 ///
 /// Every bound produces an explicit typed error reply when exceeded —
@@ -66,9 +62,6 @@ pub struct Limits {
     /// Commit idempotency records and journal entries retained per
     /// session (oldest evicted first).
     pub completed_ring: usize,
-    /// Capacity of the manager-wide shared score cache (entries across
-    /// *all* sessions); `0` disables caching daemon-wide.
-    pub shared_cache_capacity: usize,
 }
 
 impl Default for Limits {
@@ -80,7 +73,6 @@ impl Default for Limits {
             max_clients: 64,
             max_segments: 100_000,
             completed_ring: 32,
-            shared_cache_capacity: 4096,
         }
     }
 }
@@ -95,17 +87,18 @@ pub struct SessionConfig {
     /// through
     /// [`RunControl::with_move_budget`](irgrid_anneal::RunControl::with_move_budget).
     pub budget: u64,
-    /// Score-cache participation. The cache itself is daemon-wide
-    /// (bounded by [`Limits::shared_cache_capacity`]); any non-zero
-    /// value opts this session in, `0` opts it out. The historical name
-    /// is kept for wire compatibility with older clients.
+    /// Ignored: the daemon keeps no score cache, and every value scores
+    /// the same bits. The field stays because existing clients send it,
+    /// every session snapshot stores it inside `config`, and
+    /// `OpenDelta` compares the whole config with a live or checkpointed
+    /// session's, so dropping it would break resumes.
     pub cache_capacity: u64,
 }
 
 impl SessionConfig {
-    /// A sane default: 30 µm pitch, unlimited budget, opted into the
-    /// daemon-wide score cache (whose capacity is
-    /// [`Limits::shared_cache_capacity`], not this value).
+    /// A sane default: 30 µm pitch, unlimited budget, and the
+    /// `cache_capacity` of 128 older daemons defaulted to (ignored, but
+    /// part of the config that resumes compare).
     #[must_use]
     pub fn default_config() -> SessionConfig {
         SessionConfig {
@@ -249,12 +242,12 @@ pub enum ErrorKind {
 /// One scored floorplan state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvalResult {
-    /// FNV-1a digest of the state's canonical JSON (the cache key).
+    /// FNV-1a digest of the state's canonical JSON
+    /// ([`state_digest`](irgrid_fleet::state_digest), as `Propose`
+    /// reports it).
     pub digest: String,
     /// The irregular-grid congestion score (higher = more congested).
     pub score: f64,
-    /// Whether the score came from the daemon-wide score cache.
-    pub cached: bool,
 }
 
 /// Session counters reported by `Stat` (and embedded in `Opened`).
@@ -266,8 +259,6 @@ pub struct SessionStat {
     /// Remaining commit budget; `0` with a zero-budget config means
     /// unlimited.
     pub budget_left: u64,
-    /// Cache hits over this process's lifetime (not persisted).
-    pub cache_hits: u64,
     /// Commit idempotency records currently retained.
     pub completed: u64,
 }
@@ -377,15 +368,6 @@ impl Response {
             },
         }
     }
-
-    /// Serializes to one JSONL frame (newline included).
-    #[must_use]
-    pub fn to_frame(&self) -> String {
-        // irgrid-lint: allow(P1): serializing a plain owned data struct cannot fail
-        let mut text = serde_json::to_string(self).expect("response serialization is infallible");
-        text.push('\n');
-        text
-    }
 }
 
 /// Validates a session id: `[A-Za-z0-9_-]{1,64}` (safe as a file stem).
@@ -398,33 +380,25 @@ pub fn valid_session_id(id: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
-/// Parses one request frame.
-///
-/// # Errors
-///
-/// Returns the parse failure text for a [`ErrorKind::MalformedFrame`]
-/// reply; the caller recovers the `id` for the reply when possible.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    serde_json::from_str(line).map_err(|err| err.to_string())
-}
-
-/// Best-effort recovery of the `id` field from a frame that failed to
-/// parse as a full [`Request`], so the error reply can still be matched.
-#[must_use]
-pub fn recover_id(line: &str) -> String {
-    let value: Result<serde::Value, _> = serde_json::from_str(line);
-    match value {
-        Ok(value) => match value.get("id") {
-            Some(serde::Value::Str(id)) => id.clone(),
-            _ => String::new(),
-        },
-        Err(_) => String::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{
+        parse_request_payload, parse_response_payload, recover_payload_id, response_frame,
+        FrameCodec, FramePayload,
+    };
+
+    /// A response as the daemon frames it in JSONL, and the line parsed
+    /// back the way a client reads it.
+    fn jsonl_roundtrip(response: &Response) -> Response {
+        let frame = String::from_utf8(response_frame(FrameCodec::Jsonl, response)).expect("utf-8");
+        let line = frame.strip_suffix('\n').expect("newline-terminated");
+        parse_response_payload(&FramePayload::Jsonl(line.to_owned())).expect("parse")
+    }
+
+    fn parse_line(line: &str) -> Result<Request, String> {
+        parse_request_payload(&FramePayload::Jsonl(line.to_owned()))
+    }
 
     #[test]
     fn request_roundtrip() {
@@ -439,7 +413,7 @@ mod tests {
             },
         };
         let text = serde_json::to_string(&request).expect("serialize");
-        let back: Request = serde_json::from_str(&text).expect("parse");
+        let back = parse_line(&text).expect("parse");
         assert_eq!(request, back);
     }
 
@@ -451,15 +425,31 @@ mod tests {
                 results: vec![EvalResult {
                     digest: "abc".into(),
                     score: 1.5,
-                    cached: false,
                 }],
             },
         );
-        let frame = response.to_frame();
+        let frame = String::from_utf8(response_frame(FrameCodec::Jsonl, &response)).expect("utf-8");
         assert!(frame.ends_with('\n'));
         assert_eq!(frame.matches('\n').count(), 1);
-        let back: Response = serde_json::from_str(frame.trim_end()).expect("parse");
-        assert_eq!(response, back);
+        assert_eq!(jsonl_roundtrip(&response), response);
+    }
+
+    #[test]
+    fn an_evaluated_reply_from_a_0_18_daemon_still_parses() {
+        // 0.18 daemons sent a per-result `cached` flag; the field is
+        // gone, and a reply that still carries it parses without it.
+        let line = r#"{"id":"e1","ok":true,"replayed":false,"payload":{"Evaluated":{"results":[{"digest":"bddb9f624202bc61","score":0.011538461538461539,"cached":false}]}}}"#;
+        let parsed = parse_response_payload(&FramePayload::Jsonl(line.to_owned())).expect("parse");
+        let expected = Response::ok(
+            "e1",
+            ResponsePayload::Evaluated {
+                results: vec![EvalResult {
+                    digest: "bddb9f624202bc61".into(),
+                    score: 0.011538461538461539,
+                }],
+            },
+        );
+        assert_eq!(parsed, expected);
     }
 
     #[test]
@@ -486,7 +476,7 @@ mod tests {
                 op,
             };
             let text = serde_json::to_string(&request).expect("serialize");
-            let back: Request = serde_json::from_str(&text).expect("parse");
+            let back = parse_line(&text).expect("parse");
             assert_eq!(request, back);
         }
         for payload in [
@@ -502,9 +492,7 @@ mod tests {
             ResponsePayload::Undone { score: 0.5 },
         ] {
             let response = Response::ok("d-2", payload);
-            let back: Response =
-                serde_json::from_str(response.to_frame().trim_end()).expect("parse");
-            assert_eq!(response, back);
+            assert_eq!(jsonl_roundtrip(&response), response);
         }
     }
 
@@ -524,9 +512,7 @@ mod tests {
             ErrorKind::NoPendingProposal,
         ] {
             let response = Response::error("x", kind, "m", true);
-            let back: Response =
-                serde_json::from_str(response.to_frame().trim_end()).expect("parse");
-            assert_eq!(response, back);
+            assert_eq!(jsonl_roundtrip(&response), response);
         }
     }
 
@@ -542,9 +528,10 @@ mod tests {
 
     #[test]
     fn recover_id_from_partial_frames() {
-        assert_eq!(recover_id(r#"{"id":"r9","op":"Nonsense"}"#), "r9");
-        assert_eq!(recover_id("not json at all"), "");
-        assert_eq!(recover_id(r#"{"op":"Ping"}"#), "");
+        let recover = |line: &str| recover_payload_id(&FramePayload::Jsonl(line.to_owned()));
+        assert_eq!(recover(r#"{"id":"r9","op":"Nonsense"}"#), "r9");
+        assert_eq!(recover("not json at all"), "");
+        assert_eq!(recover(r#"{"op":"Ping"}"#), "");
     }
 
     #[test]
@@ -559,7 +546,7 @@ mod tests {
             // The full session's open op is gone.
             r#"{"id":"a","session":"s","op":{"Open":{"config":{"pitch_um":30,"budget":0,"cache_capacity":8}}}}"#,
         ] {
-            assert!(parse_request(bad).is_err(), "frame {bad:?} must not parse");
+            assert!(parse_line(bad).is_err(), "frame {bad:?} must not parse");
         }
     }
 }

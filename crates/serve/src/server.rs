@@ -35,7 +35,7 @@ use crate::frame::{
     FrameCodec, FrameReadError,
 };
 use crate::manager::SessionManager;
-use crate::protocol::{ErrorKind, Response, ResponsePayload};
+use crate::protocol::{ErrorKind, Response};
 
 /// How long a connection thread blocks on a read before re-checking the
 /// shutdown flag.
@@ -284,52 +284,43 @@ fn connection_loop(stream: Stream, manager: &Arc<SessionManager>, options: Serve
         Err(_) => return,
     };
 
-    loop {
-        let payload = match read_frame(&mut reader, codec, max_frame, &mut keep_waiting) {
-            Ok(payload) => payload,
-            Err(FrameReadError::TooLarge) => {
-                // The reader already resynced past the oversized frame;
-                // report and keep the connection.
-                let response = Response::error(
-                    "",
-                    ErrorKind::FrameTooLarge,
-                    format!("frame exceeds {max_frame} bytes"),
-                    false,
-                );
-                if writer.write_all(&response_frame(codec, &response)).is_err() {
-                    return;
+    // Once shutdown is flagged the connection closes after answering the
+    // frame it holds (`Bye`, a retryable `ShuttingDown`, or whatever the
+    // frame got): a client that sends back to back never lets a read
+    // idle long enough for the poll above to see the flag, and would
+    // otherwise keep `ServerHandle::join` waiting. Clients reconnect.
+    while !manager.shutting_down() {
+        let response = match read_frame(&mut reader, codec, max_frame, &mut keep_waiting) {
+            Ok(payload) if is_blank(&payload) => continue,
+            Ok(payload) => match parse_request_payload(&payload) {
+                Ok(request) => {
+                    let control = match options.request_timeout {
+                        Some(limit) => RunControl::unlimited().with_time_limit(limit),
+                        None => RunControl::unlimited(),
+                    };
+                    manager.handle(&request, &control)
                 }
-                continue;
-            }
-            Err(_) => return,
-        };
-        if is_blank(&payload) {
-            continue;
-        }
-
-        let response = match parse_request_payload(&payload) {
-            Ok(request) => {
-                let control = match options.request_timeout {
-                    Some(limit) => RunControl::unlimited().with_time_limit(limit),
-                    None => RunControl::unlimited(),
-                };
-                manager.handle(&request, &control)
-            }
-            Err(why) => Response::error(
-                &recover_payload_id(&payload),
-                ErrorKind::MalformedFrame,
-                format!("unparseable request frame: {why}"),
+                Err(why) => Response::error(
+                    &recover_payload_id(&payload),
+                    ErrorKind::MalformedFrame,
+                    format!("unparseable request frame: {why}"),
+                    false,
+                ),
+            },
+            // The reader already resynced past the oversized frame;
+            // report and keep the connection.
+            Err(FrameReadError::TooLarge) => Response::error(
+                "",
+                ErrorKind::FrameTooLarge,
+                format!("frame exceeds {max_frame} bytes"),
                 false,
             ),
+            Err(_) => return,
         };
-        let is_bye = matches!(response.payload, ResponsePayload::Bye);
         if writer.write_all(&response_frame(codec, &response)).is_err() {
             return;
         }
         let _ = writer.flush();
-        if is_bye {
-            return;
-        }
     }
 }
 
@@ -339,9 +330,11 @@ mod tests {
     use crate::chaos::Chaos;
     use crate::frame::{parse_response_payload, request_frame, BINARY_MAGIC};
     use crate::manager::DegradePolicy;
-    use crate::protocol::{Limits, Request, RequestOp};
+    use crate::protocol::{Limits, Request, RequestOp, ResponsePayload};
     use crate::store::{KillSwitch, SnapshotStore};
     use std::io::BufRead;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
 
     fn temp_server(tag: &str, limits: Limits) -> ServerHandle {
         let dir = std::env::temp_dir().join(format!("irgrid_serve_srv_{tag}"));
@@ -525,6 +518,69 @@ mod tests {
         assert!(pong.ok);
         binary_roundtrip(&mut stream, &mut reader, &simple("h3", RequestOp::Shutdown));
         handle.join();
+    }
+
+    /// Flags shutdown while one client sends `Ping` back to back over
+    /// `codec`, and requires `join` to return within a bounded wait. A
+    /// watchdog thread joins, so a connection that outlives the flag
+    /// fails the test instead of hanging it.
+    fn back_to_back_client_cannot_hold_shutdown_open(tag: &str, codec: FrameCodec) {
+        let handle = temp_server(tag, Limits::default());
+        let mut stream = connect(&handle);
+        if codec == FrameCodec::Binary {
+            stream.write_all(&BINARY_MAGIC).expect("magic");
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let client_stop = Arc::clone(&stop);
+        let (first_tx, first_rx) = mpsc::channel();
+        let client = thread::spawn(move || {
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let ping = request_frame(codec, &simple("busy", RequestOp::Ping));
+            let mut answered = 0_usize;
+            while !client_stop.load(Ordering::Acquire) {
+                if stream.write_all(&ping).is_err() {
+                    break;
+                }
+                // A read error is the daemon closing the connection.
+                if read_frame(&mut reader, codec, 1 << 20, &mut || true).is_err() {
+                    break;
+                }
+                answered += 1;
+                if answered == 1 {
+                    let _ = first_tx.send(());
+                }
+            }
+            answered
+        });
+        first_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the client is answered before shutdown");
+        handle.manager().request_shutdown();
+
+        let (joined_tx, joined_rx) = mpsc::channel();
+        let watchdog = thread::spawn(move || {
+            handle.join();
+            let _ = joined_tx.send(());
+        });
+        let joined = joined_rx.recv_timeout(Duration::from_secs(5));
+        // Release the client either way, so a failure cannot hang.
+        stop.store(true, Ordering::Release);
+        watchdog.join().expect("watchdog");
+        assert!(client.join().expect("client") >= 1);
+        assert!(
+            joined.is_ok(),
+            "join did not return within 5 s while a client kept sending"
+        );
+    }
+
+    #[test]
+    fn a_jsonl_client_sending_back_to_back_cannot_hold_shutdown_open() {
+        back_to_back_client_cannot_hold_shutdown_open("busy_jsonl", FrameCodec::Jsonl);
+    }
+
+    #[test]
+    fn a_binary_client_sending_back_to_back_cannot_hold_shutdown_open() {
+        back_to_back_client_cannot_hold_shutdown_open("busy_binary", FrameCodec::Binary);
     }
 
     #[test]

@@ -36,11 +36,10 @@ use irgrid_anneal::RunControl;
 use irgrid_core::{
     CongestionModel, DeltaCongestion, DeltaCongestionSession, IrDeltaEvaluator, IrregularGridModel,
 };
-use irgrid_fleet::pool;
+use irgrid_fleet::{pool, state_digest};
 use irgrid_geom::{Point, Rect, Um};
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{model_id, score_key, SharedScoreCache};
 use crate::protocol::{ErrorKind, EvalResult, FloorplanState, SessionConfig, SessionStat};
 
 /// Snapshot format version written by this library.
@@ -201,10 +200,6 @@ pub struct Session {
     pub state: SessionState,
     evaluator: IrDeltaEvaluator,
     model: IrregularGridModel,
-    cache: SharedScoreCache,
-    cache_enabled: bool,
-    cache_hits: u64,
-    cache_model: String,
     completed_ring: usize,
     pending: Option<PendingProposal>,
 }
@@ -249,12 +244,7 @@ impl PreparedCommit {
 impl Session {
     /// Creates a fresh session for `config`.
     #[must_use]
-    pub fn create(
-        session_id: &str,
-        config: SessionConfig,
-        completed_ring: usize,
-        cache: SharedScoreCache,
-    ) -> Session {
+    pub fn create(session_id: &str, config: SessionConfig, completed_ring: usize) -> Session {
         let state = SessionState {
             version: SNAPSHOT_VERSION,
             session_id: session_id.to_owned(),
@@ -264,7 +254,7 @@ impl Session {
             journal: Vec::new(),
             completed: Vec::new(),
         };
-        Session::from_state(state, completed_ring, cache)
+        Session::from_state(state, completed_ring)
             .unwrap_or_else(|why| unreachable!("fresh session state cannot fail recovery: {why}"))
     }
 
@@ -279,11 +269,7 @@ impl Session {
     /// fingerprint disagree with what the journal recorded — a loud
     /// refusal, since serving from a diverged map would silently break
     /// the bit-identity contract.
-    pub fn from_state(
-        state: SessionState,
-        completed_ring: usize,
-        cache: SharedScoreCache,
-    ) -> Result<Session, String> {
+    pub fn from_state(state: SessionState, completed_ring: usize) -> Result<Session, String> {
         let pitch = Um(state.config.pitch_um.max(1));
         let model = IrregularGridModel::new(pitch);
         let mut evaluator = model.delta_session();
@@ -316,10 +302,6 @@ impl Session {
         Ok(Session {
             evaluator,
             model,
-            cache,
-            cache_enabled: state.config.cache_capacity > 0,
-            cache_hits: 0,
-            cache_model: model_id("irregular", pitch.0),
             completed_ring: completed_ring.max(1),
             pending: None,
             state,
@@ -346,7 +328,6 @@ impl Session {
         SessionStat {
             evals_done: self.state.commits_done,
             budget_left: budget.saturating_sub(self.state.commits_done),
-            cache_hits: self.cache_hits,
             completed: self.state.completed.len() as u64,
         }
     }
@@ -383,12 +364,8 @@ impl Session {
         if timed_out(control) {
             return Err(deadline_failure());
         }
-        let key = score_key(&self.cache_model, state);
-        let digest = key.digest.clone();
+        let digest = state_digest(state);
         let score = self.evaluator.propose(&chip, &segments);
-        if self.cache_enabled {
-            self.cache.put(key, score);
-        }
         self.pending = Some(PendingProposal {
             state: state.clone(),
             digest: digest.clone(),
@@ -512,18 +489,17 @@ impl Session {
     /// Read-only batch scoring — the `Evaluate` op. Consumes no budget,
     /// records nothing, and never touches the evaluator or the pending
     /// proposal: it is deterministic, so a retry recomputes the identical
-    /// bits. The uncached states are scored by
-    /// [`IrregularGridModel::evaluate`] (a fresh rebase, so the same bits
-    /// as a `Propose` of the same state) fanned over `workers` pool
-    /// threads; outputs return in job order, so any worker count scores
-    /// bit-identically.
+    /// bits. Every state is scored by [`IrregularGridModel::evaluate`] (a
+    /// fresh rebase, so the same bits as a `Propose` of the same state)
+    /// fanned over `workers` pool threads; outputs return in job order,
+    /// so any worker count scores bit-identically.
     ///
     /// # Errors
     ///
     /// [`EvalFailure`] on invalid geometry (whole batch, before any
     /// work) or an expired deadline.
     pub fn evaluate(
-        &mut self,
+        &self,
         states: &[FloorplanState],
         control: &RunControl,
         workers: usize,
@@ -540,62 +516,31 @@ impl Session {
             geometries.push(geometry);
         }
 
-        let mut results = Vec::with_capacity(states.len());
-        let mut keys = Vec::with_capacity(states.len());
-        let mut pending: Vec<usize> = Vec::new();
-        for (index, state) in states.iter().enumerate() {
-            let key = score_key(&self.cache_model, state);
-            let hit = if self.cache_enabled {
-                self.cache.get(&key)
-            } else {
-                None
-            };
-            if hit.is_some() {
-                self.cache_hits += 1;
-            } else {
-                pending.push(index);
-            }
-            results.push(EvalResult {
-                digest: key.digest.clone(),
-                score: hit.unwrap_or(0.0),
-                cached: hit.is_some(),
-            });
-            keys.push(key);
-        }
-
         if timed_out(control) {
             return Err(deadline_failure());
         }
         let model = &self.model;
-        let scored: Vec<Option<(usize, f64)>> = pool::run_ordered(
+        let scored: Vec<Option<f64>> = pool::run_ordered(
             workers,
-            pending,
+            geometries,
             |_| (),
-            |(), _, index| {
+            |(), _, (chip, segments)| {
                 if timed_out(control) {
                     return None;
                 }
-                let (chip, segments) = &geometries[index];
-                Some((index, model.evaluate(chip, segments)))
+                Some(model.evaluate(&chip, &segments))
             },
         );
-        for slot in scored {
-            let Some((index, score)) = slot else {
-                return Err(deadline_failure());
-            };
-            if let Some(result) = results.get_mut(index) {
-                result.score = score;
-            }
-        }
-
-        if self.cache_enabled {
-            for (result, key) in results.iter().zip(keys) {
-                if !result.cached {
-                    self.cache.put(key, result.score);
-                }
-            }
-        }
-        Ok(results)
+        states
+            .iter()
+            .zip(scored)
+            .map(|(state, score)| {
+                Ok(EvalResult {
+                    digest: state_digest(state),
+                    score: score.ok_or_else(deadline_failure)?,
+                })
+            })
+            .collect()
     }
 }
 
@@ -657,12 +602,8 @@ mod tests {
             .collect()
     }
 
-    fn shared() -> SharedScoreCache {
-        SharedScoreCache::new(256)
-    }
-
     fn session() -> Session {
-        Session::create("t", SessionConfig::default_config(), 8, shared())
+        Session::create("t", SessionConfig::default_config(), 8)
     }
 
     /// Score of `state` through a fresh from-scratch delta rebase — the
@@ -811,7 +752,7 @@ mod tests {
             budget: 1,
             ..SessionConfig::default_config()
         };
-        let mut session = Session::create("b", config, 8, shared());
+        let mut session = Session::create("b", config, 8);
         let states = demo_states(2);
         // Proposes, undos and evaluates are free.
         for _ in 0..3 {
@@ -845,7 +786,7 @@ mod tests {
             budget: 1,
             ..SessionConfig::default_config()
         };
-        let mut session = Session::create("b", config, 8, shared());
+        let mut session = Session::create("b", config, 8);
         let states = demo_states(3);
         let (d0, s0) = session
             .propose(&states[0], &RunControl::unlimited())
@@ -925,13 +866,12 @@ mod tests {
         let (_, score, seq) = commit(&mut session, "r1", &d1);
         assert_eq!((score.to_bits(), seq), (s1.to_bits(), 2));
 
-        // Second evaluate of the same state hits the shared cache.
+        // A second evaluate of the same state, after the commit moved
+        // the session on, scores the same bits.
         let again = session
             .evaluate(&states[2..], &RunControl::unlimited(), 1)
-            .expect("cached evaluate");
-        assert!(again[0].cached);
+            .expect("second evaluate");
         assert_eq!(again[0].score.to_bits(), results[0].score.to_bits());
-        assert_eq!(session.stat().cache_hits, 1);
     }
 
     #[test]
@@ -989,7 +929,7 @@ mod tests {
         }
         let snapshot = first.state.to_json();
         let recovered = SessionState::from_json(&snapshot, "t").expect("parse");
-        let mut resumed = Session::from_state(recovered, 8, shared()).expect("verified");
+        let mut resumed = Session::from_state(recovered, 8).expect("verified");
         let (digest, _) = resumed
             .propose(&states[2], &RunControl::unlimited())
             .expect("propose");
@@ -1018,8 +958,7 @@ mod tests {
         let mut tampered = session.state.clone();
         let committed = tampered.committed.as_mut().expect("committed");
         committed.segments[0][0] += 120;
-        let err =
-            Session::from_state(tampered, 8, shared()).expect_err("diverged state must be refused");
+        let err = Session::from_state(tampered, 8).expect_err("diverged state must be refused");
         assert!(
             err.contains("does not match"),
             "error should name the mismatch: {err}"
@@ -1028,7 +967,7 @@ mod tests {
 
     #[test]
     fn evaluate_matches_the_stateless_model_bit_for_bit() {
-        let mut session = session();
+        let session = session();
         let states = demo_states(3);
         let results = session
             .evaluate(&states, &RunControl::unlimited(), 1)
@@ -1039,7 +978,6 @@ mod tests {
             let expected = model.evaluate(&chip, &segments);
             assert_eq!(result.score.to_bits(), expected.to_bits());
             assert_eq!(result.score.to_bits(), fresh_rebase(state).to_bits());
-            assert!(!result.cached);
         }
         assert_eq!(session.state.commits_done, 0);
     }
@@ -1060,8 +998,8 @@ mod tests {
     }
 
     #[test]
-    fn repeat_states_hit_the_cache_with_identical_scores() {
-        let mut session = session();
+    fn repeat_evaluates_return_identical_bits() {
+        let session = session();
         let states = demo_states(2);
         let first = session
             .evaluate(&states, &RunControl::unlimited(), 1)
@@ -1069,34 +1007,32 @@ mod tests {
         let second = session
             .evaluate(&states, &RunControl::unlimited(), 1)
             .expect("second");
+        assert_eq!(first.len(), states.len());
         for (a, b) in first.iter().zip(&second) {
-            assert!(!a.cached);
-            assert!(b.cached);
             assert_eq!(a.score.to_bits(), b.score.to_bits());
+            assert_eq!(a.digest, b.digest);
         }
-        assert_eq!(session.stat().cache_hits, 2);
     }
 
     #[test]
-    fn proposed_scores_serve_later_evaluates_from_the_cache() {
+    fn a_proposal_and_an_evaluate_of_one_state_agree() {
         let mut session = session();
         let states = demo_states(2);
-        let (_, proposed) = session
+        let (digest, proposed) = session
             .propose(&states[0], &RunControl::unlimited())
             .expect("propose");
         session.undo();
         let results = session
             .evaluate(&states, &RunControl::unlimited(), 1)
             .expect("evaluate");
-        assert!(results[0].cached, "the proposal's score was cached");
         assert_eq!(results[0].score.to_bits(), proposed.to_bits());
-        assert!(!results[1].cached);
-        assert_eq!(session.stat().cache_hits, 1);
+        assert_eq!(results[0].digest, digest);
+        assert_ne!(results[1].digest, digest);
     }
 
     #[test]
     fn invalid_geometry_is_rejected_atomically() {
-        let mut session = session();
+        let session = session();
         let states = vec![
             demo_states(1).remove(0),
             FloorplanState {
@@ -1108,7 +1044,6 @@ mod tests {
             .evaluate(&states, &RunControl::unlimited(), 1)
             .expect_err("out-of-chip coordinate");
         assert_eq!(err.kind, ErrorKind::InvalidRequest);
-        assert_eq!(session.stat().cache_hits, 0);
 
         let err = to_geometry(&FloorplanState {
             chip: [0, 100],
@@ -1137,7 +1072,7 @@ mod tests {
 
     #[test]
     fn commit_ring_and_journal_are_bounded() {
-        let mut session = Session::create("r", SessionConfig::default_config(), 2, shared());
+        let mut session = Session::create("r", SessionConfig::default_config(), 2);
         for (k, state) in demo_states(4).iter().enumerate() {
             let (digest, _) = session
                 .propose(state, &RunControl::unlimited())
@@ -1152,7 +1087,7 @@ mod tests {
 
     #[test]
     fn completed_ring_is_bounded_and_replayable() {
-        let mut session = Session::create("r", SessionConfig::default_config(), 2, shared());
+        let mut session = Session::create("r", SessionConfig::default_config(), 2);
         let mut acks = Vec::new();
         for (k, state) in demo_states(4).iter().enumerate() {
             let (digest, _) = session
@@ -1162,12 +1097,8 @@ mod tests {
         }
         // The kept acks replay verbatim, also after a snapshot round trip.
         let text = session.state.to_json();
-        let resumed = Session::from_state(
-            SessionState::from_json(&text, "r").expect("parse"),
-            2,
-            shared(),
-        )
-        .expect("verified");
+        let resumed = Session::from_state(SessionState::from_json(&text, "r").expect("parse"), 2)
+            .expect("verified");
         for live in [&session, &resumed] {
             for (k, ack) in acks.iter().enumerate().skip(2) {
                 let outcome = live

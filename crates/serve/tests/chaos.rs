@@ -622,11 +622,12 @@ fn evaluates_interleaved_with_moves_leave_sessions_byte_identical() {
 /// daemon listens on `transport`, riding out injected faults and
 /// supervised restarts: reconnect after a failed round, reopen after
 /// `UnknownSession`, re-propose after `NoPendingProposal`. A failed
-/// round drops the connection and backs off, so a killed daemon's
-/// connection threads see the client leave and the daemon can stop.
+/// round backs off and, unless `keep_connection`, drops the
+/// connection; a kept one is closed by the killed daemon itself.
 fn drive_script_through_restarts(
     transport: Transport,
     client_index: usize,
+    keep_connection: bool,
 ) -> BTreeMap<String, f64> {
     let mut client = Client::new(transport);
     let mut scores = BTreeMap::new();
@@ -666,7 +667,9 @@ fn drive_script_through_restarts(
                 tries = 0;
             }
             StepOutcome::Retry => {
-                client.disconnect();
+                if !keep_connection {
+                    client.disconnect();
+                }
                 std::thread::sleep(Duration::from_millis(5));
             }
             StepOutcome::Reopen => opened = false,
@@ -675,20 +678,19 @@ fn drive_script_through_restarts(
     scores
 }
 
-#[test]
-fn concurrent_chaotic_clients_lose_no_sessions() {
-    // One thread per client over a Unix socket, against a daemon under
-    // the `--chaos` mix (I/O errors, torn writes, kills). The main
-    // thread supervises: whenever an injected kill trips, it restarts
-    // the daemon on the same socket and state directory with a bumped
-    // epoch. Every session must end byte-identical to a clean run of
-    // the same scripts, and every score must match bit for bit.
-    let reference_dir = temp_dir("concurrent_reference");
+/// One thread per client over a Unix socket, against a daemon under the
+/// `--chaos` mix (I/O errors, torn writes, kills). The main thread
+/// supervises: whenever an injected kill trips, it restarts the daemon
+/// on the same socket and state directory with a bumped epoch. Every
+/// session must end byte-identical to a clean run of the same scripts,
+/// and every score must match bit for bit.
+fn concurrent_chaos_run(tag: &str, keep_connection: bool) {
+    let reference_dir = temp_dir(&format!("{tag}_reference"));
     let reference = delta_reference_run(&reference_dir, CONCURRENT_CLIENTS);
     let reference_snapshots = snapshots(&reference_dir);
     assert_eq!(reference_snapshots.len(), CONCURRENT_CLIENTS);
 
-    let dir = temp_dir("concurrent");
+    let dir = temp_dir(tag);
     let state_dir = dir.join("state");
     let transport = Transport::Unix(dir.join("irgrid-serve.sock"));
     let chaos_for = |epoch: usize| Chaos::seeded(CONCURRENT_CHAOS_SEED).with_epoch(epoch as u64);
@@ -697,7 +699,9 @@ fn concurrent_chaotic_clients_lose_no_sessions() {
         let threads: Vec<_> = (0..CONCURRENT_CLIENTS)
             .map(|client_index| {
                 let transport = transport.clone();
-                scope.spawn(move || drive_script_through_restarts(transport, client_index))
+                scope.spawn(move || {
+                    drive_script_through_restarts(transport, client_index, keep_connection)
+                })
             })
             .collect();
         let mut restarts = 0;
@@ -723,7 +727,7 @@ fn concurrent_chaotic_clients_lose_no_sessions() {
         }
         (scores, restarts, injected_faults)
     });
-    eprintln!("concurrent chaos run: {injected_faults} injected fault(s), {restarts} restart(s)");
+    eprintln!("{tag} chaos run: {injected_faults} injected fault(s), {restarts} restart(s)");
     assert!(
         injected_faults > 0,
         "chaos seed injected nothing; the test is not exercising faults"
@@ -753,6 +757,19 @@ fn concurrent_chaotic_clients_lose_no_sessions() {
             "score diverged for {request_id}"
         );
     }
+}
+
+#[test]
+fn concurrent_chaotic_clients_lose_no_sessions() {
+    concurrent_chaos_run("concurrent", false);
+}
+
+#[test]
+fn concurrent_clients_that_keep_their_connections_lose_no_sessions() {
+    // Clients resend on the connection they hold, so a killed daemon
+    // can stop only because its connections close once shutdown is
+    // flagged.
+    concurrent_chaos_run("concurrent_kept", true);
 }
 
 #[test]
