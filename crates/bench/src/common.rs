@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use irgrid::anneal::{Annealer, Checkpoint, RunControl, RunOptions, Schedule, StopReason};
 use irgrid::congestion::{CongestionModel, DeltaCongestion, FixedGridModel};
 use irgrid::fleet::pool;
-use irgrid::floorplanner::{FloorplanEval, FloorplanProblem, FloorplanSpec, Weights};
+use irgrid::floorplanner::{FloorplanEval, FloorplanProblem, Weights};
 use irgrid::geom::Um;
 use irgrid::netlist::Circuit;
 
@@ -365,8 +365,8 @@ impl SeedRunner {
 ///
 /// The seeds run on a deterministic worker pool
 /// ([`irgrid::fleet::pool`]) of `mode.jobs` workers, which runs a single
-/// worker inline; each worker builds its own problem instance from a
-/// [`FloorplanSpec`], so per-seed results are bit-identical for any
+/// worker inline; each worker builds its own problem instance from the
+/// same inputs, so per-seed results are bit-identical for any
 /// worker count (each seeded run is self-contained) apart from
 /// wall-clock `time_s`.
 ///
@@ -397,17 +397,16 @@ where
         weights,
     };
 
-    let spec: FloorplanSpec<'_, M> = FloorplanSpec::new(circuit, pitch, weights, model)
-        .unwrap_or_else(|err| {
-            die(&format!(
-                "invalid floorplan configuration for {}: {err}",
-                circuit.name()
-            ))
-        });
+    if let Err(err) = FloorplanProblem::try_new(circuit, pitch, weights, model.clone()) {
+        die(&format!(
+            "invalid floorplan configuration for {}: {err}",
+            circuit.name()
+        ));
+    }
     let results = pool::run_ordered(
         mode.jobs,
         (0..mode.seeds).collect(),
-        |_| spec.build(),
+        |_| FloorplanProblem::new(circuit, pitch, weights, model.clone()),
         |problem, _, seed| runner.run_seed(problem, seed),
     );
     // Every worker count keeps the seeds in order up to and including

@@ -1,9 +1,9 @@
-//! `compare-all` — the standing accuracy-vs-speed harness (extension).
+//! `compare-all` — the standing accuracy harness (extension).
 //!
 //! Every congestion predictor in the workspace — the probabilistic
 //! generations the paper discusses (fixed-grid, L/Z ensemble,
 //! Irregular-Grid) and the five structural baselines from
-//! `irgrid-models` — is raced over the same floorplans against *routed*
+//! `irgrid-models` — is judged over the same floorplans against *routed*
 //! ground truth from two independent substrates: the PathFinder
 //! negotiation router and the monotone-staircase early router. Each
 //! model's per-cell demand raster is compared with each router's
@@ -13,11 +13,11 @@
 //!
 //! Circuits: the MCNC suite plus `netlist::generator` synthetics at
 //! 1 k / 10 k / 50 k modules (`--quick`: apte + the 1 k synthetic). The
-//! ranked frontier — models not dominated in (mean Pearson, build
-//! time) — lands in `BENCH_models.json` together with the measured
-//! staircase-vs-PathFinder speed ratios.
-
-use std::time::Instant;
+//! models, ranked by mean Pearson, land in `BENCH_models.json`. Nothing
+//! in the report is timed, so it is a function of the code and the
+//! flags: two runs write byte-identical files. Per-model speed is the
+//! benchmark package's map suite (`models.*_ms`, `core.*_raster_ms` and
+//! `route.staircase_ms` in `benchmark/baseline.json`).
 
 use irgrid::congestion::analysis::Raster;
 use irgrid::congestion::{FixedGridModel, IrregularGridModel, LzShapeModel, SpatialCongestion};
@@ -51,7 +51,6 @@ struct Agreement {
 #[derive(Debug, Clone, Serialize)]
 struct ModelRow {
     model: String,
-    build_ms: f64,
     vs_pathfinder: Agreement,
     vs_staircase: Agreement,
 }
@@ -63,11 +62,8 @@ struct CircuitReport {
     segments: usize,
     pitch_um: i64,
     grid: String,
-    pathfinder_ms: f64,
     pathfinder_overflow: u64,
-    staircase_ms: f64,
     staircase_cuts: usize,
-    staircase_speedup: f64,
     models: Vec<ModelRow>,
 }
 
@@ -77,8 +73,6 @@ struct RankEntry {
     mean_pearson: f64,
     mean_scaled_mae: f64,
     mean_hotspot_jaccard: f64,
-    mean_build_ms: f64,
-    on_frontier: bool,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -89,9 +83,6 @@ struct CompareReport {
     /// Models ranked by mean Pearson (over circuits and both routers),
     /// best first.
     ranking: Vec<RankEntry>,
-    /// The accuracy-vs-speed Pareto frontier: models no other model
-    /// beats on both mean Pearson and build time.
-    ranked_frontier: Vec<String>,
     /// Does the Irregular-Grid model beat every structural predictor on
     /// at least one accuracy metric, aggregated over the MCNC circuits?
     irregular_beats_structural_on_mcnc: bool,
@@ -99,9 +90,6 @@ struct CompareReport {
     /// paper's model is for (large instances where uniform bounding-box
     /// spreading stops approximating real route distributions).
     irregular_beats_structural_on_synthetics: bool,
-    /// Measured staircase-vs-PathFinder wall-clock ratio on the largest
-    /// synthetic routed (the 10 k-module circuit in full mode).
-    staircase_speedup_largest_synthetic: f64,
 }
 
 /// The model zoo at a given pitch, probabilistic and structural.
@@ -285,28 +273,21 @@ fn run_circuit(prepared: &Prepared) -> CircuitReport {
         max_iterations: 5,
         ..RouterConfig::default()
     });
-    let t = Instant::now();
     let routed = pathfinder.route(&prepared.chip, &prepared.segments);
-    let pathfinder_ms = t.elapsed().as_secs_f64() * 1000.0;
     let pathfinder_raster = routed.grid.cell_usage_raster();
 
     let stair = StaircaseRouter::new(StaircaseConfig {
         pitch: prepared.pitch,
         ..StaircaseConfig::default()
     });
-    let t = Instant::now();
     let stair_result = stair.route(&prepared.chip, &prepared.module_rects, &prepared.segments);
-    let staircase_ms = t.elapsed().as_secs_f64() * 1000.0;
     let staircase_raster = stair_result.usage.raster();
 
     let mut models = Vec::new();
     for model in model_zoo(prepared.pitch) {
-        let t = Instant::now();
         let raster = model.raster(&prepared.chip, &prepared.segments);
-        let build_ms = t.elapsed().as_secs_f64() * 1000.0;
         models.push(ModelRow {
             model: model_key(&model.name()),
-            build_ms,
             vs_pathfinder: agreement(&raster, &pathfinder_raster),
             vs_staircase: agreement(&raster, &staircase_raster),
         });
@@ -318,11 +299,8 @@ fn run_circuit(prepared: &Prepared) -> CircuitReport {
         segments: prepared.segments.len(),
         pitch_um: prepared.pitch.0,
         grid: format!("{}x{}", grid.cols(), grid.rows()),
-        pathfinder_ms,
         pathfinder_overflow: routed.total_overflow,
-        staircase_ms,
         staircase_cuts: stair_result.cut_count,
-        staircase_speedup: pathfinder_ms / staircase_ms.max(1e-9),
         models,
     }
 }
@@ -356,23 +334,9 @@ fn build_ranking(circuits: &[CircuitReport]) -> Vec<RankEntry> {
                 mean_pearson: mean(&both(&|a| a.pearson)),
                 mean_scaled_mae: mean(&both(&|a| a.scaled_mae)),
                 mean_hotspot_jaccard: mean(&both(&|a| a.hotspot_jaccard)),
-                mean_build_ms: mean(&rows.iter().map(|r| r.build_ms).collect::<Vec<_>>()),
-                on_frontier: false,
             }
         })
         .collect();
-
-    // Pareto frontier in (mean Pearson ↑, build time ↓).
-    for i in 0..entries.len() {
-        let dominated = entries.iter().enumerate().any(|(j, other)| {
-            j != i
-                && other.mean_pearson >= entries[i].mean_pearson
-                && other.mean_build_ms <= entries[i].mean_build_ms
-                && (other.mean_pearson > entries[i].mean_pearson
-                    || other.mean_build_ms < entries[i].mean_build_ms)
-        });
-        entries[i].on_frontier = !dominated;
-    }
     entries.sort_by(|a, b| b.mean_pearson.total_cmp(&a.mean_pearson));
     entries
 }
@@ -439,26 +403,23 @@ pub fn run(args: &Args) {
     for c in &circuits {
         println!(
             "\n{} ({} modules, {} segments, {} bins @ {}um) — \
-             pathfinder {:.1} ms (overflow {}), staircase {:.2} ms ({:.0}x)",
+             pathfinder overflow {}, staircase cuts {}",
             c.circuit,
             c.modules,
             c.segments,
             c.grid,
             c.pitch_um,
-            c.pathfinder_ms,
             c.pathfinder_overflow,
-            c.staircase_ms,
-            c.staircase_speedup,
+            c.staircase_cuts,
         );
         println!(
-            "  {:<22} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-            "model", "build ms", "r(PF)", "mae(PF)", "J(PF)", "r(SC)", "mae(SC)", "J(SC)"
+            "  {:<22} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+            "model", "r(PF)", "mae(PF)", "J(PF)", "r(SC)", "mae(SC)", "J(SC)"
         );
         for m in &c.models {
             println!(
-                "  {:<22} {:>9.3} {:>8.4} {:>8.3} {:>8.4} {:>8.4} {:>8.3} {:>8.4}",
+                "  {:<22} {:>8.4} {:>8.3} {:>8.4} {:>8.4} {:>8.3} {:>8.4}",
                 m.model,
-                m.build_ms,
                 m.vs_pathfinder.pearson,
                 m.vs_pathfinder.scaled_mae,
                 m.vs_pathfinder.hotspot_jaccard,
@@ -470,51 +431,45 @@ pub fn run(args: &Args) {
     }
 
     let ranking = build_ranking(&circuits);
-    let ranked_frontier: Vec<String> = ranking
-        .iter()
-        .filter(|e| e.on_frontier)
-        .map(|e| e.model.clone())
-        .collect();
     let irregular_wins_mcnc = irregular_beats_structural(&circuits, false);
     let irregular_wins_syn = irregular_beats_structural(&circuits, true);
-    let largest_speedup = circuits
-        .iter()
-        .filter(|c| c.circuit.starts_with("syn-"))
-        .max_by_key(|c| c.modules)
-        .map_or(0.0, |c| c.staircase_speedup);
 
     println!("\nranking (mean Pearson over circuits x both routers):");
     for e in &ranking {
         println!(
-            "  {:<22} r={:.4} mae={:.3} J={:.4} build={:.3} ms{}",
-            e.model,
-            e.mean_pearson,
-            e.mean_scaled_mae,
-            e.mean_hotspot_jaccard,
-            e.mean_build_ms,
-            if e.on_frontier { "  [frontier]" } else { "" },
+            "  {:<22} r={:.4} mae={:.3} J={:.4}",
+            e.model, e.mean_pearson, e.mean_scaled_mae, e.mean_hotspot_jaccard,
         );
     }
-    println!(
-        "\naccuracy-vs-speed frontier: {}",
-        ranked_frontier.join(", ")
-    );
     println!(
         "irregular-grid beats every structural predictor on >=1 metric: \
          mcnc {irregular_wins_mcnc}, synthetics {irregular_wins_syn}"
     );
-    println!("staircase speedup on largest synthetic: {largest_speedup:.0}x");
 
     let report = CompareReport {
         mode: if quick { "quick" } else { "full" }.into(),
         hotspot_fraction: HOTSPOT_FRACTION,
         circuits,
         ranking,
-        ranked_frontier,
         irregular_beats_structural_on_mcnc: irregular_wins_mcnc,
         irregular_beats_structural_on_synthetics: irregular_wins_syn,
-        staircase_speedup_largest_synthetic: largest_speedup,
     };
     println!();
     report::emit(out, &report);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Nothing in a row is timed, so preparing and scoring one circuit
+    /// twice gives the same serialized row, byte for byte.
+    #[test]
+    fn a_circuit_row_is_a_function_of_its_inputs() {
+        let row = || {
+            let report = run_circuit(&prepare_synthetic(200));
+            serde_json::to_string(&report).expect("report serializes")
+        };
+        assert_eq!(row(), row());
+    }
 }

@@ -8,6 +8,8 @@
 //! temperature-ladder replica exchange every `--sync-every` temperature
 //! steps (pass `--independent` to disable exchange). The fleet's outcome
 //! is bit-identical for any `--jobs` value, which `tests/fleet.rs` pins.
+//! Nothing in the report is timed, so without `--time-limit` it is a
+//! function of the code and the flags: two runs write identical files.
 //!
 //! Crash recovery: `--run-dir DIR` persists the fleet manifest and the
 //! JSONL telemetry mirror into DIR; a killed or `--time-limit`-paused run
@@ -20,7 +22,7 @@ use std::time::Instant;
 use irgrid::anneal::Annealer;
 use irgrid::congestion::{CongestionModel, FixedGridModel, IrregularGridModel};
 use irgrid::fleet::{state_digest, ExchangeMode, Fleet, FleetConfig, FleetOptions, ReplicaSummary};
-use irgrid::floorplanner::{FloorplanSpec, Weights};
+use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::Um;
 use irgrid::netlist::mcnc::McncCircuit;
 use serde::Serialize;
@@ -57,8 +59,6 @@ struct Report {
     exchanges_attempted: usize,
     exchanges_accepted: usize,
     replica_summaries: Vec<ReplicaSummary>,
-    /// Wall-clock seconds (the only nondeterministic field).
-    wall_s: f64,
 }
 
 /// The value of a `--flag <count>` argument, strictly positive.
@@ -109,18 +109,15 @@ pub fn run(mode: &Mode, bench: McncCircuit, args: &Args) {
 
     let circuit = bench.circuit();
     let pitch = Um(bench.paper_grid_pitch_um());
-    let spec: FloorplanSpec<'_, IrregularGridModel> = FloorplanSpec::new(
-        &circuit,
-        pitch,
-        Weights::routability(),
-        Some(IrregularGridModel::new(pitch)),
-    )
-    .unwrap_or_else(|err| {
-        die(&format!(
-            "invalid floorplan configuration for {}: {err}",
-            bench.name()
-        ))
-    });
+    let weights = Weights::routability();
+    let model = IrregularGridModel::new(pitch);
+    let problem =
+        FloorplanProblem::try_new(&circuit, pitch, weights, Some(model)).unwrap_or_else(|err| {
+            die(&format!(
+                "invalid floorplan configuration for {}: {err}",
+                bench.name()
+            ))
+        });
 
     let config = FleetConfig {
         replicas,
@@ -144,7 +141,10 @@ pub fn run(mode: &Mode, bench: McncCircuit, args: &Args) {
     };
 
     let outcome = fleet
-        .run(|| spec.build(), &options)
+        .run(
+            || FloorplanProblem::new(&circuit, pitch, weights, Some(model)),
+            &options,
+        )
         .unwrap_or_else(|err| die(&format!("fleet run on {} failed: {err}", bench.name())));
     if !outcome.complete {
         eprintln!(
@@ -154,7 +154,6 @@ pub fn run(mode: &Mode, bench: McncCircuit, args: &Args) {
     }
 
     // Judge the fleet-best floorplan exactly as the experiment tables do.
-    let problem = spec.build();
     let eval = problem.evaluate(&outcome.best);
     let judging_cost = FixedGridModel::judging().evaluate(&eval.placement.chip(), &eval.segments);
 
@@ -177,7 +176,6 @@ pub fn run(mode: &Mode, bench: McncCircuit, args: &Args) {
         exchanges_attempted: outcome.trace.len(),
         exchanges_accepted: outcome.trace.iter().filter(|d| d.accepted).count(),
         replica_summaries: outcome.replicas.clone(),
-        wall_s: outcome.wall_s,
     };
     crate::report::emit(out_path, &report);
 }

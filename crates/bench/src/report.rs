@@ -5,7 +5,9 @@
 //! pretty JSON to stdout, then [`irgrid::anneal::write_atomic`] to the
 //! report path. A crash mid-write therefore never leaves a torn report
 //! for CI or downstream tooling to misparse — either the previous report
-//! survives or the new one is complete.
+//! survives or the new one is complete. Neither report holds a timing:
+//! each is a function of the code and the flags, so reruns can be
+//! compared byte for byte. Speed is measured by the benchmark package.
 
 use std::path::Path;
 

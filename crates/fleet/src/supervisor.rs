@@ -10,14 +10,14 @@
 //! round *uncommitted*, so a resumed fleet replays at most one round and
 //! lands on exactly the trajectory an uninterrupted fleet takes.
 //!
-//! This module is the only place in the crate that reads the wall clock,
-//! and only for run control (deadlines) and reporting (elapsed time) —
-//! never for anything that feeds results.
+//! The invocation's time limit is the crate's only wall-clock input: this
+//! module hands it to [`RunControl`], where it bounds how far one
+//! invocation gets and never feeds results.
 
 use std::path::{Path, PathBuf};
-// irgrid-lint: allow(D1): wall-clock use is confined to run control and
-// elapsed-time reporting in this supervisor module; results never depend on it.
-use std::time::{Duration, Instant};
+// irgrid-lint: allow(D1): only the `Duration` of the invocation's time limit,
+// handed to `RunControl`; results never depend on it.
+use std::time::Duration;
 
 use irgrid_anneal::{Annealer, CancelToken, DeltaProblem, RunControl, StopReason};
 use rand::SeedableRng;
@@ -139,16 +139,12 @@ pub struct FleetOutcome<S> {
     /// [`pause_after_rounds`](FleetOptions::pause_after_rounds)) and the
     /// fleet can be resumed.
     pub complete: bool,
-    /// Wall-clock seconds this invocation took. The only
-    /// nondeterministic field; excluded from
-    /// [`deterministic_eq`](FleetOutcome::deterministic_eq).
-    pub wall_s: f64,
 }
 
 impl<S: PartialEq> FleetOutcome<S> {
-    /// Bit-exact equality of everything except
-    /// [`wall_s`](FleetOutcome::wall_s) — the check behind the fleet's
-    /// worker-count and resume invariance guarantees.
+    /// Bit-exact equality (costs compared by their bit patterns) — the
+    /// check behind the fleet's worker-count and resume invariance
+    /// guarantees.
     #[must_use]
     pub fn deterministic_eq(&self, other: &FleetOutcome<S>) -> bool {
         self.best_replica == other.best_replica
@@ -204,8 +200,6 @@ impl Fleet {
         P::State: Clone + Send + PartialEq + Serialize + Deserialize,
         F: Fn() -> P + Sync,
     {
-        // irgrid-lint: allow(D1): elapsed-time reporting only; never feeds results
-        let started = Instant::now();
         let mut state = self.load_or_init(options)?;
 
         let mut base = RunControl::unlimited();
@@ -331,7 +325,6 @@ impl Fleet {
             events: state.telemetry.into_events(),
             rounds: state.rounds_done,
             complete,
-            wall_s: started.elapsed().as_secs_f64(),
         })
     }
 

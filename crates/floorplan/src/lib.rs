@@ -38,7 +38,7 @@ mod repr;
 mod seqpair;
 mod wire;
 
-pub use pack::{pack, pack_with_shapes, soft_shapes};
+pub use pack::pack;
 pub use pins::PinPlacer;
 pub use placement::Placement;
 pub use polish::{Cut, Element, Move, PolishExpr};

@@ -1,12 +1,12 @@
 //! Slicing-tree packing with shape lists.
 //!
-//! Each leaf (module) offers a list of candidate shapes; internal nodes
+//! Each leaf (module) offers its two 90° rotations; internal nodes
 //! combine child shape lists and prune dominated shapes (Stockmeyer's
 //! optimal-orientation algorithm). The root shape of minimum area is
 //! selected and positions are assigned top-down.
 //!
 //! Every node's pruned list lives in one flat arena, in postfix order.
-//! A node's unpruned list — a leaf's candidates, or an operator's
+//! A node's unpruned list — a leaf's rotations, or an operator's
 //! Cartesian product of its children's lists — is built in one reused
 //! scratch buffer, stably sorted, and pruned onto the arena's end, so a
 //! repack allocates a few buffers rather than three per node. The lists
@@ -14,15 +14,13 @@
 //! synthetic a pruned list holds at most 6 shapes and a product at most
 //! 30 — so the product-and-prune needs no linear-merge variant.
 //!
-//! Two entry points:
-//!
-//! * [`pack`] — hard modules: each leaf offers its two 90°-rotations
-//!   (what the paper's benchmarks use);
-//! * [`pack_with_shapes`] — arbitrary per-module shape candidates,
-//!   enabling *soft* modules via [`soft_shapes`] (the Wong–Liu
-//!   shape-curve extension).
+//! Neither pass recurses: postfix order puts both children of a node
+//! before it, so the top-down pass is one loop over the nodes in reverse.
+//! A slicing tree is as deep as it has modules in the worst case (the
+//! left-deep chain of [`PolishExpr::initial`]), and a recursive descent
+//! overflows a worker thread's stack long before 50 000 modules.
 
-use irgrid_geom::{Point, Rect, Um, UmArea};
+use irgrid_geom::{Point, Rect, Um};
 use irgrid_netlist::{Circuit, ModuleId};
 
 use crate::{Cut, Element, Placement, PolishExpr};
@@ -110,110 +108,7 @@ pub fn pack(expr: &PolishExpr, circuit: &Circuit) -> Placement {
         "expression and circuit disagree on module count"
     );
     let modules = circuit.modules();
-    let (rects, chip) = pack_impl(expr, modules.len(), |id, shapes| {
-        let m = &modules[id.index()];
-        shapes.push(Shape::leaf(0, m.width(), m.height()));
-        if m.width() != m.height() {
-            shapes.push(Shape::leaf(1, m.height(), m.width()));
-        }
-    });
-    let rotated = circuit
-        .modules_with_ids()
-        .map(|(id, m)| rects[id.index()].width() != m.width())
-        .collect();
-    Placement::from_parts(rects, rotated, chip)
-}
 
-/// Packs with arbitrary per-module shape candidates.
-///
-/// `candidates[i]` lists the `(width, height)` shapes module `i` may
-/// take; use [`soft_shapes`] to generate candidates for soft modules.
-/// The returned placement reports no rotations (shape choice subsumes
-/// orientation); the chosen dimensions are in the module rectangles.
-///
-/// # Panics
-///
-/// Panics if the candidate-list count differs from the expression's
-/// operand count, any list is empty, or any dimension is not positive.
-#[must_use]
-pub fn pack_with_shapes(expr: &PolishExpr, candidates: &[Vec<(Um, Um)>]) -> Placement {
-    assert_eq!(
-        expr.operand_count(),
-        candidates.len(),
-        "expression and shape lists disagree on module count"
-    );
-    let (rects, chip) = pack_impl(expr, candidates.len(), |id, shapes| {
-        let list = &candidates[id.index()];
-        assert!(!list.is_empty(), "module {id} has no shape candidates");
-        for (i, &(w, h)) in list.iter().enumerate() {
-            assert!(
-                w > Um::ZERO && h > Um::ZERO,
-                "module {id} candidate {i} has non-positive dims {w} x {h}"
-            );
-            shapes.push(Shape::leaf(i, w, h));
-        }
-    });
-    let rotated = vec![false; candidates.len()];
-    Placement::from_parts(rects, rotated, chip)
-}
-
-/// Generates `count` discrete shape candidates for a soft module of the
-/// given area, with aspect ratios (width/height) log-spaced over
-/// `[ar_min, ar_max]`.
-///
-/// Dimensions are rounded to integer micrometers (minimum 1), so the
-/// realized areas differ from `area` by at most one row/column of
-/// micrometers.
-///
-/// # Panics
-///
-/// Panics if `area` is not positive, the ratio range is invalid, or
-/// `count` is zero.
-///
-/// # Examples
-///
-/// ```
-/// use irgrid_floorplan::soft_shapes;
-/// use irgrid_geom::UmArea;
-///
-/// let shapes = soft_shapes(UmArea(10_000), 0.5, 2.0, 5);
-/// assert_eq!(shapes.len(), 5);
-/// // The middle candidate is square-ish.
-/// assert_eq!(shapes[2], (irgrid_geom::Um(100), irgrid_geom::Um(100)));
-/// ```
-#[must_use]
-pub fn soft_shapes(area: UmArea, ar_min: f64, ar_max: f64, count: usize) -> Vec<(Um, Um)> {
-    assert!(
-        area > UmArea::ZERO,
-        "soft module area must be positive, got {area}"
-    );
-    assert!(
-        ar_min > 0.0 && ar_min <= ar_max,
-        "invalid aspect-ratio range [{ar_min}, {ar_max}]"
-    );
-    assert!(count > 0, "need at least one shape candidate");
-    let area = area.0 as f64;
-    (0..count)
-        .map(|i| {
-            let t = if count == 1 {
-                0.5
-            } else {
-                i as f64 / (count - 1) as f64
-            };
-            let ar = (ar_min.ln() + t * (ar_max.ln() - ar_min.ln())).exp();
-            let w = (area * ar).sqrt().round().max(1.0) as i64;
-            let h = (area / w as f64).round().max(1.0) as i64;
-            (Um(w), Um(h))
-        })
-        .collect()
-}
-
-/// Shared packing core: `leaf` pushes a module's candidate shapes.
-fn pack_impl(
-    expr: &PolishExpr,
-    module_count: usize,
-    mut leaf: impl FnMut(ModuleId, &mut Vec<Shape>),
-) -> (Vec<Rect>, Rect) {
     // Build the slicing tree from the postfix expression.
     let mut nodes: Vec<Node> = Vec::with_capacity(expr.elements().len());
     let mut lists = ShapeLists::default();
@@ -224,7 +119,11 @@ fn pack_impl(
         unpruned.clear();
         match *element {
             Element::Operand(id) => {
-                leaf(id, &mut unpruned);
+                let m = &modules[id.index()];
+                unpruned.push(Shape::leaf(0, m.width(), m.height()));
+                if m.width() != m.height() {
+                    unpruned.push(Shape::leaf(1, m.height(), m.width()));
+                }
                 nodes.push(Node::Leaf(id));
             }
             Element::Operator(cut) => {
@@ -266,53 +165,40 @@ fn pack_impl(
         .map(|(i, _)| i)
         // irgrid-lint: allow(P1): a pruned list keeps at least one shape
         .expect("shape lists are never empty");
-
-    // Assign positions top-down. A leaf's pruned shape carries its
-    // chosen dimensions itself.
-    let mut rects = vec![Rect::from_origin_size(Point::ORIGIN, Um(1), Um(1)); module_count];
     let root_shape = lists.list(root)[best];
-    assign(&nodes, &lists, root, best, Point::ORIGIN, &mut rects);
-    let chip = Rect::from_origin_size(Point::ORIGIN, root_shape.w, root_shape.h);
-    (rects, chip)
-}
 
-fn assign(
-    nodes: &[Node],
-    lists: &ShapeLists,
-    node: usize,
-    shape_idx: usize,
-    origin: Point,
-    rects: &mut [Rect],
-) {
-    let shape = lists.list(node)[shape_idx];
-    match nodes[node] {
-        Node::Leaf(id) => {
-            rects[id.index()] = Rect::from_origin_size(origin, shape.w, shape.h);
-        }
-        Node::Internal { cut, left, right } => {
-            let ls = lists.list(left)[shape.left_choice as usize];
-            assign(
-                nodes,
-                lists,
-                left,
-                shape.left_choice as usize,
-                origin,
-                rects,
-            );
-            let right_origin = match cut {
-                Cut::V => Point::new(origin.x + ls.w, origin.y),
-                Cut::H => Point::new(origin.x, origin.y + ls.h),
-            };
-            assign(
-                nodes,
-                lists,
-                right,
-                shape.right_choice as usize,
-                right_origin,
-                rects,
-            );
+    // Assign positions top-down. Each node's children come before it, so
+    // by the time the reverse pass reaches a node its parent has recorded
+    // the node's chosen shape and origin. A leaf's pruned shape carries
+    // its chosen dimensions itself.
+    let mut rects = vec![Rect::from_origin_size(Point::ORIGIN, Um(1), Um(1)); modules.len()];
+    let mut chosen = vec![(0u32, Point::ORIGIN); nodes.len()];
+    chosen[root] = (best as u32, Point::ORIGIN);
+    for node in (0..=root).rev() {
+        let (choice, origin) = chosen[node];
+        let shape = lists.list(node)[choice as usize];
+        match nodes[node] {
+            Node::Leaf(id) => {
+                rects[id.index()] = Rect::from_origin_size(origin, shape.w, shape.h);
+            }
+            Node::Internal { cut, left, right } => {
+                let ls = lists.list(left)[shape.left_choice as usize];
+                let right_origin = match cut {
+                    Cut::V => Point::new(origin.x + ls.w, origin.y),
+                    Cut::H => Point::new(origin.x, origin.y + ls.h),
+                };
+                chosen[left] = (shape.left_choice, origin);
+                chosen[right] = (shape.right_choice, right_origin);
+            }
         }
     }
+
+    let chip = Rect::from_origin_size(Point::ORIGIN, root_shape.w, root_shape.h);
+    let rotated = circuit
+        .modules_with_ids()
+        .map(|(id, m)| rects[id.index()].width() != m.width())
+        .collect();
+    Placement::from_parts(rects, rotated, chip)
 }
 
 /// The packer as it was before the shape arena — one `Vec` per module
@@ -567,75 +453,32 @@ mod tests {
     }
 
     #[test]
-    fn soft_shapes_span_the_ratio_range() {
-        let shapes = soft_shapes(UmArea(40_000), 0.25, 4.0, 7);
-        assert_eq!(shapes.len(), 7);
-        // Ratios ascend from ~0.25 to ~4.
-        let first = shapes[0].0.as_f64() / shapes[0].1.as_f64();
-        let last = shapes[6].0.as_f64() / shapes[6].1.as_f64();
-        assert!((first - 0.25).abs() < 0.05, "first ratio {first}");
-        assert!((last - 4.0).abs() < 0.5, "last ratio {last}");
-        // Areas stay close to the target.
-        for &(w, h) in &shapes {
-            let area = (w * h).0 as f64;
-            assert!((area - 40_000.0).abs() / 40_000.0 < 0.02, "{w} x {h}");
+    fn deep_slicing_tree_packs_without_recursion() {
+        // `initial` is a chain one tree level per module, alternating V
+        // and H cuts: deep enough to overflow the test thread's stack if
+        // packing recursed. Equal squares grow it as a staircase, so 2k
+        // modules pack into a (k + 1) x k chip.
+        let n = 50_000;
+        let c = circuit(&vec![(10, 10); n]);
+        let p = pack(&PolishExpr::initial(n), &c);
+        assert_eq!(
+            p.chip(),
+            Rect::from_origin_size(Point::ORIGIN, Um(10 * 25_001), Um(10 * 25_000))
+        );
+        // `check_consistency` compares every pair, far too slow here. On
+        // a 10 µm lattice two 10 µm squares overlap only if they share an
+        // origin, so distinct lattice origins inside the chip suffice.
+        let mut origins = Vec::with_capacity(n);
+        for r in p.module_rects() {
+            assert!(p.chip().contains_rect(r), "{r} escapes the chip");
+            assert_eq!((r.width(), r.height()), (Um(10), Um(10)));
+            let (x, y) = (r.ll().x.0, r.ll().y.0);
+            assert!(x % 10 == 0 && y % 10 == 0, "{r} is off the lattice");
+            origins.push((x, y));
         }
-    }
-
-    #[test]
-    fn soft_packing_beats_hard_packing() {
-        // Three soft modules of equal area pack (near-)perfectly, while
-        // fixed square shapes leave dead space in a 3-module slicing
-        // floorplan of uneven structure.
-        let areas = [UmArea(10_000), UmArea(20_000), UmArea(30_000)];
-        let soft: Vec<Vec<(Um, Um)>> = areas.iter().map(|&a| soft_shapes(a, 0.2, 5.0, 9)).collect();
-        let hard: Vec<Vec<(Um, Um)>> = areas
-            .iter()
-            .map(|&a| {
-                let side = ((a.0 as f64).sqrt().round()) as i64;
-                vec![(Um(side), Um(side))]
-            })
-            .collect();
-        let expr = PolishExpr::initial(3);
-        let soft_area = pack_with_shapes(&expr, &soft).area();
-        let hard_area = pack_with_shapes(&expr, &hard).area();
-        assert!(
-            soft_area < hard_area,
-            "soft {soft_area} should beat hard {hard_area}"
-        );
-        // And soft packing approaches the lower bound.
-        let lower: i128 = 60_000;
-        assert!(
-            soft_area.0 < lower * 11 / 10,
-            "soft packing {soft_area} more than 10% above the bound"
-        );
-    }
-
-    #[test]
-    fn pack_with_shapes_consistency() {
-        let candidates = vec![
-            vec![(Um(30), Um(20)), (Um(20), Um(30))],
-            vec![(Um(10), Um(60)), (Um(60), Um(10)), (Um(25), Um(24))],
-        ];
-        let p = pack_with_shapes(&PolishExpr::initial(2), &candidates);
-        assert!(p.check_consistency().is_none());
-        // Chosen shapes come from the candidate lists.
-        let r0 = p.module_rect(ModuleId(0));
-        assert!(candidates[0].contains(&(r0.width(), r0.height())));
-        let r1 = p.module_rect(ModuleId(1));
-        assert!(candidates[1].contains(&(r1.width(), r1.height())));
-    }
-
-    #[test]
-    #[should_panic(expected = "no shape candidates")]
-    fn empty_candidate_list_rejected() {
-        let _ = pack_with_shapes(&PolishExpr::initial(1), &[vec![]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-positive dims")]
-    fn bad_candidate_dims_rejected() {
-        let _ = pack_with_shapes(&PolishExpr::initial(1), &[vec![(Um(0), Um(5))]]);
+        origins.sort_unstable();
+        origins.dedup();
+        assert_eq!(origins.len(), n, "two modules share an origin");
     }
 
     /// Side lengths rich in ties: 1 µm sides, squares when both sides
@@ -646,9 +489,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// Along a random perturbation walk of normalized Polish
-        /// expressions, `pack` and `pack_with_shapes` place every module
-        /// exactly where the one-`Vec`-per-node reference does, with the
-        /// same rotations and chip.
+        /// expressions, `pack` places every module exactly where the
+        /// one-`Vec`-per-node reference does, with the same rotations and
+        /// chip.
         #[test]
         fn arena_packer_matches_the_reference(
             picks in proptest::collection::vec((0usize..6, 0usize..6), 2..24),
@@ -669,12 +512,6 @@ mod tests {
                     list
                 })
                 .collect();
-            let soft: Vec<Vec<(Um, Um)>> = c
-                .modules()
-                .iter()
-                .enumerate()
-                .map(|(i, m)| soft_shapes(m.area(), 0.25, 4.0, 1 + i % 5))
-                .collect();
             let mut expr = PolishExpr::initial(dims.len());
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             for _ in 0..=steps {
@@ -687,13 +524,6 @@ mod tests {
                         placement.is_rotated(id),
                         rects[id.index()].width() != m.width()
                     );
-                }
-                for candidates in [&rotations, &soft] {
-                    let placement = pack_with_shapes(&expr, candidates);
-                    let (rects, chip) = reference::pack(&expr, candidates);
-                    proptest::prop_assert_eq!(placement.module_rects(), &rects[..], "{}", expr);
-                    proptest::prop_assert_eq!(placement.chip(), chip);
-                    proptest::prop_assert!(c.modules_with_ids().all(|(id, _)| !placement.is_rotated(id)));
                 }
                 expr.perturb_random(&mut rng);
             }

@@ -1,8 +1,7 @@
 //! Property-based tests for the floorplanning substrate.
 
 use irgrid_floorplan::{
-    pack, pack_with_shapes, soft_shapes, two_pin_segments, FloorplanRepr, PinPlacer, PolishExpr,
-    SequencePair,
+    pack, two_pin_segments, FloorplanRepr, PinPlacer, PolishExpr, SequencePair,
 };
 use irgrid_geom::{Rect, Um, UmArea};
 use irgrid_netlist::{Circuit, Module, ModuleId, Net};
@@ -117,55 +116,6 @@ proptest! {
             .map(|(id, _)| placement.module_rect(id).area())
             .sum();
         prop_assert_eq!(placed, circuit.total_module_area());
-    }
-
-    #[test]
-    fn soft_shapes_have_requested_count_and_area(
-        area in 100i128..10_000_000,
-        ar_lo in 0.2f64..1.0,
-        spread in 1.0f64..8.0,
-        count in 1usize..12,
-    ) {
-        let ar_hi = ar_lo * spread;
-        let shapes = soft_shapes(UmArea(area), ar_lo, ar_hi, count);
-        prop_assert_eq!(shapes.len(), count);
-        for &(w, h) in &shapes {
-            prop_assert!(w.0 > 0 && h.0 > 0);
-            let realized = (w * h).0 as f64;
-            // Rounding keeps areas within one strip of micrometers.
-            let tolerance = (w.0.max(h.0) as f64) + 1.0;
-            prop_assert!(
-                (realized - area as f64).abs() <= tolerance,
-                "shape {w} x {h} area {realized} vs target {area}"
-            );
-        }
-    }
-
-    #[test]
-    fn soft_packing_respects_candidates(
-        areas in prop::collection::vec(1_000i128..100_000, 2..6),
-        seed in 0u64..100,
-    ) {
-        let candidates: Vec<Vec<(Um, Um)>> = areas
-            .iter()
-            .map(|&a| soft_shapes(UmArea(a), 0.5, 2.0, 5))
-            .collect();
-        let mut expr = PolishExpr::initial(candidates.len());
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        for _ in 0..8 {
-            expr.perturb_random(&mut rng);
-        }
-        let placement = pack_with_shapes(&expr, &candidates);
-        prop_assert!(placement.check_consistency().is_none());
-        for (i, list) in candidates.iter().enumerate() {
-            let r = placement.module_rect(ModuleId(i as u32));
-            prop_assert!(
-                list.contains(&(r.width(), r.height())),
-                "module {i} got {} x {} not offered",
-                r.width(),
-                r.height()
-            );
-        }
     }
 
     #[test]

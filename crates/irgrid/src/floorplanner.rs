@@ -377,69 +377,6 @@ impl<'c, M: CongestionModel, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
     }
 }
 
-/// A `Sync` recipe for building cost-identical [`FloorplanProblem`]s.
-///
-/// [`FloorplanProblem`] itself is not `Sync` — its delta-path state
-/// lives in a `RefCell` — so it cannot be shared across the
-/// worker threads of an [`irgrid_fleet`] run. A spec captures the
-/// construction inputs instead; each worker calls
-/// [`build`](FloorplanSpec::build) to mint its own problem instance.
-/// Construction is deterministic (the normalization calibration walk is
-/// seeded), so every instance scores any given state to identical cost
-/// bits — exactly the factory contract the fleet supervisor requires.
-#[derive(Debug, Clone)]
-pub struct FloorplanSpec<'c, M: DeltaCongestion + Clone, R: FloorplanRepr = PolishExpr> {
-    circuit: &'c Circuit,
-    pitch: Um,
-    weights: Weights,
-    congestion: Option<M>,
-    repr: PhantomData<R>,
-}
-
-impl<'c, M: DeltaCongestion + Clone, R: FloorplanRepr> FloorplanSpec<'c, M, R> {
-    /// Creates a spec, validating the parameters by building (and
-    /// discarding) one problem instance.
-    pub fn new(
-        circuit: &'c Circuit,
-        pitch: Um,
-        weights: Weights,
-        congestion: Option<M>,
-    ) -> Result<FloorplanSpec<'c, M, R>, FloorplanError> {
-        let _probe: FloorplanProblem<'c, M, R> =
-            FloorplanProblem::try_with_representation(circuit, pitch, weights, congestion.clone())?;
-        Ok(FloorplanSpec {
-            circuit,
-            pitch,
-            weights,
-            congestion,
-            repr: PhantomData,
-        })
-    }
-
-    /// Builds one problem instance. Every instance built from the same
-    /// spec is cost-identical.
-    #[must_use]
-    pub fn build(&self) -> FloorplanProblem<'c, M, R> {
-        match FloorplanProblem::try_with_representation(
-            self.circuit,
-            self.pitch,
-            self.weights,
-            self.congestion.clone(),
-        ) {
-            Ok(problem) => problem,
-            // irgrid-lint: allow(P1): construction is deterministic and the
-            // identical inputs were validated by `FloorplanSpec::new`
-            Err(err) => panic!("validated floorplan spec failed to build: {err}"),
-        }
-    }
-
-    /// The circuit this spec floorplans.
-    #[must_use]
-    pub fn circuit(&self) -> &Circuit {
-        self.circuit
-    }
-}
-
 impl<'c, M: CongestionModel, R: FloorplanRepr> Problem for FloorplanProblem<'c, M, R> {
     type State = R;
 
@@ -887,32 +824,23 @@ mod tests {
         ));
     }
 
+    /// The factory contract of `Fleet::run` and the worker pool: problems
+    /// built from the same inputs score every state to identical cost
+    /// bits, so each worker can build its own.
     #[test]
-    fn spec_builds_cost_identical_problems() {
+    fn problems_built_from_the_same_inputs_score_identical_cost_bits() {
         let circuit = small_circuit();
-        let spec: FloorplanSpec<'_, IrregularGridModel> = FloorplanSpec::new(
-            &circuit,
-            Um(30),
-            Weights::balanced(),
-            Some(IrregularGridModel::new(Um(30))),
-        )
-        .expect("valid spec");
-        let a = spec.build();
-        let b = spec.build();
+        let build = || {
+            FloorplanProblem::new(
+                &circuit,
+                Um(30),
+                Weights::balanced(),
+                Some(IrregularGridModel::new(Um(30))),
+            )
+        };
+        let (a, b) = (build(), build());
         let state = a.initial_state();
-        assert_eq!(
-            a.cost(&state).to_bits(),
-            b.cost(&state).to_bits(),
-            "instances from one spec must score identical cost bits"
-        );
-    }
-
-    #[test]
-    fn spec_rejects_what_try_new_rejects() {
-        let circuit = small_circuit();
-        let err = FloorplanSpec::<FixedGridModel>::new(&circuit, Um(0), Weights::balanced(), None)
-            .unwrap_err();
-        assert_eq!(err, FloorplanError::NonPositivePitch(Um(0)));
+        assert_eq!(a.cost(&state).to_bits(), b.cost(&state).to_bits());
     }
 
     #[test]

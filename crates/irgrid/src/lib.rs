@@ -90,8 +90,9 @@ pub mod anneal {
 
 /// Deterministic multi-replica annealing orchestration (re-export of
 /// [`irgrid_fleet`]): worker pools, temperature-ladder exchange, crash
-/// recovery, and run telemetry. Pairs with
-/// [`floorplanner::FloorplanSpec`] as the per-worker problem factory.
+/// recovery, and run telemetry. The per-worker problem factory is a
+/// closure that builds a [`floorplanner::FloorplanProblem`] from the
+/// same inputs on every call.
 pub mod fleet {
     pub use irgrid_fleet::*;
 }

@@ -1,5 +1,5 @@
-//! Structural congestion predictors — the cheap end of the
-//! accuracy-vs-speed frontier.
+//! Structural congestion predictors — the cheap baselines the
+//! probabilistic models are judged against.
 //!
 //! The probabilistic models in [`irgrid_core`] count monotone routes;
 //! the predictors here never look at routes at all. Each one maps a
@@ -10,7 +10,7 @@
 //! estimators an industrial flow runs first, and the baselines the
 //! paper's Table 2/3 claim ("a route-counting model predicts routed
 //! congestion better") must beat to mean anything. The
-//! `repro compare-all` harness races every one of them against routed
+//! `repro compare-all` harness judges every one of them against routed
 //! ground truth.
 //!
 //! All five implement [`CongestionModel`] (scalar score, usable as a

@@ -12,7 +12,7 @@ use irgrid::fleet::{
     TELEMETRY_FILE,
 };
 use irgrid::floorplan::PolishExpr;
-use irgrid::floorplanner::{FloorplanSpec, Weights};
+use irgrid::floorplanner::{FloorplanProblem, Weights};
 use irgrid::geom::Um;
 use irgrid::netlist::generator::CircuitGenerator;
 use irgrid::netlist::Circuit;
@@ -43,16 +43,17 @@ fn run_floorplan_fleet(
     workers: usize,
     options: &FleetOptions,
 ) -> FleetOutcome<PolishExpr> {
-    let spec: FloorplanSpec<'_, IrregularGridModel> = FloorplanSpec::new(
-        circuit,
-        Um(30),
-        Weights::routability(),
-        Some(IrregularGridModel::new(Um(30))),
-    )
-    .expect("valid spec");
     let fleet =
         Fleet::new(Annealer::new(Schedule::quick()), fleet_config(workers)).expect("valid config");
-    fleet.run(|| spec.build(), options).expect("fleet run")
+    let build = || {
+        FloorplanProblem::new(
+            circuit,
+            Um(30),
+            Weights::routability(),
+            Some(IrregularGridModel::new(Um(30))),
+        )
+    };
+    fleet.run(build, options).expect("fleet run")
 }
 
 /// A fresh scratch directory under the system temp dir.
