@@ -472,4 +472,169 @@ mod tests {
         };
         assert_eq!(row(), row());
     }
+
+    /// An agreement whose scaled MAE and Jaccard follow its Pearson, so
+    /// one number says how well a model did.
+    fn agree(pearson: f64) -> Agreement {
+        Agreement {
+            pearson,
+            scaled_mae: 1.0 - pearson,
+            hotspot_jaccard: pearson / 2.0,
+        }
+    }
+
+    /// A circuit report holding only model rows
+    /// `(model, vs_pathfinder, vs_staircase)`.
+    fn report(circuit: &str, rows: &[(&str, Agreement, Agreement)]) -> CircuitReport {
+        CircuitReport {
+            circuit: circuit.into(),
+            modules: 0,
+            segments: 0,
+            pitch_um: 30,
+            grid: "1x1".into(),
+            pathfinder_overflow: 0,
+            staircase_cuts: 0,
+            models: rows
+                .iter()
+                .map(|&(model, pf, sc)| ModelRow {
+                    model: model.into(),
+                    vs_pathfinder: pf,
+                    vs_staircase: sc,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn ranking_orders_models_by_mean_pearson_over_circuits_and_routers() {
+        // `b` has the best single agreement but the worst mean.
+        let circuits = [
+            report(
+                "apte",
+                &[
+                    ("a", agree(0.25), agree(0.5)),
+                    ("b", agree(1.0), agree(0.0)),
+                    ("c", agree(0.5), agree(0.5)),
+                ],
+            ),
+            report(
+                "syn-1k",
+                &[
+                    ("a", agree(0.75), agree(0.5)),
+                    ("b", agree(0.0), agree(0.0)),
+                    ("c", agree(0.75), agree(0.75)),
+                ],
+            ),
+        ];
+        let ranking = build_ranking(&circuits);
+        let order: Vec<(&str, f64, f64, f64)> = ranking
+            .iter()
+            .map(|e| {
+                (
+                    e.model.as_str(),
+                    e.mean_pearson,
+                    e.mean_scaled_mae,
+                    e.mean_hotspot_jaccard,
+                )
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [
+                ("c", 0.625, 0.375, 0.3125),
+                ("a", 0.5, 0.5, 0.25),
+                ("b", 0.25, 0.75, 0.125)
+            ]
+        );
+    }
+
+    /// The five structural predictors at `structural` (rent-demand at
+    /// `rent`) and the Irregular-Grid model at `irregular`, all against
+    /// PathFinder; every staircase agreement is `agree(0.5)`.
+    fn zoo_rows(
+        irregular: Agreement,
+        structural: Agreement,
+        rent: Agreement,
+    ) -> Vec<(&'static str, Agreement, Agreement)> {
+        let mut rows: Vec<(&str, Agreement, Agreement)> = STRUCTURAL
+            .iter()
+            .map(|&s| {
+                let pf = if s == "rent-demand" { rent } else { structural };
+                (s, pf, agree(0.5))
+            })
+            .collect();
+        rows.push((IRREGULAR, irregular, agree(0.5)));
+        rows
+    }
+
+    #[test]
+    fn irregular_must_beat_every_structural_predictor_on_one_metric() {
+        let base = agree(0.5);
+        let claim = |irregular, rent| {
+            irregular_beats_structural(&[report("apte", &zoo_rows(irregular, base, rent))], false)
+        };
+        let sharper = Agreement {
+            hotspot_jaccard: 0.5,
+            ..base
+        };
+        let closer = Agreement {
+            scaled_mae: 0.25,
+            ..base
+        };
+        // Ties on every metric are no win.
+        assert!(!claim(base, base));
+        // One metric beaten against all five suffices, and a lower
+        // scaled MAE counts as better.
+        assert!(claim(sharper, base));
+        assert!(claim(closer, base));
+        // One structural predictor matching it on that metric cancels it.
+        assert!(!claim(sharper, sharper));
+        assert!(!claim(closer, closer));
+    }
+
+    #[test]
+    fn irregular_claims_read_only_their_own_circuits() {
+        let base = agree(0.5);
+        let better = agree(0.75);
+        let circuits = [
+            report("apte", &zoo_rows(base, base, base)),
+            report("syn-1k", &zoo_rows(better, base, base)),
+        ];
+        assert!(!irregular_beats_structural(&circuits, false));
+        assert!(irregular_beats_structural(&circuits, true));
+        // With no circuit of the kind there is nothing to claim.
+        assert!(!irregular_beats_structural(&circuits[1..], false));
+    }
+
+    #[test]
+    fn the_zoo_holds_the_irregular_model_and_every_structural_predictor() {
+        let keys: Vec<String> = model_zoo(Um(30))
+            .iter()
+            .map(|m| model_key(&m.name()))
+            .collect();
+        assert_eq!(model_key("irregular-grid 30um"), IRREGULAR);
+        assert_eq!(keys.len(), 8);
+        for key in STRUCTURAL.iter().chain([&IRREGULAR]) {
+            assert_eq!(
+                keys.iter().filter(|k| k == key).count(),
+                1,
+                "{key} in {keys:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn normalized_rescales_to_mean_one_and_keeps_zero_maps() {
+        assert_eq!(normalized(&[1.0, 3.0]), [0.5, 1.5]);
+        assert_eq!(normalized(&[0.0, 0.0]), [0.0, 0.0]);
+        assert!(normalized(&[]).is_empty());
+    }
+
+    #[test]
+    fn synthetic_pitch_is_the_longer_side_over_64_floored_at_30um() {
+        let chip = |w, h| Rect::from_origin_size(Point::ORIGIN, Um(w), Um(h));
+        assert_eq!(synthetic_pitch(&chip(6400, 100)), Um(100));
+        assert_eq!(synthetic_pitch(&chip(100, 6400)), Um(100));
+        assert_eq!(synthetic_pitch(&chip(640, 640)), Um(30));
+    }
 }

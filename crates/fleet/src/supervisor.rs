@@ -572,6 +572,51 @@ mod tests {
     }
 
     #[test]
+    fn replica_summaries_compare_costs_by_their_bits() {
+        let summary = ReplicaSummary {
+            replica: 0,
+            seed: 1,
+            stop_reason: None,
+            best_cost: Some(0.0),
+            temperatures: 3,
+            accepted: 2,
+            rejected: 1,
+        };
+        let negative_zero = ReplicaSummary {
+            best_cost: Some(-0.0),
+            ..summary.clone()
+        };
+        assert_eq!(summary, negative_zero);
+        assert!(!summary.deterministic_eq(&negative_zero));
+        let nan = ReplicaSummary {
+            best_cost: Some(f64::NAN),
+            ..summary
+        };
+        assert_ne!(nan, nan.clone());
+        assert!(nan.deterministic_eq(&nan.clone()));
+    }
+
+    /// The invariance tests lean on `deterministic_eq`; it must notice a
+    /// one-ulp change in any cost it covers.
+    #[test]
+    fn outcome_equality_sees_a_one_ulp_cost_change() {
+        let next_up = |cost: f64| f64::from_bits(cost.to_bits() + 1);
+        let outcome = fleet(ExchangeMode::Ladder, 1)
+            .run(|| FullCostDelta::new(&Bowl), &FleetOptions::default())
+            .expect("fleet runs");
+        assert!(outcome.deterministic_eq(&outcome.clone()));
+
+        let mut moved = outcome.clone();
+        moved.best_cost = next_up(moved.best_cost);
+        assert!(!outcome.deterministic_eq(&moved));
+
+        let mut moved = outcome.clone();
+        let last = moved.replicas.last_mut().expect("three replicas");
+        last.best_cost = last.best_cost.map(next_up);
+        assert!(!outcome.deterministic_eq(&moved));
+    }
+
+    #[test]
     fn ladder_mode_records_an_exchange_trace() {
         let outcome = fleet(ExchangeMode::Ladder, 2)
             .run(|| FullCostDelta::new(&Bowl), &FleetOptions::default())

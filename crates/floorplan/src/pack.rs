@@ -385,6 +385,56 @@ mod tests {
     }
 
     #[test]
+    fn nested_cuts_place_every_quadrant() {
+        // `0 1 V 2 3 V H`: two side-by-side pairs stacked. The upper pair's
+        // subtree starts at y = 10, so its right child must inherit that
+        // origin and add its sibling's width.
+        use crate::Element::*;
+        let c = circuit(&[(10, 10); 4]);
+        let expr = PolishExpr::from_elements(vec![
+            Operand(ModuleId(0)),
+            Operand(ModuleId(1)),
+            Operator(Cut::V),
+            Operand(ModuleId(2)),
+            Operand(ModuleId(3)),
+            Operator(Cut::V),
+            Operator(Cut::H),
+        ])
+        .expect("valid");
+        let p = pack(&expr, &c);
+        assert_eq!(p.area().0, 400, "four squares tile the chip");
+        let origins: Vec<(i64, i64)> = p
+            .module_rects()
+            .iter()
+            .map(|r| (r.ll().x.0, r.ll().y.0))
+            .collect();
+        assert_eq!(origins, [(0, 0), (10, 0), (0, 10), (10, 10)]);
+    }
+
+    #[test]
+    fn equal_area_root_shapes_prefer_the_squarer() {
+        // Two 10x20 modules: under either cut the root keeps a 20x20 and
+        // a 40x10 (or 10x40) shape, both of area 400. The squarer wins.
+        use crate::Element::*;
+        let c = circuit(&[(10, 20), (10, 20)]);
+        for cut in [Cut::V, Cut::H] {
+            let expr = PolishExpr::from_elements(vec![
+                Operand(ModuleId(0)),
+                Operand(ModuleId(1)),
+                Operator(cut),
+            ])
+            .expect("valid");
+            let p = pack(&expr, &c);
+            assert_eq!(
+                p.chip(),
+                Rect::from_origin_size(Point::ORIGIN, Um(20), Um(20)),
+                "{cut:?}"
+            );
+            assert!(p.check_consistency().is_none(), "{cut:?}");
+        }
+    }
+
+    #[test]
     fn packing_is_consistent_for_benchmarks() {
         use irgrid_netlist::mcnc::McncCircuit;
         for bench in McncCircuit::ALL {
@@ -465,10 +515,36 @@ mod tests {
             p.chip(),
             Rect::from_origin_size(Point::ORIGIN, Um(10 * 25_001), Um(10 * 25_000))
         );
-        // `check_consistency` compares every pair, far too slow here. On
-        // a 10 µm lattice two 10 µm squares overlap only if they share an
-        // origin, so distinct lattice origins inside the chip suffice.
-        let mut origins = Vec::with_capacity(n);
+        assert_disjoint_lattice_squares(&p);
+    }
+
+    #[test]
+    fn right_deep_slicing_tree_packs_without_recursion() {
+        // All operands first, then alternating cuts: each cut joins one
+        // more module on the left of everything packed so far, so the
+        // tree's depth runs down the right children. Equal squares grow
+        // the same staircase as the left-deep chain: (k + 1) x k for 2k.
+        use crate::Element::*;
+        let n = 20_000;
+        let c = circuit(&vec![(10, 10); n]);
+        let mut elements: Vec<Element> = (0..n as u32).map(|i| Operand(ModuleId(i))).collect();
+        elements.extend((1..n).map(|i| Operator(if i % 2 == 1 { Cut::V } else { Cut::H })));
+        let expr = PolishExpr::from_elements(elements).expect("valid");
+        let p = pack(&expr, &c);
+        assert_eq!(
+            p.chip(),
+            Rect::from_origin_size(Point::ORIGIN, Um(10 * 10_001), Um(10 * 10_000))
+        );
+        assert_disjoint_lattice_squares(&p);
+    }
+
+    /// Checks that every module of `p` is a 10 µm square inside the chip
+    /// and that no two overlap. `check_consistency` compares every pair,
+    /// far too slow for deep trees. On a 10 µm lattice two 10 µm squares
+    /// overlap only if they share an origin, so distinct lattice origins
+    /// suffice.
+    fn assert_disjoint_lattice_squares(p: &Placement) {
+        let mut origins = Vec::with_capacity(p.module_rects().len());
         for r in p.module_rects() {
             assert!(p.chip().contains_rect(r), "{r} escapes the chip");
             assert_eq!((r.width(), r.height()), (Um(10), Um(10)));
@@ -478,7 +554,11 @@ mod tests {
         }
         origins.sort_unstable();
         origins.dedup();
-        assert_eq!(origins.len(), n, "two modules share an origin");
+        assert_eq!(
+            origins.len(),
+            p.module_rects().len(),
+            "two modules share an origin"
+        );
     }
 
     /// Side lengths rich in ties: 1 µm sides, squares when both sides
