@@ -515,7 +515,7 @@ mod tests {
             p.chip(),
             Rect::from_origin_size(Point::ORIGIN, Um(10 * 25_001), Um(10 * 25_000))
         );
-        assert_disjoint_lattice_squares(&p);
+        assert_eq!(p.check_consistency(), None);
     }
 
     #[test]
@@ -535,30 +535,7 @@ mod tests {
             p.chip(),
             Rect::from_origin_size(Point::ORIGIN, Um(10 * 10_001), Um(10 * 10_000))
         );
-        assert_disjoint_lattice_squares(&p);
-    }
-
-    /// Checks that every module of `p` is a 10 µm square inside the chip
-    /// and that no two overlap. `check_consistency` compares every pair,
-    /// far too slow for deep trees. On a 10 µm lattice two 10 µm squares
-    /// overlap only if they share an origin, so distinct lattice origins
-    /// suffice.
-    fn assert_disjoint_lattice_squares(p: &Placement) {
-        let mut origins = Vec::with_capacity(p.module_rects().len());
-        for r in p.module_rects() {
-            assert!(p.chip().contains_rect(r), "{r} escapes the chip");
-            assert_eq!((r.width(), r.height()), (Um(10), Um(10)));
-            let (x, y) = (r.ll().x.0, r.ll().y.0);
-            assert!(x % 10 == 0 && y % 10 == 0, "{r} is off the lattice");
-            origins.push((x, y));
-        }
-        origins.sort_unstable();
-        origins.dedup();
-        assert_eq!(
-            origins.len(),
-            p.module_rects().len(),
-            "two modules share an origin"
-        );
+        assert_eq!(p.check_consistency(), None);
     }
 
     /// Side lengths rich in ties: 1 µm sides, squares when both sides

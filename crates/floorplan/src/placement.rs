@@ -1,6 +1,10 @@
 //! The result of packing a slicing floorplan.
 
-use irgrid_geom::{Rect, UmArea};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
+use std::ops::Bound::{Excluded, Unbounded};
+
+use irgrid_geom::{Rect, Um, UmArea};
 use irgrid_netlist::ModuleId;
 use serde::{Deserialize, Serialize};
 
@@ -90,8 +94,9 @@ impl Placement {
 
     /// Verifies structural soundness: every module inside the chip and no
     /// two modules overlapping with positive area. Returns a description
-    /// of the first violation, if any. Intended for tests and debugging
-    /// (`O(n²)`).
+    /// of a violation, if any; the overlapping pair it names may differ
+    /// from the first pair in index order. `O(n log n)`: a sweep over x
+    /// that keeps the modules spanning the sweep position ordered by y.
     #[must_use]
     pub fn check_consistency(&self) -> Option<String> {
         for (i, r) in self.rects.iter().enumerate() {
@@ -99,15 +104,46 @@ impl Placement {
                 return Some(format!("module {i} at {r} escapes chip {}", self.chip));
             }
         }
-        for i in 0..self.rects.len() {
-            for j in (i + 1)..self.rects.len() {
-                if self.rects[i].overlaps_area(&self.rects[j]) {
+        // A degenerate rectangle overlaps nothing with positive area, and
+        // its empty y-span would break the ordering argument below.
+        let mut by_start: Vec<usize> = (0..self.rects.len())
+            .filter(|&i| !self.rects[i].is_degenerate())
+            .collect();
+        by_start.sort_by_key(|&i| self.rects[i].ll().x);
+        let mut spanning: BTreeSet<(Um, usize)> = BTreeSet::new();
+        let mut by_end: BinaryHeap<Reverse<(Um, usize)>> = BinaryHeap::new();
+        for i in by_start {
+            let r = &self.rects[i];
+            // Touching edges do not overlap: a module ending at or before
+            // `r` starts leaves first.
+            while let Some(&Reverse((end, j))) = by_end.peek() {
+                if end > r.ll().x {
+                    break;
+                }
+                by_end.pop();
+                spanning.remove(&(self.rects[j].ll().y, j));
+            }
+            // Until the first overlap the spanning modules are pairwise
+            // y-disjoint, so `r` overlaps one of them only if it overlaps
+            // its y-predecessor or y-successor.
+            let y = r.ll().y;
+            let below = spanning.range(..=(y, usize::MAX)).next_back();
+            let above = spanning
+                .range((Excluded((y, usize::MAX)), Unbounded))
+                .next();
+            for &(_, j) in below.into_iter().chain(above) {
+                if self.rects[j].overlaps_area(r) {
                     return Some(format!(
-                        "modules {i} and {j} overlap: {} vs {}",
-                        self.rects[i], self.rects[j]
+                        "modules {} and {} overlap: {} vs {}",
+                        i.min(j),
+                        i.max(j),
+                        self.rects[i.min(j)],
+                        self.rects[i.max(j)]
                     ));
                 }
             }
+            spanning.insert((y, i));
+            by_end.push(Reverse((r.ur().x, i)));
         }
         None
     }
@@ -178,5 +214,46 @@ mod tests {
     fn consistency_detects_escape() {
         let p = Placement::from_parts(vec![rect(0, 0, 11, 5)], vec![false], rect(0, 0, 10, 5));
         assert!(p.check_consistency().expect("escape").contains("escapes"));
+    }
+
+    /// The `O(n²)` check the sweep replaced, kept as its reference:
+    /// every pair of modules compared.
+    fn pairwise_overlap(p: &Placement) -> Option<(usize, usize)> {
+        let rects = p.module_rects();
+        (0..rects.len())
+            .flat_map(|i| ((i + 1)..rects.len()).map(move |j| (i, j)))
+            .find(|&(i, j)| rects[i].overlaps_area(&rects[j]))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// On small lattice rectangles, where overlaps, shared edges,
+        /// nesting, identical and degenerate rectangles all occur, the
+        /// sweep finds an overlap exactly when the pairwise check does,
+        /// and the pair it names does overlap.
+        #[test]
+        fn sweep_agrees_with_the_pairwise_check(
+            spans in proptest::collection::vec((0i64..6, 0i64..6, 0i64..4, 0i64..4), 1..10),
+        ) {
+            let rects: Vec<Rect> = spans
+                .iter()
+                .map(|&(x, y, w, h)| rect(x, y, x + w, y + h))
+                .collect();
+            let p = Placement::from_parts(rects.clone(), vec![false; rects.len()], rect(0, 0, 9, 9));
+            let found = p.check_consistency();
+            proptest::prop_assert_eq!(found.is_some(), pairwise_overlap(&p).is_some(), "{:?}", found);
+            if let Some(message) = found {
+                let named: Vec<usize> = message
+                    .trim_start_matches("modules ")
+                    .split(" overlap")
+                    .next()
+                    .expect("pair")
+                    .split(" and ")
+                    .map(|k| k.parse().expect("index"))
+                    .collect();
+                proptest::prop_assert!(rects[named[0]].overlaps_area(&rects[named[1]]), "{}", message);
+            }
+        }
     }
 }

@@ -18,7 +18,8 @@ use std::fmt;
 use std::marker::PhantomData;
 
 use irgrid_floorplan::{
-    two_pin_segments, Decomposition, FloorplanRepr, NetScratch, PinPlacer, Placement, PolishExpr,
+    segments_wirelength, two_pin_segments, Decomposition, FloorplanRepr, NetScratch, PinPlacer,
+    Placement, PolishExpr,
 };
 use irgrid_geom::{Point, Um};
 use irgrid_netlist::Circuit;
@@ -343,10 +344,7 @@ impl<'c, M: CongestionModel, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
         let placement = repr.place(self.circuit);
         let segments = two_pin_segments(self.circuit, &placement, &self.placer);
         let area = placement.area().as_f64();
-        let wire: f64 = segments
-            .iter()
-            .map(|(a, b)| a.manhattan_distance(*b).as_f64())
-            .sum(); // irgrid-lint: allow(D2): serial in-order sum over the segment Vec; order fixed by net decomposition
+        let wire = segments_wirelength(&segments).as_f64();
         let congestion = match &self.congestion {
             Some(model) if score_congestion => model.evaluate(&placement.chip(), &segments),
             _ => 0.0,

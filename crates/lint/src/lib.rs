@@ -78,15 +78,15 @@ mod scan;
 
 pub use diag::{CrateDebt, Finding, Format, Report};
 pub use engine::{find_workspace_root, run, EngineConfig};
-pub use rules::{RuleConfig, RULE_IDS};
+pub use rules::RuleConfig;
 pub use scan::{AllowDirective, MalformedDirective, Scan, KNOWN_RULES};
 
 /// CI ceiling on `Report::debt_total`: the workspace-wide count of live
 /// allow directives may never exceed this. It equals the measured
-/// count, 72 live allows, so a deleted suppression cannot come back
+/// count, 71 live allows, so a deleted suppression cannot come back
 /// silently. Lowering it is a ratchet — raise it only with a PR that
 /// argues why the new suppression is cheaper than the fix.
-pub const DEBT_CEILING: usize = 72;
+pub const DEBT_CEILING: usize = 71;
 
 /// Lints one in-memory source file as if it lived at the
 /// workspace-relative `rel_path` (which decides rule scope).

@@ -30,13 +30,11 @@ use crate::diag::Finding;
 use crate::invariants::{self, ConsultRecord, SiteRegistry};
 use crate::scan::{token_positions, Scan};
 
-/// Every enforceable rule ID, in report order.
-pub const RULE_IDS: &[&str] = &["D1", "D2", "P1", "C1", "U1", "S1", "S2", "S3", "S4", "S5"];
-
 /// Which rules run and how strictly.
 #[derive(Debug, Clone, Default)]
 pub struct RuleConfig {
-    /// Rule IDs to run (subset of [`RULE_IDS`]). Empty means all.
+    /// Rule IDs to run (subset of [`KNOWN_RULES`](crate::KNOWN_RULES)).
+    /// Empty means all.
     pub rules: Vec<String>,
     /// Ignore per-rule path scopes: run the selected rules on every
     /// scanned file (sweep mode; allowlists and `#[cfg(test)]` masking

@@ -69,7 +69,8 @@ pub struct Scan {
     pub malformed: Vec<MalformedDirective>,
 }
 
-/// Rule IDs a directive may suppress.
+/// Every enforceable rule ID, in report order: the IDs a directive may
+/// suppress and a rule selection may name.
 pub const KNOWN_RULES: &[&str] = &["D1", "D2", "P1", "C1", "U1", "S1", "S2", "S3", "S4", "S5"];
 
 const DIRECTIVE_PREFIX: &str = "irgrid-lint:";

@@ -431,7 +431,7 @@ pub fn decode_value(bytes: &[u8]) -> Result<Value, String> {
 }
 
 /// Encodes any protocol message as one frame in the given codec.
-fn message_frame<T: Serialize>(codec: FrameCodec, message: &T) -> Vec<u8> {
+pub(crate) fn message_frame<T: Serialize>(codec: FrameCodec, message: &T) -> Vec<u8> {
     match codec {
         FrameCodec::Jsonl => {
             let serialized = serde_json::to_string(message);

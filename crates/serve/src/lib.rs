@@ -11,9 +11,9 @@
 //! [`IrDeltaEvaluator`](irgrid_core::IrDeltaEvaluator) driven
 //! move-by-move with `Propose`/`Commit`/`Undo` — the daemon-side mirror of
 //! the annealer's inner loop, bit-identical to a full rebuild by
-//! construction — and scores independent batches read-only with
-//! `Evaluate`. Every request is scored afresh; the daemon keeps no score
-//! cache (DESIGN.md §3g says why).
+//! construction. `Propose` is the one scoring op: followed by `Undo` it
+//! is a read-only score. Every request is scored afresh; the daemon
+//! keeps no score cache (DESIGN.md §3g says why).
 //!
 //! The design goal is *robustness you can prove*, not raw throughput:
 //!
@@ -26,11 +26,11 @@
 //!   is read-only or pure, so a client that resends after any retryable
 //!   failure converges on the same final state as an uninterrupted run
 //!   ([`manager`]).
-//! - **Bounded everything.** Frames, batches, sessions, and connections
+//! - **Bounded everything.** Frames, states, sessions, and connections
 //!   all have hard limits with explicit typed refusals — backpressure is
 //!   visible, queues never grow without bound ([`protocol::Limits`]).
 //! - **Load shedding.** Every served score comes from the
-//!   irregular-grid engine; past a threshold of in-flight scoring
+//!   irregular-grid engine; past a threshold of in-flight `Propose`
 //!   requests the daemon refuses work with retryable `Backpressure`
 //!   instead of queueing it ([`manager::DegradePolicy`]).
 //! - **Deterministic chaos.** A seeded fault injector ([`chaos`])
@@ -61,7 +61,7 @@ pub use client::{Client, ClientError};
 pub use frame::{FrameCodec, BINARY_MAGIC};
 pub use manager::{DegradePolicy, SessionManager};
 pub use protocol::{
-    ErrorKind, EvalResult, FloorplanState, Limits, Request, RequestOp, Response, ResponsePayload,
+    ErrorKind, FloorplanState, Limits, Request, RequestOp, Response, ResponsePayload,
     SessionConfig, SessionStat,
 };
 pub use server::{serve, ServerHandle, ServerOptions, Transport};

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! irgrid-serve --socket /tmp/irgrid.sock --state-dir ./serve-state
-//! irgrid-serve --tcp 127.0.0.1:9917 --workers 4
+//! irgrid-serve --tcp 127.0.0.1:9917
 //! irgrid-serve --socket /tmp/irgrid.sock --chaos 42        # fault injection (testing)
 //! ```
 //!
@@ -13,7 +13,6 @@
 //! | `--socket PATH`         | `./irgrid-serve.sock`| listen on a Unix socket             |
 //! | `--tcp ADDR`            | —                    | listen on TCP instead (`host:port`) |
 //! | `--state-dir DIR`       | `./irgrid-serve-state` | session checkpoint directory      |
-//! | `--workers N`           | `1`                  | pool threads per `Evaluate` batch   |
 //! | `--request-timeout-ms N`| `30000`              | per-request deadline; `0` disables  |
 //! | `--chaos SEED`          | off                  | seeded fault injection (testing)    |
 //! | `--reject-at N`         | `33`                 | refuse (`Backpressure`) at this load|
@@ -34,7 +33,7 @@ use irgrid_serve::{
 
 fn die(message: &str) -> ExitCode {
     eprintln!("irgrid-serve: {message}");
-    eprintln!("usage: irgrid-serve [--socket PATH | --tcp ADDR] [--state-dir DIR] [--workers N]");
+    eprintln!("usage: irgrid-serve [--socket PATH | --tcp ADDR] [--state-dir DIR]");
     eprintln!("                    [--request-timeout-ms N] [--chaos SEED]");
     eprintln!("                    [--reject-at N] [--max-clients N]");
     ExitCode::from(2)
@@ -44,7 +43,6 @@ struct Flags {
     socket: PathBuf,
     tcp: Option<String>,
     state_dir: PathBuf,
-    workers: usize,
     request_timeout_ms: u64,
     chaos_seed: Option<u64>,
     policy: DegradePolicy,
@@ -56,7 +54,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         socket: PathBuf::from("./irgrid-serve.sock"),
         tcp: None,
         state_dir: PathBuf::from("./irgrid-serve-state"),
-        workers: 1,
         request_timeout_ms: 30_000,
         chaos_seed: None,
         policy: DegradePolicy::default(),
@@ -71,11 +68,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--socket" => flags.socket = PathBuf::from(value("--socket")?),
             "--tcp" => flags.tcp = Some(value("--tcp")?.clone()),
             "--state-dir" => flags.state_dir = PathBuf::from(value("--state-dir")?),
-            "--workers" => {
-                flags.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers needs an integer".to_owned())?;
-            }
             "--request-timeout-ms" => {
                 flags.request_timeout_ms = value("--request-timeout-ms")?
                     .parse()
@@ -127,12 +119,7 @@ fn main() -> ExitCode {
         max_clients: flags.max_clients,
         ..Limits::default()
     };
-    let manager = Arc::new(SessionManager::new(
-        store,
-        limits,
-        flags.policy,
-        flags.workers,
-    ));
+    let manager = Arc::new(SessionManager::new(store, limits, flags.policy, 1));
     match manager.resumable() {
         Ok(ids) if !ids.is_empty() => {
             eprintln!(

@@ -3,8 +3,8 @@
 //!
 //! # Commit discipline
 //!
-//! `Propose`, `Undo`, and `Evaluate` are pure (nothing to persist), and
-//! `Commit` is staged by [`Session::prepare_commit`] *before* anything
+//! `Propose` and `Undo` are pure (nothing to persist), and `Commit` is
+//! staged by [`Session::prepare_commit`] *before* anything
 //! mutates — persist the staged snapshot through the [`SnapshotStore`],
 //! then apply, then reply. The daemon therefore never acknowledges a
 //! commit it could forget, and a failed persist needs no rollback
@@ -18,8 +18,8 @@
 //!
 //! # Load shedding
 //!
-//! Load is the number of scoring requests (`Evaluate` or `Propose`) in
-//! flight across all connections, tracked by an RAII [`LoadGuard`]
+//! Load is the number of `Propose` requests in flight across all
+//! connections, tracked by an RAII [`LoadGuard`]
 //! whose *constructor* performs the increment — there is no window in
 //! which an early return (or panic) can leak a gauge slot, on any error
 //! path. Below [`DegradePolicy::reject_at`] every request scores with
@@ -43,7 +43,7 @@ use crate::protocol::{
 use crate::session::{CommitOutcome, Session, SessionState};
 use crate::store::{SnapshotStore, StoreError};
 
-/// The load-shedding threshold, in concurrent in-flight scoring
+/// The load-shedding threshold, in concurrent in-flight `Propose`
 /// requests. A request's own slot counts: the first request sees load
 /// 1, so with the default loads 1..=32 are served and 33+ are refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +89,6 @@ pub struct SessionManager {
     store: SnapshotStore,
     limits: Limits,
     policy: DegradePolicy,
-    workers: usize,
     sessions: Mutex<BTreeMap<String, Arc<Mutex<Session>>>>,
     /// Per-session persistence attempt counters — the chaos consultation
     /// indices. Kept here (not in the `Session`) so every attempt draws
@@ -122,20 +121,22 @@ fn next_in(map: &Mutex<BTreeMap<String, u64>>, key: &str) -> u64 {
 }
 
 impl SessionManager {
-    /// Creates a manager over `store`, fanning `Evaluate` batches over
-    /// `workers` pool threads (`<= 1` evaluates inline).
+    /// Creates a manager over `store`.
+    ///
+    /// `_workers` is ignored: every request is scored on its
+    /// connection's own thread. The parameter stays because existing
+    /// callers pass it.
     #[must_use]
     pub fn new(
         store: SnapshotStore,
         limits: Limits,
         policy: DegradePolicy,
-        workers: usize,
+        _workers: usize,
     ) -> SessionManager {
         SessionManager {
             store,
             limits,
             policy,
-            workers: workers.max(1),
             sessions: Mutex::new(BTreeMap::new()),
             write_seqs: Mutex::new(BTreeMap::new()),
             commit_seqs: Mutex::new(BTreeMap::new()),
@@ -182,7 +183,7 @@ impl SessionManager {
         self.store.injected_faults()
     }
 
-    /// The scoring requests currently in flight (the load-shedding
+    /// The `Propose` requests currently in flight (the load-shedding
     /// input). Zero whenever the daemon is idle — every exit path of
     /// every handler releases its slot.
     #[must_use]
@@ -207,9 +208,6 @@ impl SessionManager {
                 true,
             ),
             RequestOp::OpenDelta { config } => self.handle_open(request, *config),
-            RequestOp::Evaluate { states } => {
-                self.handle_evaluate(request, states, request_control)
-            }
             RequestOp::Propose { state } => self.handle_propose(request, state, request_control),
             RequestOp::Commit { digest } => self.handle_commit(request, digest),
             RequestOp::Undo => self.handle_undo(request),
@@ -363,7 +361,7 @@ impl SessionManager {
         })
     }
 
-    /// Takes a load slot for one scoring request, or refuses the request
+    /// Takes a load slot for one `Propose`, or refuses the request
     /// with retryable `Backpressure` when its load reaches `reject_at`.
     /// The slot is released when the returned guard drops.
     fn admit(&self, request: &Request) -> Result<LoadGuard<'_>, Response> {
@@ -377,60 +375,6 @@ impl SessionManager {
             ));
         }
         Ok(slot)
-    }
-
-    fn handle_evaluate(
-        &self,
-        request: &Request,
-        states: &[FloorplanState],
-        request_control: &RunControl,
-    ) -> Response {
-        if states.len() > self.limits.max_batch {
-            return Response::error(
-                &request.id,
-                ErrorKind::BatchTooLarge,
-                format!(
-                    "batch of {} exceeds max_batch {}",
-                    states.len(),
-                    self.limits.max_batch
-                ),
-                false,
-            );
-        }
-        if let Some(over) = states
-            .iter()
-            .find(|s| s.segments.len() > self.limits.max_segments)
-        {
-            return Response::error(
-                &request.id,
-                ErrorKind::BatchTooLarge,
-                format!(
-                    "state with {} segments exceeds max_segments {}",
-                    over.segments.len(),
-                    self.limits.max_segments
-                ),
-                false,
-            );
-        }
-
-        let _slot = match self.admit(request) {
-            Ok(slot) => slot,
-            Err(refused) => return refused,
-        };
-
-        // Read-only: deterministic, budget-free, nothing to persist or
-        // record.
-        self.with_session(request, |session| {
-            match session.evaluate(states, request_control, self.workers) {
-                Ok(results) => Response::ok(&request.id, ResponsePayload::Evaluated { results }),
-                Err(failure) => Response::error(
-                    &request.id,
-                    failure.kind,
-                    failure.message,
-                    failure.retryable,
-                ),
-            }
-        })
     }
 
     fn handle_propose(
@@ -452,8 +396,6 @@ impl SessionManager {
             );
         }
 
-        // Proposes are scoring work: they occupy a load slot exactly
-        // like Evaluate.
         let _slot = match self.admit(request) {
             Ok(slot) => slot,
             Err(refused) => return refused,
@@ -632,18 +574,6 @@ mod tests {
         )
     }
 
-    fn evaluate(
-        manager: &SessionManager,
-        id: &str,
-        session: &str,
-        states: Vec<FloorplanState>,
-    ) -> Response {
-        manager.handle(
-            &request(id, session, RequestOp::Evaluate { states }),
-            &RunControl::unlimited(),
-        )
-    }
-
     fn propose(
         manager: &SessionManager,
         id: &str,
@@ -654,6 +584,26 @@ mod tests {
             &request(id, session, RequestOp::Propose { state }),
             &RunControl::unlimited(),
         )
+    }
+
+    /// Answers `Undo` in `session` with the committed score.
+    fn undo(manager: &SessionManager, id: &str, session: &str) -> f64 {
+        let undone = manager.handle(
+            &request(id, session, RequestOp::Undo),
+            &RunControl::unlimited(),
+        );
+        let ResponsePayload::Undone { score } = undone.payload else {
+            panic!("expected Undone, got {undone:?}");
+        };
+        score
+    }
+
+    /// The `(digest, score)` of a `Proposed` response.
+    fn proposal(response: &Response) -> (String, f64) {
+        let ResponsePayload::Proposed { digest, score } = &response.payload else {
+            panic!("expected Proposed, got {response:?}");
+        };
+        (digest.clone(), *score)
     }
 
     fn commit(manager: &SessionManager, id: &str, session: &str, digest: &str) -> Response {
@@ -681,10 +631,7 @@ mod tests {
     }
 
     fn proposed_digest(response: &Response) -> String {
-        let ResponsePayload::Proposed { digest, .. } = &response.payload else {
-            panic!("expected Proposed, got {response:?}");
-        };
-        digest.clone()
+        proposal(response).0
     }
 
     fn error_kind(response: &Response) -> Option<(ErrorKind, bool)> {
@@ -717,7 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn open_evaluate_stat_close_lifecycle() {
+    fn open_propose_stat_close_lifecycle() {
         let manager = temp_manager("lifecycle", Chaos::off(), DegradePolicy::default());
         let opened = open(&manager, "r1", "alice");
         assert!(opened.ok, "{opened:?}");
@@ -726,13 +673,12 @@ mod tests {
             ResponsePayload::Opened { resumed: false, .. }
         ));
 
-        let evaluated = evaluate(&manager, "r2", "alice", states(2));
-        assert!(evaluated.ok, "{evaluated:?}");
-        let ResponsePayload::Evaluated { results } = &evaluated.payload else {
-            panic!("wrong payload {evaluated:?}");
-        };
-        assert_eq!(results.len(), 2);
-        assert_eq!(stat(&manager, "alice").evals_done, 0, "evaluate is free");
+        for (k, state) in states(2).into_iter().enumerate() {
+            let proposed = propose(&manager, &format!("p{k}"), "alice", state);
+            assert!(proposed.ok, "{proposed:?}");
+            undo(&manager, &format!("u{k}"), "alice");
+        }
+        assert_eq!(stat(&manager, "alice").evals_done, 0, "proposals are free");
 
         let closed = manager.handle(
             &request("r4", "alice", RequestOp::Close),
@@ -745,7 +691,7 @@ mod tests {
     #[test]
     fn unknown_session_and_invalid_ids_are_typed_errors() {
         let manager = temp_manager("unknown", Chaos::off(), DegradePolicy::default());
-        let response = evaluate(&manager, "r1", "ghost", states(1));
+        let response = propose(&manager, "r1", "ghost", states(1).remove(0));
         assert_eq!(
             error_kind(&response),
             Some((ErrorKind::UnknownSession, false))
@@ -782,25 +728,20 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_retry_recomputes_the_same_bits_and_persists_nothing() {
-        let manager = temp_manager("eval_retry", Chaos::off(), DegradePolicy::default());
+    fn propose_retry_recomputes_the_same_bits_and_persists_nothing() {
+        let manager = temp_manager("propose_retry", Chaos::off(), DegradePolicy::default());
         assert!(open(&manager, "r1", "s").ok);
         let before = manager.store.read("s").expect("read").expect("snapshot");
-        let batch = states(2);
-        let first = evaluate(&manager, "e1", "s", batch.clone());
-        let second = evaluate(&manager, "e1", "s", batch);
-        assert!(first.ok && !first.replayed);
-        assert!(second.ok && !second.replayed, "evaluate is never replayed");
-        let (ResponsePayload::Evaluated { results: a }, ResponsePayload::Evaluated { results: b }) =
-            (&first.payload, &second.payload)
-        else {
-            panic!("wrong payloads");
-        };
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
+        for state in states(2) {
+            let first = propose(&manager, "p1", "s", state.clone());
+            let second = propose(&manager, "p1", "s", state);
+            assert!(first.ok && !first.replayed);
+            assert!(second.ok && !second.replayed, "propose is never replayed");
+            let ((a_digest, a), (b_digest, b)) = (proposal(&first), proposal(&second));
+            assert_eq!((a_digest, a.to_bits()), (b_digest, b.to_bits()));
         }
         let after = manager.store.read("s").expect("read").expect("snapshot");
-        assert_eq!(before, after, "read-only evaluate must not persist");
+        assert_eq!(before, after, "a proposal must not persist");
     }
 
     #[test]
@@ -808,29 +749,32 @@ mod tests {
         // Backpressure refusal.
         let rejecting = temp_manager("gauge_reject", Chaos::off(), DegradePolicy { reject_at: 0 });
         assert!(open(&rejecting, "r1", "s").ok);
-        assert!(!evaluate(&rejecting, "e1", "s", states(1)).ok);
         assert!(!propose(&rejecting, "e2", "s", states(1).remove(0)).ok);
         assert_eq!(rejecting.load(), 0, "backpressure path leaked a slot");
 
         let manager = temp_manager("gauge", Chaos::off(), DegradePolicy::default());
         assert!(open(&manager, "r1", "s").ok);
         // Unknown session.
-        assert!(!evaluate(&manager, "e1", "ghost", states(1)).ok);
         assert!(!propose(&manager, "e2", "ghost", states(1).remove(0)).ok);
-        // Invalid geometry (single bad state fails the batch).
+        // Invalid geometry.
         let bad = FloorplanState {
             chip: [100, 100],
             segments: vec![[0, 0, 101, 50]],
         };
-        assert!(!evaluate(&manager, "e3", "s", vec![bad.clone()]).ok);
         assert!(!propose(&manager, "e4", "s", bad).ok);
         // Expired deadline.
         let expired = RunControl::unlimited().with_time_limit(std::time::Duration::ZERO);
         let timeout = manager.handle(
-            &request("e5", "s", RequestOp::Evaluate { states: states(1) }),
+            &request(
+                "e5",
+                "s",
+                RequestOp::Propose {
+                    state: states(1).remove(0),
+                },
+            ),
             &expired,
         );
-        assert!(!timeout.ok);
+        assert_eq!(error_kind(&timeout), Some((ErrorKind::Timeout, true)));
         assert_eq!(manager.load(), 0, "an error path leaked a gauge slot");
 
         // Persist failure on the Propose/Commit path.
@@ -847,7 +791,7 @@ mod tests {
         assert!(!commit(&faulty, "c1", "s", &digest).ok);
         assert_eq!(faulty.load(), 0, "persist-failure path leaked a slot");
         // Success paths also return to zero.
-        assert!(evaluate(&healthy, "e1", "s", states(1)).ok);
+        assert!(propose(&healthy, "e1", "s", states(1).remove(0)).ok);
         assert_eq!(healthy.load(), 0);
     }
 
@@ -876,32 +820,28 @@ mod tests {
         // sees load reject_at - 1, the highest load still served.
         let busy = reject_at - 2;
         manager.load.store(busy, Ordering::Release);
-        let evaluated = evaluate(&manager, "e1", "s", batch.clone());
-        let ResponsePayload::Evaluated { results } = &evaluated.payload else {
-            panic!("expected Evaluated, got {evaluated:?}");
-        };
-        for (state, result) in batch.iter().zip(results) {
-            assert_eq!(result.score.to_bits(), fresh_rebase(state).to_bits());
+        let mut digests = Vec::new();
+        for (k, state) in batch.iter().enumerate() {
+            let (digest, score) =
+                proposal(&propose(&manager, &format!("e{k}"), "s", state.clone()));
+            assert_eq!(score.to_bits(), fresh_rebase(state).to_bits());
+            undo(&manager, &format!("u{k}"), "s");
+            digests.push(digest);
         }
-        let proposed = propose(&manager, "p1", "s", batch[0].clone());
-        let ResponsePayload::Proposed { digest, score } = &proposed.payload else {
-            panic!("expected Proposed, got {proposed:?}");
-        };
+        let (digest, score) = proposal(&propose(&manager, "p1", "s", batch[0].clone()));
         assert_eq!(score.to_bits(), fresh_rebase(&batch[0]).to_bits());
-        let (seq, committed_score) = committed(&commit(&manager, "c1", "s", digest));
+        let (seq, committed_score) = committed(&commit(&manager, "c1", "s", &digest));
         assert_eq!((seq, committed_score.to_bits()), (1, score.to_bits()));
         assert_eq!(manager.load(), busy);
 
         // One more slot taken: each request sees exactly reject_at.
         manager.load.store(busy + 1, Ordering::Release);
         let before = manager.store.read("s").expect("read");
-        let refused = evaluate(&manager, "e2", "s", batch.clone());
-        assert_eq!(error_kind(&refused), Some((ErrorKind::Backpressure, true)));
         let refused = propose(&manager, "p2", "s", batch[1].clone());
         assert_eq!(error_kind(&refused), Some((ErrorKind::Backpressure, true)));
         assert_eq!(manager.load(), busy + 1);
         // The refused proposal armed nothing and persisted nothing.
-        let unarmed = commit(&manager, "c2", "s", &results[1].digest);
+        let unarmed = commit(&manager, "c2", "s", &digests[1]);
         assert_eq!(
             error_kind(&unarmed),
             Some((ErrorKind::NoPendingProposal, false))
@@ -917,25 +857,18 @@ mod tests {
         let batch = states(1);
 
         manager.load.store(reject_at - 1, Ordering::Release);
-        let refused = evaluate(&manager, "e1", "s", batch.clone());
-        assert_eq!(error_kind(&refused), Some((ErrorKind::Backpressure, true)));
         let refused = propose(&manager, "p1", "s", batch[0].clone());
         assert_eq!(error_kind(&refused), Some((ErrorKind::Backpressure, true)));
 
-        // Load drains and the client retries under the same ids. The
-        // refusals recorded nothing, so both are scored afresh.
+        // Load drains and the client retries under the same id. The
+        // refusal recorded nothing, so the retry is scored afresh.
         manager.load.store(0, Ordering::Release);
-        let retried = evaluate(&manager, "e1", "s", batch.clone());
-        assert!(retried.ok && !retried.replayed, "{retried:?}");
-        let ResponsePayload::Evaluated { results } = &retried.payload else {
-            panic!("expected Evaluated, got {retried:?}");
-        };
-        assert_eq!(
-            results[0].score.to_bits(),
-            fresh_rebase(&batch[0]).to_bits()
-        );
         let retried = propose(&manager, "p1", "s", batch[0].clone());
         assert!(retried.ok && !retried.replayed, "{retried:?}");
+        assert_eq!(
+            proposal(&retried).1.to_bits(),
+            fresh_rebase(&batch[0]).to_bits()
+        );
         let (seq, _) = committed(&commit(&manager, "c1", "s", &proposed_digest(&retried)));
         assert_eq!(seq, 1);
         assert_eq!(manager.load(), 0);
@@ -951,7 +884,7 @@ mod tests {
         );
         assert!(bye.ok);
         assert!(manager.shutting_down());
-        let refused = evaluate(&manager, "e1", "s", states(1));
+        let refused = propose(&manager, "e1", "s", states(1).remove(0));
         assert_eq!(error_kind(&refused), Some((ErrorKind::ShuttingDown, true)));
         let pong = manager.handle(
             &request("r3", "", RequestOp::Ping),
@@ -961,33 +894,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_limits_are_enforced() {
+    fn max_segments_is_enforced() {
         let dir = std::env::temp_dir().join("irgrid_serve_mgr_limits");
         let _ = std::fs::remove_dir_all(&dir);
         let store = SnapshotStore::open(&dir, Chaos::off(), KillSwitch::new()).expect("store");
         let limits = Limits {
-            max_batch: 2,
             max_segments: 3,
             ..Limits::default()
         };
         let manager = SessionManager::new(store, limits, DegradePolicy::default(), 1);
         assert!(open(&manager, "r1", "s").ok);
-        let response = evaluate(&manager, "e1", "s", states(3));
-        assert_eq!(
-            error_kind(&response),
-            Some((ErrorKind::BatchTooLarge, false))
-        );
-        let fat = FloorplanState {
+        let with = |count| FloorplanState {
             chip: [100, 100],
-            segments: vec![[0, 0, 1, 1]; 4],
+            segments: vec![[0, 0, 1, 1]; count],
         };
-        let response = evaluate(&manager, "e2", "s", vec![fat.clone()]);
-        assert_eq!(
-            error_kind(&response),
-            Some((ErrorKind::BatchTooLarge, false))
-        );
-        // Propose enforces max_segments too.
-        let response = propose(&manager, "e3", "s", fat);
+        assert!(propose(&manager, "e1", "s", with(3)).ok, "at the limit");
+        let response = propose(&manager, "e2", "s", with(4));
         assert_eq!(
             error_kind(&response),
             Some((ErrorKind::BatchTooLarge, false))
@@ -995,7 +917,7 @@ mod tests {
     }
 
     #[test]
-    fn propose_commit_undo_evaluate_lifecycle() {
+    fn propose_commit_undo_lifecycle() {
         let manager = temp_manager("delta_lifecycle", Chaos::off(), DegradePolicy::default());
         let opened = open(&manager, "r1", "d");
         assert!(opened.ok, "{opened:?}");
@@ -1016,26 +938,43 @@ mod tests {
         assert_eq!(*commit_seq, 1);
         let committed_score = *score;
 
-        // Rejected move: propose then undo returns the committed cost.
+        // Rejected move: propose then undo returns the committed cost,
+        // consumes no budget, and leaves the snapshot on disk untouched.
+        let before = manager.store.read("d").expect("read").expect("snapshot");
         let second = propose(&manager, "p2", "d", batch[1].clone());
         assert!(second.ok);
-        let undone = manager.handle(
-            &request("u1", "d", RequestOp::Undo),
-            &RunControl::unlimited(),
-        );
-        let ResponsePayload::Undone { score } = &undone.payload else {
-            panic!("wrong payload {undone:?}");
-        };
+        let score = undo(&manager, "u1", "d");
         assert_eq!(score.to_bits(), committed_score.to_bits());
-
-        // Evaluate: read-only, no budget, and the snapshot on disk is
-        // untouched by it.
-        let before = manager.store.read("d").expect("read").expect("snapshot");
-        let evaluated = evaluate(&manager, "e1", "d", batch.clone());
-        assert!(evaluated.ok, "{evaluated:?}");
         let after = manager.store.read("d").expect("read").expect("snapshot");
-        assert_eq!(before, after, "read-only evaluate must not persist");
+        assert_eq!(before, after, "a rejected move must not persist");
         assert_eq!(stat(&manager, "d").evals_done, 1, "only the commit counted");
+    }
+
+    #[test]
+    fn propose_then_undo_is_a_read_only_score() {
+        let manager = temp_manager("read_only_score", Chaos::off(), DegradePolicy::default());
+        assert!(open(&manager, "r1", "s").ok);
+        let batch = states(3);
+        let (_, committed_score) = committed(&step(&manager, "s", 0, batch[0].clone()));
+        let before = manager.store.read("s").expect("read").expect("snapshot");
+        for (k, state) in batch.iter().enumerate().skip(1) {
+            let (digest, score) =
+                proposal(&propose(&manager, &format!("q{k}"), "s", state.clone()));
+            assert_eq!(digest, irgrid_fleet::state_digest(state));
+            assert_eq!(score.to_bits(), fresh_rebase(state).to_bits());
+            let undone = undo(&manager, &format!("v{k}"), "s");
+            assert_eq!(undone.to_bits(), committed_score.to_bits());
+            // The pending slot is empty again: the undone digest cannot
+            // be committed.
+            let refused = commit(&manager, &format!("c{k}"), "s", &digest);
+            assert_eq!(
+                error_kind(&refused),
+                Some((ErrorKind::NoPendingProposal, false))
+            );
+        }
+        let after = manager.store.read("s").expect("read").expect("snapshot");
+        assert_eq!(before, after, "a read-only score must not persist");
+        assert_eq!(stat(&manager, "s").evals_done, 1);
     }
 
     #[test]
@@ -1344,35 +1283,26 @@ mod tests {
         assert!(killed.shutting_down(), "kill at delta.commit shuts down");
     }
 
-    /// The `Evaluated` results of a response.
-    fn evaluated(response: &Response) -> &[crate::protocol::EvalResult] {
-        let ResponsePayload::Evaluated { results } = &response.payload else {
-            panic!("expected Evaluated, got {response:?}");
-        };
-        results
-    }
-
     #[test]
     fn sessions_scoring_one_state_agree_bit_for_bit() {
         let manager = temp_manager("cross_session", Chaos::off(), DegradePolicy::default());
         assert!(open(&manager, "r1", "a").ok);
         assert!(open(&manager, "r2", "b").ok);
         assert!(open(&manager, "r3", "c").ok);
-        let batch = states(1);
-        let first = evaluate(&manager, "e1", "a", batch.clone());
+        let batch = states(2);
+        // Session a has committed another state; b and c have none.
+        assert!(step(&manager, "a", 0, batch[1].clone()).ok);
+        let first = proposal(&propose(&manager, "p1", "a", batch[0].clone()));
+        undo(&manager, "u1", "a");
         // Session b scores the identical state: the same bits and digest.
-        let second = evaluate(&manager, "e2", "b", batch.clone());
-        let (first, second) = (evaluated(&first), evaluated(&second));
-        assert_eq!(first[0].score.to_bits(), second[0].score.to_bits());
-        assert_eq!(first[0].digest, second[0].digest);
-        // A proposal's score is the same bits: session c's propose of the
-        // state scores what Evaluate returned.
-        let proposed = propose(&manager, "p1", "c", batch[0].clone());
-        let ResponsePayload::Proposed { digest, score } = &proposed.payload else {
-            panic!("payload {proposed:?}");
-        };
-        assert_eq!(score.to_bits(), second[0].score.to_bits());
-        assert_eq!(digest, &second[0].digest);
+        let second = proposal(&propose(&manager, "p2", "b", batch[0].clone()));
+        undo(&manager, "u2", "b");
+        assert_eq!(first.1.to_bits(), second.1.to_bits());
+        assert_eq!(first.0, second.0);
+        // A proposal that stays armed scores the same bits too.
+        let third = proposal(&propose(&manager, "p3", "c", batch[0].clone()));
+        assert_eq!(third.1.to_bits(), second.1.to_bits());
+        assert_eq!(third.0, second.0);
     }
 
     #[test]
@@ -1391,14 +1321,12 @@ mod tests {
         };
         assert_eq!(digest, "4fce5a18d186eed2");
         assert_eq!(score.to_bits(), 0.06857669456518374f64.to_bits());
-        // Evaluate scores the same state to the same digest and bits.
-        let response = evaluate(&manager, "e1", "legacy-delta", vec![committed_state]);
-        let results = evaluated(&response);
-        assert_eq!(results[0].digest, *digest);
-        assert_eq!(results[0].score.to_bits(), score.to_bits());
+        // Undo disarms it and reports the recorded committed score.
+        let undone = undo(&manager, "u1", "legacy-delta");
+        assert_eq!(undone.to_bits(), 0.06857669456518374f64.to_bits());
     }
 
-    /// Runs one propose/commit/undo/evaluate script in `session`, opened
+    /// Runs one propose/commit/undo script in `session`, opened
     /// with `cache_capacity`, and returns every digest and score bit
     /// pattern it was answered with, in order.
     fn scripted_answers(
@@ -1418,28 +1346,21 @@ mod tests {
         let batch = states(3);
         let mut answers = Vec::new();
         for (k, state) in batch.iter().enumerate() {
-            let proposed = propose(manager, &format!("p{k}"), session, state.clone());
-            let ResponsePayload::Proposed { digest, score } = &proposed.payload else {
-                panic!("expected Proposed, got {proposed:?}");
-            };
+            let (digest, score) =
+                proposal(&propose(manager, &format!("p{k}"), session, state.clone()));
             answers.push((digest.clone(), score.to_bits()));
             if k == 1 {
-                let undone = manager.handle(
-                    &request(&format!("u{k}"), session, RequestOp::Undo),
-                    &RunControl::unlimited(),
-                );
-                let ResponsePayload::Undone { score } = &undone.payload else {
-                    panic!("expected Undone, got {undone:?}");
-                };
+                let score = undo(manager, &format!("u{k}"), session);
                 answers.push((String::new(), score.to_bits()));
             } else {
-                let (seq, score) = committed(&commit(manager, &format!("c{k}"), session, digest));
+                let (seq, score) = committed(&commit(manager, &format!("c{k}"), session, &digest));
                 answers.push((seq.to_string(), score.to_bits()));
             }
         }
-        let response = evaluate(manager, "e0", session, batch);
-        for result in evaluated(&response) {
-            answers.push((result.digest.clone(), result.score.to_bits()));
+        for (k, state) in batch.into_iter().enumerate() {
+            let (digest, score) = proposal(&propose(manager, &format!("e{k}"), session, state));
+            undo(manager, &format!("v{k}"), session);
+            answers.push((digest, score.to_bits()));
         }
         answers
     }
@@ -1589,6 +1510,10 @@ mod tests {
         );
         let left = stat(&manager, "s");
         assert_eq!((left.evals_done, left.budget_left), (1, 0));
-        assert!(evaluate(&manager, "e1", "s", batch).ok, "evaluate is free");
+        assert!(
+            propose(&manager, "e1", "s", batch[1].clone()).ok,
+            "propose is free"
+        );
+        assert_eq!(stat(&manager, "s").budget_left, 0);
     }
 }

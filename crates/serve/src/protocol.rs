@@ -19,7 +19,6 @@
 //! request   := { "id": string, "session": string, "op": op }
 //! op        := "Ping" | "Stat" | "Close" | "Shutdown" | "Undo"
 //!            | { "OpenDelta": { "config": session-config } }
-//!            | { "Evaluate":  { "states": [ floorplan-state* ] } }
 //!            | { "Propose":   { "state": floorplan-state } }
 //!            | { "Commit":    { "digest": string } }
 //! response  := { "id": string, "ok": bool, "replayed": bool,
@@ -37,8 +36,8 @@
 //! state incrementally against the committed snapshot (pure, nothing
 //! persisted — a retry recomputes bit-identically); `Commit` promotes
 //! the pending proposal (persist-then-reply, idempotent by request id);
-//! `Undo` drops it. `Evaluate` scores a batch read-only, leaving the
-//! committed state and any pending proposal untouched.
+//! `Undo` drops it. `Propose` then `Undo` is a read-only score: the
+//! same digest and bits as a fresh rebase, with nothing persisted.
 
 use serde::{Deserialize, Serialize};
 
@@ -50,8 +49,6 @@ use serde::{Deserialize, Serialize};
 pub struct Limits {
     /// Longest accepted request line, bytes (including the newline).
     pub max_frame_bytes: usize,
-    /// Most floorplan states in one `Evaluate` batch.
-    pub max_batch: usize,
     /// Most live sessions the daemon will hold.
     pub max_sessions: usize,
     /// Most concurrent client connections; further connects get a
@@ -68,7 +65,6 @@ impl Default for Limits {
     fn default() -> Limits {
         Limits {
             max_frame_bytes: 1 << 20,
-            max_batch: 64,
             max_sessions: 256,
             max_clients: 64,
             max_segments: 100_000,
@@ -83,8 +79,7 @@ pub struct SessionConfig {
     /// Evaluation grid pitch in µm (strictly positive).
     pub pitch_um: i64,
     /// Total commit budget across the session's lifetime; `0` means
-    /// unlimited. `Propose`, `Undo` and `Evaluate` are free. Enforced
-    /// through
+    /// unlimited. `Propose` and `Undo` are free. Enforced through
     /// [`RunControl::with_move_budget`](irgrid_anneal::RunControl::with_move_budget).
     pub budget: u64,
     /// Ignored: the daemon keeps no score cache, and every value scores
@@ -131,15 +126,6 @@ pub enum RequestOp {
     OpenDelta {
         /// The session's fixed configuration.
         config: SessionConfig,
-    },
-    /// Score a batch of floorplan states in the named session,
-    /// read-only: it leaves the committed state and any pending proposal
-    /// untouched and consumes no budget.
-    /// [idempotency: read-only — a retry recomputes the same scores
-    /// bit-identically]
-    Evaluate {
-        /// The states to score, answered in order.
-        states: Vec<FloorplanState>,
     },
     /// Score one state incrementally against the session's committed
     /// snapshot and leave it pending for `Commit`. Pure:
@@ -209,9 +195,9 @@ pub enum ErrorKind {
     /// The frame exceeded [`Limits::max_frame_bytes`].
     /// [retry: never — the daemon's limits are fixed for its lifetime]
     FrameTooLarge,
-    /// The `Evaluate` batch exceeded [`Limits::max_batch`] or a state
-    /// exceeded [`Limits::max_segments`].
-    /// [retry: never — split the batch instead]
+    /// A `Propose` state exceeded [`Limits::max_segments`]. The name is
+    /// kept for wire compatibility.
+    /// [retry: never — the daemon's limits are fixed for its lifetime]
     BatchTooLarge,
     /// A session op named a session that is not open.
     /// [retry: conditional — valid after an `OpenDelta` re-establishes it]
@@ -219,7 +205,7 @@ pub enum ErrorKind {
     /// The request named an invalid session id or config.
     /// [retry: never — the request itself is wrong]
     InvalidRequest,
-    /// The per-request evaluation deadline passed mid-batch.
+    /// The per-request evaluation deadline passed before scoring.
     /// [retry: always — no state changed; the retry re-evaluates]
     Timeout,
     /// Persisting the session checkpoint failed, or a checkpoint on disk
@@ -237,17 +223,6 @@ pub enum ErrorKind {
     /// then retry the commit.
     /// [retry: conditional — only after re-proposing the same state]
     NoPendingProposal,
-}
-
-/// One scored floorplan state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EvalResult {
-    /// FNV-1a digest of the state's canonical JSON
-    /// ([`state_digest`](irgrid_fleet::state_digest), as `Propose`
-    /// reports it).
-    pub digest: String,
-    /// The irregular-grid congestion score (higher = more congested).
-    pub score: f64,
 }
 
 /// Session counters reported by `Stat` (and embedded in `Opened`).
@@ -273,14 +248,11 @@ pub enum ResponsePayload {
         /// Counters at open time.
         stat: SessionStat,
     },
-    /// `Evaluate` succeeded; one result per requested state, in order.
-    Evaluated {
-        /// The scores.
-        results: Vec<EvalResult>,
-    },
     /// `Propose` succeeded; the proposal is pending in the session.
     Proposed {
-        /// FNV-1a digest of the proposed state (pass to `Commit`).
+        /// FNV-1a digest of the proposed state's canonical JSON
+        /// ([`state_digest`](irgrid_fleet::state_digest)); pass it to
+        /// `Commit`.
         digest: String,
         /// The proposal's congestion score (exact Q32 delta pipeline).
         score: f64,
@@ -405,11 +377,11 @@ mod tests {
         let request = Request {
             id: "r-1".into(),
             session: "alice".into(),
-            op: RequestOp::Evaluate {
-                states: vec![FloorplanState {
+            op: RequestOp::Propose {
+                state: FloorplanState {
                     chip: [600, 400],
                     segments: vec![[0, 0, 10, 20], [5, 5, 600, 400]],
-                }],
+                },
             },
         };
         let text = serde_json::to_string(&request).expect("serialize");
@@ -421,35 +393,15 @@ mod tests {
     fn response_roundtrip_and_frame_shape() {
         let response = Response::ok(
             "r-2",
-            ResponsePayload::Evaluated {
-                results: vec![EvalResult {
-                    digest: "abc".into(),
-                    score: 1.5,
-                }],
+            ResponsePayload::Proposed {
+                digest: "abc".into(),
+                score: 1.5,
             },
         );
         let frame = String::from_utf8(response_frame(FrameCodec::Jsonl, &response)).expect("utf-8");
         assert!(frame.ends_with('\n'));
         assert_eq!(frame.matches('\n').count(), 1);
         assert_eq!(jsonl_roundtrip(&response), response);
-    }
-
-    #[test]
-    fn an_evaluated_reply_from_a_0_18_daemon_still_parses() {
-        // 0.18 daemons sent a per-result `cached` flag; the field is
-        // gone, and a reply that still carries it parses without it.
-        let line = r#"{"id":"e1","ok":true,"replayed":false,"payload":{"Evaluated":{"results":[{"digest":"bddb9f624202bc61","score":0.011538461538461539,"cached":false}]}}}"#;
-        let parsed = parse_response_payload(&FramePayload::Jsonl(line.to_owned())).expect("parse");
-        let expected = Response::ok(
-            "e1",
-            ResponsePayload::Evaluated {
-                results: vec![EvalResult {
-                    digest: "bddb9f624202bc61".into(),
-                    score: 0.011538461538461539,
-                }],
-            },
-        );
-        assert_eq!(parsed, expected);
     }
 
     #[test]
@@ -541,10 +493,11 @@ mod tests {
             "{",
             "null",
             "[1,2,3]",
-            r#"{"id":"a","session":"s","op":{"Evaluate":{"states":"nope"}}}"#,
+            r#"{"id":"a","session":"s","op":{"Propose":{"state":"nope"}}}"#,
             r#"{"id":"a","session":"s"}"#,
-            // The full session's open op is gone.
+            // The full session's open op and the batch scoring op are gone.
             r#"{"id":"a","session":"s","op":{"Open":{"config":{"pitch_um":30,"budget":0,"cache_capacity":8}}}}"#,
+            r#"{"id":"a","session":"s","op":{"Evaluate":{"states":[{"chip":[600,400],"segments":[]}]}}}"#,
         ] {
             assert!(parse_line(bad).is_err(), "frame {bad:?} must not parse");
         }

@@ -17,7 +17,9 @@
 //! [`Limits::max_clients`](crate::protocol::Limits): the accept loop
 //! counts live connections and answers excess connects with a single
 //! `Backpressure` frame before closing — explicit refusal, never an
-//! unbounded accept queue.
+//! unbounded accept queue. Each pass of the accept loop joins the
+//! connection threads that have finished, so a long-lived daemon holds
+//! the stacks of its live connections only.
 
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -208,6 +210,7 @@ fn accept_loop(listener: &Listener, manager: &Arc<SessionManager>, options: Serv
     let live = Arc::new(AtomicUsize::new(0));
     let mut connection_threads = Vec::new();
     loop {
+        reap_finished(&mut connection_threads);
         if manager.shutting_down() {
             break;
         }
@@ -247,6 +250,19 @@ fn accept_loop(listener: &Listener, manager: &Arc<SessionManager>, options: Serv
     }
     for handle in connection_threads {
         let _ = handle.join();
+    }
+}
+
+/// Joins and drops the handles of finished threads and keeps the running
+/// ones. A finished thread that is never joined keeps its stack mapped.
+fn reap_finished(threads: &mut Vec<thread::JoinHandle<()>>) {
+    let mut index = 0;
+    while index < threads.len() {
+        if threads[index].is_finished() {
+            let _ = threads.swap_remove(index).join();
+        } else {
+            index += 1;
+        }
     }
 }
 
@@ -328,7 +344,7 @@ fn connection_loop(stream: Stream, manager: &Arc<SessionManager>, options: Serve
 mod tests {
     use super::*;
     use crate::chaos::Chaos;
-    use crate::frame::{parse_response_payload, request_frame, BINARY_MAGIC};
+    use crate::frame::{message_frame, parse_response_payload, request_frame, BINARY_MAGIC};
     use crate::manager::DegradePolicy;
     use crate::protocol::{Limits, Request, RequestOp, ResponsePayload};
     use crate::store::{KillSwitch, SnapshotStore};
@@ -451,6 +467,66 @@ mod tests {
             "{\"id\":\"b4\",\"session\":\"\",\"op\":\"Shutdown\"}\n",
         );
         handle.join();
+    }
+
+    #[test]
+    fn a_removed_evaluate_frame_is_malformed_in_both_codecs_and_the_connection_keeps_serving() {
+        // The batch scoring op, as a client of an older daemon frames it.
+        let evaluate: serde::Value = serde_json::from_str(
+            r#"{"id":"e1","session":"alice","op":{"Evaluate":{"states":[{"chip":[600,400],"segments":[[0,0,10,20]]}]}}}"#,
+        )
+        .expect("json");
+        let handle = temp_server("evaluate", Limits::default());
+        for codec in [FrameCodec::Jsonl, FrameCodec::Binary] {
+            let mut stream = connect(&handle);
+            if codec == FrameCodec::Binary {
+                stream.write_all(&BINARY_MAGIC).expect("magic");
+            }
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut call = |frame: Vec<u8>| {
+                stream.write_all(&frame).expect("send");
+                let payload = read_frame(&mut reader, codec, 1 << 20, &mut || true)
+                    .unwrap_or_else(|err| panic!("{codec:?} reply: {err:?}"));
+                parse_response_payload(&payload).expect("parse response")
+            };
+            let refused = call(message_frame(codec, &evaluate));
+            assert_eq!(refused.id, "e1", "{codec:?}");
+            assert!(
+                matches!(
+                    refused.payload,
+                    ResponsePayload::Error {
+                        kind: ErrorKind::MalformedFrame,
+                        retryable: false,
+                        ..
+                    }
+                ),
+                "{codec:?}: {refused:?}"
+            );
+            let pong = call(request_frame(codec, &simple("e2", RequestOp::Ping)));
+            assert!(matches!(pong.payload, ResponsePayload::Pong), "{codec:?}");
+        }
+        handle.manager().request_shutdown();
+        handle.join();
+    }
+
+    #[test]
+    fn reaping_joins_finished_threads_and_keeps_running_ones() {
+        let (release, wait) = mpsc::channel::<()>();
+        let running = thread::spawn(move || {
+            let _ = wait.recv();
+        });
+        let mut threads: Vec<_> = (0..3).map(|_| thread::spawn(|| {})).collect();
+        while !threads.iter().all(|handle| handle.is_finished()) {
+            thread::yield_now();
+        }
+        threads.insert(1, running);
+        reap_finished(&mut threads);
+        assert_eq!(threads.len(), 1, "the finished threads were joined");
+        assert!(!threads[0].is_finished(), "the running thread was kept");
+        reap_finished(&mut threads);
+        assert_eq!(threads.len(), 1, "a running thread is never joined");
+        release.send(()).expect("release");
+        threads.remove(0).join().expect("the kept thread joins");
     }
 
     #[test]

@@ -4,13 +4,12 @@
 //! A session pairs a small **persistent** record ([`SessionState`]) with
 //! deterministic runtime machinery. The contract is move-shaped:
 //! `Propose` scores one candidate against the committed floorplan through
-//! the exact Q32 delta pipeline, `Commit` makes the pending proposal the
-//! new committed state, and `Undo` drops it. `Evaluate` scores a batch of
-//! independent states with [`IrregularGridModel::evaluate`] (the same
-//! bits as a fresh rebase) and never touches the evaluator. Only `Commit`
-//! mutates persistent state; `Propose`/`Undo`/`Evaluate` are pure, which
-//! is what lets the daemon skip a persist round-trip on the
-//! (overwhelmingly common) rejected-move path.
+//! the exact Q32 delta pipeline (the same bits as a fresh rebase),
+//! `Commit` makes the pending proposal the new committed state, and
+//! `Undo` drops it. Only `Commit` mutates persistent state; `Propose` and
+//! `Undo` are pure, which is what lets the daemon skip a persist
+//! round-trip on the (overwhelmingly common) rejected-move path, and
+//! makes `Propose` then `Undo` a read-only score.
 //!
 //! # Crash recovery
 //!
@@ -33,14 +32,12 @@
 //! because nothing was mutated.
 
 use irgrid_anneal::RunControl;
-use irgrid_core::{
-    CongestionModel, DeltaCongestion, DeltaCongestionSession, IrDeltaEvaluator, IrregularGridModel,
-};
-use irgrid_fleet::{pool, state_digest};
+use irgrid_core::{DeltaCongestion, DeltaCongestionSession, IrDeltaEvaluator, IrregularGridModel};
+use irgrid_fleet::state_digest;
 use irgrid_geom::{Point, Rect, Um};
 use serde::{Deserialize, Serialize};
 
-use crate::protocol::{ErrorKind, EvalResult, FloorplanState, SessionConfig, SessionStat};
+use crate::protocol::{ErrorKind, FloorplanState, SessionConfig, SessionStat};
 
 /// Snapshot format version written by this library.
 pub const SNAPSHOT_VERSION: u32 = 1;
@@ -84,7 +81,7 @@ pub struct SessionState {
     /// The session id, cross-checked on load.
     pub session_id: String,
     /// The fixed configuration from `OpenDelta`. `budget` counts
-    /// *commits* (proposes, undos and evaluates are free).
+    /// *commits* (proposes and undos are free).
     pub config: SessionConfig,
     /// Commits over the session's lifetime.
     pub commits_done: u64,
@@ -192,14 +189,13 @@ struct PendingProposal {
 }
 
 /// A live session: persistent record plus the session-resident
-/// [`IrDeltaEvaluator`] and the stateless model `Evaluate` scores with.
+/// [`IrDeltaEvaluator`].
 #[derive(Debug)]
 pub struct Session {
     /// The persistent record (the manager persists this via
     /// [`prepare_commit`](Self::prepare_commit)).
     pub state: SessionState,
     evaluator: IrDeltaEvaluator,
-    model: IrregularGridModel,
     completed_ring: usize,
     pending: Option<PendingProposal>,
 }
@@ -271,8 +267,7 @@ impl Session {
     /// the bit-identity contract.
     pub fn from_state(state: SessionState, completed_ring: usize) -> Result<Session, String> {
         let pitch = Um(state.config.pitch_um.max(1));
-        let model = IrregularGridModel::new(pitch);
-        let mut evaluator = model.delta_session();
+        let mut evaluator = IrregularGridModel::new(pitch).delta_session();
         if let Some(committed) = &state.committed {
             let (chip, segments) = to_geometry(committed)
                 .map_err(|why| format!("recovered committed state is invalid: {why}"))?;
@@ -301,7 +296,6 @@ impl Session {
         }
         Ok(Session {
             evaluator,
-            model,
             completed_ring: completed_ring.max(1),
             pending: None,
             state,
@@ -361,8 +355,12 @@ impl Session {
     ) -> Result<(String, f64), EvalFailure> {
         let (chip, segments) = to_geometry(state)
             .map_err(|why| EvalFailure::new(ErrorKind::InvalidRequest, why, false))?;
-        if timed_out(control) {
-            return Err(deadline_failure());
+        if control.deadline_hit() || control.cancel_hit() {
+            return Err(EvalFailure::new(
+                ErrorKind::Timeout,
+                "per-request evaluation deadline passed before scoring",
+                true,
+            ));
         }
         let digest = state_digest(state);
         let score = self.evaluator.propose(&chip, &segments);
@@ -485,75 +483,6 @@ impl Session {
         self.pending = None;
         self.evaluator.undo()
     }
-
-    /// Read-only batch scoring — the `Evaluate` op. Consumes no budget,
-    /// records nothing, and never touches the evaluator or the pending
-    /// proposal: it is deterministic, so a retry recomputes the identical
-    /// bits. Every state is scored by [`IrregularGridModel::evaluate`] (a
-    /// fresh rebase, so the same bits as a `Propose` of the same state)
-    /// fanned over `workers` pool threads; outputs return in job order,
-    /// so any worker count scores bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalFailure`] on invalid geometry (whole batch, before any
-    /// work) or an expired deadline.
-    pub fn evaluate(
-        &self,
-        states: &[FloorplanState],
-        control: &RunControl,
-        workers: usize,
-    ) -> Result<Vec<EvalResult>, EvalFailure> {
-        let mut geometries = Vec::with_capacity(states.len());
-        for (index, state) in states.iter().enumerate() {
-            let geometry = to_geometry(state).map_err(|why| {
-                EvalFailure::new(
-                    ErrorKind::InvalidRequest,
-                    format!("state {index}: {why}"),
-                    false,
-                )
-            })?;
-            geometries.push(geometry);
-        }
-
-        if timed_out(control) {
-            return Err(deadline_failure());
-        }
-        let model = &self.model;
-        let scored: Vec<Option<f64>> = pool::run_ordered(
-            workers,
-            geometries,
-            |_| (),
-            |(), _, (chip, segments)| {
-                if timed_out(control) {
-                    return None;
-                }
-                Some(model.evaluate(&chip, &segments))
-            },
-        );
-        states
-            .iter()
-            .zip(scored)
-            .map(|(state, score)| {
-                Ok(EvalResult {
-                    digest: state_digest(state),
-                    score: score.ok_or_else(deadline_failure)?,
-                })
-            })
-            .collect()
-    }
-}
-
-fn timed_out(control: &RunControl) -> bool {
-    control.deadline_hit() || control.cancel_hit()
-}
-
-fn deadline_failure() -> EvalFailure {
-    EvalFailure::new(
-        ErrorKind::Timeout,
-        "per-request evaluation deadline passed mid-batch",
-        true,
-    )
 }
 
 /// Converts a wire state into model geometry, validating bounds.
@@ -585,6 +514,7 @@ fn to_geometry(state: &FloorplanState) -> Result<(Rect, Vec<(Point, Point)>), St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use irgrid_core::CongestionModel;
 
     fn demo_states(count: usize) -> Vec<FloorplanState> {
         (0..count)
@@ -754,15 +684,14 @@ mod tests {
         };
         let mut session = Session::create("b", config, 8);
         let states = demo_states(2);
-        // Proposes, undos and evaluates are free.
+        // Proposes and undos are free.
         for _ in 0..3 {
-            session
-                .propose(&states[0], &RunControl::unlimited())
-                .expect("free propose");
-            session.undo();
-            session
-                .evaluate(&states, &RunControl::unlimited(), 1)
-                .expect("free evaluate");
+            for state in &states {
+                session
+                    .propose(state, &RunControl::unlimited())
+                    .expect("free propose");
+                session.undo();
+            }
         }
         let (d1, _) = session
             .propose(&states[0], &RunControl::unlimited())
@@ -781,7 +710,7 @@ mod tests {
     }
 
     #[test]
-    fn an_exhausted_budget_still_serves_evaluate_and_propose() {
+    fn an_exhausted_budget_still_serves_propose_and_undo() {
         let config = SessionConfig {
             budget: 1,
             ..SessionConfig::default_config()
@@ -794,16 +723,17 @@ mod tests {
         commit(&mut session, "r0", &d0);
         assert_eq!(session.stat().budget_left, 0);
 
-        // Read-only work is never metered: a whole batch still scores...
-        let results = session
-            .evaluate(&states, &RunControl::unlimited(), 1)
-            .expect("evaluate past the budget");
-        assert_eq!(results.len(), states.len());
-        for (state, result) in states.iter().zip(&results) {
-            assert_eq!(result.score.to_bits(), fresh_rebase(state).to_bits());
+        // Read-only work is never metered: propose then undo still
+        // scores every state...
+        for state in &states {
+            let (_, score) = session
+                .propose(state, &RunControl::unlimited())
+                .expect("propose past the budget");
+            assert_eq!(score.to_bits(), fresh_rebase(state).to_bits());
+            assert_eq!(session.undo().to_bits(), s0.to_bits());
         }
-        // ...and a proposal still scores and arms; only its commit is
-        // refused, and the refusal leaves it armed.
+        // ...and a proposal still arms; only its commit is refused, and
+        // the refusal leaves it armed.
         let (d1, s1) = session
             .propose(&states[1], &RunControl::unlimited())
             .expect("propose past the budget");
@@ -833,45 +763,6 @@ mod tests {
         assert_eq!(session.pending_digest(), Some(d1.as_str()));
         let (_, score, seq) = commit(&mut session, "r1", &d1);
         assert_eq!((score.to_bits(), seq), (s1.to_bits(), 1));
-    }
-
-    #[test]
-    fn readonly_evaluate_matches_fresh_rebase_and_leaves_pending_armed() {
-        let mut session = session();
-        let states = demo_states(3);
-        let (d0, _) = session
-            .propose(&states[0], &RunControl::unlimited())
-            .expect("propose");
-        commit(&mut session, "r0", &d0);
-
-        // Arm a proposal, interleave a read-only evaluate, then commit
-        // the armed proposal — bit-identical to the uninterleaved run.
-        let (d1, s1) = session
-            .propose(&states[1], &RunControl::unlimited())
-            .expect("propose");
-        let results = session
-            .evaluate(&states[2..], &RunControl::unlimited(), 1)
-            .expect("read-only evaluate");
-        assert_eq!(results.len(), 1);
-        assert_eq!(
-            results[0].score.to_bits(),
-            fresh_rebase(&states[2]).to_bits()
-        );
-        assert_eq!(session.state.commits_done, 1, "evaluate consumes no budget");
-        assert_eq!(
-            session.pending_digest(),
-            Some(d1.as_str()),
-            "pending untouched"
-        );
-        let (_, score, seq) = commit(&mut session, "r1", &d1);
-        assert_eq!((score.to_bits(), seq), (s1.to_bits(), 2));
-
-        // A second evaluate of the same state, after the commit moved
-        // the session on, scores the same bits.
-        let again = session
-            .evaluate(&states[2..], &RunControl::unlimited(), 1)
-            .expect("second evaluate");
-        assert_eq!(again[0].score.to_bits(), results[0].score.to_bits());
     }
 
     #[test]
@@ -966,84 +857,60 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_matches_the_stateless_model_bit_for_bit() {
-        let session = session();
-        let states = demo_states(3);
-        let results = session
-            .evaluate(&states, &RunControl::unlimited(), 1)
-            .expect("evaluate");
-        let model = IrregularGridModel::new(Um(30));
-        for (state, result) in states.iter().zip(&results) {
-            let (chip, segments) = to_geometry(state).expect("geometry");
-            let expected = model.evaluate(&chip, &segments);
-            assert_eq!(result.score.to_bits(), expected.to_bits());
-            assert_eq!(result.score.to_bits(), fresh_rebase(state).to_bits());
-        }
-        assert_eq!(session.state.commits_done, 0);
-    }
-
-    #[test]
-    fn pool_path_matches_inline_path_bit_for_bit() {
-        let states = demo_states(6);
-        let a = session()
-            .evaluate(&states, &RunControl::unlimited(), 1)
-            .expect("inline");
-        let b = session()
-            .evaluate(&states, &RunControl::unlimited(), 4)
-            .expect("pooled");
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
-            assert_eq!(x.digest, y.digest);
-        }
-    }
-
-    #[test]
-    fn repeat_evaluates_return_identical_bits() {
-        let session = session();
-        let states = demo_states(2);
-        let first = session
-            .evaluate(&states, &RunControl::unlimited(), 1)
-            .expect("first");
-        let second = session
-            .evaluate(&states, &RunControl::unlimited(), 1)
-            .expect("second");
-        assert_eq!(first.len(), states.len());
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-            assert_eq!(a.digest, b.digest);
-        }
-    }
-
-    #[test]
-    fn a_proposal_and_an_evaluate_of_one_state_agree() {
+    fn a_proposal_matches_the_stateless_model_bit_for_bit() {
         let mut session = session();
-        let states = demo_states(2);
-        let (digest, proposed) = session
+        let states = demo_states(3);
+        let (d0, _) = session
             .propose(&states[0], &RunControl::unlimited())
             .expect("propose");
-        session.undo();
-        let results = session
-            .evaluate(&states, &RunControl::unlimited(), 1)
-            .expect("evaluate");
-        assert_eq!(results[0].score.to_bits(), proposed.to_bits());
-        assert_eq!(results[0].digest, digest);
-        assert_ne!(results[1].digest, digest);
+        commit(&mut session, "r0", &d0);
+        // Scored against a committed state, each proposal still equals
+        // the stateless model's score of the state alone.
+        let model = IrregularGridModel::new(Um(30));
+        for state in &states {
+            let (_, score) = session
+                .propose(state, &RunControl::unlimited())
+                .expect("propose");
+            session.undo();
+            let (chip, segments) = to_geometry(state).expect("geometry");
+            let expected = model.evaluate(&chip, &segments);
+            assert_eq!(score.to_bits(), expected.to_bits());
+            assert_eq!(score.to_bits(), fresh_rebase(state).to_bits());
+        }
+        assert_eq!(session.state.commits_done, 1);
+    }
+
+    #[test]
+    fn repeat_proposals_return_identical_bits() {
+        let mut session = session();
+        let states = demo_states(2);
+        for state in &states {
+            let first = session
+                .propose(state, &RunControl::unlimited())
+                .expect("first");
+            let second = session
+                .propose(state, &RunControl::unlimited())
+                .expect("second");
+            assert_eq!(first.0, second.0);
+            assert_eq!(first.1.to_bits(), second.1.to_bits());
+        }
     }
 
     #[test]
     fn invalid_geometry_is_rejected_atomically() {
-        let session = session();
-        let states = vec![
-            demo_states(1).remove(0),
-            FloorplanState {
-                chip: [100, 100],
-                segments: vec![[0, 0, 101, 50]],
-            },
-        ];
+        let mut session = session();
+        let (armed, _) = session
+            .propose(&demo_states(1)[0], &RunControl::unlimited())
+            .expect("propose");
+        let bad = FloorplanState {
+            chip: [100, 100],
+            segments: vec![[0, 0, 101, 50]],
+        };
         let err = session
-            .evaluate(&states, &RunControl::unlimited(), 1)
+            .propose(&bad, &RunControl::unlimited())
             .expect_err("out-of-chip coordinate");
         assert_eq!(err.kind, ErrorKind::InvalidRequest);
+        assert_eq!(session.pending_digest(), Some(armed.as_str()));
 
         let err = to_geometry(&FloorplanState {
             chip: [0, 100],
@@ -1058,15 +925,13 @@ mod tests {
         let mut session = session();
         let states = demo_states(2);
         let expired = RunControl::unlimited().with_time_limit(std::time::Duration::ZERO);
-        let err = session
-            .evaluate(&states, &expired, 1)
-            .expect_err("deadline already passed");
-        assert_eq!(err.kind, ErrorKind::Timeout);
-        assert!(err.retryable);
-        let err = session
-            .propose(&states[0], &expired)
-            .expect_err("deadline already passed");
-        assert_eq!(err.kind, ErrorKind::Timeout);
+        for state in &states {
+            let err = session
+                .propose(state, &expired)
+                .expect_err("deadline already passed");
+            assert_eq!(err.kind, ErrorKind::Timeout);
+            assert!(err.retryable);
+        }
         assert_eq!(session.pending_digest(), None);
     }
 

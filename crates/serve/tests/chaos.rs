@@ -54,7 +54,7 @@ fn config() -> SessionConfig {
     }
 }
 
-/// The deterministic geometry client `c` evaluates at script step `s`.
+/// The deterministic geometry client `c` scores at script step `s`.
 fn states_for(client: usize, step: usize) -> Vec<FloorplanState> {
     let (c, s) = (client as i64, step as i64);
     let count = 1 + (client + step) % 2;
@@ -75,28 +75,18 @@ struct TestDaemon {
     kill: KillSwitch,
 }
 
-fn start_daemon(state_dir: &Path, chaos: Chaos, workers: usize) -> TestDaemon {
-    start_daemon_on(
-        Transport::Tcp("127.0.0.1:0".to_owned()),
-        state_dir,
-        chaos,
-        workers,
-    )
+fn start_daemon(state_dir: &Path, chaos: Chaos) -> TestDaemon {
+    start_daemon_on(Transport::Tcp("127.0.0.1:0".to_owned()), state_dir, chaos)
 }
 
-fn start_daemon_on(
-    transport: Transport,
-    state_dir: &Path,
-    chaos: Chaos,
-    workers: usize,
-) -> TestDaemon {
+fn start_daemon_on(transport: Transport, state_dir: &Path, chaos: Chaos) -> TestDaemon {
     let kill = KillSwitch::new();
     let store = SnapshotStore::open(state_dir, chaos, kill.clone()).expect("open store");
     let manager = Arc::new(SessionManager::new(
         store,
         Limits::default(),
         DegradePolicy::default(),
-        workers,
+        1,
     ));
     let handle = serve(transport, manager, ServerOptions::default()).expect("serve");
     TestDaemon { handle, kill }
@@ -230,7 +220,7 @@ fn drive_delta_step(
 /// Runs the delta scripts of the first `clients` clients to completion
 /// against a clean daemon.
 fn delta_reference_run(state_dir: &Path, clients: usize) -> BTreeMap<String, f64> {
-    let daemon = start_daemon(state_dir, Chaos::off(), 1);
+    let daemon = start_daemon(state_dir, Chaos::off());
     let mut scores = BTreeMap::new();
     for client_index in 0..clients {
         let mut client = Client::new(daemon.handle.transport().clone());
@@ -257,7 +247,7 @@ fn delta_chaotic_run(state_dir: &Path, seed: u64) -> (BTreeMap<String, f64>, usi
         kill_ppm: 60_000,
     };
     let chaos_for = |epoch: u64| Chaos::with_config(seed, mix).with_epoch(epoch);
-    let mut daemon = start_daemon(state_dir, chaos_for(0), 1);
+    let mut daemon = start_daemon(state_dir, chaos_for(0));
     let mut clients: Vec<Client> = (0..CLIENTS)
         .map(|_| Client::new(daemon.handle.transport().clone()))
         .collect();
@@ -301,7 +291,7 @@ fn delta_chaotic_run(state_dir: &Path, seed: u64) -> (BTreeMap<String, f64>, usi
             );
             injected_faults += daemon.handle.manager().injected_faults();
             stop_daemon(daemon);
-            daemon = start_daemon(state_dir, chaos_for(restarts as u64), 1);
+            daemon = start_daemon(state_dir, chaos_for(restarts as u64));
             let transport = daemon.handle.transport().clone();
             clients = (0..CLIENTS)
                 .map(|_| Client::new(transport.clone()))
@@ -365,7 +355,7 @@ fn killed_delta_daemon_recovers_committed_map_and_journal_bit_identically() {
     let continuous_dir = temp_dir("delta_kill_continuous");
     let mut continuous_scores = BTreeMap::new();
     {
-        let daemon = start_daemon(&continuous_dir, Chaos::off(), 1);
+        let daemon = start_daemon(&continuous_dir, Chaos::off());
         let mut client = Client::new(daemon.handle.transport().clone());
         assert!(client.call(&delta_open(0), 3).expect("open").ok);
         for step in 0..STEPS {
@@ -381,7 +371,7 @@ fn killed_delta_daemon_recovers_committed_map_and_journal_bit_identically() {
     let half = STEPS / 2;
     let mut recovered_scores = BTreeMap::new();
     {
-        let daemon = start_daemon(&interrupted_dir, Chaos::off(), 1);
+        let daemon = start_daemon(&interrupted_dir, Chaos::off());
         let mut client = Client::new(daemon.handle.transport().clone());
         assert!(client.call(&delta_open(0), 3).expect("open").ok);
         for step in 0..half {
@@ -447,7 +437,7 @@ fn killed_delta_daemon_recovers_committed_map_and_journal_bit_identically() {
     // verifies cost bits + map fingerprint before serving; the whole
     // interrupted step re-runs (the pending proposal was volatile).
     {
-        let daemon = start_daemon(&interrupted_dir, Chaos::off(), 1);
+        let daemon = start_daemon(&interrupted_dir, Chaos::off());
         let mut client = Client::new(daemon.handle.transport().clone());
         assert!(client.call(&delta_open(0), 3).expect("reopen").ok);
         for step in half..STEPS {
@@ -473,29 +463,37 @@ fn killed_delta_daemon_recovers_committed_map_and_journal_bit_identically() {
     }
 }
 
-/// Opens every client's session on `daemon` and evaluates its whole
-/// script of batches there, each on the first attempt. Returns every
-/// result's score, keyed by request id and batch position.
-fn evaluate_scripts(daemon: &TestDaemon) -> BTreeMap<String, f64> {
+/// Opens every client's session on `daemon` and scores its whole script
+/// of states there with `Propose` then `Undo`, each on the first
+/// attempt. Returns every score it was answered with, keyed by request
+/// id.
+fn read_only_scripts(daemon: &TestDaemon) -> BTreeMap<String, f64> {
     let mut scores = BTreeMap::new();
     for client_index in 0..CLIENTS {
         let mut client = Client::new(daemon.handle.transport().clone());
         let opened = client.call(&delta_open(client_index), 1).expect("open");
         assert!(opened.ok, "{opened:?}");
         for step in 0..STEPS {
-            let request = Request {
-                id: format!("e{client_index}-{step}"),
-                session: delta_session_name(client_index),
-                op: RequestOp::Evaluate {
-                    states: states_for(client_index, step),
-                },
-            };
-            let response = client.call(&request, 1).expect("evaluate needs no retry");
-            let ResponsePayload::Evaluated { results } = &response.payload else {
-                panic!("payload {response:?}");
-            };
-            for (k, result) in results.iter().enumerate() {
-                scores.insert(format!("{}#{k}", request.id), result.score);
+            for (k, state) in states_for(client_index, step).into_iter().enumerate() {
+                let propose = Request {
+                    id: format!("p{client_index}-{step}#{k}"),
+                    session: delta_session_name(client_index),
+                    op: RequestOp::Propose { state },
+                };
+                let undo = Request {
+                    id: format!("u{client_index}-{step}#{k}"),
+                    session: delta_session_name(client_index),
+                    op: RequestOp::Undo,
+                };
+                for request in [propose, undo] {
+                    let response = client.call(&request, 1).expect("no retry needed");
+                    let (ResponsePayload::Proposed { score, .. }
+                    | ResponsePayload::Undone { score }) = response.payload
+                    else {
+                        panic!("payload {response:?}");
+                    };
+                    scores.insert(request.id, score);
+                }
             }
         }
     }
@@ -503,14 +501,14 @@ fn evaluate_scripts(daemon: &TestDaemon) -> BTreeMap<String, f64> {
 }
 
 #[test]
-fn chaotic_daemon_serves_evaluates_without_faults_or_writes() {
-    // Evaluate is read-only, so it never reaches a chaos site: under a
-    // mix that faults or kills most persists, an Evaluate-only workload
-    // on resumed sessions never fails, never writes, and scores exactly
-    // what a clean daemon scores.
-    let dir = temp_dir("evaluate_only");
-    let clean = start_daemon(&dir, Chaos::off(), 1);
-    let reference = evaluate_scripts(&clean);
+fn chaotic_daemon_serves_read_only_scores_without_faults_or_writes() {
+    // Propose and Undo persist nothing, so they never reach a chaos
+    // site: under a mix that faults or kills most persists, a
+    // propose-then-undo workload on resumed sessions never fails, never
+    // writes, and scores exactly what a clean daemon scores.
+    let dir = temp_dir("read_only");
+    let clean = start_daemon(&dir, Chaos::off());
+    let reference = read_only_scripts(&clean);
     stop_daemon(clean);
     let before = snapshots(&dir);
     assert_eq!(
@@ -527,8 +525,8 @@ fn chaotic_daemon_serves_evaluates_without_faults_or_writes() {
             kill_ppm: 200_000,
         },
     );
-    let chaotic = start_daemon(&dir, chaos, 2);
-    let scores = evaluate_scripts(&chaotic);
+    let chaotic = start_daemon(&dir, chaos);
+    let scores = read_only_scripts(&chaotic);
     assert_eq!(chaotic.handle.manager().injected_faults(), 0);
     assert!(!chaotic.kill.is_tripped());
     stop_daemon(chaotic);
@@ -536,7 +534,7 @@ fn chaotic_daemon_serves_evaluates_without_faults_or_writes() {
     assert_eq!(
         snapshots(&dir),
         before,
-        "an evaluate wrote to the state dir"
+        "a propose or undo wrote to the state dir"
     );
     assert_eq!(scores.len(), reference.len());
     for (id, want) in &reference {
@@ -544,76 +542,6 @@ fn chaotic_daemon_serves_evaluates_without_faults_or_writes() {
             want.to_bits(),
             scores[id].to_bits(),
             "score diverged for {id}"
-        );
-    }
-}
-
-#[test]
-fn evaluates_interleaved_with_moves_leave_sessions_byte_identical() {
-    // Evaluate never touches a session's evaluator or pending proposal:
-    // a second connection evaluating on every session while its owner
-    // proposes, commits and undoes must leave the snapshots and move
-    // scores of the moves alone.
-    let reference_dir = temp_dir("interleaved_reference");
-    let reference = delta_reference_run(&reference_dir, CLIENTS);
-
-    let dir = temp_dir("interleaved");
-    let daemon = start_daemon(&dir, Chaos::off(), 2);
-    let transport = daemon.handle.transport().clone();
-    let scores = std::sync::Mutex::new(BTreeMap::new());
-    std::thread::scope(|scope| {
-        for client_index in 0..CLIENTS {
-            let opened = Client::new(transport.clone())
-                .call(&delta_open(client_index), 3)
-                .expect("open");
-            assert!(opened.ok, "{opened:?}");
-            let scores = &scores;
-            let mover = transport.clone();
-            scope.spawn(move || {
-                let mut client = Client::new(mover);
-                let mut own = BTreeMap::new();
-                for step in 0..STEPS {
-                    assert!(
-                        matches!(
-                            drive_delta_step(&mut client, client_index, step, 3, &mut own),
-                            StepOutcome::Done
-                        ),
-                        "client {client_index} step {step} did not complete"
-                    );
-                }
-                scores.lock().expect("scores").extend(own);
-            });
-            let reader = transport.clone();
-            scope.spawn(move || {
-                let mut client = Client::new(reader);
-                for round in 0..2 * STEPS {
-                    let request = Request {
-                        id: format!("e{client_index}-{round}"),
-                        session: delta_session_name(client_index),
-                        op: RequestOp::Evaluate {
-                            states: states_for(client_index, round % STEPS),
-                        },
-                    };
-                    let response = client.call(&request, 3).expect("evaluate");
-                    assert!(response.ok, "{response:?}");
-                }
-            });
-        }
-    });
-    stop_daemon(daemon);
-
-    assert_eq!(
-        snapshots(&dir),
-        snapshots(&reference_dir),
-        "interleaved evaluates changed a session"
-    );
-    let scores = scores.into_inner().expect("scores");
-    assert_eq!(scores.len(), reference.len());
-    for (request_id, want) in &reference {
-        assert_eq!(
-            want.to_bits(),
-            scores[request_id].to_bits(),
-            "score diverged for {request_id}"
         );
     }
 }
@@ -695,7 +623,7 @@ fn concurrent_chaos_run(tag: &str, keep_connection: bool) {
     let transport = Transport::Unix(dir.join("irgrid-serve.sock"));
     let chaos_for = |epoch: usize| Chaos::seeded(CONCURRENT_CHAOS_SEED).with_epoch(epoch as u64);
     let (scores, restarts, injected_faults) = std::thread::scope(|scope| {
-        let mut daemon = start_daemon_on(transport.clone(), &state_dir, chaos_for(0), 2);
+        let mut daemon = start_daemon_on(transport.clone(), &state_dir, chaos_for(0));
         let threads: Vec<_> = (0..CONCURRENT_CLIENTS)
             .map(|client_index| {
                 let transport = transport.clone();
@@ -715,7 +643,7 @@ fn concurrent_chaos_run(tag: &str, keep_connection: bool) {
                 );
                 injected_faults += daemon.handle.manager().injected_faults();
                 stop_daemon(daemon);
-                daemon = start_daemon_on(transport.clone(), &state_dir, chaos_for(restarts), 2);
+                daemon = start_daemon_on(transport.clone(), &state_dir, chaos_for(restarts));
             }
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -777,7 +705,7 @@ fn a_saturated_daemon_sheds_scoring_and_a_default_daemon_serves_it() {
     let dir = temp_dir("shed");
     let store = SnapshotStore::open(&dir, Chaos::off(), KillSwitch::new()).expect("store");
     // reject_at 0: a request's own slot already reaches the threshold,
-    // so every Evaluate and Propose is refused.
+    // so every Propose is refused.
     let manager = Arc::new(SessionManager::new(
         store,
         Limits::default(),
@@ -791,13 +719,6 @@ fn a_saturated_daemon_sheds_scoring_and_a_default_daemon_serves_it() {
     )
     .expect("serve");
     let mut client = Client::new(handle.transport().clone());
-    let evaluate = Request {
-        id: "d0-eval".to_owned(),
-        session: delta_session_name(0),
-        op: RequestOp::Evaluate {
-            states: states_for(0, 0),
-        },
-    };
     let propose = Request {
         id: "d0-prop".to_owned(),
         session: delta_session_name(0),
@@ -807,20 +728,18 @@ fn a_saturated_daemon_sheds_scoring_and_a_default_daemon_serves_it() {
     };
     assert!(client.call(&delta_open(0), 3).expect("open").ok);
     let before = snapshots(&dir);
-    for request in [&evaluate, &propose] {
-        let refused = client.call_once(request).expect("transport");
-        assert!(
-            matches!(
-                refused.payload,
-                ResponsePayload::Error {
-                    kind: ErrorKind::Backpressure,
-                    retryable: true,
-                    ..
-                }
-            ),
-            "{refused:?}"
-        );
-    }
+    let refused = client.call_once(&propose).expect("transport");
+    assert!(
+        matches!(
+            refused.payload,
+            ResponsePayload::Error {
+                kind: ErrorKind::Backpressure,
+                retryable: true,
+                ..
+            }
+        ),
+        "{refused:?}"
+    );
     assert_eq!(
         snapshots(&dir),
         before,
@@ -829,8 +748,8 @@ fn a_saturated_daemon_sheds_scoring_and_a_default_daemon_serves_it() {
     handle.manager().request_shutdown();
     handle.join();
 
-    // A default daemon over the same state dir serves both requests.
-    let daemon = start_daemon(&dir, Chaos::off(), 1);
+    // A default daemon over the same state dir serves the request.
+    let daemon = start_daemon(&dir, Chaos::off());
     let mut client = Client::new(daemon.handle.transport().clone());
     let reopened = client.call(&delta_open(0), 3).expect("reopen");
     assert!(
@@ -839,11 +758,6 @@ fn a_saturated_daemon_sheds_scoring_and_a_default_daemon_serves_it() {
             ResponsePayload::Opened { resumed: true, .. }
         ),
         "{reopened:?}"
-    );
-    let evaluated = client.call(&evaluate, 3).expect("evaluate");
-    assert!(
-        matches!(&evaluated.payload, ResponsePayload::Evaluated { results } if results.len() == 1),
-        "{evaluated:?}"
     );
     let proposed = client.call(&propose, 3).expect("propose");
     let ResponsePayload::Proposed { digest, .. } = proposed.payload else {
