@@ -196,7 +196,8 @@ pub struct WorkCounters {
 
 impl IrDeltaEvaluator {
     /// Creates a session with no committed state; the first
-    /// [`rebase`](Self::rebase) (or `propose`) performs a full build.
+    /// [`rebase`](crate::DeltaCongestionSession::rebase) (or `propose`)
+    /// performs a full build.
     #[must_use]
     pub fn new(model: IrregularGridModel) -> IrDeltaEvaluator {
         IrDeltaEvaluator {

@@ -1,10 +1,11 @@
 //! # The mathematics of the congestion models
 //!
 //! This module contains no code — it is the workspace's annotated
-//! derivation of the formulas implemented in [`crate::routing`],
-//! [`crate::fixed`] and [`crate::irregular`], written for readers who
-//! want to audit the implementation against the paper (Hsieh & Hsieh,
-//! *A New Effective Congestion Model in Floorplan Design*, DATE 2004).
+//! derivation of the formulas implemented in [`crate::RoutingRange`],
+//! [`crate::FixedGridModel`] and [`crate::irregular`], written for
+//! readers who want to audit the implementation against the paper (Hsieh
+//! & Hsieh, *A New Effective Congestion Model in Floorplan Design*, DATE
+//! 2004).
 //!
 //! ## 1. The route ensemble (§2)
 //!

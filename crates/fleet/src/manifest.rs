@@ -126,17 +126,32 @@ impl<S> FleetManifest<S> {
 /// embedding whole floorplans.
 #[must_use]
 pub fn state_digest<S: Serialize>(state: &S) -> String {
-    // irgrid-lint: allow(P1): serializing a plain owned data struct cannot fail
-    let json = serde_json::to_string(state).expect("digest serialization is infallible");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in json.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    // The JSON text is hashed as it is printed, never held whole.
+    let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+    let hashed = serde_json::to_writer(&mut hash, state);
+    // irgrid-lint: allow(P1): hashing cannot fail, so neither can the write
+    hashed.expect("digest serialization is infallible");
     let mut out = String::with_capacity(16);
     // irgrid-lint: allow(P1): write! to a String is infallible
-    write!(out, "{hash:016x}").expect("writing to a String cannot fail");
+    write!(out, "{:016x}", hash.0).expect("writing to a String cannot fail");
     out
+}
+
+/// A 64-bit FNV-1a hash over the bytes written to it.
+struct Fnv1a(u64);
+
+impl std::io::Write for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        for byte in bytes {
+            self.0 ^= u64::from(*byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]

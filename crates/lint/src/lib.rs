@@ -83,10 +83,10 @@ pub use scan::{AllowDirective, MalformedDirective, Scan, KNOWN_RULES};
 
 /// CI ceiling on `Report::debt_total`: the workspace-wide count of live
 /// allow directives may never exceed this. It equals the measured
-/// count, 71 live allows, so a deleted suppression cannot come back
+/// count, 68 live allows, so a deleted suppression cannot come back
 /// silently. Lowering it is a ratchet — raise it only with a PR that
 /// argues why the new suppression is cheaper than the fix.
-pub const DEBT_CEILING: usize = 71;
+pub const DEBT_CEILING: usize = 68;
 
 /// Lints one in-memory source file as if it lived at the
 /// workspace-relative `rel_path` (which decides rule scope).

@@ -202,6 +202,12 @@ impl Client {
                 self.disconnect();
                 Err(ClientError::Transport(err))
             }
+            Err(FrameReadError::InvalidUtf8) => {
+                self.disconnect();
+                Err(ClientError::Protocol(
+                    "daemon sent a response frame that is not utf-8".to_owned(),
+                ))
+            }
         }
     }
 

@@ -19,7 +19,7 @@
 //! # Load shedding
 //!
 //! Load is the number of `Propose` requests in flight across all
-//! connections, tracked by an RAII [`LoadGuard`]
+//! connections, tracked by an RAII `LoadGuard`
 //! whose *constructor* performs the increment — there is no window in
 //! which an early return (or panic) can leak a gauge slot, on any error
 //! path. Below [`DegradePolicy::reject_at`] every request scores with
@@ -1161,6 +1161,14 @@ mod tests {
             panic!("payload");
         };
         assert_eq!(score.to_bits(), 0.06857669456518374f64.to_bits());
+    }
+
+    #[test]
+    fn a_session_snapshot_from_0_12_writes_back_byte_for_byte() {
+        let state = SessionState::from_json(LEGACY_SESSION, "legacy-delta").expect("parse");
+        assert_eq!(state.to_json(), LEGACY_SESSION);
+        let committed = state.committed.as_ref().expect("two commits");
+        assert_eq!(irgrid_fleet::state_digest(committed), "4fce5a18d186eed2");
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! # Sessions
 //!
 //! `OpenDelta` opens (or resumes) a session holding a session-resident
-//! [`IrDeltaEvaluator`](irgrid_core::congestion::IrDeltaEvaluator)
+//! [`IrDeltaEvaluator`](irgrid_core::IrDeltaEvaluator)
 //! scoring through the exact Q32 delta pipeline. `Propose` scores one
 //! state incrementally against the committed snapshot (pure, nothing
 //! persisted — a retry recomputes bit-identically); `Commit` promotes

@@ -323,6 +323,13 @@ fn connection_loop(stream: Stream, manager: &Arc<SessionManager>, options: Serve
                     false,
                 ),
             },
+            // The reader is past the line: report and keep the connection.
+            Err(FrameReadError::InvalidUtf8) => Response::error(
+                "",
+                ErrorKind::MalformedFrame,
+                "unparseable request frame: invalid utf-8",
+                false,
+            ),
             // The reader already resynced past the oversized frame;
             // report and keep the connection.
             Err(FrameReadError::TooLarge) => Response::error(
@@ -466,6 +473,43 @@ mod tests {
             &mut stream,
             "{\"id\":\"b4\",\"session\":\"\",\"op\":\"Shutdown\"}\n",
         );
+        handle.join();
+    }
+
+    /// Sends one raw JSONL frame and reads the reply line.
+    fn raw_roundtrip(stream: &mut TcpStream, frame: &[u8]) -> Response {
+        stream.write_all(frame).expect("send");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply");
+        serde_json::from_str(line.trim_end()).expect("parse response")
+    }
+
+    #[test]
+    fn deep_and_invalid_utf8_jsonl_frames_are_malformed_and_the_connection_keeps_serving() {
+        let handle = temp_server("deep_utf8", Limits::default());
+        let mut stream = connect(&handle);
+        let ping = b"{\"id\":\"ok\",\"session\":\"\",\"op\":\"Ping\"}\n";
+        let mut deep = vec![b'['; 10_000];
+        deep.push(b'\n');
+        let invalid = b"{\"id\":\"\xFF\",\"session\":\"\",\"op\":\"Ping\"}\n";
+        for bad in [&deep[..], &invalid[..]] {
+            let refused = raw_roundtrip(&mut stream, bad);
+            assert!(
+                matches!(
+                    refused.payload,
+                    ResponsePayload::Error {
+                        kind: ErrorKind::MalformedFrame,
+                        retryable: false,
+                        ..
+                    }
+                ),
+                "{refused:?}"
+            );
+            let pong = raw_roundtrip(&mut stream, ping);
+            assert!(matches!(pong.payload, ResponsePayload::Pong), "{pong:?}");
+        }
+        handle.manager().request_shutdown();
         handle.join();
     }
 
