@@ -4,7 +4,7 @@ use std::fmt;
 
 use irgrid_netlist::ModuleId;
 use rand::Rng;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Deserializer, Serialize};
 
 /// A slicing cut direction.
 ///
@@ -86,13 +86,23 @@ pub struct PolishExpr {
     elements: Vec<Element>,
 }
 
+/// The serialized shape of [`PolishExpr`], read by the derive. It keeps
+/// the name so messages name `PolishExpr`.
+mod wire {
+    use super::Element;
+
+    #[derive(serde::Deserialize)]
+    pub(super) struct PolishExpr {
+        pub(super) elements: Vec<Element>,
+    }
+}
+
 /// Reads the derived `{"elements": [...]}` shape and refuses any element
 /// sequence that [`PolishExpr::from_elements`] refuses, so a corrupt
 /// checkpoint fails to parse instead of resuming a malformed tree.
 impl Deserialize for PolishExpr {
-    fn from_value(value: &Value) -> Result<PolishExpr, DeError> {
-        let map = serde::expect_map(value, "PolishExpr")?;
-        let elements = serde::get_field(map, "elements", "PolishExpr")?;
+    fn deserialize(src: &mut dyn Deserializer) -> Result<PolishExpr, DeError> {
+        let wire::PolishExpr { elements } = wire::PolishExpr::deserialize(src)?;
         PolishExpr::from_elements(elements)
             .ok_or_else(|| DeError::new("PolishExpr: not a normalized Polish expression"))
     }

@@ -16,7 +16,7 @@
 use irgrid_geom::{Point, Rect, Um};
 use irgrid_netlist::{Circuit, ModuleId};
 use rand::Rng;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Deserializer, Serialize};
 
 use crate::{FloorplanRepr, Placement};
 
@@ -52,17 +52,26 @@ pub struct SequencePair {
     rotated: Vec<bool>,
 }
 
+/// The serialized shape of [`SequencePair`], read by the derive. It
+/// keeps the name so messages name `SequencePair`.
+mod wire {
+    use irgrid_netlist::ModuleId;
+
+    #[derive(serde::Deserialize)]
+    pub(super) struct SequencePair {
+        pub(super) pos: Vec<ModuleId>,
+        pub(super) neg: Vec<ModuleId>,
+        pub(super) rotated: Vec<bool>,
+    }
+}
+
 /// Reads the derived `{"pos", "neg", "rotated"}` shape and refuses a
 /// pair that fails [`SequencePair::is_valid`], so a corrupt checkpoint
 /// fails to parse instead of resuming a malformed floorplan.
 impl Deserialize for SequencePair {
-    fn from_value(value: &Value) -> Result<SequencePair, DeError> {
-        let map = serde::expect_map(value, "SequencePair")?;
-        let pair = SequencePair {
-            pos: serde::get_field(map, "pos", "SequencePair")?,
-            neg: serde::get_field(map, "neg", "SequencePair")?,
-            rotated: serde::get_field(map, "rotated", "SequencePair")?,
-        };
+    fn deserialize(src: &mut dyn Deserializer) -> Result<SequencePair, DeError> {
+        let wire::SequencePair { pos, neg, rotated } = wire::SequencePair::deserialize(src)?;
+        let pair = SequencePair { pos, neg, rotated };
         pair.is_valid().then_some(pair).ok_or_else(|| {
             DeError::new("SequencePair: sequences are not permutations of one module set")
         })

@@ -36,12 +36,17 @@
 //! The payload is written from the message's serializer events — the
 //! same events the JSONL codec prints — so the two framings are
 //! bit-equivalent in content (floats travel as raw bits in both: the JSON
-//! writer round-trips `f64` exactly). Both decode into a serde value tree.
+//! writer round-trips `f64` exactly). Both decode straight into the
+//! message type through `serde::Deserializer`, with no value tree between:
+//! JSONL through `serde_json::from_str`, binary through a byte cursor that
+//! keeps one entry per open container, never reserves room for more
+//! elements than the bytes left can hold, and reports a malformation
+//! ahead of any type error, as if the whole payload were read first.
 
 use std::fmt;
 use std::io::BufRead;
 
-use serde::{Deserialize, Serialize, Serializer, Value};
+use serde::{DeError, Deserialize, Deserializer, Serialize, Serializer, Token};
 
 use crate::protocol::{Request, Response};
 
@@ -49,8 +54,9 @@ use crate::protocol::{Request, Response};
 pub const BINARY_MAGIC: [u8; 8] = *b"IRGBIN1\n";
 
 /// Nesting depth bound for binary decoding (a hostile frame could
-/// otherwise recurse the stack); protocol values are ≤ 6 deep.
-const MAX_DEPTH: u32 = 64;
+/// otherwise grow the cursor's stack of open containers without bound);
+/// protocol values are ≤ 6 deep.
+const MAX_DEPTH: usize = 64;
 
 /// How frames are laid out on one connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -389,15 +395,48 @@ impl fmt::Display for DecodeError {
     }
 }
 
-/// A byte cursor for binary decoding.
+/// A byte cursor over one binary payload: the [`Deserializer`] its
+/// messages decode from, one container level per entry of `open` rather
+/// than one call.
 struct Cursor<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Open sequences and maps, innermost last.
+    open: Vec<Open>,
+    /// The malformation that stopped decoding, if one did.
+    failed: Option<DecodeError>,
+}
+
+/// A sequence or map the cursor is inside.
+#[derive(Debug, Clone, Copy)]
+struct Open {
+    map: bool,
+    /// Elements or entries whose value is not yet read. The count alone
+    /// answers `more`, so a reader of an announced length need not ask.
+    left: usize,
 }
 
 impl<'a> Cursor<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Cursor {
+            bytes,
+            at: 0,
+            open: Vec::new(),
+            failed: None,
+        }
+    }
+
     fn fail(&self, what: Malformed) -> DecodeError {
         DecodeError { at: self.at, what }
+    }
+
+    /// Keeps a malformation for [`decode`] to report, and passes up the
+    /// [`DeError`] the trait returns in its place.
+    fn carry<T>(&mut self, read: Result<T, DecodeError>) -> Result<T, DeError> {
+        read.map_err(|err| {
+            self.failed = Some(err);
+            DeError::new(err.to_string())
+        })
     }
 
     fn take(&mut self, count: usize) -> Result<&'a [u8], DecodeError> {
@@ -405,7 +444,7 @@ impl<'a> Cursor<'a> {
             .at
             .checked_add(count)
             .filter(|&end| end <= self.bytes.len())
-            .ok_or(self.fail(Malformed::Truncated(count)))?;
+            .ok_or_else(|| self.fail(Malformed::Truncated(count)))?;
         let slice = &self.bytes[self.at..end];
         self.at = end;
         Ok(slice)
@@ -425,39 +464,46 @@ impl<'a> Cursor<'a> {
         self.take_array().map(u64::from_le_bytes)
     }
 
-    fn take_string(&mut self) -> Result<String, DecodeError> {
+    fn take_str(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.take_u32()? as usize;
         let start = self.at;
         let bytes = self.take(len)?;
-        match std::str::from_utf8(bytes) {
-            Ok(text) => Ok(text.to_owned()),
-            Err(_) => Err(DecodeError {
-                at: start,
-                what: Malformed::InvalidUtf8,
-            }),
-        }
+        std::str::from_utf8(bytes).map_err(|_| DecodeError {
+            at: start,
+            what: Malformed::InvalidUtf8,
+        })
     }
 
-    /// Decodes one value. It is inlined into its callers, so a scalar
-    /// element costs no call of its own: only containers recurse,
-    /// through [`take_container`](Self::take_container). Per-scalar
-    /// calls were about a third of the time to decode and drop a payload
-    /// of 25k four-integer segments.
-    #[inline(always)]
-    fn take_value(&mut self, depth: u32) -> Result<Value, DecodeError> {
-        if depth > MAX_DEPTH {
+    /// The head of the next value: an element or entry value of the
+    /// innermost open container, if there is one. A value inside more
+    /// than [`MAX_DEPTH`] containers is refused before its tag is read.
+    fn token(&mut self) -> Result<Token, DecodeError> {
+        if self.open.len() > MAX_DEPTH {
             return Err(self.fail(Malformed::TooDeep));
         }
         let tag = self.take(1)?[0];
+        if let Some(parent) = self.open.last_mut() {
+            debug_assert!(parent.left > 0, "a value past its container's end");
+            parent.left = parent.left.saturating_sub(1);
+        }
         Ok(match tag {
-            0x00 => Value::Null,
-            0x01 => Value::Bool(false),
-            0x02 => Value::Bool(true),
-            0x03 => Value::Int(self.take_array().map(i64::from_le_bytes)?),
-            0x04 => Value::UInt(self.take_u64()?),
-            0x05 => Value::Float(f64::from_bits(self.take_u64()?)),
-            0x06 => Value::Str(self.take_string()?),
-            0x07 | 0x08 => self.take_container(tag == 0x08, depth)?,
+            0x00 => Token::Null,
+            0x01 => Token::Bool(false),
+            0x02 => Token::Bool(true),
+            0x03 => Token::Int(self.take_array().map(i64::from_le_bytes)?),
+            0x04 => Token::UInt(self.take_u64()?),
+            0x05 => Token::Float(f64::from_bits(self.take_u64()?)),
+            0x06 => Token::Str(self.take_str()?.to_owned()),
+            0x07 | 0x08 => {
+                let map = tag == 0x08;
+                let left = self.take_u32()? as usize;
+                self.open.push(Open { map, left });
+                if map {
+                    Token::Map(Some(left))
+                } else {
+                    Token::Seq(Some(left))
+                }
+            }
             other => {
                 self.at -= 1;
                 return Err(self.fail(Malformed::UnknownTag(other)));
@@ -465,44 +511,93 @@ impl<'a> Cursor<'a> {
         })
     }
 
-    /// A sequence or map at `depth`, after its tag.
-    #[inline(never)]
-    fn take_container(&mut self, map: bool, depth: u32) -> Result<Value, DecodeError> {
-        let count = self.take_u32()? as usize;
-        // Bound pre-allocation by what the payload can hold.
-        let capacity = count.min(self.bytes.len() - self.at);
-        if map {
-            let mut entries = Vec::with_capacity(capacity);
-            for _ in 0..count {
-                let key = self.take_string()?;
-                entries.push((key, self.take_value(depth + 1)?));
+    /// Whether the innermost open container has another element or
+    /// entry, closing it if not; `None` when it is not of the kind asked
+    /// for.
+    fn advance(&mut self, map: bool) -> Option<bool> {
+        match self.open.last() {
+            Some(open) if open.map == map => {
+                let another = open.left > 0;
+                if !another {
+                    self.open.pop();
+                }
+                Some(another)
             }
-            Ok(Value::Map(entries))
-        } else {
-            let mut items = Vec::with_capacity(capacity);
-            for _ in 0..count {
-                items.push(self.take_value(depth + 1)?);
-            }
-            Ok(Value::Seq(items))
+            _ => None,
+        }
+    }
+
+    /// Checks that no bytes follow the value.
+    fn end(&self) -> Result<(), DecodeError> {
+        match self.bytes.len() - self.at {
+            0 => Ok(()),
+            trailing => Err(self.fail(Malformed::Trailing(trailing))),
         }
     }
 }
 
-/// Decodes one binary payload into a serde value tree.
+impl Deserializer for Cursor<'_> {
+    fn next(&mut self) -> Result<Token, DeError> {
+        let read = self.token();
+        self.carry(read)
+    }
+
+    fn null(&mut self) -> Result<bool, DeError> {
+        // Too deep, truncated and unknown tags are left for `next`.
+        let null = self.open.len() <= MAX_DEPTH && self.bytes.get(self.at) == Some(&0x00);
+        if null {
+            self.next()?;
+        }
+        Ok(null)
+    }
+
+    fn more(&mut self) -> Result<bool, DeError> {
+        self.advance(false)
+            .ok_or_else(|| DeError::new("no sequence is open"))
+    }
+
+    fn key(&mut self) -> Result<Option<&str>, DeError> {
+        match self.advance(true) {
+            Some(true) => {
+                let read = self.take_str();
+                self.carry(read).map(Some)
+            }
+            Some(false) => Ok(None),
+            None => Err(DeError::new("no map is open")),
+        }
+    }
+
+    fn room(&self) -> usize {
+        self.bytes.len() - self.at
+    }
+}
+
+/// Decodes one binary payload as a `T`.
 ///
 /// # Errors
 ///
 /// Returns a description of the malformation (truncation, bad tag, bad
-/// UTF-8, over-deep nesting, trailing garbage).
-pub fn decode_value(bytes: &[u8]) -> Result<Value, String> {
-    let mut cursor = Cursor { bytes, at: 0 };
-    let decoded = cursor
-        .take_value(0)
-        .and_then(|value| match bytes.len() - cursor.at {
-            0 => Ok(value),
-            trailing => Err(cursor.fail(Malformed::Trailing(trailing))),
-        });
-    decoded.map_err(|err| err.to_string())
+/// UTF-8, over-deep nesting, trailing garbage), or, for a well-formed
+/// payload, the error `T` refused it with.
+fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, String> {
+    let mut cursor = Cursor::new(bytes);
+    let read = T::deserialize(&mut cursor);
+    if let Some(err) = cursor.failed {
+        return Err(err.to_string());
+    }
+    match read {
+        Ok(value) => cursor.end().map(|()| value).map_err(|err| err.to_string()),
+        Err(err) => {
+            // Report the type error only for a well-formed payload: read
+            // it again, structurally, and let a malformation win.
+            let mut check = Cursor::new(bytes);
+            let malformed = match check.skip() {
+                Ok(()) => check.end().err(),
+                Err(_) => check.failed,
+            };
+            Err(malformed.map_or_else(|| err.to_string(), |err| err.to_string()))
+        }
+    }
 }
 
 /// Encodes any protocol message as one frame in the given codec.
@@ -539,10 +634,11 @@ pub fn response_frame(codec: FrameCodec, response: &Response) -> Vec<u8> {
     message_frame(codec, response)
 }
 
-fn payload_value(payload: &FramePayload) -> Result<Value, String> {
+/// Decodes a received frame as a `T`.
+fn decode_payload<T: Deserialize>(payload: &FramePayload) -> Result<T, String> {
     match payload {
         FramePayload::Jsonl(line) => serde_json::from_str(line).map_err(|err| err.to_string()),
-        FramePayload::Binary(bytes) => decode_value(bytes),
+        FramePayload::Binary(bytes) => decode(bytes),
     }
 }
 
@@ -552,8 +648,7 @@ fn payload_value(payload: &FramePayload) -> Result<Value, String> {
 ///
 /// Returns the parse failure text for a `MalformedFrame` reply.
 pub fn parse_request_payload(payload: &FramePayload) -> Result<Request, String> {
-    let value = payload_value(payload)?;
-    Request::from_value(&value).map_err(|err| err.to_string())
+    decode_payload(payload)
 }
 
 /// Parses a received frame as a [`Response`].
@@ -562,21 +657,20 @@ pub fn parse_request_payload(payload: &FramePayload) -> Result<Request, String> 
 ///
 /// Returns the parse failure text.
 pub fn parse_response_payload(payload: &FramePayload) -> Result<Response, String> {
-    let value = payload_value(payload)?;
-    Response::from_value(&value).map_err(|err| err.to_string())
+    decode_payload(payload)
+}
+
+/// The one field [`recover_payload_id`] reads.
+#[derive(Deserialize)]
+struct RequestId {
+    id: String,
 }
 
 /// Best-effort recovery of the `id` field from a frame that failed to
 /// parse as a full [`Request`], so the error reply can be matched.
 #[must_use]
 pub fn recover_payload_id(payload: &FramePayload) -> String {
-    match payload_value(payload) {
-        Ok(value) => match value.get("id") {
-            Some(Value::Str(id)) => id.clone(),
-            _ => String::new(),
-        },
-        Err(_) => String::new(),
-    }
+    decode_payload::<RequestId>(payload).map_or_else(|_| String::new(), |read| read.id)
 }
 
 /// Whether an empty frame should be skipped (blank JSONL lines keep the
@@ -595,6 +689,7 @@ mod tests {
     use crate::protocol::{FloorplanState, RequestOp, ResponsePayload, SessionConfig};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use serde::Value;
     use std::io::BufReader;
 
     fn keep() -> impl FnMut() -> bool {
@@ -640,6 +735,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The tree decoder the streamed one replaced, kept as the reference
+    /// its answers are checked against: one call per container level.
+    fn take_value(cursor: &mut Cursor<'_>, depth: usize) -> Result<Value, DecodeError> {
+        if depth > MAX_DEPTH {
+            return Err(cursor.fail(Malformed::TooDeep));
+        }
+        let tag = cursor.take(1)?[0];
+        Ok(match tag {
+            0x00 => Value::Null,
+            0x01 => Value::Bool(false),
+            0x02 => Value::Bool(true),
+            0x03 => Value::Int(cursor.take_array().map(i64::from_le_bytes)?),
+            0x04 => Value::UInt(cursor.take_u64()?),
+            0x05 => Value::Float(f64::from_bits(cursor.take_u64()?)),
+            0x06 => Value::Str(cursor.take_str()?.to_owned()),
+            0x07 | 0x08 => {
+                let count = cursor.take_u32()? as usize;
+                // Bound pre-allocation by what the payload can hold.
+                let capacity = count.min(cursor.bytes.len() - cursor.at);
+                if tag == 0x08 {
+                    let mut entries = Vec::with_capacity(capacity);
+                    for _ in 0..count {
+                        let key = cursor.take_str()?.to_owned();
+                        entries.push((key, take_value(cursor, depth + 1)?));
+                    }
+                    Value::Map(entries)
+                } else {
+                    let mut items = Vec::with_capacity(capacity);
+                    for _ in 0..count {
+                        items.push(take_value(cursor, depth + 1)?);
+                    }
+                    Value::Seq(items)
+                }
+            }
+            other => {
+                cursor.at -= 1;
+                return Err(cursor.fail(Malformed::UnknownTag(other)));
+            }
+        })
+    }
+
+    /// A payload decoded into a tree by the reference decoder.
+    fn tree_decode(bytes: &[u8]) -> Result<Value, String> {
+        let mut cursor = Cursor::new(bytes);
+        take_value(&mut cursor, 0)
+            .and_then(|value| cursor.end().map(|()| value))
+            .map_err(|err| err.to_string())
     }
 
     /// `value` framed by the reference encoder.
@@ -788,7 +932,9 @@ mod tests {
     fn binary_value_roundtrip_is_bit_exact() {
         let request = demo_request();
         let frame = request_frame(FrameCodec::Binary, &request);
-        let back = decode_value(&frame[4..]).expect("decode");
+        assert_eq!(decode::<Request>(&frame[4..]).expect("decode"), request);
+        let back = decode::<Value>(&frame[4..]).expect("decode");
+        assert_eq!(back, tree_decode(&frame[4..]).expect("reference decode"));
         assert_eq!(Request::from_value(&back).expect("from value"), request);
 
         // Floats travel as raw bits: a value JSON would print lossily
@@ -796,7 +942,7 @@ mod tests {
         let tricky = Value::Float(f64::from_bits(0x3FF0_0000_0000_0001));
         let mut bytes = Vec::new();
         encode_value(&tricky, &mut bytes);
-        match decode_value(&bytes).expect("decode") {
+        match decode::<Value>(&bytes).expect("decode") {
             Value::Float(f) => assert_eq!(f.to_bits(), 0x3FF0_0000_0000_0001),
             other => panic!("expected float, got {other:?}"),
         }
@@ -804,19 +950,53 @@ mod tests {
 
     #[test]
     fn binary_decode_rejects_malformed_frames() {
-        assert!(decode_value(&[]).is_err(), "empty payload");
-        assert!(decode_value(&[0xFF]).is_err(), "unknown tag");
-        assert!(decode_value(&[0x03, 1, 2]).is_err(), "truncated int");
-        assert!(decode_value(&[0x00, 0x00]).is_err(), "trailing garbage");
+        assert!(decode::<Value>(&[]).is_err(), "empty payload");
+        assert!(decode::<Value>(&[0xFF]).is_err(), "unknown tag");
+        assert!(decode::<Value>(&[0x03, 1, 2]).is_err(), "truncated int");
+        assert!(decode::<Value>(&[0x00, 0x00]).is_err(), "trailing garbage");
         // String declaring more bytes than present.
-        assert!(decode_value(&[0x06, 10, 0, 0, 0, b'a']).is_err());
+        assert!(decode::<Value>(&[0x06, 10, 0, 0, 0, b'a']).is_err());
         // A nesting bomb: seqs of seqs past MAX_DEPTH.
         let mut bomb = vec![[0x07_u8, 1, 0, 0, 0]; 80]
             .into_iter()
             .flatten()
             .collect::<Vec<u8>>();
         bomb.push(0x00);
-        assert!(decode_value(&bomb).is_err(), "over-deep nesting");
+        let deep = decode::<Value>(&bomb).expect_err("over-deep nesting");
+        assert!(deep.contains("deeper than 64"), "{deep}");
+
+        // The same bomb under a key a request does not read: skipping it
+        // is bounded too.
+        let mut payload = b"\x08\x04\x00\x00\x00".to_vec();
+        for (key, value) in [
+            ("id", &b"\x06\x01\x00\x00\x00r"[..]),
+            ("session", b"\x06\x00\x00\x00\x00"),
+            ("op", b"\x06\x04\x00\x00\x00Ping"),
+            ("unknown", &bomb),
+        ] {
+            payload.extend_from_slice(&encode_len(key.len()));
+            payload.extend_from_slice(key.as_bytes());
+            payload.extend_from_slice(value);
+        }
+        let err = parse_request_payload(&FramePayload::Binary(payload)).expect_err("deep unknown");
+        assert!(err.contains("deeper than 64"), "{err}");
+
+        // A `Propose` whose `segments` announces u32::MAX elements in a
+        // frame under 100 bytes: refused as truncated, having reserved no
+        // more room than the payload can hold.
+        let segments = Value::Map(vec![("segments".into(), Value::Seq(Vec::new()))]);
+        let propose = Value::Map(vec![("state".into(), segments)]);
+        let request = Value::Map(vec![
+            ("id".into(), Value::Str("r".into())),
+            ("session".into(), Value::Str("s".into())),
+            ("op".into(), Value::Map(vec![("Propose".into(), propose)])),
+        ]);
+        let mut frame = message_frame(FrameCodec::Binary, &request);
+        assert!(frame.len() < 100, "{} bytes", frame.len());
+        let at = frame.len() - 4;
+        frame[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = read_and_parse(&frame, true).expect_err("announced u32::MAX segments");
+        assert!(err.contains("truncated frame"), "{err}");
     }
 
     fn demo_proposed() -> Response {
@@ -852,6 +1032,24 @@ mod tests {
         }
     }
 
+    /// [`read_and_parse`] through the reference tree decoder and
+    /// `from_value`.
+    fn read_and_parse_by_tree(bytes: &[u8], request: bool) -> Result<(), String> {
+        let mut reader = BufReader::new(bytes);
+        let payload = read_frame(&mut reader, FrameCodec::Binary, 1 << 20, &mut keep())
+            .map_err(|err| format!("{err:?}"))?;
+        let FramePayload::Binary(bytes) = payload else {
+            unreachable!("a binary read gives a binary payload")
+        };
+        let tree = tree_decode(&bytes)?;
+        let parsed = if request {
+            Request::from_value(&tree).map(drop)
+        } else {
+            Response::from_value(&tree).map(drop)
+        };
+        parsed.map_err(|err| err.to_string())
+    }
+
     #[test]
     fn every_truncation_of_a_binary_frame_is_a_typed_error() {
         for request in [true, false] {
@@ -877,14 +1075,19 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
 
         /// One flipped byte anywhere in either frame reads and parses to
-        /// a message or a typed error, never a panic.
+        /// a message or a typed error, never a panic: the one the
+        /// reference tree decoder and `from_value` give, message for
+        /// message.
         #[test]
         fn single_byte_flips_never_panic(at in 0usize..4096, flip in 1u8..=255, request in 0u8..2) {
             let request = request == 1;
             let mut frame = binary_frame(request);
             let at = at % frame.len();
             frame[at] ^= flip;
-            let _ = read_and_parse(&frame, request);
+            proptest::prop_assert_eq!(
+                read_and_parse(&frame, request),
+                read_and_parse_by_tree(&frame, request)
+            );
         }
     }
 
@@ -964,7 +1167,7 @@ mod tests {
         ));
         let next = read_frame(&mut reader, FrameCodec::Binary, 64, &mut keep()).expect("resync");
         assert_eq!(
-            decode_value(&match next {
+            decode::<Value>(&match next {
                 FramePayload::Binary(b) => b,
                 other => panic!("expected binary, got {other:?}"),
             })

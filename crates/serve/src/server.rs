@@ -492,8 +492,12 @@ mod tests {
         let ping = b"{\"id\":\"ok\",\"session\":\"\",\"op\":\"Ping\"}\n";
         let mut deep = vec![b'['; 10_000];
         deep.push(b'\n');
+        // The same nesting under a field no request reads: skipping it is
+        // bounded too.
+        let mut deep_unknown = b"{\"id\":\"u\",\"session\":\"\",\"op\":\"Ping\",\"x\":".to_vec();
+        deep_unknown.extend_from_slice(&deep);
         let invalid = b"{\"id\":\"\xFF\",\"session\":\"\",\"op\":\"Ping\"}\n";
-        for bad in [&deep[..], &invalid[..]] {
+        for bad in [&deep[..], &deep_unknown[..], &invalid[..]] {
             let refused = raw_roundtrip(&mut stream, bad);
             assert!(
                 matches!(
@@ -547,6 +551,90 @@ mod tests {
                 "{codec:?}: {refused:?}"
             );
             let pong = call(request_frame(codec, &simple("e2", RequestOp::Ping)));
+            assert!(matches!(pong.payload, ResponsePayload::Pong), "{codec:?}");
+        }
+        handle.manager().request_shutdown();
+        handle.join();
+    }
+
+    #[test]
+    fn the_daemon_reads_request_fields_as_before_in_both_codecs() {
+        let tree = |text: String| -> serde::Value { serde_json::from_str(&text).expect("json") };
+        let handle = temp_server("field_semantics", Limits::default());
+        for codec in [FrameCodec::Jsonl, FrameCodec::Binary] {
+            let session = format!("fields-{codec:?}");
+            let mut stream = connect(&handle);
+            if codec == FrameCodec::Binary {
+                stream.write_all(&BINARY_MAGIC).expect("magic");
+            }
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut call = |text: String| {
+                stream
+                    .write_all(&message_frame(codec, &tree(text)))
+                    .expect("send");
+                let payload = read_frame(&mut reader, codec, 1 << 20, &mut || true)
+                    .unwrap_or_else(|err| panic!("{codec:?} reply: {err:?}"));
+                parse_response_payload(&payload).expect("parse response")
+            };
+            let opened = call(format!(
+                r#"{{"id":"o","session":"{session}","op":{{"OpenDelta":{{"config":{{"pitch_um":30,"budget":0,"cache_capacity":8}}}}}}}}"#
+            ));
+            assert!(opened.ok, "{codec:?}: {opened:?}");
+            let plain = call(format!(
+                r#"{{"id":"p1","session":"{session}","op":{{"Propose":{{"state":{{"chip":[700,600],"segments":[[20,15,680,585]]}}}}}}}}"#
+            ));
+            // Fields in another order, unknown fields holding containers,
+            // and a second `chip` that loses to the first.
+            let varied = call(format!(
+                r#"{{"op":{{"Propose":{{"state":{{"extra":{{"deep":[[1],{{"x":null}}]}},"chip":[700,600],"segments":[[20,15,680,585]],"chip":[1,1]}}}}}},"note":[1,[2,[3]]],"session":"{session}","id":"p2"}}"#
+            ));
+            match (&plain.payload, &varied.payload) {
+                (
+                    ResponsePayload::Proposed { digest, score },
+                    ResponsePayload::Proposed {
+                        digest: varied_digest,
+                        score: varied_score,
+                    },
+                ) => {
+                    assert_eq!(digest, varied_digest, "{codec:?}");
+                    assert_eq!(score.to_bits(), varied_score.to_bits(), "{codec:?}");
+                }
+                other => panic!("{codec:?}: {other:?}"),
+            }
+            // A missing field is refused by name.
+            let refused = call(r#"{"op":"Ping"}"#.to_owned());
+            match &refused.payload {
+                ResponsePayload::Error {
+                    kind: ErrorKind::MalformedFrame,
+                    message,
+                    ..
+                } => assert!(
+                    message.contains("missing field `id` for Request"),
+                    "{codec:?}: {message}"
+                ),
+                other => panic!("{codec:?}: {other:?}"),
+            }
+            // Unit variants are strings and payload variants single-entry
+            // maps; the other way round is refused.
+            for op in [
+                r#"{"Ping":null}"#,
+                r#""Propose""#,
+                r#"{"Commit":{"digest":"d"},"Undo":null}"#,
+            ] {
+                let refused = call(format!(r#"{{"id":"v","session":"{session}","op":{op}}}"#));
+                assert_eq!(refused.id, "v", "{codec:?} {op}");
+                assert!(
+                    matches!(
+                        refused.payload,
+                        ResponsePayload::Error {
+                            kind: ErrorKind::MalformedFrame,
+                            ..
+                        }
+                    ),
+                    "{codec:?} {op}: {refused:?}"
+                );
+            }
+            let pong = call(r#"{"id":"z","session":"","op":"Ping"}"#.to_owned());
             assert!(matches!(pong.payload, ResponsePayload::Pong), "{codec:?}");
         }
         handle.manager().request_shutdown();
