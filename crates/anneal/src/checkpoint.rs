@@ -40,15 +40,15 @@ pub fn staging_path(path: &Path) -> PathBuf {
 
 /// Atomically replaces `path` with `bytes`, the one durable writer of
 /// the workspace: creates the [`staging_path`], writes `bytes`, syncs
-/// the file, closes it and renames it over `path`. A crash at any point
-/// leaves the old file or the new one, and at worst a torn staging file
-/// that readers never open. The parent directory is not synced after the
-/// rename, so a power loss can still undo the rename.
+/// the file, closes it, renames it over `path` and syncs the parent
+/// directory, so that the rename survives a power loss too. A crash at
+/// any point leaves the old file or the new one, and at worst a torn
+/// staging file that readers never open.
 ///
 /// # Errors
 ///
-/// The file that failed — the staging file, or `path` when the rename
-/// failed — with the I/O error.
+/// The file that failed — the staging file, `path` when the rename
+/// failed, or the parent directory — with the I/O error.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), (PathBuf, std::io::Error)> {
     let tmp = staging_path(path);
     let staged = fs::File::create(&tmp).and_then(|mut file| {
@@ -58,7 +58,27 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), (PathBuf, std::io::
     if let Err(err) = staged {
         return Err((tmp, err));
     }
-    fs::rename(&tmp, path).map_err(|err| (path.to_owned(), err))
+    fs::rename(&tmp, path).map_err(|err| (path.to_owned(), err))?;
+    let parent = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    sync_dir(parent).map_err(|err| (parent.to_owned(), err))
+}
+
+/// Syncs a directory, making the names created, renamed or removed in
+/// it durable. A no-op where directories cannot be opened as files
+/// (outside Unix).
+///
+/// # Errors
+///
+/// The I/O error of opening or syncing `dir`.
+pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    if cfg!(unix) {
+        fs::File::open(dir)?.sync_all()
+    } else {
+        Ok(())
+    }
 }
 
 /// Complete engine state at a temperature-step boundary.

@@ -71,7 +71,9 @@ mod control;
 mod engine;
 mod schedule;
 
-pub use checkpoint::{staging_path, write_atomic, Checkpoint, CheckpointIoError, FORMAT_VERSION};
+pub use checkpoint::{
+    staging_path, sync_dir, write_atomic, Checkpoint, CheckpointIoError, FORMAT_VERSION,
+};
 pub use control::{AnnealError, CancelToken, RunControl, StopReason};
 pub use engine::{
     AnnealResult, AnnealStats, Annealer, DeltaProblem, FullCostDelta, Problem, RunOptions,

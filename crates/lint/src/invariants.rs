@@ -51,8 +51,8 @@ const S1_SCOPE: &[&str] = &[
 /// to touch the filesystem write API directly. Everything else routes
 /// through them: `irgrid_anneal::write_atomic` in the checkpoint module
 /// (which fleet manifests, session snapshots and `BENCH_*.json` reports
-/// use too), the snapshot store's torn-write injection, and the fleet's
-/// JSONL telemetry mirror.
+/// use too), the snapshot store's commit-log appends and torn-write
+/// injection, and the fleet's JSONL telemetry mirror.
 const S1_BLESSED: &[&str] = &[
     "crates/serve/src/store.rs",
     "crates/fleet/src/telemetry.rs",

@@ -23,13 +23,15 @@
 //! | site              | key        | faults                         |
 //! |-------------------|------------|--------------------------------|
 //! | `persist.session` | session id | io-error, torn write, kill     |
+//! | `persist.log`     | session id | io-error, torn record, kill    |
 //! | `delta.commit`    | session id | io-error, kill (pre-persist)   |
 //! | `frame.read`      | session id | (tests) stall, malformed frame |
 //!
 //! A `Kill` decision simulates SIGKILL at a persistence boundary: the
-//! store writes a *torn prefix* of the staged temporary file and then
-//! trips the daemon's kill switch — no further writes anywhere, ever —
-//! exactly the on-disk picture a power cut leaves behind.
+//! store writes a *torn prefix* of the staged temporary file (a snapshot)
+//! or of the appended record (the commit log) and then trips the
+//! daemon's kill switch — no further writes anywhere, ever — exactly the
+//! on-disk picture a power cut leaves behind.
 
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -40,7 +42,8 @@ use rand_chacha::ChaCha8Rng;
 /// typo that silently disables fault injection, and an entry no
 /// production code consults is a dead site overstating chaos coverage.
 pub const REGISTERED_SITES: &[&str] = &[
-    "persist.session", // SnapshotStore::persist, one consult per session write
+    "persist.session", // SnapshotStore::write, one consult per snapshot write
+    "persist.log",     // SnapshotStore::append, one consult per commit-log append
     "delta.commit",    // SessionManager delta commit, consulted before persist
 ];
 
@@ -99,7 +102,7 @@ pub struct Chaos {
 }
 
 /// FNV-1a over a byte string, the workspace's standard cheap stable hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in bytes {
         hash ^= u64::from(*byte);

@@ -17,10 +17,12 @@
 //!
 //! The design goal is *robustness you can prove*, not raw throughput:
 //!
-//! - **Crash consistency.** Every session mutation is persisted with the
-//!   workspace's tmp+fsync+rename discipline before the client sees the
-//!   response; a killed daemon resumes every session bit-identically
-//!   ([`store`], [`session`]).
+//! - **Crash consistency.** Every commit is durable before the client
+//!   sees the response: one checksummed record appended to the session's
+//!   commit log and fsynced, or, when the log would outgrow the snapshot,
+//!   the whole snapshot rewritten with the workspace's
+//!   tmp+fsync+rename discipline. A killed daemon resumes every session
+//!   bit-identically ([`store`], [`session`]).
 //! - **Idempotent retries.** `Commit` acks are recorded in a bounded
 //!   per-session ring keyed by request id and digest, and every other op
 //!   is read-only or pure, so a client that resends after any retryable

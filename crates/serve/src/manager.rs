@@ -5,16 +5,18 @@
 //!
 //! `Propose` and `Undo` are pure (nothing to persist), and `Commit` is
 //! staged by [`Session::prepare_commit`] *before* anything
-//! mutates — persist the staged snapshot through the [`SnapshotStore`],
-//! then apply, then reply. The daemon therefore never acknowledges a
-//! commit it could forget, and a failed persist needs no rollback
-//! because nothing moved: the client gets a retryable `PersistFailed`
-//! and the armed proposal survives for the retry. Combined with the
-//! commit idempotency ring, a client that retries on every retryable
-//! error reaches a final state byte-identical to an uninterrupted run.
-//! The chaos injector is consulted at the dedicated `delta.commit` site
-//! between staging and persisting, so kill-point tests cover the
-//! propose → commit → persist window explicitly.
+//! mutates — persist what it staged through the [`SnapshotStore`] (one
+//! record appended to the session's commit log and synced, or, when the
+//! commit compacts, the whole snapshot written atomically and the log
+//! emptied), then apply, then reply. The daemon therefore never
+//! acknowledges a commit it could forget, and a failed persist needs no
+//! rollback because nothing moved: the client gets a retryable
+//! `PersistFailed` and the armed proposal survives for the retry.
+//! Combined with the commit idempotency ring, a client that retries on
+//! every retryable error reaches a final state byte-identical to an
+//! uninterrupted run. The chaos injector is consulted at the dedicated
+//! `delta.commit` site between staging and persisting, so kill-point
+//! tests cover the propose → commit → persist window explicitly.
 //!
 //! # Load shedding
 //!
@@ -40,7 +42,7 @@ use crate::protocol::{
     valid_session_id, ErrorKind, FloorplanState, Limits, Request, RequestOp, Response,
     ResponsePayload, SessionConfig,
 };
-use crate::session::{CommitOutcome, Session, SessionState};
+use crate::session::{CommitOutcome, CommitWrite, Session, SessionState};
 use crate::store::{SnapshotStore, StoreError};
 
 /// The load-shedding threshold, in concurrent in-flight `Propose`
@@ -284,15 +286,24 @@ impl SessionManager {
                 Ok(session) => session,
                 Err(response) => return response,
             },
-            None => Session::create(&request.session, config, self.limits.completed_ring),
-        };
-        if !was_resumed {
-            let payload = session.state.to_json();
-            let seq = self.next_seq(&request.session);
-            if let Err(err) = self.store.write(&request.session, &payload, seq) {
-                return self.store_failure(&request.id, &err);
+            None => {
+                let mut session =
+                    Session::create(&request.session, config, self.limits.completed_ring);
+                // A log without a snapshot is left over from an
+                // interrupted `Close`; it must not replay onto the new
+                // session.
+                let payload = session.birth_snapshot();
+                let seq = self.next_seq(&request.session);
+                let born = self
+                    .store
+                    .cut_log(&request.session, 0)
+                    .and_then(|()| self.store.write(&request.session, &payload, seq));
+                if let Err(err) = born {
+                    return self.store_failure(&request.id, &err);
+                }
+                session
             }
-        }
+        };
 
         let slot = Arc::new(Mutex::new(session));
         let mut sessions = lock(&self.sessions);
@@ -323,10 +334,13 @@ impl SessionManager {
         )
     }
 
-    /// Rebuilds a session from checkpoint text. A checkpoint that does
-    /// not parse as a session record — torn, foreign, or written by an
-    /// older daemon's full session — is refused loudly and left on disk:
-    /// silently recreating the session would lose history.
+    /// Rebuilds a session from checkpoint text and its commit log. A
+    /// checkpoint that does not parse as a session record — torn,
+    /// foreign, or written by an older daemon's full session — or a log
+    /// record that is whole but corrupt is refused loudly, and both files
+    /// stay on disk: silently recreating the session would lose history.
+    /// Once the session verifies, the log is cut back to its last record
+    /// replayed, so the files on disk are the ones a clean run leaves.
     fn resume(
         &self,
         request: &Request,
@@ -349,16 +363,28 @@ impl SessionManager {
                 false,
             ));
         }
-        Session::from_state(state, self.limits.completed_ring).map_err(|why| {
-            // The replayed map failed bit-identity verification — refuse
-            // loudly instead of serving from a diverged map.
-            Response::error(
-                &request.id,
-                ErrorKind::PersistFailed,
-                format!("session checkpoint failed recovery verification: {why}"),
-                false,
-            )
-        })
+        let log = self
+            .store
+            .read_log(&request.session)
+            .map_err(|err| self.store_failure(&request.id, &err))?;
+        let (session, kept) = Session::resume(state, text.len(), &log, self.limits.completed_ring)
+            .map_err(|why| {
+                // A corrupt log, or a replayed map that failed
+                // bit-identity verification — refuse loudly instead of
+                // serving from a diverged map.
+                Response::error(
+                    &request.id,
+                    ErrorKind::PersistFailed,
+                    format!("session checkpoint failed recovery verification: {why}"),
+                    false,
+                )
+            })?;
+        if kept < log.len() {
+            self.store
+                .cut_log(&request.session, kept as u64)
+                .map_err(|err| self.store_failure(&request.id, &err))?;
+        }
+        Ok(session)
     }
 
     /// Takes a load slot for one `Propose`, or refuses the request
@@ -455,13 +481,20 @@ impl SessionManager {
                 return self.store_failure(&request.id, &err);
             }
 
-            // Persist the staged snapshot, then apply — persist-then-
-            // reply, with no rollback path because nothing mutated yet.
+            // Persist the staged record or snapshot, then apply —
+            // persist-then-reply, with no rollback path because nothing
+            // mutated yet.
             let seq = self.next_seq(&session_id);
-            if let Err(err) = self
-                .store
-                .write(&session_id, &prepared.snapshot_json(), seq)
-            {
+            let persisted = match prepared.write() {
+                CommitWrite::Append { record, at } => {
+                    self.store.append(&session_id, record, *at, seq)
+                }
+                CommitWrite::Compact { snapshot } => self
+                    .store
+                    .write(&session_id, snapshot, seq)
+                    .and_then(|()| self.store.cut_log(&session_id, 0)),
+            };
+            if let Err(err) = persisted {
                 return self.store_failure(&request.id, &err);
             }
             let (digest, score, commit_seq) = session.apply_commit(prepared);
@@ -551,6 +584,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = SnapshotStore::open(&dir, chaos, KillSwitch::new()).expect("store");
         SessionManager::new(store, Limits::default(), policy, 1)
+    }
+
+    /// A session's snapshot and commit log, as `store` holds them.
+    fn files(store: &SnapshotStore, session: &str) -> (Option<String>, Vec<u8>) {
+        (
+            store.read(session).expect("read"),
+            store.read_log(session).expect("read log"),
+        )
     }
 
     fn request(id: &str, session: &str, op: RequestOp) -> Request {
@@ -731,7 +772,7 @@ mod tests {
     fn propose_retry_recomputes_the_same_bits_and_persists_nothing() {
         let manager = temp_manager("propose_retry", Chaos::off(), DegradePolicy::default());
         assert!(open(&manager, "r1", "s").ok);
-        let before = manager.store.read("s").expect("read").expect("snapshot");
+        let before = files(&manager.store, "s");
         for state in states(2) {
             let first = propose(&manager, "p1", "s", state.clone());
             let second = propose(&manager, "p1", "s", state);
@@ -740,7 +781,7 @@ mod tests {
             let ((a_digest, a), (b_digest, b)) = (proposal(&first), proposal(&second));
             assert_eq!((a_digest, a.to_bits()), (b_digest, b.to_bits()));
         }
-        let after = manager.store.read("s").expect("read").expect("snapshot");
+        let after = files(&manager.store, "s");
         assert_eq!(before, after, "a proposal must not persist");
     }
 
@@ -836,7 +877,7 @@ mod tests {
 
         // One more slot taken: each request sees exactly reject_at.
         manager.load.store(busy + 1, Ordering::Release);
-        let before = manager.store.read("s").expect("read");
+        let before = files(&manager.store, "s");
         let refused = propose(&manager, "p2", "s", batch[1].clone());
         assert_eq!(error_kind(&refused), Some((ErrorKind::Backpressure, true)));
         assert_eq!(manager.load(), busy + 1);
@@ -846,7 +887,7 @@ mod tests {
             error_kind(&unarmed),
             Some((ErrorKind::NoPendingProposal, false))
         );
-        assert_eq!(manager.store.read("s").expect("read"), before);
+        assert_eq!(files(&manager.store, "s"), before);
     }
 
     #[test]
@@ -940,12 +981,12 @@ mod tests {
 
         // Rejected move: propose then undo returns the committed cost,
         // consumes no budget, and leaves the snapshot on disk untouched.
-        let before = manager.store.read("d").expect("read").expect("snapshot");
+        let before = files(&manager.store, "d");
         let second = propose(&manager, "p2", "d", batch[1].clone());
         assert!(second.ok);
         let score = undo(&manager, "u1", "d");
         assert_eq!(score.to_bits(), committed_score.to_bits());
-        let after = manager.store.read("d").expect("read").expect("snapshot");
+        let after = files(&manager.store, "d");
         assert_eq!(before, after, "a rejected move must not persist");
         assert_eq!(stat(&manager, "d").evals_done, 1, "only the commit counted");
     }
@@ -956,7 +997,7 @@ mod tests {
         assert!(open(&manager, "r1", "s").ok);
         let batch = states(3);
         let (_, committed_score) = committed(&step(&manager, "s", 0, batch[0].clone()));
-        let before = manager.store.read("s").expect("read").expect("snapshot");
+        let before = files(&manager.store, "s");
         for (k, state) in batch.iter().enumerate().skip(1) {
             let (digest, score) =
                 proposal(&propose(&manager, &format!("q{k}"), "s", state.clone()));
@@ -972,7 +1013,7 @@ mod tests {
                 Some((ErrorKind::NoPendingProposal, false))
             );
         }
-        let after = manager.store.read("s").expect("read").expect("snapshot");
+        let after = files(&manager.store, "s");
         assert_eq!(before, after, "a read-only score must not persist");
         assert_eq!(stat(&manager, "s").evals_done, 1);
     }
@@ -1250,7 +1291,7 @@ mod tests {
             1,
         );
         assert!(open(&healthy, "r1", "d").ok);
-        let before = clean.read("d").expect("read").expect("snapshot");
+        let before = files(&clean, "d");
 
         // Every chaos consultation faults with an io-error: the commit
         // fails at the delta.commit site, before anything mutated.
@@ -1265,7 +1306,7 @@ mod tests {
         // Nothing durable or in-memory moved; the proposal is still
         // armed, so a healthy retry of the same commit succeeds.
         assert_eq!(
-            clean.read("d").expect("read").expect("snapshot"),
+            files(&clean, "d"),
             before,
             "failed commit must not touch the snapshot"
         );
@@ -1436,8 +1477,8 @@ mod tests {
         let (seq, score) = committed(&step(&second, "s", 2, batch[2].clone()));
         assert_eq!((seq, score.to_bits()), (want[2].0, want[2].1.to_bits()));
         assert_eq!(
-            second.store.read("s").expect("read"),
-            reference.store.read("s").expect("read"),
+            files(&second.store, "s"),
+            files(&reference.store, "s"),
             "the resumed session's snapshot diverged"
         );
     }
@@ -1455,7 +1496,7 @@ mod tests {
         );
         assert!(open(&healthy, "r1", "s").ok);
         drop(healthy);
-        let before = clean.read("s").expect("read").expect("snapshot");
+        let before = files(&clean, "s");
 
         let faulty_store = SnapshotStore::open(&dir, all_fail(), KillSwitch::new()).expect("store");
         let faulty =
@@ -1467,7 +1508,7 @@ mod tests {
         };
         let failed = commit(&faulty, "c0", "s", digest);
         assert_eq!(error_kind(&failed), Some((ErrorKind::PersistFailed, true)));
-        assert_eq!(clean.read("s").expect("read").expect("snapshot"), before);
+        assert_eq!(files(&clean, "s"), before);
         assert_eq!(stat(&faulty, "s").evals_done, 0);
         drop(faulty);
 
@@ -1504,7 +1545,7 @@ mod tests {
         assert!(opened.ok, "{opened:?}");
         let batch = states(2);
         assert_eq!(committed(&step(&manager, "s", 0, batch[0].clone())).0, 1);
-        let before = manager.store.read("s").expect("read").expect("snapshot");
+        let before = files(&manager.store, "s");
 
         let refused = step(&manager, "s", 1, batch[1].clone());
         assert_eq!(
@@ -1512,7 +1553,7 @@ mod tests {
             Some((ErrorKind::BudgetExhausted, false))
         );
         assert_eq!(
-            manager.store.read("s").expect("read").expect("snapshot"),
+            files(&manager.store, "s"),
             before,
             "a refused commit persists nothing"
         );
@@ -1523,5 +1564,192 @@ mod tests {
             "propose is free"
         );
         assert_eq!(stat(&manager, "s").budget_left, 0);
+    }
+
+    /// 24 segments on a 900×800 chip with segment `k % 24` nudged by
+    /// `k`: a state whose snapshot outweighs several one-endpoint
+    /// commit-log records.
+    fn wide(k: usize) -> FloorplanState {
+        let mut segments: Vec<[i64; 4]> = (0..24)
+            .map(|i| {
+                [
+                    10 + 17 * i % 600,
+                    20 + 29 * i % 500,
+                    650 - 13 * i % 300,
+                    700 - i,
+                ]
+            })
+            .collect();
+        segments[k % 24][0] += 7 * k as i64;
+        FloorplanState {
+            chip: [900, 800],
+            segments,
+        }
+    }
+
+    /// The snapshot and commit log of a session whose first commit
+    /// compacted and whose next three appended.
+    fn three_record_files() -> &'static (String, Vec<u8>) {
+        static FILES: std::sync::OnceLock<(String, Vec<u8>)> = std::sync::OnceLock::new();
+        FILES.get_or_init(|| {
+            let manager = temp_manager("three_records", Chaos::off(), DegradePolicy::default());
+            assert!(open(&manager, "r0", "s").ok);
+            for k in 0..4 {
+                assert!(step(&manager, "s", k, wide(k)).ok);
+            }
+            let (snapshot, log) = files(&manager.store, "s");
+            let records = log.iter().filter(|&&byte| byte == b'\n').count();
+            assert_eq!(records, 3, "three appended records");
+            (snapshot.expect("snapshot"), log)
+        })
+    }
+
+    /// A manager over a fresh state directory holding `snapshot` and
+    /// `log` under session `s`.
+    fn manager_with_files(tag: &str, snapshot: &str, log: &[u8]) -> SessionManager {
+        let manager = manager_with_snapshot(tag, "s", snapshot);
+        std::fs::write(manager.store.log_path_for("s"), log).expect("seed the log");
+        manager
+    }
+
+    #[test]
+    fn every_prefix_of_a_three_record_log_resumes_at_its_last_whole_record() {
+        let (snapshot, log) = three_record_files();
+        for cut in 0..=log.len() {
+            let manager = manager_with_files("log_prefix", snapshot, &log[..cut]);
+            let reopened = open(&manager, "r1", "s");
+            let ResponsePayload::Opened { resumed, stat } = &reopened.payload else {
+                panic!("cut {cut}: {reopened:?}");
+            };
+            let kept = log[..cut]
+                .iter()
+                .rposition(|&byte| byte == b'\n')
+                .map_or(0, |at| at + 1);
+            let whole = log[..kept].iter().filter(|&&byte| byte == b'\n').count();
+            assert!(resumed);
+            assert_eq!(stat.evals_done, 1 + whole as u64, "cut {cut}");
+            assert_eq!(
+                manager.store.read_log("s").expect("read"),
+                &log[..kept],
+                "cut {cut}: the log is cut back to its last whole record"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// One byte anywhere in a commit log, flipped in one of its five
+        /// low bits, either resumes at an earlier verified commit or is
+        /// refused with non-retryable `PersistFailed`, leaving both
+        /// files as they were; never a panic.
+        #[test]
+        fn commit_log_byte_flips_resume_earlier_or_are_refused(at in 0usize..4096, bit in 0u8..5) {
+            static CASE: AtomicUsize = AtomicUsize::new(0);
+            let tag = format!("log_flip_{}", CASE.fetch_add(1, Ordering::Relaxed));
+            let (snapshot, log) = three_record_files();
+            let mut flipped = log.clone();
+            let at = at % flipped.len();
+            flipped[at] ^= 1 << bit;
+            let manager = manager_with_files(&tag, snapshot, &flipped);
+            let reopened = open(&manager, "r1", "s");
+            let (kept_snapshot, kept_log) = files(&manager.store, "s");
+            drop(manager);
+            let _ = std::fs::remove_dir_all(
+                std::env::temp_dir().join(format!("irgrid_serve_mgr_{tag}")),
+            );
+            match &reopened.payload {
+                ResponsePayload::Opened { resumed, stat } => {
+                    proptest::prop_assert!(*resumed);
+                    proptest::prop_assert!(stat.evals_done < 4, "byte {at}: {stat:?}");
+                    proptest::prop_assert!(log.starts_with(&kept_log));
+                }
+                ResponsePayload::Error { kind, retryable, .. } => {
+                    proptest::prop_assert_eq!(*kind, ErrorKind::PersistFailed);
+                    proptest::prop_assert!(!*retryable);
+                    proptest::prop_assert_eq!(kept_snapshot.as_deref(), Some(snapshot.as_str()));
+                    proptest::prop_assert!(kept_log == flipped, "byte {at}: the log changed");
+                }
+                other => proptest::prop_assert!(false, "payload {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_version_1_session_compacts_on_its_next_commit() {
+        let manager = manager_with_snapshot("legacy_compacts", "legacy-delta", LEGACY_SESSION);
+        assert!(open(&manager, "r1", "legacy-delta").ok);
+        let mut state = SessionState::from_json(LEGACY_SESSION, "legacy-delta")
+            .expect("parse")
+            .committed
+            .expect("two commits");
+        state.segments[0][0] += 1;
+        let (seq, _) = committed(&step(&manager, "legacy-delta", 2, state.clone()));
+        assert_eq!(seq, 3);
+        let (snapshot, log) = files(&manager.store, "legacy-delta");
+        let written =
+            SessionState::from_json(&snapshot.expect("snapshot"), "legacy-delta").expect("parse");
+        assert_eq!((written.version, written.commits_done), (2, 3));
+        assert_eq!(written.committed, Some(state));
+        assert!(log.is_empty(), "the commit rewrote the snapshot instead");
+    }
+
+    #[test]
+    fn a_log_left_without_a_snapshot_is_emptied_when_the_session_is_born_again() {
+        let manager = temp_manager("orphan_log", Chaos::off(), DegradePolicy::default());
+        assert!(open(&manager, "r0", "s").ok);
+        for k in 0..3 {
+            assert!(step(&manager, "s", k, wide(k)).ok);
+        }
+        // A `Close` interrupted between its two removals.
+        assert!(!manager.store.read_log("s").expect("read").is_empty());
+        std::fs::remove_file(manager.store.path_for("s")).expect("remove snapshot");
+        let reborn = SessionManager::new(
+            manager.store.clone(),
+            Limits::default(),
+            DegradePolicy::default(),
+            1,
+        );
+        let opened = open(&reborn, "r1", "s");
+        assert!(
+            matches!(
+                opened.payload,
+                ResponsePayload::Opened { resumed: false, .. }
+            ),
+            "{opened:?}"
+        );
+        assert!(manager.store.read_log("s").expect("read").is_empty());
+        // The new session's history is its own after a restart too.
+        assert!(step(&reborn, "s", 0, wide(5)).ok);
+        drop(reborn);
+        let restarted = SessionManager::new(
+            manager.store.clone(),
+            Limits::default(),
+            DegradePolicy::default(),
+            1,
+        );
+        let reopened = open(&restarted, "r2", "s");
+        let ResponsePayload::Opened { resumed, stat } = reopened.payload else {
+            panic!("{reopened:?}");
+        };
+        assert!(resumed);
+        assert_eq!(stat.evals_done, 1);
+    }
+
+    #[test]
+    fn close_removes_the_snapshot_and_the_log() {
+        let manager = temp_manager("close_files", Chaos::off(), DegradePolicy::default());
+        assert!(open(&manager, "r0", "s").ok);
+        for k in 0..3 {
+            assert!(step(&manager, "s", k, wide(k)).ok);
+        }
+        assert!(!manager.store.read_log("s").expect("read").is_empty());
+        let closed = manager.handle(
+            &request("r1", "s", RequestOp::Close),
+            &RunControl::unlimited(),
+        );
+        assert!(closed.ok, "{closed:?}");
+        assert_eq!(files(&manager.store, "s"), (None, Vec::new()));
+        assert!(!manager.store.log_path_for("s").exists());
     }
 }

@@ -497,8 +497,25 @@ mod tests {
         let mut deep_unknown = b"{\"id\":\"u\",\"session\":\"\",\"op\":\"Ping\",\"x\":".to_vec();
         deep_unknown.extend_from_slice(&deep);
         let invalid = b"{\"id\":\"\xFF\",\"session\":\"\",\"op\":\"Ping\"}\n";
-        for bad in [&deep[..], &deep_unknown[..], &invalid[..]] {
-            let refused = raw_roundtrip(&mut stream, bad);
+        // A wrong-typed value of 589 KB: its refusal quotes only its
+        // head, so the reply fits the 1 MiB frames a default client reads.
+        let ids: Vec<String> = (0..100_000).map(|k: u32| k.to_string()).collect();
+        let long = format!(
+            "{{\"id\":[{}],\"session\":\"\",\"op\":\"Ping\"}}\n",
+            ids.join(",")
+        );
+        assert_eq!(long.len(), 588_924);
+        for bad in [&deep[..], &deep_unknown[..], &invalid[..], long.as_bytes()] {
+            stream.write_all(bad).expect("send");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let reply = read_frame(
+                &mut reader,
+                FrameCodec::Jsonl,
+                Limits::default().max_frame_bytes,
+                &mut || true,
+            )
+            .expect("a reply a default client reads");
+            let refused = parse_response_payload(&reply).expect("parse response");
             assert!(
                 matches!(
                     refused.payload,

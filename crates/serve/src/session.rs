@@ -11,36 +11,57 @@
 //! round-trip on the (overwhelmingly common) rejected-move path, and
 //! makes `Propose` then `Undo` a read-only score.
 //!
+//! # Persistence: a snapshot and a commit log
+//!
+//! A session lives on disk as two files: the snapshot
+//! (`<session>.session.json`, the pretty-printed [`SessionState`]) and
+//! the **commit log** (`<session>.session.log`). A commit appends one
+//! record to the log: its sequence number, request id, digest, score,
+//! fingerprint and chip, and the [`Splice`]s that turn the committed
+//! segment list into the new one. Each record is one line,
+//! `<checksum> <json>\n`, where the checksum is the 16-hex FNV-1a of the
+//! JSON text. A commit rewrites the snapshot instead, and empties the
+//! log, when the log plus its record would outgrow the last snapshot:
+//! the first commit of a session, a whole-state change, and about one
+//! commit in `snapshot bytes / record bytes` otherwise.
+//!
 //! # Crash recovery
 //!
 //! The snapshot stores the committed [`FloorplanState`] plus a bounded
 //! **commit journal** whose tail pins the committed map's identity: the
 //! commit's score bits and a fingerprint of the evaluator's exact cut
 //! vectors and Q32 totals ([`IrDeltaEvaluator::committed_fingerprint`]).
+//! [`Session::resume`] replays the commit log onto the snapshot, then
 //! [`Session::from_state`] replays the committed state through a fresh
 //! evaluator and refuses to resume unless both match — a restored
 //! session is therefore *verified* bit-identical to the one that
-//! persisted, not assumed.
+//! persisted, not assumed. A torn last record is an unacknowledged
+//! commit and is cut; a whole record that fails its checksum, skips a
+//! sequence number or splices out of range is corruption and is refused.
 //!
 //! # Commit ordering
 //!
 //! Commits are split into [`Session::prepare_commit`] (pure: builds the
-//! next persistent record) and [`Session::apply_commit`] (advances the
-//! evaluator). The manager persists *between* the two, so a failed
-//! persist leaves both the evaluator and the pending proposal untouched
-//! and the client can simply retry the commit — no rollback path exists
-//! because nothing was mutated.
+//! record, or the next snapshot when the commit compacts) and
+//! [`Session::apply_commit`] (advances the evaluator and the record).
+//! The manager persists *between* the two, so a failed persist leaves
+//! both the evaluator and the pending proposal untouched and the client
+//! can simply retry the commit — no rollback path exists because nothing
+//! was mutated.
 
 use irgrid_anneal::RunControl;
 use irgrid_core::{DeltaCongestion, DeltaCongestionSession, IrDeltaEvaluator, IrregularGridModel};
 use irgrid_fleet::state_digest;
 use irgrid_geom::{Point, Rect, Um};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Serializer};
 
+use crate::chaos::fnv1a;
 use crate::protocol::{ErrorKind, FloorplanState, SessionConfig, SessionStat};
 
-/// Snapshot format version written by this library.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Snapshot format version written by this library. Version 2 snapshots
+/// have a commit log beside them; version 1 snapshots (irgrid ≤ 0.23)
+/// still resume, and their next commit rewrites them as version 2.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// One committed move, oldest first in the journal. The tail record
 /// pins the committed map: recovery re-derives the map from the stored
@@ -76,7 +97,8 @@ pub struct CompletedCommit {
 /// The persistent part of a session — everything crash recovery needs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionState {
-    /// Snapshot format version ([`SNAPSHOT_VERSION`]).
+    /// Snapshot format version ([`SNAPSHOT_VERSION`], or 1 for a
+    /// snapshot an older daemon wrote that no commit has rewritten yet).
     pub version: u32,
     /// The session id, cross-checked on load.
     pub session_id: String,
@@ -111,9 +133,10 @@ impl SessionState {
     pub fn from_json(text: &str, expect_id: &str) -> Result<SessionState, String> {
         let state: SessionState =
             serde_json::from_str(text).map_err(|err| format!("snapshot did not parse: {err}"))?;
-        if state.version != SNAPSHOT_VERSION {
+        if !(1..=SNAPSHOT_VERSION).contains(&state.version) {
             return Err(format!(
-                "snapshot version {} unsupported (expected {SNAPSHOT_VERSION})",
+                "snapshot version {} unsupported (this daemon reads versions 1 to \
+                 {SNAPSHOT_VERSION})",
                 state.version
             ));
         }
@@ -156,6 +179,251 @@ impl SessionState {
         }
         Ok(state)
     }
+
+    /// Applies one commit-log record: the next commit, as
+    /// [`Session::apply_commit`] applied it.
+    fn replay(&mut self, record: LogRecord, ring: usize) -> Result<(), String> {
+        let committed = self.committed.get_or_insert_with(|| FloorplanState {
+            chip: record.chip,
+            segments: Vec::new(),
+        });
+        Splice::apply_all(&mut committed.segments, &record.splices)?;
+        committed.chip = record.chip;
+        let journal = CommitRecord {
+            seq: record.seq,
+            digest: record.digest.clone(),
+            score: record.score,
+            fingerprint: record.fingerprint,
+        };
+        let completed = CompletedCommit {
+            request_id: record.request_id,
+            digest: record.digest,
+            score: record.score,
+            seq: record.seq,
+        };
+        self.push_commit(journal, completed, ring);
+        Ok(())
+    }
+
+    /// Counts commit `journal.seq` and pushes its entries onto both
+    /// rings, evicting the oldest entries past `ring`.
+    fn push_commit(&mut self, journal: CommitRecord, completed: CompletedCommit, ring: usize) {
+        self.commits_done = journal.seq;
+        push_bounded(&mut self.journal, journal, ring);
+        push_bounded(&mut self.completed, completed, ring);
+    }
+}
+
+/// Pushes `item` onto a bounded ring, evicting the oldest entries past
+/// `bound`.
+fn push_bounded<T>(ring: &mut Vec<T>, item: T, bound: usize) {
+    ring.push(item);
+    let excess = ring.len().saturating_sub(bound);
+    ring.drain(..excess);
+}
+
+/// One edit of a segment list: replace the `remove` segments at `start`
+/// with `insert`. A commit-log record carries the splices that turn the
+/// committed segment list into the newly committed one; indices refer
+/// to the list before any of them applies.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Splice {
+    /// Index of the first segment replaced.
+    pub start: u64,
+    /// How many segments are replaced.
+    pub remove: u64,
+    /// The segments put in their place.
+    pub insert: Vec<[i64; 4]>,
+}
+
+impl Splice {
+    /// The splices that turn `from` into `to`, from one linear pass: the
+    /// runs of changed indices when the counts are equal, otherwise one
+    /// splice between the common prefix and the common suffix. Equal
+    /// lists give no splice.
+    #[must_use]
+    pub(crate) fn diff(from: &[[i64; 4]], to: &[[i64; 4]]) -> Vec<Splice> {
+        let splice = |start: usize, remove: usize, insert: &[[i64; 4]]| Splice {
+            start: start as u64,
+            remove: remove as u64,
+            insert: insert.to_vec(),
+        };
+        if from.len() == to.len() {
+            let mut splices = Vec::new();
+            let mut run: Option<usize> = None;
+            for (index, (old, new)) in from.iter().zip(to).enumerate() {
+                match (old == new, run) {
+                    (false, None) => run = Some(index),
+                    (true, Some(start)) => {
+                        splices.push(splice(start, index - start, &to[start..index]));
+                        run = None;
+                    }
+                    _ => {}
+                }
+            }
+            if let Some(start) = run {
+                splices.push(splice(start, to.len() - start, &to[start..]));
+            }
+            return splices;
+        }
+        let prefix = from.iter().zip(to).take_while(|(a, b)| a == b).count();
+        let suffix = from[prefix..]
+            .iter()
+            .rev()
+            .zip(to[prefix..].iter().rev())
+            .take_while(|(a, b)| a == b)
+            .count();
+        vec![splice(
+            prefix,
+            from.len() - prefix - suffix,
+            &to[prefix..to.len() - suffix],
+        )]
+    }
+
+    /// Applies `splices`, whose indices refer to `segments` as it is
+    /// before any of them, in place.
+    ///
+    /// # Errors
+    ///
+    /// A splice that starts before the end of the previous one or
+    /// reaches past the list; `segments` is then untouched.
+    pub(crate) fn apply_all(
+        segments: &mut Vec<[i64; 4]>,
+        splices: &[Splice],
+    ) -> Result<(), String> {
+        let mut floor = 0u64;
+        for splice in splices {
+            let end = splice.start.checked_add(splice.remove);
+            match end {
+                Some(end) if splice.start >= floor && end <= segments.len() as u64 => floor = end,
+                _ => {
+                    return Err(format!(
+                        "splice of {} at {} does not fit {} segments after index {floor}",
+                        splice.remove,
+                        splice.start,
+                        segments.len()
+                    ))
+                }
+            }
+        }
+        // Last first, so every start still indexes the original list.
+        for splice in splices.iter().rev() {
+            let start = splice.start as usize;
+            segments.splice(
+                start..start + splice.remove as usize,
+                splice.insert.iter().copied(),
+            );
+        }
+        Ok(())
+    }
+}
+
+/// One commit as the commit log stores it: what the commit changed, not
+/// the whole state.
+#[derive(Debug, Serialize, Deserialize)]
+struct LogRecord {
+    seq: u64,
+    request_id: String,
+    digest: String,
+    score: f64,
+    fingerprint: String,
+    chip: [i64; 2],
+    splices: Vec<Splice>,
+}
+
+/// Frames `record` as one commit-log line: the 16-hex FNV-1a checksum of
+/// its compact JSON, a space, the JSON, and a newline.
+fn frame_record(record: &LogRecord) -> Result<String, String> {
+    let json = serde_json::to_string(record).map_err(|err| err.to_string())?;
+    Ok(format!("{:016x} {json}\n", fnv1a(json.as_bytes())))
+}
+
+/// Reads one commit-log line, without its newline.
+fn read_record(line: &[u8]) -> Result<LogRecord, String> {
+    let (Some(checksum), Some(b' ')) = (line.get(..16), line.get(16)) else {
+        return Err("no checksum prefix".to_owned());
+    };
+    let json = std::str::from_utf8(&line[17..]).map_err(|_| "not UTF-8".to_owned())?;
+    if format!("{:016x}", fnv1a(json.as_bytes())).as_bytes() != checksum {
+        return Err("checksum mismatch".to_owned());
+    }
+    serde_json::from_str(json).map_err(|err| format!("did not parse: {err}"))
+}
+
+/// Replays a commit log onto `state`: every whole record past the
+/// snapshot, in order. Returns the length of the log to keep: the end of
+/// the last record replayed. Records at or below the snapshot's
+/// `commits_done` (left over from a compaction interrupted after its
+/// rename) and a last record cut short (a torn append) lie past it.
+fn replay_log(state: &mut SessionState, log: &[u8], ring: usize) -> Result<usize, String> {
+    let (mut at, mut kept, mut leftovers) = (0, 0, false);
+    while let Some(newline) = log[at..].iter().position(|&byte| byte == b'\n') {
+        let end = at + newline + 1;
+        let record = read_record(&log[at..end - 1])
+            .map_err(|why| format!("commit log record at byte {at}: {why}"))?;
+        let next = state.commits_done + 1;
+        if record.seq < next && kept == 0 {
+            leftovers = true;
+        } else if record.seq != next || leftovers {
+            return Err(format!(
+                "commit log record at byte {at} has seq {}, expected {next}",
+                record.seq
+            ));
+        } else {
+            state
+                .replay(record, ring)
+                .map_err(|why| format!("commit log record at byte {at}: {why}"))?;
+            kept = end;
+        }
+        at = end;
+    }
+    Ok(kept)
+}
+
+/// The snapshot a compacting commit writes: the session record as
+/// [`Session::apply_commit`] will leave it, printed from borrowed parts
+/// so that nothing clones the record. Prints the bytes
+/// [`SessionState::to_json`] prints for that record.
+struct Staged<'a> {
+    state: &'a SessionState,
+    committed: &'a FloorplanState,
+    journal: &'a CommitRecord,
+    completed: &'a CompletedCommit,
+    ring: usize,
+}
+
+impl Serialize for Staged<'_> {
+    fn serialize(&self, out: &mut dyn Serializer) {
+        let state = self.state;
+        out.map(7);
+        out.key("version");
+        SNAPSHOT_VERSION.serialize(out);
+        out.key("session_id");
+        state.session_id.serialize(out);
+        out.key("config");
+        state.config.serialize(out);
+        out.key("commits_done");
+        self.journal.seq.serialize(out);
+        out.key("committed");
+        self.committed.serialize(out);
+        out.key("journal");
+        bounded_with(out, &state.journal, self.journal, self.ring);
+        out.key("completed");
+        bounded_with(out, &state.completed, self.completed, self.ring);
+        out.end();
+    }
+}
+
+/// Prints `ring` with `pushed` pushed onto it and bounded as
+/// [`push_bounded`] bounds it.
+fn bounded_with<T: Serialize>(out: &mut dyn Serializer, ring: &[T], pushed: &T, bound: usize) {
+    let skip = (ring.len() + 1).saturating_sub(bound).min(ring.len());
+    out.seq(ring.len() + 1 - skip);
+    for item in &ring[skip..] {
+        item.serialize(out);
+    }
+    pushed.serialize(out);
+    out.end();
 }
 
 /// A failed evaluation, mapped to a protocol error by the manager.
@@ -192,12 +460,16 @@ struct PendingProposal {
 /// [`IrDeltaEvaluator`].
 #[derive(Debug)]
 pub struct Session {
-    /// The persistent record (the manager persists this via
-    /// [`prepare_commit`](Self::prepare_commit)).
+    /// The persistent record, as the snapshot and the commit log on
+    /// disk hold it together.
     pub state: SessionState,
     evaluator: IrDeltaEvaluator,
     completed_ring: usize,
     pending: Option<PendingProposal>,
+    /// Bytes of the snapshot on disk.
+    snapshot_bytes: u64,
+    /// Bytes of the whole records in the commit log on disk.
+    log_bytes: u64,
 }
 
 /// What [`Session::prepare_commit`] decided.
@@ -213,27 +485,44 @@ pub enum CommitOutcome {
         /// Recorded commit sequence number.
         seq: u64,
     },
-    /// A new commit: persist [`PreparedCommit::snapshot_json`], then
+    /// A new commit: persist [`PreparedCommit::write`], then
     /// [`apply_commit`](Session::apply_commit).
     Prepared(PreparedCommit),
 }
 
-/// A commit that has been validated and staged but not yet applied.
-/// Holds the *next* persistent record; the session is untouched until
-/// [`Session::apply_commit`] consumes this.
+/// What a prepared commit writes before it applies.
+#[derive(Debug, PartialEq, Eq)]
+pub enum CommitWrite {
+    /// Append this framed record to the commit log, whose whole records
+    /// end at byte `at`, and sync it.
+    Append {
+        /// The record, one newline-terminated line.
+        record: String,
+        /// Where the log's whole records end.
+        at: u64,
+    },
+    /// Write this snapshot atomically, then empty the commit log.
+    Compact {
+        /// The next snapshot's text.
+        snapshot: String,
+    },
+}
+
+/// A commit that has been validated and staged but not yet applied: the
+/// entries it pushes onto the two rings and what it writes. The session
+/// is untouched until [`Session::apply_commit`] consumes this.
 #[derive(Debug)]
 pub struct PreparedCommit {
-    next: SessionState,
-    digest: String,
-    score: f64,
-    seq: u64,
+    journal: CommitRecord,
+    completed: CompletedCommit,
+    write: CommitWrite,
 }
 
 impl PreparedCommit {
-    /// The snapshot JSON the manager must persist before applying.
+    /// What the manager must persist before applying.
     #[must_use]
-    pub fn snapshot_json(&self) -> String {
-        self.next.to_json()
+    pub fn write(&self) -> &CommitWrite {
+        &self.write
     }
 }
 
@@ -252,6 +541,15 @@ impl Session {
         };
         Session::from_state(state, completed_ring)
             .unwrap_or_else(|why| unreachable!("fresh session state cannot fail recovery: {why}"))
+    }
+
+    /// The snapshot a new session is born with, which the manager
+    /// persists before acknowledging `OpenDelta`.
+    #[must_use]
+    pub fn birth_snapshot(&mut self) -> String {
+        let text = self.state.to_json();
+        self.snapshot_bytes = text.len() as u64;
+        text
     }
 
     /// Rebuilds a session around recovered persistent state, replaying
@@ -299,7 +597,34 @@ impl Session {
             completed_ring: completed_ring.max(1),
             pending: None,
             state,
+            snapshot_bytes: 0,
+            log_bytes: 0,
         })
+    }
+
+    /// Resumes a session from its snapshot (`snapshot`, of
+    /// `snapshot_bytes` bytes on disk) and its commit log: replays the
+    /// log's records past the snapshot, then verifies the result as
+    /// [`from_state`](Self::from_state) does. Returns the session and the
+    /// length the log must be cut to; past it lie a torn last record
+    /// and records the snapshot already holds.
+    ///
+    /// # Errors
+    ///
+    /// A whole log record with a bad checksum, an unexpected sequence
+    /// number or a splice out of range, or a failed verification.
+    pub fn resume(
+        mut snapshot: SessionState,
+        snapshot_bytes: usize,
+        log: &[u8],
+        completed_ring: usize,
+    ) -> Result<(Session, usize), String> {
+        let ring = completed_ring.max(1);
+        let kept = replay_log(&mut snapshot, log, ring)?;
+        let mut session = Session::from_state(snapshot, ring)?;
+        session.snapshot_bytes = snapshot_bytes as u64;
+        session.log_bytes = kept as u64;
+        Ok((session, kept))
     }
 
     /// The budget control this session's config induces (`budget`
@@ -372,18 +697,22 @@ impl Session {
         Ok((digest, score))
     }
 
-    /// Validates a commit and stages the next persistent record without
-    /// mutating the session. The manager persists the staged snapshot,
-    /// then calls [`apply_commit`](Self::apply_commit); on persist
-    /// failure it simply drops the [`PreparedCommit`] and the pending
-    /// proposal stays armed for a retry.
+    /// Validates a commit and stages what it writes without mutating
+    /// the session: the commit-log record, or the next snapshot when the
+    /// log plus the record would outgrow the last snapshot (or the
+    /// snapshot on disk has an older version). The manager persists the
+    /// [`PreparedCommit::write`], then calls
+    /// [`apply_commit`](Self::apply_commit); on persist failure it
+    /// simply drops the [`PreparedCommit`] and the pending proposal stays
+    /// armed for a retry.
     ///
     /// # Errors
     ///
     /// [`ErrorKind::NoPendingProposal`] when no proposal (or a
     /// different one) is armed, [`ErrorKind::BudgetExhausted`] when the
     /// commit budget is spent, [`ErrorKind::InvalidRequest`] when a
-    /// recorded request id is retried with a different digest.
+    /// recorded request id is retried with a different digest,
+    /// [`ErrorKind::PersistFailed`] when the record does not print.
     pub fn prepare_commit(
         &self,
         request_id: &str,
@@ -435,10 +764,7 @@ impl Session {
             ));
         }
         let seq = self.state.commits_done + 1;
-        let mut next = self.state.clone();
-        next.commits_done = seq;
-        next.committed = Some(pending.state.clone());
-        next.journal.push(CommitRecord {
+        let journal = CommitRecord {
             seq,
             digest: pending.digest.clone(),
             score: pending.score,
@@ -446,35 +772,86 @@ impl Session {
             // fingerprint (commit only swaps buffers), which is what
             // lets the record be persisted before the commit applies.
             fingerprint: format!("{:016x}", self.evaluator.proposed_fingerprint()),
-        });
-        while next.journal.len() > self.completed_ring {
-            next.journal.remove(0);
-        }
-        next.completed.push(CompletedCommit {
+        };
+        let completed = CompletedCommit {
             request_id: request_id.to_owned(),
             digest: pending.digest.clone(),
             score: pending.score,
             seq,
-        });
-        while next.completed.len() > self.completed_ring {
-            next.completed.remove(0);
-        }
-        Ok(CommitOutcome::Prepared(PreparedCommit {
-            next,
+        };
+        let committed = self
+            .state
+            .committed
+            .as_ref()
+            .map_or(&[][..], |committed| &committed.segments[..]);
+        let record = frame_record(&LogRecord {
+            seq,
+            request_id: request_id.to_owned(),
             digest: pending.digest.clone(),
             score: pending.score,
-            seq,
+            fingerprint: journal.fingerprint.clone(),
+            chip: pending.state.chip,
+            splices: Splice::diff(committed, &pending.state.segments),
+        });
+        let unprintable = |why: String| {
+            EvalFailure::new(
+                ErrorKind::PersistFailed,
+                format!("commit {seq} did not print: {why}"),
+                false,
+            )
+        };
+        let record = record.map_err(unprintable)?;
+        let write = if self.state.version == SNAPSHOT_VERSION
+            && self.log_bytes + record.len() as u64 <= self.snapshot_bytes
+        {
+            CommitWrite::Append {
+                record,
+                at: self.log_bytes,
+            }
+        } else {
+            let staged = Staged {
+                state: &self.state,
+                committed: &pending.state,
+                journal: &journal,
+                completed: &completed,
+                ring: self.completed_ring,
+            };
+            let snapshot = serde_json::to_string_pretty(&staged)
+                .map_err(|err| unprintable(err.to_string()))?;
+            CommitWrite::Compact { snapshot }
+        };
+        Ok(CommitOutcome::Prepared(PreparedCommit {
+            journal,
+            completed,
+            write,
         }))
     }
 
     /// Applies a persisted commit: advances the evaluator's committed
-    /// snapshot and installs the staged persistent record. Returns the
-    /// `(digest, score, seq)` ack.
+    /// snapshot, moves the pending state in, pushes both rings and
+    /// notes what was written. Returns the `(digest, score, seq)` ack.
     pub fn apply_commit(&mut self, prepared: PreparedCommit) -> (String, f64, u64) {
+        let Some(pending) = self.pending.take() else {
+            unreachable!("a commit is prepared from the armed proposal, under the session lock")
+        };
         self.evaluator.commit();
-        self.state = prepared.next;
-        self.pending = None;
-        (prepared.digest, prepared.score, prepared.seq)
+        self.state.version = SNAPSHOT_VERSION;
+        self.state.committed = Some(pending.state);
+        let ack = (
+            prepared.journal.digest.clone(),
+            prepared.journal.score,
+            prepared.journal.seq,
+        );
+        self.state
+            .push_commit(prepared.journal, prepared.completed, self.completed_ring);
+        match prepared.write {
+            CommitWrite::Append { record, .. } => self.log_bytes += record.len() as u64,
+            CommitWrite::Compact { snapshot } => {
+                self.snapshot_bytes = snapshot.len() as u64;
+                self.log_bytes = 0;
+            }
+        }
+        ack
     }
 
     /// Drops any pending proposal and returns the committed cost (0
@@ -509,6 +886,40 @@ fn to_geometry(state: &FloorplanState) -> Result<(Rect, Vec<(Point, Point)>), St
         segments.push((Point::new(Um(x1), Um(y1)), Point::new(Um(x2), Um(y2))));
     }
     Ok((chip, segments))
+}
+
+#[cfg(test)]
+impl Session {
+    /// The next session record as irgrid ≤ 0.23 staged it for every
+    /// commit — clone the record, move the proposal in, push and trim
+    /// both rings — kept as the reference the snapshot plus the replayed
+    /// commit log must reproduce.
+    fn reference_next(&self, request_id: &str) -> SessionState {
+        let pending = self.pending.as_ref().expect("an armed proposal");
+        let seq = self.state.commits_done + 1;
+        let mut next = self.state.clone();
+        next.commits_done = seq;
+        next.committed = Some(pending.state.clone());
+        next.journal.push(CommitRecord {
+            seq,
+            digest: pending.digest.clone(),
+            score: pending.score,
+            fingerprint: format!("{:016x}", self.evaluator.proposed_fingerprint()),
+        });
+        while next.journal.len() > self.completed_ring {
+            next.journal.remove(0);
+        }
+        next.completed.push(CompletedCommit {
+            request_id: request_id.to_owned(),
+            digest: pending.digest.clone(),
+            score: pending.score,
+            seq,
+        });
+        while next.completed.len() > self.completed_ring {
+            next.completed.remove(0);
+        }
+        next
+    }
 }
 
 #[cfg(test)]
@@ -984,5 +1395,286 @@ mod tests {
                 .expect_err("evicted");
             assert_eq!(err.kind, ErrorKind::NoPendingProposal);
         }
+    }
+
+    /// A session's files, as the manager writes them.
+    #[derive(Default)]
+    struct Disk {
+        snapshot: String,
+        log: Vec<u8>,
+        appends: usize,
+        compactions: usize,
+    }
+
+    impl Disk {
+        fn persist(&mut self, write: &CommitWrite) {
+            match write {
+                CommitWrite::Append { record, at } => {
+                    self.log.truncate(*at as usize);
+                    self.log.extend_from_slice(record.as_bytes());
+                    self.appends += 1;
+                }
+                CommitWrite::Compact { snapshot } => {
+                    self.snapshot.clone_from(snapshot);
+                    self.log.clear();
+                    self.compactions += 1;
+                }
+            }
+        }
+
+        /// Resumes from the files with `log` as the commit log; returns
+        /// the session and the log length resume keeps.
+        fn resume_with(&self, log: &[u8], ring: usize) -> (Session, usize) {
+            let state = SessionState::from_json(&self.snapshot, "s").expect("snapshot parses");
+            Session::resume(state, self.snapshot.len(), log, ring).expect("resumes")
+        }
+    }
+
+    /// `count` segments on a 900×800 chip; `shift` moves one endpoint of
+    /// segment `shift % count`.
+    fn wide_state(count: usize, shift: i64, chip: [i64; 2]) -> FloorplanState {
+        let mut segments: Vec<[i64; 4]> = (0..count as i64)
+            .map(|k| {
+                [
+                    10 + 17 * k % 600,
+                    20 + 29 * k % 500,
+                    650 - 13 * k % 300,
+                    700 - k,
+                ]
+            })
+            .collect();
+        let index = shift.unsigned_abs() as usize % count;
+        segments[index][0] = (segments[index][0] + 31 * shift).rem_euclid(chip[0]);
+        FloorplanState { chip, segments }
+    }
+
+    #[test]
+    fn snapshot_plus_replayed_log_equals_the_reference_staging_byte_for_byte() {
+        const RING: usize = 3;
+        let mut session = Session::create("s", SessionConfig::default_config(), RING);
+        let mut disk = Disk {
+            snapshot: session.birth_snapshot(),
+            ..Disk::default()
+        };
+        // One-endpoint nudges, a chip change, segment counts going up
+        // and down, and a return to an earlier state.
+        let mut script: Vec<FloorplanState> =
+            (0..14).map(|k| wide_state(24, k, [900, 800])).collect();
+        script.push(wide_state(24, 13, [950, 800]));
+        script.push(wide_state(30, 2, [950, 800]));
+        script.push(wide_state(21, 2, [950, 800]));
+        script.extend((3..9).map(|k| wide_state(21, k, [950, 800])));
+        script.push(wide_state(24, 0, [900, 800]));
+        for (k, state) in script.iter().enumerate() {
+            let request_id = format!("c{k}");
+            let (digest, _) = session
+                .propose(state, &RunControl::unlimited())
+                .expect("propose");
+            let reference = session.reference_next(&request_id);
+            let CommitOutcome::Prepared(prepared) = session
+                .prepare_commit(&request_id, &digest)
+                .expect("prepare")
+            else {
+                panic!("a fresh id cannot replay");
+            };
+            let log_before = disk.log.clone();
+            disk.persist(prepared.write());
+            let compacted = matches!(prepared.write(), CommitWrite::Compact { .. });
+            if compacted {
+                assert_eq!(
+                    disk.snapshot,
+                    reference.to_json(),
+                    "commit {k}: staged bytes"
+                );
+            }
+            session.apply_commit(prepared);
+            assert_eq!(session.state.to_json(), reference.to_json(), "commit {k}");
+
+            let (resumed, kept) = disk.resume_with(&disk.log, RING);
+            assert_eq!(
+                kept,
+                disk.log.len(),
+                "commit {k}: a clean log is kept whole"
+            );
+            assert_eq!(resumed.state.to_json(), reference.to_json(), "commit {k}");
+            if compacted {
+                // Interrupted after the rename: the old records are left
+                // over, and resume cuts all of them.
+                let (resumed, kept) = disk.resume_with(&log_before, RING);
+                assert_eq!(kept, 0, "commit {k}: leftovers are cut");
+                assert_eq!(resumed.state.to_json(), reference.to_json(), "commit {k}");
+            }
+            // A resumed session stages the next commit exactly as the
+            // live one does.
+            if let Some(next) = script.get(k + 1) {
+                let (mut resumed, _) = disk.resume_with(&disk.log, RING);
+                let (live_digest, _) = session
+                    .propose(next, &RunControl::unlimited())
+                    .expect("propose");
+                resumed
+                    .propose(next, &RunControl::unlimited())
+                    .expect("propose");
+                let stage = |session: &Session| match session
+                    .prepare_commit("next", &live_digest)
+                    .expect("prepare")
+                {
+                    CommitOutcome::Prepared(prepared) => prepared.write,
+                    CommitOutcome::Replayed { .. } => panic!("a fresh id cannot replay"),
+                };
+                assert_eq!(stage(&resumed), stage(&session), "commit {k}");
+                session.undo();
+            }
+        }
+        assert_eq!(session.state.journal.len(), RING, "the rings evicted");
+        assert!(disk.compactions >= 3, "{} compactions", disk.compactions);
+        assert!(disk.appends >= 10, "{} appends", disk.appends);
+    }
+
+    #[test]
+    fn a_one_endpoint_commit_appends_a_one_segment_record() {
+        let mut session = Session::create("s", SessionConfig::default_config(), 8);
+        let mut disk = Disk {
+            snapshot: session.birth_snapshot(),
+            ..Disk::default()
+        };
+        for (k, state) in [wide_state(24, 0, [900, 800]), wide_state(24, 5, [900, 800])]
+            .iter()
+            .enumerate()
+        {
+            let (digest, _) = session
+                .propose(state, &RunControl::unlimited())
+                .expect("propose");
+            let CommitOutcome::Prepared(prepared) = session
+                .prepare_commit(&format!("c{k}"), &digest)
+                .expect("prepare")
+            else {
+                panic!("fresh id");
+            };
+            disk.persist(prepared.write());
+            session.apply_commit(prepared);
+        }
+        // The first commit compacts; the nudge appends one splice of one
+        // segment.
+        assert_eq!((disk.compactions, disk.appends), (1, 1));
+        let line = &disk.log[..disk.log.len() - 1];
+        let record = read_record(line).expect("a whole record");
+        assert_eq!(record.seq, 2);
+        assert_eq!(record.splices.len(), 1);
+        assert_eq!((record.splices[0].start, record.splices[0].remove), (5, 1));
+        assert_eq!(
+            record.splices[0].insert,
+            vec![wide_state(24, 5, [900, 800]).segments[5]]
+        );
+    }
+
+    #[test]
+    fn splices_diff_and_apply_round_trip() {
+        let list = |values: &[i64]| -> Vec<[i64; 4]> { values.iter().map(|&v| [v; 4]).collect() };
+        let cases: &[(&[i64], &[i64], usize)] = &[
+            (&[], &[], 0),
+            (&[1, 2, 3], &[1, 2, 3], 0),
+            (&[1, 2, 3, 4, 5], &[9, 2, 8, 8, 5], 2),
+            (&[1, 2, 3, 4, 5], &[1, 2, 3, 4, 6], 1),
+            (&[], &[1, 2], 1),
+            (&[1, 2], &[], 1),
+            (&[1, 2, 3], &[1, 7, 7, 7, 3], 1),
+            (&[1, 2, 2, 3], &[1, 2, 3], 1),
+            (&[1, 2, 3], &[4, 1, 2, 3], 1),
+        ];
+        for &(from, to, count) in cases {
+            let (from, to) = (list(from), list(to));
+            let splices = Splice::diff(&from, &to);
+            assert_eq!(splices.len(), count, "{from:?} -> {to:?}: {splices:?}");
+            let mut applied = from.clone();
+            Splice::apply_all(&mut applied, &splices).expect("fits");
+            assert_eq!(applied, to);
+        }
+        // Out of range, overlapping and overflowing splices are refused,
+        // and leave the list untouched.
+        let splice = |start, remove| Splice {
+            start,
+            remove,
+            insert: Vec::new(),
+        };
+        for bad in [
+            vec![splice(2, 2)],
+            vec![splice(4, 0)],
+            vec![splice(1, 1), splice(0, 1)],
+            vec![splice(0, 2), splice(1, 1)],
+            vec![splice(u64::MAX, 2)],
+        ] {
+            let mut segments = list(&[1, 2, 3]);
+            assert!(Splice::apply_all(&mut segments, &bad).is_err(), "{bad:?}");
+            assert_eq!(segments, list(&[1, 2, 3]));
+        }
+    }
+
+    /// A session committed `commits` times (the first compacting) and
+    /// the files it left.
+    fn logged_session(commits: i64) -> (Session, Disk) {
+        let mut session = Session::create("s", SessionConfig::default_config(), 8);
+        let mut disk = Disk {
+            snapshot: session.birth_snapshot(),
+            ..Disk::default()
+        };
+        for k in 0..commits {
+            let (digest, _) = session
+                .propose(&wide_state(24, k, [900, 800]), &RunControl::unlimited())
+                .expect("propose");
+            let CommitOutcome::Prepared(prepared) = session
+                .prepare_commit(&format!("c{k}"), &digest)
+                .expect("prepare")
+            else {
+                panic!("fresh id");
+            };
+            disk.persist(prepared.write());
+            session.apply_commit(prepared);
+        }
+        assert_eq!(disk.compactions, 1, "one compaction, then appends");
+        (session, disk)
+    }
+
+    #[test]
+    fn a_torn_last_record_is_cut_and_corrupt_records_are_refused() {
+        let (session, disk) = logged_session(4);
+        let ends: Vec<usize> = disk
+            .log
+            .iter()
+            .enumerate()
+            .filter(|(_, &byte)| byte == b'\n')
+            .map(|(at, _)| at + 1)
+            .collect();
+        assert_eq!(ends.len(), 3);
+        let refused = |log: &[u8]| {
+            let state = SessionState::from_json(&disk.snapshot, "s").expect("parse");
+            Session::resume(state, disk.snapshot.len(), log, 8).expect_err("corrupt")
+        };
+
+        // A torn last record resumes at the commit before it.
+        let (resumed, kept) = disk.resume_with(&disk.log[..disk.log.len() - 1], 8);
+        assert_eq!((kept, resumed.state.commits_done), (ends[1], 3));
+
+        // A flipped byte inside a whole record fails its checksum.
+        let mut flipped = disk.log.clone();
+        flipped[ends[0] + 40] ^= 1;
+        assert!(refused(&flipped).contains("checksum mismatch"));
+
+        // A missing record is a seq gap.
+        let mut gap = disk.log[..ends[0]].to_vec();
+        gap.extend_from_slice(&disk.log[ends[1]..]);
+        assert!(refused(&gap).contains("expected 3"), "{}", refused(&gap));
+
+        // A record whose splice does not fit, under a valid checksum.
+        let mut record = read_record(&disk.log[..ends[0] - 1]).expect("whole");
+        record.splices[0].start = 999;
+        let mut out_of_range = frame_record(&record).expect("prints").into_bytes();
+        out_of_range.extend_from_slice(&disk.log[ends[0]..]);
+        assert!(refused(&out_of_range).contains("does not fit"));
+
+        // A record repeated after the one it repeats is out of order.
+        let mut repeated = disk.log.clone();
+        repeated.extend_from_slice(&disk.log[..ends[0]]);
+        assert!(refused(&repeated).contains("has seq 2, expected 5"));
+        assert_eq!(session.state.commits_done, 4);
     }
 }

@@ -9,19 +9,24 @@
 //!    kill switch, bumped chaos epoch, same state directory) every time
 //!    an injected kill fires, with clients retrying per protocol.
 //!
-//! Afterwards every session snapshot in the chaotic state directory must
-//! equal the reference snapshot byte for byte — zero lost sessions, zero
-//! corrupted sessions, zero double-counted commits. A session's snapshot
-//! carries the committed floorplan, the commit journal (sequence, digest,
-//! score, map fingerprint), and the commit idempotency ring — all of
-//! which must survive kills at the `delta.commit` site and at the persist
-//! boundary, byte for byte.
+//! Afterwards every session's files in the chaotic state directory — its
+//! snapshot and its commit log — must equal the reference run's byte for
+//! byte: zero lost sessions, zero corrupted sessions, zero double-counted
+//! commits. Together the two files carry the committed floorplan, the
+//! commit journal (sequence, digest, score, map fingerprint), and the
+//! commit idempotency ring — all of which must survive kills at the
+//! `delta.commit` site and at both persist boundaries (`persist.session`
+//! and `persist.log`), byte for byte. One test kills the real daemon
+//! binary with SIGKILL instead of the in-process kill switch.
 
 use std::collections::BTreeMap;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
+use irgrid_serve::chaos::FaultDecision;
 use irgrid_serve::{
     serve, Chaos, ChaosConfig, Client, ClientError, DegradePolicy, ErrorKind, FloorplanState,
     KillSwitch, Limits, Request, RequestOp, ResponsePayload, ServerHandle, ServerOptions,
@@ -97,12 +102,14 @@ fn stop_daemon(daemon: TestDaemon) {
     daemon.handle.join();
 }
 
-fn snapshots(state_dir: &Path) -> BTreeMap<String, String> {
+/// Every session's snapshot text and commit-log bytes, by session id.
+fn snapshots(state_dir: &Path) -> BTreeMap<String, (String, Vec<u8>)> {
     let store = SnapshotStore::open(state_dir, Chaos::off(), KillSwitch::new()).expect("open");
     let mut map = BTreeMap::new();
     for id in store.list().expect("list") {
         let text = store.read(&id).expect("read").expect("snapshot exists");
-        map.insert(id, text);
+        let log = store.read_log(&id).expect("read log");
+        map.insert(id, (text, log));
     }
     map
 }
@@ -347,42 +354,82 @@ fn chaotic_delta_sessions_converge_to_the_uninterrupted_state_byte_for_byte() {
     }
 }
 
+/// The step whose commit the persist-boundary kill tears: the first
+/// commit after the one `delta.commit` kills, an append to the commit
+/// log.
+const TORN_STEP: usize = STEPS / 2 + 1;
+
+/// Plays client 0's steps `steps` against a clean daemon on `dir`,
+/// recording every score, then runs `kill` before stopping it.
+fn play_then(
+    dir: &Path,
+    steps: std::ops::Range<usize>,
+    scores: &mut BTreeMap<String, f64>,
+    kill: impl FnOnce(&TestDaemon),
+) {
+    let daemon = start_daemon(dir, Chaos::off());
+    let mut client = Client::new(daemon.handle.transport().clone());
+    assert!(client.call(&delta_open(0), 3).expect("open").ok);
+    for step in steps {
+        assert!(matches!(
+            drive_delta_step(&mut client, 0, step, 3, scores),
+            StepOutcome::Done
+        ));
+    }
+    kill(&daemon);
+    stop_daemon(daemon);
+}
+
+/// Commits client 0's step `step` through a second manager over `dir`
+/// that shares `daemon`'s kill switch and consults `chaos`: the propose
+/// succeeds (pure, no store traffic), and the commit must die.
+fn killed_commit(dir: &Path, daemon: &TestDaemon, chaos: Chaos, step: usize) {
+    let kill_store = SnapshotStore::open(dir, chaos, daemon.kill.clone()).expect("store");
+    let killed_manager =
+        SessionManager::new(kill_store, Limits::default(), DegradePolicy::default(), 1);
+    let control = irgrid_anneal::RunControl::unlimited();
+    let reopened = killed_manager.handle(&delta_open(0), &control);
+    assert!(reopened.ok, "{reopened:?}");
+    let propose = Request {
+        id: format!("d0-prop-{step}"),
+        session: delta_session_name(0),
+        op: RequestOp::Propose {
+            state: delta_state_for(0, step),
+        },
+    };
+    let proposed = killed_manager.handle(&propose, &control);
+    assert!(proposed.ok, "propose is pure, kill cannot touch it");
+    let ResponsePayload::Proposed { digest, .. } = &proposed.payload else {
+        panic!("payload {proposed:?}");
+    };
+    let commit = Request {
+        id: format!("d0-commit-{step}"),
+        session: delta_session_name(0),
+        op: RequestOp::Commit {
+            digest: digest.clone(),
+        },
+    };
+    let refused = killed_manager.handle(&commit, &control);
+    assert!(!refused.ok, "kill-injected commit must fail: {refused:?}");
+    assert!(daemon.kill.is_tripped(), "the commit must kill");
+}
+
 #[test]
 fn killed_delta_daemon_recovers_committed_map_and_journal_bit_identically() {
-    // The focused propose → kill → restart scenario, with the kill
-    // injected deterministically at the dedicated `delta.commit` site
-    // (after the commit is staged, before anything durable changes).
+    // The focused propose → kill → restart scenario, with kills injected
+    // deterministically: first at the dedicated `delta.commit` site
+    // (after the commit is staged, before anything durable changes),
+    // then at `persist.log`, halfway through appending a record.
     let continuous_dir = temp_dir("delta_kill_continuous");
     let mut continuous_scores = BTreeMap::new();
-    {
-        let daemon = start_daemon(&continuous_dir, Chaos::off());
-        let mut client = Client::new(daemon.handle.transport().clone());
-        assert!(client.call(&delta_open(0), 3).expect("open").ok);
-        for step in 0..STEPS {
-            assert!(matches!(
-                drive_delta_step(&mut client, 0, step, 3, &mut continuous_scores),
-                StepOutcome::Done
-            ));
-        }
-        stop_daemon(daemon);
-    }
+    play_then(&continuous_dir, 0..STEPS, &mut continuous_scores, |_| {});
 
     let interrupted_dir = temp_dir("delta_kill_interrupted");
     let half = STEPS / 2;
     let mut recovered_scores = BTreeMap::new();
-    {
-        let daemon = start_daemon(&interrupted_dir, Chaos::off());
-        let mut client = Client::new(daemon.handle.transport().clone());
-        assert!(client.call(&delta_open(0), 3).expect("open").ok);
-        for step in 0..half {
-            assert!(matches!(
-                drive_delta_step(&mut client, 0, step, 3, &mut recovered_scores),
-                StepOutcome::Done
-            ));
-        }
-        // A manager whose every chaos consultation draws a kill: the
-        // propose succeeds (pure, no store traffic), and the commit dies
-        // at the `delta.commit` site with nothing staged on disk.
+    play_then(&interrupted_dir, 0..half, &mut recovered_scores, |daemon| {
+        // Every consultation draws a kill, so the commit dies at
+        // `delta.commit` with nothing staged on disk.
         let kill_all = Chaos::with_config(
             2,
             ChaosConfig {
@@ -391,63 +438,68 @@ fn killed_delta_daemon_recovers_committed_map_and_journal_bit_identically() {
                 kill_ppm: 1_000_000,
             },
         );
-        let kill_store =
-            SnapshotStore::open(&interrupted_dir, kill_all, daemon.kill.clone()).expect("store");
-        let killed_manager = Arc::new(SessionManager::new(
-            kill_store,
-            Limits::default(),
-            DegradePolicy::default(),
-            1,
-        ));
-        let control = irgrid_anneal::RunControl::unlimited();
-        let reopened = killed_manager.handle(&delta_open(0), &control);
-        assert!(reopened.ok, "{reopened:?}");
         let before = snapshots(&interrupted_dir);
-        let propose = Request {
-            id: format!("d0-prop-{half}"),
-            session: delta_session_name(0),
-            op: RequestOp::Propose {
-                state: delta_state_for(0, half),
-            },
-        };
-        let proposed = killed_manager.handle(&propose, &control);
-        assert!(proposed.ok, "propose is pure, kill cannot touch it");
-        let ResponsePayload::Proposed { digest, .. } = &proposed.payload else {
-            panic!("payload {proposed:?}");
-        };
-        let commit = Request {
-            id: format!("d0-commit-{half}"),
-            session: delta_session_name(0),
-            op: RequestOp::Commit {
-                digest: digest.clone(),
-            },
-        };
-        let refused = killed_manager.handle(&commit, &control);
-        assert!(!refused.ok, "kill-injected commit must fail: {refused:?}");
-        assert!(daemon.kill.is_tripped(), "delta.commit site must kill");
+        killed_commit(&interrupted_dir, daemon, kill_all, half);
         assert_eq!(
             snapshots(&interrupted_dir),
             before,
-            "the killed commit must leave the snapshot untouched"
+            "the killed commit must leave the snapshot and the log untouched"
         );
-        stop_daemon(daemon);
-    }
-    // "Reboot" over the same state directory and finish the script. The
-    // resume path rebuilds the evaluator, replays the committed map, and
-    // verifies cost bits + map fingerprint before serving; the whole
-    // interrupted step re-runs (the pending proposal was volatile).
-    {
-        let daemon = start_daemon(&interrupted_dir, Chaos::off());
-        let mut client = Client::new(daemon.handle.transport().clone());
-        assert!(client.call(&delta_open(0), 3).expect("reopen").ok);
-        for step in half..STEPS {
-            assert!(matches!(
-                drive_delta_step(&mut client, 0, step, 3, &mut recovered_scores),
-                StepOutcome::Done
-            ));
-        }
-        stop_daemon(daemon);
-    }
+    });
+    // "Reboot" over the same state directory. The resume path replays
+    // the commit log onto the snapshot, rebuilds the evaluator, replays
+    // the committed map, and verifies cost bits + map fingerprint before
+    // serving; the whole interrupted step re-runs (the pending proposal
+    // was volatile). The next commit dies inside its append.
+    play_then(
+        &interrupted_dir,
+        half..TORN_STEP,
+        &mut recovered_scores,
+        |daemon| {
+            let session = delta_session_name(0);
+            let mix = ChaosConfig {
+                io_error_ppm: 0,
+                torn_ppm: 0,
+                kill_ppm: 500_000,
+            };
+            // A fresh manager consults each site at index 0 first: find
+            // the seed that passes `delta.commit` and kills `persist.log`
+            // after part of the record.
+            let seed = (0..u64::MAX)
+                .find(|&seed| {
+                    let chaos = Chaos::with_config(seed, mix);
+                    chaos.decide("delta.commit", &session, 0) == FaultDecision::None
+                        && matches!(
+                            chaos.decide("persist.log", &session, 0),
+                            FaultDecision::Kill { keep_per_mille } if keep_per_mille >= 100
+                        )
+                })
+                .expect("a seed");
+            let before = snapshots(&interrupted_dir);
+            killed_commit(
+                &interrupted_dir,
+                daemon,
+                Chaos::with_config(seed, mix),
+                TORN_STEP,
+            );
+            let after = snapshots(&interrupted_dir);
+            let ((text_before, log_before), (text_after, log_after)) =
+                (&before[&session], &after[&session]);
+            assert_eq!(text_after, text_before, "an append leaves the snapshot");
+            assert!(
+                log_after.len() > log_before.len() && log_after.starts_with(log_before),
+                "the killed append must leave a torn record behind"
+            );
+            assert_ne!(log_after.last(), Some(&b'\n'), "the record is torn");
+        },
+    );
+    // Reboot again: resume cuts the torn record, and the step re-runs.
+    play_then(
+        &interrupted_dir,
+        TORN_STEP..STEPS,
+        &mut recovered_scores,
+        |_| {},
+    );
 
     assert_eq!(
         snapshots(&interrupted_dir),
@@ -461,6 +513,138 @@ fn killed_delta_daemon_recovers_committed_map_and_journal_bit_identically() {
             "score diverged for {request_id}"
         );
     }
+}
+
+/// A spawned daemon binary, killed and reaped however the test ends.
+struct Spawned(Child);
+
+impl Spawned {
+    /// Starts `irgrid-serve` on `socket` over `state_dir` and waits, for
+    /// at most 10 s, until it accepts connections.
+    fn start(socket: &Path, state_dir: &Path) -> Spawned {
+        let child = Command::new(env!("CARGO_BIN_EXE_irgrid-serve"))
+            .arg("--socket")
+            .arg(socket)
+            .arg("--state-dir")
+            .arg(state_dir)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn irgrid-serve");
+        let mut spawned = Spawned(child);
+        for _ in 0..1000 {
+            if let Some(status) = spawned.0.try_wait().expect("poll the daemon") {
+                panic!("irgrid-serve exited before listening: {status}");
+            }
+            if UnixStream::connect(socket).is_ok() {
+                return spawned;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!(
+            "irgrid-serve did not listen on {} within 10 s",
+            socket.display()
+        );
+    }
+
+    /// Waits, for at most 10 s, for the daemon to exit by itself.
+    fn exit_status(&mut self) -> std::process::ExitStatus {
+        for _ in 0..1000 {
+            if let Some(status) = self.0.try_wait().expect("poll the daemon") {
+                return status;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("irgrid-serve did not exit within 10 s of Shutdown");
+    }
+}
+
+impl Drop for Spawned {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn a_sigkilled_daemon_binary_resumes_every_acknowledged_commit() {
+    let dir = temp_dir("sigkill");
+    std::fs::create_dir_all(&dir).expect("test dir");
+    let socket = dir.join("irgrid-serve.sock");
+    let state_dir = dir.join("state");
+    let transport = Transport::Unix(socket.clone());
+    // Steps 0, 1, 3 and 4 commit; step 2 is an undo.
+    let steps = 5;
+    let acknowledged = (0..steps).filter(|&step| !step_is_rejected(step)).count() as u64;
+
+    let mut first = Spawned::start(&socket, &state_dir);
+    let mut client = Client::new(transport.clone());
+    assert!(client.call(&delta_open(0), 3).expect("open").ok);
+    let mut scores = BTreeMap::new();
+    for step in 0..steps {
+        assert!(matches!(
+            drive_delta_step(&mut client, 0, step, 3, &mut scores),
+            StepOutcome::Done
+        ));
+    }
+    let last = steps - 1;
+    let last_score = scores[&format!("d0-commit-{last}")];
+    // SIGKILL right after the last acknowledged commit.
+    first.0.kill().expect("SIGKILL");
+    first.0.wait().expect("reap");
+    drop(client);
+    let store = SnapshotStore::open(&state_dir, Chaos::off(), KillSwitch::new()).expect("store");
+    assert!(
+        !store
+            .read_log(&delta_session_name(0))
+            .expect("read")
+            .is_empty(),
+        "the last commits live in the commit log only"
+    );
+
+    let mut second = Spawned::start(&socket, &state_dir);
+    let mut client = Client::new(transport);
+    let reopened = client.call(&delta_open(0), 3).expect("reopen");
+    let ResponsePayload::Opened { resumed, stat } = &reopened.payload else {
+        panic!("payload {reopened:?}");
+    };
+    assert!(resumed, "{reopened:?}");
+    assert_eq!(stat.evals_done, acknowledged);
+    let committed_state = delta_state_for(0, last);
+    let propose = Request {
+        id: "again".to_owned(),
+        session: delta_session_name(0),
+        op: RequestOp::Propose {
+            state: committed_state.clone(),
+        },
+    };
+    let proposed = client.call(&propose, 3).expect("propose");
+    let ResponsePayload::Proposed { digest, score } = &proposed.payload else {
+        panic!("payload {proposed:?}");
+    };
+    assert_eq!(digest, &irgrid_fleet::state_digest(&committed_state));
+    assert_eq!(score.to_bits(), last_score.to_bits());
+    // The commit ack replays from the resumed ring under its digest.
+    let replay = Request {
+        id: format!("d0-commit-{last}"),
+        session: delta_session_name(0),
+        op: RequestOp::Commit {
+            digest: digest.clone(),
+        },
+    };
+    let replayed = client.call(&replay, 3).expect("replay");
+    assert!(replayed.replayed, "{replayed:?}");
+    let shutdown = Request {
+        id: "bye".to_owned(),
+        session: String::new(),
+        op: RequestOp::Shutdown,
+    };
+    let bye = client.call(&shutdown, 3).expect("shutdown");
+    assert!(matches!(bye.payload, ResponsePayload::Bye), "{bye:?}");
+    drop(client);
+    let status = second.exit_status();
+    assert!(status.success(), "{status}");
 }
 
 /// Opens every client's session on `daemon` and scores its whole script
