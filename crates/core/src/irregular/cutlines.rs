@@ -12,7 +12,9 @@
 //! `c` is the grid line between cell columns `c - 1` and `c`, so cuts run
 //! from 0 to `cols` inclusive.
 
-/// Builds the merged, sorted cut positions for one axis.
+/// Builds the merged, sorted cut positions for one axis by sorting the
+/// raw cuts: the oracle the engine's [`merged_cuts_from_counts`] is
+/// tested against.
 ///
 /// `boundary` is the grid extent on this axis (`cols` or `rows`);
 /// `raw_cuts` are the range-boundary positions; `min_gap` is the merge
@@ -22,52 +24,61 @@
 /// The result always starts at 0 and ends at `boundary`, with consecutive
 /// cuts at least `min_gap` apart (except possibly the final interval,
 /// which is kept at least 1 wide).
-#[cfg(test)] // production paths use the in-place variant below
+#[cfg(test)]
 pub(crate) fn merged_cuts(
     boundary: i64,
     raw_cuts: impl IntoIterator<Item = i64>,
     min_gap: i64,
 ) -> Vec<i64> {
-    let mut scratch: Vec<i64> = raw_cuts.into_iter().collect();
-    let mut kept = Vec::new();
-    merged_cuts_into(boundary, &mut scratch, min_gap, &mut kept);
-    kept
-}
-
-/// In-place variant of [`merged_cuts`] for the evaluation engine: `scratch`
-/// holds the raw cut positions (consumed: sorted and filtered in place)
-/// and `kept` receives the merged result, both reusing their existing
-/// capacity so the steady state allocates nothing.
-pub(crate) fn merged_cuts_into(
-    boundary: i64,
-    scratch: &mut Vec<i64>,
-    min_gap: i64,
-    kept: &mut Vec<i64>,
-) {
-    debug_assert!(boundary >= 1, "grid must have at least one cell");
-    debug_assert!(min_gap >= 1, "merge threshold must be at least one cell");
-    scratch.retain(|&c| c > 0 && c < boundary);
-    scratch.sort_unstable();
-    scratch.dedup();
-
-    kept.clear();
-    kept.push(0);
-    for &c in scratch.iter() {
-        // irgrid-lint: allow(P1): `kept` is re-seeded with 0 immediately above
-        if c - kept.last().expect("kept starts non-empty") >= min_gap {
+    let mut interior: Vec<i64> = raw_cuts
+        .into_iter()
+        .filter(|&c| c > 0 && c < boundary)
+        .collect();
+    interior.sort_unstable();
+    interior.dedup();
+    let mut kept = vec![0];
+    for c in interior {
+        if c - kept[kept.len() - 1] >= min_gap {
             kept.push(c);
         }
     }
+    while kept.len() > 1 && boundary - kept[kept.len() - 1] < min_gap {
+        kept.pop();
+    }
+    kept.push(boundary);
+    kept
+}
+
+/// The merged cuts of one axis from its boundary counts: `counts[c]` is
+/// how many range boundaries lie at cut position `c`, for `c` in
+/// `0..=boundary`. The merge depends only on which positions hold a
+/// boundary, so one walk over the counts gives what sorting the raw
+/// cuts gives ([`merged_cuts`]), and `kept` receives it, reusing its
+/// capacity.
+pub(crate) fn merged_cuts_from_counts(counts: &[usize], min_gap: i64, kept: &mut Vec<i64>) {
+    debug_assert!(counts.len() >= 2, "grid must have at least one cell");
+    debug_assert!(min_gap >= 1, "merge threshold must be at least one cell");
+    let boundary = counts.len() as i64 - 1;
+    kept.clear();
+    kept.push(0);
+    let mut last = 0;
+    for (c, &count) in (0_i64..).zip(&counts[..counts.len() - 1]).skip(1) {
+        if count > 0 && c - last >= min_gap {
+            kept.push(c);
+            last = c;
+        }
+    }
     // Close with the boundary; drop interior cuts that crowd it.
-    // irgrid-lint: allow(P1): the `len() > 1` guard keeps `kept` non-empty
-    while kept.len() > 1 && boundary - kept.last().expect("non-empty") < min_gap {
+    while kept.len() > 1 && boundary - kept[kept.len() - 1] < min_gap {
         kept.pop();
     }
     kept.push(boundary);
 }
 
 /// Locates the nearest cut to `pos`, returning its index (ties go to the
-/// lower cut, keeping snapping deterministic).
+/// lower cut, keeping snapping deterministic): the binary search the
+/// engine's [`nearest_cut_table`] is tested against.
+#[cfg(test)]
 pub(crate) fn nearest_cut_index(cuts: &[i64], pos: i64) -> usize {
     debug_assert!(!cuts.is_empty());
     match cuts.binary_search(&pos) {
@@ -88,17 +99,53 @@ pub(crate) fn nearest_cut_index(cuts: &[i64], pos: i64) -> usize {
 
 /// Snaps a cell span `[lo, hi]` (hi exclusive, in cells) to cut indices,
 /// guaranteeing a non-empty span: returns `(ilo, ihi)` with `ilo < ihi`
-/// into `cuts`.
+/// into `cuts`. The binary-search form of [`snap_span_in`], kept as its
+/// oracle.
+#[cfg(test)]
 pub(crate) fn snap_span(cuts: &[i64], lo: i64, hi: i64) -> (usize, usize) {
     debug_assert!(cuts.len() >= 2, "cuts always include both boundaries");
-    let mut ilo = nearest_cut_index(cuts, lo);
-    let mut ihi = nearest_cut_index(cuts, hi);
+    widen(
+        nearest_cut_index(cuts, lo),
+        nearest_cut_index(cuts, hi),
+        cuts.len(),
+    )
+}
+
+/// The index of the cut nearest to every unit position `0..=boundary`
+/// (ties go to the lower cut, keeping snapping deterministic), into
+/// `table`: snapping a span then costs two lookups, not two binary
+/// searches. `cuts` are merged cuts, from 0 to `boundary`.
+pub(crate) fn nearest_cut_table(cuts: &[i64], table: &mut Vec<usize>) {
+    debug_assert!(cuts.len() >= 2, "cuts always include both boundaries");
+    table.clear();
+    let mut i = 0;
+    for pos in 0..=cuts[cuts.len() - 1] {
+        while i + 1 < cuts.len() && cuts[i + 1] <= pos {
+            i += 1;
+        }
+        // `cuts[i] <= pos`, and `pos < cuts[i + 1]` unless `pos` is the
+        // boundary.
+        let up = i + 1 < cuts.len() && pos - cuts[i] > cuts[i + 1] - pos;
+        table.push(if up { i + 1 } else { i });
+    }
+}
+
+/// Snaps a cell span `[lo, hi]` (hi exclusive, in cells, inside the
+/// grid) to cut indices through a [`nearest_cut_table`], guaranteeing a
+/// non-empty span: returns `(ilo, ihi)` with `ilo < ihi`.
+pub(crate) fn snap_span_in(nearest: &[usize], lo: i64, hi: i64) -> (usize, usize) {
+    let at = |pos: i64| nearest[usize::try_from(pos).unwrap_or(usize::MAX)];
+    widen(at(lo), at(hi), nearest[nearest.len() - 1] + 1)
+}
+
+/// Orders two snapped cut indices and widens a collapsed span toward
+/// the side the original span leaned, inside `0..cuts`.
+fn widen(mut ilo: usize, mut ihi: usize, cuts: usize) -> (usize, usize) {
     if ilo > ihi {
         std::mem::swap(&mut ilo, &mut ihi);
     }
     if ilo == ihi {
-        // Collapsed span: widen toward the side the original span leaned.
-        if ihi + 1 < cuts.len() {
+        if ihi + 1 < cuts {
             ihi += 1;
         } else {
             ilo -= 1;
@@ -167,6 +214,46 @@ mod tests {
                 "interior gap {} too small",
                 pair[1] - pair[0]
             );
+        }
+    }
+
+    proptest::proptest! {
+        /// The counts walk keeps exactly the cuts the sort keeps.
+        #[test]
+        fn counts_walk_equals_the_sorted_merge(
+            boundary in 1i64..80,
+            raw in proptest::collection::vec(0i64..80, 0..40),
+            min_gap in 1i64..4,
+        ) {
+            let mut counts = vec![0; boundary as usize + 1];
+            for &c in raw.iter().filter(|&&c| c <= boundary) {
+                counts[c as usize] += 1;
+            }
+            let mut kept = vec![7];
+            merged_cuts_from_counts(&counts, min_gap, &mut kept);
+            let inside = raw.iter().copied().filter(|&c| c <= boundary);
+            proptest::prop_assert_eq!(kept, merged_cuts(boundary, inside, min_gap));
+        }
+    }
+
+    proptest::proptest! {
+        /// Snapping through the table gives the binary search's spans.
+        #[test]
+        fn table_snapping_equals_the_binary_search(
+            boundary in 1i64..60,
+            raw in proptest::collection::vec(0i64..60, 0..20),
+            min_gap in 1i64..4,
+            (a, b) in (0i64..60, 0i64..60),
+        ) {
+            let cuts = merged_cuts(boundary, raw, min_gap);
+            let mut table = vec![9];
+            nearest_cut_table(&cuts, &mut table);
+            for pos in 0..=boundary {
+                proptest::prop_assert_eq!(table[pos as usize], nearest_cut_index(&cuts, pos));
+            }
+            let (lo, hi) = (a.min(b) % (boundary + 1), a.max(b) % (boundary + 1));
+            let (lo, hi) = (lo.min(hi), lo.max(hi));
+            proptest::prop_assert_eq!(snap_span_in(&table, lo, hi), snap_span(&cuts, lo, hi));
         }
     }
 

@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod edit;
 pub mod theory;
 
 mod fixed;
@@ -102,20 +103,23 @@ pub trait SpatialCongestion: CongestionModel {
 /// # Protocol
 ///
 /// `rebase` installs a floorplan as the committed state (full build).
-/// Each move then calls `propose` with the proposal's full segment list;
-/// the session diffs it against the committed state internally. The
-/// caller follows up with exactly one of `commit` (the proposal becomes
-/// the committed state) or `undo` (the proposal is discarded; `undo`
-/// without a pending proposal is a no-op returning the committed cost).
+/// Each move then calls `propose_edits` with the [`edit::Splice`]s that
+/// turn the committed segment list into the proposal's, or `propose`
+/// with the proposal's whole list, which diffs it against the committed
+/// list in one linear pass and calls `propose_edits`. The caller follows
+/// up with exactly one of `commit` (the proposal becomes the committed
+/// state) or `undo` (the proposal is discarded; `undo` without a pending
+/// proposal is a no-op returning the committed cost).
 ///
 /// # Exactness
 ///
-/// `propose` must be **bit-identical** to a from-scratch rebuild: for
+/// A proposal must be **bit-identical** to a from-scratch rebuild: for
 /// any proposal, its cost (and the session's congestion totals) equal
-/// what `rebase` on a *fresh* session would produce for the same input.
-/// Implementations achieve this with integer (fixed-point) accumulation
-/// — see [`num::quantize_probability`] — not with tolerances. A fresh
-/// `rebase` is also what [`CongestionModel::evaluate`] computes, so the
+/// what `rebase` on a *fresh* session would produce for the same list,
+/// however the edits that led there were cut. Implementations achieve
+/// this with integer (fixed-point) accumulation — see
+/// [`num::quantize_probability`] — not with tolerances. A fresh `rebase`
+/// is also what [`CongestionModel::evaluate`] computes, so the
 /// incremental and one-shot scores are the same bits.
 ///
 /// Object-safe so problem types can hold `Box<dyn DeltaCongestionSession>`
@@ -125,10 +129,28 @@ pub trait DeltaCongestionSession: std::fmt::Debug {
     /// and returns its cost. Discards any pending proposal.
     fn rebase(&mut self, chip: &Rect, segments: &[(Point, Point)]) -> f64;
 
-    /// Scores a proposed floorplan incrementally against the committed
-    /// state and returns the proposal's cost. Replaces any pending
-    /// proposal; does not change the committed state.
-    fn propose(&mut self, chip: &Rect, segments: &[(Point, Point)]) -> f64;
+    /// The committed segment list (empty before the first `rebase` or
+    /// `commit`): the list `propose_edits`'s splices index.
+    fn committed_segments(&self) -> &[(Point, Point)];
+
+    /// Scores the committed segment list with `edits` applied, on
+    /// `chip`, incrementally against the committed state, and returns
+    /// the proposal's cost. Replaces any pending proposal; does not
+    /// change the committed state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edits do not fit the committed list (see
+    /// [`edit::check`]).
+    fn propose_edits(&mut self, chip: &Rect, edits: &[edit::Splice<'_>]) -> f64;
+
+    /// Scores a proposed floorplan given as its whole segment list: one
+    /// linear [`edit::diff`] against the committed list, then
+    /// [`propose_edits`](Self::propose_edits).
+    fn propose(&mut self, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
+        let edits = edit::diff(self.committed_segments(), segments);
+        self.propose_edits(chip, &edits)
+    }
 
     /// Promotes the pending proposal to committed state (no-op when no
     /// proposal is pending).
@@ -153,13 +175,17 @@ pub trait DeltaCongestion: CongestionModel {
 }
 
 /// A trivial [`DeltaCongestionSession`] for models without incremental
-/// state: every `propose` is a full [`CongestionModel::evaluate`] and
-/// `undo` replays the remembered committed cost. Exactness is immediate
-/// — the "incremental" path *is* the from-scratch path.
+/// state: every proposal applies its edits to a copy of the committed
+/// list and runs a full [`CongestionModel::evaluate`], and `undo`
+/// replays the remembered committed cost. Exactness is immediate — the
+/// "incremental" path *is* the from-scratch path.
 #[derive(Debug, Clone)]
 pub struct StatelessDeltaSession<M> {
     model: M,
+    committed: Vec<(Point, Point)>,
     committed_cost: f64,
+    /// The pending proposal's list and cost.
+    proposed: Vec<(Point, Point)>,
     proposed_cost: Option<f64>,
 }
 
@@ -168,7 +194,9 @@ impl<M: CongestionModel> StatelessDeltaSession<M> {
     pub fn new(model: M) -> StatelessDeltaSession<M> {
         StatelessDeltaSession {
             model,
+            committed: Vec::new(),
             committed_cost: 0.0,
+            proposed: Vec::new(),
             proposed_cost: None,
         }
     }
@@ -176,19 +204,32 @@ impl<M: CongestionModel> StatelessDeltaSession<M> {
 
 impl<M: CongestionModel + std::fmt::Debug> DeltaCongestionSession for StatelessDeltaSession<M> {
     fn rebase(&mut self, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
+        self.committed.clear();
+        self.committed.extend_from_slice(segments);
         self.committed_cost = self.model.evaluate(chip, segments);
         self.proposed_cost = None;
         self.committed_cost
     }
 
-    fn propose(&mut self, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
-        let cost = self.model.evaluate(chip, segments);
+    fn committed_segments(&self) -> &[(Point, Point)] {
+        &self.committed
+    }
+
+    fn propose_edits(&mut self, chip: &Rect, edits: &[edit::Splice<'_>]) -> f64 {
+        self.proposed.clone_from(&self.committed);
+        let applied = edit::apply(&mut self.proposed, edits);
+        assert!(
+            applied.is_ok(),
+            "proposed edits do not fit the committed list: {applied:?}"
+        );
+        let cost = self.model.evaluate(chip, &self.proposed);
         self.proposed_cost = Some(cost);
         cost
     }
 
     fn commit(&mut self) {
         if let Some(cost) = self.proposed_cost.take() {
+            std::mem::swap(&mut self.committed, &mut self.proposed);
             self.committed_cost = cost;
         }
     }

@@ -59,6 +59,7 @@ impl LzShapeModel {
 
     /// The probability that an L/Z-routed net crosses local cell `(x, y)`
     /// of `range`. Exposed for tests and fine-grained analysis.
+    #[inline]
     #[must_use]
     pub fn cell_probability(range: &RoutingRange, x: i64, y: i64) -> f64 {
         if !range.contains_local(x, y) {

@@ -103,30 +103,35 @@ impl RoutingRange {
     }
 
     /// Chip-grid column of the range's leftmost cell.
+    #[inline]
     #[must_use]
     pub fn x0(&self) -> i64 {
         self.x0
     }
 
     /// Chip-grid row of the range's bottom cell.
+    #[inline]
     #[must_use]
     pub fn y0(&self) -> i64 {
         self.y0
     }
 
     /// Number of columns covered (`g1` in the paper).
+    #[inline]
     #[must_use]
     pub fn g1(&self) -> i64 {
         self.g1
     }
 
     /// Number of rows covered (`g2` in the paper).
+    #[inline]
     #[must_use]
     pub fn g2(&self) -> i64 {
         self.g2
     }
 
     /// The net's pin orientation.
+    #[inline]
     #[must_use]
     pub fn net_type(&self) -> NetType {
         self.net_type
@@ -142,6 +147,7 @@ impl RoutingRange {
     }
 
     /// Whether local cell `(x, y)` lies inside the range.
+    #[inline]
     #[must_use]
     pub fn contains_local(&self, x: i64, y: i64) -> bool {
         (0..self.g1).contains(&x) && (0..self.g2).contains(&y)

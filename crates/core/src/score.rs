@@ -38,10 +38,17 @@ pub fn top_fraction_mean(values: &[f64], fraction: f64) -> f64 {
         return 0.0;
     }
     let take = ((values.len() as f64 * fraction).ceil() as usize).clamp(1, values.len());
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| b.total_cmp(a));
+    // Select the `take` largest values, then sort only those. Values
+    // equal under `total_cmp` have equal bits, so the sum below adds the
+    // same numbers in the same order as a sort of every value would.
+    let mut top = values.to_vec();
+    if take < top.len() {
+        top.select_nth_unstable_by(take - 1, |a, b| b.total_cmp(a));
+        top.truncate(take);
+    }
+    top.sort_by(|a, b| b.total_cmp(a));
     // irgrid-lint: allow(D2): serial in-order sum over the sorted top slice; one fixed order
-    sorted[..take].iter().sum::<f64>() / take as f64
+    top.iter().sum::<f64>() / take as f64
 }
 
 /// Area-weighted mean density over the most congested `fraction` of the
@@ -50,6 +57,7 @@ pub fn top_fraction_mean(values: &[f64], fraction: f64) -> f64 {
 /// `cells` holds `(density, area)` pairs. Cells are taken in decreasing
 /// density order until `fraction` of the total area is covered; the last
 /// cell is taken partially so exactly the target area is averaged.
+/// Cells of equal density are taken in their order in `cells`.
 ///
 /// # Panics
 ///
@@ -69,19 +77,33 @@ pub fn top_fraction_mean(values: &[f64], fraction: f64) -> f64 {
 /// ```
 #[must_use]
 pub fn top_area_fraction_mean(cells: &[(f64, f64)], fraction: f64) -> f64 {
-    let mut sorted = cells.to_vec();
-    top_area_fraction_mean_in_place(&mut sorted, fraction)
+    top_area_fraction_mean_with(cells, fraction, &mut Vec::new())
 }
 
-/// [`top_area_fraction_mean`] sorting the caller's buffer in place, so a
-/// reused buffer can be scored without allocating. Identical result
-/// (same stable sort, same accumulation order).
+/// Window size below which the selection stops narrowing and sorts.
+const SELECT_WINDOW: usize = 16;
+
+/// [`top_area_fraction_mean`] with a caller-owned index buffer, so a
+/// reused buffer scores without allocating.
+///
+/// Only the cells the fraction can reach are sorted. A selection in
+/// linear expected time narrows `order` to a prefix of the visiting
+/// order that covers the target area: every cell left out is less dense
+/// than every cell kept. The kept cells are sorted by decreasing density
+/// and then by index, which is the order the definition visits them in,
+/// so every product and sum happens in the same order and the result is
+/// the same bits. Should rounding leave area to take after them, the
+/// rest follow in the same order.
 ///
 /// # Panics
 ///
 /// Panics if `fraction` is not in `(0, 1]` or any area is negative.
 #[must_use]
-pub fn top_area_fraction_mean_in_place(cells: &mut [(f64, f64)], fraction: f64) -> f64 {
+pub fn top_area_fraction_mean_with(
+    cells: &[(f64, f64)],
+    fraction: f64,
+    order: &mut Vec<usize>,
+) -> f64 {
     assert!(
         fraction > 0.0 && fraction <= 1.0,
         "fraction must be in (0, 1], got {fraction}"
@@ -97,10 +119,42 @@ pub fn top_area_fraction_mean_in_place(cells: &mut [(f64, f64)], fraction: f64) 
         return 0.0;
     }
     let target = total_area * fraction;
-    cells.sort_by(|a, b| b.0.total_cmp(&a.0));
+    order.clear();
+    order.extend(0..cells.len());
+    // `order[..lo]` holds cells denser than the window `order[lo..hi]`
+    // with `above` area; `order[hi..]` holds cells less dense than it.
+    let (mut lo, mut hi, mut above) = (0, order.len(), 0.0);
+    while hi - lo > SELECT_WINDOW {
+        let pivot = cells[order[lo + (hi - lo) / 2]].0;
+        let (denser, equal, denser_area, equal_area) =
+            partition_around(&mut order[lo..hi], cells, pivot);
+        if above + denser_area >= target {
+            hi = lo + denser;
+        } else if above + denser_area + equal_area >= target {
+            hi = lo + denser + equal;
+            break;
+        } else {
+            above += denser_area + equal_area;
+            lo += denser + equal;
+        }
+    }
+    let visiting = |&i: &usize, &j: &usize| cells[j].0.total_cmp(&cells[i].0).then(i.cmp(&j));
+    let (kept, rest) = order.split_at_mut(hi);
+    kept.sort_unstable_by(visiting);
     let mut remaining = target;
     let mut weighted = 0.0;
-    for &(density, area) in cells.iter() {
+    for &i in kept.iter() {
+        let (density, area) = cells[i];
+        let take = area.min(remaining);
+        weighted += density * take;
+        remaining -= take;
+        if remaining <= 0.0 {
+            return weighted / target;
+        }
+    }
+    rest.sort_unstable_by(visiting);
+    for &i in rest.iter() {
+        let (density, area) = cells[i];
         let take = area.min(remaining);
         weighted += density * take;
         remaining -= take;
@@ -111,9 +165,110 @@ pub fn top_area_fraction_mean_in_place(cells: &mut [(f64, f64)], fraction: f64) 
     weighted / target
 }
 
+/// Partitions `order` into cells denser than `pivot`, cells as dense,
+/// and cells less dense, in that order (densities compared by
+/// `total_cmp`). Returns the first two parts' sizes and areas.
+fn partition_around(
+    order: &mut [usize],
+    cells: &[(f64, f64)],
+    pivot: f64,
+) -> (usize, usize, f64, f64) {
+    let (mut denser, mut next, mut less) = (0, 0, order.len());
+    let (mut denser_area, mut equal_area) = (0.0, 0.0);
+    while next < less {
+        let (density, area) = cells[order[next]];
+        match density.total_cmp(&pivot) {
+            std::cmp::Ordering::Greater => {
+                order.swap(denser, next);
+                denser += 1;
+                next += 1;
+                denser_area += area;
+            }
+            std::cmp::Ordering::Equal => {
+                next += 1;
+                equal_area += area;
+            }
+            std::cmp::Ordering::Less => {
+                less -= 1;
+                order.swap(next, less);
+            }
+        }
+    }
+    (denser, next - denser, denser_area, equal_area)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`top_fraction_mean`] by sorting every value: the oracle.
+    fn sorted_top_fraction_mean(values: &[f64], fraction: f64) -> f64 {
+        if values.is_empty() {
+            return 0.0;
+        }
+        let take = ((values.len() as f64 * fraction).ceil() as usize).clamp(1, values.len());
+        let mut sorted = values.to_vec();
+        sorted.sort_by(|a, b| b.total_cmp(a));
+        sorted[..take].iter().sum::<f64>() / take as f64
+    }
+
+    /// [`top_area_fraction_mean`] by stable-sorting every cell: the
+    /// oracle.
+    fn sorted_top_area_fraction_mean(cells: &[(f64, f64)], fraction: f64) -> f64 {
+        let total_area: f64 = cells.iter().map(|&(_, a)| a).sum();
+        if total_area <= 0.0 {
+            return 0.0;
+        }
+        let target = total_area * fraction;
+        let mut sorted = cells.to_vec();
+        sorted.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let mut remaining = target;
+        let mut weighted = 0.0;
+        for &(density, area) in &sorted {
+            let take = area.min(remaining);
+            weighted += density * take;
+            remaining -= take;
+            if remaining <= 0.0 {
+                break;
+            }
+        }
+        weighted / target
+    }
+
+    /// Densities drawn from a few repeated values and areas that are
+    /// often zero, so ties and empty cells are common.
+    fn arb_cells() -> impl Strategy<Value = Vec<(f64, f64)>> {
+        let density = prop_oneof![(0u8..6).prop_map(|k| f64::from(k) * 0.25), 0.0f64..3.0,];
+        let area = prop_oneof![Just(0.0), (1u8..9).prop_map(f64::from), 0.0f64..5.0];
+        proptest::collection::vec((density, area), 0..120)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Selection gives the sorting oracles' bits, both scores.
+        #[test]
+        fn selection_equals_the_sorting_oracles_bit_for_bit(
+            cells in arb_cells(),
+            fraction in prop_oneof![Just(1.0), Just(TOP_FRACTION), 0.0001f64..=1.0],
+        ) {
+            let mut order = vec![3, 1];
+            prop_assert_eq!(
+                top_area_fraction_mean_with(&cells, fraction, &mut order).to_bits(),
+                sorted_top_area_fraction_mean(&cells, fraction).to_bits()
+            );
+            prop_assert_eq!(
+                top_area_fraction_mean(&cells, fraction).to_bits(),
+                sorted_top_area_fraction_mean(&cells, fraction).to_bits()
+            );
+            let values: Vec<f64> = cells.iter().map(|&(density, _)| density).collect();
+            prop_assert_eq!(
+                top_fraction_mean(&values, fraction).to_bits(),
+                sorted_top_fraction_mean(&values, fraction).to_bits()
+            );
+        }
+    }
 
     #[test]
     fn top_fraction_takes_at_least_one() {

@@ -10,7 +10,11 @@
 //! check both the returned cost and the committed quantized congestion
 //! state against a from-scratch evaluation after every move.
 
-use irgrid_core::{DeltaCongestion, DeltaCongestionSession, IrDeltaEvaluator, IrregularGridModel};
+use irgrid_core::edit::Splice;
+use irgrid_core::{
+    CongestionModel, DeltaCongestion, DeltaCongestionSession, FixedGridModel, IrDeltaEvaluator,
+    IrregularGridModel,
+};
 use irgrid_geom::{Point, Rect, Um};
 use proptest::prelude::*;
 
@@ -171,6 +175,218 @@ proptest! {
                 let restored = warm.undo();
                 prop_assert_eq!(restored.to_bits(), fresh_cost(&chip, &committed).to_bits());
             }
+        }
+    }
+}
+
+/// Net slots of the edit-sequence property: `None` is an absent net. The
+/// scored list holds the present nets' segments back to back in slot
+/// order, as the floorplanner lays them out.
+type Nets = Vec<Option<Vec<(Point, Point)>>>;
+
+fn flatten(nets: &Nets) -> Vec<(Point, Point)> {
+    nets.iter().flatten().flatten().copied().collect()
+}
+
+/// One net edit of the edit-sequence property.
+#[derive(Debug, Clone)]
+struct NetEdit {
+    slot: usize,
+    /// 0 adds or replaces the net with `segments`, 1 removes it, 2
+    /// empties it, 3 splits it into its old segments plus `segments`
+    /// (more segments), 4 keeps its first segment only (fewer),
+    /// otherwise nudges every endpoint by `nudge`.
+    kind: u8,
+    segments: Vec<(Point, Point)>,
+    nudge: (i64, i64),
+}
+
+/// One step of the edit-sequence property: up to three net edits and a
+/// chip resize, then the accept decision and whether to run an undo →
+/// re-propose chain first.
+#[derive(Debug, Clone)]
+struct NetStep {
+    edits: Vec<NetEdit>,
+    /// Chip growth (or shrink) in µm; crosses a unit-grid boundary when
+    /// it moves `ceil(side / pitch)`.
+    resize: (i64, i64),
+    /// Also send a splice for an unchanged net.
+    idle_splice: bool,
+    accept: bool,
+    double_propose: bool,
+}
+
+fn arb_net_step(w: i64, h: i64) -> impl Strategy<Value = NetStep> {
+    let edit = (
+        0usize..8,
+        0u8..8,
+        proptest::collection::vec(arb_segment(w, h), 0..4),
+        (-20i64..20, -20i64..20),
+    )
+        .prop_map(|(slot, kind, segments, nudge)| NetEdit {
+            slot,
+            kind,
+            segments,
+            nudge,
+        });
+    (
+        proptest::collection::vec(edit, 1..4),
+        prop_oneof![Just((0, 0)), (-40i64..40, -40i64..40)],
+        0u8..4,
+        0u8..2,
+        0u8..2,
+    )
+        .prop_map(|(edits, resize, idle, accept, double_propose)| NetStep {
+            edits,
+            resize,
+            idle_splice: idle == 0,
+            accept: accept == 1,
+            double_propose: double_propose == 1,
+        })
+}
+
+/// Applies a step's net edits to a copy of `nets`.
+fn edit_nets(nets: &Nets, step: &NetStep) -> Nets {
+    let mut next = nets.clone();
+    for NetEdit {
+        slot,
+        kind,
+        segments,
+        nudge: (dx, dy),
+    } in &step.edits
+    {
+        let net = &mut next[*slot];
+        let nudge = |p: Point| Point::new(Um(p.x.0 + dx).max(Um(0)), Um(p.y.0 + dy).max(Um(0)));
+        *net = match (*kind, net.take()) {
+            (0, _) => Some(segments.clone()),
+            (1, _) => None,
+            (2, _) => Some(Vec::new()),
+            (3, old) => Some(
+                old.unwrap_or_default()
+                    .into_iter()
+                    .chain(segments.iter().copied())
+                    .collect(),
+            ),
+            (4, old) => Some(old.unwrap_or_default().into_iter().take(1).collect()),
+            (_, old) => old.map(|old| old.into_iter().map(|(a, b)| (nudge(a), nudge(b))).collect()),
+        };
+    }
+    next
+}
+
+/// One splice per net whose segments changed, at the net's place in the
+/// committed list (and, with `idle`, one for the first unchanged net).
+fn net_splices<'a>(from: &Nets, to: &'a Nets, idle: bool) -> Vec<Splice<'a>> {
+    let mut splices = Vec::new();
+    let (mut start, mut idle) = (0, idle);
+    for (old, new) in from.iter().zip(to) {
+        let old = old.as_deref().unwrap_or_default();
+        let new = new.as_deref().unwrap_or_default();
+        if old != new || std::mem::take(&mut idle) {
+            splices.push(Splice {
+                start,
+                remove: old.len(),
+                insert: new,
+            });
+        }
+        start += old.len();
+    }
+    splices
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Edit sequences over nets — added, removed, emptied, split into
+    /// more or fewer segments, nudged, on a chip resized across
+    /// unit-grid boundaries — under accept, undo and double-propose
+    /// chains: the edit form, the whole-list wrapper and a fresh rebase
+    /// agree in cost bits and in the committed map after every step, and
+    /// the same edits through the stateless session equal `evaluate`.
+    #[test]
+    fn net_edit_sequences_agree_with_the_wrapper_and_a_fresh_rebase(
+        (w, h, initial, steps) in (60i64..300, 60i64..300).prop_flat_map(|(w, h)| {
+            (
+                Just(w),
+                Just(h),
+                proptest::collection::vec(
+                    prop_oneof![
+                        Just(None),
+                        proptest::collection::vec(arb_segment(w, h), 0..4).prop_map(Some),
+                    ],
+                    8,
+                ),
+                proptest::collection::vec(arb_net_step(w, h), 1..16),
+            )
+        })
+    ) {
+        let mut nets: Nets = initial;
+        let mut chip = Rect::new(Point::ORIGIN, Point::new(Um(w), Um(h)));
+        let model = IrregularGridModel::new(PITCH);
+        let fixed = FixedGridModel::new(PITCH);
+        let mut edited = model.delta_session();
+        let mut whole = model.delta_session();
+        let mut stateless = fixed.delta_session();
+        let start = flatten(&nets);
+        edited.rebase(&chip, &start);
+        whole.rebase(&chip, &start);
+        stateless.rebase(&chip, &start);
+
+        for (index, step) in steps.iter().enumerate() {
+            let next = edit_nets(&nets, step);
+            let flat = flatten(&next);
+            let next_chip = Rect::new(
+                Point::ORIGIN,
+                Point::new(
+                    (chip.width() + Um(step.resize.0)).max(Um(30)),
+                    (chip.height() + Um(step.resize.1)).max(Um(30)),
+                ),
+            );
+            let splices = net_splices(&nets, &next, step.idle_splice);
+            let scratch = fresh_cost(&next_chip, &flat);
+            if step.double_propose {
+                let first = edited.propose_edits(&next_chip, &splices);
+                prop_assert_eq!(edited.undo().to_bits(), fresh_cost(&chip, &flatten(&nets)).to_bits());
+                prop_assert_eq!(first.to_bits(), scratch.to_bits(), "step {}: first proposal", index);
+            }
+            let by_edits = edited.propose_edits(&next_chip, &splices);
+            let by_list = whole.propose(&next_chip, &flat);
+            prop_assert_eq!(by_edits.to_bits(), scratch.to_bits(), "step {}: edits vs scratch", index);
+            prop_assert_eq!(by_list.to_bits(), scratch.to_bits(), "step {}: list vs scratch", index);
+            let stateless_cost = stateless.propose_edits(&next_chip, &splices);
+            prop_assert_eq!(
+                stateless_cost.to_bits(),
+                fixed.evaluate(&next_chip, &flat).to_bits(),
+                "step {}: stateless vs evaluate", index
+            );
+
+            if step.accept {
+                edited.commit();
+                whole.commit();
+                stateless.commit();
+                nets = next;
+                chip = next_chip;
+            } else {
+                let committed = fresh_cost(&chip, &flatten(&nets));
+                prop_assert_eq!(edited.undo().to_bits(), committed.to_bits());
+                prop_assert_eq!(whole.undo().to_bits(), committed.to_bits());
+                prop_assert_eq!(
+                    stateless.undo().to_bits(),
+                    fixed.evaluate(&chip, &flatten(&nets)).to_bits()
+                );
+            }
+            let committed = flatten(&nets);
+            prop_assert_eq!(edited.committed_segments(), &committed[..]);
+            prop_assert_eq!(stateless.committed_segments(), &committed[..]);
+            let mut reference = model.delta_session();
+            reference.rebase(&chip, &committed);
+            prop_assert_eq!(edited.quantized(), reference.quantized(), "step {}: edits map", index);
+            prop_assert_eq!(whole.quantized(), reference.quantized(), "step {}: list map", index);
+            prop_assert_eq!(
+                edited.committed_fingerprint(),
+                reference.committed_fingerprint(),
+                "step {}: fingerprint", index
+            );
         }
     }
 }

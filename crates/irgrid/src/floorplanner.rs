@@ -12,6 +12,7 @@
 //! congestion (~10⁻¹).
 
 use irgrid_anneal::{DeltaProblem, Problem};
+use irgrid_core::edit::Splice;
 use irgrid_core::{CongestionModel, DeltaCongestion, DeltaCongestionSession};
 use std::cell::RefCell;
 use std::fmt;
@@ -177,15 +178,16 @@ struct DeltaState<R> {
     net_mark: Vec<bool>,
     /// Per-net 2-pin segments of the committed (or pending) placement.
     net_segments: Vec<Vec<(Point, Point)>>,
+    /// Index of each net's first segment in the session's committed list,
+    /// which holds the nets' segments back to back in net order — the
+    /// order [`two_pin_segments`] produces, so the session scores the
+    /// list a from-scratch evaluation would.
+    net_start: Vec<usize>,
     /// Per-net Manhattan wirelength; integer µm, so incremental updates
     /// are exact and order-independent.
     net_wire: Vec<Um>,
     wire_total: Um,
     placement: Placement,
-    /// Flattened segments in net order — the same order
-    /// [`two_pin_segments`] produces, so the session scores the same
-    /// list a from-scratch evaluation would.
-    flat: Vec<(Point, Point)>,
     /// Pin-placement and Prim buffers shared by every re-decomposed net.
     scratch: NetScratch,
     /// The nets the pending move re-decomposes, ascending.
@@ -196,6 +198,19 @@ struct DeltaState<R> {
     /// The re-decomposed nets' old segments, back to back.
     saved_segments: Vec<(Point, Point)>,
     journal: Option<Journal<R>>,
+}
+
+impl<R> DeltaState<R> {
+    /// Sets `net_start` from the per-net segment counts, from net
+    /// `first` on; the starts before it, and `first`'s own, are kept.
+    fn count_starts_from(&mut self, first: usize) {
+        let mut at = self.net_start.get(first).copied().unwrap_or(0);
+        self.net_start.truncate(first);
+        for segments in &self.net_segments[first..] {
+            self.net_start.push(at);
+            at += segments.len();
+        }
+    }
 }
 
 /// What one `propose` overwrote besides the saved nets, for exact
@@ -413,22 +428,11 @@ impl<'c, M: DeltaCongestion, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
         scratch.decompose(members, &self.placer, Decomposition::Mst, segments)
     }
 
-    /// Scores the pending flat segment list: congestion through the delta
-    /// session (when one is attached) plus the combined cost.
-    fn delta_cost(&self, delta: &mut DeltaState<R>, propose: bool) -> (f64, bool) {
-        let chip = delta.placement.chip();
-        delta.flat.clear();
-        for segments in &delta.net_segments {
-            delta.flat.extend_from_slice(segments);
-        }
-        let (congestion, session_used) = match delta.session.as_mut() {
-            Some(session) if propose => (session.propose(&chip, &delta.flat), true),
-            Some(session) => (session.rebase(&chip, &delta.flat), true),
-            None => (0.0, false),
-        };
+    /// The combined cost of the pending placement and wirelength, given
+    /// its congestion score.
+    fn delta_cost(&self, delta: &DeltaState<R>, congestion: f64) -> f64 {
         let area = delta.placement.area().as_f64();
-        let cost = self.combine(area, delta.wire_total.as_f64(), congestion);
-        (cost, session_used)
+        self.combine(area, delta.wire_total.as_f64(), congestion)
     }
 }
 
@@ -463,10 +467,10 @@ impl<'c, M: DeltaCongestion, R: FloorplanRepr> DeltaProblem for FloorplanProblem
             module_nets,
             net_mark: vec![false; nets.len()],
             net_segments: Vec::with_capacity(nets.len()),
+            net_start: Vec::with_capacity(nets.len()),
             net_wire: Vec::with_capacity(nets.len()),
             wire_total: Um::ZERO,
             placement,
-            flat: Vec::new(),
             scratch: NetScratch::default(),
             changed_nets: Vec::new(),
             saved_nets: Vec::new(),
@@ -482,7 +486,16 @@ impl<'c, M: DeltaCongestion, R: FloorplanRepr> DeltaProblem for FloorplanProblem
             delta.net_segments.push(segments.clone());
             delta.net_wire.push(wire);
         }
-        let (cost, _) = self.delta_cost(&mut delta, false);
+        delta.count_starts_from(0);
+        let congestion = match delta.session.as_mut() {
+            Some(session) => {
+                let flat: Vec<(Point, Point)> =
+                    delta.net_segments.iter().flatten().copied().collect();
+                session.rebase(&delta.placement.chip(), &flat)
+            }
+            None => 0.0,
+        };
+        let cost = self.delta_cost(&delta, congestion);
         *self.delta.borrow_mut() = Some(delta);
         cost
     }
@@ -533,7 +546,29 @@ impl<'c, M: DeltaCongestion, R: FloorplanRepr> DeltaProblem for FloorplanProblem
             delta.wire_total += wire - old_wire;
         }
 
-        let (cost, session_proposed) = self.delta_cost(delta, true);
+        // One splice per re-decomposed net whose segments changed, at
+        // the net's place in the session's committed list.
+        let (congestion, session_proposed) = match delta.session.as_mut() {
+            Some(session) => {
+                let mut edits = Vec::with_capacity(delta.saved_nets.len());
+                let mut start = 0;
+                for &(n, _, end) in &delta.saved_nets {
+                    let old = &delta.saved_segments[start..end];
+                    let new = &delta.net_segments[n];
+                    if old != &new[..] {
+                        edits.push(Splice {
+                            start: delta.net_start[n],
+                            remove: old.len(),
+                            insert: new,
+                        });
+                    }
+                    start = end;
+                }
+                (session.propose_edits(&delta.placement.chip(), &edits), true)
+            }
+            None => (0.0, false),
+        };
+        let cost = self.delta_cost(delta, congestion);
         delta.journal = Some(Journal {
             prev_repr,
             prev_placement,
@@ -551,6 +586,17 @@ impl<'c, M: DeltaCongestion, R: FloorplanRepr> DeltaProblem for FloorplanProblem
                     if let Some(session) = delta.session.as_mut() {
                         session.commit();
                     }
+                }
+                // A net whose segment count changed moves the starts of
+                // every net after it.
+                let mut start = 0;
+                let recount = delta.saved_nets.iter().find_map(|&(n, _, end)| {
+                    let old_len = end - start;
+                    start = end;
+                    (old_len != delta.net_segments[n].len()).then_some(n)
+                });
+                if let Some(first) = recount {
+                    delta.count_starts_from(first);
                 }
             }
         }

@@ -659,6 +659,79 @@ mod tests {
     }
 
     #[test]
+    fn a_state_past_the_grid_bound_is_refused_in_both_codecs_and_the_connection_keeps_serving() {
+        use crate::protocol::{FloorplanState, SessionConfig};
+        use crate::session::MAX_GRID_CELLS_PER_AXIS;
+        let handle = temp_server("grid_bound", Limits::default());
+        for codec in [FrameCodec::Jsonl, FrameCodec::Binary] {
+            let session = format!("grid-{codec:?}");
+            let mut stream = connect(&handle);
+            if codec == FrameCodec::Binary {
+                stream.write_all(&BINARY_MAGIC).expect("magic");
+            }
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut call = |id: &str, op: RequestOp| {
+                let request = Request {
+                    id: id.into(),
+                    session: session.clone(),
+                    op,
+                };
+                stream
+                    .write_all(&request_frame(codec, &request))
+                    .expect("send");
+                let payload = read_frame(&mut reader, codec, 1 << 20, &mut || true)
+                    .unwrap_or_else(|err| panic!("{codec:?} reply: {err:?}"));
+                parse_response_payload(&payload).expect("parse response")
+            };
+            let config = SessionConfig::default_config();
+            let opened = call("o", RequestOp::OpenDelta { config });
+            assert!(opened.ok, "{codec:?}: {opened:?}");
+            let propose = |side: i64| RequestOp::Propose {
+                state: FloorplanState {
+                    chip: [side, 600],
+                    segments: vec![[0, 0, side, 600], [side / 2, 10, 20, 590]],
+                },
+            };
+            // A side of 2^40 µm asks for a 36 650 387 593-column grid.
+            let refused = call("far", propose(1 << 40));
+            match &refused.payload {
+                ResponsePayload::Error {
+                    kind: ErrorKind::InvalidRequest,
+                    message,
+                    retryable: false,
+                } => assert!(
+                    message.contains("36650387593x20 unit grid")
+                        && message.contains("65536 cells per axis"),
+                    "{codec:?}: {message}"
+                ),
+                other => panic!("{codec:?}: {other:?}"),
+            }
+            let pong = call("ping", RequestOp::Ping);
+            assert!(matches!(pong.payload, ResponsePayload::Pong), "{codec:?}");
+            // A grid of exactly the bound is scored, one cell more is not.
+            let at_bound = call("at", propose(MAX_GRID_CELLS_PER_AXIS * 30));
+            assert!(
+                matches!(at_bound.payload, ResponsePayload::Proposed { .. }),
+                "{codec:?}: {at_bound:?}"
+            );
+            let past = call("past", propose(MAX_GRID_CELLS_PER_AXIS * 30 + 1));
+            assert!(
+                matches!(
+                    past.payload,
+                    ResponsePayload::Error {
+                        kind: ErrorKind::InvalidRequest,
+                        retryable: false,
+                        ..
+                    }
+                ),
+                "{codec:?}: {past:?}"
+            );
+        }
+        handle.manager().request_shutdown();
+        handle.join();
+    }
+
+    #[test]
     fn reaping_joins_finished_threads_and_keeps_running_ones() {
         let (release, wait) = mpsc::channel::<()>();
         let running = thread::spawn(move || {

@@ -50,6 +50,7 @@
 //! was mutated.
 
 use irgrid_anneal::RunControl;
+use irgrid_core::edit;
 use irgrid_core::{DeltaCongestion, DeltaCongestionSession, IrDeltaEvaluator, IrregularGridModel};
 use irgrid_fleet::state_digest;
 use irgrid_geom::{Point, Rect, Um};
@@ -183,12 +184,7 @@ impl SessionState {
     /// Applies one commit-log record: the next commit, as
     /// [`Session::apply_commit`] applied it.
     fn replay(&mut self, record: LogRecord, ring: usize) -> Result<(), String> {
-        let committed = self.committed.get_or_insert_with(|| FloorplanState {
-            chip: record.chip,
-            segments: Vec::new(),
-        });
-        Splice::apply_all(&mut committed.segments, &record.splices)?;
-        committed.chip = record.chip;
+        Splice::apply_to(&mut self.committed, record.chip, &record.splices)?;
         let journal = CommitRecord {
             seq: record.seq,
             digest: record.digest.clone(),
@@ -237,51 +233,26 @@ pub struct Splice {
 }
 
 impl Splice {
-    /// The splices that turn `from` into `to`, from one linear pass: the
-    /// runs of changed indices when the counts are equal, otherwise one
-    /// splice between the common prefix and the common suffix. Equal
-    /// lists give no splice.
-    #[must_use]
+    /// The splices that turn `from` into `to`, from one linear pass
+    /// ([`edit::diff`]): the runs of changed indices when the counts
+    /// are equal, otherwise one splice between the common prefix and the
+    /// common suffix. Equal lists give no splice.
+    #[cfg(test)]
     pub(crate) fn diff(from: &[[i64; 4]], to: &[[i64; 4]]) -> Vec<Splice> {
-        let splice = |start: usize, remove: usize, insert: &[[i64; 4]]| Splice {
-            start: start as u64,
-            remove: remove as u64,
-            insert: insert.to_vec(),
-        };
-        if from.len() == to.len() {
-            let mut splices = Vec::new();
-            let mut run: Option<usize> = None;
-            for (index, (old, new)) in from.iter().zip(to).enumerate() {
-                match (old == new, run) {
-                    (false, None) => run = Some(index),
-                    (true, Some(start)) => {
-                        splices.push(splice(start, index - start, &to[start..index]));
-                        run = None;
-                    }
-                    _ => {}
-                }
-            }
-            if let Some(start) = run {
-                splices.push(splice(start, to.len() - start, &to[start..]));
-            }
-            return splices;
+        edit::diff(from, to).iter().map(Splice::owned).collect()
+    }
+
+    /// An owned copy of an edit.
+    fn owned(edit: &edit::Splice<'_, [i64; 4]>) -> Splice {
+        Splice {
+            start: edit.start as u64,
+            remove: edit.remove as u64,
+            insert: edit.insert.to_vec(),
         }
-        let prefix = from.iter().zip(to).take_while(|(a, b)| a == b).count();
-        let suffix = from[prefix..]
-            .iter()
-            .rev()
-            .zip(to[prefix..].iter().rev())
-            .take_while(|(a, b)| a == b)
-            .count();
-        vec![splice(
-            prefix,
-            from.len() - prefix - suffix,
-            &to[prefix..to.len() - suffix],
-        )]
     }
 
     /// Applies `splices`, whose indices refer to `segments` as it is
-    /// before any of them, in place.
+    /// before any of them, in place ([`edit::apply`]).
     ///
     /// # Errors
     ///
@@ -291,29 +262,34 @@ impl Splice {
         segments: &mut Vec<[i64; 4]>,
         splices: &[Splice],
     ) -> Result<(), String> {
-        let mut floor = 0u64;
-        for splice in splices {
-            let end = splice.start.checked_add(splice.remove);
-            match end {
-                Some(end) if splice.start >= floor && end <= segments.len() as u64 => floor = end,
-                _ => {
-                    return Err(format!(
-                        "splice of {} at {} does not fit {} segments after index {floor}",
-                        splice.remove,
-                        splice.start,
-                        segments.len()
-                    ))
-                }
-            }
-        }
-        // Last first, so every start still indexes the original list.
-        for splice in splices.iter().rev() {
-            let start = splice.start as usize;
-            segments.splice(
-                start..start + splice.remove as usize,
-                splice.insert.iter().copied(),
-            );
-        }
+        let edits: Vec<edit::Splice<'_, [i64; 4]>> = splices
+            .iter()
+            .map(|splice| edit::Splice {
+                start: usize::try_from(splice.start).unwrap_or(usize::MAX),
+                remove: usize::try_from(splice.remove).unwrap_or(usize::MAX),
+                insert: &splice.insert,
+            })
+            .collect();
+        edit::apply(segments, &edits).map_err(|err| err.to_string())
+    }
+
+    /// Moves a committed state (none before the first commit) to `chip`
+    /// with `splices` applied.
+    ///
+    /// # Errors
+    ///
+    /// A splice that does not fit; `committed` is then untouched.
+    fn apply_to(
+        committed: &mut Option<FloorplanState>,
+        chip: [i64; 2],
+        splices: &[Splice],
+    ) -> Result<(), String> {
+        let state = committed.get_or_insert_with(|| FloorplanState {
+            chip,
+            segments: Vec::new(),
+        });
+        Splice::apply_all(&mut state.segments, splices)?;
+        state.chip = chip;
         Ok(())
     }
 }
@@ -448,12 +424,23 @@ impl EvalFailure {
 }
 
 /// The proposal currently armed for commit. Mirrors the evaluator's
-/// internal proposed snapshot.
+/// internal proposal: the splices that turn the committed segment list
+/// into the proposed one, which are also what the commit logs.
 #[derive(Debug, Clone)]
 struct PendingProposal {
-    state: FloorplanState,
+    chip: [i64; 2],
+    splices: Vec<Splice>,
     digest: String,
     score: f64,
+}
+
+impl PendingProposal {
+    /// Moves `committed` to the state this proposal's commit leaves.
+    fn apply_to(&self, committed: &mut Option<FloorplanState>) {
+        if let Err(why) = Splice::apply_to(committed, self.chip, &self.splices) {
+            unreachable!("a proposal's splices are diffed from the committed list: {why}")
+        }
+    }
 }
 
 /// A live session: persistent record plus the session-resident
@@ -567,7 +554,7 @@ impl Session {
         let pitch = Um(state.config.pitch_um.max(1));
         let mut evaluator = IrregularGridModel::new(pitch).delta_session();
         if let Some(committed) = &state.committed {
-            let (chip, segments) = to_geometry(committed)
+            let (chip, segments) = to_geometry(committed, pitch)
                 .map_err(|why| format!("recovered committed state is invalid: {why}"))?;
             let cost = evaluator.rebase(&chip, &segments);
             let tail = state
@@ -670,6 +657,11 @@ impl Session {
     /// for commit, returning its `(digest, score)`. Pure with respect to
     /// persistent state — nothing to persist, nothing to record.
     ///
+    /// The candidate is diffed against the committed segment list once;
+    /// the evaluator scores those splices, and the commit logs them. On
+    /// the committed chip only the inserted segments are bounds-checked:
+    /// the others passed when they were proposed.
+    ///
     /// # Errors
     ///
     /// [`EvalFailure`] on invalid geometry or an expired deadline.
@@ -678,8 +670,28 @@ impl Session {
         state: &FloorplanState,
         control: &RunControl,
     ) -> Result<(String, f64), EvalFailure> {
-        let (chip, segments) = to_geometry(state)
-            .map_err(|why| EvalFailure::new(ErrorKind::InvalidRequest, why, false))?;
+        let invalid = |why| EvalFailure::new(ErrorKind::InvalidRequest, why, false);
+        let chip = check_chip(state.chip, self.pitch()).map_err(invalid)?;
+        let committed = self.state.committed.as_ref();
+        let edits = edit::diff(
+            committed.map_or(&[][..], |committed| &committed.segments[..]),
+            &state.segments,
+        );
+        if committed.is_some_and(|committed| committed.chip == state.chip) {
+            // Where each splice's segments land in the proposed list.
+            let (mut removed, mut inserted) = (0, 0);
+            for splice in &edits {
+                let at = splice.start - removed + inserted;
+                for (index, segment) in (at..).zip(splice.insert) {
+                    check_segment(index, segment, state.chip).map_err(invalid)?;
+                }
+                (removed, inserted) = (removed + splice.remove, inserted + splice.insert.len());
+            }
+        } else {
+            for (index, segment) in state.segments.iter().enumerate() {
+                check_segment(index, segment, state.chip).map_err(invalid)?;
+            }
+        }
         if control.deadline_hit() || control.cancel_hit() {
             return Err(EvalFailure::new(
                 ErrorKind::Timeout,
@@ -688,13 +700,36 @@ impl Session {
             ));
         }
         let digest = state_digest(state);
-        let score = self.evaluator.propose(&chip, &segments);
+        let inserted: Vec<(Point, Point)> = edits
+            .iter()
+            .flat_map(|splice| splice.insert.iter().map(to_points))
+            .collect();
+        let mut at = 0;
+        let splices: Vec<edit::Splice<'_>> = edits
+            .iter()
+            .map(|splice| {
+                let insert = &inserted[at..at + splice.insert.len()];
+                at += splice.insert.len();
+                edit::Splice {
+                    start: splice.start,
+                    remove: splice.remove,
+                    insert,
+                }
+            })
+            .collect();
+        let score = self.evaluator.propose_edits(&chip, &splices);
         self.pending = Some(PendingProposal {
-            state: state.clone(),
+            chip: state.chip,
+            splices: edits.iter().map(Splice::owned).collect(),
             digest: digest.clone(),
             score,
         });
         Ok((digest, score))
+    }
+
+    /// The session's unit-grid pitch.
+    fn pitch(&self) -> Um {
+        Um(self.state.config.pitch_um.max(1))
     }
 
     /// Validates a commit and stages what it writes without mutating
@@ -779,19 +814,14 @@ impl Session {
             score: pending.score,
             seq,
         };
-        let committed = self
-            .state
-            .committed
-            .as_ref()
-            .map_or(&[][..], |committed| &committed.segments[..]);
         let record = frame_record(&LogRecord {
             seq,
             request_id: request_id.to_owned(),
             digest: pending.digest.clone(),
             score: pending.score,
             fingerprint: journal.fingerprint.clone(),
-            chip: pending.state.chip,
-            splices: Splice::diff(committed, &pending.state.segments),
+            chip: pending.chip,
+            splices: pending.splices.clone(),
         });
         let unprintable = |why: String| {
             EvalFailure::new(
@@ -809,9 +839,14 @@ impl Session {
                 at: self.log_bytes,
             }
         } else {
+            let mut next = self.state.committed.clone();
+            pending.apply_to(&mut next);
+            let Some(next) = next else {
+                unreachable!("applying a proposal leaves a committed state")
+            };
             let staged = Staged {
                 state: &self.state,
-                committed: &pending.state,
+                committed: &next,
                 journal: &journal,
                 completed: &completed,
                 ring: self.completed_ring,
@@ -836,7 +871,7 @@ impl Session {
         };
         self.evaluator.commit();
         self.state.version = SNAPSHOT_VERSION;
-        self.state.committed = Some(pending.state);
+        pending.apply_to(&mut self.state.committed);
         let ack = (
             prepared.journal.digest.clone(),
             prepared.journal.score,
@@ -862,44 +897,77 @@ impl Session {
     }
 }
 
-/// Converts a wire state into model geometry, validating bounds.
-fn to_geometry(state: &FloorplanState) -> Result<(Rect, Vec<(Point, Point)>), String> {
-    let [width, height] = state.chip;
+/// The most unit-grid cells a session scores along either axis of a
+/// chip. Scoring allocates per axis in proportion to the grid (boundary
+/// counts, log-factorial tables), so a state of a few hundred bytes
+/// with an enormous chip could otherwise make the daemon allocate
+/// without bound. 65 536 is about 170 times the largest axis of the
+/// benchmark workloads (389 cells on ami49's start floorplan).
+pub const MAX_GRID_CELLS_PER_AXIS: i64 = 65_536;
+
+/// Validates a wire chip: a positive extent whose unit grid at `pitch`
+/// stays within [`MAX_GRID_CELLS_PER_AXIS`] on both axes.
+fn check_chip([width, height]: [i64; 2], pitch: Um) -> Result<Rect, String> {
     if width <= 0 || height <= 0 {
         return Err(format!("chip extent {width}x{height} is not positive"));
     }
-    let chip = Rect::from_origin_size(Point::ORIGIN, Um(width), Um(height));
-    let mut segments = Vec::with_capacity(state.segments.len());
-    for (index, &[x1, y1, x2, y2]) in state.segments.iter().enumerate() {
-        for (axis, value, max) in [
-            ("x", x1, width),
-            ("y", y1, height),
-            ("x", x2, width),
-            ("y", y2, height),
-        ] {
-            if value < 0 || value > max {
-                return Err(format!(
-                    "segment {index}: {axis} coordinate {value} outside chip 0..={max}"
-                ));
-            }
-        }
-        segments.push((Point::new(Um(x1), Um(y1)), Point::new(Um(x2), Um(y2))));
+    let cells = |side: i64| (side - 1) / pitch.0 + 1;
+    let (cols, rows) = (cells(width), cells(height));
+    if cols > MAX_GRID_CELLS_PER_AXIS || rows > MAX_GRID_CELLS_PER_AXIS {
+        return Err(format!(
+            "chip extent {width}x{height} at pitch {} is a {cols}x{rows} unit grid, past the \
+             bound of {MAX_GRID_CELLS_PER_AXIS} cells per axis",
+            pitch.0
+        ));
     }
-    Ok((chip, segments))
+    Ok(Rect::from_origin_size(Point::ORIGIN, Um(width), Um(height)))
+}
+
+/// Validates segment `index` of a state against its chip.
+fn check_segment(index: usize, &[x1, y1, x2, y2]: &[i64; 4], chip: [i64; 2]) -> Result<(), String> {
+    let [width, height] = chip;
+    for (axis, value, max) in [
+        ("x", x1, width),
+        ("y", y1, height),
+        ("x", x2, width),
+        ("y", y2, height),
+    ] {
+        if value < 0 || value > max {
+            return Err(format!(
+                "segment {index}: {axis} coordinate {value} outside chip 0..={max}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// A wire segment as model geometry.
+fn to_points(&[x1, y1, x2, y2]: &[i64; 4]) -> (Point, Point) {
+    (Point::new(Um(x1), Um(y1)), Point::new(Um(x2), Um(y2)))
+}
+
+/// Converts a wire state into model geometry at `pitch`, validating the
+/// chip and every segment.
+fn to_geometry(state: &FloorplanState, pitch: Um) -> Result<(Rect, Vec<(Point, Point)>), String> {
+    let chip = check_chip(state.chip, pitch)?;
+    for (index, segment) in state.segments.iter().enumerate() {
+        check_segment(index, segment, state.chip)?;
+    }
+    Ok((chip, state.segments.iter().map(to_points).collect()))
 }
 
 #[cfg(test)]
 impl Session {
     /// The next session record as irgrid ≤ 0.23 staged it for every
-    /// commit — clone the record, move the proposal in, push and trim
-    /// both rings — kept as the reference the snapshot plus the replayed
-    /// commit log must reproduce.
-    fn reference_next(&self, request_id: &str) -> SessionState {
+    /// commit — clone the record, move the proposed `state` in, push and
+    /// trim both rings — kept as the reference the snapshot plus the
+    /// replayed commit log must reproduce.
+    fn reference_next(&self, request_id: &str, state: &FloorplanState) -> SessionState {
         let pending = self.pending.as_ref().expect("an armed proposal");
         let seq = self.state.commits_done + 1;
         let mut next = self.state.clone();
         next.commits_done = seq;
-        next.committed = Some(pending.state.clone());
+        next.committed = Some(state.clone());
         next.journal.push(CommitRecord {
             seq,
             digest: pending.digest.clone(),
@@ -950,7 +1018,7 @@ mod tests {
     /// Score of `state` through a fresh from-scratch delta rebase — the
     /// reference the serving path must match bit for bit.
     fn fresh_rebase(state: &FloorplanState) -> f64 {
-        let (chip, segments) = to_geometry(state).expect("geometry");
+        let (chip, segments) = to_geometry(state, Um(30)).expect("geometry");
         let model = IrregularGridModel::new(Um(30));
         model.delta_session().rebase(&chip, &segments)
     }
@@ -1283,7 +1351,7 @@ mod tests {
                 .propose(state, &RunControl::unlimited())
                 .expect("propose");
             session.undo();
-            let (chip, segments) = to_geometry(state).expect("geometry");
+            let (chip, segments) = to_geometry(state, Um(30)).expect("geometry");
             let expected = model.evaluate(&chip, &segments);
             assert_eq!(score.to_bits(), expected.to_bits());
             assert_eq!(score.to_bits(), fresh_rebase(state).to_bits());
@@ -1323,12 +1391,86 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::InvalidRequest);
         assert_eq!(session.pending_digest(), Some(armed.as_str()));
 
-        let err = to_geometry(&FloorplanState {
-            chip: [0, 100],
-            segments: vec![],
-        })
+        let err = to_geometry(
+            &FloorplanState {
+                chip: [0, 100],
+                segments: vec![],
+            },
+            Um(30),
+        )
         .expect_err("degenerate chip");
         assert!(err.contains("not positive"));
+    }
+
+    #[test]
+    fn a_grid_past_the_bound_is_refused_before_scoring() {
+        let mut session = session();
+        let (armed, _) = session
+            .propose(&demo_states(1)[0], &RunControl::unlimited())
+            .expect("propose");
+        let side = MAX_GRID_CELLS_PER_AXIS * 30;
+        for (chip, refused) in [([side, 600], false), ([600, side + 1], true)] {
+            let state = FloorplanState {
+                chip,
+                segments: vec![[0, 0, 600, 600]],
+            };
+            match session.propose(&state, &RunControl::unlimited()) {
+                Ok(_) => assert!(!refused, "{chip:?} is past the bound"),
+                Err(err) => {
+                    assert!(refused, "{chip:?}: {err:?}");
+                    assert_eq!(err.kind, ErrorKind::InvalidRequest);
+                    assert!(!err.retryable);
+                    assert_eq!(
+                        err.message,
+                        "chip extent 600x1966081 at pitch 30 is a 20x65537 unit grid, past \
+                         the bound of 65536 cells per axis"
+                    );
+                    assert_eq!(session.pending_digest(), Some(armed.as_str()));
+                }
+            }
+            session.undo();
+            let _ = session.propose(&demo_states(1)[0], &RunControl::unlimited());
+        }
+    }
+
+    #[test]
+    fn on_the_committed_chip_only_inserted_segments_are_checked_with_the_same_text() {
+        let mut session = session();
+        let state = wide_state(24, 0, [900, 800]);
+        let (digest, _) = session
+            .propose(&state, &RunControl::unlimited())
+            .expect("propose");
+        commit(&mut session, "c0", &digest);
+        // Segments 3 and 17 leave the chip; 3 is the first the list holds.
+        let mut bad = state.clone();
+        bad.segments[17][2] = 901;
+        bad.segments[3][3] = -1;
+        let full = to_geometry(&bad, Um(30)).expect_err("out of the chip");
+        let err = session
+            .propose(&bad, &RunControl::unlimited())
+            .expect_err("out of the chip");
+        assert_eq!(err.message, full);
+        assert_eq!(
+            err.message,
+            "segment 3: y coordinate -1 outside chip 0..=800"
+        );
+        // An inserted segment after a removal is named by its new index.
+        let mut shifted = state.clone();
+        shifted.segments.remove(1);
+        shifted.segments[9][0] = 950;
+        let full = to_geometry(&shifted, Um(30)).expect_err("out of the chip");
+        let err = session
+            .propose(&shifted, &RunControl::unlimited())
+            .expect_err("out of the chip");
+        assert_eq!(
+            (err.message.as_str(), err.kind),
+            (full.as_str(), ErrorKind::InvalidRequest)
+        );
+        assert!(
+            err.message.starts_with("segment 9: x coordinate 950"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]
@@ -1470,7 +1612,7 @@ mod tests {
             let (digest, _) = session
                 .propose(state, &RunControl::unlimited())
                 .expect("propose");
-            let reference = session.reference_next(&request_id);
+            let reference = session.reference_next(&request_id, state);
             let CommitOutcome::Prepared(prepared) = session
                 .prepare_commit(&request_id, &digest)
                 .expect("prepare")
