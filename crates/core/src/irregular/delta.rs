@@ -35,24 +35,24 @@
 //!   the blocks of the ranges that leave, adds the blocks of the ranges
 //!   that enter (through the memo), and visits nothing else. A
 //!   count-keeping splice pairs its segments by position: a segment
-//!   equal to the committed one, or with its endpoints in the same unit
-//!   cells, keeps that range and costs a comparison. A 10k-module move
+//!   equal to the committed one keeps that range for a comparison, and
+//!   one whose range comes out equal keeps it too. A 10k-module move
 //!   edits about 12 000 segments of 6 800 nets but changes a few hundred
 //!   ranges.
 //! * **Changed cuts: re-accumulate, reusing committed blocks.** When the
-//!   cuts or the extent change, every range is snapped again and the
-//!   totals are re-accumulated. A range equal to its committed
-//!   counterpart — found through the splices, so a range behind a
-//!   change of count is found too — over cut positions unchanged inside
-//!   its span takes the committed block for one `Arc` clone, with no
-//!   memo key and no lookup. [`WorkCounters`] says how each range of
-//!   the last build got its block, how many it visited, and whether the
-//!   cuts changed.
+//!   cuts or the extent change, every range is derived again from its
+//!   segment and snapped, and the totals are re-accumulated. A range
+//!   equal to its committed counterpart — found through the splices, so
+//!   a range behind a change of count is found too — over cut positions
+//!   unchanged inside its span takes the committed block for one `Arc`
+//!   clone, with no memo key and no lookup. [`WorkCounters`] says how
+//!   each range of the last build got its block, how many it visited,
+//!   and whether the cuts changed.
 //! * **Double-buffered commit/undo.** `commit` writes the overlay's
 //!   segments and changed ranges into the committed lists in place (a
 //!   count-changing splice moves the tail), or swaps in the rebuilt
-//!   spans and blocks, and swaps the maps; `undo` drops the proposal in
-//!   O(1). No journal, no replay.
+//!   ranges, spans and blocks, and swaps the maps; `undo` drops the
+//!   proposal in O(1). No journal, no replay.
 //!
 //! * **Closed-form exit integrals.** Block and memo keys change
 //!   whenever the cut pattern does — which under annealing is *every
@@ -270,37 +270,6 @@ impl Edit {
     }
 }
 
-/// Whether segment `new` has its endpoints in the unit cells of `old`,
-/// whose range on `grid` is `range`: its range is then `range` too,
-/// known without a division. The cells of `old` follow from `range`,
-/// since a cell index never decreases with the coordinate.
-fn keeps_cells(
-    grid: &UnitGrid,
-    old: (Point, Point),
-    range: &RoutingRange,
-    new: (Point, Point),
-) -> bool {
-    let pitch = grid.pitch().0;
-    let in_cell = |v: i64, cell: i64, last: i64| {
-        (cell == 0 || v >= cell.saturating_mul(pitch))
-            && (cell == last || v < (cell + 1).saturating_mul(pitch))
-    };
-    let ends = |a: i64, b: i64, lo: i64, len: i64| {
-        if a <= b {
-            (lo, lo + len - 1)
-        } else {
-            (lo + len - 1, lo)
-        }
-    };
-    let (ax, bx) = ends(old.0.x.0, old.1.x.0, range.x0(), range.g1());
-    let (ay, by) = ends(old.0.y.0, old.1.y.0, range.y0(), range.g2());
-    let (cols, rows) = (grid.cols() - 1, grid.rows() - 1);
-    in_cell(new.0.x.0, ax, cols)
-        && in_cell(new.1.x.0, bx, cols)
-        && in_cell(new.0.y.0, ay, rows)
-        && in_cell(new.1.y.0, by, rows)
-}
-
 /// The Irregular-Grid evaluation session — the
 /// [`DeltaCongestionSession`](crate::DeltaCongestionSession)
 /// implementation minted by
@@ -342,8 +311,7 @@ pub struct IrDeltaEvaluator {
     /// A proposal's edits; the whole proposal when `overlaid`.
     overlay: Overlay,
     /// A rebuilt proposal's ranges, spans and blocks; its segments are
-    /// the committed ones edited, and its ranges replace the committed
-    /// ones only when `regridded`.
+    /// the committed ones edited.
     rebuilt: Lists,
     /// Per range of `rebuilt`, the committed range it replaces or keeps,
     /// whose block it may reuse, or [`NONE`].
@@ -352,9 +320,6 @@ pub struct IrDeltaEvaluator {
     /// Whether the pending proposal is the overlay rather than the
     /// rebuilt lists.
     overlaid: bool,
-    /// Whether the rebuilt lists hold every range (the extent changed)
-    /// rather than the overlay's changes holding the ones that differ.
-    regridded: bool,
     pending: bool,
     // Reusable scratch (steady-state proposals allocate only on memo miss).
     key: Vec<i64>,
@@ -414,7 +379,6 @@ impl IrDeltaEvaluator {
             origin: Vec::new(),
             proposed_map: Map::default(),
             overlaid: false,
-            regridded: false,
             pending: false,
             key: Vec::new(),
             xs: Vec::new(),
@@ -521,7 +485,6 @@ impl IrDeltaEvaluator {
         map.extent = extent;
         let same_extent = self.committed_map.valid && self.committed_map.extent == extent;
         self.overlaid = false;
-        self.regridded = !same_extent;
         if same_extent {
             map.x_counts.clone_from(&self.committed_map.x_counts);
             map.y_counts.clone_from(&self.committed_map.y_counts);
@@ -529,8 +492,7 @@ impl IrDeltaEvaluator {
         // Record the edits; on an unchanged extent, also the range
         // changes and the boundary counts they leave: O(edited segments
         // + cols + rows). An inserted segment equal to the committed one
-        // at its place, or with its endpoints in the same unit cells,
-        // keeps that range and costs a comparison.
+        // at its place keeps that range and costs a comparison.
         let (committed, overlay) = (&self.committed, &mut self.overlay);
         for splice in edits {
             let (at, first_change, entering) = (
@@ -542,7 +504,7 @@ impl IrDeltaEvaluator {
             if same_extent && splice.remove == splice.insert.len() {
                 for (j, &new) in (splice.start..).zip(splice.insert) {
                     let (old, leaving) = (committed.segments[j], &committed.ranges[j]);
-                    if old == new || keeps_cells(&grid, old, leaving, new) {
+                    if old == new {
                         continue;
                     }
                     let range = RoutingRange::from_segment(&grid, new.0, new.1);
@@ -587,7 +549,7 @@ impl IrDeltaEvaluator {
         } else {
             self.counters.cuts_changed = true;
         }
-        self.rebuild(&grid, edits);
+        self.rebuild(&grid, edits, !same_extent);
         self.finish_cost()
     }
 
@@ -627,13 +589,14 @@ impl IrDeltaEvaluator {
             self.counters.ranges - self.counters.memo_hits - self.counters.memo_misses;
     }
 
-    /// Rebuilds the proposal's spans, blocks and totals: every range
-    /// snapped to the proposal's cuts and accumulated afresh. A range
-    /// the splices map to an equal committed range, over cut positions
-    /// unchanged inside its span, takes the committed block. On a
-    /// changed extent every range and count is derived again.
-    fn rebuild(&mut self, grid: &UnitGrid, edits: &[Splice<'_>]) {
-        let (committed, overlay) = (&self.committed, &self.overlay);
+    /// Rebuilds the proposal's ranges, spans, blocks and totals: every
+    /// range derived from its segment, snapped to the proposal's cuts
+    /// and accumulated afresh. A range the splices map to an equal
+    /// committed range, over cut positions unchanged inside its span,
+    /// takes the committed block. On a changed extent (`recount`) the
+    /// boundary counts are taken again and merged too.
+    fn rebuild(&mut self, grid: &UnitGrid, edits: &[Splice<'_>], recount: bool) {
+        let committed = &self.committed;
         self.rebuilt.clear();
         self.origin.clear();
         let mut proposed = std::mem::take(&mut self.rebuilt.ranges);
@@ -643,42 +606,17 @@ impl IrDeltaEvaluator {
             insert: &[],
         };
         let mut floor = 0;
-        let mut changes = overlay.changes.iter().peekable();
-        for (e, splice) in edits.iter().chain([&tail]).enumerate() {
-            // The committed items between the previous splice and this one.
+        for splice in edits.iter().chain([&tail]) {
+            // The committed items between the previous splice and this
+            // one, then the splice's own.
             let kept = floor..splice.start;
-            if self.regridded {
-                proposed.extend(
-                    committed.segments[kept.clone()]
-                        .iter()
-                        .map(|&(a, b)| RoutingRange::from_segment(grid, a, b)),
-                );
-            } else {
-                proposed.extend_from_slice(&committed.ranges[kept.clone()]);
-            }
+            proposed.extend(
+                committed.segments[kept.clone()]
+                    .iter()
+                    .chain(splice.insert)
+                    .map(|&(a, b)| RoutingRange::from_segment(grid, a, b)),
+            );
             self.origin.extend(kept);
-            // Without a regrid the overlay holds the splices' ranges.
-            match overlay.edits.get(e).filter(|_| !self.regridded) {
-                Some(edit) if edit.keeps_count() => {
-                    for j in edit.start..edit.start + edit.remove {
-                        let entering = changes.next_if(|&&(leaving, _)| leaving == j);
-                        proposed.push(match entering {
-                            Some(&(_, i)) => overlay.ranges[i],
-                            None => committed.ranges[j],
-                        });
-                    }
-                }
-                Some(edit) => {
-                    changes.nth(edit.changes.len().saturating_sub(1));
-                    proposed.extend_from_slice(&overlay.ranges[edit.entering.clone()]);
-                }
-                None => proposed.extend(
-                    splice
-                        .insert
-                        .iter()
-                        .map(|&(a, b)| RoutingRange::from_segment(grid, a, b)),
-                ),
-            }
             self.origin.extend((0..splice.insert.len()).map(|k| {
                 if k < splice.remove {
                     splice.start + k
@@ -689,7 +627,7 @@ impl IrDeltaEvaluator {
             floor = splice.start + splice.remove;
         }
         let map = &mut self.proposed_map;
-        if self.regridded {
+        if recount {
             let (cols, rows) = map.extent;
             map.x_counts.clear();
             map.x_counts.resize(slot(cols) + 1, 0);
@@ -856,14 +794,12 @@ impl crate::DeltaCongestionSession for IrDeltaEvaluator {
         for edit in overlay.edits.iter().filter(|edit| edit.keeps_count()) {
             committed.segments[edit.start..edit.start + edit.remove]
                 .copy_from_slice(&overlay.segments[edit.insert.clone()]);
-            if !self.regridded {
+            if self.overlaid {
                 for &(j, i) in &overlay.changes[edit.changes.clone()] {
+                    let (span, block) = &overlay.scored[i];
                     committed.ranges[j] = overlay.ranges[i];
-                    if self.overlaid {
-                        let (span, block) = &overlay.scored[i];
-                        committed.spans[j] = *span;
-                        committed.blocks[j] = Arc::clone(block);
-                    }
+                    committed.spans[j] = *span;
+                    committed.blocks[j] = Arc::clone(block);
                 }
             }
         }
@@ -880,14 +816,13 @@ impl crate::DeltaCongestionSession for IrDeltaEvaluator {
                 removed.clone(),
                 overlay.segments[edit.insert.clone()].iter().copied(),
             );
-            if !self.regridded {
+            if self.overlaid {
+                let entering = edit.entering.clone();
                 committed.ranges.splice(
                     removed.clone(),
-                    overlay.ranges[edit.entering.clone()].iter().copied(),
+                    overlay.ranges[entering.clone()].iter().copied(),
                 );
-            }
-            if self.overlaid {
-                let scored = &overlay.scored[edit.entering.clone()];
+                let scored = &overlay.scored[entering];
                 committed
                     .spans
                     .splice(removed.clone(), scored.iter().map(|(span, _)| *span));
@@ -897,9 +832,7 @@ impl crate::DeltaCongestionSession for IrDeltaEvaluator {
             }
         }
         if !self.overlaid {
-            if self.regridded {
-                std::mem::swap(&mut committed.ranges, &mut self.rebuilt.ranges);
-            }
+            std::mem::swap(&mut committed.ranges, &mut self.rebuilt.ranges);
             std::mem::swap(&mut committed.spans, &mut self.rebuilt.spans);
             std::mem::swap(&mut committed.blocks, &mut self.rebuilt.blocks);
         }
@@ -1659,36 +1592,5 @@ mod tests {
         assert!(resized.cuts_changed);
         assert_eq!((resized.visited, resized.ranges), (6, 6));
         assert_eq!(resized.reused + resized.memo_hits + resized.memo_misses, 6);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
-
-        /// The division-free cell check never claims a range is kept
-        /// when `from_segment` gives another.
-        #[test]
-        fn keeps_cells_agrees_with_from_segment(
-            (w, h, pitch) in (1i64..400, 1i64..400, 1i64..60),
-            old in (0i64..400, 0i64..400, 0i64..400, 0i64..400),
-            nudge in (-40i64..40, -40i64..40, -40i64..40, -40i64..40),
-        ) {
-            let grid = UnitGrid::new(&chip(w, h), Um(pitch));
-            let inside = |v: i64, max: i64| v.rem_euclid(max + 1);
-            let a = pt(inside(old.0, w), inside(old.1, h));
-            let b = pt(inside(old.2, w), inside(old.3, h));
-            let moved = (
-                pt(inside(a.x.0 + nudge.0, w), inside(a.y.0 + nudge.1, h)),
-                pt(inside(b.x.0 + nudge.2, w), inside(b.y.0 + nudge.3, h)),
-            );
-            let range = RoutingRange::from_segment(&grid, a, b);
-            if keeps_cells(&grid, (a, b), &range, moved) {
-                proptest::prop_assert_eq!(
-                    RoutingRange::from_segment(&grid, moved.0, moved.1),
-                    range
-                );
-            }
-            proptest::prop_assert!(keeps_cells(&grid, (a, b), &range, (a, b)));
-
-        }
     }
 }
