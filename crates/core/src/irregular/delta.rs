@@ -3,8 +3,9 @@
 //! A simulated-annealing move perturbs one or two modules, yet a rebuild
 //! re-scores every range. [`IrDeltaEvaluator`] is told what a move
 //! changed, as [`Splice`]s against the committed segment list, and
-//! makes every stage cost what the move changed whenever it can; a
-//! fresh session's `rebase` is also the model's one-shot
+//! makes every stage cost what the move changed whenever it can. A
+//! `rebase` is a proposal from nothing, built as a fresh session builds
+//! it, and is also the model's one-shot
 //! [`evaluate`](crate::CongestionModel::evaluate):
 //!
 //! * **Relative-signature block memo.** A range's scored block (its
@@ -462,11 +463,10 @@ impl IrDeltaEvaluator {
 
     /// Builds the proposal of the committed list with `edits` applied,
     /// on `chip`, and returns its cost. With unchanged merged cuts and
-    /// extent (and `rebuild` false) the proposal is an overlay that
-    /// visits only the edits; otherwise the whole list is rebuilt,
-    /// reusing committed blocks. The result is independent of the
-    /// committed state either way.
-    fn build(&mut self, chip: &Rect, edits: &[Splice<'_>], rebuild: bool) -> f64 {
+    /// extent the proposal is an overlay that visits only the edits;
+    /// otherwise the whole list is rebuilt, reusing committed blocks.
+    /// The result is independent of the committed state either way.
+    fn build(&mut self, chip: &Rect, edits: &[Splice<'_>]) -> f64 {
         let fit = edit::check(self.committed.segments.len(), edits);
         assert!(
             fit.is_ok(),
@@ -538,17 +538,12 @@ impl IrDeltaEvaluator {
         if same_extent {
             map.merge(min_gap);
             if map.x_cuts == self.committed_map.x_cuts && map.y_cuts == self.committed_map.y_cuts {
-                if !rebuild {
-                    self.overlaid = true;
-                    self.overlay_totals();
-                    return self.finish_cost();
-                }
-            } else {
-                self.counters.cuts_changed = true;
+                self.overlaid = true;
+                self.overlay_totals();
+                return self.finish_cost();
             }
-        } else {
-            self.counters.cuts_changed = true;
         }
+        self.counters.cuts_changed = true;
         self.rebuild(&grid, edits, !same_extent);
         self.finish_cost()
     }
@@ -763,14 +758,18 @@ impl IrDeltaEvaluator {
 }
 
 impl crate::DeltaCongestionSession for IrDeltaEvaluator {
+    /// A proposal from nothing: with the committed state cleared and its
+    /// map invalid, the splice inserting every segment builds as on a
+    /// fresh session.
     fn rebase(&mut self, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
+        self.committed.clear();
+        self.committed_map.valid = false;
         let all = Splice {
             start: 0,
-            remove: self.committed.segments.len(),
+            remove: 0,
             insert: segments,
         };
-        let cost = self.build(chip, &[all], true);
-        self.pending = true;
+        let cost = self.propose_edits(chip, &[all]);
         self.commit();
         cost
     }
@@ -780,7 +779,7 @@ impl crate::DeltaCongestionSession for IrDeltaEvaluator {
     }
 
     fn propose_edits(&mut self, chip: &Rect, edits: &[Splice<'_>]) -> f64 {
-        let cost = self.build(chip, edits, false);
+        let cost = self.build(chip, edits);
         self.pending = true;
         cost
     }
@@ -1592,5 +1591,17 @@ mod tests {
         assert!(resized.cuts_changed);
         assert_eq!((resized.visited, resized.ranges), (6, 6));
         assert_eq!(resized.reused + resized.memo_hits + resized.memo_misses, 6);
+        // A warm rebase builds from nothing too: it takes no block from
+        // the state it replaces, even one it would leave unchanged.
+        warm.commit();
+        warm.rebase(&chip(990, 930), &segments);
+        let rebased = warm.work_counters();
+        assert!(rebased.cuts_changed);
+        assert_eq!((rebased.visited, rebased.reused), (6, 0));
+        assert_bit_identical(
+            &warm,
+            &fresh_rebase(model, &chip(990, 930), &segments),
+            "warm rebase",
+        );
     }
 }

@@ -16,7 +16,6 @@ use irgrid_core::edit::Splice;
 use irgrid_core::{CongestionModel, DeltaCongestion, DeltaCongestionSession};
 use std::cell::RefCell;
 use std::fmt;
-use std::marker::PhantomData;
 
 use irgrid_floorplan::{
     segments_wirelength, two_pin_segments, Decomposition, FloorplanRepr, NetScratch, PinPlacer,
@@ -161,14 +160,15 @@ pub struct FloorplanProblem<'c, M: CongestionModel, R = PolishExpr> {
     area_scale: f64,
     wire_scale: f64,
     congestion_scale: f64,
-    repr: PhantomData<R>,
 }
 
-/// Committed state of the incremental evaluation: the placed floorplan
-/// decomposed per net, plus the congestion model's retained delta session.
-/// `propose` applies a move eagerly and records what it overwrote in
-/// `journal` and the `saved_*` buffers; `undo` plays them back. Every
-/// buffer here is reused from move to move.
+/// Committed state of the incremental evaluation: the placed floorplan,
+/// each net's wirelength and where its segments start, plus the
+/// congestion model's retained delta session, which holds the segments.
+/// `propose` applies a move eagerly, decomposes the changed nets into
+/// `proposed` and records what it overwrote in `journal` and
+/// `saved_nets`; `undo` plays them back. Every buffer here is reused
+/// from move to move.
 #[derive(Debug)]
 struct DeltaState<R> {
     session: Option<Box<dyn DeltaCongestionSession>>,
@@ -176,12 +176,12 @@ struct DeltaState<R> {
     module_nets: Vec<Vec<usize>>,
     /// Per-net dedup marks, all false between proposals.
     net_mark: Vec<bool>,
-    /// Per-net 2-pin segments of the committed (or pending) placement.
-    net_segments: Vec<Vec<(Point, Point)>>,
     /// Index of each net's first segment in the session's committed list,
-    /// which holds the nets' segments back to back in net order — the
-    /// order [`two_pin_segments`] produces, so the session scores the
-    /// list a from-scratch evaluation would.
+    /// then the list's length: net `n` holds the segments from
+    /// `net_start[n]` up to `net_start[n + 1]`. The list holds the nets'
+    /// segments back to back in net order — the order
+    /// [`two_pin_segments`] produces, so the session scores the list a
+    /// from-scratch evaluation would.
     net_start: Vec<usize>,
     /// Per-net Manhattan wirelength; integer µm, so incremental updates
     /// are exact and order-independent.
@@ -192,35 +192,21 @@ struct DeltaState<R> {
     scratch: NetScratch,
     /// The nets the pending move re-decomposes, ascending.
     changed_nets: Vec<usize>,
+    /// The re-decomposed nets' new segments, back to back.
+    proposed: Vec<(Point, Point)>,
     /// Per re-decomposed net of the pending move: `(net, old wirelength,
-    /// end of its old segments in saved_segments)`.
+    /// end of its new segments in proposed)`.
     saved_nets: Vec<(usize, Um, usize)>,
-    /// The re-decomposed nets' old segments, back to back.
-    saved_segments: Vec<(Point, Point)>,
     journal: Option<Journal<R>>,
 }
 
-impl<R> DeltaState<R> {
-    /// Sets `net_start` from the per-net segment counts, from net
-    /// `first` on; the starts before it, and `first`'s own, are kept.
-    fn count_starts_from(&mut self, first: usize) {
-        let mut at = self.net_start.get(first).copied().unwrap_or(0);
-        self.net_start.truncate(first);
-        for segments in &self.net_segments[first..] {
-            self.net_start.push(at);
-            at += segments.len();
-        }
-    }
-}
-
-/// What one `propose` overwrote besides the saved nets, for exact
-/// rollback on `undo`.
+/// What one `propose` overwrote besides the re-decomposed nets'
+/// wirelengths, for exact rollback on `undo`.
 #[derive(Debug)]
 struct Journal<R> {
     prev_repr: R,
     prev_placement: Placement,
     prev_wire_total: Um,
-    session_proposed: bool,
 }
 
 impl<'c, M: CongestionModel> FloorplanProblem<'c, M, PolishExpr> {
@@ -305,7 +291,6 @@ impl<'c, M: CongestionModel, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
             area_scale: 1.0,
             wire_scale: 1.0,
             congestion_scale: 1.0,
-            repr: PhantomData,
         };
         problem.calibrate()?;
         Ok(problem)
@@ -409,8 +394,8 @@ impl<'c, M: CongestionModel, R: FloorplanRepr> Problem for FloorplanProblem<'c, 
 }
 
 impl<'c, M: DeltaCongestion, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
-    /// Recomputes one net's pins and segments against `placement` into
-    /// `segments`, replacing its contents, and returns the net's
+    /// Recomputes one net's pins and segments against `placement`,
+    /// appends the segments to `segments`, and returns the net's
     /// wirelength — the per-net unit of work both `rebase` (all nets) and
     /// `propose` (changed nets only) go through, so the two cannot drift.
     fn decompose_net(
@@ -420,7 +405,6 @@ impl<'c, M: DeltaCongestion, R: FloorplanRepr> FloorplanProblem<'c, M, R> {
         scratch: &mut NetScratch,
         segments: &mut Vec<(Point, Point)>,
     ) -> Um {
-        segments.clear();
         let members = self.circuit.nets()[net_index]
             .pins()
             .iter()
@@ -466,33 +450,26 @@ impl<'c, M: DeltaCongestion, R: FloorplanRepr> DeltaProblem for FloorplanProblem
             session,
             module_nets,
             net_mark: vec![false; nets.len()],
-            net_segments: Vec::with_capacity(nets.len()),
-            net_start: Vec::with_capacity(nets.len()),
+            net_start: vec![0],
             net_wire: Vec::with_capacity(nets.len()),
             wire_total: Um::ZERO,
             placement,
             scratch: NetScratch::default(),
             changed_nets: Vec::new(),
+            proposed: Vec::new(),
             saved_nets: Vec::new(),
-            saved_segments: Vec::new(),
             journal: None,
         };
-        // Decompose through one buffer and keep exact-size copies, so the
-        // per-net lists hold no spare capacity.
+        // Every net straight into the one list the session scores.
         let mut segments = Vec::new();
         for n in 0..nets.len() {
             let wire = self.decompose_net(n, &delta.placement, &mut delta.scratch, &mut segments);
             delta.wire_total += wire;
-            delta.net_segments.push(segments.clone());
             delta.net_wire.push(wire);
+            delta.net_start.push(segments.len());
         }
-        delta.count_starts_from(0);
         let congestion = match delta.session.as_mut() {
-            Some(session) => {
-                let flat: Vec<(Point, Point)> =
-                    delta.net_segments.iter().flatten().copied().collect();
-                session.rebase(&delta.placement.chip(), &flat)
-            }
+            Some(session) => session.rebase(&delta.placement.chip(), &segments),
             None => 0.0,
         };
         let cost = self.delta_cost(&delta, congestion);
@@ -531,98 +508,101 @@ impl<'c, M: DeltaCongestion, R: FloorplanRepr> DeltaProblem for FloorplanProblem
 
         let prev_wire_total = delta.wire_total;
         let prev_placement = std::mem::replace(&mut delta.placement, placement);
+        delta.proposed.clear();
         delta.saved_nets.clear();
-        delta.saved_segments.clear();
         for &n in &delta.changed_nets {
             delta.net_mark[n] = false;
-            let segments = &mut delta.net_segments[n];
-            delta.saved_segments.extend_from_slice(segments);
             let old_wire = delta.net_wire[n];
-            delta
-                .saved_nets
-                .push((n, old_wire, delta.saved_segments.len()));
-            let wire = self.decompose_net(n, &delta.placement, &mut delta.scratch, segments);
+            let wire =
+                self.decompose_net(n, &delta.placement, &mut delta.scratch, &mut delta.proposed);
+            delta.saved_nets.push((n, old_wire, delta.proposed.len()));
             delta.net_wire[n] = wire;
             delta.wire_total += wire - old_wire;
         }
 
         // One splice per re-decomposed net whose segments changed, at
         // the net's place in the session's committed list.
-        let (congestion, session_proposed) = match delta.session.as_mut() {
+        let congestion = match delta.session.as_mut() {
             Some(session) => {
+                let committed = session.committed_segments();
                 let mut edits = Vec::with_capacity(delta.saved_nets.len());
-                let mut start = 0;
+                let mut begin = 0;
                 for &(n, _, end) in &delta.saved_nets {
-                    let old = &delta.saved_segments[start..end];
-                    let new = &delta.net_segments[n];
-                    if old != &new[..] {
+                    let old = &committed[delta.net_start[n]..delta.net_start[n + 1]];
+                    let new = &delta.proposed[begin..end];
+                    if old != new {
                         edits.push(Splice {
                             start: delta.net_start[n],
                             remove: old.len(),
                             insert: new,
                         });
                     }
-                    start = end;
+                    begin = end;
                 }
-                (session.propose_edits(&delta.placement.chip(), &edits), true)
+                session.propose_edits(&delta.placement.chip(), &edits)
             }
-            None => (0.0, false),
+            None => 0.0,
         };
         let cost = self.delta_cost(delta, congestion);
         delta.journal = Some(Journal {
             prev_repr,
             prev_placement,
             prev_wire_total,
-            session_proposed,
         });
         cost
     }
 
     fn commit(&self) {
         let mut guard = self.delta.borrow_mut();
-        if let Some(delta) = guard.as_mut() {
-            if let Some(journal) = delta.journal.take() {
-                if journal.session_proposed {
-                    if let Some(session) = delta.session.as_mut() {
-                        session.commit();
-                    }
-                }
-                // A net whose segment count changed moves the starts of
-                // every net after it.
-                let mut start = 0;
-                let recount = delta.saved_nets.iter().find_map(|&(n, _, end)| {
-                    let old_len = end - start;
-                    start = end;
-                    (old_len != delta.net_segments[n].len()).then_some(n)
-                });
-                if let Some(first) = recount {
-                    delta.count_starts_from(first);
-                }
-            }
+        let Some(delta) = guard.as_mut() else { return };
+        if delta.journal.take().is_none() {
+            return;
+        }
+        if let Some(session) = delta.session.as_mut() {
+            session.commit();
+        }
+        // A net whose segment count changed moves the starts of every net
+        // after it: recount from the first such net, each re-decomposed
+        // net by its segments in `proposed`, every other by its old start.
+        let mut begin = 0;
+        let mut counts = delta
+            .saved_nets
+            .iter()
+            .map(|&(n, _, end)| (n, end - std::mem::replace(&mut begin, end)))
+            .peekable();
+        let starts = &mut delta.net_start;
+        while counts
+            .next_if(|&(n, count)| starts[n + 1] - starts[n] == count)
+            .is_some()
+        {}
+        let Some(&(first, _)) = counts.peek() else {
+            return;
+        };
+        let mut old_start = starts[first];
+        for n in first..starts.len() - 1 {
+            let old_end = starts[n + 1];
+            let count = counts
+                .next_if(|&(changed, _)| changed == n)
+                .map_or(old_end - old_start, |(_, count)| count);
+            starts[n + 1] = starts[n] + count;
+            old_start = old_end;
         }
     }
 
     fn undo(&self, state: &mut R) {
         let mut guard = self.delta.borrow_mut();
-        if let Some(delta) = guard.as_mut() {
-            if let Some(journal) = delta.journal.take() {
-                *state = journal.prev_repr;
-                delta.placement = journal.prev_placement;
-                delta.wire_total = journal.prev_wire_total;
-                let mut start = 0;
-                for &(n, wire, end) in &delta.saved_nets {
-                    let segments = &mut delta.net_segments[n];
-                    segments.clear();
-                    segments.extend_from_slice(&delta.saved_segments[start..end]);
-                    delta.net_wire[n] = wire;
-                    start = end;
-                }
-                if journal.session_proposed {
-                    if let Some(session) = delta.session.as_mut() {
-                        let _ = session.undo();
-                    }
-                }
-            }
+        let Some(delta) = guard.as_mut() else { return };
+        let Some(journal) = delta.journal.take() else {
+            return;
+        };
+        *state = journal.prev_repr;
+        delta.placement = journal.prev_placement;
+        delta.wire_total = journal.prev_wire_total;
+        for &(n, wire, _) in &delta.saved_nets {
+            delta.net_wire[n] = wire;
+        }
+        if let Some(session) = delta.session.as_mut() {
+            let _ = session.undo();
         }
     }
 }
@@ -974,6 +954,68 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn commits_that_change_a_nets_segment_count_stay_exact() {
+        // Pitch-multiple modules joined by 2-pin nets: members that abut
+        // share a pin, so the net's zero-length segment is dropped and
+        // its count moves between 0 and 1, which moves the starts of
+        // every later net in the session's committed list.
+        use irgrid_netlist::{Module, ModuleId, Net};
+        use rand::Rng;
+        let modules = (0..8)
+            .map(|k| Module::new(format!("m{k}"), Um(60), Um(60 * (1 + k % 2))).expect("valid"))
+            .collect();
+        let pairs = (0..7)
+            .map(|k| (k, k + 1))
+            .chain([(0, 4), (2, 6), (1, 5), (3, 7)]);
+        let nets = pairs
+            .map(|(a, b)| Net::new(format!("n{a}_{b}"), vec![ModuleId(a), ModuleId(b)]))
+            .collect::<Result<_, _>>()
+            .expect("valid");
+        let circuit = Circuit::new("abutting", modules, nets).expect("valid");
+        let make = || {
+            FloorplanProblem::new(
+                &circuit,
+                Um(30),
+                Weights::balanced(),
+                Some(IrregularGridModel::new(Um(30))),
+            )
+        };
+        let (incremental, scratch) = (make(), make());
+        let mut rng = ChaCha8Rng::seed_from_u64(0xab07);
+        let mut state = incremental.initial_state();
+        let _ = incremental.rebase(&state);
+        let mut totals = std::collections::BTreeSet::new();
+        for step in 0..3000 {
+            let proposed = incremental.propose(&mut state, &mut rng);
+            if rng.gen_range(0..3) == 0 {
+                incremental.undo(&mut state);
+                continue;
+            }
+            incremental.commit();
+            assert_eq!(
+                proposed.to_bits(),
+                scratch.rebase(&state).to_bits(),
+                "step {step}"
+            );
+            let guard = incremental.delta.borrow();
+            let delta = guard.as_ref().expect("rebased");
+            let committed = delta.session.as_ref().expect("γ > 0").committed_segments();
+            assert_eq!(
+                committed,
+                &incremental.evaluate(&state).segments[..],
+                "step {step}"
+            );
+            assert_eq!(
+                delta.net_start.last(),
+                Some(&committed.len()),
+                "step {step}"
+            );
+            totals.insert(committed.len());
+        }
+        assert!(totals.len() > 1, "no commit changed the total: {totals:?}");
     }
 
     #[test]

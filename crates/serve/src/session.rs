@@ -42,19 +42,25 @@
 //! # Commit ordering
 //!
 //! Commits are split into [`Session::prepare_commit`] (pure: builds the
-//! record, or the next snapshot when the commit compacts) and
-//! [`Session::apply_commit`] (advances the evaluator and the record).
-//! The manager persists *between* the two, so a failed persist leaves
-//! both the evaluator and the pending proposal untouched and the client
-//! can simply retry the commit — no rollback path exists because nothing
-//! was mutated.
+//! commit's log record once, and what it writes: the framed record, or,
+//! when the commit compacts, the next snapshot) and
+//! [`Session::apply_commit`] (advances the evaluator and the session
+//! record). The manager persists *between* the two, so a failed persist
+//! leaves both the evaluator and the pending proposal untouched and the
+//! client can simply retry the commit — no rollback path exists because
+//! nothing was mutated.
+//!
+//! A commit changes the session record one way: its log record replayed
+//! onto it. `apply_commit` replays it onto the live record, a compacting
+//! commit prints a clone with it replayed, and resume replays the log's
+//! records onto the snapshot.
 
 use irgrid_anneal::RunControl;
 use irgrid_core::edit;
 use irgrid_core::{DeltaCongestion, DeltaCongestionSession, IrDeltaEvaluator, IrregularGridModel};
 use irgrid_fleet::state_digest;
 use irgrid_geom::{Point, Rect, Um};
-use serde::{Deserialize, Serialize, Serializer};
+use serde::{Deserialize, Serialize};
 
 use crate::chaos::fnv1a;
 use crate::protocol::{ErrorKind, FloorplanState, SessionConfig, SessionStat};
@@ -181,32 +187,37 @@ impl SessionState {
         Ok(state)
     }
 
-    /// Applies one commit-log record: the next commit, as
-    /// [`Session::apply_commit`] applied it.
-    fn replay(&mut self, record: LogRecord, ring: usize) -> Result<(), String> {
-        Splice::apply_to(&mut self.committed, record.chip, &record.splices)?;
+    /// Applies one commit-log record: the next commit. Moves the
+    /// committed state (none before the first commit) to the record's
+    /// chip with its splices applied, counts the commit and pushes its
+    /// entries onto both rings, evicting the oldest entries past `ring`.
+    ///
+    /// # Errors
+    ///
+    /// A splice that does not fit the committed segment list.
+    fn replay(&mut self, record: &LogRecord, ring: usize) -> Result<(), String> {
+        let committed = self.committed.get_or_insert_with(|| FloorplanState {
+            chip: record.chip,
+            segments: Vec::new(),
+        });
+        Splice::apply_all(&mut committed.segments, &record.splices)?;
+        committed.chip = record.chip;
+        self.commits_done = record.seq;
         let journal = CommitRecord {
             seq: record.seq,
             digest: record.digest.clone(),
             score: record.score,
-            fingerprint: record.fingerprint,
+            fingerprint: record.fingerprint.clone(),
         };
+        push_bounded(&mut self.journal, journal, ring);
         let completed = CompletedCommit {
-            request_id: record.request_id,
-            digest: record.digest,
+            request_id: record.request_id.clone(),
+            digest: record.digest.clone(),
             score: record.score,
             seq: record.seq,
         };
-        self.push_commit(journal, completed, ring);
-        Ok(())
-    }
-
-    /// Counts commit `journal.seq` and pushes its entries onto both
-    /// rings, evicting the oldest entries past `ring`.
-    fn push_commit(&mut self, journal: CommitRecord, completed: CompletedCommit, ring: usize) {
-        self.commits_done = journal.seq;
-        push_bounded(&mut self.journal, journal, ring);
         push_bounded(&mut self.completed, completed, ring);
+        Ok(())
     }
 }
 
@@ -272,26 +283,6 @@ impl Splice {
             .collect();
         edit::apply(segments, &edits).map_err(|err| err.to_string())
     }
-
-    /// Moves a committed state (none before the first commit) to `chip`
-    /// with `splices` applied.
-    ///
-    /// # Errors
-    ///
-    /// A splice that does not fit; `committed` is then untouched.
-    fn apply_to(
-        committed: &mut Option<FloorplanState>,
-        chip: [i64; 2],
-        splices: &[Splice],
-    ) -> Result<(), String> {
-        let state = committed.get_or_insert_with(|| FloorplanState {
-            chip,
-            segments: Vec::new(),
-        });
-        Splice::apply_all(&mut state.segments, splices)?;
-        state.chip = chip;
-        Ok(())
-    }
 }
 
 /// One commit as the commit log stores it: what the commit changed, not
@@ -347,59 +338,13 @@ fn replay_log(state: &mut SessionState, log: &[u8], ring: usize) -> Result<usize
             ));
         } else {
             state
-                .replay(record, ring)
+                .replay(&record, ring)
                 .map_err(|why| format!("commit log record at byte {at}: {why}"))?;
             kept = end;
         }
         at = end;
     }
     Ok(kept)
-}
-
-/// The snapshot a compacting commit writes: the session record as
-/// [`Session::apply_commit`] will leave it, printed from borrowed parts
-/// so that nothing clones the record. Prints the bytes
-/// [`SessionState::to_json`] prints for that record.
-struct Staged<'a> {
-    state: &'a SessionState,
-    committed: &'a FloorplanState,
-    journal: &'a CommitRecord,
-    completed: &'a CompletedCommit,
-    ring: usize,
-}
-
-impl Serialize for Staged<'_> {
-    fn serialize(&self, out: &mut dyn Serializer) {
-        let state = self.state;
-        out.map(7);
-        out.key("version");
-        SNAPSHOT_VERSION.serialize(out);
-        out.key("session_id");
-        state.session_id.serialize(out);
-        out.key("config");
-        state.config.serialize(out);
-        out.key("commits_done");
-        self.journal.seq.serialize(out);
-        out.key("committed");
-        self.committed.serialize(out);
-        out.key("journal");
-        bounded_with(out, &state.journal, self.journal, self.ring);
-        out.key("completed");
-        bounded_with(out, &state.completed, self.completed, self.ring);
-        out.end();
-    }
-}
-
-/// Prints `ring` with `pushed` pushed onto it and bounded as
-/// [`push_bounded`] bounds it.
-fn bounded_with<T: Serialize>(out: &mut dyn Serializer, ring: &[T], pushed: &T, bound: usize) {
-    let skip = (ring.len() + 1).saturating_sub(bound).min(ring.len());
-    out.seq(ring.len() + 1 - skip);
-    for item in &ring[skip..] {
-        item.serialize(out);
-    }
-    pushed.serialize(out);
-    out.end();
 }
 
 /// A failed evaluation, mapped to a protocol error by the manager.
@@ -432,15 +377,6 @@ struct PendingProposal {
     splices: Vec<Splice>,
     digest: String,
     score: f64,
-}
-
-impl PendingProposal {
-    /// Moves `committed` to the state this proposal's commit leaves.
-    fn apply_to(&self, committed: &mut Option<FloorplanState>) {
-        if let Err(why) = Splice::apply_to(committed, self.chip, &self.splices) {
-            unreachable!("a proposal's splices are diffed from the committed list: {why}")
-        }
-    }
 }
 
 /// A live session: persistent record plus the session-resident
@@ -495,13 +431,12 @@ pub enum CommitWrite {
     },
 }
 
-/// A commit that has been validated and staged but not yet applied: the
-/// entries it pushes onto the two rings and what it writes. The session
-/// is untouched until [`Session::apply_commit`] consumes this.
+/// A commit that has been validated and staged but not yet applied: its
+/// log record and what it writes. The session is untouched until
+/// [`Session::apply_commit`] consumes this.
 #[derive(Debug)]
 pub struct PreparedCommit {
-    journal: CommitRecord,
-    completed: CompletedCommit,
+    record: LogRecord,
     write: CommitWrite,
 }
 
@@ -799,30 +734,18 @@ impl Session {
             ));
         }
         let seq = self.state.commits_done + 1;
-        let journal = CommitRecord {
+        let record = LogRecord {
             seq,
+            request_id: request_id.to_owned(),
             digest: pending.digest.clone(),
             score: pending.score,
             // The proposal's fingerprint IS the post-commit committed
             // fingerprint (commit only swaps buffers), which is what
             // lets the record be persisted before the commit applies.
             fingerprint: format!("{:016x}", self.evaluator.proposed_fingerprint()),
-        };
-        let completed = CompletedCommit {
-            request_id: request_id.to_owned(),
-            digest: pending.digest.clone(),
-            score: pending.score,
-            seq,
-        };
-        let record = frame_record(&LogRecord {
-            seq,
-            request_id: request_id.to_owned(),
-            digest: pending.digest.clone(),
-            score: pending.score,
-            fingerprint: journal.fingerprint.clone(),
             chip: pending.chip,
             splices: pending.splices.clone(),
-        });
+        };
         let unprintable = |why: String| {
             EvalFailure::new(
                 ErrorKind::PersistFailed,
@@ -830,55 +753,38 @@ impl Session {
                 false,
             )
         };
-        let record = record.map_err(unprintable)?;
+        let line = frame_record(&record).map_err(unprintable)?;
         let write = if self.state.version == SNAPSHOT_VERSION
-            && self.log_bytes + record.len() as u64 <= self.snapshot_bytes
+            && self.log_bytes + line.len() as u64 <= self.snapshot_bytes
         {
             CommitWrite::Append {
-                record,
+                record: line,
                 at: self.log_bytes,
             }
         } else {
-            let mut next = self.state.committed.clone();
-            pending.apply_to(&mut next);
-            let Some(next) = next else {
-                unreachable!("applying a proposal leaves a committed state")
-            };
-            let staged = Staged {
-                state: &self.state,
-                committed: &next,
-                journal: &journal,
-                completed: &completed,
-                ring: self.completed_ring,
-            };
-            let snapshot = serde_json::to_string_pretty(&staged)
-                .map_err(|err| unprintable(err.to_string()))?;
-            CommitWrite::Compact { snapshot }
+            let mut next = self.state.clone();
+            next.version = SNAPSHOT_VERSION;
+            next.replay(&record, self.completed_ring)
+                .map_err(unprintable)?;
+            CommitWrite::Compact {
+                snapshot: next.to_json(),
+            }
         };
-        Ok(CommitOutcome::Prepared(PreparedCommit {
-            journal,
-            completed,
-            write,
-        }))
+        Ok(CommitOutcome::Prepared(PreparedCommit { record, write }))
     }
 
     /// Applies a persisted commit: advances the evaluator's committed
-    /// snapshot, moves the pending state in, pushes both rings and
-    /// notes what was written. Returns the `(digest, score, seq)` ack.
+    /// snapshot, replays the commit's log record onto the session record
+    /// and notes what was written. Returns the `(digest, score, seq)` ack.
     pub fn apply_commit(&mut self, prepared: PreparedCommit) -> (String, f64, u64) {
-        let Some(pending) = self.pending.take() else {
+        if self.pending.take().is_none() {
             unreachable!("a commit is prepared from the armed proposal, under the session lock")
-        };
+        }
         self.evaluator.commit();
         self.state.version = SNAPSHOT_VERSION;
-        pending.apply_to(&mut self.state.committed);
-        let ack = (
-            prepared.journal.digest.clone(),
-            prepared.journal.score,
-            prepared.journal.seq,
-        );
-        self.state
-            .push_commit(prepared.journal, prepared.completed, self.completed_ring);
+        if let Err(why) = self.state.replay(&prepared.record, self.completed_ring) {
+            unreachable!("a proposal's splices are diffed from the committed list: {why}")
+        }
         match prepared.write {
             CommitWrite::Append { record, .. } => self.log_bytes += record.len() as u64,
             CommitWrite::Compact { snapshot } => {
@@ -886,7 +792,10 @@ impl Session {
                 self.log_bytes = 0;
             }
         }
-        ack
+        let LogRecord {
+            digest, score, seq, ..
+        } = prepared.record;
+        (digest, score, seq)
     }
 
     /// Drops any pending proposal and returns the committed cost (0
